@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -24,6 +25,7 @@ from .errors import BlownUp, ConfigurationError
 from .stochastic import (
     EXP_CLAMP,
     BrownianPath,
+    _n_steps,
     brownian_increments,
     derive_params,
     exp_functional,
@@ -306,17 +308,15 @@ class ProbabilityEstimate:
 
     p_hat: float
     n_paths: int
-    stderr: float
     analytic_reference: float
     truncation_allowance: float
     n_censored: int
     n_saturated: int
     seed: int
 
-    def __post_init__(self):
-        expected = math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.n_paths)
-        if not math.isclose(self.stderr, expected, rel_tol=1e-12, abs_tol=1e-300):
-            raise ConfigurationError("stderr inconsistent with p_hat and n_paths")
+    @property
+    def stderr(self) -> float:
+        return math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.n_paths)
 
 
 def _terminal_chunk(
@@ -367,6 +367,7 @@ def mc_blowup_probability(
 
     Each path index draws its own generator stream and the reduction is a sum
     of indicator counts, so the estimate is identical for any worker count.
+    The thread pool never exceeds os.cpu_count() threads.
     The truncation allowance is the Markov bound on mass hiding beyond the
     horizon: E[tail] / (x* - max censored A(T)), capped at one.
     """
@@ -379,8 +380,9 @@ def mc_blowup_probability(
     if threshold.beta != params.beta:
         raise ConfigurationError("threshold and params disagree on beta")
     a, b = _drift_scale(threshold, params.kappa, lam1)
-    nsteps = int(math.floor(horizon / dt + 1e-9))
+    nsteps = _n_steps(horizon, dt)
     drift = a * dt * np.arange(1, nsteps + 1)
+    workers = min(workers, os.cpu_count() or 1)
     bounds = np.linspace(0, n_paths, workers + 1).astype(int)
     jobs = [(int(bounds[i]), int(bounds[i + 1])) for i in range(workers) if bounds[i] < bounds[i + 1]]
     if len(jobs) == 1:
@@ -415,7 +417,6 @@ def mc_blowup_probability(
     return ProbabilityEstimate(
         p_hat=p_hat,
         n_paths=n_paths,
-        stderr=math.sqrt(p_hat * (1.0 - p_hat) / n_paths),
         analytic_reference=reference,
         truncation_allowance=allowance,
         n_censored=n_censored,

@@ -35,7 +35,14 @@ import numpy as np
 from .blowup import ModelParams, PowerLaw, TabulatedNonlinearity
 from .domain import EigenData
 from .errors import ConfigurationError, PreconditionFailure
-from .stochastic import EXP_CLAMP, BrownianPath, derive_params, exp_functional, gamma_tail
+from .stochastic import (
+    EXP_CLAMP,
+    BrownianPath,
+    _cumtrapz,
+    derive_params,
+    exp_functional,
+    gamma_tail,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -150,13 +157,6 @@ def _coefficient_envelope(f: np.ndarray, T: float, kappa: float, eigen: EigenDat
     return math.exp(-0.5 * kappa**2 * T) * float(
         np.sum(np.abs(coeff) * np.exp(-eigen.eigenvalues * T) * mode_sup)
     )
-
-
-def _cumtrapz(values: np.ndarray, dt: float) -> np.ndarray:
-    out = np.empty_like(values)
-    out[0] = 0.0
-    np.cumsum(0.5 * dt * (values[1:] + values[:-1]), out=out[1:])
-    return out
 
 
 def _certificate_integral_core(

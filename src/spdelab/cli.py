@@ -41,7 +41,7 @@ from .certificates import (
     certificate_integral,
     certificate_saturation,
 )
-from .config import InitialConfig, RunConfig, load_config
+from .config import HeatKernelConfig, InitialConfig, RunConfig, load_config
 from .domain import (
     EigenData,
     build_grid,
@@ -143,6 +143,10 @@ def _eigen_setup(cfg: RunConfig, n: int | None = None, m: int = 4):
     op = build_laplacian(dom, grid)
     m = min(m, grid.npoints)
     return dom, grid, op, solve_eigenpairs(op, m)
+
+
+def _heat_kernel_config(cfg: RunConfig) -> HeatKernelConfig:
+    return cfg.heat_kernel if cfg.heat_kernel is not None else HeatKernelConfig()
 
 
 def _initial_field(initial: InitialConfig, eigen: EigenData) -> np.ndarray:
@@ -381,11 +385,7 @@ def _fitted_c(cfg: RunConfig, dom, grid, eigen) -> float:
     cert = cfg.need("certificate")
     if cert.c != "fit":
         return float(cert.c)
-    hk = cfg.heat_kernel
-    if hk is None:
-        from .config import HeatKernelConfig
-
-        hk = HeatKernelConfig()
+    hk = _heat_kernel_config(cfg)
     basis = eigen
     if eigen.m < hk.n_modes:
         basis = solve_eigenpairs(build_laplacian(dom, grid), min(hk.n_modes, grid.npoints))
@@ -442,13 +442,8 @@ def cmd_certify(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -
 
 
 def cmd_heat_kernel(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -> list[Path]:
-    hk = cfg.heat_kernel
-    if hk is None:
-        from .config import HeatKernelConfig
-
-        hk = HeatKernelConfig()
-    dom, grid, op, _ = _eigen_setup(cfg, m=4)
-    basis = solve_eigenpairs(op, min(hk.n_modes, grid.npoints))
+    hk = _heat_kernel_config(cfg)
+    dom, grid, _, basis = _eigen_setup(cfg, m=hk.n_modes)
     report = heat_kernel_ratio_report(dom, grid, basis, hk.times())
     p = (dom.dimension + 2) / 2.0
     gap = float(basis.eigenvalues[1] - basis.eigenvalues[0])

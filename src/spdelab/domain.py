@@ -21,16 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, NumericalFailure
 
 logger = logging.getLogger(__name__)
 
 MIN_POINTS_PER_AXIS = 8
-RAYLEIGH_TOL = 1e-10
-_MAX_INVERSE_ITER = 80
-_MAX_SHIFT_REFRESH = 5
 
 
 @dataclass(frozen=True)
@@ -162,7 +158,7 @@ class EigenData:
         Ascending, all positive.
     modes : ndarray, shape (npoints, m)
         Orthonormal columns in the weighted L2 inner product; the first column
-        is sign-fixed positive.
+        is positive.
     psi : ndarray, shape (npoints,)
         Principal mode rescaled to unit discrete integral sum(w * psi) = 1.
     """
@@ -204,76 +200,33 @@ def weighted_inner(grid: GridSpec, f: np.ndarray, g: np.ndarray) -> float:
     return float(np.dot(grid.weights * np.asarray(f, dtype=float), np.asarray(g, dtype=float)))
 
 
-def _stencil_eigenvalue(k: int, n: int, h: float) -> float:
-    # exact spectrum of the 1D (-2,1)/h^2 stencil; used only to seed shifts
-    return 2.0 / h**2 * (1.0 - math.cos(k * math.pi / (n + 1)))
+def _modes_1d(n: int, h: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """First m eigenpairs of the positive 1D stencil -(-2, 1)/h^2, in closed form.
 
-
-def _modes_1d(n: int, h: float, m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """First m eigenpairs of the positive 1D operator by shifted inverse iteration.
-
-    Shifts are seeded from the analytic stencil spectrum, backed off by 1e-8
-    so the shifted matrix stays invertible; deflation keeps iterates orthogonal
-    to the converged modes. Convergence is declared on the Rayleigh residual.
+    lam_k = (2/h^2)(1 - cos(k pi/(n+1))), written as (4/h^2) sin^2(k pi/(2(n+1)))
+    to avoid cancellation for small k, and v_k(j) = sqrt(2/(n+1)) sin(j k pi/(n+1)).
+    Eigenvalues ascend, columns are orthonormal in plain l2, and the first
+    column is positive.
     """
-    if m > n:
-        raise ConfigurationError(f"requested {m} modes on {n} nodes")
-    A = -laplacian_matrix_1d(n, h)
-    eye = sp.identity(n, format="csr")
-    lam = np.empty(m)
-    V = np.empty((n, m))
-    for k in range(m):
-        sigma = _stencil_eigenvalue(k + 1, n, h) * (1.0 - 1e-8)
-        lu = spla.splu((A - sigma * eye).tocsc())
-        x = rng.standard_normal(n)
-        if k:
-            x -= V[:, :k] @ (V[:, :k].T @ x)
-        x /= np.linalg.norm(x)
-        theta = sigma
-        converged = False
-        for refresh in range(_MAX_SHIFT_REFRESH):
-            for _ in range(_MAX_INVERSE_ITER):
-                y = lu.solve(x)
-                if k:
-                    y -= V[:, :k] @ (V[:, :k].T @ y)
-                nrm = np.linalg.norm(y)
-                if not np.isfinite(nrm) or nrm == 0.0:
-                    raise NumericalFailure(f"inverse iteration degenerated at mode {k + 1}")
-                x = y / nrm
-                Ax = A @ x
-                theta = float(x @ Ax)
-                if np.linalg.norm(Ax - theta * x) <= RAYLEIGH_TOL * max(abs(theta), 1.0):
-                    converged = True
-                    break
-            if converged:
-                break
-            # Rayleigh-quotient restart for a stale shift
-            lu = spla.splu((A - theta * (1.0 - 1e-10) * eye).tocsc())
-        if not converged:
-            raise NumericalFailure(f"eigen iteration for mode {k + 1} did not converge")
-        lam[k] = theta
-        V[:, k] = x
-    order = np.argsort(lam)
-    return lam[order], V[:, order]
-
-
-def _fix_sign(v: np.ndarray) -> np.ndarray:
-    # deterministic sign convention: largest-magnitude entry positive
-    return v if v[np.argmax(np.abs(v))] > 0 else -v
+    theta = np.arange(1, m + 1) * (math.pi / (n + 1))
+    lam = (2.0 / h * np.sin(0.5 * theta)) ** 2
+    V = math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(np.arange(1, n + 1), theta))
+    return lam, V
 
 
 def solve_eigenpairs(op: DiscreteOperator, m: int) -> EigenData:
-    """Compute the first ``m`` Dirichlet eigenpairs, ascending.
+    """The first ``m`` Dirichlet eigenpairs, ascending, from the closed-form
+    spectrum of the stencil.
 
-    The rectangle case solves the two 1D problems and combines tensor-product
-    pairs, which is exact for the separable five-point stencil.
+    The rectangle case combines tensor-product pairs of the two 1D problems,
+    which is exact for the separable five-point stencil.
 
     Raises
     ------
     ConfigurationError
         ``m < 2`` or more modes than grid nodes.
     NumericalFailure
-        Eigen-iteration failed to reach the Rayleigh-residual tolerance.
+        The principal mode fails the unit-mass normalization check.
     """
     m = int(m)
     if m < 2:
@@ -281,28 +234,21 @@ def solve_eigenpairs(op: DiscreteOperator, m: int) -> EigenData:
     grid = op.grid
     if m > grid.npoints:
         raise ConfigurationError(f"m={m} exceeds grid size {grid.npoints}")
-    rng = np.random.default_rng(987654321)  # fixed start vectors: bit-reproducible output
     if grid.domain.dimension == 1:
-        lam, V = _modes_1d(grid.n, grid.h[0], m, rng)
+        lam, V = _modes_1d(grid.n, grid.h[0], m)
         modes = V / math.sqrt(grid.h[0])  # plain l2 -> weighted L2 normalization
     else:
         m_axis = min(grid.n, m)
-        lam_a, V_a = _modes_1d(grid.n, grid.h[0], m_axis, rng)
-        lam_b, V_b = _modes_1d(grid.n, grid.h[1], m_axis, rng)
+        lam_a, V_a = _modes_1d(grid.n, grid.h[0], m_axis)
+        lam_b, V_b = _modes_1d(grid.n, grid.h[1], m_axis)
         sums = lam_a[:, None] + lam_b[None, :]
         flat = np.argsort(sums, axis=None, kind="stable")[:m]
         ia, ib = np.unravel_index(flat, sums.shape)
         lam = sums[ia, ib]
+        # column j is kron(V_a[:, ia[j]], V_b[:, ib[j]]) in row-major ij order
         cell = math.sqrt(grid.h[0] * grid.h[1])
-        modes = np.empty((grid.npoints, m))
-        for j in range(m):
-            modes[:, j] = np.kron(V_a[:, ia[j]], V_b[:, ib[j]]) / cell
-        lam = np.asarray(lam, dtype=float)
-    for j in range(modes.shape[1]):
-        modes[:, j] = _fix_sign(modes[:, j])
+        modes = (V_a[:, None, ia] * V_b[None, :, ib]).reshape(grid.npoints, m) / cell
     phi1 = modes[:, 0]
-    if np.any(phi1 <= 0):
-        raise NumericalFailure("principal mode is not strictly positive on the grid")
     scale = weighted_inner(grid, np.ones_like(phi1), phi1)
     psi = phi1 / scale
     total = float(np.dot(grid.weights, psi))

@@ -122,6 +122,14 @@ def derive_params(beta: float, kappa: float, lam1: float) -> DerivedParams:
     return DerivedParams(mu=mu, beta_hat=beta_hat, mu_hat=mu_hat, alpha=-mu_hat)
 
 
+def _cumtrapz(values: np.ndarray, dt: float) -> np.ndarray:
+    """Running trapezoidal integral of uniformly spaced samples, starting at 0."""
+    out = np.empty(len(values))
+    out[0] = 0.0
+    np.cumsum(0.5 * dt * (values[1:] + values[:-1]), out=out[1:])
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class ExpFunctional:
     """Running trapezoidal values of A(t) = int_0^t exp(a s + b W_s) ds."""
@@ -144,10 +152,7 @@ def exp_functional(path: BrownianPath, a: float, b: float) -> ExpFunctional:
     saturated = bool(np.max(expo) > EXP_CLAMP)
     if saturated:
         expo = np.minimum(expo, EXP_CLAMP)
-    g = np.exp(expo)
-    values = np.empty(len(g))
-    values[0] = 0.0
-    np.cumsum(0.5 * path.dt * (g[1:] + g[:-1]), out=values[1:])
+    values = _cumtrapz(np.exp(expo), path.dt)
     return ExpFunctional(a=a, b=b, dt=path.dt, values=values, saturated=saturated)
 
 

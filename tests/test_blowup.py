@@ -7,12 +7,16 @@ plus frozen regression values for bitwise reproducibility.
 """
 
 import math
+import os
+import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spdelab import blowup
 from spdelab.blowup import (
     BlowupOutcome,
     BlowupThreshold,
@@ -368,8 +372,42 @@ class TestMonteCarlo:
             )
 
     def test_estimate_validation(self):
-        with pytest.raises(ConfigurationError):
-            ProbabilityEstimate(
-                p_hat=0.5, n_paths=100, stderr=0.9, analytic_reference=0.5,
-                truncation_allowance=0.0, n_censored=50, n_saturated=0, seed=1,
-            )
+        est = ProbabilityEstimate(
+            p_hat=0.25, n_paths=400, analytic_reference=0.5,
+            truncation_allowance=0.0, n_censored=300, n_saturated=0, seed=1,
+        )
+        assert est.stderr == math.sqrt(0.25 * 0.75 / 400)
+
+    @pytest.mark.parametrize("cores", [2, 7])
+    def test_thread_pool_capped_at_core_count(self, monkeypatch, cores):
+        class SerialPool:
+            """Records max_workers and runs each job inline; starts no thread."""
+
+            sizes = []
+
+            def __init__(self, max_workers):
+                self.sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                done = Future()
+                done.set_result(fn(*args))
+                return done
+
+        def no_threads(self):
+            raise AssertionError("a thread was started")
+
+        kw = dict(n_paths=1000, horizon=5.0, dt=1e-3, seed=42)
+        serial = mc_blowup_probability(self.PARAMS, 1.0, self.THRESHOLD, workers=1, **kw)
+        monkeypatch.setattr(blowup, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
+        est = mc_blowup_probability(self.PARAMS, 1.0, self.THRESHOLD, workers=10_000, **kw)
+        assert SerialPool.sizes == [cores]
+        assert est == serial
+        assert 0 < est.n_censored < est.n_paths

@@ -149,6 +149,26 @@ class TestEigenpairs:
         extrap = richardson_extrapolate(lams[128], lams[256], ratio)
         assert abs(extrap - 1.0) <= errs[256] / 4.0
 
+    @pytest.mark.parametrize(
+        "kind, lengths, n_max",
+        [("interval", (PI,), 64), ("rectangle", (PI, PI), 16), ("rectangle", (1.0, 2.5), 16)],
+    )
+    @settings(max_examples=15)
+    @given(data=st.data())
+    def test_closed_form_is_the_stencil_spectrum(self, kind, lengths, n_max, data):
+        n = data.draw(st.integers(8, n_max), label="n")
+        dom = DomainSpec(kind, lengths)
+        grid = build_grid(dom, n)
+        op = build_laplacian(dom, grid)
+        m = data.draw(st.integers(2, grid.npoints), label="m")
+        eig = solve_eigenpairs(op, m)
+        a = -op.matrix
+        for k in range(eig.m):
+            v, lam = eig.modes[:, k], eig.eigenvalues[k]
+            assert np.linalg.norm(a @ v - lam * v) <= 1e-10 * lam * np.linalg.norm(v)
+        dense = np.linalg.eigvalsh(a.toarray())[:m]
+        assert_allclose(eig.eigenvalues, dense, rtol=1e-12, atol=0)
+
     def test_mode_count_guards(self, interval_48):
         _, _, op, _ = interval_48
         with pytest.raises(ConfigurationError):
