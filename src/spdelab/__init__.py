@@ -58,6 +58,7 @@ from .integrator import (
     TrajectoryResult,
     mild_residual,
     reconstruct_u,
+    simulate_paths,
     simulate_rpde,
     simulate_spde_em,
     step_rpde,
@@ -95,7 +96,7 @@ __all__ = [
     "certificate_integral", "certificate_saturation", "certificate_heat_kernel",
     # integrator
     "Scheme", "SchemeConfig", "Outcome", "TrajectoryResult", "step_rpde",
-    "simulate_rpde", "simulate_spde_em", "reconstruct_u",
+    "simulate_paths", "simulate_rpde", "simulate_spde_em", "reconstruct_u",
     "weak_form_residual", "mild_residual",
     # config
     "RunConfig", "load_config",

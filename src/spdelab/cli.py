@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,13 +57,16 @@ from .integrator import (
     SchemeConfig,
     mild_residual,
     reconstruct_u,
-    simulate_rpde,
-    simulate_spde_em,
+    simulate_paths,
     weak_form_residual,
 )
 from .stochastic import BrownianPath, sample_brownian
 
 OUT_ENV_VAR = "SPDELAB_OUT"
+# simulate advances its noise paths in blocks of this many: wide enough to
+# spread the per-step overhead, narrow enough that the block's per-path
+# series and snapshots stay a small part of peak memory
+BLOCK_PATHS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -82,12 +85,20 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
+def write_csv(path: Path, header: list[str], rows) -> Path:
+    """Write a header and rows; rows is a list of lists or a 2-D float array.
+
+    csv writes a Python float through repr(), so a float array needs no
+    per-cell conversion and gives the same bytes as _cell.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(x) for x in row])
+        if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
+            writer.writerows(rows.tolist())
+        else:
+            for row in rows:
+                writer.writerow([_cell(x) for x in row])
     return path
 
 
@@ -308,43 +319,46 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) 
     )
     mass0 = weighted_inner(grid, f, eigen.psi)
     threshold = BlowupThreshold.from_initial_mass(mass0, params.beta) if mass0 > 0 else None
+    # the Euler-Maruyama run is compared through its sup series only
+    em_cfg = replace(scheme_cfg, max_snapshots=2)
     n_paths = 1 if params.kappa == 0 else sim.n_paths
     traj_rows, cons_rows, files = [], [], []
-    for idx in range(n_paths):
-        path = _sample_path(sim, params.kappa, run_seed, idx)
-        traj = simulate_rpde(f, path, params, op, eigen, scheme_cfg)
-        tau = None
-        if threshold is not None:
-            outcome = tau_from_path(path, threshold, params.kappa, eigen.lam1)
-            tau = outcome.tau if outcome.status is OutcomeStatus.BLEW_UP else None
+    for start in range(0, n_paths, BLOCK_PATHS):
+        block = range(start, min(start + BLOCK_PATHS, n_paths))
+        paths = [_sample_path(sim, params.kappa, run_seed, idx) for idx in block]
+        trajs = simulate_paths(f, paths, params, op, eigen, scheme_cfg, variable="v")
         try:
-            traj_em = simulate_spde_em(f, path, params, op, eigen, scheme_cfg)
+            trajs_em = simulate_paths(f, paths, params, op, eigen, em_cfg, variable="u")
         except NumericalFailure:
-            traj_em = None
-        series = out_dir / f"mass_series_{idx:04d}.csv"
-        write_csv(
-            series,
-            ["t", "mass", "sup"],
-            [[traj.times[k], traj.mass[k], traj.sup[k]] for k in range(len(traj.times))],
-        )
-        files.append(series)
-        traj_rows.append(
-            [
-                idx,
-                traj.outcome.value,
-                traj.t_blowup,
-                traj.t_last_stable,
-                tau,
-                mass0,
-                float(traj.mass[-1]),
-                float(traj.sup[-1]),
-                series.name,
-            ]
-        )
-        em_diff, ratio_min, weak_max, mild_max = _consistency_row(
-            traj, traj_em, path, params, eigen, threshold, tau
-        )
-        cons_rows.append([idx, traj.outcome.value, em_diff, ratio_min, weak_max, mild_max])
+            trajs_em = [None] * len(paths)
+        for idx, path, traj, traj_em in zip(block, paths, trajs, trajs_em):
+            tau = None
+            if threshold is not None:
+                outcome = tau_from_path(path, threshold, params.kappa, eigen.lam1)
+                tau = outcome.tau if outcome.status is OutcomeStatus.BLEW_UP else None
+            series = out_dir / f"mass_series_{idx:04d}.csv"
+            rows = np.column_stack((traj.times, traj.mass, traj.sup))
+            write_csv(series, ["t", "mass", "sup"], rows)
+            files.append(series)
+            traj_rows.append(
+                [
+                    idx,
+                    traj.outcome.value,
+                    traj.t_blowup,
+                    traj.t_last_stable,
+                    tau,
+                    mass0,
+                    float(traj.mass[-1]),
+                    float(traj.sup[-1]),
+                    series.name,
+                ]
+            )
+            em_diff, ratio_min, weak_max, mild_max = _consistency_row(
+                traj, traj_em, path, params, eigen, threshold, tau
+            )
+            cons_rows.append([idx, traj.outcome.value, em_diff, ratio_min, weak_max, mild_max])
+        # free this block's fields before the next block is integrated
+        del paths, trajs, trajs_em, path, traj, traj_em
     files.insert(
         0,
         write_csv(
@@ -381,22 +395,28 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) 
     return files
 
 
-def _fitted_c(cfg: RunConfig, dom, grid, eigen) -> float:
+def _fitted_c(cfg: RunConfig, dom, grid, basis) -> float:
     cert = cfg.need("certificate")
     if cert.c != "fit":
         return float(cert.c)
-    hk = _heat_kernel_config(cfg)
-    basis = eigen
-    if eigen.m < hk.n_modes:
-        basis = solve_eigenpairs(build_laplacian(dom, grid), min(hk.n_modes, grid.npoints))
-    return heat_kernel_ratio_report(dom, grid, basis, hk.times()).c
+    return heat_kernel_ratio_report(dom, grid, basis, _heat_kernel_config(cfg).times()).c
 
 
 def cmd_certify(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -> list[Path]:
     params = cfg.need("model")
     sim = cfg.need("sim")
     cert = cfg.need("certificate")
-    dom, grid, _, eigen = _eigen_setup(cfg, m=48)
+    # one eigen solve serves the certificates (the first 48 pairs) and the
+    # fit of c (at least heat_kernel.n_modes pairs)
+    m = 48
+    if cert.c == "fit" and "heat_kernel" in cert.kinds:
+        m = max(m, _heat_kernel_config(cfg).n_modes)
+    dom, grid, _, basis = _eigen_setup(cfg, m=m)
+    eigen = basis
+    if basis.m > 48:
+        eigen = replace(
+            basis, eigenvalues=basis.eigenvalues[:48], modes=basis.modes[:, :48].copy()
+        )
     run_seed = seed if seed is not None else sim.seed
     if cert.frozen_zero_path:
         path = BrownianPath.frozen_zero(sim.horizon, sim.dt)
@@ -416,7 +436,7 @@ def cmd_certify(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -
         else:
             if cert.K is None:
                 raise ConfigurationError("heat_kernel certificate needs certificate.K")
-            c = _fitted_c(cfg, dom, grid, eigen)
+            c = _fitted_c(cfg, dom, grid, basis)
             report = certificate_heat_kernel(
                 cert.K,
                 cert.eta,

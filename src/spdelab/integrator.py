@@ -4,16 +4,24 @@ The transformed field v solves dv/dt = (Delta - kappa^2/2) v +
 e^{-kappa W_t} G(e^{kappa W_t} v) along a fixed noise path; the physical field
 u = e^{kappa W_t} v can instead be advanced directly with a multiplicative
 Euler-Maruyama increment. Both use IMEX stepping: the stiff linear part is
-implicit (one sparse factorization per trajectory), the reaction explicit at
-the step start, which is the non-anticipating reading of the noise factor.
+implicit, the reaction explicit at the step start, which is the
+non-anticipating reading of the noise factor.
 
-Numerical blowup is declared when the sup norm passes the cutoff; the blowup
-time is then bracketed by re-integrating the offending step with halved dt,
-so the reported t_b carries resolution dt / 2^max_halvings.
+One engine, ``simulate_paths``, advances a block of paths that share the
+initial field, operator and scheme: each step is one reaction evaluation on
+the (paths x nodes) block and one solve with one sparse factorization on all
+of its right-hand sides. Single-path calls are blocks of one, and every path's
+result is bitwise independent of the block it ran in.
+
+Numerical blowup is declared when the sup norm passes the cutoff; the path
+leaves the block and its blowup time is bracketed by re-integrating the
+offending step with halved dt (one factorization per halving level, shared by
+the block), so the reported t_b carries resolution dt / 2^max_halvings.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -116,10 +124,11 @@ class TrajectoryResult:
 
 
 class _Workspace:
-    """Per-trajectory factorization of the implicit operator.
+    """Factorization of the implicit operator at one time step.
 
     shift is the zeroth-order coefficient moved into the implicit solve
-    (kappa^2/2 for the transformed equation, 0 for the physical one).
+    (kappa^2/2 for the transformed equation, 0 for the physical one). One
+    workspace serves every path of a block.
     """
 
     def __init__(self, op: DiscreteOperator, shift: float, dt: float, scheme: Scheme):
@@ -137,34 +146,58 @@ class _Workspace:
         except RuntimeError as exc:  # singular factorization
             raise NumericalFailure(f"implicit operator factorization failed: {exc}") from exc
         self.dt = dt
-        self.scheme = scheme
-        self.shift = shift
 
 
-def _transformed_reaction(values: np.ndarray, w_t: float, params: ModelParams) -> np.ndarray:
-    """e^{-kappa W} G(e^{kappa W} v), collapsed analytically for power laws."""
-    g = params.G
-    if isinstance(g, PowerLaw):
-        exponent = params.kappa * params.beta * w_t
-        return g.coeff * math.exp(min(exponent, EXP_CLAMP)) * np.power(
-            np.maximum(values, 0.0), 1.0 + params.beta
-        )
-    scale = math.exp(min(max(params.kappa * w_t, -EXP_CLAMP), EXP_CLAMP))
-    return g(scale * values) / scale
+def _noise_factor(w, params: ModelParams) -> np.ndarray:
+    """The noise factor of the transformed reaction at each noise value in w.
 
-
-def _advance(state: FieldState, rhs_extra: np.ndarray, ws: _Workspace) -> FieldState:
-    """One linear-implicit step with the precomputed factorization."""
-    v = state.values
-    if ws.scheme is Scheme.IMEX:
-        rhs = v + ws.dt * rhs_extra
+    c e^{kappa beta W} for a power law, e^{kappa W} otherwise, clamped. Each
+    entry goes through math.exp, so a value does not depend on how many
+    times are evaluated together.
+    """
+    w = np.asarray(w, dtype=float)
+    power_law = isinstance(params.G, PowerLaw)
+    if power_law:
+        exponent = np.minimum(params.kappa * params.beta * w, EXP_CLAMP)
     else:
-        rhs = ws.explicit @ v + ws.dt * rhs_extra
+        exponent = np.clip(params.kappa * w, -EXP_CLAMP, EXP_CLAMP)
+    factor = np.fromiter(map(math.exp, exponent.ravel().tolist()), float, exponent.size)
+    factor = factor.reshape(exponent.shape)
+    return params.G.coeff * factor if power_law else factor
+
+
+def _transformed_reaction(
+    values: np.ndarray, factor: np.ndarray, params: ModelParams
+) -> np.ndarray:
+    """e^{-kappa W} G(e^{kappa W} v) for fields values[..., :], one noise factor
+    per field; collapsed analytically for power laws."""
+    factor = factor[..., None]
+    if isinstance(params.G, PowerLaw):
+        return factor * np.power(np.maximum(values, 0.0), 1.0 + params.beta)
+    return params.G(factor * values) / factor
+
+
+def _step(block: np.ndarray, explicit_term: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """One linear-implicit step of a block of fields, one field per row, with
+    the precomputed factorization; the only place fields are advanced."""
+    if ws.explicit is None:
+        rhs = block + ws.dt * explicit_term
+    else:
+        rhs = (ws.explicit @ block.T).T + ws.dt * explicit_term
     try:
-        out = ws.solve(rhs)
+        return ws.solve(rhs.T).T
     except RuntimeError as exc:
-        raise NumericalFailure(f"linear solve failed at t={state.t}: {exc}") from exc
-    return FieldState(t=state.t + ws.dt, values=out)
+        raise NumericalFailure(f"linear solve failed: {exc}") from exc
+
+
+def _check_positivity(new: np.ndarray, new_sup: np.ndarray, old_sup: np.ndarray, t: float) -> None:
+    """Abort when a row dips below -1e-8 times its field scale."""
+    if new.min() >= 0.0:
+        return
+    low = new.min(axis=1)
+    lost = low < -POSITIVITY_TOL * np.maximum(np.maximum(new_sup, old_sup), 1e-300)
+    if lost.any():
+        raise NumericalFailure(f"positivity lost at t={t}: min={float(low[lost][0]):.3e}")
 
 
 def step_rpde(
@@ -181,14 +214,12 @@ def step_rpde(
     scale aborts with a numerical failure.
     """
     ws = workspace or _Workspace(op, 0.5 * params.kappa**2, cfg.dt, cfg.scheme)
-    new = _advance(state, _transformed_reaction(state.values, w_t, params), ws)
-    if np.all(np.isfinite(new.values)):
-        scale = max(new.sup, state.sup, 1e-300)
-        if float(np.min(new.values)) < -POSITIVITY_TOL * scale:
-            raise NumericalFailure(
-                f"positivity lost at t={new.t}: min={float(np.min(new.values)):.3e}"
-            )
-    return new
+    block = state.values[None, :]
+    new = _step(block, _transformed_reaction(block, _noise_factor([w_t], params), params), ws)
+    t = state.t + ws.dt
+    if np.all(np.isfinite(new)):
+        _check_positivity(new, np.abs(new).max(axis=1), np.array([state.sup]), t)
+    return FieldState(t=t, values=new[0])
 
 
 def _validate_initial_field(f: np.ndarray, op: DiscreteOperator) -> np.ndarray:
@@ -203,163 +234,197 @@ def _validate_initial_field(f: np.ndarray, op: DiscreteOperator) -> np.ndarray:
     return f
 
 
-def _check_grids(path: BrownianPath, cfg: SchemeConfig) -> None:
-    if abs(cfg.dt - path.dt) > 1e-12 * path.dt:
+def _check_grids(paths: list[BrownianPath], cfg: SchemeConfig) -> int:
+    for path in paths:
+        if abs(cfg.dt - path.dt) > 1e-12 * path.dt:
+            raise ConfigurationError(
+                f"scheme dt={cfg.dt} must match the path grid dt={path.dt}"
+            )
+    nsteps = {path.nsteps for path in paths}
+    if len(nsteps) != 1:
         raise ConfigurationError(
-            f"scheme dt={cfg.dt} must match the path grid dt={path.dt}"
+            f"the paths of one block need one horizon, got {sorted(nsteps)} steps"
         )
+    return nsteps.pop()
 
 
 def _refine_blowup_time(
-    stable: FieldState,
-    t_end: float,
-    path: BrownianPath,
-    params: ModelParams,
-    op: DiscreteOperator,
-    cfg: SchemeConfig,
+    values: np.ndarray,
+    t_lo: float,
+    t_hi: float,
     reaction,
-    shift: float,
+    noise_at,
+    level_workspace,
+    cfg: SchemeConfig,
 ) -> tuple[float, float]:
-    """Bracket the cutoff crossing inside [stable.t, t_end] by dt halving.
+    """Bracket the cutoff crossing inside [t_lo, t_hi] by dt halving, starting
+    from the stable field ``values`` at t_lo.
 
-    The noise value at off-grid times is linearly interpolated; the cascade
-    refines the PDE time step, not the noise resolution.
+    ``noise_at(t)`` gives the one-row noise term at an off-grid time, and
+    ``level_workspace(dt)`` the factorization of a halving level. The
+    cascade refines the PDE time step, not the noise resolution.
     """
-    t_lo, t_hi = stable.t, t_end
-    state_lo = stable
+    block = values[None, :]
     dt_f = cfg.dt
     for _ in range(cfg.max_halvings):
         dt_f *= 0.5
         nsub = max(1, int(round((t_hi - t_lo) / dt_f)))
-        ws = _Workspace(op, shift, dt_f, cfg.scheme)
-        state = state_lo
-        crossed = False
+        ws = level_workspace(dt_f)
+        t = t_lo
         for _ in range(nsub):
-            w_t = float(np.interp(state.t, path.times, path.values))
-            try:
-                nxt = _advance(state, reaction(state.values, w_t, state.t), ws)
-            except NumericalFailure:
-                crossed = True
-                t_hi = state.t + dt_f
+            nxt = _step(block, reaction(block, noise_at(t)), ws)
+            if not np.max(np.abs(nxt)) < cfg.cutoff:
+                t_hi = t + dt_f
                 break
-            if not np.all(np.isfinite(nxt.values)) or nxt.sup >= cfg.cutoff:
-                crossed = True
-                t_hi = nxt.t
-                break
-            state = nxt
-        if crossed:
-            t_lo, state_lo = state.t, state
-        else:
-            # cutoff not reached at finer dt inside the bracket: the crossing
-            # sits at the bracket end within this resolution
-            t_lo, state_lo = state.t, state
+            block, t = nxt, t + dt_f
+        # without a crossing at this dt the crossing sits at the bracket end
+        # within this resolution
+        t_lo = t
     return t_lo, t_hi
 
 
-def _simulate(
+def simulate_paths(
     f: np.ndarray,
-    path: BrownianPath,
+    paths: list[BrownianPath],
     params: ModelParams,
     op: DiscreteOperator,
     eigen: EigenData,
     cfg: SchemeConfig,
-    variable: str,
-) -> TrajectoryResult:
-    _check_grids(path, cfg)
+    variable: str = "v",
+) -> list[TrajectoryResult]:
+    """Integrate one field per noise path, all from f, as one block.
+
+    variable "v" integrates the transformed field, "u" the physical one with
+    multiplicative Euler-Maruyama increments. Every step advances the
+    (paths x nodes) block with one reaction evaluation and one solve on all
+    right-hand sides; a path that crosses the cutoff leaves the block and has
+    its crossing refined. Each result is bitwise the one a single-path call
+    gives.
+    """
+    if variable not in ("v", "u"):
+        raise ConfigurationError(f"variable must be 'v' or 'u', got {variable!r}")
+    nsteps = _check_grids(paths, cfg)
     f = _validate_initial_field(f, op)
     if variable == "v":
         shift = 0.5 * params.kappa**2
+        noise = np.stack([_noise_factor(p.values[:nsteps], params) for p in paths], axis=1)
 
-        def reaction(values, w_t, t):
-            return _transformed_reaction(values, w_t, params)
+        def reaction(block, factor):
+            return _transformed_reaction(block, factor, params)
+
+        def noise_for(j):
+            times, values = paths[j].times, paths[j].values
+            return lambda t: _noise_factor([np.interp(t, times, values)], params)
 
     else:
         shift = 0.0
-        dw = np.diff(path.values)
+        # multiplicative increment folded into the explicit term:
+        # u + dt G(u) + kappa u dW = u + dt (G(u) + kappa u dW/dt)
+        noise = np.stack([np.diff(p.values) / cfg.dt for p in paths], axis=1)
 
-        def reaction(values, w_t, t):
-            # multiplicative increment folded into the explicit term:
-            # u + dt G(u) + kappa u dW = u + dt (G(u) + kappa u dW/dt)
-            k = min(int(round(t / cfg.dt)), len(dw) - 1)
-            return params.G(values) + params.kappa * values * (dw[k] / cfg.dt)
+        def reaction(block, rate):
+            return params.G(block) + params.kappa * block * rate[:, None]
+
+        def noise_for(j):
+            return lambda t: noise[min(int(round(t / cfg.dt)), nsteps - 1), j : j + 1]
 
     ws = _Workspace(op, shift, cfg.dt, cfg.scheme)
-    weights = eigen.grid.weights
-    psi = eigen.psi
-    nsteps = path.nsteps
+
+    @functools.cache
+    def level_workspace(dt):  # one factorization per halving level and call
+        return _Workspace(op, shift, dt, cfg.scheme)
+
+    weights, psi = eigen.grid.weights, eigen.psi
     stride = max(1, math.ceil((nsteps + 1) / cfg.max_snapshots))
+    n_paths = len(paths)
+    mass = np.empty((n_paths, nsteps + 1))
+    sup = np.empty((n_paths, nsteps + 1))
+    # one array per path: the unused tail of a path that stops early is
+    # never touched, so it never becomes resident
+    snaps = [np.empty((nsteps // stride + 2, f.size)) for _ in paths]
+    n_snaps = np.ones(n_paths, dtype=int)
 
-    mass = np.empty(nsteps + 1)
-    sup = np.empty(nsteps + 1)
-    snap_idx: list[int] = []
-    snaps: list[np.ndarray] = []
-    state = FieldState(t=0.0, values=f)
-    mass[0] = float(np.dot(weights, psi * f))
-    sup[0] = state.sup
-    snap_idx.append(0)
-    snaps.append(f.copy())
+    def snapshot(rows, idx):  # append each row to the snapshots of its path
+        for row, j in zip(rows, idx):
+            snaps[j][n_snaps[j]] = row
+        n_snaps[idx] += 1
 
-    outcome = Outcome.COMPLETED
-    t_blowup = None
-    t_last_stable = None
-    k_stop = nsteps
+    k_stop = np.full(n_paths, nsteps)
+    brackets: list[tuple[float, float] | None] = [None] * n_paths
+
+    block = np.repeat(f[None, :], n_paths, axis=0)
+    block_sup = np.abs(block).max(axis=1)
+    live = np.arange(n_paths)
+    live_noise = noise
+    mass[:, 0] = np.vecdot(psi * block, weights)
+    sup[:, 0] = block_sup
+    for snap in snaps:
+        snap[0] = f
+    t = 0.0
     for k in range(nsteps):
-        try:
-            nxt = _advance(state, reaction(state.values, float(path.values[k]), state.t), ws)
-        except NumericalFailure:
-            nxt = None
-        blown = (
-            nxt is None
-            or not np.all(np.isfinite(nxt.values))
-            or nxt.sup >= cfg.cutoff
-        )
-        if blown:
-            t_lo, t_hi = _refine_blowup_time(
-                state, state.t + cfg.dt, path, params, op, cfg, reaction, shift
-            )
-            outcome = Outcome.NUMERICAL_BLOWUP
-            t_last_stable, t_blowup = t_lo, t_hi
-            k_stop = k
-            break
-        if variable == "v" and float(np.min(nxt.values)) < -POSITIVITY_TOL * max(
-            nxt.sup, state.sup, 1e-300
-        ):
-            raise NumericalFailure(
-                f"positivity lost at t={nxt.t}: min={float(np.min(nxt.values)):.3e}"
-            )
-        state = nxt
-        mass[k + 1] = float(np.dot(weights, psi * state.values))
-        sup[k + 1] = state.sup
+        new = _step(block, reaction(block, live_noise[k]), ws)
+        new_sup = np.abs(new).max(axis=1)
+        stable = new_sup < cfg.cutoff
+        if not stable.all():
+            blown = ~stable
+            if k % stride:
+                snapshot(block[blown], live[blown])
+            for i in np.flatnonzero(blown):
+                j = live[i]
+                k_stop[j] = k
+                brackets[j] = _refine_blowup_time(
+                    block[i], t, t + cfg.dt, reaction, noise_for(j), level_workspace, cfg
+                )
+            live, live_noise = live[stable], live_noise[:, stable]
+            block, block_sup = block[stable], block_sup[stable]
+            new, new_sup = new[stable], new_sup[stable]
+            if live.size == 0:
+                break
+        if variable == "v":
+            _check_positivity(new, new_sup, block_sup, t + cfg.dt)
+        t += cfg.dt
+        block, block_sup = new, new_sup
+        mass[live, k + 1] = np.vecdot(psi * block, weights)
+        sup[live, k + 1] = block_sup
         if (k + 1) % stride == 0:
-            snap_idx.append(k + 1)
-            snaps.append(state.values.copy())
+            snapshot(block, live)
+    if nsteps % stride:
+        snapshot(block, live)
 
-    if snap_idx[-1] != k_stop:
-        snap_idx.append(k_stop)
-        snaps.append(state.values.copy())
-    keep = k_stop + 1
-    times = path.times[:keep]
-    result = TrajectoryResult(
-        variable=variable,
-        outcome=outcome,
-        t_blowup=t_blowup,
-        t_last_stable=t_last_stable,
-        times=times,
-        mass=mass[:keep],
-        sup=sup[:keep],
-        snapshot_times=path.times[np.array(snap_idx)],
-        snapshots=np.array(snaps),
-        dt=cfg.dt,
-        scheme=cfg.scheme,
-        seed=path.seed,
-        path_index=path.path_index,
-    )
-    if outcome is Outcome.NUMERICAL_BLOWUP:
-        logger.info(
-            "numerical blowup: t_b in [%.6g, %.6g] (sup %.3g at last stable step)",
-            t_last_stable, t_blowup, result.sup[-1],
+    grids: dict[float, np.ndarray] = {}  # one time grid per distinct dt
+    results = []
+    for j, path in enumerate(paths):
+        if path.dt not in grids:
+            grids[path.dt] = path.times
+        times = grids[path.dt]
+        keep = k_stop[j] + 1
+        snap_idx = np.arange(0, keep, stride)
+        if snap_idx[-1] != k_stop[j]:
+            snap_idx = np.append(snap_idx, k_stop[j])
+        t_last_stable, t_blowup = brackets[j] if brackets[j] is not None else (None, None)
+        outcome = Outcome.COMPLETED if brackets[j] is None else Outcome.NUMERICAL_BLOWUP
+        result = TrajectoryResult(
+            variable=variable,
+            outcome=outcome,
+            t_blowup=t_blowup,
+            t_last_stable=t_last_stable,
+            times=times[:keep],
+            mass=mass[j, :keep],
+            sup=sup[j, :keep],
+            snapshot_times=times[snap_idx],
+            snapshots=snaps[j][: n_snaps[j]],
+            dt=cfg.dt,
+            scheme=cfg.scheme,
+            seed=path.seed,
+            path_index=path.path_index,
         )
-    return result
+        if outcome is Outcome.NUMERICAL_BLOWUP:
+            logger.info(
+                "numerical blowup: t_b in [%.6g, %.6g] (sup %.3g at last stable step)",
+                t_last_stable, t_blowup, result.sup[-1],
+            )
+        results.append(result)
+    return results
 
 
 def simulate_rpde(
@@ -371,7 +436,7 @@ def simulate_rpde(
     cfg: SchemeConfig,
 ) -> TrajectoryResult:
     """Integrate the transformed field v along the given noise path."""
-    return _simulate(f, path, params, op, eigen, cfg, variable="v")
+    return simulate_paths(f, [path], params, op, eigen, cfg, variable="v")[0]
 
 
 def simulate_spde_em(
@@ -383,7 +448,7 @@ def simulate_spde_em(
     cfg: SchemeConfig,
 ) -> TrajectoryResult:
     """Integrate the physical field u directly with multiplicative increments."""
-    return _simulate(f, path, params, op, eigen, cfg, variable="u")
+    return simulate_paths(f, [path], params, op, eigen, cfg, variable="u")[0]
 
 
 def reconstruct_u(traj: TrajectoryResult, path: BrownianPath, kappa: float) -> TrajectoryResult:
@@ -431,9 +496,7 @@ def weak_form_residual(
     coeff = (fields * w[None, :]) @ phis  # <field, phi_j> at snapshot times
     w_at = np.interp(t, path.times, path.values)
     if traj.variable == "v":
-        react = np.stack(
-            [_transformed_reaction(fields[i], float(w_at[i]), params) for i in range(len(t))]
-        )
+        react = _transformed_reaction(fields, _noise_factor(w_at, params), params)
         drift = -(lams[None, :] + 0.5 * params.kappa**2) * coeff + (react * w[None, :]) @ phis
         stoch = np.zeros_like(coeff)
     else:
@@ -472,9 +535,7 @@ def mild_residual(
     mu = basis.eigenvalues + 0.5 * params.kappa**2
     coeff = (fields * w[None, :]) @ basis.modes
     w_at = np.interp(t, path.times, path.values)
-    react = np.stack(
-        [_transformed_reaction(fields[i], float(w_at[i]), params) for i in range(len(t))]
-    )
+    react = _transformed_reaction(fields, _noise_factor(w_at, params), params)
     b = (react * w[None, :]) @ basis.modes
     conv = np.zeros_like(coeff)
     for i in range(1, len(t)):

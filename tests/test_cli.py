@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spdelab.cli import main
+from spdelab.cli import main, write_csv
 from spdelab.config import load_config
 from spdelab.domain import build_grid, build_laplacian, solve_eigenpairs, weighted_inner
 from spdelab.errors import ConfigurationError
@@ -368,6 +368,22 @@ class TestHeatKernelCommand:
         summary = json.loads((out / "heatkernel_summary.json").read_text())
         assert math.isfinite(summary["c"]) and summary["c"] > 0
         assert summary["dimension"] == 1
+
+
+class TestWriteCsv:
+    def test_float_array_matches_cell_formatting(self, tmp_path):
+        # the array fast path and the per-cell path write the same bytes
+        rng = np.random.default_rng(0)
+        rows = 10.0 ** rng.uniform(-300.0, 300.0, size=(5001, 3))
+        rows *= rng.choice([-1.0, 1.0], size=rows.shape)
+        rows[0] = [-0.0, np.nan, np.inf]
+        rows[1] = [5e-324, -np.inf, 0.0]
+        header = ["t", "mass", "sup"]
+        fast = write_csv(tmp_path / "fast.csv", header, rows)
+        cells = write_csv(tmp_path / "cells.csv", header, rows.tolist())
+        assert fast.read_bytes() == cells.read_bytes()
+        lines = fast.read_text().splitlines()
+        assert lines[1:3] == ["-0.0,nan,inf", "5e-324,-inf,0.0"]
 
 
 class TestOutputRouting:

@@ -9,10 +9,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from spdelab.blowup import ModelParams, PowerLaw, TabulatedNonlinearity, deterministic_dichotomy, Dichotomy
-from spdelab.domain import DiscreteOperator, DomainSpec, GridSpec, apply_heat_semigroup
+from spdelab.domain import (
+    DiscreteOperator,
+    DomainSpec,
+    GridSpec,
+    apply_heat_semigroup,
+    build_grid,
+    build_laplacian,
+    solve_eigenpairs,
+)
 from spdelab.errors import ConfigurationError, NumericalFailure, PreconditionFailure
 from spdelab.integrator import (
     FieldState,
@@ -22,6 +33,7 @@ from spdelab.integrator import (
     TrajectoryResult,
     mild_residual,
     reconstruct_u,
+    simulate_paths,
     simulate_rpde,
     simulate_spde_em,
     step_rpde,
@@ -220,6 +232,121 @@ class TestSimulateRpde:
         with pytest.raises(ConfigurationError):
             simulate_rpde(np.ones(grid.npoints), path, params, op, eig,
                           SchemeConfig(dt=2e-3))
+
+
+def interval_16():
+    dom = DomainSpec(kind="interval", lengths=(math.pi,))
+    grid = build_grid(dom, 16)
+    op = build_laplacian(dom, grid)
+    return grid, op, solve_eigenpairs(op, 4)
+
+
+def tabulated_square():
+    # G(z) = z^2 sampled geometrically far past the cutoff, so the chord
+    # interpolant blows up like the power law it samples
+    z = np.concatenate([[0.0], np.logspace(-4.0, 10.0, 400)])
+    return TabulatedNonlinearity(z=z, g=z**2)
+
+
+def single_path_loop(f, path, params, op, eig, cfg, variable):
+    """Reference: one path, one column per solve, mass and sup up to the
+    first cutoff crossing."""
+    n = op.matrix.shape[0]
+    eye = sparse.identity(n, format="csc")
+    shift = 0.5 * params.kappa**2 if variable == "v" else 0.0
+    gen = (op.matrix - shift * eye).tocsc()
+    theta = 1.0 if cfg.scheme is Scheme.IMEX else 0.5
+    solve = splu((eye - theta * cfg.dt * gen).tocsc()).solve
+    explicit = None if theta == 1.0 else (eye + 0.5 * cfg.dt * gen).tocsr()
+    dw = np.diff(path.values)
+    v = f
+    mass, sup = [float(np.dot(eig.grid.weights, eig.psi * v))], [float(np.max(np.abs(v)))]
+    for k in range(path.nsteps):
+        if variable == "v":
+            factor = params.G.coeff * math.exp(min(params.kappa * params.beta * path.values[k], 700.0))
+            r = factor * np.power(np.maximum(v, 0.0), 1.0 + params.beta)
+        else:
+            r = params.G(v) + params.kappa * v * (dw[k] / cfg.dt)
+        v = solve((v if explicit is None else explicit @ v) + cfg.dt * r)
+        if not np.max(np.abs(v)) < cfg.cutoff:
+            break
+        mass.append(float(np.dot(eig.grid.weights, eig.psi * v)))
+        sup.append(float(np.max(np.abs(v))))
+    return np.array(mass), np.array(sup)
+
+
+class TestBlockEngine:
+    @pytest.mark.parametrize("variable", ["v", "u"])
+    @pytest.mark.parametrize("scheme", [Scheme.IMEX, Scheme.CRANK_NICOLSON])
+    @pytest.mark.parametrize("nonlinearity", ["power_law", "tabulated"])
+    def test_block_width_invariance(self, variable, scheme, nonlinearity):
+        # six paths that mix blowup and completion: one block, blocks of two,
+        # and single-path calls give the same bytes
+        grid, op, eig = interval_16()
+        g = PowerLaw() if nonlinearity == "power_law" else tabulated_square()
+        params = ModelParams(beta=1.0, kappa=1.0, G=g)
+        cfg = SchemeConfig(dt=2e-3, cutoff=1e6, scheme=scheme, max_snapshots=40)
+        f = 3.0 * eig.psi
+        paths = [sample_brownian(2.0, 2e-3, 7, i) for i in range(6)]
+        single = [simulate_paths(f, [p], params, op, eig, cfg, variable)[0] for p in paths]
+        pairs = [r for i in range(0, 6, 2)
+                 for r in simulate_paths(f, paths[i:i + 2], params, op, eig, cfg, variable)]
+        block = simulate_paths(f, paths, params, op, eig, cfg, variable)
+        outcomes = {r.outcome for r in single}
+        assert outcomes == {Outcome.COMPLETED, Outcome.NUMERICAL_BLOWUP}
+        for run in (pairs, block):
+            for a, b in zip(single, run):
+                assert a.outcome is b.outcome
+                assert (a.t_last_stable, a.t_blowup) == (b.t_last_stable, b.t_blowup)
+                for name in ("times", "mass", "sup", "snapshot_times", "snapshots"):
+                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+    @pytest.mark.parametrize("variable", ["v", "u"])
+    @pytest.mark.parametrize("scheme", [Scheme.IMEX, Scheme.CRANK_NICOLSON])
+    def test_matches_single_path_loop(self, variable, scheme):
+        # the block engine reproduces the per-path loop it replaced, bit for
+        # bit, on every accepted step of every path
+        grid, op, eig = interval_16()
+        params = ModelParams(beta=1.0, kappa=1.0)
+        cfg = SchemeConfig(dt=2e-3, cutoff=1e6, scheme=scheme)
+        f = 3.0 * eig.psi
+        paths = [sample_brownian(2.0, 2e-3, 7, i) for i in range(6)]
+        block = simulate_paths(f, paths, params, op, eig, cfg, variable)
+        for path, traj in zip(paths, block):
+            mass, sup = single_path_loop(f, path, params, op, eig, cfg, variable)
+            assert traj.mass.tobytes() == mass.tobytes()
+            assert traj.sup.tobytes() == sup.tobytes()
+
+    def test_paths_must_share_the_grid(self):
+        grid, op, eig = interval_16()
+        paths = [BrownianPath.frozen_zero(1.0, 1e-3), BrownianPath.frozen_zero(2.0, 1e-3)]
+        with pytest.raises(ConfigurationError):
+            simulate_paths(eig.psi, paths, ModelParams(beta=1.0, kappa=0.0), op, eig,
+                           SchemeConfig(dt=1e-3))
+
+    @given(
+        dt=st.sampled_from([0.05, 0.02, 0.01, 0.005, 0.002]),
+        a=st.floats(min_value=2.5, max_value=40.0),
+        cutoff=st.sampled_from([1e3, 1e5, 1e8]),
+        kappa=st.sampled_from([0.0, 1.0]),
+        scheme=st.sampled_from([Scheme.IMEX, Scheme.CRANK_NICOLSON]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=200)
+    def test_bracket_stays_inside_the_crossing_step(self, dt, a, cutoff, kappa, scheme, seed):
+        grid, op, eig = interval_16()
+        params = ModelParams(beta=1.0, kappa=kappa)
+        path = (BrownianPath.frozen_zero(4.0, dt) if kappa == 0.0
+                else sample_brownian(4.0, dt, seed, 0))
+        cfg = SchemeConfig(dt=dt, cutoff=cutoff, scheme=scheme)
+        traj = simulate_rpde(a * eig.psi, path, params, op, eig, cfg)
+        event(traj.outcome.value)
+        if traj.outcome is not Outcome.NUMERICAL_BLOWUP:
+            return
+        stable_t = 0.0  # the engine's clock at the last stable step: dt summed step by step
+        for _ in range(len(traj.times) - 1):
+            stable_t += dt
+        assert stable_t <= traj.t_last_stable <= traj.t_blowup <= stable_t + dt
 
 
 class TestSchemeCrossValidation:
