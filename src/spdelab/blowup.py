@@ -390,7 +390,7 @@ def mc_blowup_probability(
     else:
         with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
             futures = [
-                pool.submit(_terminal_chunk, seed, lo, hi, nsteps, dt, drift.copy(), b, threshold.x_star)
+                pool.submit(_terminal_chunk, seed, lo, hi, nsteps, dt, drift, b, threshold.x_star)
                 for lo, hi in jobs
             ]
             results = [f.result() for f in futures]

@@ -33,14 +33,13 @@ from enum import Enum
 import numpy as np
 
 from .blowup import ModelParams, PowerLaw, TabulatedNonlinearity
-from .domain import EigenData
+from .domain import EigenData, sup_norm_decay
 from .errors import ConfigurationError, PreconditionFailure
 from .stochastic import (
     EXP_CLAMP,
     BrownianPath,
     _cumtrapz,
     derive_params,
-    exp_functional,
     gamma_tail,
 )
 
@@ -135,20 +134,6 @@ def _check_upper_bound(params: ModelParams, z_max: float | None = None) -> None:
     raise ConfigurationError(f"cannot verify the upper bound for nonlinearity {type(g).__name__}")
 
 
-def _sup_norm_series(
-    f: np.ndarray, times: np.ndarray, kappa: float, eigen: EigenData, chunk: int = 4096
-) -> np.ndarray:
-    """||e^{-kappa^2 t/2} S_t f||_inf at each time, through the retained basis."""
-    coeff = eigen.project(f)
-    lam = eigen.eigenvalues
-    out = np.empty(times.shape)
-    for lo in range(0, len(times), chunk):
-        t = times[lo : lo + chunk]
-        fields = eigen.modes @ (np.exp(-np.outer(lam, t)) * coeff[:, None])
-        out[lo : lo + chunk] = np.max(np.abs(fields), axis=0)
-    return out * np.exp(-0.5 * kappa**2 * times)
-
-
 def _coefficient_envelope(f: np.ndarray, T: float, kappa: float, eigen: EigenData) -> float:
     """Bound on ||e^{-kappa^2 t/2} S_t f||_inf at t = T that keeps majorizing
     after multiplication by e^{-(lam_1 + kappa^2/2)(t - T)} for t > T."""
@@ -159,41 +144,65 @@ def _coefficient_envelope(f: np.ndarray, T: float, kappa: float, eigen: EigenDat
     )
 
 
-def _certificate_integral_core(
-    path: BrownianPath,
-    f: np.ndarray,
-    params: ModelParams,
-    lam1: float,
-    eigen: EigenData,
-    w_sign: float,
-    w_scale: float,
-    growth_rate: float,
-) -> tuple[np.ndarray, np.ndarray, float, str | None]:
-    """Shared J(t) machinery: returns (J_series, sup_norm_series, tail, reason).
+def _path_integral(
+    path: BrownianPath, b: float, weight: np.ndarray, weight_T: float, rate: float
+) -> tuple[np.ndarray, float, str | None]:
+    """J(t) = int_0^t e^{b W_r} weight(r) dr on the path grid, the (T, inf)
+    majorant, and why the integral cannot certify (None if nothing stops it).
 
-    The Brownian factor is e^{w_sign * w_scale * W_r}; growth_rate is the
-    conditional mean growth exponent of that factor beyond the horizon.
+    The majorant freezes W at W_T, grows its factor at the conditional mean
+    rate b^2/2 and decays the weight as weight_T e^{-rate (r - T)}, giving
+    e^{b W_T} weight_T / (rate - b^2/2); it is infinite if that rate is not
+    positive. Exponents above EXP_CLAMP are clamped.
     """
-    exponent = w_sign * w_scale * path.values
+    exponent = b * path.values
     reason = None
     if float(np.max(exponent)) > EXP_CLAMP:
         reason = "exponential factor overflows along the path"
         exponent = np.minimum(exponent, EXP_CLAMP)
-    norms = _sup_norm_series(f, path.times, params.kappa, eigen)
-    integrand = params.Lambda * params.beta * np.exp(exponent) * norms**params.beta
-    J_series = _cumtrapz(integrand, path.dt)
-
-    # (T, inf) majorant: freeze W at the endpoint, grow its factor at the
-    # conditional mean rate, and decay the sup norm at the slowest retained
-    # rate. lam_min <= every retained eigenvalue keeps this a majorant.
-    lam_min = min(lam1, eigen.lam1)
-    c_env = (lam_min + 0.5 * params.kappa**2) * params.beta - growth_rate
+    J_series = _cumtrapz(np.exp(exponent) * weight, path.dt)
+    c_env = rate - 0.5 * b**2
     if c_env <= 0:
-        return J_series, norms, math.inf, "tail majorant diverges (noise growth beats decay)"
+        return J_series, math.inf, "tail majorant diverges (noise growth beats decay)"
+    tail = math.exp(min(b * float(path.values[-1]), EXP_CLAMP)) * weight_T / c_env
+    return J_series, tail, reason
+
+
+def _sup_norm_integral(
+    path: BrownianPath, f: np.ndarray, params: ModelParams, lam1: float, eigen: EigenData,
+    b: float, z_max: float | None = None,
+) -> tuple[np.ndarray, np.ndarray, float, float, str | None]:
+    """Checks and _path_integral for the integral and saturation kinds, with
+    weight Lambda beta ||e^{-kappa^2 r/2} S_r f||_inf^beta.
+
+    Returns (J_series, norms, J, tail, reason); reason also covers J >= 1.
+    """
+    if params.kappa <= 0:
+        raise ConfigurationError("certificates need kappa > 0; the noiseless dichotomy is separate")
+    f = _validate_initial(f, eigen)
+    _check_upper_bound(params, z_max)
+    norms = sup_norm_decay(f, path.times, params.kappa, eigen)
     N_T = _coefficient_envelope(f, path.horizon, params.kappa, eigen)
-    w_end = w_sign * w_scale * float(path.values[-1])
-    tail = params.Lambda * params.beta * math.exp(min(w_end, EXP_CLAMP)) * N_T**params.beta / c_env
-    return J_series, norms, tail, reason
+    # lam_min <= every retained eigenvalue keeps the tail a majorant
+    rate = (min(lam1, eigen.lam1) + 0.5 * params.kappa**2) * params.beta
+    scale = params.Lambda * params.beta
+    J_series, tail, reason = _path_integral(
+        path, b, scale * norms**params.beta, scale * N_T**params.beta, rate
+    )
+    J = float(J_series[-1]) + tail
+    if reason is None and J >= 1.0:
+        reason = f"integral {J:.6g} is not below one"
+    return J_series, norms, J, tail, reason
+
+
+def _report(
+    kind: CertificateKind, J: float, threshold: float, tail: float, reason: str | None, **fields
+) -> CertificateReport:
+    """A path-mode report, certified exactly when there is no reason against."""
+    verdict = Verdict.CERTIFIED if reason is None else Verdict.NOT_CERTIFIED
+    return CertificateReport(
+        kind=kind, J=J, verdict=verdict, threshold=threshold, tail=tail, reason=reason, **fields
+    )
 
 
 def certificate_integral(
@@ -209,36 +218,15 @@ def certificate_integral(
     [0, T] part, so a certified J is an overestimate of the true integral
     up to the conditional-mean treatment of the unseen Brownian factor.
     """
-    if params.kappa <= 0:
-        raise ConfigurationError("certificates need kappa > 0; the noiseless dichotomy is separate")
-    f = _validate_initial(f, eigen)
-    _check_upper_bound(params)
-    J_series, norms, tail, reason = _certificate_integral_core(
-        path, f, params, lam1, eigen,
-        w_sign=1.0, w_scale=params.kappa * params.beta,
-        growth_rate=0.5 * params.kappa**2 * params.beta**2,
+    J_series, norms, J, tail, reason = _sup_norm_integral(
+        path, f, params, lam1, eigen, b=params.kappa * params.beta
     )
-    J = float(J_series[-1]) + tail
     if reason is not None:
-        return CertificateReport(
-            kind=CertificateKind.INTEGRAL, J=J, verdict=Verdict.NOT_CERTIFIED,
-            threshold=1.0, tail=tail, reason=reason,
-        )
-    if J >= 1.0:
-        return CertificateReport(
-            kind=CertificateKind.INTEGRAL, J=J, verdict=Verdict.NOT_CERTIFIED,
-            threshold=1.0, tail=tail, reason=f"integral {J:.6g} is not below one",
-        )
+        return _report(CertificateKind.INTEGRAL, J, 1.0, tail, reason)
     envelope = (1.0 - J_series) ** (-1.0 / params.beta)
-    return CertificateReport(
-        kind=CertificateKind.INTEGRAL,
-        J=J,
-        verdict=Verdict.CERTIFIED,
-        threshold=1.0,
-        tail=tail,
-        times=path.times,
-        envelope=envelope,
-        bound_sup=envelope * norms,
+    return _report(
+        CertificateKind.INTEGRAL, J, 1.0, tail, None,
+        times=path.times, envelope=envelope, bound_sup=envelope * norms,
     )
 
 
@@ -255,51 +243,28 @@ def certificate_saturation(
     Certifies when ||f||_inf <= C* (1 - J*)^(1/beta) and the enveloped sup
     norm B*(t) ||e^{-kappa^2 t/2} S_t f||_inf stays strictly inside (0, C*).
     """
-    if params.kappa <= 0:
-        raise ConfigurationError("certificates need kappa > 0; the noiseless dichotomy is separate")
     if params.Cstar is None:
         raise ConfigurationError("saturation certificate needs Cstar in the model parameters")
-    f = _validate_initial(f, eigen)
-    _check_upper_bound(params, z_max=params.Cstar)
-    J_series, norms, tail, reason = _certificate_integral_core(
-        path, f, params, lam1, eigen,
-        w_sign=-1.0, w_scale=params.kappa,
-        growth_rate=0.5 * params.kappa**2,
+    J_series, norms, J, tail, reason = _sup_norm_integral(
+        path, f, params, lam1, eigen, b=-params.kappa, z_max=params.Cstar
     )
-    J = float(J_series[-1]) + tail
-    sup_f = float(np.max(f))
-    if reason is not None or J >= 1.0:
-        return CertificateReport(
-            kind=CertificateKind.SATURATION, J=J, verdict=Verdict.NOT_CERTIFIED,
-            threshold=0.0, tail=tail,
-            reason=reason or f"integral {J:.6g} is not below one",
-        )
+    kind = CertificateKind.SATURATION
+    if reason is not None:
+        return _report(kind, J, 0.0, tail, reason)
     threshold = params.Cstar * (1.0 - J) ** (1.0 / params.beta)
     envelope = (1.0 - J_series) ** (-1.0 / params.beta)
     bound_sup = envelope * norms
-    if sup_f > threshold:
-        return CertificateReport(
-            kind=CertificateKind.SATURATION, J=J, verdict=Verdict.NOT_CERTIFIED,
-            threshold=threshold, tail=tail,
-            reason=f"||f||_inf = {sup_f:.6g} exceeds Cstar (1 - J)^(1/beta) = {threshold:.6g}",
-        )
+    sup_f = float(np.max(f))
     inside = (bound_sup > 0.0) & (bound_sup < params.Cstar)
-    if not bool(inside.all()):
-        k = int(np.argmin(inside))
-        return CertificateReport(
-            kind=CertificateKind.SATURATION, J=J, verdict=Verdict.NOT_CERTIFIED,
-            threshold=threshold, tail=tail,
-            reason=f"enveloped sup norm leaves (0, Cstar) at t={path.times[k]:.6g}",
-        )
-    return CertificateReport(
-        kind=CertificateKind.SATURATION,
-        J=J,
-        verdict=Verdict.CERTIFIED,
-        threshold=threshold,
-        tail=tail,
-        times=path.times,
-        envelope=envelope,
-        bound_sup=bound_sup,
+    if sup_f > threshold:
+        reason = f"||f||_inf = {sup_f:.6g} exceeds Cstar (1 - J)^(1/beta) = {threshold:.6g}"
+    elif not bool(inside.all()):
+        t_out = path.times[int(np.argmin(inside))]
+        reason = f"enveloped sup norm leaves (0, Cstar) at t={t_out:.6g}"
+    if reason is not None:
+        return _report(kind, J, threshold, tail, reason)
+    return _report(
+        kind, J, threshold, tail, None, times=path.times, envelope=envelope, bound_sup=bound_sup
     )
 
 
@@ -328,9 +293,10 @@ def certificate_heat_kernel(
             < e^{lam1 beta eta} / (Lambda beta [K (1+c) (sup psi)^2 int psi]^beta).
 
     In path mode (path given) the left side is evaluated on the path grid plus
-    the endpoint-frozen tail majorant and compared against the right side. In
-    analytic mode (path None) the left side has the known gamma law, and the
-    report carries the probability that the condition holds.
+    the endpoint-frozen tail majorant and compared against the right side; it
+    is infinite when the exponential factor overflows or the majorant
+    diverges. In analytic mode (path None) the left side has the known gamma
+    law, and the report carries the probability that the condition holds.
 
     When f is given it is checked against the domination f <= K S_eta psi
     node by node; the first violating node is named in the failure.
@@ -342,10 +308,9 @@ def certificate_heat_kernel(
     if not (math.isfinite(c) and c > 0):
         raise ConfigurationError(f"kernel-ratio constant must be positive and finite, got {c}")
     _check_upper_bound(params)
-    phi1 = eigen.modes[:, 0]
     if f is not None:
         f = _validate_initial(f, eigen)
-        cap = K * math.exp(-eigen.lam1 * eta) * phi1
+        cap = admissible_initial(K, eta, eigen)
         bad = f > cap * (1.0 + 1e-12) + 1e-300
         if np.any(bad):
             node = int(np.argmax(bad))
@@ -354,6 +319,7 @@ def certificate_heat_kernel(
                 f"initial data exceeds K S_eta psi at node {node} (x={coords}): "
                 f"{f[node]} > {cap[node]}"
             )
+    phi1 = eigen.modes[:, 0]
     sup_phi1 = float(np.max(phi1))
     mass_phi1 = float(np.sum(eigen.grid.weights * phi1))
     beta = params.beta
@@ -376,30 +342,16 @@ def certificate_heat_kernel(
             inputs=inputs,
         )
 
-    a = -(lam1 + 0.5 * params.kappa**2) * beta
-    b = params.kappa * beta
-    func = exp_functional(path, a, b)
-    c_env = (lam1 + 0.5 * params.kappa**2) * beta - 0.5 * params.kappa**2 * beta**2
-    if func.saturated:
-        J = math.inf
-        tail = math.inf
-        reason = "exponential factor overflows along the path"
-    elif c_env <= 0:
-        J = math.inf
-        tail = math.inf
-        reason = "tail majorant diverges (noise growth beats decay)"
+    rate = (lam1 + 0.5 * params.kappa**2) * beta
+    J_series, tail, reason = _path_integral(
+        path, params.kappa * beta, np.exp(-rate * path.times), math.exp(-rate * path.horizon), rate
+    )
+    if reason is not None:
+        J = tail = math.inf
     else:
-        tail = math.exp(min(b * float(path.values[-1]) + a * path.horizon, EXP_CLAMP)) / c_env
-        J = float(func.values[-1]) + tail
-        reason = None
-    certified = J < threshold
-    return CertificateReport(
-        kind=CertificateKind.HEAT_KERNEL,
-        J=J,
-        verdict=Verdict.CERTIFIED if certified else Verdict.NOT_CERTIFIED,
-        threshold=threshold,
-        tail=tail,
-        times=path.times,
-        inputs=inputs,
-        reason=None if certified else (reason or f"functional {J:.6g} is not below {threshold:.6g}"),
+        J = float(J_series[-1]) + tail
+    if not J < threshold:
+        reason = reason or f"functional {J:.6g} is not below {threshold:.6g}"
+    return _report(
+        CertificateKind.HEAT_KERNEL, J, threshold, tail, reason, times=path.times, inputs=inputs
     )

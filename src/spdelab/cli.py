@@ -3,8 +3,8 @@
     spdelab <command> --config cfg.json [--seed N] [--out DIR] [--workers W]
 
 Commands: eigen, blowup, simulate, certify, heat-kernel. Exit codes: 0 on
-success, 2 for configuration problems, 3 for numerical failures, 4 for
-violated mathematical preconditions.
+success, 2 for configuration problems and output I/O errors, 3 for numerical
+failures, 4 for violated mathematical preconditions.
 
 Every float lands in CSV via repr(), so reruns of the same config are
 byte-identical (the manifest carries the only timestamps). Output rows are
@@ -455,9 +455,12 @@ def cmd_certify(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -
                 None if report.verdict is None else report.verdict.value,
                 None if report.envelope is None else float(np.max(report.envelope)),
                 report.probability,
+                None if report.verdict is None else report.tail,
+                report.reason,
             ]
         )
     header = ["kind", "J", "threshold", "verdict", "envelope_max", "probability_certified"]
+    header += ["tail", "reason"]
     return [write_csv(out_dir / "certificates.csv", header, rows)]
 
 
@@ -561,6 +564,11 @@ def main(argv=None) -> int:
     except PreconditionFailure as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        # config and initial-data reads report their own OSErrors as
+        # configuration errors, so what arrives here failed on output
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     for f in files:
         print(f)
     return 0

@@ -116,7 +116,6 @@ class HeatKernelConfig:
 @dataclass(frozen=True)
 class OutputsConfig:
     directory: str | None = None
-    formats: tuple[str, ...] = ("csv", "json")
 
 
 @dataclass(frozen=True)
@@ -275,14 +274,11 @@ def _parse_heat_kernel(section: dict) -> HeatKernelConfig:
 
 
 def _parse_outputs(section: dict) -> OutputsConfig:
-    _check_keys(section, {"directory", "formats"}, "outputs")
+    _check_keys(section, {"directory"}, "outputs")
     directory = section.get("directory")
     if directory is not None and not isinstance(directory, str):
         raise ConfigurationError("outputs.directory must be a string")
-    formats = section.get("formats", ["csv", "json"])
-    if not isinstance(formats, list) or any(f not in ("csv", "json") for f in formats):
-        raise ConfigurationError("outputs.formats entries must be 'csv' or 'json'")
-    return OutputsConfig(directory=directory, formats=tuple(formats))
+    return OutputsConfig(directory=directory)
 
 
 _SECTION_PARSERS = {

@@ -27,6 +27,8 @@ from .errors import ConfigurationError, NumericalFailure
 logger = logging.getLogger(__name__)
 
 MIN_POINTS_PER_AXIS = 8
+# times per block of semigroup fields in sup_norm_decay (npoints floats each)
+SUP_NORM_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -275,9 +277,21 @@ def apply_heat_semigroup(f: np.ndarray, t: float, basis: EigenData) -> np.ndarra
     return basis.modes @ (np.exp(-basis.eigenvalues * t) * coeff)
 
 
-def sup_norm_decay(f: np.ndarray, t: float, kappa: float, basis: EigenData) -> float:
-    """Sup norm of ``exp(-kappa^2 t / 2) S_t f`` over the grid."""
-    return math.exp(-0.5 * kappa**2 * t) * float(np.max(np.abs(apply_heat_semigroup(f, t, basis))))
+def sup_norm_decay(f: np.ndarray, t, kappa: float, basis: EigenData):
+    """Sup norm of ``exp(-kappa^2 t / 2) S_t f`` over the grid: a float for one
+    time ``t``, an array of the same shape for an array of times."""
+    times = np.asarray(t, dtype=float)
+    if np.any(times < 0):
+        raise ConfigurationError(f"negative time t={float(np.min(times))}")
+    coeff = basis.project(f)
+    flat = times.reshape(-1)
+    out = np.empty(flat.size)
+    for lo in range(0, flat.size, SUP_NORM_CHUNK):
+        chunk = flat[lo : lo + SUP_NORM_CHUNK]
+        fields = basis.modes @ (np.exp(-np.outer(basis.eigenvalues, chunk)) * coeff[:, None])
+        out[lo : lo + SUP_NORM_CHUNK] = np.max(np.abs(fields), axis=0)
+    out *= np.exp(-0.5 * kappa**2 * flat)
+    return float(out[0]) if times.ndim == 0 else out.reshape(times.shape)
 
 
 @dataclass(frozen=True, eq=False)

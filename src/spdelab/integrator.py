@@ -391,12 +391,9 @@ def simulate_paths(
     if nsteps % stride:
         snapshot(block, live)
 
-    grids: dict[float, np.ndarray] = {}  # one time grid per distinct dt
     results = []
     for j, path in enumerate(paths):
-        if path.dt not in grids:
-            grids[path.dt] = path.times
-        times = grids[path.dt]
+        times = path.times
         keep = k_stop[j] + 1
         snap_idx = np.arange(0, keep, stride)
         if snap_idx[-1] != k_stop[j]:

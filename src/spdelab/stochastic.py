@@ -8,6 +8,7 @@ order in which indices are visited.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,9 +53,12 @@ class BrownianPath:
     def nsteps(self) -> int:
         return len(self.values) - 1
 
-    @property
+    @functools.cached_property
     def times(self) -> np.ndarray:
-        return self.dt * np.arange(len(self.values))
+        """Grid times k*dt, built on first use and read-only."""
+        times = self.dt * np.arange(len(self.values))
+        times.flags.writeable = False
+        return times
 
     @classmethod
     def frozen_zero(cls, horizon: float, dt: float) -> "BrownianPath":

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_allclose
 
 from spdelab import blowup
 from spdelab.blowup import (
@@ -35,7 +36,7 @@ from spdelab.blowup import (
 )
 from spdelab.domain import weighted_inner
 from spdelab.errors import BlownUp, ConfigurationError
-from spdelab.stochastic import BrownianPath, sample_brownian
+from spdelab.stochastic import BrownianPath, _n_steps, exp_functional, sample_brownian
 
 # Q(3, 1) to machine precision, and its complement.
 P_GLOBAL_REF = 0.9196986029286058
@@ -335,6 +336,31 @@ class TestMonteCarlo:
         )
         assert est.p_hat == 127 / 1500  # bitwise-stable stream, exact count
         assert est.n_censored == 1373
+
+    def test_terminal_chunk_matches_exp_functional(self):
+        # the Monte Carlo kernel and exp_functional compute A(T) separately
+        horizon, dt, seed, n = 30.0, 1e-3, 11, 300
+        a, b = blowup._drift_scale(self.THRESHOLD, self.PARAMS.kappa, 1.0)
+        nsteps = _n_steps(horizon, dt)
+        drift = a * dt * np.arange(1, nsteps + 1)  # as mc_blowup_probability builds it
+        ref = np.array(
+            [exp_functional(sample_brownian(horizon, dt, seed, i), a, b).values[-1]
+             for i in range(n)]
+        )
+        # with x* = inf no path hits, so the max censored A(T) of one path is its A(T)
+        kernel = np.array(
+            [blowup._terminal_chunk(seed, i, i + 1, nsteps, dt, drift, b, math.inf)[1]
+             for i in range(n)]
+        )
+        assert_allclose(kernel, ref, rtol=1e-12, atol=0)
+        ordered = np.sort(ref)
+        x_star = 0.5 * (ordered[n // 2 - 1] + ordered[n // 2])
+        hits, max_censored, saturated = blowup._terminal_chunk(
+            seed, 0, n, nsteps, dt, drift, b, x_star
+        )
+        assert hits == int(np.sum(ref >= x_star)) == n // 2
+        assert max_censored == pytest.approx(ordered[n // 2 - 1], rel=1e-12)
+        assert saturated == 0
 
     def test_worker_count_invariance(self):
         kw = dict(n_paths=1000, horizon=10.0, dt=1e-3, seed=42)

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spdelab.blowup import ModelParams, TabulatedNonlinearity
 from spdelab.certificates import (
@@ -249,6 +251,20 @@ class TestHeatKernelCertificate:
         assert rep.J == pytest.approx(1.0, abs=1e-4)
         assert rep.verdict is Verdict.CERTIFIED
 
+    def test_path_mode_overflow_and_divergent_tail_are_infinite(self, cert_env):
+        _, eig, path = cert_env
+        K = self._k_for_threshold(eig, 2.0)
+        wild = BrownianPath(dt=1e-3, horizon=2.0, values=np.linspace(0.0, 1600.0, 2001))
+        cases = [
+            (wild, ModelParams(beta=1.0, kappa=1.0), "overflow"),
+            (path, ModelParams(beta=2.0, kappa=2.0), "tail majorant"),
+        ]
+        for noise, params, why in cases:
+            rep = certificate_heat_kernel(K, 1.0, params, 1.0, eig, c=1.0, path=noise)
+            assert rep.verdict is Verdict.NOT_CERTIFIED
+            assert rep.J == math.inf and rep.tail == math.inf
+            assert why in rep.reason
+
     def test_analytic_mode_noiseless_rejected(self, cert_env):
         _, eig, _ = cert_env
         with pytest.raises(ConfigurationError):
@@ -265,6 +281,43 @@ class TestHeatKernelCertificate:
             certificate_heat_kernel(0.5, 1.0, params, 1.0, eig, c=0.0)
         with pytest.raises(ConfigurationError):
             certificate_heat_kernel(0.5, 1.0, params, 1.0, eig, c=math.inf)
+
+
+class TestTailMajorant:
+    @staticmethod
+    def _report(kind, horizon, f, params, eig):
+        path = BrownianPath.frozen_zero(horizon=horizon, dt=0.01)
+        if kind is CertificateKind.HEAT_KERNEL:
+            return certificate_heat_kernel(1.0, 1.0, params, eig.lam1, eig, c=1.0, path=path)
+        certify = certificate_integral if kind is CertificateKind.INTEGRAL else certificate_saturation
+        return certify(path, f, params, eig.lam1, eig)
+
+    @given(
+        kind=st.sampled_from(list(CertificateKind)),
+        kappa=st.floats(0.2, 1.5),
+        beta=st.floats(0.6, 1.8),
+        steps=st.integers(50, 300),
+        scale=st.floats(0.01, 0.5),
+        mix=st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),
+    )
+    def test_tail_covers_the_next_fifteen_time_units(
+        self, cert_env, kind, kappa, beta, steps, scale, mix
+    ):
+        # J at T1 = computed part + tail must bound the computed part at
+        # T1 + 15 on the zero path. Data in the retained basis: |phi_k| <=
+        # k phi_1 on the sine grid, so sum k |c_k| <= c_1 keeps f >= 0. The
+        # ranges keep every tail finite (decay beats noise growth).
+        _, eig, _ = cert_env
+        coeff = np.zeros(eig.m)
+        coeff[0] = scale
+        coeff[1:6] = 0.9 * scale / 5.0 * np.array(mix) / np.arange(2, 7)
+        f = eig.modes @ coeff
+        params = ModelParams(beta=beta, kappa=kappa, Cstar=1e6)
+        T1 = steps * 0.01
+        short = self._report(kind, T1, f, params, eig)
+        long = self._report(kind, T1 + 15.0, f, params, eig)
+        assert math.isfinite(short.tail) and math.isfinite(long.tail)
+        assert short.J >= long.J - long.tail
 
 
 class TestReportValidation:

@@ -46,6 +46,9 @@ class TestConfigValidation:
         cfg = interval_cfg(model={**MODEL, "gamma": 2.0})
         with pytest.raises(ConfigurationError, match="gamma"):
             load_config(write_cfg(tmp_path, cfg))
+        cfg = interval_cfg(outputs={"formats": ["csv"]})
+        with pytest.raises(ConfigurationError, match="formats"):
+            load_config(write_cfg(tmp_path, cfg))
 
     def test_coarse_grid_exits_2_without_files(self, tmp_path):
         out = tmp_path / "out"
@@ -329,6 +332,23 @@ class TestCertifyCommand:
         assert float(rows["saturation"]["J"]) == pytest.approx(j, rel=1e-10)
         assert float(rows["saturation"]["threshold"]) == pytest.approx(2.0 * (1 - j), rel=1e-10)
 
+    def test_tail_and_reason_columns(self, tmp_path):
+        cfg = self.base_cfg()
+        cfg["initial"]["a"] = 4.0
+        out = tmp_path / "out"
+        p = write_cfg(tmp_path, cfg)
+        assert main(["certify", "--config", str(p), "--out", str(out)]) == 0
+        with open(out / "certificates.csv", newline="") as fh:
+            header = next(csv.reader(fh))
+        assert header == [
+            "kind", "J", "threshold", "verdict", "envelope_max", "probability_certified",
+            "tail", "reason",
+        ]
+        row = read_csv(out / "certificates.csv")[0]
+        assert row["verdict"] == "not_certified"
+        assert 0.0 < float(row["tail"]) < float(row["J"])
+        assert "not below one" in row["reason"]
+
     def test_heat_kernel_analytic(self, tmp_path):
         cfg = self.base_cfg(kinds=["heat_kernel"], K=0.1, eta=1.0, c=0.25, analytic=True)
         del cfg["initial"]
@@ -337,6 +357,7 @@ class TestCertifyCommand:
         assert main(["certify", "--config", str(p), "--out", str(out)]) == 0
         row = read_csv(out / "certificates.csv")[0]
         assert row["J"] == "" and row["verdict"] == ""
+        assert row["tail"] == "" and row["reason"] == ""
         assert 0.0 < float(row["probability_certified"]) <= 1.0
 
     def test_heat_kernel_needs_K(self, tmp_path):
@@ -406,6 +427,13 @@ class TestOutputRouting:
         monkeypatch.delenv("SPDELAB_OUT")
         assert main(["eigen", "--config", str(p)]) == 0
         assert (cfg_dir / "eigenvalues.json").exists()
+
+    def test_output_error_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        p = write_cfg(tmp_path, interval_cfg(n=16))
+        assert main(["eigen", "--config", str(p), "--out", str(blocker / "sub")]) == 2
+        assert "output error" in capsys.readouterr().err
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "out"

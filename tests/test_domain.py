@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from spdelab import domain
 from spdelab.domain import (
     DomainSpec,
     apply_heat_semigroup,
@@ -241,6 +242,24 @@ class TestHeatSemigroup:
         _, _, _, eig = interval_48
         f = 3.0 * eig.psi
         assert sup_norm_decay(f, 0.0, 2.0, eig) == pytest.approx(float(np.max(f)), rel=1e-12)
+
+    def test_sup_norm_decay_array_matches_scalar_calls(self, interval_512, monkeypatch):
+        # a small chunk makes the array path cross several chunk boundaries
+        monkeypatch.setattr(domain, "SUP_NORM_CHUNK", 7)
+        _, _, _, eig = interval_512
+        f = eig.psi + 0.3 * eig.modes[:, 3] + 0.1 * eig.modes[:, 10]
+        times = np.linspace(0.0, 6.0, 40).reshape(8, 5)
+        series = sup_norm_decay(f, times, 0.8, eig)
+        assert series.shape == times.shape
+        scalars = np.array([sup_norm_decay(f, t, 0.8, eig) for t in times.ravel()])
+        assert_allclose(series.ravel(), scalars, rtol=1e-14, atol=0)
+        reference = [
+            math.exp(-0.32 * t) * np.max(np.abs(apply_heat_semigroup(f, t, eig)))
+            for t in times.ravel()
+        ]
+        assert_allclose(scalars, reference, rtol=1e-12, atol=0)
+        with pytest.raises(ConfigurationError):
+            sup_norm_decay(f, np.array([0.5, -0.1]), 0.8, eig)
 
     def test_contraction_without_noise(self, interval_512):
         _, _, _, eig = interval_512

@@ -69,6 +69,12 @@ class TestBrownianPath:
         assert len(p.times) == 1001
         assert p.times[-1] == pytest.approx(1.0)
 
+    def test_times_built_once_and_read_only(self):
+        p = sample_brownian(1.0, 0.01, seed=0, path_index=0)
+        assert p.times is p.times
+        with pytest.raises(ValueError):
+            p.times[0] = 1.0
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             sample_brownian(1.0, 2.0, 0, 0)
