@@ -26,16 +26,21 @@ from .stochastic import (
     EXP_CLAMP,
     BrownianPath,
     _n_steps,
-    brownian_increments,
+    _path_rng,
+    _regularized_lower,
     derive_params,
     exp_functional,
-    exp_functional_mean_tail,
     gamma_tail,
 )
 
 logger = logging.getLogger(__name__)
 
 MIN_MC_PATHS = 1_000
+# draws per generator call in the Monte Carlo kernel: small chunks lose to
+# the per-call overhead, large ones draw past the point where a path stops
+MC_CHUNK = 2000
+# a path stops once the probability that it still hits is at most this
+MC_STOP_PROB = 1e-10
 
 
 @dataclass(frozen=True)
@@ -319,38 +324,60 @@ class ProbabilityEstimate:
         return math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.n_paths)
 
 
-def _terminal_chunk(
+def _advance_path(
     seed: int,
-    lo: int,
-    hi: int,
+    index: int,
     nsteps: int,
     dt: float,
     drift: np.ndarray,
     b: float,
     x_star: float,
-) -> tuple[int, float, int]:
-    """Terminal A(T) per path for indices [lo, hi); A is nondecreasing, so the
-    hit happens iff A(T) >= x*. Returns (hits, max censored A(T), saturations)."""
+    alpha: float,
+) -> tuple[float, float, bool, int]:
+    """Trapezoidal A(t) of one path, drawn in chunks of MC_CHUNK steps until
+    it reaches x*, the gamma law stops it, or the horizon.
+
+    A is nondecreasing, so the path has hit iff its chunk-end A >= x*. Past t
+    the rest of A_inf is e^{at+bW_t} times an independent copy of A_inf, whose
+    law is 2/(b^2 Z) with Z ~ Gamma(alpha); the path still hits with
+    probability p = P(alpha, 2 e^{at+bW_t} / (b^2 (x* - A(t)))), and it stops
+    once p <= MC_STOP_PROB. Returns (A at the stop, p at the stop or 0 after
+    a hit, whether the exponent was clamped, normals drawn).
+    """
+    rng = _path_rng(seed, index)
     sqrt_dt = math.sqrt(dt)
-    hits = 0
-    saturated = 0
-    max_censored = 0.0
-    for idx in range(lo, hi):
-        w = brownian_increments(seed, idx, nsteps)
+    z_scale = 2.0 / (b * b)
+    w_last = 0.0
+    e_last = 1.0
+    A = 0.0
+    saturated = False
+    drawn = 0
+    for lo in range(0, nsteps, MC_CHUNK):
+        hi = min(lo + MC_CHUNK, nsteps)
+        w = rng.standard_normal(hi - lo)
+        drawn += hi - lo
         w *= sqrt_dt
+        w[0] += w_last
         np.cumsum(w, out=w)
+        w_last = float(w[-1])
         w *= b
-        w += drift
+        w += drift[lo:hi]
         if w[-1] > EXP_CLAMP or np.max(w) > EXP_CLAMP:
-            saturated += 1
+            saturated = True
             np.minimum(w, EXP_CLAMP, out=w)
         np.exp(w, out=w)
-        a_T = dt * (0.5 + float(np.sum(w)) - 0.5 * float(w[-1]))
-        if a_T >= x_star:
-            hits += 1
-        elif a_T > max_censored:
-            max_censored = a_T
-    return hits, max_censored, saturated
+        A += dt * (0.5 * e_last + float(np.sum(w)) - 0.5 * float(w[-1]))
+        e_last = float(w[-1])
+        if A >= x_star:
+            return A, 0.0, saturated, drawn
+        p = _regularized_lower(alpha, z_scale * e_last / (x_star - A))
+        if p <= MC_STOP_PROB:
+            break
+    return A, p, saturated, drawn
+
+
+def _advance_paths(seed: int, lo: int, hi: int, *args) -> list[tuple[float, float, bool, int]]:
+    return [_advance_path(seed, index, *args) for index in range(lo, hi)]
 
 
 def mc_blowup_probability(
@@ -365,11 +392,18 @@ def mc_blowup_probability(
 ) -> ProbabilityEstimate:
     """Estimate the hitting probability over n_paths independent paths.
 
-    Each path index draws its own generator stream and the reduction is a sum
-    of indicator counts, so the estimate is identical for any worker count.
-    The thread pool never exceeds os.cpu_count() threads.
-    The truncation allowance is the Markov bound on mass hiding beyond the
-    horizon: E[tail] / (x* - max censored A(T)), capped at one.
+    Each path index draws its own generator stream and runs only until it
+    hits x*, the gamma law gives it at most MC_STOP_PROB of still hitting, or
+    the horizon; see ``_advance_path``. The hits are counted, so the estimate
+    is identical for any worker count. The thread pool never exceeds
+    os.cpu_count() threads.
+
+    The truncation allowance is the mean over paths of the probability that a
+    path still hits after it stopped (0 for a hit), summed exactly in
+    path-index order: the expected fraction of paths, censored at their stop,
+    that would hit by t = inf. p_hat + allowance therefore estimates
+    P[A_inf >= x*], the analytic reference, without bias up to the time-step
+    error of the trapezoidal A.
     """
     if params.kappa <= 0:
         raise ConfigurationError("Monte Carlo needs kappa > 0; use deterministic_dichotomy")
@@ -379,45 +413,44 @@ def mc_blowup_probability(
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     if threshold.beta != params.beta:
         raise ConfigurationError("threshold and params disagree on beta")
+    if not 0 < dt <= horizon:
+        raise ConfigurationError(f"need 0 < dt <= horizon, got dt={dt} T={horizon}")
+    bound = analytic_blowup_bound(lam1, params.kappa, params.beta, threshold)
     a, b = _drift_scale(threshold, params.kappa, lam1)
     nsteps = _n_steps(horizon, dt)
     drift = a * dt * np.arange(1, nsteps + 1)
+    args = (nsteps, dt, drift, b, threshold.x_star, bound.alpha)
     workers = min(workers, os.cpu_count() or 1)
     bounds = np.linspace(0, n_paths, workers + 1).astype(int)
     jobs = [(int(bounds[i]), int(bounds[i + 1])) for i in range(workers) if bounds[i] < bounds[i + 1]]
     if len(jobs) == 1:
-        results = [_terminal_chunk(seed, jobs[0][0], jobs[0][1], nsteps, dt, drift, b, threshold.x_star)]
+        results = [_advance_paths(seed, *jobs[0], *args)]
     else:
         with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-            futures = [
-                pool.submit(_terminal_chunk, seed, lo, hi, nsteps, dt, drift, b, threshold.x_star)
-                for lo, hi in jobs
-            ]
+            futures = [pool.submit(_advance_paths, seed, lo, hi, *args) for lo, hi in jobs]
             results = [f.result() for f in futures]
-    hits = sum(r[0] for r in results)
-    max_censored = max(r[1] for r in results)
-    n_saturated = sum(r[2] for r in results)
+    A_stop, p_stop, saturated, normals = zip(*(run for result in results for run in result))
+    hits = sum(A >= threshold.x_star for A in A_stop)
+    n_saturated = sum(saturated)
+    drawn = sum(normals)
+    allowance = math.fsum(p_stop) / n_paths
     n_censored = n_paths - hits
     p_hat = hits / n_paths
-    if n_censored == 0:
-        allowance = 0.0
-    else:
-        tail_mean = exp_functional_mean_tail(a, b, horizon)
-        gap = threshold.x_star - max_censored
-        allowance = 1.0 if (not math.isfinite(tail_mean) or gap <= 0) else min(1.0, tail_mean / gap)
-    reference = analytic_blowup_bound(lam1, params.kappa, params.beta, threshold).p_blowup_lower
     logger.info(
-        "mc hitting estimate: p_hat=%.5f (N=%d, censored=%d, allowance=%.3g, reference=%.5f)",
+        "mc hitting estimate: p_hat=%.5f (N=%d, censored=%d, allowance=%.3g, reference=%.5f, "
+        "normals drawn=%d of %d)",
         p_hat,
         n_paths,
         n_censored,
         allowance,
-        reference,
+        bound.p_blowup_lower,
+        drawn,
+        n_paths * nsteps,
     )
     return ProbabilityEstimate(
         p_hat=p_hat,
         n_paths=n_paths,
-        analytic_reference=reference,
+        analytic_reference=bound.p_blowup_lower,
         truncation_allowance=allowance,
         n_censored=n_censored,
         n_saturated=n_saturated,

@@ -323,7 +323,10 @@ def certificate_heat_kernel(
     sup_phi1 = float(np.max(phi1))
     mass_phi1 = float(np.sum(eigen.grid.weights * phi1))
     beta = params.beta
-    denom = params.Lambda * beta * (K * (1.0 + c) * sup_phi1**2 * mass_phi1) ** beta
+    try:
+        denom = params.Lambda * beta * (K * (1.0 + c) * sup_phi1**2 * mass_phi1) ** beta
+    except OverflowError:  # float ** raises where * gives inf; both leave threshold 0
+        denom = math.inf
     threshold = math.exp(min(lam1 * beta * eta, EXP_CLAMP)) / denom
     inputs = {"K": K, "eta": eta, "c": c}
 
@@ -331,7 +334,13 @@ def certificate_heat_kernel(
         if params.kappa <= 0:
             raise ConfigurationError("analytic mode needs kappa > 0; the functional degenerates")
         alpha = derive_params(beta, params.kappa, lam1).alpha
-        z = 2.0 / (params.kappa**2 * beta**2 * threshold)
+        scale = params.kappa**2 * beta**2 * threshold
+        z = 2.0 / scale if scale > 0 else math.inf
+        if math.isinf(z):
+            raise ConfigurationError(
+                f"K={K} is too large: the threshold {threshold!r} underflows, so the gamma law "
+                "has no finite argument"
+            )
         probability = gamma_tail(alpha, z)
         return CertificateReport(
             kind=CertificateKind.HEAT_KERNEL,

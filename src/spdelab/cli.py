@@ -264,6 +264,8 @@ def cmd_blowup(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) ->
                 est.p_hat,
                 est.stderr,
                 est.n_censored,
+                est.truncation_allowance,
+                est.n_saturated,
             ]
         )
     header = [
@@ -275,6 +277,8 @@ def cmd_blowup(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) ->
         "p_hat",
         "stderr",
         "n_censored",
+        "truncation_allowance",
+        "n_saturated",
     ]
     return [write_csv(out_dir / "blowup.csv", header, rows)]
 

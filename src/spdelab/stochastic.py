@@ -1,9 +1,11 @@
 """Brownian paths, exponential functionals, and the limiting gamma law.
 
 The sampling scheme is counter-based: every path owns the generator seeded by
-``[seed, path_index]``, and draws its increments in a single call. Paths are
-therefore bitwise reproducible regardless of batching, thread count, or the
-order in which indices are visited.
+``[seed, path_index]`` and reads its increments from that one stream, in one
+call or in consecutive chunks; chunked ``standard_normal`` draws are bitwise
+equal to a single draw. Paths are therefore bitwise reproducible regardless
+of chunking, batching, thread count, or the order in which indices are
+visited.
 """
 
 from __future__ import annotations
@@ -70,15 +72,19 @@ def _n_steps(horizon: float, dt: float) -> int:
     return int(math.floor(horizon / dt + 1e-9))
 
 
-def brownian_increments(seed: int, path_index: int, nsteps: int) -> np.ndarray:
-    """Unit-variance draws for one path, in a single generator call.
+def _path_rng(seed: int, path_index: int) -> np.random.Generator:
+    """The generator of path ``path_index`` under ``seed``; the only place
+    randomness enters."""
+    return np.random.default_rng([seed, path_index])
 
-    This is the only place randomness enters: both the path constructor and
-    the Monte Carlo kernel consume exactly this stream, so a (seed, index)
-    pair pins the path bitwise.
+
+def brownian_increments(seed: int, path_index: int, nsteps: int) -> np.ndarray:
+    """The first nsteps unit-variance draws of one path's stream.
+
+    The path constructor reads them in one call and the Monte Carlo kernel in
+    chunks of the same stream, so a (seed, index) pair pins the path bitwise.
     """
-    rng = np.random.default_rng([seed, path_index])
-    return rng.standard_normal(nsteps)
+    return _path_rng(seed, path_index).standard_normal(nsteps)
 
 
 def sample_brownian(horizon: float, dt: float, seed: int, path_index: int) -> BrownianPath:
@@ -160,18 +166,6 @@ def exp_functional(path: BrownianPath, a: float, b: float) -> ExpFunctional:
     return ExpFunctional(a=a, b=b, dt=path.dt, values=values, saturated=saturated)
 
 
-def exp_functional_mean_tail(a: float, b: float, horizon: float) -> float:
-    """Mean of the tail int_T^inf exp(a s + b W_s) ds, infinite if not summable.
-
-    The integrand has conditional-mean growth exp((a + b^2/2) s); the tail mean
-    is finite only when that rate is negative.
-    """
-    rate = a + 0.5 * b * b
-    if rate >= 0:
-        return math.inf
-    return math.exp(rate * horizon) / (-rate)
-
-
 def _lower_series(a: float, x: float) -> float:
     # regularized lower incomplete gamma by its power series, NR style
     ap = a
@@ -236,6 +230,12 @@ def gamma_lower(alpha: float, z: float) -> float:
         raise ValueError(f"shape must be positive, got {alpha}")
     if z < 0:
         raise ValueError(f"tail argument must be >= 0, got {z}")
+    return _regularized_lower(alpha, z)
+
+
+def _regularized_lower(alpha: float, z: float) -> float:
+    # P(alpha, z) without argument checks, for the Monte Carlo stopping rule;
+    # the series branch stays accurate for tiny z
     if z == 0.0:
         return 0.0
     if z < alpha + 1.0:

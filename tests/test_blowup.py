@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from spdelab import blowup
+from spdelab import blowup, stochastic
 from spdelab.blowup import (
     BlowupOutcome,
     BlowupThreshold,
@@ -36,7 +36,13 @@ from spdelab.blowup import (
 )
 from spdelab.domain import weighted_inner
 from spdelab.errors import BlownUp, ConfigurationError
-from spdelab.stochastic import BrownianPath, _n_steps, exp_functional, sample_brownian
+from spdelab.stochastic import (
+    BrownianPath,
+    _n_steps,
+    brownian_increments,
+    exp_functional,
+    sample_brownian,
+)
 
 # Q(3, 1) to machine precision, and its complement.
 P_GLOBAL_REF = 0.9196986029286058
@@ -337,30 +343,79 @@ class TestMonteCarlo:
         assert est.p_hat == 127 / 1500  # bitwise-stable stream, exact count
         assert est.n_censored == 1373
 
-    def test_terminal_chunk_matches_exp_functional(self):
+    def test_path_kernel_matches_exp_functional(self, monkeypatch):
         # the Monte Carlo kernel and exp_functional compute A(T) separately
         horizon, dt, seed, n = 30.0, 1e-3, 11, 300
         a, b = blowup._drift_scale(self.THRESHOLD, self.PARAMS.kappa, 1.0)
+        alpha = analytic_blowup_bound(1.0, self.PARAMS.kappa, 1.0, self.THRESHOLD).alpha
         nsteps = _n_steps(horizon, dt)
         drift = a * dt * np.arange(1, nsteps + 1)  # as mc_blowup_probability builds it
+
+        def run(x_star, count=n):
+            return blowup._advance_paths(seed, 0, count, nsteps, dt, drift, b, x_star, alpha)
+
+        def hit_count(runs, x_star):
+            return sum(A >= x_star for A, _, _, _ in runs)
+
         ref = np.array(
             [exp_functional(sample_brownian(horizon, dt, seed, i), a, b).values[-1]
              for i in range(n)]
         )
-        # with x* = inf no path hits, so the max censored A(T) of one path is its A(T)
-        kernel = np.array(
-            [blowup._terminal_chunk(seed, i, i + 1, nsteps, dt, drift, b, math.inf)[1]
-             for i in range(n)]
-        )
-        assert_allclose(kernel, ref, rtol=1e-12, atol=0)
         ordered = np.sort(ref)
         x_star = 0.5 * (ordered[n // 2 - 1] + ordered[n // 2])
-        hits, max_censored, saturated = blowup._terminal_chunk(
-            seed, 0, n, nsteps, dt, drift, b, x_star
-        )
-        assert hits == int(np.sum(ref >= x_star)) == n // 2
+        stopped = run(x_star)
+        monkeypatch.setattr(blowup, "MC_STOP_PROB", -1.0)  # every path runs to T or its hit
+        # with x* = inf no path hits, so each path reports its A(T)
+        kernel = np.array([A for A, _, _, _ in run(math.inf)])
+        assert_allclose(kernel, ref, rtol=1e-12, atol=0)
+        runs = run(x_star)
+        assert hit_count(runs, x_star) == int(np.sum(ref >= x_star)) == n // 2
+        max_censored = max(A for A, _, _, _ in runs if A < x_star)
         assert max_censored == pytest.approx(ordered[n // 2 - 1], rel=1e-12)
-        assert saturated == 0
+        assert not any(saturated for _, _, saturated, _ in runs)
+        # stopping early changes no verdict, and no chunk size does either;
+        # 7-step chunks cost a generator call each, so they run 100 paths
+        assert hit_count(stopped, x_star) == n // 2
+        monkeypatch.setattr(blowup, "MC_STOP_PROB", 1e-10)
+        for chunk, count in ((7, 100), (nsteps + 1, n)):
+            monkeypatch.setattr(blowup, "MC_CHUNK", chunk)
+            assert hit_count(run(x_star, count), x_star) == hit_count(stopped[:count], x_star)
+
+    @pytest.mark.parametrize("chunk", [7, 2000])
+    def test_chunked_draws_are_the_published_stream(self, monkeypatch, chunk):
+        drawn = []
+
+        class Recording:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, size):
+                z = self.rng.standard_normal(size)
+                drawn.append(z.copy())  # the kernel scales its chunk in place
+                return z
+
+        monkeypatch.setattr(blowup, "_path_rng", lambda s, i: Recording(stochastic._path_rng(s, i)))
+        monkeypatch.setattr(blowup, "MC_STOP_PROB", -1.0)
+        monkeypatch.setattr(blowup, "MC_CHUNK", chunk)
+        nsteps, dt = 5003, 1e-3
+        a, b = blowup._drift_scale(self.THRESHOLD, self.PARAMS.kappa, 1.0)
+        drift = a * dt * np.arange(1, nsteps + 1)
+        _, _, _, normals = blowup._advance_path(4, 17, nsteps, dt, drift, b, math.inf, 3.0)
+        assert normals == nsteps
+        assert_array_equal(np.concatenate(drawn), brownian_increments(4, 17, nsteps))
+
+    @pytest.mark.parametrize("v0psi", [0.5, 1.0])
+    @pytest.mark.parametrize("horizon", [0.5, 1.0, 3.0])
+    def test_allowance_accounts_for_the_censored_paths(self, v0psi, horizon):
+        # each path adds 1 if it hit, else its conditional probability of
+        # hitting later, so p_hat + allowance estimates the t = inf law
+        thr = BlowupThreshold.from_initial_mass(v0psi, 1.0)
+        est = mc_blowup_probability(
+            self.PARAMS, 1.0, thr, n_paths=4000, horizon=horizon, dt=1e-3, seed=2024
+        )
+        s = est.p_hat + est.truncation_allowance
+        assert abs(s - est.analytic_reference) <= 4.0 * math.sqrt(s * (1.0 - s) / est.n_paths)
+        assert 0.0 < est.truncation_allowance <= est.n_censored / est.n_paths
 
     def test_worker_count_invariance(self):
         kw = dict(n_paths=1000, horizon=10.0, dt=1e-3, seed=42)
@@ -395,6 +450,10 @@ class TestMonteCarlo:
             mc_blowup_probability(
                 self.PARAMS, 1.0, BlowupThreshold.from_initial_mass(0.5, 2.0),
                 n_paths=2000, horizon=1.0, dt=1e-3, seed=1,
+            )
+        with pytest.raises(ConfigurationError):  # no step fits in the horizon
+            mc_blowup_probability(
+                self.PARAMS, 1.0, self.THRESHOLD, n_paths=2000, horizon=1e-3, dt=2e-3, seed=1
             )
 
     def test_estimate_validation(self):

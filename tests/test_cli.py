@@ -149,6 +149,7 @@ class TestBlowupCommand:
         assert [c for c in rows[0]] == [
             "v0psi", "x_star", "z_star", "alpha",
             "p_analytic_blowup", "p_hat", "stderr", "n_censored",
+            "truncation_allowance", "n_saturated",
         ]
         row = rows[0]
         assert float(row["x_star"]) == 2.0
@@ -156,6 +157,8 @@ class TestBlowupCommand:
         p_hat = float(row["p_hat"])
         assert 0.0 <= p_hat <= 1.0
         assert int(row["n_censored"]) == round(1000 * (1 - p_hat))
+        assert 0.0 < float(row["truncation_allowance"]) <= 1.0 - p_hat
+        assert row["n_saturated"] == "0"
 
     def test_rerun_and_workers_byte_identical(self, tmp_path):
         p = write_cfg(tmp_path, self.cfg())
@@ -359,6 +362,17 @@ class TestCertifyCommand:
         assert row["J"] == "" and row["verdict"] == ""
         assert row["tail"] == "" and row["reason"] == ""
         assert 0.0 < float(row["probability_certified"]) <= 1.0
+
+    @pytest.mark.parametrize("K, beta", [(1e308, 1.0), (1e200, 2.0)])
+    def test_heat_kernel_analytic_huge_K_exits_2(self, tmp_path, capsys, K, beta):
+        # [K (1+c) (sup psi)^2 int psi]^beta overflows, the threshold is 0 and
+        # the gamma-law argument 2/(kappa^2 beta^2 threshold) is infinite
+        cfg = self.base_cfg(kinds=["heat_kernel"], K=K, eta=1.0, c=1.0, analytic=True)
+        cfg["model"] = {**MODEL, "beta": beta}
+        del cfg["initial"]
+        p = write_cfg(tmp_path, cfg)
+        assert main(["certify", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert f"K={K!r}" in capsys.readouterr().err
 
     def test_heat_kernel_needs_K(self, tmp_path):
         cfg = self.base_cfg(kinds=["heat_kernel"], analytic=True)

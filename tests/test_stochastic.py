@@ -15,7 +15,6 @@ from spdelab.stochastic import (
     brownian_increments,
     derive_params,
     exp_functional,
-    exp_functional_mean_tail,
     gamma_lower,
     gamma_tail,
     sample_brownian,
@@ -143,12 +142,6 @@ class TestExpFunctional:
         low = exp_functional(p, -0.5, 0.5)
         high = exp_functional(p, -0.5, 1.5)
         assert np.all(high.values >= low.values)
-
-    def test_mean_tail_bound(self):
-        assert exp_functional_mean_tail(-1.5, 1.0, 50.0) == pytest.approx(
-            math.exp(-50.0), rel=1e-12
-        )
-        assert exp_functional_mean_tail(-0.5, 1.0, 10.0) == math.inf
 
 
 class TestGammaTail:
