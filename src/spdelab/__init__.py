@@ -14,7 +14,6 @@ from .blowup import (
     TabulatedNonlinearity,
     analytic_blowup_bound,
     deterministic_dichotomy,
-    lower_solution,
     lower_solution_series,
     mc_blowup_probability,
     tau_from_path,
@@ -45,7 +44,6 @@ from .domain import (
     weighted_inner,
 )
 from .errors import (
-    BlownUp,
     ConfigurationError,
     NumericalFailure,
     PreconditionFailure,
@@ -59,9 +57,6 @@ from .integrator import (
     mild_residual,
     reconstruct_u,
     simulate_paths,
-    simulate_rpde,
-    simulate_spde_em,
-    step_rpde,
     weak_form_residual,
 )
 from .stochastic import (
@@ -71,7 +66,6 @@ from .stochastic import (
     brownian_increments,
     derive_params,
     exp_functional,
-    gamma_lower,
     gamma_tail,
     sample_brownian,
 )
@@ -85,22 +79,20 @@ __all__ = [
     "heat_kernel_ratio_report",
     # stochastic
     "BrownianPath", "DerivedParams", "brownian_increments", "sample_brownian",
-    "derive_params", "exp_functional", "gamma_tail", "gamma_lower", "blowup_density",
+    "derive_params", "exp_functional", "gamma_tail", "blowup_density",
     # blowup
     "ModelParams", "PowerLaw", "TabulatedNonlinearity", "BlowupThreshold",
     "BlowupOutcome", "OutcomeStatus", "Dichotomy", "ProbabilityEstimate",
-    "lower_solution", "lower_solution_series", "tau_from_path",
+    "lower_solution_series", "tau_from_path",
     "analytic_blowup_bound", "deterministic_dichotomy", "mc_blowup_probability",
     # certificates
     "CertificateKind", "CertificateReport", "Verdict", "admissible_initial",
     "certificate_integral", "certificate_saturation", "certificate_heat_kernel",
     # integrator
-    "Scheme", "SchemeConfig", "Outcome", "TrajectoryResult", "step_rpde",
-    "simulate_paths", "simulate_rpde", "simulate_spde_em", "reconstruct_u",
-    "weak_form_residual", "mild_residual",
+    "Scheme", "SchemeConfig", "Outcome", "TrajectoryResult", "simulate_paths",
+    "reconstruct_u", "weak_form_residual", "mild_residual",
     # config
     "RunConfig", "load_config",
     # errors
     "SpdeLabError", "ConfigurationError", "NumericalFailure", "PreconditionFailure",
-    "BlownUp",
 ]

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .domain import EigenData, weighted_inner
-from .errors import BlownUp, ConfigurationError
+from .errors import ConfigurationError
 from .stochastic import (
     EXP_CLAMP,
     BrownianPath,
@@ -207,31 +207,6 @@ def lower_solution_series(
     ok = alive
     values[ok] = np.exp(-(lam1 + 0.5 * kappa**2) * t[ok]) * bracket[ok] ** (-1.0 / beta)
     return t, values, blown_index
-
-
-def lower_solution(
-    path: BrownianPath,
-    threshold: BlowupThreshold,
-    kappa: float,
-    lam1: float,
-    t: float,
-) -> float:
-    """Lower solution I(t) at a single time on the path grid.
-
-    Raises
-    ------
-    BlownUp
-        If t is at or past the divergence time of the bracket.
-    """
-    if t < 0 or t > path.horizon * (1 + 1e-12):
-        raise ConfigurationError(f"t={t} outside the path horizon {path.horizon}")
-    times, values, blown_index = lower_solution_series(path, threshold, kappa, lam1)
-    val = float(np.interp(t, times, values))
-    if blown_index is not None and t >= times[blown_index] - 1e-15:
-        raise BlownUp(times[blown_index])
-    if not math.isfinite(val):
-        raise BlownUp(t)
-    return val
 
 
 def tau_from_path(

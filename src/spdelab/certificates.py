@@ -96,6 +96,10 @@ def _validate_initial(f: np.ndarray, eigen: EigenData) -> np.ndarray:
         raise ConfigurationError(
             f"initial data has shape {f.shape}, grid has {eigen.grid.npoints} nodes"
         )
+    bad = ~np.isfinite(f)
+    if bad.any():
+        node = int(np.argmax(bad))
+        raise ConfigurationError(f"initial data is not finite at node {node}: f={f[node]}")
     if np.any(f < -1e-12):
         node = int(np.argmin(f))
         raise PreconditionFailure(f"initial data negative at node {node}: f={f[node]}")
@@ -190,7 +194,7 @@ def _sup_norm_integral(
         path, b, scale * norms**params.beta, scale * N_T**params.beta, rate
     )
     J = float(J_series[-1]) + tail
-    if reason is None and J >= 1.0:
+    if reason is None and not J < 1.0:
         reason = f"integral {J:.6g} is not below one"
     return J_series, norms, J, tail, reason
 

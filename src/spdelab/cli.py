@@ -546,6 +546,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     started = _now()
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
+        if args.workers < 1:
+            raise ConfigurationError(f"--workers must be >= 1, got {args.workers}")
         cfg = load_config(args.config)
         out_dir = _resolve_out_dir(args.out, cfg)
         files = args.fn(cfg, out_dir, args.seed, args.workers)

@@ -1,7 +1,9 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto process exit codes: configuration errors exit 2,
-numerical failures exit 3, precondition failures exit 4.
+numerical failures exit 3, precondition failures exit 4. A blowup is an
+outcome, not an error: trajectories and hitting times report it in their
+results.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ class SpdeLabError(Exception):
 
 
 class ConfigurationError(SpdeLabError):
-    """Invalid configuration, schema violation, or incompatible arguments."""
+    """Invalid configuration or input: a schema violation, an out-of-range or
+    non-finite value, or incompatible arguments."""
 
 
 class NumericalFailure(SpdeLabError):
@@ -22,15 +25,3 @@ class NumericalFailure(SpdeLabError):
 class PreconditionFailure(SpdeLabError):
     """A documented mathematical precondition was violated by the inputs."""
 
-
-class BlownUp(SpdeLabError):
-    """Signal that a quantity has left its finite regime.
-
-    Raised when the analytic lower solution is evaluated at or past its
-    divergence time, or when a simulated field crosses the blowup cutoff.
-    Carries the time at which the event fired.
-    """
-
-    def __init__(self, t: float, message: str | None = None):
-        self.t = float(t)
-        super().__init__(message or f"blown up at t={self.t:.6g}")

@@ -10,8 +10,9 @@ non-anticipating reading of the noise factor.
 One engine, ``simulate_paths``, advances a block of paths that share the
 initial field, operator and scheme: each step is one reaction evaluation on
 the (paths x nodes) block and one solve with one sparse factorization on all
-of its right-hand sides. Single-path calls are blocks of one, and every path's
-result is bitwise independent of the block it ran in.
+of its right-hand sides. It is also the single-path integrator: one path is a
+block of one, ``simulate_paths(f, [path], ...)[0]``, and every path's result
+is bitwise independent of the block it ran in.
 
 Numerical blowup is declared when the sup norm passes the cutoff; the path
 leaves the block and its blowup time is bracketed by re-integrating the
@@ -68,21 +69,6 @@ class SchemeConfig:
             raise ConfigurationError(f"max_halvings must be >= 0, got {self.max_halvings}")
         if self.max_snapshots < 2:
             raise ConfigurationError(f"need at least 2 snapshots, got {self.max_snapshots}")
-
-
-@dataclass(frozen=True, eq=False)
-class FieldState:
-    """Interior nodal values at one time; Dirichlet zeros are implied."""
-
-    t: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-    @property
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,33 +186,15 @@ def _check_positivity(new: np.ndarray, new_sup: np.ndarray, old_sup: np.ndarray,
         raise NumericalFailure(f"positivity lost at t={t}: min={float(low[lost][0]):.3e}")
 
 
-def step_rpde(
-    state: FieldState,
-    w_t: float,
-    params: ModelParams,
-    op: DiscreteOperator,
-    cfg: SchemeConfig,
-    workspace: _Workspace | None = None,
-) -> FieldState:
-    """One IMEX step of the transformed equation with the left-point noise value.
-
-    Positivity is monitored, not enforced: a dip below -1e-8 times the field
-    scale aborts with a numerical failure.
-    """
-    ws = workspace or _Workspace(op, 0.5 * params.kappa**2, cfg.dt, cfg.scheme)
-    block = state.values[None, :]
-    new = _step(block, _transformed_reaction(block, _noise_factor([w_t], params), params), ws)
-    t = state.t + ws.dt
-    if np.all(np.isfinite(new)):
-        _check_positivity(new, np.abs(new).max(axis=1), np.array([state.sup]), t)
-    return FieldState(t=t, values=new[0])
-
-
 def _validate_initial_field(f: np.ndarray, op: DiscreteOperator) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     n = op.matrix.shape[0]
     if f.shape != (n,):
         raise ConfigurationError(f"initial field has shape {f.shape}, operator expects ({n},)")
+    bad = ~np.isfinite(f)
+    if bad.any():
+        node = int(np.argmax(bad))
+        raise ConfigurationError(f"initial field is not finite at node {node}: f={f[node]}")
     if np.any(f < 0):
         raise PreconditionFailure("initial field must be nonnegative")
     if not np.any(f > 0):
@@ -298,8 +266,8 @@ def simulate_paths(
     multiplicative Euler-Maruyama increments. Every step advances the
     (paths x nodes) block with one reaction evaluation and one solve on all
     right-hand sides; a path that crosses the cutoff leaves the block and has
-    its crossing refined. Each result is bitwise the one a single-path call
-    gives.
+    its crossing refined. Each result is bitwise the one its path gives in a
+    block of its own.
     """
     if variable not in ("v", "u"):
         raise ConfigurationError(f"variable must be 'v' or 'u', got {variable!r}")
@@ -422,30 +390,6 @@ def simulate_paths(
             )
         results.append(result)
     return results
-
-
-def simulate_rpde(
-    f: np.ndarray,
-    path: BrownianPath,
-    params: ModelParams,
-    op: DiscreteOperator,
-    eigen: EigenData,
-    cfg: SchemeConfig,
-) -> TrajectoryResult:
-    """Integrate the transformed field v along the given noise path."""
-    return simulate_paths(f, [path], params, op, eigen, cfg, variable="v")[0]
-
-
-def simulate_spde_em(
-    f: np.ndarray,
-    path: BrownianPath,
-    params: ModelParams,
-    op: DiscreteOperator,
-    eigen: EigenData,
-    cfg: SchemeConfig,
-) -> TrajectoryResult:
-    """Integrate the physical field u directly with multiplicative increments."""
-    return simulate_paths(f, [path], params, op, eigen, cfg, variable="u")[0]
 
 
 def reconstruct_u(traj: TrajectoryResult, path: BrownianPath, kappa: float) -> TrajectoryResult:

@@ -219,20 +219,6 @@ def gamma_tail(alpha: float, z: float) -> float:
     return _upper_contfrac(alpha, z)
 
 
-def gamma_lower(alpha: float, z: float) -> float:
-    """Regularized lower incomplete gamma P(alpha, z) = 1 - Q(alpha, z).
-
-    Evaluated from its own primitive on each branch, so gamma_tail-plus-
-    gamma_lower sums to one only up to the accuracy of two independent
-    evaluations; tests exploit exactly that cross-check.
-    """
-    if alpha <= 0:
-        raise ValueError(f"shape must be positive, got {alpha}")
-    if z < 0:
-        raise ValueError(f"tail argument must be >= 0, got {z}")
-    return _regularized_lower(alpha, z)
-
-
 def _regularized_lower(alpha: float, z: float) -> float:
     # P(alpha, z) without argument checks, for the Monte Carlo stopping rule;
     # the series branch stays accurate for tiny z
@@ -243,14 +229,13 @@ def _regularized_lower(alpha: float, z: float) -> float:
     return 1.0 - _upper_contfrac(alpha, z)
 
 
-def blowup_density(y, lam1: float, kappa: float, beta: float, inverted_power: bool = False):
+def blowup_density(y, lam1: float, kappa: float, beta: float):
     """Density of the limiting value of the exponential functional.
 
-    The implemented form is h(y) = (2/(kappa^2 beta^2 y))^alpha
-    * exp(-2/(kappa^2 beta^2 y)) / (y Gamma(alpha)), the density of a constant
-    over a Gamma(alpha) variable, which integrates to one. ``inverted_power``
-    replaces the power factor by its reciprocal; that variant is kept only as
-    a diagnostic, it is not normalizable and a test demonstrates as much.
+    h(y) = (2/(kappa^2 beta^2 y))^alpha * exp(-2/(kappa^2 beta^2 y))
+    / (y Gamma(alpha)) with alpha = (2 lam1 + kappa^2)/(kappa^2 beta): the
+    density of 2/(kappa^2 beta^2 Z) for Z ~ Gamma(alpha), which integrates to
+    one. Scalar y gives a float, array y an array.
     """
     if kappa <= 0 or beta <= 0 or lam1 <= 0:
         raise ValueError(f"need lam1, kappa, beta > 0, got {lam1}, {kappa}, {beta}")
@@ -259,6 +244,5 @@ def blowup_density(y, lam1: float, kappa: float, beta: float, inverted_power: bo
         raise ValueError("density argument must be positive")
     alpha = (2.0 * lam1 + kappa**2) / (kappa**2 * beta)
     u = 2.0 / (kappa**2 * beta**2 * y)
-    sign = -1.0 if inverted_power else 1.0
-    out = np.exp(sign * alpha * np.log(u) - u - math.lgamma(alpha)) / y
+    out = np.exp(alpha * np.log(u) - u - math.lgamma(alpha)) / y
     return float(out) if out.ndim == 0 else out

@@ -41,8 +41,6 @@ from spdelab.integrator import (
     SchemeConfig,
     reconstruct_u,
     simulate_paths,
-    simulate_rpde,
-    simulate_spde_em,
 )
 from spdelab.stochastic import BrownianPath, blowup_density, gamma_tail, sample_brownian
 
@@ -200,7 +198,7 @@ def test_criterion_4_deterministic_dichotomy():
 
     f2 = a2 * eig.psi
     path = BrownianPath.frozen_zero(10.0, 1e-3)
-    traj = simulate_rpde(f2, path, params, op, eig, SchemeConfig(dt=1e-3))
+    traj = simulate_paths(f2, [path], params, op, eig, SchemeConfig(dt=1e-3))[0]
     blew = traj.outcome is Outcome.NUMERICAL_BLOWUP and traj.t_blowup < 10.0
 
     thr = BlowupThreshold.from_initial_mass(2.0, 1.0)
@@ -215,8 +213,8 @@ def test_criterion_4_deterministic_dichotomy():
         for T in (5.0, 20.0, 50.0)
     )
     f05 = 0.25 * a2 * eig.psi
-    traj5 = simulate_rpde(f05, BrownianPath.frozen_zero(5.0, 1e-3), params, op, eig,
-                          SchemeConfig(dt=1e-3))
+    traj5 = simulate_paths(f05, [BrownianPath.frozen_zero(5.0, 1e-3)], params, op, eig,
+                           SchemeConfig(dt=1e-3))[0]
     decays = traj5.outcome is Outcome.COMPLETED and bool(np.all(np.diff(traj5.sup) < 0))
     verdicts = (
         deterministic_dichotomy(f2, eig, 1.0) is Dichotomy.BLOWUP_CERTIFIED
@@ -241,8 +239,8 @@ def test_criterion_5_transform_consistency():
     worst = 0.0
     for seed in range(10):
         path = sample_brownian(1.0, 1e-4, seed, 0)
-        em = simulate_spde_em(f, path, params, op, eig, cfg)
-        v = simulate_rpde(f, path, params, op, eig, cfg)
+        em = simulate_paths(f, [path], params, op, eig, cfg, variable="u")[0]
+        v = simulate_paths(f, [path], params, op, eig, cfg)[0]
         u = reconstruct_u(v, path, params.kappa)
         k = min(len(em.sup), len(u.sup))
         rel = float(np.max(np.abs(em.sup[:k] - u.sup[:k]) / np.maximum(np.abs(u.sup[:k]), 1e-300)))
@@ -290,8 +288,8 @@ def test_criterion_7_certificate_soundness():
     j_err = abs(report.J - 1.0 / 3.0)
     cert_ok = j_err <= 1e-6 and report.verdict is Verdict.CERTIFIED
 
-    traj = simulate_rpde(f, BrownianPath.frozen_zero(10.0, 1e-3), params, op, eig,
-                         SchemeConfig(dt=1e-3))
+    traj = simulate_paths(f, [BrownianPath.frozen_zero(10.0, 1e-3)], params, op, eig,
+                          SchemeConfig(dt=1e-3))[0]
     bound = report.bound_sup[: len(traj.sup)]
     within = bool(np.all(traj.sup <= 1.02 * bound))
     margin = float(np.max(traj.sup / bound))

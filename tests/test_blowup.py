@@ -29,13 +29,12 @@ from spdelab.blowup import (
     TabulatedNonlinearity,
     analytic_blowup_bound,
     deterministic_dichotomy,
-    lower_solution,
     lower_solution_series,
     mc_blowup_probability,
     tau_from_path,
 )
 from spdelab.domain import weighted_inner
-from spdelab.errors import BlownUp, ConfigurationError
+from spdelab.errors import ConfigurationError
 from spdelab.stochastic import (
     BrownianPath,
     _n_steps,
@@ -147,24 +146,28 @@ class TestLowerSolution:
     def test_subcritical_closed_form(self):
         path = BrownianPath.frozen_zero(horizon=5.0, dt=1e-3)
         thr = BlowupThreshold.from_initial_mass(0.5, 1.0)
+        times, values, blown = lower_solution_series(path, thr, kappa=0.0, lam1=1.0)
+        assert blown is None
         for t in (0.0, 0.25, 1.0, 3.0, 5.0):
-            got = lower_solution(path, thr, kappa=0.0, lam1=1.0, t=t)
-            assert got == pytest.approx(1.0 / (1.0 + math.exp(t)), rel=1e-6)
+            k = int(round(t / path.dt))
+            assert times[k] == pytest.approx(t, abs=1e-12)
+            assert values[k] == pytest.approx(1.0 / (1.0 + math.exp(times[k])), rel=1e-6)
 
     def test_initial_value_is_initial_mass(self):
         path = sample_brownian(seed=3, path_index=0, horizon=1.0, dt=1e-3)
         thr = BlowupThreshold.from_initial_mass(0.7, 2.0)
-        assert lower_solution(path, thr, kappa=0.8, lam1=1.0, t=0.0) == pytest.approx(0.7, rel=1e-14)
+        _, values, _ = lower_solution_series(path, thr, kappa=0.8, lam1=1.0)
+        assert values[0] == pytest.approx(0.7, rel=1e-14)
 
     def test_supercritical_diverges_at_log_two(self):
         path = BrownianPath.frozen_zero(horizon=5.0, dt=1e-3)
         thr = BlowupThreshold.from_initial_mass(2.0, 1.0)
-        # finite just before, BlownUp at/after the divergence time ln 2
-        val = lower_solution(path, thr, kappa=0.0, lam1=1.0, t=0.69)
-        assert math.isfinite(val) and val > 50.0
-        with pytest.raises(BlownUp) as exc:
-            lower_solution(path, thr, kappa=0.0, lam1=1.0, t=0.7)
-        assert exc.value.t == pytest.approx(math.log(2.0), abs=2e-3)
+        # finite just before the divergence time ln 2, NaN from there on
+        times, values, blown = lower_solution_series(path, thr, kappa=0.0, lam1=1.0)
+        assert times[690] == pytest.approx(0.69, abs=1e-12)
+        assert math.isfinite(values[690]) and values[690] > 50.0
+        assert blown is not None and times[blown] <= 0.7
+        assert times[blown] == pytest.approx(math.log(2.0), abs=2e-3)
 
     def test_series_masks_after_divergence(self):
         path = BrownianPath.frozen_zero(horizon=2.0, dt=1e-3)
@@ -181,12 +184,6 @@ class TestLowerSolution:
         _, values, blown = lower_solution_series(path, thr, kappa=0.0, lam1=1.0)
         alive = values[:blown]
         assert np.all(np.diff(alive) > 0)
-
-    def test_out_of_range_time_rejected(self):
-        path = BrownianPath.frozen_zero(horizon=1.0, dt=1e-3)
-        thr = BlowupThreshold.from_initial_mass(0.5, 1.0)
-        with pytest.raises(ConfigurationError):
-            lower_solution(path, thr, kappa=0.0, lam1=1.0, t=2.0)
 
 
 class TestTauFromPath:

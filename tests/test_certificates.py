@@ -112,6 +112,15 @@ class TestIntegralCertificate:
         with pytest.raises(ConfigurationError):
             certificate_integral(path, eig.psi[:-1], PARAMS, 1.0, eig)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_initial_data_rejected(self, cert_env, bad):
+        # a NaN datum gives a NaN J, which no "J >= 1" test turns down
+        _, eig, path = cert_env
+        f = eig.psi.copy()
+        f[7] = bad
+        with pytest.raises(ConfigurationError, match=f"not finite at node 7: f={bad}"):
+            certificate_integral(path, f, PARAMS, 1.0, eig)
+
     def test_tabulated_nonlinearity_above_cap_rejected(self, cert_env):
         _, eig, path = cert_env
         hot = TabulatedNonlinearity(z=np.array([0.0, 1.0, 2.0]), g=np.array([0.0, 2.0, 8.0]))

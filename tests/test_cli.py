@@ -13,7 +13,13 @@ import pytest
 
 from spdelab.cli import main, write_csv
 from spdelab.config import load_config
-from spdelab.domain import build_grid, build_laplacian, solve_eigenpairs, weighted_inner
+from spdelab.domain import (
+    DomainSpec,
+    build_grid,
+    build_laplacian,
+    solve_eigenpairs,
+    weighted_inner,
+)
 from spdelab.errors import ConfigurationError
 
 
@@ -35,6 +41,16 @@ def interval_cfg(n=32, **extra):
 
 
 MODEL = {"beta": 1.0, "kappa": 1.0}
+
+
+def nonfinite_table(tmp_path, bad, n=16):
+    """A tabulated initial datum on the n-interval grid with ``bad`` at node 5."""
+    grid = build_grid(DomainSpec(kind="interval", lengths=(math.pi,)), n)
+    values = [repr(float(v)) for v in 0.2 * np.sin(grid.axes[0])]
+    values[5] = bad
+    table = tmp_path / "f.csv"
+    table.write_text("value\n" + "\n".join(values) + "\n")
+    return table
 
 
 class TestConfigValidation:
@@ -88,6 +104,27 @@ class TestConfigValidation:
         p = write_cfg(tmp_path, interval_cfg(model=MODEL))
         rc = main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "flag", [["--seed", "-5"], ["--workers", "0"], ["--workers", "-2"]], ids="=".join
+    )
+    @pytest.mark.parametrize(
+        "command,kappa", [("blowup", 1.0), ("blowup", 0.0), ("simulate", 1.0)]
+    )
+    def test_bad_seed_or_workers_exits_2_without_files(
+        self, tmp_path, capsys, flag, command, kappa
+    ):
+        cfg = interval_cfg(
+            n=16,
+            model={"beta": 1.0, "kappa": kappa},
+            initial={"mode": "eigen-multiple", "a": 0.3},
+            sim={"dt": 0.01, "horizon": 0.5, "n_paths": 1000, "seed": 1, "v0psi_sweep": [0.5]},
+        )
+        out = tmp_path / "out"
+        p = write_cfg(tmp_path, cfg)
+        assert main([command, "--config", str(p), "--out", str(out), *flag]) == 2
+        assert f"configuration error: {flag[0]} must be" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_tabulated_nonlinearity_parses(self, tmp_path):
         cfg = interval_cfg(
@@ -281,6 +318,18 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(p), "--out", str(out)]) == 0
         assert read_csv(out / "trajectories.csv")[0]["outcome"] == "completed_horizon"
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_tabulated_exits_2_naming_the_node(self, tmp_path, capsys, bad):
+        cfg = interval_cfg(
+            n=16,
+            model={"beta": 1.0, "kappa": 0.5},
+            initial={"mode": "tabulated", "file": str(nonfinite_table(tmp_path, bad))},
+            sim={"dt": 0.01, "horizon": 0.5, "seed": 1},
+        )
+        p = write_cfg(tmp_path, cfg)
+        assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert f"not finite at node 5: f={bad}" in capsys.readouterr().err
+
     def test_wrong_length_tabulated_exits_2(self, tmp_path):
         table = tmp_path / "f.csv"
         table.write_text("value\n1.0\n2.0\n")
@@ -351,6 +400,21 @@ class TestCertifyCommand:
         assert row["verdict"] == "not_certified"
         assert 0.0 < float(row["tail"]) < float(row["J"])
         assert "not below one" in row["reason"]
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_tabulated_never_certified(self, tmp_path, capsys, bad):
+        cfg = interval_cfg(
+            n=16,
+            model=MODEL,
+            initial={"mode": "tabulated", "file": str(nonfinite_table(tmp_path, bad))},
+            sim={"dt": 0.01, "horizon": 12.0, "seed": 3},
+            certificate={"kinds": ["integral"], "frozen_zero_path": True},
+        )
+        out = tmp_path / "out"
+        p = write_cfg(tmp_path, cfg)
+        assert main(["certify", "--config", str(p), "--out", str(out)]) == 2
+        assert f"not finite at node 5: f={bad}" in capsys.readouterr().err
+        assert not (out / "certificates.csv").exists()
 
     def test_heat_kernel_analytic(self, tmp_path):
         cfg = self.base_cfg(kinds=["heat_kernel"], K=0.1, eta=1.0, c=0.25, analytic=True)

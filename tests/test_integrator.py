@@ -1,9 +1,11 @@
 """Integrator tests: scalar step oracles, closed-form decay, blowup brackets,
 scheme cross-validation, and the weak/mild residual order checks.
 
-The 1-node "grid" below turns the stepper into a scalar ODE recursion, which
+The 1-node "grid" below turns the engine into a scalar ODE recursion, which
 is the cheapest honest oracle for the IMEX update algebra.
 """
+
+from dataclasses import replace
 
 import math
 
@@ -18,6 +20,7 @@ from spdelab.blowup import ModelParams, PowerLaw, TabulatedNonlinearity, determi
 from spdelab.domain import (
     DiscreteOperator,
     DomainSpec,
+    EigenData,
     GridSpec,
     apply_heat_semigroup,
     build_grid,
@@ -26,7 +29,6 @@ from spdelab.domain import (
 )
 from spdelab.errors import ConfigurationError, NumericalFailure, PreconditionFailure
 from spdelab.integrator import (
-    FieldState,
     Outcome,
     Scheme,
     SchemeConfig,
@@ -34,9 +36,6 @@ from spdelab.integrator import (
     mild_residual,
     reconstruct_u,
     simulate_paths,
-    simulate_rpde,
-    simulate_spde_em,
-    step_rpde,
     weak_form_residual,
 )
 from spdelab.stochastic import BrownianPath, sample_brownian
@@ -51,12 +50,24 @@ def linear_params(kappa):
 
 
 def scalar_problem(lam=1.0):
-    """1-node discrete operator: the stepper becomes a scalar recursion."""
+    """1-node discrete operator and its eigendata: the engine becomes a scalar
+    recursion."""
     dom = DomainSpec(kind="interval", lengths=(2.0,))
     grid = GridSpec(domain=dom, n=1, axes=(np.array([1.0]),), h=(1.0,),
                     weights=np.array([1.0]))
     op = DiscreteOperator(matrix=sparse.csr_matrix(np.array([[-lam]])), grid=grid)
-    return op
+    eig = EigenData(grid=grid, eigenvalues=np.array([lam]), modes=np.array([[1.0]]),
+                    psi=np.array([1.0]))
+    return op, eig
+
+
+def field_after(k, f, params, op, eig, cfg):
+    """The transformed field after k steps on the zero noise path. With k + 1
+    snapshots the stride is one, so snapshot k is the field after step k."""
+    path = BrownianPath.frozen_zero(horizon=k * cfg.dt, dt=cfg.dt)
+    traj = simulate_paths(f, [path], params, op, eig, replace(cfg, max_snapshots=k + 1))[0]
+    assert len(traj.times) == k + 1
+    return traj.snapshots[k]
 
 
 class TestSchemeConfig:
@@ -76,51 +87,47 @@ class TestStep:
         # G = 0, kappa = 0, f = psi: k steps give (1 + dt lam1)^{-k} psi exactly
         _, grid, op, eig = interval_48
         cfg = SchemeConfig(dt=0.01)
-        params = linear_params(0.0)
-        state = FieldState(t=0.0, values=eig.psi.copy())
-        for _ in range(5):
-            state = step_rpde(state, 0.0, params, op, cfg)
+        values = field_after(5, eig.psi, linear_params(0.0), op, eig, cfg)
         expected = (1.0 + cfg.dt * eig.lam1) ** -5 * eig.psi
-        np.testing.assert_allclose(state.values, expected, rtol=1e-11)
+        np.testing.assert_allclose(values, expected, rtol=1e-11)
 
     def test_scalar_reaction_recursion(self):
         # v' = -lam v + v^2 under IMEX: v+ = (v + dt v^2)/(1 + dt lam)
-        op = scalar_problem(lam=1.0)
+        op, eig = scalar_problem(lam=1.0)
         cfg = SchemeConfig(dt=0.05)
-        params = ModelParams(beta=1.0, kappa=0.0)
         v = 0.4
-        state = FieldState(t=0.0, values=np.array([v]))
+        values = field_after(8, np.array([v]), ModelParams(beta=1.0, kappa=0.0), op, eig, cfg)
         for _ in range(8):
-            state = step_rpde(state, 0.0, params, op, cfg)
             v = (v + cfg.dt * v**2) / (1.0 + cfg.dt * 1.0)
-        assert state.values[0] == pytest.approx(v, rel=1e-14)
+        assert values[0] == pytest.approx(v, rel=1e-14)
 
     def test_zero_noise_value_matches_dense_oracle(self, interval_48):
         # W_t = 0 with kappa = 1: the step is the deterministic semilinear one
         # with the kappa^2/2 shift; check against a dense direct solve.
         _, grid, op, eig = interval_48
         cfg = SchemeConfig(dt=0.02)
-        params = ModelParams(beta=1.0, kappa=1.0)
         f = 0.3 * eig.psi
-        new = step_rpde(FieldState(t=0.0, values=f), 0.0, params, op, cfg)
+        new = field_after(1, f, ModelParams(beta=1.0, kappa=1.0), op, eig, cfg)
         n = grid.npoints
         A = np.eye(n) - cfg.dt * (op.matrix.toarray() - 0.5 * np.eye(n))
         expected = np.linalg.solve(A, f + cfg.dt * f**2)
-        np.testing.assert_allclose(new.values, expected, rtol=1e-12)
+        np.testing.assert_allclose(new, expected, rtol=1e-12)
 
     def test_crank_nicolson_eigenmode(self, interval_48):
         _, grid, op, eig = interval_48
         cfg = SchemeConfig(dt=0.01, scheme=Scheme.CRANK_NICOLSON)
-        params = linear_params(0.0)
-        new = step_rpde(FieldState(t=0.0, values=eig.psi.copy()), 0.0, params, op, cfg)
+        new = field_after(1, eig.psi, linear_params(0.0), op, eig, cfg)
         factor = (1.0 - 0.5 * cfg.dt * eig.lam1) / (1.0 + 0.5 * cfg.dt * eig.lam1)
-        np.testing.assert_allclose(new.values, factor * eig.psi, rtol=1e-11)
+        np.testing.assert_allclose(new, factor * eig.psi, rtol=1e-11)
 
     def test_negative_field_aborts(self, interval_48):
+        # dt lam1 > 2 makes the Crank-Nicolson factor of psi negative, so one
+        # step from the positive psi gives a negative field
         _, grid, op, eig = interval_48
-        cfg = SchemeConfig(dt=0.01)
-        with pytest.raises(NumericalFailure):
-            step_rpde(FieldState(t=0.0, values=-eig.psi), 0.0, linear_params(0.0), op, cfg)
+        cfg = SchemeConfig(dt=3.0, scheme=Scheme.CRANK_NICOLSON)
+        assert cfg.dt * eig.lam1 > 2.0
+        with pytest.raises(NumericalFailure, match="positivity lost"):
+            field_after(1, eig.psi, linear_params(0.0), op, eig, cfg)
 
 
 class TestSimulateRpde:
@@ -130,7 +137,7 @@ class TestSimulateRpde:
         kappa = 0.5
         path = sample_brownian(seed=9, path_index=0, horizon=2.0, dt=1e-3)
         cfg = SchemeConfig(dt=1e-3)
-        traj = simulate_rpde(eig.psi, path, linear_params(kappa), op, eig, cfg)
+        traj = simulate_paths(eig.psi, [path], linear_params(kappa), op, eig, cfg)[0]
         assert traj.outcome is Outcome.COMPLETED
         rate = eig.lam1 + 0.5 * kappa**2
         exact = traj.mass[0] * math.exp(-rate * 2.0)
@@ -143,7 +150,7 @@ class TestSimulateRpde:
         path = sample_brownian(seed=10, path_index=0, horizon=0.5, dt=1e-3)
         cfg = SchemeConfig(dt=1e-3, max_snapshots=501)
         f = 0.2 * np.ones(grid.npoints)
-        traj = simulate_rpde(f, path, ModelParams(beta=1.0, kappa=1.0), op, eig, cfg)
+        traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=1.0), op, eig, cfg)[0]
         # snapshots are at full resolution here; compare the pairing directly
         idx = np.rint(traj.snapshot_times / cfg.dt).astype(int)
         expected = traj.snapshots @ (grid.weights * eig.psi)
@@ -159,7 +166,7 @@ class TestSimulateRpde:
         path = sample_brownian(seed=11, path_index=0, horizon=1.0, dt=1e-3)
         cfg = SchemeConfig(dt=1e-3)
         f = 0.3 * np.ones(grid.npoints)
-        traj = simulate_rpde(f, path, ModelParams(beta=1.0, kappa=kappa), op, eig, cfg)
+        traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=kappa), op, eig, cfg)[0]
         m = traj.mass
         w = path.values[: len(m) - 1]
         lhs = np.diff(m) / cfg.dt + (eig.lam1 + 0.5 * kappa**2) * m[1:]
@@ -172,7 +179,7 @@ class TestSimulateRpde:
         assert deterministic_dichotomy(f, eig, 1.0) is Dichotomy.BLOWUP_CERTIFIED
         path = BrownianPath.frozen_zero(horizon=10.0, dt=1e-3)
         cfg = SchemeConfig(dt=1e-3)
-        traj = simulate_rpde(f, path, ModelParams(beta=1.0, kappa=0.0), op, eig, cfg)
+        traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), op, eig, cfg)[0]
         assert traj.outcome is Outcome.NUMERICAL_BLOWUP
         assert traj.t_blowup < 10.0
         assert traj.t_last_stable <= traj.t_blowup
@@ -186,7 +193,7 @@ class TestSimulateRpde:
         f = 0.5 * np.ones(grid.npoints)
         path = BrownianPath.frozen_zero(horizon=5.0, dt=1e-3)
         cfg = SchemeConfig(dt=1e-3)
-        traj = simulate_rpde(f, path, ModelParams(beta=1.0, kappa=0.0), op, eig, cfg)
+        traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), op, eig, cfg)[0]
         assert traj.outcome is Outcome.COMPLETED
         assert traj.sup[-1] < traj.sup[0]
         assert traj.mass[-1] < traj.mass[0]
@@ -203,8 +210,8 @@ class TestSimulateRpde:
             eig = solve_eigenpairs(op, 8)
             f = 2.0 * np.ones(grid.npoints)
             path = BrownianPath.frozen_zero(horizon=10.0, dt=1e-3)
-            traj = simulate_rpde(f, path, ModelParams(beta=1.0, kappa=0.0), op, eig,
-                                 SchemeConfig(dt=1e-3))
+            traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), op, eig,
+                                  SchemeConfig(dt=1e-3))[0]
             assert traj.outcome is Outcome.NUMERICAL_BLOWUP
             t_b[n] = traj.t_blowup
         assert abs(t_b[48] - t_b[24]) / t_b[48] <= 0.05
@@ -214,7 +221,7 @@ class TestSimulateRpde:
         path = BrownianPath.frozen_zero(horizon=1.0, dt=1e-3)
         cfg = SchemeConfig(dt=1e-3, max_snapshots=50)
         f = 0.5 * np.ones(grid.npoints)
-        traj = simulate_rpde(f, path, ModelParams(beta=1.0, kappa=0.0), op, eig, cfg)
+        traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), op, eig, cfg)[0]
         assert len(traj.snapshot_times) <= 51
         assert traj.snapshot_times[0] == 0.0
         assert traj.snapshot_times[-1] == traj.times[-1]
@@ -226,12 +233,17 @@ class TestSimulateRpde:
         cfg = SchemeConfig(dt=1e-3)
         params = ModelParams(beta=1.0, kappa=0.0)
         with pytest.raises(PreconditionFailure):
-            simulate_rpde(-np.ones(grid.npoints), path, params, op, eig, cfg)
+            simulate_paths(-np.ones(grid.npoints), [path], params, op, eig, cfg)
         with pytest.raises(PreconditionFailure):
-            simulate_rpde(np.zeros(grid.npoints), path, params, op, eig, cfg)
+            simulate_paths(np.zeros(grid.npoints), [path], params, op, eig, cfg)
         with pytest.raises(ConfigurationError):
-            simulate_rpde(np.ones(grid.npoints), path, params, op, eig,
-                          SchemeConfig(dt=2e-3))
+            simulate_paths(np.ones(grid.npoints), [path], params, op, eig,
+                           SchemeConfig(dt=2e-3))
+        for bad in (math.nan, math.inf, -math.inf):
+            f = np.ones(grid.npoints)
+            f[3] = bad
+            with pytest.raises(ConfigurationError, match=f"not finite at node 3: f={bad}"):
+                simulate_paths(f, [path], params, op, eig, cfg)
 
 
 def interval_16():
@@ -339,7 +351,7 @@ class TestBlockEngine:
         path = (BrownianPath.frozen_zero(4.0, dt) if kappa == 0.0
                 else sample_brownian(4.0, dt, seed, 0))
         cfg = SchemeConfig(dt=dt, cutoff=cutoff, scheme=scheme)
-        traj = simulate_rpde(a * eig.psi, path, params, op, eig, cfg)
+        traj = simulate_paths(a * eig.psi, [path], params, op, eig, cfg)[0]
         event(traj.outcome.value)
         if traj.outcome is not Outcome.NUMERICAL_BLOWUP:
             return
@@ -356,8 +368,8 @@ class TestSchemeCrossValidation:
         path = BrownianPath.frozen_zero(horizon=1.0, dt=1e-3)
         cfg = SchemeConfig(dt=1e-3)
         params = ModelParams(beta=1.0, kappa=0.0)
-        a = simulate_rpde(f, path, params, op, eig, cfg)
-        b = simulate_spde_em(f, path, params, op, eig, cfg)
+        a = simulate_paths(f, [path], params, op, eig, cfg)[0]
+        b = simulate_paths(f, [path], params, op, eig, cfg, variable="u")[0]
         assert np.array_equal(a.mass, b.mass)
         assert np.array_equal(a.snapshots, b.snapshots)
 
@@ -367,7 +379,7 @@ class TestSchemeCrossValidation:
         kappa = 0.5
         path = sample_brownian(seed=21, path_index=0, horizon=1.0, dt=1e-4)
         cfg = SchemeConfig(dt=1e-4)
-        traj = simulate_spde_em(eig.psi, path, linear_params(kappa), op, eig, cfg)
+        traj = simulate_paths(eig.psi, [path], linear_params(kappa), op, eig, cfg, "u")[0]
         w_T = float(path.values[-1])
         exact = traj.mass[0] * math.exp(-eig.lam1 * 1.0 + kappa * w_T - 0.5 * kappa**2)
         assert traj.mass[-1] == pytest.approx(exact, rel=0.03)
@@ -380,8 +392,8 @@ class TestSchemeCrossValidation:
         params = ModelParams(beta=1.0, kappa=kappa)
         path = sample_brownian(seed=33, path_index=0, horizon=1.0, dt=1e-4)
         cfg = SchemeConfig(dt=1e-4, max_snapshots=200)
-        u_direct = simulate_spde_em(f, path, params, op, eig, cfg)
-        u_mapped = reconstruct_u(simulate_rpde(f, path, params, op, eig, cfg), path, kappa)
+        u_direct = simulate_paths(f, [path], params, op, eig, cfg, variable="u")[0]
+        u_mapped = reconstruct_u(simulate_paths(f, [path], params, op, eig, cfg)[0], path, kappa)
         assert u_direct.outcome is Outcome.COMPLETED
         scale = np.max(np.abs(u_mapped.snapshots))
         diff = np.max(np.abs(u_direct.snapshots - u_mapped.snapshots))
@@ -392,7 +404,7 @@ class TestSchemeCrossValidation:
         f = 0.4 * eig.psi
         path = BrownianPath.frozen_zero(horizon=1.0, dt=1e-3)
         cfg = SchemeConfig(dt=1e-3)
-        v = simulate_rpde(f, path, ModelParams(beta=1.0, kappa=0.0), op, eig, cfg)
+        v = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), op, eig, cfg)[0]
         u = reconstruct_u(v, path, 0.0)
         assert np.array_equal(u.mass, v.mass)
         assert np.array_equal(u.snapshots, v.snapshots)
@@ -403,8 +415,8 @@ class TestSchemeCrossValidation:
         kappa = 0.8
         f = 0.3 * eig.psi
         path = sample_brownian(seed=4, path_index=2, horizon=0.5, dt=1e-3)
-        v = simulate_rpde(f, path, ModelParams(beta=1.0, kappa=kappa), op, eig,
-                          SchemeConfig(dt=1e-3))
+        v = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=kappa), op, eig,
+                           SchemeConfig(dt=1e-3))[0]
         u = reconstruct_u(v, path, kappa)
         np.testing.assert_allclose(u.mass, v.mass * np.exp(kappa * path.values), rtol=1e-14)
         assert np.all(u.snapshots >= 0)
@@ -413,8 +425,8 @@ class TestSchemeCrossValidation:
         _, grid, op, eig = interval_48
         f = 0.3 * eig.psi
         path = BrownianPath.frozen_zero(horizon=1.0, dt=1e-3)
-        v = simulate_rpde(f, path, ModelParams(beta=1.0, kappa=0.0), op, eig,
-                          SchemeConfig(dt=1e-3))
+        v = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), op, eig,
+                           SchemeConfig(dt=1e-3))[0]
         with pytest.raises(ConfigurationError):
             reconstruct_u(v, BrownianPath.frozen_zero(horizon=1.0, dt=2e-3), 0.0)
         u = reconstruct_u(v, path, 0.0)
@@ -430,8 +442,7 @@ class TestWeakFormResidual:
         f = 0.3 * eig.psi
         path = BrownianPath.frozen_zero(horizon=0.5, dt=dt)
         cfg = SchemeConfig(dt=dt, max_snapshots=100000)
-        sim = simulate_rpde if variable == "v" else simulate_spde_em
-        traj = sim(f, path, params, op, eig, cfg)
+        traj = simulate_paths(f, [path], params, op, eig, cfg, variable)[0]
         return weak_form_residual(traj, path, params, eig, n_modes=3)
 
     def test_zero_at_initial_time(self, interval_48):
@@ -459,8 +470,8 @@ class TestWeakFormResidual:
     def test_mode_count_guard(self, interval_48):
         _, grid, op, eig = interval_48
         path = BrownianPath.frozen_zero(horizon=0.5, dt=1e-3)
-        traj = simulate_rpde(0.3 * eig.psi, path, ModelParams(beta=1.0, kappa=0.0),
-                             op, eig, SchemeConfig(dt=1e-3))
+        traj = simulate_paths(0.3 * eig.psi, [path], ModelParams(beta=1.0, kappa=0.0),
+                              op, eig, SchemeConfig(dt=1e-3))[0]
         with pytest.raises(ConfigurationError):
             weak_form_residual(traj, path, ModelParams(beta=1.0, kappa=0.0), eig,
                                n_modes=eig.m + 1)
@@ -492,8 +503,8 @@ class TestMildResidual:
         _, grid, op, eig = interval_48
         path = BrownianPath.frozen_zero(horizon=0.5, dt=1e-3)
         params = ModelParams(beta=1.0, kappa=0.0)
-        traj = simulate_rpde(0.2 * eig.psi, path, params, op, eig,
-                             SchemeConfig(dt=1e-3, max_snapshots=100000))
+        traj = simulate_paths(0.2 * eig.psi, [path], params, op, eig,
+                              SchemeConfig(dt=1e-3, max_snapshots=100000))[0]
         _, res = mild_residual(traj, path, params, eig)
         assert res[0] == 0.0
 
@@ -503,8 +514,8 @@ class TestMildResidual:
         maxima = {}
         for dt in (2e-3, 1e-3):
             path = BrownianPath.frozen_zero(horizon=0.5, dt=dt)
-            traj = simulate_rpde(0.1 * eig.psi, path, params, op, eig,
-                                 SchemeConfig(dt=dt, max_snapshots=100000))
+            traj = simulate_paths(0.1 * eig.psi, [path], params, op, eig,
+                                  SchemeConfig(dt=dt, max_snapshots=100000))[0]
             _, res = mild_residual(traj, path, params, eig)
             maxima[dt] = np.max(res)
         ratio = maxima[2e-3] / maxima[1e-3]
@@ -514,6 +525,7 @@ class TestMildResidual:
         _, grid, op, eig = interval_48
         path = BrownianPath.frozen_zero(horizon=0.5, dt=1e-3)
         params = ModelParams(beta=1.0, kappa=0.0)
-        traj = simulate_spde_em(0.2 * eig.psi, path, params, op, eig, SchemeConfig(dt=1e-3))
+        traj = simulate_paths(0.2 * eig.psi, [path], params, op, eig, SchemeConfig(dt=1e-3),
+                              variable="u")[0]
         with pytest.raises(ConfigurationError):
             mild_residual(traj, path, params, eig)

@@ -11,11 +11,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 from spdelab.errors import ConfigurationError
 from spdelab.stochastic import (
     BrownianPath,
+    _regularized_lower,
     blowup_density,
     brownian_increments,
     derive_params,
     exp_functional,
-    gamma_lower,
     gamma_tail,
     sample_brownian,
 )
@@ -155,7 +155,7 @@ class TestGammaTail:
 
     def test_at_zero(self):
         assert gamma_tail(2.5, 0.0) == 1.0
-        assert gamma_lower(2.5, 0.0) == 0.0
+        assert _regularized_lower(2.5, 0.0) == 0.0
 
     def test_against_library_oracle(self):
         for alpha in (0.5, 1.0, 2.5, 3.0, 7.0, 10.0):
@@ -164,13 +164,14 @@ class TestGammaTail:
                 ref = float(scipy.special.gammaincc(alpha, z))
                 assert mine == pytest.approx(ref, rel=5e-13, abs=1e-15)
 
-    def test_complement_cross_check(self):
-        # Q from the continued fraction vs P from the series, independently
-        for alpha in (0.7, 2.0, 4.5, 9.0):
-            for z in (alpha + 1.5, alpha + 4.0, 2 * alpha + 2.0):
-                assert gamma_tail(alpha, z) + gamma_lower(alpha, z) == pytest.approx(
-                    1.0, abs=1e-12
-                )
+    def test_lower_against_library_oracle(self):
+        # P(alpha, z) of the Monte Carlo stopping rule: the series branch below
+        # z = alpha + 1 down to tiny z, one minus the continued fraction above
+        for alpha in (0.5, 1.0, 2.5, 3.0, 7.0, 12.0):
+            for z in (1e-300, 1e-30, 1e-8, 1e-3, 0.1, 1.0, alpha, alpha + 1.0,
+                      alpha + 5.0, 30.0):
+                ref = float(scipy.special.gammainc(alpha, z))
+                assert _regularized_lower(alpha, z) == pytest.approx(ref, rel=1e-13)
 
     @given(alpha=st.floats(0.3, 12.0), z=st.floats(0.0, 50.0))
     def test_range(self, alpha, z):
@@ -192,9 +193,6 @@ class TestBlowupDensity:
     def test_coincidence_point(self):
         val = blowup_density(2.0, 1.0, 1.0, 1.0)
         assert val == pytest.approx(math.exp(-1) / 4.0, rel=1e-13)
-        assert blowup_density(2.0, 1.0, 1.0, 1.0, inverted_power=True) == pytest.approx(
-            val, rel=1e-13
-        )
 
     def test_second_point(self):
         # (1/2)^3 e^{-1/2} / (4 * Gamma(3))
@@ -212,15 +210,6 @@ class TestBlowupDensity:
             head, _ = scipy.integrate.quad(f, 0.0, cut, points=[peak], limit=200)
             tail, _ = scipy.integrate.quad(f, cut, np.inf, limit=200)
             assert head + tail == pytest.approx(1.0, abs=1e-8)
-
-    def test_inverted_power_not_normalizable(self):
-        # the reciprocal-power form grows like y^(alpha-1): mass over [1, 10^4] alone
-        # already dwarfs 1 and keeps growing with the cutoff
-        f = lambda y: blowup_density(y, 1.0, 1.0, 1.0, inverted_power=True)
-        m1, _ = scipy.integrate.quad(f, 1.0, 1e3, limit=200)
-        m2, _ = scipy.integrate.quad(f, 1.0, 1e4, limit=200)
-        assert m1 > 10.0
-        assert m2 > 100.0 * m1
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
