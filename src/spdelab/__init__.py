@@ -24,8 +24,7 @@ from .certificates import (
     Verdict,
     admissible_initial,
     certificate_heat_kernel,
-    certificate_integral,
-    certificate_saturation,
+    certificate_sup_norm,
 )
 from .config import RunConfig, load_config
 from .domain import (
@@ -87,7 +86,7 @@ __all__ = [
     "analytic_blowup_bound", "deterministic_dichotomy", "mc_blowup_probability",
     # certificates
     "CertificateKind", "CertificateReport", "Verdict", "admissible_initial",
-    "certificate_integral", "certificate_saturation", "certificate_heat_kernel",
+    "certificate_sup_norm", "certificate_heat_kernel",
     # integrator
     "Scheme", "SchemeConfig", "Outcome", "TrajectoryResult", "simulate_paths",
     "reconstruct_u", "weak_form_residual", "mild_residual",

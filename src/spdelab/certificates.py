@@ -1,7 +1,6 @@
 """Global-existence certificates along a noise path.
 
-Three checks, all reducing to one scalar integral against the semigroup
-sup-norm decay:
+Three checks, each one scalar path integral int_0^inf e^{b W_r} w(r) dr:
 
 * integral certificate: J = Lambda beta int_0^inf e^{kappa beta W_r}
   ||e^{-kappa^2 r/2} S_r f||_inf^beta dr < 1 grants a global solution with
@@ -21,6 +20,10 @@ The [0, T] part of each integral is trapezoidal on the path grid; the
 its endpoint and grows the remaining Brownian factor at its conditional
 mean rate. A certificate is granted only if computed part plus majorant
 clears the threshold.
+
+The first two share the semigroup sup-norm series of f, so one call of
+certificate_sup_norm evaluates it once for both; certificate_heat_kernel
+needs no series.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from enum import Enum
 import numpy as np
 
 from .blowup import ModelParams, PowerLaw, TabulatedNonlinearity
-from .domain import EigenData, sup_norm_decay
+from .domain import EigenData, _validate_initial, sup_norm_decay
 from .errors import ConfigurationError, PreconditionFailure
 from .stochastic import (
     EXP_CLAMP,
@@ -90,32 +93,6 @@ class CertificateReport:
             raise ConfigurationError(f"probability {self.probability} outside [0, 1]")
 
 
-def _validate_initial(f: np.ndarray, eigen: EigenData) -> np.ndarray:
-    f = np.asarray(f, dtype=float)
-    if f.shape != (eigen.grid.npoints,):
-        raise ConfigurationError(
-            f"initial data has shape {f.shape}, grid has {eigen.grid.npoints} nodes"
-        )
-    bad = ~np.isfinite(f)
-    if bad.any():
-        node = int(np.argmax(bad))
-        raise ConfigurationError(f"initial data is not finite at node {node}: f={f[node]}")
-    if np.any(f < -1e-12):
-        node = int(np.argmin(f))
-        raise PreconditionFailure(f"initial data negative at node {node}: f={f[node]}")
-    if not np.any(f > 0):
-        raise PreconditionFailure("initial data vanishes identically")
-    defect = eigen.projection_defect(f)
-    scale = float(np.max(np.abs(f)))
-    if defect > 1e-8 * scale:
-        logger.warning(
-            "initial data has %.3g relative mass outside the retained basis; "
-            "the certificate applies to the projected data",
-            defect / scale,
-        )
-    return f
-
-
 def _check_upper_bound(params: ModelParams, z_max: float | None = None) -> None:
     """The certificates need G(z) <= Lambda z^(1+beta), globally or on (0, z_max)."""
     g = params.G
@@ -138,10 +115,10 @@ def _check_upper_bound(params: ModelParams, z_max: float | None = None) -> None:
     raise ConfigurationError(f"cannot verify the upper bound for nonlinearity {type(g).__name__}")
 
 
-def _coefficient_envelope(f: np.ndarray, T: float, kappa: float, eigen: EigenData) -> float:
-    """Bound on ||e^{-kappa^2 t/2} S_t f||_inf at t = T that keeps majorizing
-    after multiplication by e^{-(lam_1 + kappa^2/2)(t - T)} for t > T."""
-    coeff = eigen.project(f)
+def _coefficient_envelope(coeff: np.ndarray, T: float, kappa: float, eigen: EigenData) -> float:
+    """Bound on ||e^{-kappa^2 t/2} S_t f||_inf at t = T, from the coefficients
+    of f, that keeps majorizing after multiplication by
+    e^{-(lam_1 + kappa^2/2)(t - T)} for t > T."""
     mode_sup = np.max(np.abs(eigen.modes), axis=0)
     return math.exp(-0.5 * kappa**2 * T) * float(
         np.sum(np.abs(coeff) * np.exp(-eigen.eigenvalues * T) * mode_sup)
@@ -172,33 +149,6 @@ def _path_integral(
     return J_series, tail, reason
 
 
-def _sup_norm_integral(
-    path: BrownianPath, f: np.ndarray, params: ModelParams, lam1: float, eigen: EigenData,
-    b: float, z_max: float | None = None,
-) -> tuple[np.ndarray, np.ndarray, float, float, str | None]:
-    """Checks and _path_integral for the integral and saturation kinds, with
-    weight Lambda beta ||e^{-kappa^2 r/2} S_r f||_inf^beta.
-
-    Returns (J_series, norms, J, tail, reason); reason also covers J >= 1.
-    """
-    if params.kappa <= 0:
-        raise ConfigurationError("certificates need kappa > 0; the noiseless dichotomy is separate")
-    f = _validate_initial(f, eigen)
-    _check_upper_bound(params, z_max)
-    norms = sup_norm_decay(f, path.times, params.kappa, eigen)
-    N_T = _coefficient_envelope(f, path.horizon, params.kappa, eigen)
-    # lam_min <= every retained eigenvalue keeps the tail a majorant
-    rate = (min(lam1, eigen.lam1) + 0.5 * params.kappa**2) * params.beta
-    scale = params.Lambda * params.beta
-    J_series, tail, reason = _path_integral(
-        path, b, scale * norms**params.beta, scale * N_T**params.beta, rate
-    )
-    J = float(J_series[-1]) + tail
-    if reason is None and not J < 1.0:
-        reason = f"integral {J:.6g} is not below one"
-    return J_series, norms, J, tail, reason
-
-
 def _report(
     kind: CertificateKind, J: float, threshold: float, tail: float, reason: str | None, **fields
 ) -> CertificateReport:
@@ -209,67 +159,85 @@ def _report(
     )
 
 
-def certificate_integral(
+def certificate_sup_norm(
     path: BrownianPath,
     f: np.ndarray,
     params: ModelParams,
     lam1: float,
     eigen: EigenData,
-) -> CertificateReport:
-    """Global-existence certificate J < 1 with envelope B(t) = (1-J(t))^(-1/beta).
+    kinds: list[CertificateKind],
+) -> dict[CertificateKind, CertificateReport]:
+    """The integral and saturation certificates of f, keyed by kind.
+
+    Both integrate the weight Lambda beta ||e^{-kappa^2 r/2} S_r f||_inf^beta
+    against e^{b W_r}, so f is validated and projected and its sup-norm
+    series evaluated once for every kind asked for.
+
+    * INTEGRAL (b = kappa beta): certifies J < 1, with the envelope
+      B(t) = (1 - J(t))^(-1/beta).
+    * SATURATION (b = -kappa): the variant model driven by G(v) itself, where
+      the power-law domination is only assumed on (0, C*). Certifies when
+      ||f||_inf <= C* (1 - J*)^(1/beta) and the enveloped sup norm
+      B*(t) ||e^{-kappa^2 t/2} S_t f||_inf stays strictly inside (0, C*).
 
     J adds a closed-form majorant for the horizon tail to the trapezoidal
-    [0, T] part, so a certified J is an overestimate of the true integral
-    up to the conditional-mean treatment of the unseen Brownian factor.
+    [0, T] part, so a certified J is an overestimate of the true integral up
+    to the conditional-mean treatment of the unseen Brownian factor.
     """
-    J_series, norms, J, tail, reason = _sup_norm_integral(
-        path, f, params, lam1, eigen, b=params.kappa * params.beta
-    )
-    if reason is not None:
-        return _report(CertificateKind.INTEGRAL, J, 1.0, tail, reason)
-    envelope = (1.0 - J_series) ** (-1.0 / params.beta)
-    return _report(
-        CertificateKind.INTEGRAL, J, 1.0, tail, None,
-        times=path.times, envelope=envelope, bound_sup=envelope * norms,
-    )
-
-
-def certificate_saturation(
-    path: BrownianPath,
-    f: np.ndarray,
-    params: ModelParams,
-    lam1: float,
-    eigen: EigenData,
-) -> CertificateReport:
-    """Certificate for the variant model driven by G(v) itself, where the
-    power-law domination is only assumed on (0, C*).
-
-    Certifies when ||f||_inf <= C* (1 - J*)^(1/beta) and the enveloped sup
-    norm B*(t) ||e^{-kappa^2 t/2} S_t f||_inf stays strictly inside (0, C*).
-    """
-    if params.Cstar is None:
+    kinds = list(kinds)
+    if not kinds or not set(kinds) <= {CertificateKind.INTEGRAL, CertificateKind.SATURATION}:
+        raise ConfigurationError(f"sup-norm certificates are integral and saturation, got {kinds}")
+    kinds = [CertificateKind(k) for k in kinds]
+    if params.kappa <= 0:
+        raise ConfigurationError("certificates need kappa > 0; the noiseless dichotomy is separate")
+    f = _validate_initial(f, eigen.grid)
+    # the integral kind needs G <= Lambda z^(1+beta) for every z, saturation only below C*
+    _check_upper_bound(params, None if CertificateKind.INTEGRAL in kinds else params.Cstar)
+    if CertificateKind.SATURATION in kinds and params.Cstar is None:
         raise ConfigurationError("saturation certificate needs Cstar in the model parameters")
-    J_series, norms, J, tail, reason = _sup_norm_integral(
-        path, f, params, lam1, eigen, b=-params.kappa, z_max=params.Cstar
-    )
-    kind = CertificateKind.SATURATION
-    if reason is not None:
-        return _report(kind, J, 0.0, tail, reason)
-    threshold = params.Cstar * (1.0 - J) ** (1.0 / params.beta)
-    envelope = (1.0 - J_series) ** (-1.0 / params.beta)
-    bound_sup = envelope * norms
-    sup_f = float(np.max(f))
-    inside = (bound_sup > 0.0) & (bound_sup < params.Cstar)
-    if sup_f > threshold:
-        reason = f"||f||_inf = {sup_f:.6g} exceeds Cstar (1 - J)^(1/beta) = {threshold:.6g}"
-    elif not bool(inside.all()):
-        t_out = path.times[int(np.argmin(inside))]
-        reason = f"enveloped sup norm leaves (0, Cstar) at t={t_out:.6g}"
-    if reason is not None:
-        return _report(kind, J, threshold, tail, reason)
-    return _report(
-        kind, J, threshold, tail, None, times=path.times, envelope=envelope, bound_sup=bound_sup
-    )
+    coeff = eigen.project(f)
+    scale = float(np.max(np.abs(f)))
+    defect = float(np.max(np.abs(f - eigen.modes @ coeff)))
+    if defect > 1e-8 * scale:
+        logger.warning(
+            "initial data has %.3g relative mass outside the retained basis; "
+            "the certificate applies to the projected data",
+            defect / scale,
+        )
+    norms = sup_norm_decay(f, path.times, params.kappa, eigen)
+    N_T = _coefficient_envelope(coeff, path.horizon, params.kappa, eigen)
+    # lam_min <= every retained eigenvalue keeps the tail a majorant
+    rate = (min(lam1, eigen.lam1) + 0.5 * params.kappa**2) * params.beta
+    weight = params.Lambda * params.beta * norms**params.beta
+    weight_T = params.Lambda * params.beta * N_T**params.beta
+    reports = {}
+    for kind in kinds:
+        saturation = kind is CertificateKind.SATURATION
+        b = -params.kappa if saturation else params.kappa * params.beta
+        J_series, tail, reason = _path_integral(path, b, weight, weight_T, rate)
+        J = float(J_series[-1]) + tail
+        if reason is None and not J < 1.0:
+            reason = f"integral {J:.6g} is not below one"
+        if reason is not None:
+            reports[kind] = _report(kind, J, 0.0 if saturation else 1.0, tail, reason)
+            continue
+        envelope = (1.0 - J_series) ** (-1.0 / params.beta)
+        bound_sup = envelope * norms
+        threshold = 1.0
+        if saturation:
+            threshold = params.Cstar * (1.0 - J) ** (1.0 / params.beta)
+            sup_f = float(np.max(f))
+            inside = (bound_sup > 0.0) & (bound_sup < params.Cstar)
+            if sup_f > threshold:
+                reason = f"||f||_inf = {sup_f:.6g} exceeds Cstar (1 - J)^(1/beta) = {threshold:.6g}"
+            elif not bool(inside.all()):
+                t_out = path.times[int(np.argmin(inside))]
+                reason = f"enveloped sup norm leaves (0, Cstar) at t={t_out:.6g}"
+        fields = {}
+        if reason is None:
+            fields = {"times": path.times, "envelope": envelope, "bound_sup": bound_sup}
+        reports[kind] = _report(kind, J, threshold, tail, reason, **fields)
+    return reports
 
 
 def admissible_initial(K: float, eta: float, eigen: EigenData) -> np.ndarray:
@@ -313,7 +281,7 @@ def certificate_heat_kernel(
         raise ConfigurationError(f"kernel-ratio constant must be positive and finite, got {c}")
     _check_upper_bound(params)
     if f is not None:
-        f = _validate_initial(f, eigen)
+        f = _validate_initial(f, eigen.grid)
         cap = admissible_initial(K, eta, eigen)
         bad = f > cap * (1.0 + 1e-12) + 1e-300
         if np.any(bad):

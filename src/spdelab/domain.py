@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigurationError, NumericalFailure
+from .errors import ConfigurationError, NumericalFailure, PreconditionFailure
 
 logger = logging.getLogger(__name__)
 
@@ -114,6 +114,25 @@ def build_grid(domain: DomainSpec, n: int) -> GridSpec:
     cell = float(np.prod(spacings))
     weights = np.full(n ** domain.dimension, cell)
     return GridSpec(domain=domain, n=n, axes=tuple(axes), h=tuple(spacings), weights=weights)
+
+
+def _validate_initial(f: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Initial data as a float array on the grid: finite, nonnegative and not
+    identically zero. A failure names the first offending node."""
+    f = np.asarray(f, dtype=float)
+    if f.shape != (grid.npoints,):
+        raise ConfigurationError(f"initial data has shape {f.shape}, grid has {grid.npoints} nodes")
+    bad = ~np.isfinite(f)
+    if bad.any():
+        node = int(np.argmax(bad))
+        raise ConfigurationError(f"initial data is not finite at node {node}: f={f[node]}")
+    bad = f < 0
+    if bad.any():
+        node = int(np.argmax(bad))
+        raise PreconditionFailure(f"initial data is negative at node {node}: f={f[node]}")
+    if not np.any(f > 0):
+        raise PreconditionFailure("initial data vanishes identically")
+    return f
 
 
 def laplacian_matrix_1d(n: int, h: float) -> sp.csr_matrix:

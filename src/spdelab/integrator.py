@@ -33,8 +33,8 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .blowup import ModelParams, PowerLaw
-from .domain import DiscreteOperator, EigenData
-from .errors import ConfigurationError, NumericalFailure, PreconditionFailure
+from .domain import DiscreteOperator, EigenData, _validate_initial
+from .errors import ConfigurationError, NumericalFailure
 from .stochastic import EXP_CLAMP, BrownianPath
 
 logger = logging.getLogger(__name__)
@@ -186,22 +186,6 @@ def _check_positivity(new: np.ndarray, new_sup: np.ndarray, old_sup: np.ndarray,
         raise NumericalFailure(f"positivity lost at t={t}: min={float(low[lost][0]):.3e}")
 
 
-def _validate_initial_field(f: np.ndarray, op: DiscreteOperator) -> np.ndarray:
-    f = np.asarray(f, dtype=float)
-    n = op.matrix.shape[0]
-    if f.shape != (n,):
-        raise ConfigurationError(f"initial field has shape {f.shape}, operator expects ({n},)")
-    bad = ~np.isfinite(f)
-    if bad.any():
-        node = int(np.argmax(bad))
-        raise ConfigurationError(f"initial field is not finite at node {node}: f={f[node]}")
-    if np.any(f < 0):
-        raise PreconditionFailure("initial field must be nonnegative")
-    if not np.any(f > 0):
-        raise PreconditionFailure("initial field vanishes identically")
-    return f
-
-
 def _check_grids(paths: list[BrownianPath], cfg: SchemeConfig) -> int:
     for path in paths:
         if abs(cfg.dt - path.dt) > 1e-12 * path.dt:
@@ -272,7 +256,7 @@ def simulate_paths(
     if variable not in ("v", "u"):
         raise ConfigurationError(f"variable must be 'v' or 'u', got {variable!r}")
     nsteps = _check_grids(paths, cfg)
-    f = _validate_initial_field(f, op)
+    f = _validate_initial(f, op.grid)
     if variable == "v":
         shift = 0.5 * params.kappa**2
         noise = np.stack([_noise_factor(p.values[:nsteps], params) for p in paths], axis=1)

@@ -25,7 +25,7 @@ from spdelab.blowup import (
     lower_solution_series,
     tau_from_path,
 )
-from spdelab.certificates import Verdict, certificate_integral
+from spdelab.certificates import CertificateKind, Verdict, certificate_sup_norm
 from spdelab.cli import main
 from spdelab.domain import (
     DomainSpec,
@@ -284,7 +284,8 @@ def test_criterion_7_certificate_soundness():
     f = 0.5 * phi1 / float(np.max(phi1))
     params = ModelParams(beta=1.0, kappa=1.0)
     path = BrownianPath.frozen_zero(20.0, 1e-3)
-    report = certificate_integral(path, f, params, eig.lam1, eig)
+    kind = CertificateKind.INTEGRAL
+    report = certificate_sup_norm(path, f, params, eig.lam1, eig, [kind])[kind]
     j_err = abs(report.J - 1.0 / 3.0)
     cert_ok = j_err <= 1e-6 and report.verdict is Verdict.CERTIFIED
 

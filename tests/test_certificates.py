@@ -7,12 +7,14 @@ kappa = 1 the certificate integral is a/3, the envelope is
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spdelab import certificates
 from spdelab.blowup import ModelParams, TabulatedNonlinearity
 from spdelab.certificates import (
     CertificateKind,
@@ -20,14 +22,15 @@ from spdelab.certificates import (
     Verdict,
     admissible_initial,
     certificate_heat_kernel,
-    certificate_integral,
-    certificate_saturation,
+    certificate_sup_norm,
 )
-from spdelab.domain import DomainSpec, build_grid, build_laplacian, solve_eigenpairs
+from spdelab.domain import DomainSpec, EigenData, build_grid, build_laplacian, solve_eigenpairs
 from spdelab.errors import ConfigurationError, PreconditionFailure
-from spdelab.stochastic import BrownianPath
+from spdelab.integrator import SchemeConfig, simulate_paths
+from spdelab.stochastic import BrownianPath, sample_brownian
 
 Q_3_1 = 0.9196986029286058
+INTEGRAL, SATURATION = CertificateKind.INTEGRAL, CertificateKind.SATURATION
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +49,7 @@ PARAMS = ModelParams(beta=1.0, kappa=1.0, Cstar=1.0)
 class TestIntegralCertificate:
     def test_frozen_path_third(self, cert_env):
         _, eig, path = cert_env
-        rep = certificate_integral(path, eig.psi, PARAMS, 1.0, eig)
+        rep = certificate_sup_norm(path, eig.psi, PARAMS, 1.0, eig, [INTEGRAL])[INTEGRAL]
         assert rep.kind is CertificateKind.INTEGRAL
         assert rep.verdict is Verdict.CERTIFIED
         assert rep.J == pytest.approx(1.0 / 3.0, abs=1e-6)
@@ -55,7 +58,7 @@ class TestIntegralCertificate:
 
     def test_envelope_starts_at_one_and_decays_to_closed_form(self, cert_env):
         _, eig, path = cert_env
-        rep = certificate_integral(path, eig.psi, PARAMS, 1.0, eig)
+        rep = certificate_sup_norm(path, eig.psi, PARAMS, 1.0, eig, [INTEGRAL])[INTEGRAL]
         assert rep.envelope[0] == 1.0
         closed = (1.0 - (1.0 - math.exp(-1.5 * 12.0)) / 3.0) ** -1
         assert rep.envelope[-1] == pytest.approx(closed, rel=1e-5)
@@ -63,12 +66,12 @@ class TestIntegralCertificate:
 
     def test_bound_starts_at_sup_of_data(self, cert_env):
         _, eig, path = cert_env
-        rep = certificate_integral(path, eig.psi, PARAMS, 1.0, eig)
+        rep = certificate_sup_norm(path, eig.psi, PARAMS, 1.0, eig, [INTEGRAL])[INTEGRAL]
         assert rep.bound_sup[0] == pytest.approx(float(eig.psi.max()), rel=1e-12)
 
     def test_scaled_data_not_certified(self, cert_env):
         _, eig, path = cert_env
-        rep = certificate_integral(path, 4.0 * eig.psi, PARAMS, 1.0, eig)
+        rep = certificate_sup_norm(path, 4.0 * eig.psi, PARAMS, 1.0, eig, [INTEGRAL])[INTEGRAL]
         assert rep.verdict is Verdict.NOT_CERTIFIED
         assert rep.J == pytest.approx(4.0 / 3.0, abs=4e-6)
         assert rep.envelope is None
@@ -77,15 +80,15 @@ class TestIntegralCertificate:
     def test_integral_linear_in_data_for_unit_exponent(self, cert_env):
         # beta = 1 makes J exactly linear in f; same discretization both sides.
         _, eig, path = cert_env
-        j1 = certificate_integral(path, eig.psi, PARAMS, 1.0, eig).J
-        j4 = certificate_integral(path, 4.0 * eig.psi, PARAMS, 1.0, eig).J
+        j1 = certificate_sup_norm(path, eig.psi, PARAMS, 1.0, eig, [INTEGRAL])[INTEGRAL].J
+        j4 = certificate_sup_norm(path, 4.0 * eig.psi, PARAMS, 1.0, eig, [INTEGRAL])[INTEGRAL].J
         assert j4 == pytest.approx(4.0 * j1, rel=1e-12)
 
     def test_overflowing_path_rejected_with_reason(self, cert_env):
         _, eig, _ = cert_env
         ramp = np.linspace(0.0, 1600.0, 2001)
         wild = BrownianPath(dt=1e-3, horizon=2.0, values=ramp)
-        rep = certificate_integral(wild, eig.psi, PARAMS, 1.0, eig)
+        rep = certificate_sup_norm(wild, eig.psi, PARAMS, 1.0, eig, [INTEGRAL])[INTEGRAL]
         assert rep.verdict is Verdict.NOT_CERTIFIED
         assert "overflow" in rep.reason
 
@@ -94,23 +97,25 @@ class TestIntegralCertificate:
         # decay (lam1 + 2) * 2 = 6, so no finite tail bound exists.
         _, eig, path = cert_env
         params = ModelParams(beta=2.0, kappa=2.0)
-        rep = certificate_integral(path, 0.01 * eig.psi, params, 1.0, eig)
+        rep = certificate_sup_norm(path, 0.01 * eig.psi, params, 1.0, eig, [INTEGRAL])[INTEGRAL]
         assert rep.verdict is Verdict.NOT_CERTIFIED
         assert "tail majorant" in rep.reason
 
     def test_noiseless_model_redirected(self, cert_env):
         _, eig, path = cert_env
         with pytest.raises(ConfigurationError):
-            certificate_integral(path, eig.psi, ModelParams(beta=1.0, kappa=0.0), 1.0, eig)
+            certificate_sup_norm(
+                path, eig.psi, ModelParams(beta=1.0, kappa=0.0), 1.0, eig, [INTEGRAL]
+            )
 
     def test_bad_initial_data(self, cert_env):
         _, eig, path = cert_env
         with pytest.raises(PreconditionFailure):
-            certificate_integral(path, -eig.psi, PARAMS, 1.0, eig)
+            certificate_sup_norm(path, -eig.psi, PARAMS, 1.0, eig, [INTEGRAL])
         with pytest.raises(PreconditionFailure):
-            certificate_integral(path, np.zeros_like(eig.psi), PARAMS, 1.0, eig)
+            certificate_sup_norm(path, np.zeros_like(eig.psi), PARAMS, 1.0, eig, [INTEGRAL])
         with pytest.raises(ConfigurationError):
-            certificate_integral(path, eig.psi[:-1], PARAMS, 1.0, eig)
+            certificate_sup_norm(path, eig.psi[:-1], PARAMS, 1.0, eig, [INTEGRAL])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_initial_data_rejected(self, cert_env, bad):
@@ -119,27 +124,27 @@ class TestIntegralCertificate:
         f = eig.psi.copy()
         f[7] = bad
         with pytest.raises(ConfigurationError, match=f"not finite at node 7: f={bad}"):
-            certificate_integral(path, f, PARAMS, 1.0, eig)
+            certificate_sup_norm(path, f, PARAMS, 1.0, eig, [INTEGRAL])
 
     def test_tabulated_nonlinearity_above_cap_rejected(self, cert_env):
         _, eig, path = cert_env
         hot = TabulatedNonlinearity(z=np.array([0.0, 1.0, 2.0]), g=np.array([0.0, 2.0, 8.0]))
         params = ModelParams(beta=1.0, kappa=1.0, Lambda=1.0, G=hot)
         with pytest.raises(PreconditionFailure):
-            certificate_integral(path, eig.psi, params, 1.0, eig)
+            certificate_sup_norm(path, eig.psi, params, 1.0, eig, [INTEGRAL])
 
     def test_tabulated_nonlinearity_within_cap_accepted(self, cert_env):
         _, eig, path = cert_env
         mild = TabulatedNonlinearity(z=np.array([0.0, 1.0, 2.0]), g=np.array([0.0, 0.5, 2.0]))
         params = ModelParams(beta=1.0, kappa=1.0, Lambda=1.0, G=mild)
-        rep = certificate_integral(path, eig.psi, params, 1.0, eig)
+        rep = certificate_sup_norm(path, eig.psi, params, 1.0, eig, [INTEGRAL])[INTEGRAL]
         assert rep.verdict is Verdict.CERTIFIED
 
 
 class TestSaturationCertificate:
     def test_unit_bump_certified(self, cert_env):
         _, eig, path = cert_env
-        rep = certificate_saturation(path, eig.psi, PARAMS, 1.0, eig)
+        rep = certificate_sup_norm(path, eig.psi, PARAMS, 1.0, eig, [SATURATION])[SATURATION]
         assert rep.kind is CertificateKind.SATURATION
         assert rep.verdict is Verdict.CERTIFIED
         assert rep.J == pytest.approx(1.0 / 3.0, abs=1e-6)
@@ -148,13 +153,13 @@ class TestSaturationCertificate:
 
     def test_enveloped_sup_norm_stays_in_band(self, cert_env):
         _, eig, path = cert_env
-        rep = certificate_saturation(path, eig.psi, PARAMS, 1.0, eig)
+        rep = certificate_sup_norm(path, eig.psi, PARAMS, 1.0, eig, [SATURATION])[SATURATION]
         assert np.all(rep.bound_sup > 0)
         assert np.all(rep.bound_sup < PARAMS.Cstar)
 
     def test_doubled_bump_not_certified(self, cert_env):
         _, eig, path = cert_env
-        rep = certificate_saturation(path, 2.0 * eig.psi, PARAMS, 1.0, eig)
+        rep = certificate_sup_norm(path, 2.0 * eig.psi, PARAMS, 1.0, eig, [SATURATION])[SATURATION]
         assert rep.verdict is Verdict.NOT_CERTIFIED
         assert rep.J == pytest.approx(2.0 / 3.0, abs=2e-6)
         assert "Cstar" in rep.reason
@@ -163,19 +168,21 @@ class TestSaturationCertificate:
         # W = 0 kills both exponential factors, and beta = 1 makes the two
         # integrals literally the same sum.
         _, eig, path = cert_env
-        a = certificate_integral(path, eig.psi, PARAMS, 1.0, eig)
-        b = certificate_saturation(path, eig.psi, PARAMS, 1.0, eig)
+        a = certificate_sup_norm(path, eig.psi, PARAMS, 1.0, eig, [INTEGRAL])[INTEGRAL]
+        b = certificate_sup_norm(path, eig.psi, PARAMS, 1.0, eig, [SATURATION])[SATURATION]
         assert a.J == b.J
 
     def test_small_data_certified_for_generous_range(self, cert_env):
         _, eig, path = cert_env
-        rep = certificate_saturation(path, 1e-6 * eig.psi, PARAMS, 1.0, eig)
+        rep = certificate_sup_norm(path, 1e-6 * eig.psi, PARAMS, 1.0, eig, [SATURATION])[SATURATION]
         assert rep.verdict is Verdict.CERTIFIED
 
     def test_missing_range_bound_rejected(self, cert_env):
         _, eig, path = cert_env
         with pytest.raises(ConfigurationError):
-            certificate_saturation(path, eig.psi, ModelParams(beta=1.0, kappa=1.0), 1.0, eig)
+            certificate_sup_norm(
+                path, eig.psi, ModelParams(beta=1.0, kappa=1.0), 1.0, eig, [SATURATION]
+            )
 
     def test_tabulated_cap_only_checked_inside_range(self, cert_env):
         # Exceeds Lambda z^2 only at z = 2 >= Cstar = 1: fine for saturation,
@@ -183,10 +190,11 @@ class TestSaturationCertificate:
         _, eig, path = cert_env
         edge = TabulatedNonlinearity(z=np.array([0.0, 1.0, 2.0]), g=np.array([0.0, 1.0, 8.0]))
         params = ModelParams(beta=1.0, kappa=1.0, Lambda=1.0, Cstar=1.0, G=edge)
-        rep = certificate_saturation(path, 0.1 * eig.psi, params, 1.0, eig)
+        rep = certificate_sup_norm(path, 0.1 * eig.psi, params, 1.0, eig, [SATURATION])[SATURATION]
         assert rep.verdict is Verdict.CERTIFIED
-        with pytest.raises(PreconditionFailure):
-            certificate_integral(path, 0.1 * eig.psi, params, 1.0, eig)
+        for kinds in ([INTEGRAL], [INTEGRAL, SATURATION]):
+            with pytest.raises(PreconditionFailure):
+                certificate_sup_norm(path, 0.1 * eig.psi, params, 1.0, eig, kinds)
 
 
 class TestHeatKernelCertificate:
@@ -298,8 +306,7 @@ class TestTailMajorant:
         path = BrownianPath.frozen_zero(horizon=horizon, dt=0.01)
         if kind is CertificateKind.HEAT_KERNEL:
             return certificate_heat_kernel(1.0, 1.0, params, eig.lam1, eig, c=1.0, path=path)
-        certify = certificate_integral if kind is CertificateKind.INTEGRAL else certificate_saturation
-        return certify(path, f, params, eig.lam1, eig)
+        return certificate_sup_norm(path, f, params, eig.lam1, eig, [kind])[kind]
 
     @given(
         kind=st.sampled_from(list(CertificateKind)),
@@ -327,6 +334,68 @@ class TestTailMajorant:
         long = self._report(kind, T1 + 15.0, f, params, eig)
         assert math.isfinite(short.tail) and math.isfinite(long.tail)
         assert short.J >= long.J - long.tail
+
+
+class TestOnePass:
+    def test_one_series_serves_both_kinds(self, cert_env, monkeypatch):
+        # a noisy path makes the two kinds differ; each report of the
+        # both-kinds call must be bitwise the one its kind gets alone
+        _, eig, _ = cert_env
+        path = sample_brownian(6.0, 2e-3, 5, 0)
+        f = 0.2 * eig.psi
+        alone = {
+            kind: certificate_sup_norm(path, f, PARAMS, 1.0, eig, [kind])[kind]
+            for kind in (INTEGRAL, SATURATION)
+        }
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            certificates, "sup_norm_decay", counted("series", certificates.sup_norm_decay)
+        )
+        monkeypatch.setattr(EigenData, "project", counted("project", EigenData.project))
+        both = certificate_sup_norm(path, f, PARAMS, 1.0, eig, [INTEGRAL, SATURATION])
+        # one projection for the defect and the tail envelope, one inside the series
+        assert calls == {"series": 1, "project": 2}
+        assert list(both) == [INTEGRAL, SATURATION]
+        for kind, rep in alone.items():
+            assert rep.verdict is Verdict.CERTIFIED
+            for name in ("J", "tail", "threshold", "reason"):
+                assert getattr(both[kind], name) == getattr(rep, name)
+            for name in ("envelope", "bound_sup"):
+                assert np.array_equal(getattr(both[kind], name), getattr(rep, name))
+        assert both[INTEGRAL].J != both[SATURATION].J
+
+    def test_kinds_must_be_sup_norm_kinds(self, cert_env):
+        _, eig, path = cert_env
+        for kinds in ([], [CertificateKind.HEAT_KERNEL], ["integral", "heat_kernel"]):
+            with pytest.raises(ConfigurationError, match="integral and saturation"):
+                certificate_sup_norm(path, eig.psi, PARAMS, 1.0, eig, kinds)
+        # the str values name the kinds as well as the members do
+        rep = certificate_sup_norm(path, eig.psi, PARAMS, 1.0, eig, ["saturation"])[SATURATION]
+        assert rep.kind is SATURATION
+
+    def test_negative_entry_refused_like_the_integrator(self):
+        # one node at -1e-13 on a nonnegative datum: both entry points share
+        # one validator, which refuses any negative entry and names its node
+        dom = DomainSpec(kind="interval", lengths=(math.pi,))
+        grid = build_grid(dom, 32)
+        op = build_laplacian(dom, grid)
+        eig = solve_eigenpairs(op, 24)
+        f = 0.3 * eig.psi
+        f[5] = -1e-13
+        path = BrownianPath.frozen_zero(horizon=1.0, dt=1e-2)
+        with pytest.raises(PreconditionFailure, match="node 5") as cert_err:
+            certificate_sup_norm(path, f, PARAMS, 1.0, eig, [INTEGRAL])
+        with pytest.raises(PreconditionFailure) as sim_err:
+            simulate_paths(f, [path], PARAMS, op, eig, SchemeConfig(dt=1e-2))
+        assert str(sim_err.value) == str(cert_err.value)
 
 
 class TestReportValidation:

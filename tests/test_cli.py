@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spdelab.cli import main, write_csv
+from spdelab import certificates
+from spdelab.blowup import ModelParams
+from spdelab.cli import _consistency_row, main, write_csv
 from spdelab.config import load_config
 from spdelab.domain import (
     DomainSpec,
@@ -21,6 +23,8 @@ from spdelab.domain import (
     weighted_inner,
 )
 from spdelab.errors import ConfigurationError
+from spdelab.integrator import SchemeConfig, reconstruct_u, simulate_paths
+from spdelab.stochastic import sample_brownian
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -235,6 +239,24 @@ class TestBlowupCommand:
 
 
 class TestSimulateCommand:
+    def test_transform_gap_matches_reconstruct_u(self):
+        # the consistency row reads u.sup = e^{kappa W} v.sup directly; it
+        # must equal the gap computed from the full reconstruct_u trajectory
+        grid = build_grid(DomainSpec(kind="interval", lengths=(math.pi,)), 32)
+        op = build_laplacian(grid.domain, grid)
+        eig = solve_eigenpairs(op, 12)
+        params = ModelParams(beta=1.0, kappa=1.0)
+        path = sample_brownian(2.0, 1e-2, 3, 0)
+        f = 0.5 * eig.psi
+        traj = simulate_paths(f, [path], params, op, eig, SchemeConfig(dt=1e-2))[0]
+        em_cfg = SchemeConfig(dt=1e-2, max_snapshots=2)
+        traj_em = simulate_paths(f, [path], params, op, eig, em_cfg, variable="u")[0]
+        em_diff = _consistency_row(traj, traj_em, path, params, eig, None, None)[0]
+        u_sup = reconstruct_u(traj, path, params.kappa).sup
+        k = min(len(u_sup), len(traj_em.sup))
+        gap = np.abs(traj_em.sup[:k] - u_sup[:k]) / np.maximum(np.abs(u_sup[:k]), 1e-300)
+        assert em_diff == float(np.max(gap)) > 0.0
+
     def test_deterministic_blowup(self, tmp_path):
         # kappa=0, mass 2 > lam1: blows up at ln 2; transform is the identity
         dom = build_grid(__import__("spdelab.domain", fromlist=["DomainSpec"]).DomainSpec(
@@ -383,6 +405,23 @@ class TestCertifyCommand:
         j = float(rows["integral"]["J"])
         assert float(rows["saturation"]["J"]) == pytest.approx(j, rel=1e-10)
         assert float(rows["saturation"]["threshold"]) == pytest.approx(2.0 * (1 - j), rel=1e-10)
+
+    def test_one_series_serves_every_sup_norm_kind(self, tmp_path, monkeypatch):
+        cfg = self.base_cfg(kinds=["integral", "saturation", "heat_kernel"], K=0.5, c=0.25)
+        cfg["model"] = {**MODEL, "Cstar": 2.0}
+        cfg["initial"]["a"] = 0.2
+        calls = []
+        series = certificates.sup_norm_decay
+        monkeypatch.setattr(
+            certificates, "sup_norm_decay", lambda *args: calls.append(args) or series(*args)
+        )
+        out = tmp_path / "out"
+        p = write_cfg(tmp_path, cfg)
+        assert main(["certify", "--config", str(p), "--out", str(out)]) == 0
+        assert len(calls) == 1
+        rows = read_csv(out / "certificates.csv")
+        assert [r["kind"] for r in rows] == ["integral", "saturation", "heat_kernel"]
+        assert {r["verdict"] for r in rows} == {"certified"}
 
     def test_tail_and_reason_columns(self, tmp_path):
         cfg = self.base_cfg()
