@@ -39,6 +39,9 @@ MIN_MC_PATHS = 1_000
 # draws per generator call in the Monte Carlo kernel: small chunks lose to
 # the per-call overhead, large ones draw past the point where a path stops
 MC_CHUNK = 2000
+# paths per block of the Monte Carlo kernel: each chunk operation is one numpy
+# call over MC_BLOCK rows; wider blocks only grow the per-thread buffer
+MC_BLOCK = 64
 # a path stops once the probability that it still hits is at most this
 MC_STOP_PROB = 1e-10
 
@@ -299,60 +302,78 @@ class ProbabilityEstimate:
         return math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.n_paths)
 
 
-def _advance_path(
+def _advance_paths(
     seed: int,
-    index: int,
+    lo: int,
+    hi: int,
     nsteps: int,
     dt: float,
     drift: np.ndarray,
     b: float,
     x_star: float,
     alpha: float,
-) -> tuple[float, float, bool, int]:
-    """Trapezoidal A(t) of one path, drawn in chunks of MC_CHUNK steps until
-    it reaches x*, the gamma law stops it, or the horizon.
+) -> list[tuple[float, float, bool, int]]:
+    """Trapezoidal A(t) of paths lo..hi-1, advanced in blocks of MC_BLOCK
+    paths and chunks of MC_CHUNK steps; each path runs until it reaches x*,
+    the gamma law stops it, or the horizon.
 
-    A is nondecreasing, so the path has hit iff its chunk-end A >= x*. Past t
-    the rest of A_inf is e^{at+bW_t} times an independent copy of A_inf, whose
+    Each path draws its chunk into its own row of one reusable buffer from
+    its own stream; the rest of a chunk is one numpy call per operation on
+    the whole block, and every row is reduced on its own, so a path's result
+    is bitwise the same for any block width or index split. A is
+    nondecreasing, so a path has hit iff its chunk-end A >= x*. Past t the
+    rest of A_inf is e^{at+bW_t} times an independent copy of A_inf, whose
     law is 2/(b^2 Z) with Z ~ Gamma(alpha); the path still hits with
     probability p = P(alpha, 2 e^{at+bW_t} / (b^2 (x* - A(t)))), and it stops
-    once p <= MC_STOP_PROB. Returns (A at the stop, p at the stop or 0 after
-    a hit, whether the exponent was clamped, normals drawn).
+    once p <= MC_STOP_PROB. Stopped rows leave the block. Returns, per path in
+    index order, (A at the stop, p at the stop or 0 after a hit, whether the
+    exponent was clamped, normals drawn).
     """
-    rng = _path_rng(seed, index)
     sqrt_dt = math.sqrt(dt)
     z_scale = 2.0 / (b * b)
-    w_last = 0.0
-    e_last = 1.0
-    A = 0.0
-    saturated = False
-    drawn = 0
-    for lo in range(0, nsteps, MC_CHUNK):
-        hi = min(lo + MC_CHUNK, nsteps)
-        w = rng.standard_normal(hi - lo)
-        drawn += hi - lo
-        w *= sqrt_dt
-        w[0] += w_last
-        np.cumsum(w, out=w)
-        w_last = float(w[-1])
-        w *= b
-        w += drift[lo:hi]
-        if w[-1] > EXP_CLAMP or np.max(w) > EXP_CLAMP:
-            saturated = True
-            np.minimum(w, EXP_CLAMP, out=w)
-        np.exp(w, out=w)
-        A += dt * (0.5 * e_last + float(np.sum(w)) - 0.5 * float(w[-1]))
-        e_last = float(w[-1])
-        if A >= x_star:
-            return A, 0.0, saturated, drawn
-        p = _regularized_lower(alpha, z_scale * e_last / (x_star - A))
-        if p <= MC_STOP_PROB:
-            break
-    return A, p, saturated, drawn
-
-
-def _advance_paths(seed: int, lo: int, hi: int, *args) -> list[tuple[float, float, bool, int]]:
-    return [_advance_path(seed, index, *args) for index in range(lo, hi)]
+    results: list = [None] * (hi - lo)
+    buf = np.empty((min(MC_BLOCK, hi - lo), min(MC_CHUNK, nsteps)))
+    for first in range(lo, hi, MC_BLOCK):
+        rows = list(range(first, min(first + MC_BLOCK, hi)))
+        rngs = [_path_rng(seed, i) for i in rows]
+        w_last = np.zeros(len(rows))
+        e_last = np.ones(len(rows))
+        A = np.zeros(len(rows))
+        saturated = np.zeros(len(rows), dtype=bool)
+        for start in range(0, nsteps, MC_CHUNK):
+            stop = min(start + MC_CHUNK, nsteps)
+            w = buf[: len(rows), : stop - start]
+            for row, rng in zip(w, rngs):
+                rng.standard_normal(out=row)
+            w *= sqrt_dt
+            w[:, 0] += w_last
+            np.cumsum(w, axis=1, out=w)
+            w_last = w[:, -1].copy()
+            w *= b
+            w += drift[start:stop]
+            clamped = w.max(axis=1) > EXP_CLAMP
+            if clamped.any():
+                saturated |= clamped
+                np.minimum(w, EXP_CLAMP, out=w)
+            np.exp(w, out=w)
+            A += dt * (0.5 * e_last + w.sum(axis=1) - 0.5 * w[:, -1])
+            e_last = w[:, -1].copy()
+            keep = np.ones(len(rows), dtype=bool)
+            for r, (a_r, e_r) in enumerate(zip(A.tolist(), e_last.tolist())):
+                if a_r >= x_star:
+                    p = 0.0
+                else:
+                    p = _regularized_lower(alpha, z_scale * e_r / (x_star - a_r))
+                    if p > MC_STOP_PROB and stop < nsteps:
+                        continue
+                results[rows[r] - lo] = (a_r, p, bool(saturated[r]), stop)
+                keep[r] = False
+            rows = [i for i, k in zip(rows, keep) if k]
+            rngs = [g for g, k in zip(rngs, keep) if k]
+            w_last, e_last, A, saturated = w_last[keep], e_last[keep], A[keep], saturated[keep]
+            if not rows:
+                break
+    return results
 
 
 def mc_blowup_probability(
@@ -369,9 +390,11 @@ def mc_blowup_probability(
 
     Each path index draws its own generator stream and runs only until it
     hits x*, the gamma law gives it at most MC_STOP_PROB of still hitting, or
-    the horizon; see ``_advance_path``. The hits are counted, so the estimate
-    is identical for any worker count. The thread pool never exceeds
-    os.cpu_count() threads.
+    the horizon. Each worker thread advances its index range in blocks of
+    MC_BLOCK paths, one row per path; see ``_advance_paths``. Every row is
+    its own path, so results do not depend on the block width, and the hits
+    are counted, so the estimate is identical for any worker count. The
+    thread pool never exceeds os.cpu_count() threads.
 
     The truncation allowance is the mean over paths of the probability that a
     path still hits after it stopped (0 for a hit), summed exactly in

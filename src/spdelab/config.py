@@ -243,9 +243,11 @@ def _parse_certificate(section: dict) -> CertificateConfig:
     kinds = section.get("kinds", list(_CERT_KINDS))
     if not isinstance(kinds, list) or not kinds:
         raise ConfigurationError("certificate.kinds must be a non-empty list")
-    for k in kinds:
+    for i, k in enumerate(kinds):
         if k not in _CERT_KINDS:
             raise ConfigurationError(f"certificate.kinds entries must be in {_CERT_KINDS}, got {k!r}")
+        if k in kinds[:i]:
+            raise ConfigurationError(f"certificate.kinds lists {k!r} more than once")
     K = _number(section, "K", "certificate", default=None, strict_min=0.0)
     eta = _number(section, "eta", "certificate", default=1.0, minimum=1.0)
     c = section.get("c", "fit")

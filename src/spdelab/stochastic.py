@@ -3,8 +3,10 @@
 The sampling scheme is counter-based: every path owns the generator seeded by
 ``[seed, path_index]`` and reads its increments from that one stream, in one
 call or in consecutive chunks; chunked ``standard_normal`` draws are bitwise
-equal to a single draw. Paths are therefore bitwise reproducible regardless
-of chunking, batching, thread count, or the order in which indices are
+equal to a single draw. The Monte Carlo kernel draws each chunk into the
+path's own row of a block of MC_BLOCK paths, so a row holds exactly the draws
+of that path. Paths are therefore bitwise reproducible regardless of
+chunking, block width, thread count, or the order in which indices are
 visited.
 """
 

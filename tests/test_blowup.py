@@ -386,8 +386,8 @@ class TestMonteCarlo:
             def __init__(self, rng):
                 self.rng = rng
 
-            def standard_normal(self, size):
-                z = self.rng.standard_normal(size)
+            def standard_normal(self, size=None, out=None):
+                z = self.rng.standard_normal(size, out=out)
                 drawn.append(z.copy())  # the kernel scales its chunk in place
                 return z
 
@@ -397,9 +397,43 @@ class TestMonteCarlo:
         nsteps, dt = 5003, 1e-3
         a, b = blowup._drift_scale(self.THRESHOLD, self.PARAMS.kappa, 1.0)
         drift = a * dt * np.arange(1, nsteps + 1)
-        _, _, _, normals = blowup._advance_path(4, 17, nsteps, dt, drift, b, math.inf, 3.0)
+        [(_, _, _, normals)] = blowup._advance_paths(4, 17, 18, nsteps, dt, drift, b, math.inf, 3.0)
         assert normals == nsteps
         assert_array_equal(np.concatenate(drawn), brownian_increments(4, 17, nsteps))
+
+    @pytest.mark.parametrize(
+        "v0psi, horizon, saturating",
+        [(0.5, 30.0, False), (1.0, 10.0, False), (0.5, 10.5, True)],
+    )
+    def test_block_width_invariance(self, monkeypatch, v0psi, horizon, saturating):
+        # every row of a block is its own path: results do not depend on the
+        # block width, on where a thread job's index range starts, or on
+        # which rows have already stopped
+        dt, seed, n = 1e-3, 5, 300
+        thr = BlowupThreshold.from_initial_mass(v0psi, 1.0)
+        a, b = blowup._drift_scale(thr, self.PARAMS.kappa, 1.0)
+        alpha = analytic_blowup_bound(1.0, self.PARAMS.kappa, 1.0, thr).alpha
+        x_star = thr.x_star
+        nsteps = _n_steps(horizon, dt)
+        drift = a * dt * np.arange(1, nsteps + 1)
+        if saturating:  # the exponent b W_t passes EXP_CLAMP on some paths
+            drift, b, x_star, alpha = np.zeros(nsteps), 400.0, 1e308, 0.1
+        args = (nsteps, dt, drift, b, x_star, alpha)
+        runs, default = {}, blowup.MC_BLOCK
+        for width in (1, 7, default):
+            monkeypatch.setattr(blowup, "MC_BLOCK", width)
+            runs[width] = blowup._advance_paths(seed, 0, n, *args)
+            split = [blowup._advance_paths(seed, lo, hi, *args)
+                     for lo, hi in ((0, 13), (13, 150), (150, n))]
+            assert sum(split, []) == runs[width]
+        assert runs[1] == runs[7] == runs[default]
+        stops = {drawn for _, _, _, drawn in runs[1]}
+        assert len(stops) >= 4  # rows leave the block in many different chunks
+        if saturating:
+            clamped = [drawn for _, _, saturated, drawn in runs[1] if saturated]
+            assert 0 < len(clamped) < n and len(set(clamped)) >= 4
+        else:
+            assert 0 < sum(A >= x_star for A, _, _, _ in runs[1]) < n
 
     @pytest.mark.parametrize("v0psi", [0.5, 1.0])
     @pytest.mark.parametrize("horizon", [0.5, 1.0, 3.0])

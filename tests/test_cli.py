@@ -477,6 +477,13 @@ class TestCertifyCommand:
         assert main(["certify", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert f"K={K!r}" in capsys.readouterr().err
 
+    def test_repeated_kind_exits_2_without_files(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        p = write_cfg(tmp_path, self.base_cfg(kinds=["integral", "saturation", "integral"]))
+        assert main(["certify", "--config", str(p), "--out", str(out)]) == 2
+        assert "'integral' more than once" in capsys.readouterr().err
+        assert not (out / "certificates.csv").exists()
+
     def test_heat_kernel_needs_K(self, tmp_path):
         cfg = self.base_cfg(kinds=["heat_kernel"], analytic=True)
         p = write_cfg(tmp_path, cfg)
