@@ -11,6 +11,7 @@ from .blowup import (
     OutcomeStatus,
     PowerLaw,
     ProbabilityEstimate,
+    SweepEstimate,
     TabulatedNonlinearity,
     analytic_blowup_bound,
     deterministic_dichotomy,
@@ -81,7 +82,7 @@ __all__ = [
     "derive_params", "exp_functional", "gamma_tail", "blowup_density",
     # blowup
     "ModelParams", "PowerLaw", "TabulatedNonlinearity", "BlowupThreshold",
-    "BlowupOutcome", "OutcomeStatus", "Dichotomy", "ProbabilityEstimate",
+    "BlowupOutcome", "OutcomeStatus", "Dichotomy", "ProbabilityEstimate", "SweepEstimate",
     "lower_solution_series", "tau_from_path",
     "analytic_blowup_bound", "deterministic_dichotomy", "mc_blowup_probability",
     # certificates

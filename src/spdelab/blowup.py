@@ -16,7 +16,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -310,24 +310,28 @@ def _advance_paths(
     dt: float,
     drift: np.ndarray,
     b: float,
-    x_star: float,
+    x_stars: Sequence[float],
     alpha: float,
-) -> list[tuple[float, float, bool, int]]:
+) -> list[list[tuple[float, float, bool, int]]]:
     """Trapezoidal A(t) of paths lo..hi-1, advanced in blocks of MC_BLOCK
-    paths and chunks of MC_CHUNK steps; each path runs until it reaches x*,
-    the gamma law stops it, or the horizon.
+    paths and chunks of MC_CHUNK steps, against every threshold of x_stars
+    at once; each (path, threshold) pair resolves when the path reaches that
+    x*, the gamma law stops it there, or at the horizon.
 
     Each path draws its chunk into its own row of one reusable buffer from
     its own stream; the rest of a chunk is one numpy call per operation on
     the whole block, and every row is reduced on its own, so a path's result
     is bitwise the same for any block width or index split. A is
-    nondecreasing, so a path has hit iff its chunk-end A >= x*. Past t the
+    nondecreasing, so a path has hit x* iff its chunk-end A >= x*. Past t the
     rest of A_inf is e^{at+bW_t} times an independent copy of A_inf, whose
-    law is 2/(b^2 Z) with Z ~ Gamma(alpha); the path still hits with
-    probability p = P(alpha, 2 e^{at+bW_t} / (b^2 (x* - A(t)))), and it stops
-    once p <= MC_STOP_PROB. Stopped rows leave the block. Returns, per path in
-    index order, (A at the stop, p at the stop or 0 after a hit, whether the
-    exponent was clamped, normals drawn).
+    law is 2/(b^2 Z) with Z ~ Gamma(alpha); the path still hits x* with
+    probability p = P(alpha, 2 e^{at+bW_t} / (b^2 (x* - A(t)))), and that
+    threshold resolves once p <= MC_STOP_PROB. A threshold resolves at the
+    chunk end where a run against it alone would stop the path, so its tuple
+    is bitwise that run's; the row leaves the block once all its thresholds
+    have resolved. Returns, per path in index order, one tuple per threshold
+    in input order: (A at the stop, p at the stop or 0 after a hit, whether
+    the exponent was clamped by then, steps advanced by then).
     """
     sqrt_dt = math.sqrt(dt)
     z_scale = 2.0 / (b * b)
@@ -336,6 +340,9 @@ def _advance_paths(
     for first in range(lo, hi, MC_BLOCK):
         rows = list(range(first, min(first + MC_BLOCK, hi)))
         rngs = [_path_rng(seed, i) for i in rows]
+        # per row: its tuples so far and the thresholds still open for it
+        found = [[None] * len(x_stars) for _ in rows]
+        pending = [list(enumerate(x_stars)) for _ in rows]
         w_last = np.zeros(len(rows))
         e_last = np.ones(len(rows))
         A = np.zeros(len(rows))
@@ -360,97 +367,126 @@ def _advance_paths(
             e_last = w[:, -1].copy()
             keep = np.ones(len(rows), dtype=bool)
             for r, (a_r, e_r) in enumerate(zip(A.tolist(), e_last.tolist())):
-                if a_r >= x_star:
-                    p = 0.0
-                else:
-                    p = _regularized_lower(alpha, z_scale * e_r / (x_star - a_r))
-                    if p > MC_STOP_PROB and stop < nsteps:
-                        continue
-                results[rows[r] - lo] = (a_r, p, bool(saturated[r]), stop)
-                keep[r] = False
-            rows = [i for i, k in zip(rows, keep) if k]
-            rngs = [g for g, k in zip(rngs, keep) if k]
+                still = []
+                for j, x_star in pending[r]:
+                    if a_r >= x_star:
+                        p = 0.0
+                    else:
+                        p = _regularized_lower(alpha, z_scale * e_r / (x_star - a_r))
+                        if p > MC_STOP_PROB and stop < nsteps:
+                            still.append((j, x_star))
+                            continue
+                    found[r][j] = (a_r, p, bool(saturated[r]), stop)
+                pending[r] = still
+                if not still:
+                    results[rows[r] - lo] = found[r]
+                    keep[r] = False
+            rows, rngs, found, pending = (
+                [x for x, k in zip(seq, keep) if k] for seq in (rows, rngs, found, pending)
+            )
             w_last, e_last, A, saturated = w_last[keep], e_last[keep], A[keep], saturated[keep]
             if not rows:
                 break
     return results
 
 
+@dataclass(frozen=True)
+class SweepEstimate:
+    """One Monte Carlo pass over n_paths paths: an estimate per threshold,
+    in input order, and the normals the pass drew."""
+
+    n_paths: int
+    seed: int
+    normals_drawn: int
+    estimates: tuple[ProbabilityEstimate, ...]
+
+
 def mc_blowup_probability(
     params: ModelParams,
     lam1: float,
-    threshold: BlowupThreshold,
+    thresholds: Sequence[BlowupThreshold],
     n_paths: int,
     horizon: float,
     dt: float,
     seed: int,
     workers: int = 1,
-) -> ProbabilityEstimate:
-    """Estimate the hitting probability over n_paths independent paths.
+) -> SweepEstimate:
+    """Estimate the hitting probability of every threshold from one pass over
+    n_paths independent paths.
 
-    Each path index draws its own generator stream and runs only until it
-    hits x*, the gamma law gives it at most MC_STOP_PROB of still hitting, or
-    the horizon. Each worker thread advances its index range in blocks of
-    MC_BLOCK paths, one row per path; see ``_advance_paths``. Every row is
+    a, b and the drift of A(t) depend only on beta, kappa and lam1, so every
+    threshold reads the same paths and only x* differs: each path is drawn
+    and advanced once for the whole sweep. Each path index draws its own
+    generator stream and runs only until, for every threshold, it has hit x*,
+    the gamma law gives it at most MC_STOP_PROB of still hitting, or the
+    horizon. Each worker thread advances its index range in blocks of
+    MC_BLOCK paths, one row per path; see ``_advance_paths``. A threshold's
+    per-path results equal those of a pass against it alone, so its estimate
+    does not depend on which other thresholds share the pass. Every row is
     its own path, so results do not depend on the block width, and the hits
-    are counted, so the estimate is identical for any worker count. The
+    are counted, so the estimates are identical for any worker count. The
     thread pool never exceeds os.cpu_count() threads.
 
-    The truncation allowance is the mean over paths of the probability that a
-    path still hits after it stopped (0 for a hit), summed exactly in
-    path-index order: the expected fraction of paths, censored at their stop,
-    that would hit by t = inf. p_hat + allowance therefore estimates
-    P[A_inf >= x*], the analytic reference, without bias up to the time-step
-    error of the trapezoidal A.
+    The truncation allowance of a threshold is the mean over paths of the
+    probability that a path still hits after it stopped (0 for a hit), summed
+    exactly in path-index order: the expected fraction of paths, censored at
+    their stop, that would hit by t = inf. p_hat + allowance therefore
+    estimates P[A_inf >= x*], the analytic reference, without bias up to the
+    time-step error of the trapezoidal A.
     """
     if params.kappa <= 0:
         raise ConfigurationError("Monte Carlo needs kappa > 0; use deterministic_dichotomy")
+    if not thresholds:
+        raise ConfigurationError("Monte Carlo needs at least one threshold")
     if n_paths < MIN_MC_PATHS:
         raise ConfigurationError(f"need at least {MIN_MC_PATHS} paths, got {n_paths}")
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    if threshold.beta != params.beta:
+    if any(threshold.beta != params.beta for threshold in thresholds):
         raise ConfigurationError("threshold and params disagree on beta")
     if not 0 < dt <= horizon:
         raise ConfigurationError(f"need 0 < dt <= horizon, got dt={dt} T={horizon}")
-    bound = analytic_blowup_bound(lam1, params.kappa, params.beta, threshold)
-    a, b = _drift_scale(threshold, params.kappa, lam1)
+    bounds = [analytic_blowup_bound(lam1, params.kappa, params.beta, thr) for thr in thresholds]
+    a, b = _drift_scale(thresholds[0], params.kappa, lam1)
     nsteps = _n_steps(horizon, dt)
     drift = a * dt * np.arange(1, nsteps + 1)
-    args = (nsteps, dt, drift, b, threshold.x_star, bound.alpha)
+    x_stars = [thr.x_star for thr in thresholds]
+    args = (nsteps, dt, drift, b, x_stars, bounds[0].alpha)
     workers = min(workers, os.cpu_count() or 1)
-    bounds = np.linspace(0, n_paths, workers + 1).astype(int)
-    jobs = [(int(bounds[i]), int(bounds[i + 1])) for i in range(workers) if bounds[i] < bounds[i + 1]]
+    cuts = np.linspace(0, n_paths, workers + 1).astype(int)
+    jobs = [(int(cuts[i]), int(cuts[i + 1])) for i in range(workers) if cuts[i] < cuts[i + 1]]
     if len(jobs) == 1:
         results = [_advance_paths(seed, *jobs[0], *args)]
     else:
         with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
             futures = [pool.submit(_advance_paths, seed, lo, hi, *args) for lo, hi in jobs]
             results = [f.result() for f in futures]
-    A_stop, p_stop, saturated, normals = zip(*(run for result in results for run in result))
-    hits = sum(A >= threshold.x_star for A in A_stop)
-    n_saturated = sum(saturated)
-    drawn = sum(normals)
-    allowance = math.fsum(p_stop) / n_paths
-    n_censored = n_paths - hits
-    p_hat = hits / n_paths
+    paths = [path for result in results for path in result]
+    # a row stays in the block until its last threshold resolves
+    drawn = sum(max(steps for _, _, _, steps in path) for path in paths)
+    estimates = []
+    for j, (x_star, bound) in enumerate(zip(x_stars, bounds)):
+        A_stop, p_stop, saturated, _ = zip(*(path[j] for path in paths))
+        hits = sum(A >= x_star for A in A_stop)
+        estimates.append(
+            ProbabilityEstimate(
+                p_hat=hits / n_paths,
+                n_paths=n_paths,
+                analytic_reference=bound.p_blowup_lower,
+                truncation_allowance=math.fsum(p_stop) / n_paths,
+                n_censored=n_paths - hits,
+                n_saturated=sum(saturated),
+                seed=seed,
+            )
+        )
     logger.info(
-        "mc hitting estimate: p_hat=%.5f (N=%d, censored=%d, allowance=%.3g, reference=%.5f, "
-        "normals drawn=%d of %d)",
-        p_hat,
+        "mc pass: N=%d, normals drawn=%d of %d; %s",
         n_paths,
-        n_censored,
-        allowance,
-        bound.p_blowup_lower,
         drawn,
         n_paths * nsteps,
+        "; ".join(
+            f"v0psi={thr.v0psi:g}: p_hat={est.p_hat:.5f} allowance={est.truncation_allowance:.3g}"
+            for thr, est in zip(thresholds, estimates)
+        ),
     )
-    return ProbabilityEstimate(
-        p_hat=p_hat,
-        n_paths=n_paths,
-        analytic_reference=bound.p_blowup_lower,
-        truncation_allowance=allowance,
-        n_censored=n_censored,
-        n_saturated=n_saturated,
-        seed=seed,
-    )
+    return SweepEstimate(n_paths=n_paths, seed=seed, normals_drawn=drawn, estimates=tuple(estimates))

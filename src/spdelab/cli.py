@@ -235,23 +235,23 @@ def cmd_blowup(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) ->
             verdict = deterministic_dichotomy(f, eigen, params.beta)
             rows.append([mass, crit, verdict.value])
         return [write_csv(out_dir / "dichotomy.csv", ["mass", "threshold", "verdict"], rows)]
+    thresholds = [BlowupThreshold.from_initial_mass(m, params.beta) for m in sim.v0psi_sweep]
+    sweep = mc_blowup_probability(
+        params,
+        eigen.lam1,
+        thresholds,
+        n_paths=sim.n_paths,
+        horizon=sim.horizon,
+        dt=sim.dt,
+        seed=run_seed,
+        workers=workers,
+    )
     rows = []
-    for mass in sim.v0psi_sweep:
-        threshold = BlowupThreshold.from_initial_mass(mass, params.beta)
+    for threshold, est in zip(thresholds, sweep.estimates):
         bound = analytic_blowup_bound(eigen.lam1, params.kappa, params.beta, threshold)
-        est = mc_blowup_probability(
-            params,
-            eigen.lam1,
-            threshold,
-            n_paths=sim.n_paths,
-            horizon=sim.horizon,
-            dt=sim.dt,
-            seed=run_seed,
-            workers=workers,
-        )
         rows.append(
             [
-                mass,
+                threshold.v0psi,
                 threshold.x_star,
                 bound.z_star,
                 bound.alpha,

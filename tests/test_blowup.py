@@ -6,6 +6,7 @@ Carlo estimator is checked against the gamma-tail law it exists to verify,
 plus frozen regression values for bitwise reproducibility.
 """
 
+import logging
 import math
 import os
 import threading
@@ -325,8 +326,8 @@ class TestMonteCarlo:
 
     def test_smoke_estimate_matches_gamma_tail(self):
         est = mc_blowup_probability(
-            self.PARAMS, 1.0, self.THRESHOLD, n_paths=1500, horizon=40.0, dt=1e-3, seed=777
-        )
+            self.PARAMS, 1.0, [self.THRESHOLD], n_paths=1500, horizon=40.0, dt=1e-3, seed=777
+        ).estimates[0]
         assert abs(est.p_hat - P_BLOWUP_REF) <= 4.0 * est.stderr + est.truncation_allowance
         assert est.analytic_reference == pytest.approx(P_BLOWUP_REF, rel=1e-12)
         assert est.n_censored == est.n_paths - round(est.p_hat * est.n_paths)
@@ -335,8 +336,8 @@ class TestMonteCarlo:
 
     def test_smoke_estimate_frozen_regression(self):
         est = mc_blowup_probability(
-            self.PARAMS, 1.0, self.THRESHOLD, n_paths=1500, horizon=40.0, dt=1e-3, seed=777
-        )
+            self.PARAMS, 1.0, [self.THRESHOLD], n_paths=1500, horizon=40.0, dt=1e-3, seed=777
+        ).estimates[0]
         assert est.p_hat == 127 / 1500  # bitwise-stable stream, exact count
         assert est.n_censored == 1373
 
@@ -349,7 +350,8 @@ class TestMonteCarlo:
         drift = a * dt * np.arange(1, nsteps + 1)  # as mc_blowup_probability builds it
 
         def run(x_star, count=n):
-            return blowup._advance_paths(seed, 0, count, nsteps, dt, drift, b, x_star, alpha)
+            runs = blowup._advance_paths(seed, 0, count, nsteps, dt, drift, b, [x_star], alpha)
+            return [path[0] for path in runs]
 
         def hit_count(runs, x_star):
             return sum(A >= x_star for A, _, _, _ in runs)
@@ -397,7 +399,9 @@ class TestMonteCarlo:
         nsteps, dt = 5003, 1e-3
         a, b = blowup._drift_scale(self.THRESHOLD, self.PARAMS.kappa, 1.0)
         drift = a * dt * np.arange(1, nsteps + 1)
-        [(_, _, _, normals)] = blowup._advance_paths(4, 17, 18, nsteps, dt, drift, b, math.inf, 3.0)
+        [[(_, _, _, normals)]] = blowup._advance_paths(
+            4, 17, 18, nsteps, dt, drift, b, [math.inf], 3.0
+        )
         assert normals == nsteps
         assert_array_equal(np.concatenate(drawn), brownian_increments(4, 17, nsteps))
 
@@ -418,13 +422,16 @@ class TestMonteCarlo:
         drift = a * dt * np.arange(1, nsteps + 1)
         if saturating:  # the exponent b W_t passes EXP_CLAMP on some paths
             drift, b, x_star, alpha = np.zeros(nsteps), 400.0, 1e308, 0.1
-        args = (nsteps, dt, drift, b, x_star, alpha)
+        args = (nsteps, dt, drift, b, [x_star], alpha)
+
+        def advance(lo, hi):
+            return [path[0] for path in blowup._advance_paths(seed, lo, hi, *args)]
+
         runs, default = {}, blowup.MC_BLOCK
         for width in (1, 7, default):
             monkeypatch.setattr(blowup, "MC_BLOCK", width)
-            runs[width] = blowup._advance_paths(seed, 0, n, *args)
-            split = [blowup._advance_paths(seed, lo, hi, *args)
-                     for lo, hi in ((0, 13), (13, 150), (150, n))]
+            runs[width] = advance(0, n)
+            split = [advance(lo, hi) for lo, hi in ((0, 13), (13, 150), (150, n))]
             assert sum(split, []) == runs[width]
         assert runs[1] == runs[7] == runs[default]
         stops = {drawn for _, _, _, drawn in runs[1]}
@@ -435,6 +442,50 @@ class TestMonteCarlo:
         else:
             assert 0 < sum(A >= x_star for A, _, _, _ in runs[1]) < n
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_sweep_equals_one_threshold_runs(self, caplog, workers):
+        # every threshold reads the same paths: one pass over the sweep gives
+        # each entry the estimate of a pass against it alone, for less work;
+        # the sweep is unsorted and repeats a mass
+        masses = [1.0, 0.25, 0.5, 0.25]
+        thresholds = [BlowupThreshold.from_initial_mass(m, 1.0) for m in masses]
+        kw = dict(n_paths=1000, horizon=10.0, dt=1e-3, seed=42, workers=workers)
+        with caplog.at_level(logging.INFO, logger="spdelab.blowup"):
+            sweep = mc_blowup_probability(self.PARAMS, 1.0, thresholds, **kw)
+        [line] = [r.getMessage() for r in caplog.records if r.name == "spdelab.blowup"]
+        assert f"normals drawn={sweep.normals_drawn} of {1000 * 10_000}" in line
+        assert line.count("p_hat=") == line.count("allowance=") == len(thresholds)
+        singles = [mc_blowup_probability(self.PARAMS, 1.0, [thr], **kw) for thr in thresholds]
+        assert (sweep.n_paths, sweep.seed) == (1000, 42)
+        assert len(sweep.estimates) == len(thresholds)
+        for est, single in zip(sweep.estimates, singles):
+            [ref] = single.estimates
+            assert est.p_hat == ref.p_hat
+            assert est.truncation_allowance.hex() == ref.truncation_allowance.hex()
+            assert (est.n_censored, est.n_saturated) == (ref.n_censored, ref.n_saturated)
+            assert est == ref
+        assert sweep.estimates[1] == sweep.estimates[3]
+        assert len({est.p_hat for est in sweep.estimates}) == 3  # the masses differ in outcome
+        # a path is drawn as far as its longest-running threshold needs, once
+        drawn = [single.normals_drawn for single in singles]
+        assert max(drawn) <= sweep.normals_drawn < sum(drawn)
+
+    def test_sweep_kernel_equals_one_threshold_kernels_when_saturating(self):
+        # zero drift and b = 400: the exponent passes EXP_CLAMP on some paths,
+        # and the saturation flag each threshold records is the one at its stop
+        nsteps, dt, b, alpha, n = 10_500, 1e-3, 400.0, 0.1, 300
+        x_stars = [1e3, 1e308, 10.0, 1e3]
+        args = (nsteps, dt, np.zeros(nsteps), b)
+        sweep = blowup._advance_paths(5, 0, n, *args, x_stars, alpha)
+        singles = [blowup._advance_paths(5, 0, n, *args, [x], alpha) for x in x_stars]
+        for j in range(len(x_stars)):
+            assert [path[j] for path in sweep] == [path[0] for path in singles[j]]
+        flags = [saturated for path in sweep for _, _, saturated, _ in path]
+        assert 0 < sum(flags) < len(flags)
+        assert any(len({saturated for _, _, saturated, _ in path}) > 1 for path in sweep)
+        # thresholds of one path resolve in different chunks
+        assert any(len({steps for _, _, _, steps in path}) > 1 for path in sweep)
+
     @pytest.mark.parametrize("v0psi", [0.5, 1.0])
     @pytest.mark.parametrize("horizon", [0.5, 1.0, 3.0])
     def test_allowance_accounts_for_the_censored_paths(self, v0psi, horizon):
@@ -442,23 +493,25 @@ class TestMonteCarlo:
         # hitting later, so p_hat + allowance estimates the t = inf law
         thr = BlowupThreshold.from_initial_mass(v0psi, 1.0)
         est = mc_blowup_probability(
-            self.PARAMS, 1.0, thr, n_paths=4000, horizon=horizon, dt=1e-3, seed=2024
-        )
+            self.PARAMS, 1.0, [thr], n_paths=4000, horizon=horizon, dt=1e-3, seed=2024
+        ).estimates[0]
         s = est.p_hat + est.truncation_allowance
         assert abs(s - est.analytic_reference) <= 4.0 * math.sqrt(s * (1.0 - s) / est.n_paths)
         assert 0.0 < est.truncation_allowance <= est.n_censored / est.n_paths
 
     def test_worker_count_invariance(self):
         kw = dict(n_paths=1000, horizon=10.0, dt=1e-3, seed=42)
-        e1 = mc_blowup_probability(self.PARAMS, 1.0, self.THRESHOLD, workers=1, **kw)
-        e3 = mc_blowup_probability(self.PARAMS, 1.0, self.THRESHOLD, workers=3, **kw)
-        e7 = mc_blowup_probability(self.PARAMS, 1.0, self.THRESHOLD, workers=7, **kw)
+        e1 = mc_blowup_probability(self.PARAMS, 1.0, [self.THRESHOLD], workers=1, **kw)
+        e3 = mc_blowup_probability(self.PARAMS, 1.0, [self.THRESHOLD], workers=3, **kw)
+        e7 = mc_blowup_probability(self.PARAMS, 1.0, [self.THRESHOLD], workers=7, **kw)
         assert e1 == e3 == e7
-        assert e1.p_hat == 74 / 1000
+        assert e1.estimates[0].p_hat == 74 / 1000
 
     def test_enormous_mass_hits_immediately(self):
         thr = BlowupThreshold.from_initial_mass(1e6, 1.0)
-        est = mc_blowup_probability(self.PARAMS, 1.0, thr, n_paths=1000, horizon=1.0, dt=1e-3, seed=5)
+        [est] = mc_blowup_probability(
+            self.PARAMS, 1.0, [thr], n_paths=1000, horizon=1.0, dt=1e-3, seed=5
+        ).estimates
         assert est.p_hat == 1.0
         assert est.n_censored == 0
         assert est.truncation_allowance == 0.0
@@ -466,25 +519,32 @@ class TestMonteCarlo:
     def test_preconditions(self):
         with pytest.raises(ConfigurationError):
             mc_blowup_probability(
-                self.PARAMS, 1.0, self.THRESHOLD, n_paths=100, horizon=1.0, dt=1e-3, seed=1
+                self.PARAMS, 1.0, [self.THRESHOLD], n_paths=100, horizon=1.0, dt=1e-3, seed=1
             )
         with pytest.raises(ConfigurationError):
             mc_blowup_probability(
-                ModelParams(beta=1.0, kappa=0.0), 1.0, self.THRESHOLD,
+                ModelParams(beta=1.0, kappa=0.0), 1.0, [self.THRESHOLD],
                 n_paths=2000, horizon=1.0, dt=1e-3, seed=1,
             )
         with pytest.raises(ConfigurationError):
             mc_blowup_probability(
-                self.PARAMS, 1.0, self.THRESHOLD, n_paths=2000, horizon=1.0, dt=1e-3, seed=1, workers=0
+                self.PARAMS, 1.0, [self.THRESHOLD], n_paths=2000, horizon=1.0, dt=1e-3, seed=1, workers=0
             )
         with pytest.raises(ConfigurationError):
             mc_blowup_probability(
-                self.PARAMS, 1.0, BlowupThreshold.from_initial_mass(0.5, 2.0),
+                self.PARAMS, 1.0, [BlowupThreshold.from_initial_mass(0.5, 2.0)],
                 n_paths=2000, horizon=1.0, dt=1e-3, seed=1,
             )
         with pytest.raises(ConfigurationError):  # no step fits in the horizon
             mc_blowup_probability(
-                self.PARAMS, 1.0, self.THRESHOLD, n_paths=2000, horizon=1e-3, dt=2e-3, seed=1
+                self.PARAMS, 1.0, [self.THRESHOLD], n_paths=2000, horizon=1e-3, dt=2e-3, seed=1
+            )
+        with pytest.raises(ConfigurationError, match="at least one threshold"):
+            mc_blowup_probability(self.PARAMS, 1.0, [], n_paths=2000, horizon=1.0, dt=1e-3, seed=1)
+        with pytest.raises(ConfigurationError, match="disagree on beta"):  # one entry of several
+            mc_blowup_probability(
+                self.PARAMS, 1.0, [self.THRESHOLD, BlowupThreshold.from_initial_mass(0.5, 2.0)],
+                n_paths=2000, horizon=1.0, dt=1e-3, seed=1,
             )
 
     def test_estimate_validation(self):
@@ -519,11 +579,11 @@ class TestMonteCarlo:
             raise AssertionError("a thread was started")
 
         kw = dict(n_paths=1000, horizon=5.0, dt=1e-3, seed=42)
-        serial = mc_blowup_probability(self.PARAMS, 1.0, self.THRESHOLD, workers=1, **kw)
+        serial = mc_blowup_probability(self.PARAMS, 1.0, [self.THRESHOLD], workers=1, **kw)
         monkeypatch.setattr(blowup, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         monkeypatch.setattr(threading.Thread, "start", no_threads)
-        est = mc_blowup_probability(self.PARAMS, 1.0, self.THRESHOLD, workers=10_000, **kw)
+        est = mc_blowup_probability(self.PARAMS, 1.0, [self.THRESHOLD], workers=10_000, **kw)
         assert SerialPool.sizes == [cores]
         assert est == serial
-        assert 0 < est.n_censored < est.n_paths
+        assert 0 < est.estimates[0].n_censored < est.n_paths

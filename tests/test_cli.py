@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spdelab import certificates
+from spdelab import blowup, certificates, stochastic
 from spdelab.blowup import ModelParams
 from spdelab.cli import _consistency_row, main, write_csv
 from spdelab.config import load_config
@@ -200,6 +200,21 @@ class TestBlowupCommand:
         assert int(row["n_censored"]) == round(1000 * (1 - p_hat))
         assert 0.0 < float(row["truncation_allowance"]) <= 1.0 - p_hat
         assert row["n_saturated"] == "0"
+
+    def test_sweep_draws_each_path_once(self, tmp_path, monkeypatch):
+        # every sweep entry reads the same paths, so the command builds one
+        # generator per path for the whole sweep, not one per path and entry
+        built = []
+
+        def counting_rng(seed, path_index):
+            built.append(path_index)
+            return stochastic._path_rng(seed, path_index)
+
+        monkeypatch.setattr(blowup, "_path_rng", counting_rng)
+        p = write_cfg(tmp_path, self.cfg(v0psi_sweep=[0.25, 0.5, 1.0]))
+        assert main(["blowup", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+        assert len(read_csv(tmp_path / "o" / "blowup.csv")) == 3
+        assert sorted(built) == list(range(1000))
 
     def test_rerun_and_workers_byte_identical(self, tmp_path):
         p = write_cfg(tmp_path, self.cfg())
