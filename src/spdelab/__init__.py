@@ -4,11 +4,9 @@ forced reaction-diffusion equations with Dirichlet boundary."""
 __version__ = "0.1.0"
 
 from .blowup import (
-    BlowupOutcome,
     BlowupThreshold,
     Dichotomy,
     ModelParams,
-    OutcomeStatus,
     PowerLaw,
     ProbabilityEstimate,
     SweepEstimate,
@@ -17,7 +15,6 @@ from .blowup import (
     deterministic_dichotomy,
     lower_solution_series,
     mc_blowup_probability,
-    tau_from_path,
 )
 from .certificates import (
     CertificateKind,
@@ -61,11 +58,10 @@ from .integrator import (
 )
 from .stochastic import (
     BrownianPath,
-    DerivedParams,
     blowup_density,
     brownian_increments,
-    derive_params,
     exp_functional,
+    gamma_shape,
     gamma_tail,
     sample_brownian,
 )
@@ -78,12 +74,11 @@ __all__ = [
     "richardson_extrapolate", "apply_heat_semigroup", "sup_norm_decay",
     "heat_kernel_ratio_report",
     # stochastic
-    "BrownianPath", "DerivedParams", "brownian_increments", "sample_brownian",
-    "derive_params", "exp_functional", "gamma_tail", "blowup_density",
+    "BrownianPath", "brownian_increments", "sample_brownian",
+    "exp_functional", "gamma_shape", "gamma_tail", "blowup_density",
     # blowup
     "ModelParams", "PowerLaw", "TabulatedNonlinearity", "BlowupThreshold",
-    "BlowupOutcome", "OutcomeStatus", "Dichotomy", "ProbabilityEstimate", "SweepEstimate",
-    "lower_solution_series", "tau_from_path",
+    "Dichotomy", "ProbabilityEstimate", "SweepEstimate", "lower_solution_series",
     "analytic_blowup_bound", "deterministic_dichotomy", "mc_blowup_probability",
     # certificates
     "CertificateKind", "CertificateReport", "Verdict", "admissible_initial",

@@ -1,8 +1,9 @@
-"""Mass pipeline: lower solution, hitting times, Monte Carlo blowup probability.
+"""Mass pipeline: lower solution, its blowup time, Monte Carlo blowup probability.
 
 The scalar reduction works on the weighted mass v(t, psi). The lower solution
 I(t) solves the mass inequality turned ODE, and blows up exactly when the
-exponential functional A(t) reaches the threshold x* = v0psi^(-beta)/beta.
+exponential functional A(t) reaches the threshold x* = v0psi^(-beta)/beta;
+one pass of A(t) over a path gives both the series I(t_k) and that time tau.
 The probability that this ever happens has the closed gamma-tail form
 1 - Q(alpha, 2/(kappa^2 beta^2 x*)); the Monte Carlo estimator below exists to
 be checked against it, not the other way around.
@@ -28,8 +29,8 @@ from .stochastic import (
     _n_steps,
     _path_rng,
     _regularized_lower,
-    derive_params,
     exp_functional,
+    gamma_shape,
     gamma_tail,
 )
 
@@ -134,45 +135,18 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class BlowupThreshold:
-    """Initial mass v0psi and the hitting level x* = v0psi^(-beta)/beta."""
+    """Initial mass v0psi and its hitting level x* = v0psi^(-beta)/beta."""
 
     v0psi: float
-    x_star: float
     beta: float
 
     def __post_init__(self):
         if self.v0psi <= 0 or self.beta <= 0:
             raise ConfigurationError("threshold needs v0psi > 0 and beta > 0")
-        expected = self.v0psi ** (-self.beta) / self.beta
-        if not math.isclose(self.x_star, expected, rel_tol=1e-12):
-            raise ConfigurationError(
-                f"x_star={self.x_star} inconsistent with v0psi={self.v0psi}, beta={self.beta}"
-            )
 
-    @classmethod
-    def from_initial_mass(cls, v0psi: float, beta: float) -> "BlowupThreshold":
-        return cls(v0psi=float(v0psi), x_star=float(v0psi) ** (-beta) / beta, beta=float(beta))
-
-
-class OutcomeStatus(str, Enum):
-    BLEW_UP = "blew_up"
-    CENSORED = "censored"
-
-
-@dataclass(frozen=True)
-class BlowupOutcome:
-    status: OutcomeStatus
-    tau: float | None
-    horizon: float
-    seed: int | None = None
-    path_index: int | None = None
-
-    def __post_init__(self):
-        if self.status is OutcomeStatus.BLEW_UP:
-            if self.tau is None or self.tau > self.horizon * (1 + 1e-12):
-                raise ConfigurationError("blew-up outcome needs tau <= horizon")
-        elif self.tau is not None:
-            raise ConfigurationError("censored outcome must not carry a tau")
+    @property
+    def x_star(self) -> float:
+        return float(self.v0psi) ** (-self.beta) / self.beta
 
 
 class BlowupBound(NamedTuple):
@@ -182,8 +156,7 @@ class BlowupBound(NamedTuple):
     z_star: float
 
 
-def _drift_scale(threshold: BlowupThreshold, kappa: float, lam1: float) -> tuple[float, float]:
-    beta = threshold.beta
+def _drift_scale(beta: float, kappa: float, lam1: float) -> tuple[float, float]:
     return -(lam1 + 0.5 * kappa**2) * beta, kappa * beta
 
 
@@ -192,59 +165,32 @@ def lower_solution_series(
     threshold: BlowupThreshold,
     kappa: float,
     lam1: float,
-) -> tuple[np.ndarray, np.ndarray, int | None]:
-    """Lower solution I(t_k) on the path grid.
+) -> tuple[np.ndarray, np.ndarray, int | None, float | None]:
+    """Lower solution I(t_k) on the path grid and its blowup time tau.
 
-    Returns (times, values, blown_index). Entries from the first index where
-    the bracket v0psi^(-beta) - beta A(t) hits zero are NaN, and that index is
-    reported (None if the solution stays finite through the horizon).
+    Returns (times, values, blown_index, tau). Entries from the first index
+    where the bracket v0psi^(-beta) - beta A(t) hits zero are NaN, and that
+    index is reported. tau is the time A(t) reaches x*, linearly interpolated
+    inside the step that ends at blown_index. Both are None if the solution
+    stays finite through the horizon.
     """
     beta = threshold.beta
-    a, b = _drift_scale(threshold, kappa, lam1)
+    a, b = _drift_scale(beta, kappa, lam1)
     A = exp_functional(path, a, b).values
     bracket = threshold.v0psi ** (-beta) - beta * A
     alive = bracket > 0.0
-    blown_index = None if bool(alive.all()) else int(np.argmin(alive))
     t = path.times
     values = np.full_like(A, np.nan)
-    ok = alive
-    values[ok] = np.exp(-(lam1 + 0.5 * kappa**2) * t[ok]) * bracket[ok] ** (-1.0 / beta)
-    return t, values, blown_index
-
-
-def tau_from_path(
-    path: BrownianPath,
-    threshold: BlowupThreshold,
-    kappa: float,
-    lam1: float,
-) -> BlowupOutcome:
-    """First time A(t) reaches x*, linearly interpolated inside the step."""
-    a, b = _drift_scale(threshold, kappa, lam1)
-    A = exp_functional(path, a, b).values
-    x_star = threshold.x_star
-    if A[-1] < x_star:
-        return BlowupOutcome(
-            status=OutcomeStatus.CENSORED,
-            tau=None,
-            horizon=path.horizon,
-            seed=path.seed,
-            path_index=path.path_index,
-        )
-    k = int(np.argmax(A >= x_star))
-    t = path.times
-    if k == 0:  # x_star <= 0 cannot happen; A[0] = 0 < x_star always
-        tau = 0.0
-    else:
+    values[alive] = np.exp(-(lam1 + 0.5 * kappa**2) * t[alive]) * bracket[alive] ** (-1.0 / beta)
+    if alive.all():
+        return t, values, None, None
+    k = int(np.argmin(alive))
+    tau = 0.0  # k == 0 only when v0psi^(-beta) underflows to x* = 0
+    if k > 0:
         dA = A[k] - A[k - 1]
-        frac = 0.0 if dA == 0 else (x_star - A[k - 1]) / dA
+        frac = 0.0 if dA == 0 else (threshold.x_star - A[k - 1]) / dA
         tau = float(t[k - 1] + frac * (t[k] - t[k - 1]))
-    return BlowupOutcome(
-        status=OutcomeStatus.BLEW_UP,
-        tau=tau,
-        horizon=path.horizon,
-        seed=path.seed,
-        path_index=path.path_index,
-    )
+    return t, values, k, tau
 
 
 def analytic_blowup_bound(
@@ -256,15 +202,10 @@ def analytic_blowup_bound(
     """Closed-form bound pair: P[hit] >= 1 - Q(alpha, z*), its complement exact."""
     if kappa == 0:
         raise ConfigurationError("kappa=0: use deterministic_dichotomy, the gamma law degenerates")
-    params = derive_params(beta, kappa, lam1)
+    alpha = gamma_shape(beta, kappa, lam1)
     z_star = 2.0 / (kappa**2 * beta**2 * threshold.x_star)
-    p_global = gamma_tail(params.alpha, z_star)
-    return BlowupBound(
-        p_blowup_lower=1.0 - p_global,
-        p_global=p_global,
-        alpha=params.alpha,
-        z_star=z_star,
-    )
+    p_global = gamma_tail(alpha, z_star)
+    return BlowupBound(p_blowup_lower=1.0 - p_global, p_global=p_global, alpha=alpha, z_star=z_star)
 
 
 class Dichotomy(str, Enum):
@@ -447,7 +388,7 @@ def mc_blowup_probability(
     if not 0 < dt <= horizon:
         raise ConfigurationError(f"need 0 < dt <= horizon, got dt={dt} T={horizon}")
     bounds = [analytic_blowup_bound(lam1, params.kappa, params.beta, thr) for thr in thresholds]
-    a, b = _drift_scale(thresholds[0], params.kappa, lam1)
+    a, b = _drift_scale(params.beta, params.kappa, lam1)
     nsteps = _n_steps(horizon, dt)
     drift = a * dt * np.arange(1, nsteps + 1)
     x_stars = [thr.x_star for thr in thresholds]

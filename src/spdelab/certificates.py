@@ -42,7 +42,7 @@ from .stochastic import (
     EXP_CLAMP,
     BrownianPath,
     _cumtrapz,
-    derive_params,
+    gamma_shape,
     gamma_tail,
 )
 
@@ -82,7 +82,6 @@ class CertificateReport:
     envelope: np.ndarray | None = None
     bound_sup: np.ndarray | None = None
     probability: float | None = None
-    inputs: dict | None = None
     reason: str | None = None
 
     def __post_init__(self):
@@ -300,12 +299,11 @@ def certificate_heat_kernel(
     except OverflowError:  # float ** raises where * gives inf; both leave threshold 0
         denom = math.inf
     threshold = math.exp(min(lam1 * beta * eta, EXP_CLAMP)) / denom
-    inputs = {"K": K, "eta": eta, "c": c}
 
     if path is None:
         if params.kappa <= 0:
             raise ConfigurationError("analytic mode needs kappa > 0; the functional degenerates")
-        alpha = derive_params(beta, params.kappa, lam1).alpha
+        alpha = gamma_shape(beta, params.kappa, lam1)
         scale = params.kappa**2 * beta**2 * threshold
         z = 2.0 / scale if scale > 0 else math.inf
         if math.isinf(z):
@@ -320,7 +318,6 @@ def certificate_heat_kernel(
             verdict=None,
             threshold=threshold,
             probability=probability,
-            inputs=inputs,
         )
 
     rate = (lam1 + 0.5 * params.kappa**2) * beta
@@ -333,6 +330,4 @@ def certificate_heat_kernel(
         J = float(J_series[-1]) + tail
     if not J < threshold:
         reason = reason or f"functional {J:.6g} is not below {threshold:.6g}"
-    return _report(
-        CertificateKind.HEAT_KERNEL, J, threshold, tail, reason, times=path.times, inputs=inputs
-    )
+    return _report(CertificateKind.HEAT_KERNEL, J, threshold, tail, reason, times=path.times)

@@ -29,12 +29,10 @@ from . import __version__
 from .blowup import (
     BlowupThreshold,
     Dichotomy,
-    OutcomeStatus,
     analytic_blowup_bound,
     deterministic_dichotomy,
     lower_solution_series,
     mc_blowup_probability,
-    tau_from_path,
 )
 from .certificates import certificate_heat_kernel, certificate_sup_norm
 from .config import HeatKernelConfig, InitialConfig, RunConfig, load_config
@@ -235,7 +233,7 @@ def cmd_blowup(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) ->
             verdict = deterministic_dichotomy(f, eigen, params.beta)
             rows.append([mass, crit, verdict.value])
         return [write_csv(out_dir / "dichotomy.csv", ["mass", "threshold", "verdict"], rows)]
-    thresholds = [BlowupThreshold.from_initial_mass(m, params.beta) for m in sim.v0psi_sweep]
+    thresholds = [BlowupThreshold(m, params.beta) for m in sim.v0psi_sweep]
     sweep = mc_blowup_probability(
         params,
         eigen.lam1,
@@ -278,9 +276,10 @@ def cmd_blowup(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) ->
     return [write_csv(out_dir / "blowup.csv", header, rows)]
 
 
-def _consistency_row(traj, traj_em, path, params, eigen, threshold, tau):
-    """Cross-checks for one path: transform agreement, lower-bound domination,
-    and the two residual diagnostics."""
+def _consistency_row(traj, traj_em, path, params, eigen, t_i, lower, tau):
+    """Cross-checks for one path: transform agreement, domination of the lower
+    solution (t_i, lower) up to its blowup time tau, and the two residual
+    diagnostics. lower is None when there is no lower solution."""
     em_diff = None
     if traj_em is not None:
         # sup of u = e^{kappa W} v, the series reconstruct_u would give
@@ -290,8 +289,7 @@ def _consistency_row(traj, traj_em, path, params, eigen, threshold, tau):
         scale = np.maximum(np.abs(u_sup[:k]), 1e-300)
         em_diff = float(np.max(np.abs(traj_em.sup[:k] - u_sup[:k]) / scale))
     ratio_min = None
-    if threshold is not None:
-        t_i, lower, blown = lower_solution_series(path, threshold, params.kappa, eigen.lam1)
+    if lower is not None:
         t_end = min(
             traj.t_blowup if traj.t_blowup is not None else math.inf,
             tau if tau is not None else math.inf,
@@ -319,7 +317,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) 
         dt=sim.dt, cutoff=sim.cutoff, scheme=sim.scheme, max_snapshots=sim.max_snapshots
     )
     mass0 = weighted_inner(grid, f, eigen.psi)
-    threshold = BlowupThreshold.from_initial_mass(mass0, params.beta) if mass0 > 0 else None
+    threshold = BlowupThreshold(float(mass0), params.beta) if mass0 > 0 else None
     # the Euler-Maruyama run is compared through its sup series only
     em_cfg = replace(scheme_cfg, max_snapshots=2)
     n_paths = 1 if params.kappa == 0 else sim.n_paths
@@ -333,10 +331,11 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) 
         except NumericalFailure:
             trajs_em = [None] * len(paths)
         for idx, path, traj, traj_em in zip(block, paths, trajs, trajs_em):
-            tau = None
+            t_i = lower = tau = None
             if threshold is not None:
-                outcome = tau_from_path(path, threshold, params.kappa, eigen.lam1)
-                tau = outcome.tau if outcome.status is OutcomeStatus.BLEW_UP else None
+                t_i, lower, _, tau = lower_solution_series(
+                    path, threshold, params.kappa, eigen.lam1
+                )
             series = out_dir / f"mass_series_{idx:04d}.csv"
             rows = np.column_stack((traj.times, traj.mass, traj.sup))
             write_csv(series, ["t", "mass", "sup"], rows)
@@ -355,7 +354,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) 
                 ]
             )
             em_diff, ratio_min, weak_max, mild_max = _consistency_row(
-                traj, traj_em, path, params, eigen, threshold, tau
+                traj, traj_em, path, params, eigen, t_i, lower, tau
             )
             cons_rows.append([idx, traj.outcome.value, em_diff, ratio_min, weak_max, mild_max])
         # free this block's fields before the next block is integrated

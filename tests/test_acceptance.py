@@ -19,11 +19,9 @@ from spdelab.blowup import (
     BlowupThreshold,
     Dichotomy,
     ModelParams,
-    OutcomeStatus,
     PowerLaw,
     deterministic_dichotomy,
     lower_solution_series,
-    tau_from_path,
 )
 from spdelab.certificates import CertificateKind, Verdict, certificate_sup_norm
 from spdelab.cli import main
@@ -201,15 +199,15 @@ def test_criterion_4_deterministic_dichotomy():
     traj = simulate_paths(f2, [path], params, op, eig, SchemeConfig(dt=1e-3))[0]
     blew = traj.outcome is Outcome.NUMERICAL_BLOWUP and traj.t_blowup < 10.0
 
-    thr = BlowupThreshold.from_initial_mass(2.0, 1.0)
-    surrogate = tau_from_path(path, thr, 0.0, eig.lam1)
-    tau_err = abs(surrogate.tau - math.log(2.0)) if surrogate.tau is not None else math.inf
-    tau_ok = surrogate.status is OutcomeStatus.BLEW_UP and tau_err <= 1e-4
+    thr = BlowupThreshold(2.0, 1.0)
+    tau = lower_solution_series(path, thr, 0.0, eig.lam1)[3]
+    tau_err = abs(tau - math.log(2.0)) if tau is not None else math.inf
+    tau_ok = tau_err <= 1e-4
 
-    thr_low = BlowupThreshold.from_initial_mass(0.5, 1.0)
+    thr_low = BlowupThreshold(0.5, 1.0)
     censored_all = all(
-        tau_from_path(BrownianPath.frozen_zero(T, 1e-3), thr_low, 0.0, eig.lam1).status
-        is OutcomeStatus.CENSORED
+        lower_solution_series(BrownianPath.frozen_zero(T, 1e-3), thr_low, 0.0, eig.lam1)[3]
+        is None
         for T in (5.0, 20.0, 50.0)
     )
     f05 = 0.25 * a2 * eig.psi
@@ -258,7 +256,7 @@ def test_criterion_6_lower_solution_domination():
     a = 0.5 / weighted_inner(grid, eig.psi, eig.psi)
     f = a * eig.psi
     params = ModelParams(beta=1.0, kappa=1.0)
-    thr = BlowupThreshold.from_initial_mass(0.5, 1.0)
+    thr = BlowupThreshold(0.5, 1.0)
     cfg = SchemeConfig(dt=1e-3)
     worst = math.inf
     n_blowups = 0
@@ -266,7 +264,7 @@ def test_criterion_6_lower_solution_domination():
         paths = [sample_brownian(50.0, 1e-3, 12345, idx) for idx in range(start, start + 25)]
         for path, traj in zip(paths, simulate_paths(f, paths, params, op, eig, cfg)):
             n_blowups += traj.outcome is Outcome.NUMERICAL_BLOWUP
-            t_i, lower, _ = lower_solution_series(path, thr, params.kappa, eig.lam1)
+            t_i, lower, _, _ = lower_solution_series(path, thr, params.kappa, eig.lam1)
             k = min(len(traj.times), len(t_i))
             keep = np.isfinite(lower[:k]) & (lower[:k] > 0)
             worst = min(worst, float(np.min(traj.mass[:k][keep] / lower[:k][keep])))

@@ -20,11 +20,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from spdelab import blowup, stochastic
 from spdelab.blowup import (
-    BlowupOutcome,
     BlowupThreshold,
     Dichotomy,
     ModelParams,
-    OutcomeStatus,
     PowerLaw,
     ProbabilityEstimate,
     TabulatedNonlinearity,
@@ -32,7 +30,6 @@ from spdelab.blowup import (
     deterministic_dichotomy,
     lower_solution_series,
     mc_blowup_probability,
-    tau_from_path,
 )
 from spdelab.domain import weighted_inner
 from spdelab.errors import ConfigurationError
@@ -118,16 +115,12 @@ class TestModelParams:
 
 class TestThreshold:
     def test_reference_values(self):
-        thr = BlowupThreshold.from_initial_mass(0.5, 1.0)
+        thr = BlowupThreshold(0.5, 1.0)
         assert thr.x_star == pytest.approx(2.0, rel=1e-15)
-        thr = BlowupThreshold.from_initial_mass(2.0, 1.0)
+        thr = BlowupThreshold(2.0, 1.0)
         assert thr.x_star == pytest.approx(0.5, rel=1e-15)
-        thr = BlowupThreshold.from_initial_mass(4.0, 0.5)
+        thr = BlowupThreshold(4.0, 0.5)
         assert thr.x_star == pytest.approx(2.0 / 2.0, rel=1e-15)  # (1/b) 4^{-1/2}
-
-    def test_inconsistent_levels_rejected(self):
-        with pytest.raises(ConfigurationError):
-            BlowupThreshold(v0psi=0.5, x_star=1.9, beta=1.0)
 
     @given(
         v0_small=st.floats(min_value=0.01, max_value=10.0),
@@ -136,8 +129,8 @@ class TestThreshold:
     )
     @settings(max_examples=60)
     def test_level_decreases_with_mass(self, v0_small, factor, beta):
-        lo = BlowupThreshold.from_initial_mass(v0_small, beta)
-        hi = BlowupThreshold.from_initial_mass(v0_small * factor, beta)
+        lo = BlowupThreshold(v0_small, beta)
+        hi = BlowupThreshold(v0_small * factor, beta)
         assert hi.x_star < lo.x_star
 
 
@@ -146,9 +139,9 @@ class TestLowerSolution:
     # closed form is I(t) = e^{-t} / (2 - (1 - e^{-t})) ... = 1/(1 + e^t).
     def test_subcritical_closed_form(self):
         path = BrownianPath.frozen_zero(horizon=5.0, dt=1e-3)
-        thr = BlowupThreshold.from_initial_mass(0.5, 1.0)
-        times, values, blown = lower_solution_series(path, thr, kappa=0.0, lam1=1.0)
-        assert blown is None
+        thr = BlowupThreshold(0.5, 1.0)
+        times, values, blown, tau = lower_solution_series(path, thr, kappa=0.0, lam1=1.0)
+        assert blown is None and tau is None
         for t in (0.0, 0.25, 1.0, 3.0, 5.0):
             k = int(round(t / path.dt))
             assert times[k] == pytest.approx(t, abs=1e-12)
@@ -156,15 +149,15 @@ class TestLowerSolution:
 
     def test_initial_value_is_initial_mass(self):
         path = sample_brownian(seed=3, path_index=0, horizon=1.0, dt=1e-3)
-        thr = BlowupThreshold.from_initial_mass(0.7, 2.0)
-        _, values, _ = lower_solution_series(path, thr, kappa=0.8, lam1=1.0)
+        thr = BlowupThreshold(0.7, 2.0)
+        _, values, _, _ = lower_solution_series(path, thr, kappa=0.8, lam1=1.0)
         assert values[0] == pytest.approx(0.7, rel=1e-14)
 
     def test_supercritical_diverges_at_log_two(self):
         path = BrownianPath.frozen_zero(horizon=5.0, dt=1e-3)
-        thr = BlowupThreshold.from_initial_mass(2.0, 1.0)
+        thr = BlowupThreshold(2.0, 1.0)
         # finite just before the divergence time ln 2, NaN from there on
-        times, values, blown = lower_solution_series(path, thr, kappa=0.0, lam1=1.0)
+        times, values, blown, _ = lower_solution_series(path, thr, kappa=0.0, lam1=1.0)
         assert times[690] == pytest.approx(0.69, abs=1e-12)
         assert math.isfinite(values[690]) and values[690] > 50.0
         assert blown is not None and times[blown] <= 0.7
@@ -172,8 +165,8 @@ class TestLowerSolution:
 
     def test_series_masks_after_divergence(self):
         path = BrownianPath.frozen_zero(horizon=2.0, dt=1e-3)
-        thr = BlowupThreshold.from_initial_mass(2.0, 1.0)
-        times, values, blown = lower_solution_series(path, thr, kappa=0.0, lam1=1.0)
+        thr = BlowupThreshold(2.0, 1.0)
+        times, values, blown, _ = lower_solution_series(path, thr, kappa=0.0, lam1=1.0)
         assert blown is not None
         assert times[blown] == pytest.approx(math.log(2.0), abs=2e-3)
         assert np.all(np.isfinite(values[:blown]))
@@ -181,47 +174,54 @@ class TestLowerSolution:
 
     def test_series_monotone_increasing_supercritical(self):
         path = BrownianPath.frozen_zero(horizon=2.0, dt=1e-3)
-        thr = BlowupThreshold.from_initial_mass(2.0, 1.0)
-        _, values, blown = lower_solution_series(path, thr, kappa=0.0, lam1=1.0)
+        thr = BlowupThreshold(2.0, 1.0)
+        _, values, blown, _ = lower_solution_series(path, thr, kappa=0.0, lam1=1.0)
         alive = values[:blown]
         assert np.all(np.diff(alive) > 0)
 
 
 class TestTauFromPath:
+    # tau is the fourth return of lower_solution_series
     def test_deterministic_crossing_at_log_two(self):
         path = BrownianPath.frozen_zero(horizon=5.0, dt=1e-3)
-        thr = BlowupThreshold.from_initial_mass(2.0, 1.0)
-        out = tau_from_path(path, thr, kappa=0.0, lam1=1.0)
-        assert out.status is OutcomeStatus.BLEW_UP
-        assert out.tau == pytest.approx(math.log(2.0), abs=1e-6)
+        thr = BlowupThreshold(2.0, 1.0)
+        _, _, blown, tau = lower_solution_series(path, thr, kappa=0.0, lam1=1.0)
+        assert blown is not None
+        assert tau == pytest.approx(math.log(2.0), abs=1e-6)
 
     def test_censored_when_level_unreachable(self):
         # kappa=0 caps A at 1/lam1 = 1 < x* = 2
         path = BrownianPath.frozen_zero(horizon=5.0, dt=1e-3)
-        thr = BlowupThreshold.from_initial_mass(0.5, 1.0)
-        out = tau_from_path(path, thr, kappa=0.0, lam1=1.0)
-        assert out.status is OutcomeStatus.CENSORED
-        assert out.tau is None
+        thr = BlowupThreshold(0.5, 1.0)
+        _, _, blown, tau = lower_solution_series(path, thr, kappa=0.0, lam1=1.0)
+        assert blown is None
+        assert tau is None
 
     def test_interpolation_beats_grid_resolution(self):
         # Coarse grid, same crossing: interpolated tau stays sharp.
         path = BrownianPath.frozen_zero(horizon=5.0, dt=0.05)
-        thr = BlowupThreshold.from_initial_mass(2.0, 1.0)
-        out = tau_from_path(path, thr, kappa=0.0, lam1=1.0)
-        assert out.tau == pytest.approx(math.log(2.0), abs=2e-4)
+        thr = BlowupThreshold(2.0, 1.0)
+        _, _, _, tau = lower_solution_series(path, thr, kappa=0.0, lam1=1.0)
+        assert tau == pytest.approx(math.log(2.0), abs=2e-4)
 
-    def test_outcome_validation(self):
-        with pytest.raises(ConfigurationError):
-            BlowupOutcome(status=OutcomeStatus.BLEW_UP, tau=None, horizon=1.0)
-        with pytest.raises(ConfigurationError):
-            BlowupOutcome(status=OutcomeStatus.CENSORED, tau=0.5, horizon=1.0)
-        with pytest.raises(ConfigurationError):
-            BlowupOutcome(status=OutcomeStatus.BLEW_UP, tau=2.0, horizon=1.0)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        beta=st.sampled_from([0.5, 1.0, 2.0]),
+        v0psi=st.floats(min_value=0.2, max_value=3.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tau_inside_the_blown_step(self, seed, beta, v0psi):
+        path = sample_brownian(horizon=5.0, dt=1e-2, seed=seed, path_index=0)
+        thr = BlowupThreshold(v0psi, beta)
+        times, _, blown, tau = lower_solution_series(path, thr, kappa=1.0, lam1=1.0)
+        assert (tau is None) == (blown is None)
+        if blown is not None:
+            assert times[blown - 1] <= tau <= times[blown]
 
 
 class TestAnalyticBound:
     def test_reference_parameter_point(self):
-        thr = BlowupThreshold.from_initial_mass(0.5, 1.0)
+        thr = BlowupThreshold(0.5, 1.0)
         bound = analytic_blowup_bound(1.0, 1.0, 1.0, thr)
         assert bound.alpha == pytest.approx(3.0, rel=1e-14)
         assert bound.z_star == pytest.approx(1.0, rel=1e-14)
@@ -229,7 +229,7 @@ class TestAnalyticBound:
         assert bound.p_blowup_lower == pytest.approx(P_BLOWUP_REF, rel=1e-12)
 
     def test_noiseless_redirects(self):
-        thr = BlowupThreshold.from_initial_mass(0.5, 1.0)
+        thr = BlowupThreshold(0.5, 1.0)
         with pytest.raises(ConfigurationError):
             analytic_blowup_bound(1.0, 0.0, 1.0, thr)
 
@@ -240,7 +240,7 @@ class TestAnalyticBound:
     )
     @settings(max_examples=60)
     def test_probabilities_complementary(self, v0, kappa, beta):
-        thr = BlowupThreshold.from_initial_mass(v0, beta)
+        thr = BlowupThreshold(v0, beta)
         bound = analytic_blowup_bound(1.0, kappa, beta, thr)
         assert 0.0 <= bound.p_global <= 1.0
         assert bound.p_blowup_lower + bound.p_global == pytest.approx(1.0, abs=1e-12)
@@ -249,7 +249,7 @@ class TestAnalyticBound:
         kappa, beta = 1.0, 1.0
         masses = [0.25, 0.5, 1.0, 2.0, 4.0]
         probs = [
-            analytic_blowup_bound(1.0, kappa, beta, BlowupThreshold.from_initial_mass(m, beta)).p_blowup_lower
+            analytic_blowup_bound(1.0, kappa, beta, BlowupThreshold(m, beta)).p_blowup_lower
             for m in masses
         ]
         assert all(b > a for a, b in zip(probs, probs[1:]))
@@ -322,7 +322,7 @@ class TestMassInvariants:
 
 class TestMonteCarlo:
     PARAMS = ModelParams(beta=1.0, kappa=1.0)
-    THRESHOLD = BlowupThreshold.from_initial_mass(0.5, 1.0)
+    THRESHOLD = BlowupThreshold(0.5, 1.0)
 
     def test_smoke_estimate_matches_gamma_tail(self):
         est = mc_blowup_probability(
@@ -344,7 +344,7 @@ class TestMonteCarlo:
     def test_path_kernel_matches_exp_functional(self, monkeypatch):
         # the Monte Carlo kernel and exp_functional compute A(T) separately
         horizon, dt, seed, n = 30.0, 1e-3, 11, 300
-        a, b = blowup._drift_scale(self.THRESHOLD, self.PARAMS.kappa, 1.0)
+        a, b = blowup._drift_scale(self.PARAMS.beta, self.PARAMS.kappa, 1.0)
         alpha = analytic_blowup_bound(1.0, self.PARAMS.kappa, 1.0, self.THRESHOLD).alpha
         nsteps = _n_steps(horizon, dt)
         drift = a * dt * np.arange(1, nsteps + 1)  # as mc_blowup_probability builds it
@@ -397,7 +397,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(blowup, "MC_STOP_PROB", -1.0)
         monkeypatch.setattr(blowup, "MC_CHUNK", chunk)
         nsteps, dt = 5003, 1e-3
-        a, b = blowup._drift_scale(self.THRESHOLD, self.PARAMS.kappa, 1.0)
+        a, b = blowup._drift_scale(self.PARAMS.beta, self.PARAMS.kappa, 1.0)
         drift = a * dt * np.arange(1, nsteps + 1)
         [[(_, _, _, normals)]] = blowup._advance_paths(
             4, 17, 18, nsteps, dt, drift, b, [math.inf], 3.0
@@ -414,8 +414,8 @@ class TestMonteCarlo:
         # block width, on where a thread job's index range starts, or on
         # which rows have already stopped
         dt, seed, n = 1e-3, 5, 300
-        thr = BlowupThreshold.from_initial_mass(v0psi, 1.0)
-        a, b = blowup._drift_scale(thr, self.PARAMS.kappa, 1.0)
+        thr = BlowupThreshold(v0psi, 1.0)
+        a, b = blowup._drift_scale(self.PARAMS.beta, self.PARAMS.kappa, 1.0)
         alpha = analytic_blowup_bound(1.0, self.PARAMS.kappa, 1.0, thr).alpha
         x_star = thr.x_star
         nsteps = _n_steps(horizon, dt)
@@ -448,7 +448,7 @@ class TestMonteCarlo:
         # each entry the estimate of a pass against it alone, for less work;
         # the sweep is unsorted and repeats a mass
         masses = [1.0, 0.25, 0.5, 0.25]
-        thresholds = [BlowupThreshold.from_initial_mass(m, 1.0) for m in masses]
+        thresholds = [BlowupThreshold(m, 1.0) for m in masses]
         kw = dict(n_paths=1000, horizon=10.0, dt=1e-3, seed=42, workers=workers)
         with caplog.at_level(logging.INFO, logger="spdelab.blowup"):
             sweep = mc_blowup_probability(self.PARAMS, 1.0, thresholds, **kw)
@@ -491,7 +491,7 @@ class TestMonteCarlo:
     def test_allowance_accounts_for_the_censored_paths(self, v0psi, horizon):
         # each path adds 1 if it hit, else its conditional probability of
         # hitting later, so p_hat + allowance estimates the t = inf law
-        thr = BlowupThreshold.from_initial_mass(v0psi, 1.0)
+        thr = BlowupThreshold(v0psi, 1.0)
         est = mc_blowup_probability(
             self.PARAMS, 1.0, [thr], n_paths=4000, horizon=horizon, dt=1e-3, seed=2024
         ).estimates[0]
@@ -508,7 +508,7 @@ class TestMonteCarlo:
         assert e1.estimates[0].p_hat == 74 / 1000
 
     def test_enormous_mass_hits_immediately(self):
-        thr = BlowupThreshold.from_initial_mass(1e6, 1.0)
+        thr = BlowupThreshold(1e6, 1.0)
         [est] = mc_blowup_probability(
             self.PARAMS, 1.0, [thr], n_paths=1000, horizon=1.0, dt=1e-3, seed=5
         ).estimates
@@ -532,7 +532,7 @@ class TestMonteCarlo:
             )
         with pytest.raises(ConfigurationError):
             mc_blowup_probability(
-                self.PARAMS, 1.0, [BlowupThreshold.from_initial_mass(0.5, 2.0)],
+                self.PARAMS, 1.0, [BlowupThreshold(0.5, 2.0)],
                 n_paths=2000, horizon=1.0, dt=1e-3, seed=1,
             )
         with pytest.raises(ConfigurationError):  # no step fits in the horizon
@@ -543,7 +543,7 @@ class TestMonteCarlo:
             mc_blowup_probability(self.PARAMS, 1.0, [], n_paths=2000, horizon=1.0, dt=1e-3, seed=1)
         with pytest.raises(ConfigurationError, match="disagree on beta"):  # one entry of several
             mc_blowup_probability(
-                self.PARAMS, 1.0, [self.THRESHOLD, BlowupThreshold.from_initial_mass(0.5, 2.0)],
+                self.PARAMS, 1.0, [self.THRESHOLD, BlowupThreshold(0.5, 2.0)],
                 n_paths=2000, horizon=1.0, dt=1e-3, seed=1,
             )
 

@@ -266,7 +266,7 @@ class TestSimulateCommand:
         traj = simulate_paths(f, [path], params, op, eig, SchemeConfig(dt=1e-2))[0]
         em_cfg = SchemeConfig(dt=1e-2, max_snapshots=2)
         traj_em = simulate_paths(f, [path], params, op, eig, em_cfg, variable="u")[0]
-        em_diff = _consistency_row(traj, traj_em, path, params, eig, None, None)[0]
+        em_diff = _consistency_row(traj, traj_em, path, params, eig, None, None, None)[0]
         u_sup = reconstruct_u(traj, path, params.kappa).sup
         k = min(len(u_sup), len(traj_em.sup))
         gap = np.abs(traj_em.sup[:k] - u_sup[:k]) / np.maximum(np.abs(u_sup[:k]), 1e-300)
@@ -337,6 +337,44 @@ class TestSimulateCommand:
             assert float(r["em_transform_rel_diff"]) < 1.0
             assert float(r["weak_residual_max"]) < 1.0
             assert float(r["mild_residual_max"]) < 1.0
+
+    def test_one_exp_functional_pass_per_path(self, tmp_path, monkeypatch):
+        # the lower solution and its blowup time come from one A(t) pass
+        calls = []
+        exp_functional = blowup.exp_functional
+        monkeypatch.setattr(
+            blowup, "exp_functional", lambda *args: calls.append(args) or exp_functional(*args)
+        )
+        cfg = interval_cfg(
+            n=16,
+            model=MODEL,
+            initial={"mode": "eigen-multiple", "a": 0.3},
+            sim={"dt": 0.01, "horizon": 1.0, "n_paths": 4, "seed": 11},
+        )
+        p = write_cfg(tmp_path, cfg)
+        assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+        assert len(read_csv(tmp_path / "o" / "trajectories.csv")) == 4
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("seed", [7, 1, 2, 3])
+    def test_lower_solution_blowup_forces_numerical_blowup(self, tmp_path, seed):
+        # the mass dominates the lower solution, so a path whose lower
+        # solution blows up at tau blows up numerically by tau + dt
+        dt = 1e-3
+        cfg = interval_cfg(
+            n=64,
+            model=MODEL,
+            initial={"mode": "eigen-multiple", "a": 3.0},
+            sim={"dt": dt, "horizon": 5.0, "n_paths": 16, "seed": seed},
+        )
+        out = tmp_path / "out"
+        p = write_cfg(tmp_path, cfg)
+        assert main(["simulate", "--config", str(p), "--out", str(out)]) == 0
+        rows = [r for r in read_csv(out / "trajectories.csv") if r["tau_analytic"]]
+        assert rows
+        for row in rows:
+            assert row["outcome"] == "numerical_blowup"
+            assert float(row["t_blowup"]) <= float(row["tau_analytic"]) + dt
 
     def test_tabulated_initial_data(self, tmp_path):
         dom_mod = __import__("spdelab.domain", fromlist=["DomainSpec"])

@@ -14,23 +14,20 @@ from spdelab.stochastic import (
     _regularized_lower,
     blowup_density,
     brownian_increments,
-    derive_params,
     exp_functional,
+    gamma_shape,
     gamma_tail,
     sample_brownian,
 )
 
 
 class TestDerivedParams:
+    # the gamma shape alpha, the one parameter derived from (beta, kappa, lam1)
     def test_reference_point(self):
-        p = derive_params(beta=1.0, kappa=1.0, lam1=1.0)
-        assert p.mu == pytest.approx(-1.5)
-        assert p.beta_hat == pytest.approx(0.5)
-        assert p.mu_hat == pytest.approx(-3.0)
-        assert p.alpha == pytest.approx(3.0)
+        assert gamma_shape(beta=1.0, kappa=1.0, lam1=1.0) == pytest.approx(3.0)
 
     def test_beta_two(self):
-        assert derive_params(2.0, 1.0, 1.0).alpha == pytest.approx(1.5)
+        assert gamma_shape(2.0, 1.0, 1.0) == pytest.approx(1.5)
 
     @given(
         beta=st.floats(0.1, 5.0),
@@ -38,13 +35,12 @@ class TestDerivedParams:
         lam1=st.floats(0.1, 10.0),
     )
     def test_algebraic_identity(self, beta, kappa, lam1):
-        p = derive_params(beta, kappa, lam1)
-        assert p.alpha * kappa**2 * beta == pytest.approx(2 * lam1 + kappa**2, rel=1e-12)
-        assert p.mu_hat == -p.alpha
+        alpha = gamma_shape(beta, kappa, lam1)
+        assert alpha * kappa**2 * beta == pytest.approx(2 * lam1 + kappa**2, rel=1e-12)
 
     def test_zero_noise_redirects(self):
         with pytest.raises(ConfigurationError, match="dichotomy"):
-            derive_params(1.0, 0.0, 1.0)
+            gamma_shape(1.0, 0.0, 1.0)
 
 
 class TestBrownianPath:
