@@ -28,7 +28,6 @@ from .stochastic import (
     BrownianPath,
     _n_steps,
     _path_rng,
-    _regularized_lower,
     exp_functional,
     gamma_shape,
     gamma_tail,
@@ -176,7 +175,7 @@ def lower_solution_series(
     """
     beta = threshold.beta
     a, b = _drift_scale(beta, kappa, lam1)
-    A = exp_functional(path, a, b).values
+    A = exp_functional(path, a, b)
     bracket = threshold.v0psi ** (-beta) - beta * A
     alive = bracket > 0.0
     t = path.times
@@ -253,37 +252,43 @@ def _advance_paths(
     b: float,
     x_stars: Sequence[float],
     alpha: float,
-) -> list[list[tuple[float, float, bool, int]]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Trapezoidal A(t) of paths lo..hi-1, advanced in blocks of MC_BLOCK
     paths and chunks of MC_CHUNK steps, against every threshold of x_stars
-    at once; each (path, threshold) pair resolves when the path reaches that
+    at once; each (path, threshold) cell resolves when the path reaches that
     x*, the gamma law stops it there, or at the horizon.
 
     Each path draws its chunk into its own row of one reusable buffer from
     its own stream; the rest of a chunk is one numpy call per operation on
-    the whole block, and every row is reduced on its own, so a path's result
-    is bitwise the same for any block width or index split. A is
+    the whole block, and every cell is computed on its own, so a path's
+    results are bitwise the same for any block width or index split. A is
     nondecreasing, so a path has hit x* iff its chunk-end A >= x*. Past t the
     rest of A_inf is e^{at+bW_t} times an independent copy of A_inf, whose
     law is 2/(b^2 Z) with Z ~ Gamma(alpha); the path still hits x* with
-    probability p = P(alpha, 2 e^{at+bW_t} / (b^2 (x* - A(t)))), and that
-    threshold resolves once p <= MC_STOP_PROB. A threshold resolves at the
-    chunk end where a run against it alone would stop the path, so its tuple
-    is bitwise that run's; the row leaves the block once all its thresholds
-    have resolved. Returns, per path in index order, one tuple per threshold
-    in input order: (A at the stop, p at the stop or 0 after a hit, whether
-    the exponent was clamped by then, steps advanced by then).
+    probability p = P(alpha, 2 e^{at+bW_t} / (b^2 (x* - A(t)))), one
+    gammainc call per chunk over the open cells that did not hit, and that
+    cell resolves once p <= MC_STOP_PROB. A cell resolves at the chunk end
+    where a run against its threshold alone would stop the path, so its
+    entries are bitwise that run's; the row leaves the block once all its
+    cells have resolved. Returns four (paths, thresholds) arrays, paths in
+    index order and thresholds in input order: A at the stop, p at the stop
+    (0 after a hit), whether the exponent was clamped by then, and the steps
+    advanced by then.
     """
+    # imported on first use: at module level it slows `import spdelab.cli`
+    from scipy.special import gammainc
+
     sqrt_dt = math.sqrt(dt)
     z_scale = 2.0 / (b * b)
-    results: list = [None] * (hi - lo)
+    x = np.asarray(x_stars, dtype=float)
+    shape = (hi - lo, len(x))
+    A_stop, p_stop = np.empty(shape), np.empty(shape)
+    sat_stop, steps = np.empty(shape, dtype=bool), np.empty(shape, dtype=np.int64)
     buf = np.empty((min(MC_BLOCK, hi - lo), min(MC_CHUNK, nsteps)))
     for first in range(lo, hi, MC_BLOCK):
-        rows = list(range(first, min(first + MC_BLOCK, hi)))
-        rngs = [_path_rng(seed, i) for i in rows]
-        # per row: its tuples so far and the thresholds still open for it
-        found = [[None] * len(x_stars) for _ in rows]
-        pending = [list(enumerate(x_stars)) for _ in rows]
+        rows = np.arange(first - lo, min(first + MC_BLOCK, hi) - lo)
+        rngs = [_path_rng(seed, lo + i) for i in rows]
+        is_open = np.ones((len(rows), len(x)), dtype=bool)
         w_last = np.zeros(len(rows))
         e_last = np.ones(len(rows))
         A = np.zeros(len(rows))
@@ -306,29 +311,24 @@ def _advance_paths(
             np.exp(w, out=w)
             A += dt * (0.5 * e_last + w.sum(axis=1) - 0.5 * w[:, -1])
             e_last = w[:, -1].copy()
-            keep = np.ones(len(rows), dtype=bool)
-            for r, (a_r, e_r) in enumerate(zip(A.tolist(), e_last.tolist())):
-                still = []
-                for j, x_star in pending[r]:
-                    if a_r >= x_star:
-                        p = 0.0
-                    else:
-                        p = _regularized_lower(alpha, z_scale * e_r / (x_star - a_r))
-                        if p > MC_STOP_PROB and stop < nsteps:
-                            still.append((j, x_star))
-                            continue
-                    found[r][j] = (a_r, p, bool(saturated[r]), stop)
-                pending[r] = still
-                if not still:
-                    results[rows[r] - lo] = found[r]
-                    keep[r] = False
-            rows, rngs, found, pending = (
-                [x for x, k in zip(seq, keep) if k] for seq in (rows, rngs, found, pending)
-            )
-            w_last, e_last, A, saturated = w_last[keep], e_last[keep], A[keep], saturated[keep]
-            if not rows:
+            hit = A[:, None] >= x
+            p = np.zeros(is_open.shape)
+            r, j = np.nonzero(is_open & ~hit)
+            p[r, j] = gammainc(alpha, z_scale * e_last[r] / (x[j] - A[r]))
+            done = is_open & (hit | (p <= MC_STOP_PROB) | (stop == nsteps))
+            r, j = np.nonzero(done)
+            A_stop[rows[r], j] = A[r]
+            p_stop[rows[r], j] = p[r, j]
+            sat_stop[rows[r], j] = saturated[r]
+            steps[rows[r], j] = stop
+            is_open &= ~done
+            keep = is_open.any(axis=1)
+            if not keep.any():
                 break
-    return results
+            rows, is_open = rows[keep], is_open[keep]
+            rngs = [rng for rng, k in zip(rngs, keep) if k]
+            w_last, e_last, A, saturated = w_last[keep], e_last[keep], A[keep], saturated[keep]
+    return A_stop, p_stop, sat_stop, steps
 
 
 @dataclass(frozen=True)
@@ -402,24 +402,22 @@ def mc_blowup_probability(
         with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
             futures = [pool.submit(_advance_paths, seed, lo, hi, *args) for lo, hi in jobs]
             results = [f.result() for f in futures]
-    paths = [path for result in results for path in result]
+    A_stop, p_stop, saturated, steps = (np.concatenate(parts) for parts in zip(*results))
     # a row stays in the block until its last threshold resolves
-    drawn = sum(max(steps for _, _, _, steps in path) for path in paths)
-    estimates = []
-    for j, (x_star, bound) in enumerate(zip(x_stars, bounds)):
-        A_stop, p_stop, saturated, _ = zip(*(path[j] for path in paths))
-        hits = sum(A >= x_star for A in A_stop)
-        estimates.append(
-            ProbabilityEstimate(
-                p_hat=hits / n_paths,
-                n_paths=n_paths,
-                analytic_reference=bound.p_blowup_lower,
-                truncation_allowance=math.fsum(p_stop) / n_paths,
-                n_censored=n_paths - hits,
-                n_saturated=sum(saturated),
-                seed=seed,
-            )
+    drawn = int(steps.max(axis=1).sum())
+    hits = (A_stop >= np.asarray(x_stars)).sum(axis=0).tolist()
+    estimates = [
+        ProbabilityEstimate(
+            p_hat=hits[j] / n_paths,
+            n_paths=n_paths,
+            analytic_reference=bound.p_blowup_lower,
+            truncation_allowance=math.fsum(p_stop[:, j].tolist()) / n_paths,
+            n_censored=n_paths - hits[j],
+            n_saturated=int(saturated[:, j].sum()),
+            seed=seed,
         )
+        for j, bound in enumerate(bounds)
+    ]
     logger.info(
         "mc pass: N=%d, normals drawn=%d of %d; %s",
         n_paths,

@@ -18,14 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalFailure
+from .errors import ConfigurationError
 
 # exponent ceiling: exp(700) is still finite in float64, exp(710) is not
 EXP_CLAMP = 700.0
-
-_GAMMA_EPS = 3e-15
-_GAMMA_ITMAX = 500
-_FPMIN = 1e-300
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,93 +126,28 @@ def _cumtrapz(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class ExpFunctional:
-    """Running trapezoidal values of A(t) = int_0^t exp(a s + b W_s) ds."""
+def exp_functional(path: BrownianPath, a: float, b: float) -> np.ndarray:
+    """Running trapezoidal values of A(t) = int_0^t exp(a s + b W_s) ds on
+    the path grid.
 
-    a: float
-    b: float
-    dt: float
-    values: np.ndarray
-    saturated: bool
-
-
-def exp_functional(path: BrownianPath, a: float, b: float) -> ExpFunctional:
-    """Integrate exp(a s + b W_s) along the path by the trapezoidal rule.
-
-    If the exponent ever exceeds the float64 ceiling it is clamped and the
-    result flagged ``saturated``: the value is then a (finite) understatement
-    signalling the blowup regime, not a silent infinity.
+    An exponent above the float64 ceiling is clamped to EXP_CLAMP, so A stays
+    finite: an understatement that signals the blowup regime, not a silent
+    infinity.
     """
-    expo = a * path.times + b * path.values
-    saturated = bool(np.max(expo) > EXP_CLAMP)
-    if saturated:
-        expo = np.minimum(expo, EXP_CLAMP)
-    values = _cumtrapz(np.exp(expo), path.dt)
-    return ExpFunctional(a=a, b=b, dt=path.dt, values=values, saturated=saturated)
-
-
-def _lower_series(a: float, x: float) -> float:
-    # regularized lower incomplete gamma by its power series, NR style
-    ap = a
-    term = 1.0 / a
-    total = term
-    for _ in range(_GAMMA_ITMAX):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _GAMMA_EPS:
-            return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise NumericalFailure(f"gamma series did not converge for a={a}, x={x}")
-
-
-def _upper_contfrac(a: float, x: float) -> float:
-    # regularized upper incomplete gamma by modified-Lentz continued fraction
-    b = x + 1.0 - a
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, _GAMMA_ITMAX + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        de = d * c
-        h *= de
-        if abs(de - 1.0) < _GAMMA_EPS:
-            return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
-    raise NumericalFailure(f"gamma continued fraction did not converge for a={a}, x={x}")
+    expo = np.minimum(a * path.times + b * path.values, EXP_CLAMP)
+    return _cumtrapz(np.exp(expo), path.dt)
 
 
 def gamma_tail(alpha: float, z: float) -> float:
-    """Regularized upper incomplete gamma Q(alpha, z), the Gamma(alpha, 1) tail.
-
-    Series/continued-fraction split at z = alpha + 1; accurate to ~1e-13.
-    """
+    """Regularized upper incomplete gamma Q(alpha, z), the Gamma(alpha, 1) tail."""
     if alpha <= 0:
         raise ValueError(f"shape must be positive, got {alpha}")
     if z < 0:
         raise ValueError(f"tail argument must be >= 0, got {z}")
-    if z == 0.0:
-        return 1.0
-    if z < alpha + 1.0:
-        return 1.0 - _lower_series(alpha, z)
-    return _upper_contfrac(alpha, z)
+    # imported on first use: at module level it slows `import spdelab.cli`
+    from scipy.special import gammaincc
 
-
-def _regularized_lower(alpha: float, z: float) -> float:
-    # P(alpha, z) without argument checks, for the Monte Carlo stopping rule;
-    # the series branch stays accurate for tiny z
-    if z == 0.0:
-        return 0.0
-    if z < alpha + 1.0:
-        return _lower_series(alpha, z)
-    return 1.0 - _upper_contfrac(alpha, z)
+    return float(gammaincc(alpha, z))
 
 
 def blowup_density(y, lam1: float, kappa: float, beta: float):

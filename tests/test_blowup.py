@@ -350,35 +350,35 @@ class TestMonteCarlo:
         drift = a * dt * np.arange(1, nsteps + 1)  # as mc_blowup_probability builds it
 
         def run(x_star, count=n):
+            # the (A, p, saturated, steps) column of the one threshold
             runs = blowup._advance_paths(seed, 0, count, nsteps, dt, drift, b, [x_star], alpha)
-            return [path[0] for path in runs]
+            return tuple(column[:, 0] for column in runs)
 
-        def hit_count(runs, x_star):
-            return sum(A >= x_star for A, _, _, _ in runs)
+        def hit_count(A, x_star):
+            return int(np.sum(A >= x_star))
 
         ref = np.array(
-            [exp_functional(sample_brownian(horizon, dt, seed, i), a, b).values[-1]
-             for i in range(n)]
+            [exp_functional(sample_brownian(horizon, dt, seed, i), a, b)[-1] for i in range(n)]
         )
         ordered = np.sort(ref)
         x_star = 0.5 * (ordered[n // 2 - 1] + ordered[n // 2])
         stopped = run(x_star)
         monkeypatch.setattr(blowup, "MC_STOP_PROB", -1.0)  # every path runs to T or its hit
         # with x* = inf no path hits, so each path reports its A(T)
-        kernel = np.array([A for A, _, _, _ in run(math.inf)])
+        kernel, _, _, _ = run(math.inf)
         assert_allclose(kernel, ref, rtol=1e-12, atol=0)
-        runs = run(x_star)
-        assert hit_count(runs, x_star) == int(np.sum(ref >= x_star)) == n // 2
-        max_censored = max(A for A, _, _, _ in runs if A < x_star)
+        A, _, saturated, _ = run(x_star)
+        assert hit_count(A, x_star) == int(np.sum(ref >= x_star)) == n // 2
+        max_censored = A[A < x_star].max()
         assert max_censored == pytest.approx(ordered[n // 2 - 1], rel=1e-12)
-        assert not any(saturated for _, _, saturated, _ in runs)
+        assert not saturated.any()
         # stopping early changes no verdict, and no chunk size does either;
         # 7-step chunks cost a generator call each, so they run 100 paths
-        assert hit_count(stopped, x_star) == n // 2
+        assert hit_count(stopped[0], x_star) == n // 2
         monkeypatch.setattr(blowup, "MC_STOP_PROB", 1e-10)
         for chunk, count in ((7, 100), (nsteps + 1, n)):
             monkeypatch.setattr(blowup, "MC_CHUNK", chunk)
-            assert hit_count(run(x_star, count), x_star) == hit_count(stopped[:count], x_star)
+            assert hit_count(run(x_star, count)[0], x_star) == hit_count(stopped[0][:count], x_star)
 
     @pytest.mark.parametrize("chunk", [7, 2000])
     def test_chunked_draws_are_the_published_stream(self, monkeypatch, chunk):
@@ -399,9 +399,8 @@ class TestMonteCarlo:
         nsteps, dt = 5003, 1e-3
         a, b = blowup._drift_scale(self.PARAMS.beta, self.PARAMS.kappa, 1.0)
         drift = a * dt * np.arange(1, nsteps + 1)
-        [[(_, _, _, normals)]] = blowup._advance_paths(
-            4, 17, 18, nsteps, dt, drift, b, [math.inf], 3.0
-        )
+        _, _, _, steps = blowup._advance_paths(4, 17, 18, nsteps, dt, drift, b, [math.inf], 3.0)
+        [[normals]] = steps.tolist()
         assert normals == nsteps
         assert_array_equal(np.concatenate(drawn), brownian_increments(4, 17, nsteps))
 
@@ -425,22 +424,22 @@ class TestMonteCarlo:
         args = (nsteps, dt, drift, b, [x_star], alpha)
 
         def advance(lo, hi):
-            return [path[0] for path in blowup._advance_paths(seed, lo, hi, *args)]
+            return [column.tolist() for column in blowup._advance_paths(seed, lo, hi, *args)]
 
         runs, default = {}, blowup.MC_BLOCK
         for width in (1, 7, default):
             monkeypatch.setattr(blowup, "MC_BLOCK", width)
             runs[width] = advance(0, n)
             split = [advance(lo, hi) for lo, hi in ((0, 13), (13, 150), (150, n))]
-            assert sum(split, []) == runs[width]
+            assert [sum(parts, []) for parts in zip(*split)] == runs[width]
         assert runs[1] == runs[7] == runs[default]
-        stops = {drawn for _, _, _, drawn in runs[1]}
-        assert len(stops) >= 4  # rows leave the block in many different chunks
+        A, _, saturated, drawn = (np.array(column)[:, 0] for column in runs[1])
+        assert len(set(drawn)) >= 4  # rows leave the block in many different chunks
         if saturating:
-            clamped = [drawn for _, _, saturated, drawn in runs[1] if saturated]
+            clamped = drawn[saturated]
             assert 0 < len(clamped) < n and len(set(clamped)) >= 4
         else:
-            assert 0 < sum(A >= x_star for A, _, _, _ in runs[1]) < n
+            assert 0 < np.sum(A >= x_star) < n
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_sweep_equals_one_threshold_runs(self, caplog, workers):
@@ -479,12 +478,32 @@ class TestMonteCarlo:
         sweep = blowup._advance_paths(5, 0, n, *args, x_stars, alpha)
         singles = [blowup._advance_paths(5, 0, n, *args, [x], alpha) for x in x_stars]
         for j in range(len(x_stars)):
-            assert [path[j] for path in sweep] == [path[0] for path in singles[j]]
-        flags = [saturated for path in sweep for _, _, saturated, _ in path]
-        assert 0 < sum(flags) < len(flags)
-        assert any(len({saturated for _, _, saturated, _ in path}) > 1 for path in sweep)
+            for column, single in zip(sweep, singles[j]):
+                assert column[:, j].tolist() == single[:, 0].tolist()
+        _, _, flags, steps = sweep
+        assert 0 < flags.sum() < flags.size
+        assert np.any(flags.min(axis=1) != flags.max(axis=1))
         # thresholds of one path resolve in different chunks
-        assert any(len({steps for _, _, _, steps in path}) > 1 for path in sweep)
+        assert np.any(steps.min(axis=1) != steps.max(axis=1))
+
+    def test_every_cell_resolves_by_the_stop_rule(self):
+        # a hit carries p = 0, a miss stopped before the horizon had at most
+        # MC_STOP_PROB left of hitting, and every other cell ran to the horizon
+        horizon, dt, n = 3.0, 1e-3, 300
+        a, b = blowup._drift_scale(self.PARAMS.beta, self.PARAMS.kappa, 1.0)
+        alpha = analytic_blowup_bound(1.0, self.PARAMS.kappa, 1.0, self.THRESHOLD).alpha
+        nsteps = _n_steps(horizon, dt)
+        drift = a * dt * np.arange(1, nsteps + 1)
+        x_stars = [BlowupThreshold(m, 1.0).x_star for m in (0.25, 0.5, 1.0, 2.0)]
+        A, p, _, steps = blowup._advance_paths(9, 0, n, nsteps, dt, drift, b, x_stars, alpha)
+        hit = A >= np.array(x_stars)
+        early = ~hit & (steps < nsteps)
+        assert np.all(p[hit] == 0.0)
+        assert np.all(p[early] <= blowup.MC_STOP_PROB)
+        assert np.all(steps[~hit & ~early] == nsteps)
+        assert np.all((0.0 <= p) & (p <= 1.0))
+        # all three kinds of cell occur
+        assert hit.any() and early.any() and np.any(p[~hit & ~early] > blowup.MC_STOP_PROB)
 
     @pytest.mark.parametrize("v0psi", [0.5, 1.0])
     @pytest.mark.parametrize("horizon", [0.5, 1.0, 3.0])

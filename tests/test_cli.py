@@ -216,6 +216,19 @@ class TestBlowupCommand:
         assert len(read_csv(tmp_path / "o" / "blowup.csv")) == 3
         assert sorted(built) == list(range(1000))
 
+    def test_small_kappa_large_gamma_shape(self, tmp_path):
+        # kappa = 0.02 puts the gamma law at alpha ~ 5000 with z* ~ alpha
+        cfg = interval_cfg(
+            n=64,
+            model={"beta": 1.0, "kappa": 0.02},
+            sim={"dt": 1e-3, "horizon": 2.0, "n_paths": 1000, "seed": 7, "v0psi_sweep": [1.0]},
+        )
+        out = tmp_path / "out"
+        assert main(["blowup", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+        [row] = read_csv(out / "blowup.csv")
+        assert float(row["alpha"]) == pytest.approx(5000.0, rel=1e-3)
+        assert 0.4 < float(row["p_analytic_blowup"]) < 0.6
+
     def test_rerun_and_workers_byte_identical(self, tmp_path):
         p = write_cfg(tmp_path, self.cfg())
         outs = [tmp_path / f"o{i}" for i in range(3)]
