@@ -51,10 +51,9 @@ from .integrator import (
     Scheme,
     SchemeConfig,
     TrajectoryResult,
-    mild_residual,
+    mode_residuals,
     reconstruct_u,
     simulate_paths,
-    weak_form_residual,
 )
 from .stochastic import (
     BrownianPath,
@@ -85,7 +84,7 @@ __all__ = [
     "certificate_sup_norm", "certificate_heat_kernel",
     # integrator
     "Scheme", "SchemeConfig", "Outcome", "TrajectoryResult", "simulate_paths",
-    "reconstruct_u", "weak_form_residual", "mild_residual",
+    "reconstruct_u", "mode_residuals",
     # config
     "RunConfig", "load_config",
     # errors

@@ -75,6 +75,8 @@ class TabulatedNonlinearity:
     def __post_init__(self):
         z = np.asarray(self.z, dtype=float)
         g = np.asarray(self.g, dtype=float)
+        if not (np.isfinite(z).all() and np.isfinite(g).all()):
+            raise ConfigurationError("tabulated nonlinearity entries must be finite")
         if z.ndim != 1 or z.shape != g.shape or len(z) < 2:
             raise ConfigurationError("tabulated nonlinearity needs matching 1d tables")
         if z[0] != 0.0 or g[0] != 0.0:
@@ -201,8 +203,13 @@ def analytic_blowup_bound(
     """Closed-form bound pair: P[hit] >= 1 - Q(alpha, z*), its complement exact."""
     if kappa == 0:
         raise ConfigurationError("kappa=0: use deterministic_dichotomy, the gamma law degenerates")
+    x_star = threshold.x_star
+    if not x_star > 0:
+        raise ConfigurationError(
+            f"v0psi={threshold.v0psi:g} puts x* = v0psi^(-beta)/beta at {x_star}; it must be > 0"
+        )
     alpha = gamma_shape(beta, kappa, lam1)
-    z_star = 2.0 / (kappa**2 * beta**2 * threshold.x_star)
+    z_star = 2.0 / (kappa**2 * beta**2 * x_star)
     p_global = gamma_tail(alpha, z_star)
     return BlowupBound(p_blowup_lower=1.0 - p_global, p_global=p_global, alpha=alpha, z_star=z_star)
 
@@ -235,7 +242,6 @@ class ProbabilityEstimate:
     truncation_allowance: float
     n_censored: int
     n_saturated: int
-    seed: int
 
     @property
     def stderr(self) -> float:
@@ -414,7 +420,6 @@ def mc_blowup_probability(
             truncation_allowance=math.fsum(p_stop[:, j].tolist()) / n_paths,
             n_censored=n_paths - hits[j],
             n_saturated=int(saturated[:, j].sum()),
-            seed=seed,
         )
         for j, bound in enumerate(bounds)
     ]

@@ -46,13 +46,7 @@ from .domain import (
     weighted_inner,
 )
 from .errors import ConfigurationError, NumericalFailure, PreconditionFailure
-from .integrator import (
-    Outcome,
-    SchemeConfig,
-    mild_residual,
-    simulate_paths,
-    weak_form_residual,
-)
+from .integrator import SchemeConfig, mode_residuals, simulate_paths
 from .stochastic import EXP_CLAMP, BrownianPath, sample_brownian
 
 OUT_ENV_VAR = "SPDELAB_OUT"
@@ -299,11 +293,8 @@ def _consistency_row(traj, traj_em, path, params, eigen, t_i, lower, tau):
         keep = (t_i[:k] <= t_end) & np.isfinite(lower[:k]) & (lower[:k] > 0)
         if np.any(keep):
             ratio_min = float(np.min(traj.mass[:k][keep] / lower[:k][keep]))
-    _, weak = weak_form_residual(traj, path, params, eigen)
-    weak_max = float(np.max(weak))
-    _, mild = mild_residual(traj, path, params, eigen)
-    mild_max = float(np.max(mild))
-    return em_diff, ratio_min, weak_max, mild_max
+    _, weak, mild = mode_residuals(traj, path, params, eigen)
+    return em_diff, ratio_min, float(np.max(weak)), float(np.max(mild))
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -> list[Path]:

@@ -227,10 +227,12 @@ def _parse_sim(section: dict) -> SimConfig:
         ) from None
     sweep = section.get("v0psi_sweep", [])
     if not isinstance(sweep, list):
-        raise ConfigurationError("sim.v0psi_sweep must be a list of positive numbers")
+        raise ConfigurationError("sim.v0psi_sweep must be a list of positive finite numbers")
     for v in sweep:
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0:
-            raise ConfigurationError(f"sim.v0psi_sweep entries must be positive, got {v!r}")
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < math.inf:
+            raise ConfigurationError(
+                f"sim.v0psi_sweep entries must be positive and finite, got {v!r}"
+            )
     return SimConfig(
         dt=dt, horizon=horizon, n_paths=n_paths, seed=seed, cutoff=cutoff,
         scheme=scheme, v0psi_sweep=tuple(float(v) for v in sweep),

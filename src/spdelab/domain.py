@@ -321,14 +321,12 @@ class HeatKernelBoundReport:
     L2-normalized principal mode. ``c`` is the smallest constant making both
     the lower bound ``ratio >= max(1, t^{-(d+2)/2} / c)`` and the upper bound
     ``ratio <= 1 + c (1 ^ t)^{-(d+2)/2} exp(-(lam2-lam1) t)`` hold on the
-    sampled times.
+    sampled times; ``passed`` marks the times where both bounds hold.
     """
 
     times: np.ndarray
     ratios: np.ndarray
     c: float
-    lower_ok: np.ndarray
-    upper_ok: np.ndarray
     passed: np.ndarray
     truncation_estimate: float
     truncation_warning: bool
@@ -393,8 +391,6 @@ def heat_kernel_ratio_report(
         times=times,
         ratios=ratios,
         c=float(c),
-        lower_ok=lower_ok,
-        upper_ok=upper_ok,
         passed=lower_ok & upper_ok,
         truncation_estimate=float(est),
         truncation_warning=bool(warn),

@@ -18,6 +18,12 @@ Numerical blowup is declared when the sup norm passes the cutoff; the path
 leaves the block and its blowup time is bracketed by re-integrating the
 offending step with halved dt (one factorization per halving level, shared by
 the block), so the reported t_b carries resolution dt / 2^max_halvings.
+
+``mode_residuals`` checks a trajectory against the weak and the mild form
+from one projection of its snapshots onto the eigenmodes. ``simulate``
+reports, per path, the max over snapshots of the mode-1 weak residual
+(``weak_residual_max``) and of the mild residual's Euclidean norm over the
+12 retained modes (``mild_residual_max``); both are absolute.
 """
 
 from __future__ import annotations
@@ -91,9 +97,6 @@ class TrajectoryResult:
     snapshot_times: np.ndarray
     snapshots: np.ndarray
     dt: float
-    scheme: Scheme
-    seed: int | None = None
-    path_index: int | None = None
 
     def __post_init__(self):
         if self.outcome is Outcome.NUMERICAL_BLOWUP:
@@ -363,9 +366,6 @@ def simulate_paths(
             snapshot_times=times[snap_idx],
             snapshots=snaps[j][: n_snaps[j]],
             dt=cfg.dt,
-            scheme=cfg.scheme,
-            seed=path.seed,
-            path_index=path.path_index,
         )
         if outcome is Outcome.NUMERICAL_BLOWUP:
             logger.info(
@@ -395,78 +395,64 @@ def reconstruct_u(traj: TrajectoryResult, path: BrownianPath, kappa: float) -> T
     )
 
 
-def weak_form_residual(
+def mode_residuals(
     traj: TrajectoryResult,
     path: BrownianPath,
     params: ModelParams,
     eigen: EigenData,
     n_modes: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Residual of the integrated weak identity on the snapshot grid.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Weak-form and mild-form residuals of a trajectory on its snapshot grid.
 
-    Tests against the first n_modes eigenmodes (the discrete eigenrelation
-    replaces <field, Delta phi_j> by -lam_j <field, phi_j> exactly). For a
-    transformed trajectory the identity has random coefficients only; for a
-    physical one it carries the Ito sum with left-point increments, whose
-    accuracy is limited by the snapshot spacing. Returns (times, residuals)
-    with residuals the max over tested modes.
+    The snapshots and their reaction are projected onto the retained
+    eigenmodes once; in coefficient space both forms read the mode equation
+    c' = -mu c + b, with mu = lam + kappa^2/2 for v and mu = lam for u (the
+    discrete eigenrelation replaces <field, Delta phi_j> by -lam_j <field,
+    phi_j> exactly). Returns (times, weak, mild):
+
+    - weak is the residual of the integrated identity, trapezoid rule on the
+      drift, max over the first n_modes modes. For u it carries the Ito sum
+      with left-point increments, whose accuracy is limited by the snapshot
+      spacing.
+    - mild is the residual of the variation-of-constants form, Euclidean norm
+      over all retained modes: the convolution is advanced recursively,
+      propagating the exact kernel across each snapshot interval and applying
+      the trapezoid rule inside it. It is None for u, since the mild form is
+      stated for the transformed equation.
     """
     if n_modes < 1 or n_modes > eigen.m:
         raise ConfigurationError(f"n_modes must be in [1, {eigen.m}], got {n_modes}")
     t = traj.snapshot_times
     fields = traj.snapshots
     w = eigen.grid.weights
-    phis = eigen.modes[:, :n_modes]
-    lams = eigen.eigenvalues[:n_modes]
-    coeff = (fields * w[None, :]) @ phis  # <field, phi_j> at snapshot times
     w_at = np.interp(t, path.times, path.values)
     if traj.variable == "v":
+        mu = eigen.eigenvalues + 0.5 * params.kappa**2
         react = _transformed_reaction(fields, _noise_factor(w_at, params), params)
-        drift = -(lams[None, :] + 0.5 * params.kappa**2) * coeff + (react * w[None, :]) @ phis
-        stoch = np.zeros_like(coeff)
     else:
+        mu = eigen.eigenvalues
         react = params.G(fields)
-        drift = -lams[None, :] * coeff + (react * w[None, :]) @ phis
-        dW = np.diff(w_at)
-        increments = params.kappa * coeff[:-1] * dW[:, None]
-        stoch = np.vstack([np.zeros((1, n_modes)), np.cumsum(increments, axis=0)])
+    coeff = (fields * w[None, :]) @ eigen.modes  # <field, phi_j> at snapshot times
+    b = (react * w[None, :]) @ eigen.modes
+
+    c = coeff[:, :n_modes]
+    drift = -mu[None, :n_modes] * c + b[:, :n_modes]
     dt_s = np.diff(t)
     drift_int = np.vstack([
         np.zeros((1, n_modes)),
         np.cumsum(0.5 * dt_s[:, None] * (drift[1:] + drift[:-1]), axis=0),
     ])
-    residual = coeff - coeff[0][None, :] - drift_int - stoch
-    return t, np.max(np.abs(residual), axis=1)
-
-
-def mild_residual(
-    traj: TrajectoryResult,
-    path: BrownianPath,
-    params: ModelParams,
-    basis: EigenData,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Residual of the mild (variation-of-constants) form in coefficient space.
-
-    For each retained mode, the convolution integral is advanced recursively,
-    propagating the exact kernel across each snapshot interval and applying
-    the trapezoid rule inside it. Returns (times, residuals) with residuals
-    the Euclidean norm over mode coefficients.
-    """
-    if traj.variable != "v":
-        raise ConfigurationError("the mild form is stated for transformed trajectories")
-    t = traj.snapshot_times
-    fields = traj.snapshots
-    w = basis.grid.weights
-    mu = basis.eigenvalues + 0.5 * params.kappa**2
-    coeff = (fields * w[None, :]) @ basis.modes
-    w_at = np.interp(t, path.times, path.values)
-    react = _transformed_reaction(fields, _noise_factor(w_at, params), params)
-    b = (react * w[None, :]) @ basis.modes
-    conv = np.zeros_like(coeff)
-    for i in range(1, len(t)):
-        step = t[i] - t[i - 1]
-        decay = np.exp(-mu * step)
-        conv[i] = decay * conv[i - 1] + 0.5 * step * (decay * b[i - 1] + b[i])
-    homogeneous = np.exp(-np.outer(t, mu)) * coeff[0][None, :]
-    residual = coeff - homogeneous - conv
-    return t, np.sqrt(np.sum(residual**2, axis=1))
+    weak_res = c - c[0][None, :] - drift_int
+    if traj.variable == "u":
+        increments = params.kappa * c[:-1] * np.diff(w_at)[:, None]
+        weak_res -= np.vstack([np.zeros((1, n_modes)), np.cumsum(increments, axis=0)])
+        mild = None
+    else:
+        conv = np.zeros_like(coeff)
+        for i in range(1, len(t)):
+            step = t[i] - t[i - 1]
+            decay = np.exp(-mu * step)
+            conv[i] = decay * conv[i - 1] + 0.5 * step * (decay * b[i - 1] + b[i])
+        homogeneous = np.exp(-np.outer(t, mu)) * coeff[0][None, :]
+        mild = np.sqrt(np.sum((coeff - homogeneous - conv) ** 2, axis=1))
+    return t, np.max(np.abs(weak_res), axis=1), mild

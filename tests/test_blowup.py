@@ -84,6 +84,21 @@ class TestNonlinearities:
             # G(z)/z = 1, 4, 1: not nondecreasing
             TabulatedNonlinearity(z=np.array([0.0, 1.0, 2.0, 3.0]), g=np.array([0.0, 1.0, 8.0, 3.0]))
 
+    @pytest.mark.parametrize(
+        "z, g",
+        [
+            ([0.0, 1.0, math.nan], [0.0, 1.0, 4.0]),
+            ([0.0, 1.0, 2.0], [0.0, 1.0, math.nan]),
+            ([0.0, 1.0, math.inf], [0.0, 1.0, math.inf]),
+        ],
+        ids=["nan_z", "nan_g", "inf_both"],
+    )
+    def test_tabulated_rejects_non_finite_entries(self, z, g):
+        # NaN slips through every ordering check, and inf/inf warns in the
+        # ratio check, so finiteness is tested first
+        with pytest.raises(ConfigurationError, match="finite"):
+            TabulatedNonlinearity(z=np.array(z), g=np.array(g))
+
 
 class TestModelParams:
     def test_defaults_build_matching_power_law(self):
@@ -569,7 +584,7 @@ class TestMonteCarlo:
     def test_estimate_validation(self):
         est = ProbabilityEstimate(
             p_hat=0.25, n_paths=400, analytic_reference=0.5,
-            truncation_allowance=0.0, n_censored=300, n_saturated=0, seed=1,
+            truncation_allowance=0.0, n_censored=300, n_saturated=0,
         )
         assert est.stderr == math.sqrt(0.25 * 0.75 / 400)
 

@@ -23,7 +23,7 @@ from spdelab.domain import (
     weighted_inner,
 )
 from spdelab.errors import ConfigurationError
-from spdelab.integrator import SchemeConfig, reconstruct_u, simulate_paths
+from spdelab.integrator import SchemeConfig, mode_residuals, reconstruct_u, simulate_paths
 from spdelab.stochastic import sample_brownian
 
 
@@ -260,6 +260,16 @@ class TestBlowupCommand:
         assert [r["verdict"] for r in rows] == ["tau_infinite", "blowup_certified"]
         assert abs(float(rows[0]["threshold"]) - 1.0) < 1e-3
 
+    @pytest.mark.parametrize("v0psi", [1e200, math.inf, math.nan], ids=["underflow", "inf", "nan"])
+    def test_sweep_entry_without_positive_x_star_exits_2(self, tmp_path, v0psi):
+        # at beta = 2, x* = v0psi^(-2)/2 underflows to 0 for 1e200 and inf,
+        # and is nan for nan; json writes the last two as Infinity and NaN
+        cfg = self.cfg(v0psi_sweep=[0.5, v0psi])
+        cfg["model"] = {"beta": 2.0, "kappa": 1.0}
+        out = tmp_path / "out"
+        assert main(["blowup", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert not (out / "blowup.csv").exists()
+
     def test_missing_sweep_exits_2(self, tmp_path):
         cfg = interval_cfg(n=32, model=MODEL, sim={"dt": 0.01, "horizon": 1.0, "n_paths": 1000})
         p = write_cfg(tmp_path, cfg)
@@ -350,6 +360,31 @@ class TestSimulateCommand:
             assert float(r["em_transform_rel_diff"]) < 1.0
             assert float(r["weak_residual_max"]) < 1.0
             assert float(r["mild_residual_max"]) < 1.0
+
+    def test_residual_columns_are_mode_residuals(self, tmp_path):
+        # each consistency row carries max() of its path's two residual
+        # series, bitwise; a = 3 makes some of the paths blow up
+        n, a, kappa, dt, horizon, seed = 32, 3.0, 1.0, 1e-2, 3.0, 1
+        cfg = interval_cfg(
+            n=n,
+            model={"beta": 1.0, "kappa": kappa},
+            initial={"mode": "eigen-multiple", "a": a},
+            sim={"dt": dt, "horizon": horizon, "n_paths": 4, "seed": seed},
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+        grid = build_grid(DomainSpec(kind="interval", lengths=(math.pi,)), n)
+        op = build_laplacian(grid.domain, grid)
+        eig = solve_eigenpairs(op, 12)
+        params = ModelParams(beta=1.0, kappa=kappa)
+        rows = read_csv(out / "consistency.csv")
+        assert {r["outcome"] for r in rows} == {"completed_horizon", "numerical_blowup"}
+        for row in rows:
+            path = sample_brownian(horizon, dt, seed, int(row["path_index"]))
+            traj = simulate_paths(a * eig.psi, [path], params, op, eig, SchemeConfig(dt=dt))[0]
+            _, weak, mild = mode_residuals(traj, path, params, eig)
+            assert float(row["weak_residual_max"]) == float(np.max(weak))
+            assert float(row["mild_residual_max"]) == float(np.max(mild))
 
     def test_one_exp_functional_pass_per_path(self, tmp_path, monkeypatch):
         # the lower solution and its blowup time come from one A(t) pass

@@ -33,10 +33,9 @@ from spdelab.integrator import (
     Scheme,
     SchemeConfig,
     TrajectoryResult,
-    mild_residual,
+    mode_residuals,
     reconstruct_u,
     simulate_paths,
-    weak_form_residual,
 )
 from spdelab.stochastic import BrownianPath, sample_brownian
 
@@ -443,7 +442,7 @@ class TestWeakFormResidual:
         path = BrownianPath.frozen_zero(horizon=0.5, dt=dt)
         cfg = SchemeConfig(dt=dt, max_snapshots=100000)
         traj = simulate_paths(f, [path], params, op, eig, cfg, variable)[0]
-        return weak_form_residual(traj, path, params, eig, n_modes=3)
+        return mode_residuals(traj, path, params, eig, n_modes=3)[:2]
 
     def test_zero_at_initial_time(self, interval_48):
         _, res = self._run(interval_48, dt=1e-3, nonlinearity=zero_g())
@@ -473,8 +472,8 @@ class TestWeakFormResidual:
         traj = simulate_paths(0.3 * eig.psi, [path], ModelParams(beta=1.0, kappa=0.0),
                               op, eig, SchemeConfig(dt=1e-3))[0]
         with pytest.raises(ConfigurationError):
-            weak_form_residual(traj, path, ModelParams(beta=1.0, kappa=0.0), eig,
-                               n_modes=eig.m + 1)
+            mode_residuals(traj, path, ModelParams(beta=1.0, kappa=0.0), eig,
+                           n_modes=eig.m + 1)
 
 
 class TestMildResidual:
@@ -493,10 +492,10 @@ class TestMildResidual:
             variable="v", outcome=Outcome.COMPLETED, t_blowup=None, t_last_stable=None,
             times=times, mass=snaps @ (grid.weights * eig.psi),
             sup=np.max(np.abs(snaps), axis=1), snapshot_times=times, snapshots=snaps,
-            dt=0.1, scheme=Scheme.IMEX,
+            dt=0.1,
         )
         path = BrownianPath.frozen_zero(horizon=1.0, dt=0.1)
-        _, res = mild_residual(traj, path, params, eig)
+        _, _, res = mode_residuals(traj, path, params, eig)
         assert np.max(res) < 1e-12
 
     def test_zero_at_initial_time(self, interval_48):
@@ -505,7 +504,7 @@ class TestMildResidual:
         params = ModelParams(beta=1.0, kappa=0.0)
         traj = simulate_paths(0.2 * eig.psi, [path], params, op, eig,
                               SchemeConfig(dt=1e-3, max_snapshots=100000))[0]
-        _, res = mild_residual(traj, path, params, eig)
+        _, _, res = mode_residuals(traj, path, params, eig)
         assert res[0] == 0.0
 
     def test_nonlinear_first_order_in_dt(self, interval_48):
@@ -516,16 +515,18 @@ class TestMildResidual:
             path = BrownianPath.frozen_zero(horizon=0.5, dt=dt)
             traj = simulate_paths(0.1 * eig.psi, [path], params, op, eig,
                                   SchemeConfig(dt=dt, max_snapshots=100000))[0]
-            _, res = mild_residual(traj, path, params, eig)
+            _, _, res = mode_residuals(traj, path, params, eig)
             maxima[dt] = np.max(res)
         ratio = maxima[2e-3] / maxima[1e-3]
         assert 1.6 <= ratio <= 2.6
 
     def test_transformed_only(self, interval_48):
+        # the mild form is stated for v: mild is None for u
         _, grid, op, eig = interval_48
         path = BrownianPath.frozen_zero(horizon=0.5, dt=1e-3)
         params = ModelParams(beta=1.0, kappa=0.0)
         traj = simulate_paths(0.2 * eig.psi, [path], params, op, eig, SchemeConfig(dt=1e-3),
                               variable="u")[0]
-        with pytest.raises(ConfigurationError):
-            mild_residual(traj, path, params, eig)
+        t, weak, mild = mode_residuals(traj, path, params, eig)
+        assert mild is None
+        assert weak.shape == t.shape
