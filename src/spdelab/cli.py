@@ -50,10 +50,10 @@ from .integrator import SchemeConfig, mode_residuals, simulate_paths
 from .stochastic import EXP_CLAMP, BrownianPath, sample_brownian
 
 OUT_ENV_VAR = "SPDELAB_OUT"
-# simulate advances its noise paths in blocks of this many: wide enough to
-# spread the per-step overhead, narrow enough that the block's per-path
-# series and snapshots stay a small part of peak memory
-BLOCK_PATHS = 8
+# simulate advances its noise paths in blocks of this many: the per-step
+# overhead is paid once per block, and memory stays bounded however many
+# paths a run has
+BLOCK_PATHS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +270,10 @@ def cmd_blowup(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) ->
     return [write_csv(out_dir / "blowup.csv", header, rows)]
 
 
-def _consistency_row(traj, traj_em, path, params, eigen, t_i, lower, tau):
-    """Cross-checks for one path: transform agreement, domination of the lower
-    solution (t_i, lower) up to its blowup time tau, and the two residual
-    diagnostics. lower is None when there is no lower solution."""
+def _consistency_row(traj, traj_em, path, params, t_i, lower, tau):
+    """Cross-checks for one path: transform agreement and domination of the
+    lower solution (t_i, lower) up to its blowup time tau. lower is None when
+    there is no lower solution."""
     em_diff = None
     if traj_em is not None:
         # sup of u = e^{kappa W} v, the series reconstruct_u would give
@@ -293,8 +293,7 @@ def _consistency_row(traj, traj_em, path, params, eigen, t_i, lower, tau):
         keep = (t_i[:k] <= t_end) & np.isfinite(lower[:k]) & (lower[:k] > 0)
         if np.any(keep):
             ratio_min = float(np.min(traj.mass[:k][keep] / lower[:k][keep]))
-    _, weak, mild = mode_residuals(traj, path, params, eigen)
-    return em_diff, ratio_min, float(np.max(weak)), float(np.max(mild))
+    return em_diff, ratio_min
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -> list[Path]:
@@ -317,11 +316,20 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) 
         block = range(start, min(start + BLOCK_PATHS, n_paths))
         paths = [_sample_path(sim, params.kappa, run_seed, idx) for idx in block]
         trajs = simulate_paths(f, paths, params, op, eigen, scheme_cfg, variable="v")
+        residuals = []
+        for i, path in enumerate(paths):
+            _, weak, mild = mode_residuals(trajs[i], path, params, eigen)
+            residuals.append((float(np.max(weak)), float(np.max(mild))))
+            # drop the snapshots before the Euler-Maruyama block runs; a
+            # slice of them would keep the whole buffer alive
+            trajs[i] = replace(trajs[i], snapshot_times=np.empty(0), snapshots=np.empty((0, 0)))
         try:
             trajs_em = simulate_paths(f, paths, params, op, eigen, em_cfg, variable="u")
         except NumericalFailure:
             trajs_em = [None] * len(paths)
-        for idx, path, traj, traj_em in zip(block, paths, trajs, trajs_em):
+        for idx, path, traj, traj_em, (weak_max, mild_max) in zip(
+            block, paths, trajs, trajs_em, residuals
+        ):
             t_i = lower = tau = None
             if threshold is not None:
                 t_i, lower, _, tau = lower_solution_series(
@@ -344,9 +352,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) 
                     series.name,
                 ]
             )
-            em_diff, ratio_min, weak_max, mild_max = _consistency_row(
-                traj, traj_em, path, params, eigen, t_i, lower, tau
-            )
+            em_diff, ratio_min = _consistency_row(traj, traj_em, path, params, t_i, lower, tau)
             cons_rows.append([idx, traj.outcome.value, em_diff, ratio_min, weak_max, mild_max])
         # free this block's fields before the next block is integrated
         del paths, trajs, trajs_em, path, traj, traj_em

@@ -29,18 +29,28 @@ def _check_keys(section: dict, allowed: set[str], context: str) -> None:
         raise ConfigurationError(f"{context}: unknown keys {sorted(unknown)}")
 
 
+def _finite_number(value, what: str) -> float:
+    """value as a finite float, refusing bools, non-numbers and what no finite
+    float holds; JSON integers are unbounded, and float() of one past 1.8e308
+    overflows."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{what} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ConfigurationError(f"{what} must be finite, got an integer past 1.8e308") from None
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{what} must be finite")
+    return value
+
+
 def _number(section: dict, key: str, context: str, *, default=None, minimum=None,
             strict_min=None, required=False) -> float | None:
     if key not in section:
         if required:
             raise ConfigurationError(f"{context}.{key} is required")
         return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{context}.{key} must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigurationError(f"{context}.{key} must be finite")
+    value = _finite_number(section[key], f"{context}.{key}")
     if minimum is not None and value < minimum:
         raise ConfigurationError(f"{context}.{key} must be >= {minimum}, got {value}")
     if strict_min is not None and value <= strict_min:
@@ -144,9 +154,9 @@ def _parse_domain(section: dict) -> DomainConfig:
     lengths = section.get("lengths")
     if not isinstance(lengths, list) or not lengths:
         raise ConfigurationError("domain.lengths must be a non-empty list")
-    for L in lengths:
-        if isinstance(L, bool) or not isinstance(L, (int, float)) or L <= 0:
-            raise ConfigurationError(f"domain lengths must be positive numbers, got {L!r}")
+    lengths = tuple(_finite_number(L, "domain lengths") for L in lengths)
+    if min(lengths) <= 0:
+        raise ConfigurationError(f"domain lengths must be positive, got {min(lengths)}")
     expected = 1 if kind == "interval" else 2
     if len(lengths) != expected:
         raise ConfigurationError(f"domain.kind {kind} needs {expected} lengths, got {len(lengths)}")
@@ -154,7 +164,7 @@ def _parse_domain(section: dict) -> DomainConfig:
     n_fine = _integer(section, "n_fine", "domain", minimum=8)
     if n_fine is not None and n_fine <= n:
         raise ConfigurationError(f"domain.n_fine must exceed n={n}, got {n_fine}")
-    return DomainConfig(kind=kind, lengths=tuple(float(L) for L in lengths), n=n, n_fine=n_fine)
+    return DomainConfig(kind=kind, lengths=lengths, n=n, n_fine=n_fine)
 
 
 def _parse_nonlinearity(section: dict, beta: float):
@@ -166,12 +176,13 @@ def _parse_nonlinearity(section: dict, beta: float):
 
         return PowerLaw(coeff=coeff, beta=beta) if coeff is not None else None
     if kind == "tabulated":
+        table = {}
         for key in ("z", "g"):
-            if not isinstance(section.get(key), list):
+            entries = section.get(key)
+            if not isinstance(entries, list):
                 raise ConfigurationError(f"model.G.{key} must be a list for tabulated G")
-        return TabulatedNonlinearity(
-            z=np.asarray(section["z"], dtype=float), g=np.asarray(section["g"], dtype=float)
-        )
+            table[key] = np.array([_finite_number(v, f"model.G.{key} entries") for v in entries])
+        return TabulatedNonlinearity(**table)
     raise ConfigurationError(f"model.G.type must be 'power_law' or 'tabulated', got {kind!r}")
 
 
@@ -228,15 +239,12 @@ def _parse_sim(section: dict) -> SimConfig:
     sweep = section.get("v0psi_sweep", [])
     if not isinstance(sweep, list):
         raise ConfigurationError("sim.v0psi_sweep must be a list of positive finite numbers")
-    for v in sweep:
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < math.inf:
-            raise ConfigurationError(
-                f"sim.v0psi_sweep entries must be positive and finite, got {v!r}"
-            )
+    sweep = tuple(_finite_number(v, "sim.v0psi_sweep entries") for v in sweep)
+    if sweep and min(sweep) <= 0:
+        raise ConfigurationError(f"sim.v0psi_sweep entries must be positive, got {min(sweep)}")
     return SimConfig(
         dt=dt, horizon=horizon, n_paths=n_paths, seed=seed, cutoff=cutoff,
-        scheme=scheme, v0psi_sweep=tuple(float(v) for v in sweep),
-        max_snapshots=max_snapshots,
+        scheme=scheme, v0psi_sweep=sweep, max_snapshots=max_snapshots,
     )
 
 
@@ -254,9 +262,9 @@ def _parse_certificate(section: dict) -> CertificateConfig:
     eta = _number(section, "eta", "certificate", default=1.0, minimum=1.0)
     c = section.get("c", "fit")
     if c != "fit":
-        if isinstance(c, bool) or not isinstance(c, (int, float)) or c <= 0:
-            raise ConfigurationError(f"certificate.c must be 'fit' or a positive number, got {c!r}")
-        c = float(c)
+        c = _finite_number(c, "certificate.c")
+        if c <= 0:
+            raise ConfigurationError(f"certificate.c must be 'fit' or positive, got {c}")
     analytic = section.get("analytic", False)
     frozen = section.get("frozen_zero_path", False)
     if not isinstance(analytic, bool) or not isinstance(frozen, bool):

@@ -415,10 +415,13 @@ def mode_residuals(
       with left-point increments, whose accuracy is limited by the snapshot
       spacing.
     - mild is the residual of the variation-of-constants form, Euclidean norm
-      over all retained modes: the convolution is advanced recursively,
-      propagating the exact kernel across each snapshot interval and applying
-      the trapezoid rule inside it. It is None for u, since the mild form is
-      stated for the transformed equation.
+      over all retained modes. The convolution obeys conv_i = a_i conv_{i-1}
+      + x_i, with a_i = e^{-mu dt_i} the exact kernel across snapshot
+      interval i and x_i its trapezoid term. That recursion runs as a
+      Hillis-Steele scan over all modes at once: log2(snapshots) passes,
+      each of which composes the affine maps of the next span of intervals.
+      It is None for u, since the mild form is stated for the transformed
+      equation.
     """
     if n_modes < 1 or n_modes > eigen.m:
         raise ConfigurationError(f"n_modes must be in [1, {eigen.m}], got {n_modes}")
@@ -448,11 +451,17 @@ def mode_residuals(
         weak_res -= np.vstack([np.zeros((1, n_modes)), np.cumsum(increments, axis=0)])
         mild = None
     else:
+        # inclusive scan of conv_i = decay_i conv_{i-1} + x_i, conv_0 = 0:
+        # after the pass at distance d, row i of conv and decay composes the
+        # 2d intervals ending at snapshot i
+        decay = np.exp(-np.outer(dt_s, mu))
         conv = np.zeros_like(coeff)
-        for i in range(1, len(t)):
-            step = t[i] - t[i - 1]
-            decay = np.exp(-mu * step)
-            conv[i] = decay * conv[i - 1] + 0.5 * step * (decay * b[i - 1] + b[i])
+        conv[1:] = 0.5 * dt_s[:, None] * (decay * b[:-1] + b[1:])
+        d = 1
+        while d < len(dt_s):
+            conv[d + 1 :] += decay[d:] * conv[1:-d]
+            decay[d:] = decay[d:] * decay[:-d]
+            d *= 2
         homogeneous = np.exp(-np.outer(t, mu)) * coeff[0][None, :]
         mild = np.sqrt(np.sum((coeff - homogeneous - conv) ** 2, axis=1))
     return t, np.max(np.abs(weak_res), axis=1), mild

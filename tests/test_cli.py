@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spdelab import blowup, certificates, stochastic
+from spdelab import blowup, certificates, cli, stochastic
 from spdelab.blowup import ModelParams
 from spdelab.cli import _consistency_row, main, write_csv
 from spdelab.config import load_config
@@ -136,6 +136,42 @@ class TestConfigValidation:
         )
         loaded = load_config(write_cfg(tmp_path, cfg))
         assert loaded.model.G(1.0) == 0.5
+
+    @pytest.mark.parametrize("where", ["horizon", "lengths", "sweep", "c"])
+    def test_integer_past_float_range_exits_2(self, tmp_path, capsys, where):
+        # JSON integers are unbounded; float() of this one overflows
+        huge = 10**400
+        cfg = interval_cfg(
+            n=32,
+            model=MODEL,
+            sim={"dt": 0.01, "horizon": 1.0, "n_paths": 10, "v0psi_sweep": [0.5]},
+            certificate={"c": 1.0},
+        )
+        if where == "horizon":
+            cfg["sim"]["horizon"] = huge
+        elif where == "lengths":
+            cfg["domain"]["lengths"] = [huge]
+        elif where == "sweep":
+            cfg["sim"]["v0psi_sweep"] = [huge]
+        else:
+            cfg["certificate"]["c"] = huge
+        out = tmp_path / "out"
+        assert main(["blowup", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "z, g",
+        [([0, "a", 2], [0, 1, 4]), ([0, 1, 2], [0, None, 4]), ([0, 1, 10**400], [0, 1, 4])],
+        ids=["string", "null", "huge"],
+    )
+    def test_bad_tabulated_entry_exits_2(self, tmp_path, capsys, z, g):
+        model = {**MODEL, "G": {"type": "tabulated", "z": z, "g": g}}
+        cfg = interval_cfg(n=32, model=model, sim={"dt": 0.01, "horizon": 1.0})
+        out = tmp_path / "out"
+        assert main(["eigen", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert "model.G" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEigenCommand:
@@ -289,7 +325,7 @@ class TestSimulateCommand:
         traj = simulate_paths(f, [path], params, op, eig, SchemeConfig(dt=1e-2))[0]
         em_cfg = SchemeConfig(dt=1e-2, max_snapshots=2)
         traj_em = simulate_paths(f, [path], params, op, eig, em_cfg, variable="u")[0]
-        em_diff = _consistency_row(traj, traj_em, path, params, eig, None, None, None)[0]
+        em_diff = _consistency_row(traj, traj_em, path, params, None, None, None)[0]
         u_sup = reconstruct_u(traj, path, params.kappa).sup
         k = min(len(u_sup), len(traj_em.sup))
         gap = np.abs(traj_em.sup[:k] - u_sup[:k]) / np.maximum(np.abs(u_sup[:k]), 1e-300)
@@ -403,6 +439,59 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
         assert len(read_csv(tmp_path / "o" / "trajectories.csv")) == 4
         assert len(calls) == 4
+
+    def test_outputs_do_not_depend_on_block_width(self, tmp_path, monkeypatch):
+        # 16 paths in 16, 3 and 1 blocks; a = 3 makes some of them blow up
+        cfg = interval_cfg(
+            n=32,
+            model=MODEL,
+            initial={"mode": "eigen-multiple", "a": 3.0},
+            sim={"dt": 1e-2, "horizon": 3.0, "n_paths": 16, "seed": 1},
+        )
+        p = write_cfg(tmp_path, cfg)
+        calls = []
+        simulate = cli.simulate_paths
+        monkeypatch.setattr(
+            cli, "simulate_paths", lambda *a, **k: calls.append(len(a[1])) or simulate(*a, **k)
+        )
+        outputs = {}
+        for width, widths in ((1, [1] * 16), (6, [6, 6, 4]), (16, [16])):
+            monkeypatch.setattr(cli, "BLOCK_PATHS", width)
+            calls.clear()
+            out = tmp_path / f"out{width}"
+            assert main(["simulate", "--config", str(p), "--out", str(out)]) == 0
+            # each block runs v, then u
+            assert calls == [w for w in widths for _ in "vu"]
+            # the manifest carries the only timestamps
+            files = [f for f in out.iterdir() if not f.name.endswith("manifest.json")]
+            outputs[width] = {f.name: f.read_bytes() for f in files}
+        first, *rest = outputs.values()
+        assert len(first) == 18
+        assert {r["outcome"] for r in read_csv(out / "trajectories.csv")} == {
+            "completed_horizon",
+            "numerical_blowup",
+        }
+        for other in rest:
+            assert other == first
+
+    def test_trajectories_shape_runs_one_block(self, tmp_path, monkeypatch):
+        # the benchmark's shape: 16 paths at n = 64, T = 5, dt = 1e-3
+        schemes = []
+        simulate = cli.simulate_paths
+        monkeypatch.setattr(
+            cli,
+            "simulate_paths",
+            lambda *a, **k: schemes.append((len(a[1]), k["variable"])) or simulate(*a, **k),
+        )
+        cfg = interval_cfg(
+            n=64,
+            model=MODEL,
+            initial={"mode": "eigen-multiple", "a": 3.0},
+            sim={"dt": 1e-3, "horizon": 5.0, "n_paths": 16, "seed": 7},
+        )
+        p = write_cfg(tmp_path, cfg)
+        assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+        assert schemes == [(16, "v"), (16, "u")]
 
     @pytest.mark.parametrize("seed", [7, 1, 2, 3])
     def test_lower_solution_blowup_forces_numerical_blowup(self, tmp_path, seed):

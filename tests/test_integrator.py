@@ -33,6 +33,8 @@ from spdelab.integrator import (
     Scheme,
     SchemeConfig,
     TrajectoryResult,
+    _noise_factor,
+    _transformed_reaction,
     mode_residuals,
     reconstruct_u,
     simulate_paths,
@@ -519,6 +521,32 @@ class TestMildResidual:
             maxima[dt] = np.max(res)
         ratio = maxima[2e-3] / maxima[1e-3]
         assert 1.6 <= ratio <= 2.6
+
+    @pytest.mark.parametrize("a", [0.5, 4.0], ids=["completes", "blows_up"])
+    def test_scan_matches_per_snapshot_recursion(self, interval_48, a):
+        # reference: the convolution advanced one snapshot interval at a
+        # time; the scan sums in another order, so agreement is to rounding
+        _, grid, op, eig = interval_48
+        params = ModelParams(beta=1.0, kappa=1.0)
+        path = sample_brownian(2.0, 1e-3, 3, 0)
+        traj = simulate_paths(a * eig.psi, [path], params, op, eig, SchemeConfig(dt=1e-3))[0]
+        t, w = traj.snapshot_times, grid.weights
+        factor = _noise_factor(np.interp(t, path.times, path.values), params)
+        react = _transformed_reaction(traj.snapshots, factor, params)
+        coeff = (traj.snapshots * w) @ eig.modes
+        b = (react * w) @ eig.modes
+        mu = eig.eigenvalues + 0.5 * params.kappa**2
+        conv = np.zeros_like(coeff)
+        for i in range(1, len(t)):
+            step = t[i] - t[i - 1]
+            decay = np.exp(-mu * step)
+            conv[i] = decay * conv[i - 1] + 0.5 * step * (decay * b[i - 1] + b[i])
+        homogeneous = np.exp(-np.outer(t, mu)) * coeff[0]
+        reference = np.sqrt(np.sum((coeff - homogeneous - conv) ** 2, axis=1))
+        _, _, mild = mode_residuals(traj, path, params, eig)
+        assert (traj.outcome is Outcome.NUMERICAL_BLOWUP) == (a > 1)
+        assert mild[0] == reference[0] == 0.0
+        assert np.max(np.abs(mild - reference)) <= 1e-10 * np.max(reference)
 
     def test_transformed_only(self, interval_48):
         # the mild form is stated for v: mild is None for u
