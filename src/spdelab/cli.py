@@ -73,19 +73,27 @@ def _cell(value) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows) -> Path:
-    """Write a header and rows; rows is a list of lists or a 2-D float array.
-
-    csv writes a Python float through repr(), so a float array needs no
-    per-cell conversion and gives the same bytes as _cell.
-    """
+    """Write a header and rows, each cell formatted by _cell."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
-            writer.writerows(rows.tolist())
-        else:
-            for row in rows:
-                writer.writerow([_cell(x) for x in row])
+        for row in rows:
+            writer.writerow([_cell(x) for x in row])
+    return path
+
+
+def write_mass_series(path: Path, t_cells: list[str], mass: np.ndarray, sup: np.ndarray) -> Path:
+    """Write one path's t, mass, sup series, the bytes write_csv gives.
+
+    ``t_cells`` is the time column already formatted, at least as long as
+    the series: every path of a run shares one time grid, so it is
+    formatted once. Each float goes through repr(), as in _cell.
+    """
+    body = "".join(
+        f"{t},{m!r},{s!r}\n" for t, m, s in zip(t_cells, mass.tolist(), sup.tolist())
+    )
+    with open(path, "w", newline="") as fh:
+        fh.write("t,mass,sup\n" + body)
     return path
 
 
@@ -134,13 +142,11 @@ def _resolve_out_dir(cli_out: str | None, cfg: RunConfig) -> Path:
 # shared setup
 
 
-def _eigen_setup(cfg: RunConfig, n: int | None = None, m: int = 4):
+def _eigen_setup(cfg: RunConfig, m: int = 4):
     dom_cfg = cfg.need("domain")
     dom = dom_cfg.spec()
-    grid = build_grid(dom, n if n is not None else dom_cfg.n)
-    op = build_laplacian(dom, grid)
-    m = min(m, grid.npoints)
-    return dom, grid, op, solve_eigenpairs(op, m)
+    grid = build_grid(dom, dom_cfg.n)
+    return dom, grid, solve_eigenpairs(grid, min(m, grid.npoints))
 
 
 def _heat_kernel_config(cfg: RunConfig) -> HeatKernelConfig:
@@ -183,8 +189,7 @@ def cmd_eigen(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -> 
     results = {}
     for label, n in (("", n_coarse), ("_fine", n_fine)):
         grid = build_grid(dom, n)
-        op = build_laplacian(dom, grid)
-        eig = solve_eigenpairs(op, min(4, grid.npoints))
+        eig = solve_eigenpairs(grid, min(4, grid.npoints))
         results[label] = (grid, eig)
     grid, eig = results[""]
     grid_f, eig_f = results["_fine"]
@@ -214,7 +219,7 @@ def cmd_eigen(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -> 
 def cmd_blowup(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -> list[Path]:
     params = cfg.need("model")
     sim = cfg.need("sim")
-    _, grid, _, eigen = _eigen_setup(cfg)
+    _, grid, eigen = _eigen_setup(cfg)
     if not sim.v0psi_sweep:
         raise ConfigurationError("blowup command needs sim.v0psi_sweep")
     run_seed = seed if seed is not None else sim.seed
@@ -300,7 +305,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) 
     params = cfg.need("model")
     sim = cfg.need("sim")
     initial = cfg.need("initial")
-    _, grid, op, eigen = _eigen_setup(cfg, m=12)
+    dom, grid, eigen = _eigen_setup(cfg, m=12)
+    op = build_laplacian(dom, grid)
     f = _initial_field(initial, eigen)
     run_seed = seed if seed is not None else sim.seed
     scheme_cfg = SchemeConfig(
@@ -312,9 +318,12 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) 
     em_cfg = replace(scheme_cfg, max_snapshots=2)
     n_paths = 1 if params.kappa == 0 else sim.n_paths
     traj_rows, cons_rows, files = [], [], []
+    t_cells = None
     for start in range(0, n_paths, BLOCK_PATHS):
         block = range(start, min(start + BLOCK_PATHS, n_paths))
         paths = [_sample_path(sim, params.kappa, run_seed, idx) for idx in block]
+        if t_cells is None:  # every path runs on the grid k*dt
+            t_cells = list(map(repr, paths[0].times.tolist()))
         trajs = simulate_paths(f, paths, params, op, eigen, scheme_cfg, variable="v")
         residuals = []
         for i, path in enumerate(paths):
@@ -335,9 +344,9 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) 
                 t_i, lower, _, tau = lower_solution_series(
                     path, threshold, params.kappa, eigen.lam1
                 )
-            series = out_dir / f"mass_series_{idx:04d}.csv"
-            rows = np.column_stack((traj.times, traj.mass, traj.sup))
-            write_csv(series, ["t", "mass", "sup"], rows)
+            series = write_mass_series(
+                out_dir / f"mass_series_{idx:04d}.csv", t_cells, traj.mass, traj.sup
+            )
             files.append(series)
             traj_rows.append(
                 [
@@ -408,7 +417,7 @@ def cmd_certify(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -
     m = 48
     if cert.c == "fit" and "heat_kernel" in cert.kinds:
         m = max(m, _heat_kernel_config(cfg).n_modes)
-    dom, grid, _, basis = _eigen_setup(cfg, m=m)
+    dom, grid, basis = _eigen_setup(cfg, m=m)
     eigen = basis
     if basis.m > 48:
         eigen = replace(
@@ -468,7 +477,7 @@ def cmd_certify(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -
 
 def cmd_heat_kernel(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -> list[Path]:
     hk = _heat_kernel_config(cfg)
-    dom, grid, _, basis = _eigen_setup(cfg, m=hk.n_modes)
+    dom, grid, basis = _eigen_setup(cfg, m=hk.n_modes)
     report = heat_kernel_ratio_report(dom, grid, basis, hk.times())
     p = (dom.dimension + 2) / 2.0
     gap = float(basis.eigenvalues[1] - basis.eigenvalues[0])

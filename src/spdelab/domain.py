@@ -18,11 +18,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigurationError, NumericalFailure, PreconditionFailure
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 logger = logging.getLogger(__name__)
 
@@ -137,6 +140,8 @@ def _validate_initial(f: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 def laplacian_matrix_1d(n: int, h: float) -> sp.csr_matrix:
     """Textbook 1D Dirichlet stencil (-2, 1)/h^2 on ``n`` interior nodes (unguarded)."""
+    import scipy.sparse as sp
+
     main = np.full(n, -2.0 / h**2)
     off = np.full(n - 1, 1.0 / h**2)
     return sp.diags([off, main, off], (-1, 0, 1), format="csr")
@@ -154,8 +159,12 @@ def build_laplacian(domain: DomainSpec, grid: GridSpec) -> DiscreteOperator:
     """Assemble the Dirichlet Laplacian for the grid.
 
     1D gives the tridiagonal second-difference stencil; 2D the tensor-product
-    five-point stencil ``kron(T1, I) + kron(I, T2)``.
+    five-point stencil ``kron(T1, I) + kron(I, T2)``. Only the integrator's
+    factorization reads the matrix, so scipy.sparse is imported here, on
+    first use, and not with the package.
     """
+    import scipy.sparse as sp
+
     if grid.domain is not domain and grid.domain != domain:
         raise ConfigurationError("grid was built for a different domain")
     if grid.n < MIN_POINTS_PER_AXIS:
@@ -235,9 +244,9 @@ def _modes_1d(n: int, h: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     return lam, V
 
 
-def solve_eigenpairs(op: DiscreteOperator, m: int) -> EigenData:
-    """The first ``m`` Dirichlet eigenpairs, ascending, from the closed-form
-    spectrum of the stencil.
+def solve_eigenpairs(grid: GridSpec, m: int) -> EigenData:
+    """The first ``m`` Dirichlet eigenpairs on ``grid``, ascending, from the
+    closed-form spectrum of the stencil; no matrix is assembled.
 
     The rectangle case combines tensor-product pairs of the two 1D problems,
     which is exact for the separable five-point stencil.
@@ -252,7 +261,6 @@ def solve_eigenpairs(op: DiscreteOperator, m: int) -> EigenData:
     m = int(m)
     if m < 2:
         raise ConfigurationError(f"need at least two modes, got m={m}")
-    grid = op.grid
     if m > grid.npoints:
         raise ConfigurationError(f"m={m} exceeds grid size {grid.npoints}")
     if grid.domain.dimension == 1:

@@ -35,8 +35,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .blowup import ModelParams, PowerLaw
 from .domain import DiscreteOperator, EigenData, _validate_initial
@@ -121,6 +119,10 @@ class _Workspace:
     """
 
     def __init__(self, op: DiscreteOperator, shift: float, dt: float, scheme: Scheme):
+        # imported on first use, so that importing the package loads no scipy
+        from scipy import sparse
+        from scipy.sparse.linalg import splu
+
         n = op.matrix.shape[0]
         eye = sparse.identity(n, format="csc")
         gen = (op.matrix - shift * eye).tocsc()
@@ -259,6 +261,12 @@ def simulate_paths(
     if variable not in ("v", "u"):
         raise ConfigurationError(f"variable must be 'v' or 'u', got {variable!r}")
     nsteps = _check_grids(paths, cfg)
+    # GridSpec compares by identity, so the grids are compared by their fields
+    if op.grid.domain != eigen.grid.domain or op.grid.n != eigen.grid.n:
+        raise ConfigurationError(
+            f"operator grid ({op.grid.domain}, n={op.grid.n}) and eigenbasis grid "
+            f"({eigen.grid.domain}, n={eigen.grid.n}) differ"
+        )
     f = _validate_initial(f, op.grid)
     if variable == "v":
         shift = 0.5 * params.kappa**2

@@ -18,7 +18,7 @@ def interval_512():
     dom = DomainSpec("interval", (np.pi,))
     grid = build_grid(dom, 512)
     op = build_laplacian(dom, grid)
-    eig = solve_eigenpairs(op, 200)
+    eig = solve_eigenpairs(grid, 200)
     return dom, grid, op, eig
 
 
@@ -27,7 +27,7 @@ def interval_48():
     dom = DomainSpec("interval", (np.pi,))
     grid = build_grid(dom, 48)
     op = build_laplacian(dom, grid)
-    eig = solve_eigenpairs(op, 40)
+    eig = solve_eigenpairs(grid, 40)
     return dom, grid, op, eig
 
 
@@ -36,5 +36,5 @@ def rect_32():
     dom = DomainSpec("rectangle", (np.pi, np.pi))
     grid = build_grid(dom, 32)
     op = build_laplacian(dom, grid)
-    eig = solve_eigenpairs(op, 60)
+    eig = solve_eigenpairs(grid, 60)
     return dom, grid, op, eig

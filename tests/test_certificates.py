@@ -37,8 +37,7 @@ INTEGRAL, SATURATION = CertificateKind.INTEGRAL, CertificateKind.SATURATION
 def cert_env():
     dom = DomainSpec(kind="interval", lengths=(math.pi,))
     grid = build_grid(dom, 512)
-    op = build_laplacian(dom, grid)
-    eig = solve_eigenpairs(op, 24)
+    eig = solve_eigenpairs(grid, 24)
     path = BrownianPath.frozen_zero(horizon=12.0, dt=2e-3)
     return grid, eig, path
 
@@ -387,7 +386,7 @@ class TestOnePass:
         dom = DomainSpec(kind="interval", lengths=(math.pi,))
         grid = build_grid(dom, 32)
         op = build_laplacian(dom, grid)
-        eig = solve_eigenpairs(op, 24)
+        eig = solve_eigenpairs(grid, 24)
         f = 0.3 * eig.psi
         f[5] = -1e-13
         path = BrownianPath.frozen_zero(horizon=1.0, dt=1e-2)

@@ -13,7 +13,7 @@ import pytest
 
 from spdelab import blowup, certificates, cli, stochastic
 from spdelab.blowup import ModelParams
-from spdelab.cli import _consistency_row, main, write_csv
+from spdelab.cli import _consistency_row, main, write_csv, write_mass_series
 from spdelab.config import load_config
 from spdelab.domain import (
     DomainSpec,
@@ -318,7 +318,7 @@ class TestSimulateCommand:
         # must equal the gap computed from the full reconstruct_u trajectory
         grid = build_grid(DomainSpec(kind="interval", lengths=(math.pi,)), 32)
         op = build_laplacian(grid.domain, grid)
-        eig = solve_eigenpairs(op, 12)
+        eig = solve_eigenpairs(grid, 12)
         params = ModelParams(beta=1.0, kappa=1.0)
         path = sample_brownian(2.0, 1e-2, 3, 0)
         f = 0.5 * eig.psi
@@ -335,7 +335,7 @@ class TestSimulateCommand:
         # kappa=0, mass 2 > lam1: blows up at ln 2; transform is the identity
         dom = build_grid(__import__("spdelab.domain", fromlist=["DomainSpec"]).DomainSpec(
             kind="interval", lengths=(math.pi,)), 32)
-        eig = solve_eigenpairs(build_laplacian(dom.domain, dom), 4)
+        eig = solve_eigenpairs(dom, 4)
         a = 2.0 / weighted_inner(dom, eig.psi, eig.psi)
         cfg = interval_cfg(
             n=32,
@@ -411,7 +411,7 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
         grid = build_grid(DomainSpec(kind="interval", lengths=(math.pi,)), n)
         op = build_laplacian(grid.domain, grid)
-        eig = solve_eigenpairs(op, 12)
+        eig = solve_eigenpairs(grid, 12)
         params = ModelParams(beta=1.0, kappa=kappa)
         rows = read_csv(out / "consistency.csv")
         assert {r["outcome"] for r in rows} == {"completed_horizon", "numerical_blowup"}
@@ -575,7 +575,7 @@ class TestCertifyCommand:
         assert row["kind"] == "integral" and row["verdict"] == "certified"
         dom_mod = __import__("spdelab.domain", fromlist=["DomainSpec"])
         grid = build_grid(dom_mod.DomainSpec(kind="interval", lengths=(math.pi,)), 64)
-        eig = solve_eigenpairs(build_laplacian(grid.domain, grid), 4)
+        eig = solve_eigenpairs(grid, 4)
         expected = float(np.max(eig.psi)) / (eig.lam1 + 0.5)
         assert float(row["J"]) == pytest.approx(expected, rel=2e-3)
         assert float(row["envelope_max"]) > 1.0
@@ -706,19 +706,81 @@ class TestHeatKernelCommand:
 
 
 class TestWriteCsv:
-    def test_float_array_matches_cell_formatting(self, tmp_path):
-        # the array fast path and the per-cell path write the same bytes
+    def test_mass_series_matches_cell_formatting(self, tmp_path):
+        # the mass-series writer and write_csv's per-cell path write the same
+        # bytes; a time column longer than the series is cut to its length
         rng = np.random.default_rng(0)
         rows = 10.0 ** rng.uniform(-300.0, 300.0, size=(5001, 3))
         rows *= rng.choice([-1.0, 1.0], size=rows.shape)
         rows[0] = [-0.0, np.nan, np.inf]
         rows[1] = [5e-324, -np.inf, 0.0]
         header = ["t", "mass", "sup"]
-        fast = write_csv(tmp_path / "fast.csv", header, rows)
+        t_cells = [repr(t) for t in rows[:, 0].tolist()] + ["1.0"]
+        fast = write_mass_series(tmp_path / "fast.csv", t_cells, rows[:, 1], rows[:, 2])
         cells = write_csv(tmp_path / "cells.csv", header, rows.tolist())
         assert fast.read_bytes() == cells.read_bytes()
         lines = fast.read_text().splitlines()
         assert lines[1:3] == ["-0.0,nan,inf", "5e-324,-inf,0.0"]
+
+
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import spdelab.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+cli.load_config(sys.argv[2])
+seen = {"import": [0, scipy_modules()]}
+for label, argv in json.loads(sys.argv[3]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen[label] = [cli.main(argv), scipy_modules()]
+print(json.dumps(seen))
+"""
+
+
+class TestImports:
+    def test_scipy_loads_only_where_it_is_used(self, tmp_path):
+        # one process, so each step sees what the steps before it loaded:
+        # the import and the light commands load no scipy module, the gamma
+        # law loads scipy.special, and only simulate's factorization loads
+        # scipy.sparse
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        mc = interval_cfg(
+            n=16, model=MODEL, sim={"dt": 0.01, "horizon": 1.0, "n_paths": 1000, "seed": 1,
+                                    "v0psi_sweep": [0.5]}
+        )
+        sim = interval_cfg(
+            n=16, model=MODEL, initial={"mode": "eigen-multiple", "a": 0.3},
+            sim={"dt": 0.01, "horizon": 0.5, "n_paths": 2, "seed": 1},
+        )
+        runs = [
+            ("eigen", "eigen", configs / "eigen_interval.json"),
+            ("certify", "certify", configs / "certify_frozen.json"),
+            ("heat-kernel", "heat-kernel", configs / "heat_kernel.json"),
+            ("blowup kappa=0", "blowup", configs / "blowup_dichotomy.json"),
+            ("blowup kappa>0", "blowup", write_cfg(tmp_path, mc, "mc.json")),
+            ("simulate", "simulate", write_cfg(tmp_path, sim, "sim.json")),
+        ]
+        argvs = [
+            (label, [command, "--config", str(cfg), "--out", str(tmp_path / str(i))])
+            for i, (label, command, cfg) in enumerate(runs)
+        ]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", SCIPY_PROBE, src, str(runs[0][2]), json.dumps(argvs)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout)
+        assert [code for code, _ in seen.values()] == [0] * 7
+        for label in ("import", "eigen", "certify", "heat-kernel", "blowup kappa=0"):
+            assert seen[label][1] == [], label
+        after_mc = seen["blowup kappa>0"][1]
+        assert "scipy.special" in after_mc and "scipy.sparse" not in after_mc
+        assert "scipy.sparse.linalg" in seen["simulate"][1]
 
 
 class TestOutputRouting:

@@ -208,7 +208,7 @@ class TestSimulateRpde:
         for n in (24, 48):
             grid = build_grid(dom, n)
             op = build_laplacian(dom, grid)
-            eig = solve_eigenpairs(op, 8)
+            eig = solve_eigenpairs(grid, 8)
             f = 2.0 * np.ones(grid.npoints)
             path = BrownianPath.frozen_zero(horizon=10.0, dt=1e-3)
             traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), op, eig,
@@ -251,7 +251,7 @@ def interval_16():
     dom = DomainSpec(kind="interval", lengths=(math.pi,))
     grid = build_grid(dom, 16)
     op = build_laplacian(dom, grid)
-    return grid, op, solve_eigenpairs(op, 4)
+    return grid, op, solve_eigenpairs(grid, 4)
 
 
 def tabulated_square():
@@ -336,6 +336,17 @@ class TestBlockEngine:
         with pytest.raises(ConfigurationError):
             simulate_paths(eig.psi, paths, ModelParams(beta=1.0, kappa=0.0), op, eig,
                            SchemeConfig(dt=1e-3))
+
+    @pytest.mark.parametrize("lengths, n", [((2 * math.pi,), 16), ((math.pi,), 32)])
+    def test_operator_and_eigenbasis_must_share_the_grid(self, lengths, n):
+        # the same n on another length would read the mass through the other
+        # grid's weights and psi; another n would fail on array shapes
+        grid, op, _ = interval_16()
+        dom = DomainSpec(kind="interval", lengths=lengths)
+        eig = solve_eigenpairs(build_grid(dom, n), 4)
+        with pytest.raises(ConfigurationError, match="differ"):
+            simulate_paths(0.5 * np.ones(grid.npoints), [BrownianPath.frozen_zero(1.0, 1e-2)],
+                           ModelParams(beta=1.0, kappa=0.0), op, eig, SchemeConfig(dt=1e-2))
 
     @given(
         dt=st.sampled_from([0.05, 0.02, 0.01, 0.005, 0.002]),
