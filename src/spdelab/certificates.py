@@ -158,6 +158,26 @@ def _report(
     )
 
 
+def _check_sup_norm_kind(
+    kind: CertificateKind | str, f: np.ndarray, params: ModelParams, eigen: EigenData
+) -> np.ndarray:
+    """Raise if the integral or saturation certificate cannot be evaluated
+    for f; return f validated.
+
+    The checks run in a fixed order: C* (saturation only), kappa > 0, the
+    initial data, then G <= Lambda z^(1+beta), for every z for the integral
+    kind and on (0, C*) for saturation. None evaluates the series.
+    """
+    saturation = kind == CertificateKind.SATURATION
+    if saturation and params.Cstar is None:
+        raise ConfigurationError("saturation certificate needs Cstar in the model parameters")
+    if params.kappa <= 0:
+        raise ConfigurationError("certificates need kappa > 0; the noiseless dichotomy is separate")
+    f = _validate_initial(f, eigen.grid)
+    _check_upper_bound(params, params.Cstar if saturation else None)
+    return f
+
+
 def certificate_sup_norm(
     path: BrownianPath,
     f: np.ndarray,
@@ -187,13 +207,8 @@ def certificate_sup_norm(
     if not kinds or not set(kinds) <= {CertificateKind.INTEGRAL, CertificateKind.SATURATION}:
         raise ConfigurationError(f"sup-norm certificates are integral and saturation, got {kinds}")
     kinds = [CertificateKind(k) for k in kinds]
-    if params.kappa <= 0:
-        raise ConfigurationError("certificates need kappa > 0; the noiseless dichotomy is separate")
-    f = _validate_initial(f, eigen.grid)
-    # the integral kind needs G <= Lambda z^(1+beta) for every z, saturation only below C*
-    _check_upper_bound(params, None if CertificateKind.INTEGRAL in kinds else params.Cstar)
-    if CertificateKind.SATURATION in kinds and params.Cstar is None:
-        raise ConfigurationError("saturation certificate needs Cstar in the model parameters")
+    for kind in kinds:
+        f = _check_sup_norm_kind(kind, f, params, eigen)
     coeff = eigen.project(f)
     scale = float(np.max(np.abs(f)))
     defect = float(np.max(np.abs(f - eigen.modes @ coeff)))

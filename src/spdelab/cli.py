@@ -4,7 +4,8 @@
 
 Commands: eigen, blowup, simulate, certify, heat-kernel. Exit codes: 0 on
 success, 2 for configuration problems and output I/O errors, 3 for numerical
-failures, 4 for violated mathematical preconditions.
+failures and arrays too large to allocate, 4 for violated mathematical
+preconditions.
 
 Every float lands in CSV via repr(), so reruns of the same config are
 byte-identical (the manifest carries the only timestamps). Output rows are
@@ -34,7 +35,7 @@ from .blowup import (
     lower_solution_series,
     mc_blowup_probability,
 )
-from .certificates import certificate_heat_kernel, certificate_sup_norm
+from .certificates import _check_sup_norm_kind, certificate_heat_kernel, certificate_sup_norm
 from .config import HeatKernelConfig, InitialConfig, RunConfig, load_config
 from .domain import (
     EigenData,
@@ -429,26 +430,16 @@ def cmd_certify(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -
     else:
         path = _sample_path(sim, params.kappa, run_seed, 0)
     f = _initial_field(cfg.initial, eigen) if cfg.initial is not None else None
-    sup_norm_reports = {}
-    rows = []
+    # every kind's checks run in the listed order before the sup-norm series
+    # is evaluated, so the first fault listed is the one reported; the
+    # heat-kernel report needs no series and is built where it is listed
+    reports = {}
     for kind in cert.kinds:
-        if kind != "heat_kernel":
-            # one series serves every sup-norm kind; it is evaluated where the
-            # first of them is listed, so a heat-kernel failure listed earlier
-            # still comes first
-            if not sup_norm_reports:
-                if f is None:
-                    raise ConfigurationError(f"{kind} certificate needs an initial section")
-                sup_kinds = [k for k in cert.kinds if k != "heat_kernel"]
-                sup_norm_reports = certificate_sup_norm(
-                    path, f, params, eigen.lam1, eigen, sup_kinds
-                )
-            report = sup_norm_reports[kind]
-        else:
+        if kind == "heat_kernel":
             if cert.K is None:
                 raise ConfigurationError("heat_kernel certificate needs certificate.K")
             c = _fitted_c(cfg, dom, grid, basis)
-            report = certificate_heat_kernel(
+            reports[kind] = certificate_heat_kernel(
                 cert.K,
                 cert.eta,
                 params,
@@ -458,6 +449,17 @@ def cmd_certify(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -
                 path=None if cert.analytic else path,
                 f=f,
             )
+        elif f is None:
+            raise ConfigurationError(f"{kind} certificate needs an initial section")
+        else:
+            _check_sup_norm_kind(kind, f, params, eigen)
+    # one series serves every sup-norm kind
+    sup_kinds = [k for k in cert.kinds if k != "heat_kernel"]
+    if sup_kinds:
+        reports.update(certificate_sup_norm(path, f, params, eigen.lam1, eigen, sup_kinds))
+    rows = []
+    for kind in cert.kinds:
+        report = reports[kind]
         rows.append(
             [
                 kind,
@@ -579,6 +581,10 @@ def main(argv=None) -> int:
     except PreconditionFailure as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        # numpy's message names the size and shape it could not allocate
+        print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         # config and initial-data reads report their own OSErrors as
         # configuration errors, so what arrives here failed on output

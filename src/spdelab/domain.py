@@ -30,8 +30,9 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 MIN_POINTS_PER_AXIS = 8
-# times per block of semigroup fields in sup_norm_decay (npoints floats each)
-SUP_NORM_CHUNK = 4096
+# bytes of semigroup fields per block in sup_norm_decay: npoints floats per
+# time, so a block of times stays cache-sized whatever the grid
+SUP_NORM_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -313,10 +314,14 @@ def sup_norm_decay(f: np.ndarray, t, kappa: float, basis: EigenData):
     coeff = basis.project(f)
     flat = times.reshape(-1)
     out = np.empty(flat.size)
-    for lo in range(0, flat.size, SUP_NORM_CHUNK):
-        chunk = flat[lo : lo + SUP_NORM_CHUNK]
+    # a positive multiple of 16 times per block: BLAS kernels sum the columns
+    # left over past a multiple of 4 or 8 in another order, so only the last
+    # block has such columns, as one block of all the times would
+    width = 16 * max(1, SUP_NORM_BLOCK_BYTES // (16 * 8 * basis.grid.npoints))
+    for lo in range(0, flat.size, width):
+        chunk = flat[lo : lo + width]
         fields = basis.modes @ (np.exp(-np.outer(basis.eigenvalues, chunk)) * coeff[:, None])
-        out[lo : lo + SUP_NORM_CHUNK] = np.max(np.abs(fields), axis=0)
+        out[lo : lo + width] = np.max(np.abs(fields, out=fields), axis=0)
     out *= np.exp(-0.5 * kappa**2 * flat)
     return float(out[0]) if times.ndim == 0 else out.reshape(times.shape)
 

@@ -362,11 +362,10 @@ class TestMonteCarlo:
         a, b = blowup._drift_scale(self.PARAMS.beta, self.PARAMS.kappa, 1.0)
         alpha = analytic_blowup_bound(1.0, self.PARAMS.kappa, 1.0, self.THRESHOLD).alpha
         nsteps = _n_steps(horizon, dt)
-        drift = a * dt * np.arange(1, nsteps + 1)  # as mc_blowup_probability builds it
 
         def run(x_star, count=n):
             # the (A, p, saturated, steps) column of the one threshold
-            runs = blowup._advance_paths(seed, 0, count, nsteps, dt, drift, b, [x_star], alpha)
+            runs = blowup._advance_paths(seed, 0, count, nsteps, dt, a * dt, b, [x_star], alpha)
             return tuple(column[:, 0] for column in runs)
 
         def hit_count(A, x_star):
@@ -413,8 +412,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(blowup, "MC_CHUNK", chunk)
         nsteps, dt = 5003, 1e-3
         a, b = blowup._drift_scale(self.PARAMS.beta, self.PARAMS.kappa, 1.0)
-        drift = a * dt * np.arange(1, nsteps + 1)
-        _, _, _, steps = blowup._advance_paths(4, 17, 18, nsteps, dt, drift, b, [math.inf], 3.0)
+        _, _, _, steps = blowup._advance_paths(4, 17, 18, nsteps, dt, a * dt, b, [math.inf], 3.0)
         [[normals]] = steps.tolist()
         assert normals == nsteps
         assert_array_equal(np.concatenate(drawn), brownian_increments(4, 17, nsteps))
@@ -433,10 +431,10 @@ class TestMonteCarlo:
         alpha = analytic_blowup_bound(1.0, self.PARAMS.kappa, 1.0, thr).alpha
         x_star = thr.x_star
         nsteps = _n_steps(horizon, dt)
-        drift = a * dt * np.arange(1, nsteps + 1)
+        a_dt = a * dt
         if saturating:  # the exponent b W_t passes EXP_CLAMP on some paths
-            drift, b, x_star, alpha = np.zeros(nsteps), 400.0, 1e308, 0.1
-        args = (nsteps, dt, drift, b, [x_star], alpha)
+            a_dt, b, x_star, alpha = 0.0, 400.0, 1e308, 0.1
+        args = (nsteps, dt, a_dt, b, [x_star], alpha)
 
         def advance(lo, hi):
             return [column.tolist() for column in blowup._advance_paths(seed, lo, hi, *args)]
@@ -489,7 +487,7 @@ class TestMonteCarlo:
         # and the saturation flag each threshold records is the one at its stop
         nsteps, dt, b, alpha, n = 10_500, 1e-3, 400.0, 0.1, 300
         x_stars = [1e3, 1e308, 10.0, 1e3]
-        args = (nsteps, dt, np.zeros(nsteps), b)
+        args = (nsteps, dt, 0.0, b)
         sweep = blowup._advance_paths(5, 0, n, *args, x_stars, alpha)
         singles = [blowup._advance_paths(5, 0, n, *args, [x], alpha) for x in x_stars]
         for j in range(len(x_stars)):
@@ -508,9 +506,8 @@ class TestMonteCarlo:
         a, b = blowup._drift_scale(self.PARAMS.beta, self.PARAMS.kappa, 1.0)
         alpha = analytic_blowup_bound(1.0, self.PARAMS.kappa, 1.0, self.THRESHOLD).alpha
         nsteps = _n_steps(horizon, dt)
-        drift = a * dt * np.arange(1, nsteps + 1)
         x_stars = [BlowupThreshold(m, 1.0).x_star for m in (0.25, 0.5, 1.0, 2.0)]
-        A, p, _, steps = blowup._advance_paths(9, 0, n, nsteps, dt, drift, b, x_stars, alpha)
+        A, p, _, steps = blowup._advance_paths(9, 0, n, nsteps, dt, a * dt, b, x_stars, alpha)
         hit = A >= np.array(x_stars)
         early = ~hit & (steps < nsteps)
         assert np.all(p[hit] == 0.0)

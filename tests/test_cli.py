@@ -311,6 +311,19 @@ class TestBlowupCommand:
         p = write_cfg(tmp_path, cfg)
         assert main(["blowup", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
+    def test_horizon_only_caps_the_run(self, tmp_path):
+        # every path stops by the gamma rule long before T = 50, so a horizon
+        # of 1e12 (1e15 steps) changes no byte and allocates nothing per step
+        outs = {}
+        for horizon in (50.0, 1e12):
+            sim = {"dt": 1e-3, "horizon": horizon, "n_paths": 1000, "seed": 4}
+            cfg = interval_cfg(n=32, model=MODEL, sim={**sim, "v0psi_sweep": [0.25, 1.0]})
+            p = write_cfg(tmp_path, cfg)
+            out = tmp_path / f"T{horizon:g}"
+            assert main(["blowup", "--config", str(p), "--out", str(out)]) == 0
+            outs[horizon] = (out / "blowup.csv").read_bytes()
+        assert outs[1e12] == outs[50.0]
+
 
 class TestSimulateCommand:
     def test_transform_gap_matches_reconstruct_u(self):
@@ -542,6 +555,21 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert f"not finite at node 5: f={bad}" in capsys.readouterr().err
 
+    def test_unallocatable_run_exits_3(self, tmp_path, capsys):
+        # 1e15 steps: numpy refuses the 7.11 PiB noise path at once, without
+        # touching memory
+        cfg = interval_cfg(
+            n=64,
+            model=MODEL,
+            initial={"mode": "eigen-multiple", "a": 0.8},
+            sim={"dt": 1e-3, "horizon": 1e12, "n_paths": 4, "seed": 7},
+        )
+        p = write_cfg(tmp_path, cfg)
+        assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("numerical failure: out of memory:")
+        assert "(1000000000000000,)" in line
+
     def test_wrong_length_tabulated_exits_2(self, tmp_path):
         table = tmp_path / "f.csv"
         table.write_text("value\n1.0\n2.0\n")
@@ -684,6 +712,49 @@ class TestCertifyCommand:
         cfg["initial"] = {"mode": "eigen-multiple", "a": 5.0}
         p = write_cfg(tmp_path, cfg)
         assert main(["certify", "--config", str(p), "--out", str(tmp_path / "o")]) == 4
+
+    # g(2) = 100 is over Lambda z^2, but g stays under it below z = 1.5
+    OVER_CAP = {"type": "tabulated", "z": [0.0, 1.0, 2.0], "g": [0.0, 0.5, 100.0]}
+
+    # each config has two faults in different kinds: every kind's checks run
+    # in the listed order before any series, so the first listed is reported
+    @pytest.mark.parametrize(
+        "kinds, model, cert, negative_f, code, message",
+        [
+            (["saturation"], {}, {}, True, 2, "needs Cstar"),
+            (["saturation", "integral"], {"G": OVER_CAP}, {}, False, 2, "needs Cstar"),
+            (
+                ["integral", "heat_kernel", "saturation"],
+                {},
+                {"K": 1e-6, "eta": 1.0, "c": 0.25},
+                False,
+                4,
+                "exceeds K S_eta psi",
+            ),
+            (
+                ["saturation", "heat_kernel", "integral"],
+                {"G": OVER_CAP, "Cstar": 1.5},
+                {},
+                False,
+                2,
+                "needs certificate.K",
+            ),
+        ],
+        ids=["negative-f", "over-cap", "above-K", "no-K"],
+    )
+    def test_first_listed_fault_is_reported(
+        self, tmp_path, capsys, kinds, model, cert, negative_f, code, message
+    ):
+        cfg = self.base_cfg(kinds=kinds, **cert)
+        cfg["model"] = {**MODEL, **model}
+        if negative_f:
+            table = nonfinite_table(tmp_path, "-0.1", n=64)
+            cfg["initial"] = {"mode": "tabulated", "file": str(table)}
+        out = tmp_path / "out"
+        p = write_cfg(tmp_path, cfg)
+        assert main(["certify", "--config", str(p), "--out", str(out)]) == code
+        assert message in capsys.readouterr().err
+        assert not (out / "certificates.csv").exists()
 
 
 class TestHeatKernelCommand:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,8 +245,9 @@ class TestHeatSemigroup:
         assert sup_norm_decay(f, 0.0, 2.0, eig) == pytest.approx(float(np.max(f)), rel=1e-12)
 
     def test_sup_norm_decay_array_matches_scalar_calls(self, interval_512, monkeypatch):
-        # a small chunk makes the array path cross several chunk boundaries
-        monkeypatch.setattr(domain, "SUP_NORM_CHUNK", 7)
+        # no byte budget forces the minimum width of 16 times, so the array
+        # path crosses several block boundaries
+        monkeypatch.setattr(domain, "SUP_NORM_BLOCK_BYTES", 0)
         _, _, _, eig = interval_512
         f = eig.psi + 0.3 * eig.modes[:, 3] + 0.1 * eig.modes[:, 10]
         times = np.linspace(0.0, 6.0, 40).reshape(8, 5)
@@ -260,6 +262,34 @@ class TestHeatSemigroup:
         assert_allclose(scalars, reference, rtol=1e-12, atol=0)
         with pytest.raises(ConfigurationError):
             sup_norm_decay(f, np.array([0.5, -0.1]), 0.8, eig)
+
+    @pytest.mark.parametrize("n", [512, 100])
+    def test_sup_norm_decay_blocks_match_one_block(self, monkeypatch, n):
+        # the default byte budget gives 256 times per block at 512 nodes and
+        # 1296 at 100 nodes, where bytes / (8 nodes) alone would give 1310
+        grid = build_grid(DomainSpec("interval", (PI,)), n)
+        eig = solve_eigenpairs(grid, 48)
+        f = np.abs(eig.modes @ np.random.default_rng(0).standard_normal(48))
+        times = np.linspace(0.0, 20.0, 4001)
+        blocked = sup_norm_decay(f, times, 1.0, eig)
+        # a budget of 16 times the whole series: one block of all the times
+        monkeypatch.setattr(domain, "SUP_NORM_BLOCK_BYTES", 16 * 8 * grid.npoints * times.size)
+        assert_allclose(blocked, sup_norm_decay(f, times, 1.0, eig), rtol=1e-14, atol=0)
+
+    def test_sup_norm_decay_memory_does_not_grow_with_times(self, interval_512):
+        # certify's shape: 512 nodes, 48 modes, 20,001 path times; the whole
+        # series at once would take 82 MB of fields
+        _, grid, _, _ = interval_512
+        eig = solve_eigenpairs(grid, 48)
+        f = eig.psi + 0.3 * eig.modes[:, 3]
+        times = np.linspace(0.0, 20.0, 20_001)
+        tracemalloc.start()
+        try:
+            sup_norm_decay(f, times, 1.0, eig)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
     def test_contraction_without_noise(self, interval_512):
         _, _, _, eig = interval_512
