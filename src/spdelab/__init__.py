@@ -26,14 +26,12 @@ from .certificates import (
 )
 from .config import RunConfig, load_config
 from .domain import (
-    DiscreteOperator,
     DomainSpec,
     EigenData,
     GridSpec,
     HeatKernelBoundReport,
     apply_heat_semigroup,
     build_grid,
-    build_laplacian,
     heat_kernel_ratio_report,
     richardson_extrapolate,
     solve_eigenpairs,
@@ -68,8 +66,8 @@ from .stochastic import (
 __all__ = [
     "__version__",
     # domain
-    "DomainSpec", "GridSpec", "DiscreteOperator", "EigenData", "HeatKernelBoundReport",
-    "build_grid", "build_laplacian", "solve_eigenpairs", "weighted_inner",
+    "DomainSpec", "GridSpec", "EigenData", "HeatKernelBoundReport",
+    "build_grid", "solve_eigenpairs", "weighted_inner",
     "richardson_extrapolate", "apply_heat_semigroup", "sup_norm_decay",
     "heat_kernel_ratio_report",
     # stochastic

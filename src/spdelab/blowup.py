@@ -146,8 +146,17 @@ class BlowupThreshold:
             raise ConfigurationError("threshold needs v0psi > 0 and beta > 0")
 
     @property
+    def mass_power(self) -> float:
+        """v0psi^(-beta), the lower solution's bracket at t = 0; +inf where a
+        tiny mass overflows the power, which puts x* out of reach."""
+        try:
+            return float(self.v0psi) ** (-self.beta)
+        except OverflowError:
+            return math.inf
+
+    @property
     def x_star(self) -> float:
-        return float(self.v0psi) ** (-self.beta) / self.beta
+        return self.mass_power / self.beta
 
 
 class BlowupBound(NamedTuple):
@@ -178,7 +187,7 @@ def lower_solution_series(
     beta = threshold.beta
     a, b = _drift_scale(beta, kappa, lam1)
     A = exp_functional(path, a, b)
-    bracket = threshold.v0psi ** (-beta) - beta * A
+    bracket = threshold.mass_power - beta * A
     alive = bracket > 0.0
     t = path.times
     values = np.full_like(A, np.nan)
@@ -194,22 +203,21 @@ def lower_solution_series(
     return t, values, k, tau
 
 
-def analytic_blowup_bound(
-    lam1: float,
-    kappa: float,
-    beta: float,
-    threshold: BlowupThreshold,
-) -> BlowupBound:
-    """Closed-form bound pair: P[hit] >= 1 - Q(alpha, z*), its complement exact."""
-    if kappa == 0:
-        raise ConfigurationError("kappa=0: use deterministic_dichotomy, the gamma law degenerates")
-    x_star = threshold.x_star
-    if not x_star > 0:
-        raise ConfigurationError(
-            f"v0psi={threshold.v0psi:g} puts x* = v0psi^(-beta)/beta at {x_star}; it must be > 0"
-        )
+def analytic_blowup_bound(lam1: float, kappa: float, beta: float, level: float) -> BlowupBound:
+    """P[A_inf < x] = Q(alpha, z), z = 2/(kappa^2 beta^2 x), and its
+    complement: A_inf = int_0^inf e^{a s + b W_s} ds with (a, b) of
+    ``_drift_scale`` is 2/(kappa^2 beta^2 Z), Z ~ Gamma(alpha). At the level
+    x* of a mass this bounds P[blowup] from below; at a heat-kernel threshold
+    p_global is the certification probability. x = +inf gives P[hit] = 0; a
+    level that is NaN, <= 0 or underflows kappa^2 beta^2 x is refused."""
     alpha = gamma_shape(beta, kappa, lam1)
-    z_star = 2.0 / (kappa**2 * beta**2 * x_star)
+    scale = kappa**2 * beta**2 * level
+    if not scale > 0:
+        raise ConfigurationError(
+            f"the gamma law has no finite argument at kappa={kappa!r}, beta={beta!r} and "
+            f"level {level!r}: kappa^2 beta^2 level must be > 0"
+        )
+    z_star = 2.0 / scale
     p_global = gamma_tail(alpha, z_star)
     return BlowupBound(p_blowup_lower=1.0 - p_global, p_global=p_global, alpha=alpha, z_star=z_star)
 
@@ -353,52 +361,51 @@ class SweepEstimate:
 def mc_blowup_probability(
     params: ModelParams,
     lam1: float,
-    thresholds: Sequence[BlowupThreshold],
+    levels: Sequence[float],
     n_paths: int,
     horizon: float,
     dt: float,
     seed: int,
     workers: int = 1,
 ) -> SweepEstimate:
-    """Estimate the hitting probability of every threshold from one pass over
-    n_paths independent paths.
+    """Estimate P[A_inf >= x] at every level x from one pass over n_paths
+    independent paths.
 
+    A level is the x* of a mass or a heat-kernel certificate threshold.
     a, b and the drift of A(t) depend only on beta, kappa and lam1, so every
-    threshold reads the same paths and only x* differs: each path is drawn
-    and advanced once for the whole sweep. Each path index draws its own
-    generator stream and runs only until, for every threshold, it has hit x*,
-    the gamma law gives it at most MC_STOP_PROB of still hitting, or the
-    horizon. Each worker thread advances its index range in blocks of
-    MC_BLOCK paths, one row per path; see ``_advance_paths``. A threshold's
-    per-path results equal those of a pass against it alone, so its estimate
-    does not depend on which other thresholds share the pass. Every row is
-    its own path, so results do not depend on the block width, and the hits
-    are counted, so the estimates are identical for any worker count. The
-    thread pool never exceeds os.cpu_count() threads.
+    level reads the same paths and only x differs: each path is drawn and
+    advanced once for the whole sweep. Each path index draws its own
+    generator stream and runs only until, for every level, it has hit x, the
+    gamma law gives it at most MC_STOP_PROB of still hitting, or the horizon.
+    Each worker thread advances its index range in blocks of MC_BLOCK paths,
+    one row per path; see ``_advance_paths``. A level's per-path results
+    equal those of a pass against it alone, so its estimate does not depend
+    on which other levels share the pass. Every row is its own path, so
+    results do not depend on the block width, and the hits are counted, so
+    the estimates are identical for any worker count. The thread pool never
+    exceeds os.cpu_count() threads.
 
-    The truncation allowance of a threshold is the mean over paths of the
+    The truncation allowance of a level is the mean over paths of the
     probability that a path still hits after it stopped (0 for a hit), summed
     exactly in path-index order: the expected fraction of paths, censored at
     their stop, that would hit by t = inf. p_hat + allowance therefore
-    estimates P[A_inf >= x*], the analytic reference, without bias up to the
+    estimates P[A_inf >= x], the analytic reference, without bias up to the
     time-step error of the trapezoidal A.
     """
     if params.kappa <= 0:
         raise ConfigurationError("Monte Carlo needs kappa > 0; use deterministic_dichotomy")
-    if not thresholds:
+    if not levels:
         raise ConfigurationError("Monte Carlo needs at least one threshold")
     if n_paths < MIN_MC_PATHS:
         raise ConfigurationError(f"need at least {MIN_MC_PATHS} paths, got {n_paths}")
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    if any(threshold.beta != params.beta for threshold in thresholds):
-        raise ConfigurationError("threshold and params disagree on beta")
     if not 0 < dt <= horizon:
         raise ConfigurationError(f"need 0 < dt <= horizon, got dt={dt} T={horizon}")
-    bounds = [analytic_blowup_bound(lam1, params.kappa, params.beta, thr) for thr in thresholds]
+    x_stars = [float(x) for x in levels]
+    bounds = [analytic_blowup_bound(lam1, params.kappa, params.beta, x) for x in x_stars]
     a, b = _drift_scale(params.beta, params.kappa, lam1)
     nsteps = _n_steps(horizon, dt)
-    x_stars = [thr.x_star for thr in thresholds]
     args = (nsteps, dt, a * dt, b, x_stars, bounds[0].alpha)
     workers = min(workers, os.cpu_count() or 1)
     cuts = np.linspace(0, n_paths, workers + 1).astype(int)
@@ -430,8 +437,8 @@ def mc_blowup_probability(
         drawn,
         n_paths * nsteps,
         "; ".join(
-            f"v0psi={thr.v0psi:g}: p_hat={est.p_hat:.5f} allowance={est.truncation_allowance:.3g}"
-            for thr, est in zip(thresholds, estimates)
+            f"x={x:g}: p_hat={est.p_hat:.5f} allowance={est.truncation_allowance:.3g}"
+            for x, est in zip(x_stars, estimates)
         ),
     )
     return SweepEstimate(n_paths=n_paths, seed=seed, normals_drawn=drawn, estimates=tuple(estimates))

@@ -11,9 +11,10 @@ Three checks, each one scalar path integral int_0^inf e^{b W_r} w(r) dr:
   inside (0, C*);
 * heat-kernel certificate: for f dominated by K S_eta psi, the integral
   int e^{kappa beta W_r - (lam1 + kappa^2/2) beta r} dr against a closed-form
-  threshold built from the kernel-ratio constant c; the threshold crossing
-  has the same gamma-tail law as the blowup functional, so an analytic mode
-  returns the certification probability.
+  threshold built from the kernel-ratio constant c; that integral is the
+  blowup functional A_inf itself, so an analytic mode returns the
+  certification probability from the gamma law of blowup.analytic_blowup_bound
+  at the threshold.
 
 The [0, T] part of each integral is trapezoidal on the path grid; the
 (T, inf) remainder is replaced by a closed-form majorant that freezes W at
@@ -35,16 +36,10 @@ from enum import Enum
 
 import numpy as np
 
-from .blowup import ModelParams, PowerLaw, TabulatedNonlinearity
+from .blowup import ModelParams, PowerLaw, TabulatedNonlinearity, analytic_blowup_bound
 from .domain import EigenData, _validate_initial, sup_norm_decay
 from .errors import ConfigurationError, PreconditionFailure
-from .stochastic import (
-    EXP_CLAMP,
-    BrownianPath,
-    _cumtrapz,
-    gamma_shape,
-    gamma_tail,
-)
+from .stochastic import EXP_CLAMP, BrownianPath, _cumtrapz
 
 logger = logging.getLogger(__name__)
 
@@ -281,8 +276,9 @@ def certificate_heat_kernel(
     In path mode (path given) the left side is evaluated on the path grid plus
     the endpoint-frozen tail majorant and compared against the right side; it
     is infinite when the exponential factor overflows or the majorant
-    diverges. In analytic mode (path None) the left side has the known gamma
-    law, and the report carries the probability that the condition holds.
+    diverges. In analytic mode (path None) the left side is the blowup
+    functional A_inf, and the report carries the probability that the
+    condition holds, analytic_blowup_bound(lam1, kappa, beta, threshold).p_global.
 
     When f is given it is checked against the domination f <= K S_eta psi
     node by node; the first violating node is named in the failure.
@@ -316,17 +312,11 @@ def certificate_heat_kernel(
     threshold = math.exp(min(lam1 * beta * eta, EXP_CLAMP)) / denom
 
     if path is None:
-        if params.kappa <= 0:
-            raise ConfigurationError("analytic mode needs kappa > 0; the functional degenerates")
-        alpha = gamma_shape(beta, params.kappa, lam1)
-        scale = params.kappa**2 * beta**2 * threshold
-        z = 2.0 / scale if scale > 0 else math.inf
-        if math.isinf(z):
-            raise ConfigurationError(
-                f"K={K} is too large: the threshold {threshold!r} underflows, so the gamma law "
-                "has no finite argument"
-            )
-        probability = gamma_tail(alpha, z)
+        # the left side is A_inf of the blowup functional, at the same (a, b)
+        try:
+            probability = analytic_blowup_bound(lam1, params.kappa, beta, threshold).p_global
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"heat-kernel certificate at K={K!r}: {exc}") from exc
         return CertificateReport(
             kind=CertificateKind.HEAT_KERNEL,
             J=math.nan,

@@ -40,7 +40,6 @@ from .config import HeatKernelConfig, InitialConfig, RunConfig, load_config
 from .domain import (
     EigenData,
     build_grid,
-    build_laplacian,
     heat_kernel_ratio_report,
     richardson_extrapolate,
     solve_eigenpairs,
@@ -143,11 +142,10 @@ def _resolve_out_dir(cli_out: str | None, cfg: RunConfig) -> Path:
 # shared setup
 
 
-def _eigen_setup(cfg: RunConfig, m: int = 4):
+def _eigen_setup(cfg: RunConfig, m: int = 4) -> EigenData:
     dom_cfg = cfg.need("domain")
-    dom = dom_cfg.spec()
-    grid = build_grid(dom, dom_cfg.n)
-    return dom, grid, solve_eigenpairs(grid, min(m, grid.npoints))
+    grid = build_grid(dom_cfg.spec(), dom_cfg.n)
+    return solve_eigenpairs(grid, min(m, grid.npoints))
 
 
 def _heat_kernel_config(cfg: RunConfig) -> HeatKernelConfig:
@@ -220,7 +218,7 @@ def cmd_eigen(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -> 
 def cmd_blowup(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -> list[Path]:
     params = cfg.need("model")
     sim = cfg.need("sim")
-    _, grid, eigen = _eigen_setup(cfg)
+    eigen = _eigen_setup(cfg)
     if not sim.v0psi_sweep:
         raise ConfigurationError("blowup command needs sim.v0psi_sweep")
     run_seed = seed if seed is not None else sim.seed
@@ -229,15 +227,15 @@ def cmd_blowup(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) ->
         crit = eigen.lam1 ** (1.0 / params.beta)
         for mass in sim.v0psi_sweep:
             # constant fields carry their value as exact psi-mass
-            f = mass * np.ones(grid.npoints)
+            f = mass * np.ones(eigen.grid.npoints)
             verdict = deterministic_dichotomy(f, eigen, params.beta)
             rows.append([mass, crit, verdict.value])
         return [write_csv(out_dir / "dichotomy.csv", ["mass", "threshold", "verdict"], rows)]
-    thresholds = [BlowupThreshold(m, params.beta) for m in sim.v0psi_sweep]
+    levels = [BlowupThreshold(m, params.beta).x_star for m in sim.v0psi_sweep]
     sweep = mc_blowup_probability(
         params,
         eigen.lam1,
-        thresholds,
+        levels,
         n_paths=sim.n_paths,
         horizon=sim.horizon,
         dt=sim.dt,
@@ -245,12 +243,12 @@ def cmd_blowup(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) ->
         workers=workers,
     )
     rows = []
-    for threshold, est in zip(thresholds, sweep.estimates):
-        bound = analytic_blowup_bound(eigen.lam1, params.kappa, params.beta, threshold)
+    for v0psi, x_star, est in zip(sim.v0psi_sweep, levels, sweep.estimates):
+        bound = analytic_blowup_bound(eigen.lam1, params.kappa, params.beta, x_star)
         rows.append(
             [
-                threshold.v0psi,
-                threshold.x_star,
+                v0psi,
+                x_star,
                 bound.z_star,
                 bound.alpha,
                 bound.p_blowup_lower,
@@ -306,14 +304,13 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) 
     params = cfg.need("model")
     sim = cfg.need("sim")
     initial = cfg.need("initial")
-    dom, grid, eigen = _eigen_setup(cfg, m=12)
-    op = build_laplacian(dom, grid)
+    eigen = _eigen_setup(cfg, m=12)
     f = _initial_field(initial, eigen)
     run_seed = seed if seed is not None else sim.seed
     scheme_cfg = SchemeConfig(
         dt=sim.dt, cutoff=sim.cutoff, scheme=sim.scheme, max_snapshots=sim.max_snapshots
     )
-    mass0 = weighted_inner(grid, f, eigen.psi)
+    mass0 = weighted_inner(eigen.grid, f, eigen.psi)
     threshold = BlowupThreshold(float(mass0), params.beta) if mass0 > 0 else None
     # the Euler-Maruyama run is compared through its sup series only
     em_cfg = replace(scheme_cfg, max_snapshots=2)
@@ -325,7 +322,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) 
         paths = [_sample_path(sim, params.kappa, run_seed, idx) for idx in block]
         if t_cells is None:  # every path runs on the grid k*dt
             t_cells = list(map(repr, paths[0].times.tolist()))
-        trajs = simulate_paths(f, paths, params, op, eigen, scheme_cfg, variable="v")
+        trajs = simulate_paths(f, paths, params, eigen, scheme_cfg, variable="v")
         residuals = []
         for i, path in enumerate(paths):
             _, weak, mild = mode_residuals(trajs[i], path, params, eigen)
@@ -334,7 +331,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) 
             # slice of them would keep the whole buffer alive
             trajs[i] = replace(trajs[i], snapshot_times=np.empty(0), snapshots=np.empty((0, 0)))
         try:
-            trajs_em = simulate_paths(f, paths, params, op, eigen, em_cfg, variable="u")
+            trajs_em = simulate_paths(f, paths, params, eigen, em_cfg, variable="u")
         except NumericalFailure:
             trajs_em = [None] * len(paths)
         for idx, path, traj, traj_em, (weak_max, mild_max) in zip(
@@ -402,11 +399,11 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) 
     return files
 
 
-def _fitted_c(cfg: RunConfig, dom, grid, basis) -> float:
+def _fitted_c(cfg: RunConfig, basis: EigenData) -> float:
     cert = cfg.need("certificate")
     if cert.c != "fit":
         return float(cert.c)
-    return heat_kernel_ratio_report(dom, grid, basis, _heat_kernel_config(cfg).times()).c
+    return heat_kernel_ratio_report(basis, _heat_kernel_config(cfg).times()).c
 
 
 def cmd_certify(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -> list[Path]:
@@ -418,7 +415,7 @@ def cmd_certify(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -
     m = 48
     if cert.c == "fit" and "heat_kernel" in cert.kinds:
         m = max(m, _heat_kernel_config(cfg).n_modes)
-    dom, grid, basis = _eigen_setup(cfg, m=m)
+    basis = _eigen_setup(cfg, m=m)
     eigen = basis
     if basis.m > 48:
         eigen = replace(
@@ -438,7 +435,7 @@ def cmd_certify(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -
         if kind == "heat_kernel":
             if cert.K is None:
                 raise ConfigurationError("heat_kernel certificate needs certificate.K")
-            c = _fitted_c(cfg, dom, grid, basis)
+            c = _fitted_c(cfg, basis)
             reports[kind] = certificate_heat_kernel(
                 cert.K,
                 cert.eta,
@@ -479,9 +476,9 @@ def cmd_certify(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -
 
 def cmd_heat_kernel(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -> list[Path]:
     hk = _heat_kernel_config(cfg)
-    dom, grid, basis = _eigen_setup(cfg, m=hk.n_modes)
-    report = heat_kernel_ratio_report(dom, grid, basis, hk.times())
-    p = (dom.dimension + 2) / 2.0
+    basis = _eigen_setup(cfg, m=hk.n_modes)
+    report = heat_kernel_ratio_report(basis, hk.times())
+    p = (basis.grid.domain.dimension + 2) / 2.0
     gap = float(basis.eigenvalues[1] - basis.eigenvalues[0])
     rows = []
     for i, t in enumerate(report.times):
@@ -500,7 +497,7 @@ def cmd_heat_kernel(cfg: RunConfig, out_dir: Path, seed: int | None, workers: in
             out_dir / "heatkernel_summary.json",
             {
                 "c": report.c,
-                "dimension": dom.dimension,
+                "dimension": basis.grid.domain.dimension,
                 "spectral_gap": gap,
                 "n_modes": basis.m,
                 "truncation_estimate": report.truncation_estimate,

@@ -1,7 +1,9 @@
 """Dirichlet Laplacian on an interval or rectangle: grids, eigenpairs, heat semigroup.
 
 Everything downstream (mass pipeline, certificates, trajectory integration)
-consumes the objects built here. Conventions:
+consumes the objects built here, and each derives what it needs from the
+grid: the eigenpairs have a closed form, and the sparse matrix that only the
+integrator factors is assembled from the grid by ``_laplacian``. Conventions:
 
 * only interior nodes are stored; the zero boundary values are implicit;
 * quadrature is the trapezoidal rule restricted to functions vanishing on the
@@ -139,44 +141,25 @@ def _validate_initial(f: np.ndarray, grid: GridSpec) -> np.ndarray:
     return f
 
 
-def laplacian_matrix_1d(n: int, h: float) -> sp.csr_matrix:
-    """Textbook 1D Dirichlet stencil (-2, 1)/h^2 on ``n`` interior nodes (unguarded)."""
-    import scipy.sparse as sp
+def _laplacian(grid: GridSpec) -> sp.csr_matrix:
+    """Dirichlet Laplacian (negative definite) of the grid.
 
-    main = np.full(n, -2.0 / h**2)
-    off = np.full(n - 1, 1.0 / h**2)
-    return sp.diags([off, main, off], (-1, 0, 1), format="csr")
-
-
-@dataclass(frozen=True, eq=False)
-class DiscreteOperator:
-    """Discrete Laplacian (negative definite) bound to its grid."""
-
-    matrix: sp.spmatrix
-    grid: GridSpec
-
-
-def build_laplacian(domain: DomainSpec, grid: GridSpec) -> DiscreteOperator:
-    """Assemble the Dirichlet Laplacian for the grid.
-
-    1D gives the tridiagonal second-difference stencil; 2D the tensor-product
-    five-point stencil ``kron(T1, I) + kron(I, T2)``. Only the integrator's
-    factorization reads the matrix, so scipy.sparse is imported here, on
-    first use, and not with the package.
+    1D gives the tridiagonal second-difference stencil (-2, 1)/h^2; 2D the
+    tensor-product five-point stencil ``kron(T1, I) + kron(I, T2)``. Only the
+    integrator's factorization reads the matrix, so scipy.sparse is imported
+    here, on first use, and not with the package.
     """
     import scipy.sparse as sp
 
-    if grid.domain is not domain and grid.domain != domain:
-        raise ConfigurationError("grid was built for a different domain")
-    if grid.n < MIN_POINTS_PER_AXIS:
-        raise ConfigurationError(f"grid too coarse: n={grid.n}")
-    blocks = [laplacian_matrix_1d(grid.n, h) for h in grid.h]
-    if domain.dimension == 1:
-        mat = blocks[0]
-    else:
-        eye = sp.identity(grid.n, format="csr")
-        mat = sp.kron(blocks[0], eye, format="csr") + sp.kron(eye, blocks[1], format="csr")
-    return DiscreteOperator(matrix=mat.tocsr(), grid=grid)
+    def stencil(h):
+        off = np.full(grid.n - 1, 1.0 / h**2)
+        return sp.diags([off, np.full(grid.n, -2.0 / h**2), off], (-1, 0, 1), format="csr")
+
+    blocks = [stencil(h) for h in grid.h]
+    if len(blocks) == 1:
+        return blocks[0]
+    eye = sp.identity(grid.n, format="csr")
+    return sp.kron(blocks[0], eye, format="csr") + sp.kron(eye, blocks[1], format="csr")
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,10 +300,15 @@ def sup_norm_decay(f: np.ndarray, t, kappa: float, basis: EigenData):
     # a positive multiple of 16 times per block: BLAS kernels sum the columns
     # left over past a multiple of 4 or 8 in another order, so only the last
     # block has such columns, as one block of all the times would
-    width = 16 * max(1, SUP_NORM_BLOCK_BYTES // (16 * 8 * basis.grid.npoints))
+    npoints = basis.grid.npoints
+    width = 16 * max(1, SUP_NORM_BLOCK_BYTES // (16 * 8 * npoints))
+    # every block is written into one buffer, so no two blocks are alive at once
+    buf = np.empty(npoints * min(width, flat.size))
     for lo in range(0, flat.size, width):
         chunk = flat[lo : lo + width]
-        fields = basis.modes @ (np.exp(-np.outer(basis.eigenvalues, chunk)) * coeff[:, None])
+        fields = buf[: npoints * chunk.size].reshape(npoints, chunk.size)
+        decay = np.exp(-np.outer(basis.eigenvalues, chunk)) * coeff[:, None]
+        np.matmul(basis.modes, decay, out=fields)
         out[lo : lo + width] = np.max(np.abs(fields, out=fields), axis=0)
     out *= np.exp(-0.5 * kappa**2 * flat)
     return float(out[0]) if times.ndim == 0 else out.reshape(times.shape)
@@ -359,13 +347,8 @@ def _spectral_tail_estimate(basis: EigenData, t_min: float) -> float:
     return last * float(np.sum((j / m) ** 2 * np.exp(-(lam_j - lam1) * t_min)))
 
 
-def heat_kernel_ratio_report(
-    domain: DomainSpec,
-    grid: GridSpec,
-    basis: EigenData,
-    times,
-) -> HeatKernelBoundReport:
-    """Evaluate the kernel ratio and fit the sandwich constant.
+def heat_kernel_ratio_report(basis: EigenData, times) -> HeatKernelBoundReport:
+    """Evaluate the kernel ratio and fit the sandwich constant on ``basis.grid``.
 
     The spectral kernel is symmetric positive semidefinite, so the pairwise
     supremum of ``p_t(x,y)/(phi1(x) phi1(y))`` sits on the diagonal
@@ -378,8 +361,7 @@ def heat_kernel_ratio_report(
         raise ConfigurationError("ratio sampling needs strictly positive times")
     if basis.m < 30:
         raise ConfigurationError(f"need at least 30 modes for short times, got {basis.m}")
-    d = domain.dimension
-    p = (d + 2) / 2.0
+    p = (basis.grid.domain.dimension + 2) / 2.0
     gaps = basis.eigenvalues - basis.eigenvalues[0]
     R2 = (basis.modes / basis.modes[:, [0]]) ** 2
     ratios = np.empty_like(times)

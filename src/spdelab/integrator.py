@@ -8,7 +8,7 @@ implicit, the reaction explicit at the step start, which is the
 non-anticipating reading of the noise factor.
 
 One engine, ``simulate_paths``, advances a block of paths that share the
-initial field, operator and scheme: each step is one reaction evaluation on
+initial field, grid and scheme: each step is one reaction evaluation on
 the (paths x nodes) block and one solve with one sparse factorization on all
 of its right-hand sides. It is also the single-path integrator: one path is a
 block of one, ``simulate_paths(f, [path], ...)[0]``, and every path's result
@@ -37,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from .blowup import ModelParams, PowerLaw
-from .domain import DiscreteOperator, EigenData, _validate_initial
+from .domain import EigenData, _laplacian, _validate_initial
 from .errors import ConfigurationError, NumericalFailure
 from .stochastic import EXP_CLAMP, BrownianPath
 
@@ -113,19 +113,18 @@ class TrajectoryResult:
 class _Workspace:
     """Factorization of the implicit operator at one time step.
 
-    shift is the zeroth-order coefficient moved into the implicit solve
-    (kappa^2/2 for the transformed equation, 0 for the physical one). One
-    workspace serves every path of a block.
+    lap is the sparse grid Laplacian and shift the zeroth-order coefficient
+    moved into the implicit solve (kappa^2/2 for the transformed equation, 0
+    for the physical one). One workspace serves every path of a block.
     """
 
-    def __init__(self, op: DiscreteOperator, shift: float, dt: float, scheme: Scheme):
+    def __init__(self, lap, shift: float, dt: float, scheme: Scheme):
         # imported on first use, so that importing the package loads no scipy
         from scipy import sparse
         from scipy.sparse.linalg import splu
 
-        n = op.matrix.shape[0]
-        eye = sparse.identity(n, format="csc")
-        gen = (op.matrix - shift * eye).tocsc()
+        eye = sparse.identity(lap.shape[0], format="csc")
+        gen = (lap - shift * eye).tocsc()
         if scheme is Scheme.IMEX:
             implicit = eye - dt * gen
             self.explicit = None
@@ -244,12 +243,12 @@ def simulate_paths(
     f: np.ndarray,
     paths: list[BrownianPath],
     params: ModelParams,
-    op: DiscreteOperator,
     eigen: EigenData,
     cfg: SchemeConfig,
     variable: str = "v",
 ) -> list[TrajectoryResult]:
-    """Integrate one field per noise path, all from f, as one block.
+    """Integrate one field per noise path, all from f, as one block, on the
+    grid of ``eigen``, whose Laplacian is assembled here.
 
     variable "v" integrates the transformed field, "u" the physical one with
     multiplicative Euler-Maruyama increments. Every step advances the
@@ -261,13 +260,7 @@ def simulate_paths(
     if variable not in ("v", "u"):
         raise ConfigurationError(f"variable must be 'v' or 'u', got {variable!r}")
     nsteps = _check_grids(paths, cfg)
-    # GridSpec compares by identity, so the grids are compared by their fields
-    if op.grid.domain != eigen.grid.domain or op.grid.n != eigen.grid.n:
-        raise ConfigurationError(
-            f"operator grid ({op.grid.domain}, n={op.grid.n}) and eigenbasis grid "
-            f"({eigen.grid.domain}, n={eigen.grid.n}) differ"
-        )
-    f = _validate_initial(f, op.grid)
+    f = _validate_initial(f, eigen.grid)
     if variable == "v":
         shift = 0.5 * params.kappa**2
         noise = np.stack([_noise_factor(p.values[:nsteps], params) for p in paths], axis=1)
@@ -291,11 +284,12 @@ def simulate_paths(
         def noise_for(j):
             return lambda t: noise[min(int(round(t / cfg.dt)), nsteps - 1), j : j + 1]
 
-    ws = _Workspace(op, shift, cfg.dt, cfg.scheme)
+    lap = _laplacian(eigen.grid)
+    ws = _Workspace(lap, shift, cfg.dt, cfg.scheme)
 
     @functools.cache
     def level_workspace(dt):  # one factorization per halving level and call
-        return _Workspace(op, shift, dt, cfg.scheme)
+        return _Workspace(lap, shift, dt, cfg.scheme)
 
     weights, psi = eigen.grid.weights, eigen.psi
     stride = max(1, math.ceil((nsteps + 1) / cfg.max_snapshots))

@@ -108,14 +108,22 @@ def gamma_shape(beta: float, kappa: float, lam1: float) -> float:
     ------
     ConfigurationError
         If kappa == 0: the noiseless problem has no limiting gamma law, use
-        the deterministic dichotomy instead.
+        the deterministic dichotomy instead. Also if alpha overflows, which
+        a tiny kappa does.
     """
     if kappa == 0:
         raise ConfigurationError("kappa=0: use the deterministic dichotomy, mu is undefined")
     if beta <= 0 or kappa < 0 or lam1 <= 0:
         raise ConfigurationError(f"need beta>0, kappa>0, lam1>0, got {beta}, {kappa}, {lam1}")
     mu = -(lam1 + 0.5 * kappa**2) / kappa
-    return -(mu / (0.5 * kappa * beta))
+    scale = 0.5 * kappa * beta
+    alpha = -(mu / scale) if scale > 0 else math.inf
+    if not math.isfinite(alpha):
+        raise ConfigurationError(
+            f"the gamma shape alpha = (2 lam1 + kappa^2)/(kappa^2 beta) overflows at "
+            f"kappa={kappa!r}, beta={beta!r}, lam1={lam1!r}"
+        )
+    return alpha
 
 
 def _cumtrapz(values: np.ndarray, dt: float) -> np.ndarray:

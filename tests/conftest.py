@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from spdelab.domain import DomainSpec, build_grid, build_laplacian, solve_eigenpairs
+from spdelab.domain import DomainSpec, _laplacian, build_grid, solve_eigenpairs
 
 settings.register_profile(
     "spdelab",
@@ -17,24 +17,21 @@ settings.load_profile("spdelab")
 def interval_512():
     dom = DomainSpec("interval", (np.pi,))
     grid = build_grid(dom, 512)
-    op = build_laplacian(dom, grid)
     eig = solve_eigenpairs(grid, 200)
-    return dom, grid, op, eig
+    return dom, grid, _laplacian(grid), eig
 
 
 @pytest.fixture(scope="session")
 def interval_48():
     dom = DomainSpec("interval", (np.pi,))
     grid = build_grid(dom, 48)
-    op = build_laplacian(dom, grid)
     eig = solve_eigenpairs(grid, 40)
-    return dom, grid, op, eig
+    return dom, grid, _laplacian(grid), eig
 
 
 @pytest.fixture(scope="session")
 def rect_32():
     dom = DomainSpec("rectangle", (np.pi, np.pi))
     grid = build_grid(dom, 32)
-    op = build_laplacian(dom, grid)
     eig = solve_eigenpairs(grid, 60)
-    return dom, grid, op, eig
+    return dom, grid, _laplacian(grid), eig

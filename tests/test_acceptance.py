@@ -28,7 +28,6 @@ from spdelab.cli import main
 from spdelab.domain import (
     DomainSpec,
     build_grid,
-    build_laplacian,
     heat_kernel_ratio_report,
     richardson_extrapolate,
     solve_eigenpairs,
@@ -70,8 +69,7 @@ def _report(num: int, name: str, ok: bool, detail: str = ""):
 def _setup(kind: str, lengths, n: int, m: int = 4):
     dom = DomainSpec(kind=kind, lengths=tuple(lengths))
     grid = build_grid(dom, n)
-    op = build_laplacian(dom, grid)
-    return dom, grid, op, solve_eigenpairs(grid, m)
+    return dom, grid, solve_eigenpairs(grid, m)
 
 
 @pytest.fixture(scope="module")
@@ -190,13 +188,13 @@ def test_criterion_3_density_correctness():
 
 
 def test_criterion_4_deterministic_dichotomy():
-    dom, grid, op, eig = _setup("interval", [math.pi], 128)
+    dom, grid, eig = _setup("interval", [math.pi], 128)
     params = ModelParams(beta=1.0, kappa=0.0)
     a2 = 2.0 / weighted_inner(grid, eig.psi, eig.psi)
 
     f2 = a2 * eig.psi
     path = BrownianPath.frozen_zero(10.0, 1e-3)
-    traj = simulate_paths(f2, [path], params, op, eig, SchemeConfig(dt=1e-3))[0]
+    traj = simulate_paths(f2, [path], params, eig, SchemeConfig(dt=1e-3))[0]
     blew = traj.outcome is Outcome.NUMERICAL_BLOWUP and traj.t_blowup < 10.0
 
     thr = BlowupThreshold(2.0, 1.0)
@@ -211,7 +209,7 @@ def test_criterion_4_deterministic_dichotomy():
         for T in (5.0, 20.0, 50.0)
     )
     f05 = 0.25 * a2 * eig.psi
-    traj5 = simulate_paths(f05, [BrownianPath.frozen_zero(5.0, 1e-3)], params, op, eig,
+    traj5 = simulate_paths(f05, [BrownianPath.frozen_zero(5.0, 1e-3)], params, eig,
                            SchemeConfig(dt=1e-3))[0]
     decays = traj5.outcome is Outcome.COMPLETED and bool(np.all(np.diff(traj5.sup) < 0))
     verdicts = (
@@ -230,15 +228,15 @@ def test_criterion_4_deterministic_dichotomy():
 
 
 def test_criterion_5_transform_consistency():
-    dom, grid, op, eig = _setup("interval", [math.pi], 32)
+    dom, grid, eig = _setup("interval", [math.pi], 32)
     params = ModelParams(beta=1.0, kappa=0.5, G=PowerLaw(coeff=1.0, beta=1.0))
     f = 0.3 * eig.psi
     cfg = SchemeConfig(dt=1e-4)
     worst = 0.0
     for seed in range(10):
         path = sample_brownian(1.0, 1e-4, seed, 0)
-        em = simulate_paths(f, [path], params, op, eig, cfg, variable="u")[0]
-        v = simulate_paths(f, [path], params, op, eig, cfg)[0]
+        em = simulate_paths(f, [path], params, eig, cfg, variable="u")[0]
+        v = simulate_paths(f, [path], params, eig, cfg)[0]
         u = reconstruct_u(v, path, params.kappa)
         k = min(len(em.sup), len(u.sup))
         rel = float(np.max(np.abs(em.sup[:k] - u.sup[:k]) / np.maximum(np.abs(u.sup[:k]), 1e-300)))
@@ -252,7 +250,7 @@ def test_criterion_5_transform_consistency():
 
 
 def test_criterion_6_lower_solution_domination():
-    dom, grid, op, eig = _setup("interval", [math.pi], 48)
+    dom, grid, eig = _setup("interval", [math.pi], 48)
     a = 0.5 / weighted_inner(grid, eig.psi, eig.psi)
     f = a * eig.psi
     params = ModelParams(beta=1.0, kappa=1.0)
@@ -262,7 +260,7 @@ def test_criterion_6_lower_solution_domination():
     n_blowups = 0
     for start in range(0, 100, 25):  # blocks of 25 paths bound the memory
         paths = [sample_brownian(50.0, 1e-3, 12345, idx) for idx in range(start, start + 25)]
-        for path, traj in zip(paths, simulate_paths(f, paths, params, op, eig, cfg)):
+        for path, traj in zip(paths, simulate_paths(f, paths, params, eig, cfg)):
             n_blowups += traj.outcome is Outcome.NUMERICAL_BLOWUP
             t_i, lower, _, _ = lower_solution_series(path, thr, params.kappa, eig.lam1)
             k = min(len(traj.times), len(t_i))
@@ -277,7 +275,7 @@ def test_criterion_6_lower_solution_domination():
 
 
 def test_criterion_7_certificate_soundness():
-    dom, grid, op, eig = _setup("interval", [math.pi], 1023, m=24)
+    dom, grid, eig = _setup("interval", [math.pi], 1023, m=24)
     phi1 = eig.modes[:, 0]
     f = 0.5 * phi1 / float(np.max(phi1))
     params = ModelParams(beta=1.0, kappa=1.0)
@@ -287,7 +285,7 @@ def test_criterion_7_certificate_soundness():
     j_err = abs(report.J - 1.0 / 3.0)
     cert_ok = j_err <= 1e-6 and report.verdict is Verdict.CERTIFIED
 
-    traj = simulate_paths(f, [BrownianPath.frozen_zero(10.0, 1e-3)], params, op, eig,
+    traj = simulate_paths(f, [BrownianPath.frozen_zero(10.0, 1e-3)], params, eig,
                           SchemeConfig(dt=1e-3))[0]
     bound = report.bound_sup[: len(traj.sup)]
     within = bool(np.all(traj.sup <= 1.02 * bound))
@@ -302,9 +300,9 @@ def test_criterion_7_certificate_soundness():
 
 
 def test_criterion_8_heat_kernel_sandwich(interval_512):
-    dom, grid, op, eig = interval_512
+    dom, grid, _, eig = interval_512
     times = np.unique(np.append(np.logspace(-2.0, 1.0, 40), 5.0))
-    report = heat_kernel_ratio_report(dom, grid, eig, times)
+    report = heat_kernel_ratio_report(eig, times)
     all_lower = bool(np.all(report.ratios >= 1.0))
     all_pass = bool(np.all(report.passed))
     c_ok = math.isfinite(report.c) and report.c > 0

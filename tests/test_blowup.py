@@ -6,6 +6,7 @@ Carlo estimator is checked against the gamma-tail law it exists to verify,
 plus frozen regression values for bitwise reproducibility.
 """
 
+import functools
 import logging
 import math
 import os
@@ -31,7 +32,15 @@ from spdelab.blowup import (
     lower_solution_series,
     mc_blowup_probability,
 )
-from spdelab.domain import weighted_inner
+from spdelab.certificates import certificate_heat_kernel
+from spdelab.config import HeatKernelConfig
+from spdelab.domain import (
+    DomainSpec,
+    build_grid,
+    heat_kernel_ratio_report,
+    solve_eigenpairs,
+    weighted_inner,
+)
 from spdelab.errors import ConfigurationError
 from spdelab.stochastic import (
     BrownianPath,
@@ -237,7 +246,7 @@ class TestTauFromPath:
 class TestAnalyticBound:
     def test_reference_parameter_point(self):
         thr = BlowupThreshold(0.5, 1.0)
-        bound = analytic_blowup_bound(1.0, 1.0, 1.0, thr)
+        bound = analytic_blowup_bound(1.0, 1.0, 1.0, thr.x_star)
         assert bound.alpha == pytest.approx(3.0, rel=1e-14)
         assert bound.z_star == pytest.approx(1.0, rel=1e-14)
         assert bound.p_global == pytest.approx(P_GLOBAL_REF, rel=1e-13)
@@ -246,7 +255,7 @@ class TestAnalyticBound:
     def test_noiseless_redirects(self):
         thr = BlowupThreshold(0.5, 1.0)
         with pytest.raises(ConfigurationError):
-            analytic_blowup_bound(1.0, 0.0, 1.0, thr)
+            analytic_blowup_bound(1.0, 0.0, 1.0, thr.x_star)
 
     @given(
         v0=st.floats(min_value=0.05, max_value=5.0),
@@ -256,15 +265,38 @@ class TestAnalyticBound:
     @settings(max_examples=60)
     def test_probabilities_complementary(self, v0, kappa, beta):
         thr = BlowupThreshold(v0, beta)
-        bound = analytic_blowup_bound(1.0, kappa, beta, thr)
+        bound = analytic_blowup_bound(1.0, kappa, beta, thr.x_star)
         assert 0.0 <= bound.p_global <= 1.0
         assert bound.p_blowup_lower + bound.p_global == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "kappa, level",
+        [(1.0, math.nan), (1.0, 0.0), (1.0, -2.0), (1e-100, 1e-150)],
+        ids=["nan", "zero", "negative", "underflow"],
+    )
+    def test_level_without_gamma_argument_rejected(self, kappa, level):
+        # kappa^2 beta^2 level is 1e-350 in the last case: 0 in floats
+        with pytest.raises(ConfigurationError, match=f"kappa={kappa!r}, beta=1.0 and level"):
+            analytic_blowup_bound(1.0, kappa, 1.0, level)
+
+    def test_infinite_level_is_never_hit(self):
+        bound = analytic_blowup_bound(1.0, 1.0, 1.0, math.inf)
+        assert (bound.z_star, bound.p_blowup_lower, bound.p_global) == (0.0, 0.0, 1.0)
+
+    def test_tiny_mass_is_an_infinite_level(self):
+        # 1e-320^(-2) overflows a float power; the level is out of reach
+        thr = BlowupThreshold(1e-320, 2.0)
+        assert thr.x_star == math.inf
+        path = sample_brownian(1.0, 1e-2, 3, 0)
+        _, values, blown, tau = lower_solution_series(path, thr, kappa=1.0, lam1=1.0)
+        assert blown is None and tau is None
+        assert np.all(values == 0.0)
 
     def test_blowup_probability_increases_with_mass(self):
         kappa, beta = 1.0, 1.0
         masses = [0.25, 0.5, 1.0, 2.0, 4.0]
         probs = [
-            analytic_blowup_bound(1.0, kappa, beta, BlowupThreshold(m, beta)).p_blowup_lower
+            analytic_blowup_bound(1.0, kappa, beta, BlowupThreshold(m, beta).x_star).p_blowup_lower
             for m in masses
         ]
         assert all(b > a for a, b in zip(probs, probs[1:]))
@@ -296,21 +328,21 @@ class TestMassInvariants:
     # Uniform interior weights make the discrete pairing exact for both
     # identities the pipeline leans on.
     def test_laplacian_self_adjoint_in_weighted_inner(self, interval_48):
-        _, grid, op, _ = interval_48
+        _, grid, lap, _ = interval_48
         rng = np.random.default_rng(11)
         f = rng.normal(size=grid.npoints)
         g = rng.normal(size=grid.npoints)
-        lhs = weighted_inner(grid, op.matrix @ f, g)
-        rhs = weighted_inner(grid, f, op.matrix @ g)
+        lhs = weighted_inner(grid, lap @ f, g)
+        rhs = weighted_inner(grid, f, lap @ g)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_laplacian_self_adjoint_rectangle(self, rect_32):
-        _, grid, op, _ = rect_32
+        _, grid, lap, _ = rect_32
         rng = np.random.default_rng(12)
         f = rng.normal(size=grid.npoints)
         g = rng.normal(size=grid.npoints)
-        lhs = weighted_inner(grid, op.matrix @ f, g)
-        rhs = weighted_inner(grid, f, op.matrix @ g)
+        lhs = weighted_inner(grid, lap @ f, g)
+        rhs = weighted_inner(grid, f, lap @ g)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
@@ -337,11 +369,11 @@ class TestMassInvariants:
 
 class TestMonteCarlo:
     PARAMS = ModelParams(beta=1.0, kappa=1.0)
-    THRESHOLD = BlowupThreshold(0.5, 1.0)
+    LEVEL = BlowupThreshold(0.5, 1.0).x_star
 
     def test_smoke_estimate_matches_gamma_tail(self):
         est = mc_blowup_probability(
-            self.PARAMS, 1.0, [self.THRESHOLD], n_paths=1500, horizon=40.0, dt=1e-3, seed=777
+            self.PARAMS, 1.0, [self.LEVEL], n_paths=1500, horizon=40.0, dt=1e-3, seed=777
         ).estimates[0]
         assert abs(est.p_hat - P_BLOWUP_REF) <= 4.0 * est.stderr + est.truncation_allowance
         assert est.analytic_reference == pytest.approx(P_BLOWUP_REF, rel=1e-12)
@@ -351,7 +383,7 @@ class TestMonteCarlo:
 
     def test_smoke_estimate_frozen_regression(self):
         est = mc_blowup_probability(
-            self.PARAMS, 1.0, [self.THRESHOLD], n_paths=1500, horizon=40.0, dt=1e-3, seed=777
+            self.PARAMS, 1.0, [self.LEVEL], n_paths=1500, horizon=40.0, dt=1e-3, seed=777
         ).estimates[0]
         assert est.p_hat == 127 / 1500  # bitwise-stable stream, exact count
         assert est.n_censored == 1373
@@ -360,7 +392,7 @@ class TestMonteCarlo:
         # the Monte Carlo kernel and exp_functional compute A(T) separately
         horizon, dt, seed, n = 30.0, 1e-3, 11, 300
         a, b = blowup._drift_scale(self.PARAMS.beta, self.PARAMS.kappa, 1.0)
-        alpha = analytic_blowup_bound(1.0, self.PARAMS.kappa, 1.0, self.THRESHOLD).alpha
+        alpha = analytic_blowup_bound(1.0, self.PARAMS.kappa, 1.0, self.LEVEL).alpha
         nsteps = _n_steps(horizon, dt)
 
         def run(x_star, count=n):
@@ -428,7 +460,7 @@ class TestMonteCarlo:
         dt, seed, n = 1e-3, 5, 300
         thr = BlowupThreshold(v0psi, 1.0)
         a, b = blowup._drift_scale(self.PARAMS.beta, self.PARAMS.kappa, 1.0)
-        alpha = analytic_blowup_bound(1.0, self.PARAMS.kappa, 1.0, thr).alpha
+        alpha = analytic_blowup_bound(1.0, self.PARAMS.kappa, 1.0, thr.x_star).alpha
         x_star = thr.x_star
         nsteps = _n_steps(horizon, dt)
         a_dt = a * dt
@@ -460,16 +492,16 @@ class TestMonteCarlo:
         # each entry the estimate of a pass against it alone, for less work;
         # the sweep is unsorted and repeats a mass
         masses = [1.0, 0.25, 0.5, 0.25]
-        thresholds = [BlowupThreshold(m, 1.0) for m in masses]
+        levels = [BlowupThreshold(m, 1.0).x_star for m in masses]
         kw = dict(n_paths=1000, horizon=10.0, dt=1e-3, seed=42, workers=workers)
         with caplog.at_level(logging.INFO, logger="spdelab.blowup"):
-            sweep = mc_blowup_probability(self.PARAMS, 1.0, thresholds, **kw)
+            sweep = mc_blowup_probability(self.PARAMS, 1.0, levels, **kw)
         [line] = [r.getMessage() for r in caplog.records if r.name == "spdelab.blowup"]
         assert f"normals drawn={sweep.normals_drawn} of {1000 * 10_000}" in line
-        assert line.count("p_hat=") == line.count("allowance=") == len(thresholds)
-        singles = [mc_blowup_probability(self.PARAMS, 1.0, [thr], **kw) for thr in thresholds]
+        assert line.count("p_hat=") == line.count("allowance=") == len(levels)
+        singles = [mc_blowup_probability(self.PARAMS, 1.0, [x], **kw) for x in levels]
         assert (sweep.n_paths, sweep.seed) == (1000, 42)
-        assert len(sweep.estimates) == len(thresholds)
+        assert len(sweep.estimates) == len(levels)
         for est, single in zip(sweep.estimates, singles):
             [ref] = single.estimates
             assert est.p_hat == ref.p_hat
@@ -504,7 +536,7 @@ class TestMonteCarlo:
         # MC_STOP_PROB left of hitting, and every other cell ran to the horizon
         horizon, dt, n = 3.0, 1e-3, 300
         a, b = blowup._drift_scale(self.PARAMS.beta, self.PARAMS.kappa, 1.0)
-        alpha = analytic_blowup_bound(1.0, self.PARAMS.kappa, 1.0, self.THRESHOLD).alpha
+        alpha = analytic_blowup_bound(1.0, self.PARAMS.kappa, 1.0, self.LEVEL).alpha
         nsteps = _n_steps(horizon, dt)
         x_stars = [BlowupThreshold(m, 1.0).x_star for m in (0.25, 0.5, 1.0, 2.0)]
         A, p, _, steps = blowup._advance_paths(9, 0, n, nsteps, dt, a * dt, b, x_stars, alpha)
@@ -524,7 +556,7 @@ class TestMonteCarlo:
         # hitting later, so p_hat + allowance estimates the t = inf law
         thr = BlowupThreshold(v0psi, 1.0)
         est = mc_blowup_probability(
-            self.PARAMS, 1.0, [thr], n_paths=4000, horizon=horizon, dt=1e-3, seed=2024
+            self.PARAMS, 1.0, [thr.x_star], n_paths=4000, horizon=horizon, dt=1e-3, seed=2024
         ).estimates[0]
         s = est.p_hat + est.truncation_allowance
         assert abs(s - est.analytic_reference) <= 4.0 * math.sqrt(s * (1.0 - s) / est.n_paths)
@@ -532,16 +564,16 @@ class TestMonteCarlo:
 
     def test_worker_count_invariance(self):
         kw = dict(n_paths=1000, horizon=10.0, dt=1e-3, seed=42)
-        e1 = mc_blowup_probability(self.PARAMS, 1.0, [self.THRESHOLD], workers=1, **kw)
-        e3 = mc_blowup_probability(self.PARAMS, 1.0, [self.THRESHOLD], workers=3, **kw)
-        e7 = mc_blowup_probability(self.PARAMS, 1.0, [self.THRESHOLD], workers=7, **kw)
+        e1 = mc_blowup_probability(self.PARAMS, 1.0, [self.LEVEL], workers=1, **kw)
+        e3 = mc_blowup_probability(self.PARAMS, 1.0, [self.LEVEL], workers=3, **kw)
+        e7 = mc_blowup_probability(self.PARAMS, 1.0, [self.LEVEL], workers=7, **kw)
         assert e1 == e3 == e7
         assert e1.estimates[0].p_hat == 74 / 1000
 
     def test_enormous_mass_hits_immediately(self):
         thr = BlowupThreshold(1e6, 1.0)
         [est] = mc_blowup_probability(
-            self.PARAMS, 1.0, [thr], n_paths=1000, horizon=1.0, dt=1e-3, seed=5
+            self.PARAMS, 1.0, [thr.x_star], n_paths=1000, horizon=1.0, dt=1e-3, seed=5
         ).estimates
         assert est.p_hat == 1.0
         assert est.n_censored == 0
@@ -550,33 +582,23 @@ class TestMonteCarlo:
     def test_preconditions(self):
         with pytest.raises(ConfigurationError):
             mc_blowup_probability(
-                self.PARAMS, 1.0, [self.THRESHOLD], n_paths=100, horizon=1.0, dt=1e-3, seed=1
+                self.PARAMS, 1.0, [self.LEVEL], n_paths=100, horizon=1.0, dt=1e-3, seed=1
             )
         with pytest.raises(ConfigurationError):
             mc_blowup_probability(
-                ModelParams(beta=1.0, kappa=0.0), 1.0, [self.THRESHOLD],
+                ModelParams(beta=1.0, kappa=0.0), 1.0, [self.LEVEL],
                 n_paths=2000, horizon=1.0, dt=1e-3, seed=1,
             )
         with pytest.raises(ConfigurationError):
             mc_blowup_probability(
-                self.PARAMS, 1.0, [self.THRESHOLD], n_paths=2000, horizon=1.0, dt=1e-3, seed=1, workers=0
-            )
-        with pytest.raises(ConfigurationError):
-            mc_blowup_probability(
-                self.PARAMS, 1.0, [BlowupThreshold(0.5, 2.0)],
-                n_paths=2000, horizon=1.0, dt=1e-3, seed=1,
+                self.PARAMS, 1.0, [self.LEVEL], n_paths=2000, horizon=1.0, dt=1e-3, seed=1, workers=0
             )
         with pytest.raises(ConfigurationError):  # no step fits in the horizon
             mc_blowup_probability(
-                self.PARAMS, 1.0, [self.THRESHOLD], n_paths=2000, horizon=1e-3, dt=2e-3, seed=1
+                self.PARAMS, 1.0, [self.LEVEL], n_paths=2000, horizon=1e-3, dt=2e-3, seed=1
             )
         with pytest.raises(ConfigurationError, match="at least one threshold"):
             mc_blowup_probability(self.PARAMS, 1.0, [], n_paths=2000, horizon=1.0, dt=1e-3, seed=1)
-        with pytest.raises(ConfigurationError, match="disagree on beta"):  # one entry of several
-            mc_blowup_probability(
-                self.PARAMS, 1.0, [self.THRESHOLD, BlowupThreshold(0.5, 2.0)],
-                n_paths=2000, horizon=1.0, dt=1e-3, seed=1,
-            )
 
     def test_estimate_validation(self):
         est = ProbabilityEstimate(
@@ -610,11 +632,66 @@ class TestMonteCarlo:
             raise AssertionError("a thread was started")
 
         kw = dict(n_paths=1000, horizon=5.0, dt=1e-3, seed=42)
-        serial = mc_blowup_probability(self.PARAMS, 1.0, [self.THRESHOLD], workers=1, **kw)
+        serial = mc_blowup_probability(self.PARAMS, 1.0, [self.LEVEL], workers=1, **kw)
         monkeypatch.setattr(blowup, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         monkeypatch.setattr(threading.Thread, "start", no_threads)
-        est = mc_blowup_probability(self.PARAMS, 1.0, [self.THRESHOLD], workers=10_000, **kw)
+        est = mc_blowup_probability(self.PARAMS, 1.0, [self.LEVEL], workers=10_000, **kw)
         assert SerialPool.sizes == [cores]
         assert est == serial
         assert 0 < est.estimates[0].n_censored < est.n_paths
+
+
+@functools.cache
+def fitted_interval_64():
+    """The n = 64 interval with all 64 modes and c fitted on the shipped
+    certify configs' kernel-ratio times (0.05 to 10, 30 of them)."""
+    eig = solve_eigenpairs(build_grid(DomainSpec("interval", (math.pi,)), 64), 64)
+    times = HeatKernelConfig(n_modes=120, t_start=0.05, t_stop=10.0, t_num=30).times()
+    return eig, heat_kernel_ratio_report(eig, times).c
+
+
+class TestGlobalSide:
+    """The heat-kernel condition integrates e^{kappa beta W_r - (lam1 +
+    kappa^2/2) beta r}, the blowup functional A itself, so the certification
+    probability is P[A_inf < threshold] and the Monte Carlo kernel checks it
+    at the raw level."""
+
+    # configs/certify_analytic.json: its threshold and probability_certified
+    THRESHOLD = 2.6578267061888856
+    P_CERTIFIED = 0.9591620622518695
+
+    def test_monte_carlo_matches_certification_probability(self, interval_512):
+        _, _, _, eig = interval_512
+        params = ModelParams(beta=1.0, kappa=1.0)
+        bound = analytic_blowup_bound(eig.lam1, 1.0, 1.0, self.THRESHOLD)
+        assert bound.p_global == self.P_CERTIFIED
+        [est] = mc_blowup_probability(
+            params, eig.lam1, [self.THRESHOLD], n_paths=4000, horizon=50.0, dt=1e-3, seed=3
+        ).estimates
+        p_global_hat = 1.0 - (est.p_hat + est.truncation_allowance)
+        assert abs(p_global_hat - self.P_CERTIFIED) <= 4.0 * est.stderr
+
+    @given(
+        kappa=st.floats(0.2, 3.0),
+        beta=st.floats(0.25, 3.0),
+        Lambda=st.floats(1.0, 4.0),
+        a=st.floats(1e-3, 10.0),
+    )
+    @settings(max_examples=100)
+    def test_the_two_bounds_cannot_overlap(self, kappa, beta, Lambda, a):
+        # f = a psi with the smallest K that dominates it, K S_eta psi >= f.
+        # P[blowup] >= 1 - Q(alpha, z(x*)) and P[global] >= Q(alpha, z(threshold))
+        # can both hold only if threshold <= x*. The lab's x* assumes the lower
+        # constant C = 1, so Lambda >= C = 1.
+        eig, c = fitted_interval_64()
+        eta = 1.0
+        f = a * eig.psi
+        K = a * math.exp(eig.lam1 * eta) / float(np.sum(eig.grid.weights * eig.modes[:, 0]))
+        params = ModelParams(beta=beta, kappa=kappa, Lambda=Lambda)
+        cert = certificate_heat_kernel(K, eta, params, eig.lam1, eig, c, f=f)
+        x_star = BlowupThreshold(weighted_inner(eig.grid, f, eig.psi), beta).x_star
+        assert cert.threshold <= x_star
+        p_blowup = analytic_blowup_bound(eig.lam1, kappa, beta, x_star).p_blowup_lower
+        assert p_blowup + cert.probability <= 1.0
+

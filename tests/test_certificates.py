@@ -24,7 +24,7 @@ from spdelab.certificates import (
     certificate_heat_kernel,
     certificate_sup_norm,
 )
-from spdelab.domain import DomainSpec, EigenData, build_grid, build_laplacian, solve_eigenpairs
+from spdelab.domain import DomainSpec, EigenData, build_grid, solve_eigenpairs
 from spdelab.errors import ConfigurationError, PreconditionFailure
 from spdelab.integrator import SchemeConfig, simulate_paths
 from spdelab.stochastic import BrownianPath, sample_brownian
@@ -385,7 +385,6 @@ class TestOnePass:
         # one validator, which refuses any negative entry and names its node
         dom = DomainSpec(kind="interval", lengths=(math.pi,))
         grid = build_grid(dom, 32)
-        op = build_laplacian(dom, grid)
         eig = solve_eigenpairs(grid, 24)
         f = 0.3 * eig.psi
         f[5] = -1e-13
@@ -393,7 +392,7 @@ class TestOnePass:
         with pytest.raises(PreconditionFailure, match="node 5") as cert_err:
             certificate_sup_norm(path, f, PARAMS, 1.0, eig, [INTEGRAL])
         with pytest.raises(PreconditionFailure) as sim_err:
-            simulate_paths(f, [path], PARAMS, op, eig, SchemeConfig(dt=1e-2))
+            simulate_paths(f, [path], PARAMS, eig, SchemeConfig(dt=1e-2))
         assert str(sim_err.value) == str(cert_err.value)
 
 

@@ -18,7 +18,6 @@ from spdelab.config import load_config
 from spdelab.domain import (
     DomainSpec,
     build_grid,
-    build_laplacian,
     solve_eigenpairs,
     weighted_inner,
 )
@@ -306,6 +305,36 @@ class TestBlowupCommand:
         assert main(["blowup", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 2
         assert not (out / "blowup.csv").exists()
 
+    @pytest.mark.parametrize(
+        "kappa, sweep",
+        [(1e-200, [0.5]), (1e-160, [0.5]), (1e-100, [1e150])],
+        ids=["kappa-squared-underflows", "alpha-overflows", "level-underflows"],
+    )
+    def test_tiny_kappa_exits_2_naming_kappa(self, tmp_path, capsys, kappa, sweep):
+        # alpha = (2 lam1 + kappa^2)/(kappa^2 beta) overflows at 1e-160 and
+        # 1e-200; at 1e-100 it is finite, but kappa^2 beta^2 x* = 1e-350 is 0
+        cfg = self.cfg(v0psi_sweep=sweep)
+        cfg["model"] = {"beta": 1.0, "kappa": kappa}
+        out = tmp_path / "out"
+        assert main(["blowup", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert f"kappa={kappa!r}" in capsys.readouterr().err
+        assert not (out / "blowup.csv").exists()
+
+    def test_tiny_mass_is_an_infinite_level(self, tmp_path):
+        # at beta = 2, 1e-320^(-2) overflows a float: x* is +inf, no path
+        # reaches it, and the entry leaves the other row's bytes alone
+        cfg = self.cfg(v0psi_sweep=[1e-320, 0.5])
+        cfg["model"] = {"beta": 2.0, "kappa": 1.0}
+        out = tmp_path / "out"
+        assert main(["blowup", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+        tiny, other = read_csv(out / "blowup.csv")
+        assert (tiny["x_star"], tiny["z_star"], tiny["p_analytic_blowup"]) == ("inf", "0.0", "0.0")
+        assert (tiny["p_hat"], tiny["truncation_allowance"]) == ("0.0", "0.0")
+        cfg["sim"]["v0psi_sweep"] = [0.5]
+        alone = tmp_path / "alone"
+        assert main(["blowup", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(alone)]) == 0
+        assert read_csv(alone / "blowup.csv") == [other]
+
     def test_missing_sweep_exits_2(self, tmp_path):
         cfg = interval_cfg(n=32, model=MODEL, sim={"dt": 0.01, "horizon": 1.0, "n_paths": 1000})
         p = write_cfg(tmp_path, cfg)
@@ -330,14 +359,13 @@ class TestSimulateCommand:
         # the consistency row reads u.sup = e^{kappa W} v.sup directly; it
         # must equal the gap computed from the full reconstruct_u trajectory
         grid = build_grid(DomainSpec(kind="interval", lengths=(math.pi,)), 32)
-        op = build_laplacian(grid.domain, grid)
         eig = solve_eigenpairs(grid, 12)
         params = ModelParams(beta=1.0, kappa=1.0)
         path = sample_brownian(2.0, 1e-2, 3, 0)
         f = 0.5 * eig.psi
-        traj = simulate_paths(f, [path], params, op, eig, SchemeConfig(dt=1e-2))[0]
+        traj = simulate_paths(f, [path], params, eig, SchemeConfig(dt=1e-2))[0]
         em_cfg = SchemeConfig(dt=1e-2, max_snapshots=2)
-        traj_em = simulate_paths(f, [path], params, op, eig, em_cfg, variable="u")[0]
+        traj_em = simulate_paths(f, [path], params, eig, em_cfg, variable="u")[0]
         em_diff = _consistency_row(traj, traj_em, path, params, None, None, None)[0]
         u_sup = reconstruct_u(traj, path, params.kappa).sup
         k = min(len(u_sup), len(traj_em.sup))
@@ -393,6 +421,20 @@ class TestSimulateCommand:
         sup = np.array([float(r["sup"]) for r in series])
         assert np.all(np.diff(sup) < 0)
 
+    def test_tiny_mass_has_no_blowup_time(self, tmp_path):
+        # at beta = 2 a psi-mass of about 4e-201 overflows v0psi^(-2): x* is
+        # +inf, the lower solution never reaches it and tau stays empty
+        cfg = interval_cfg(
+            n=16,
+            model={"beta": 2.0, "kappa": 1.0},
+            initial={"mode": "eigen-multiple", "a": 1e-200},
+            sim={"dt": 0.01, "horizon": 1.0, "n_paths": 2, "seed": 1},
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+        rows = read_csv(out / "trajectories.csv")
+        assert [(r["outcome"], r["tau_analytic"]) for r in rows] == [("completed_horizon", "")] * 2
+
     def test_stochastic_paths(self, tmp_path):
         cfg = interval_cfg(
             n=16,
@@ -423,14 +465,13 @@ class TestSimulateCommand:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
         grid = build_grid(DomainSpec(kind="interval", lengths=(math.pi,)), n)
-        op = build_laplacian(grid.domain, grid)
         eig = solve_eigenpairs(grid, 12)
         params = ModelParams(beta=1.0, kappa=kappa)
         rows = read_csv(out / "consistency.csv")
         assert {r["outcome"] for r in rows} == {"completed_horizon", "numerical_blowup"}
         for row in rows:
             path = sample_brownian(horizon, dt, seed, int(row["path_index"]))
-            traj = simulate_paths(a * eig.psi, [path], params, op, eig, SchemeConfig(dt=dt))[0]
+            traj = simulate_paths(a * eig.psi, [path], params, eig, SchemeConfig(dt=dt))[0]
             _, weak, mild = mode_residuals(traj, path, params, eig)
             assert float(row["weak_residual_max"]) == float(np.max(weak))
             assert float(row["mild_residual_max"]) == float(np.max(mild))
@@ -694,6 +735,18 @@ class TestCertifyCommand:
         p = write_cfg(tmp_path, cfg)
         assert main(["certify", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert f"K={K!r}" in capsys.readouterr().err
+
+    def test_heat_kernel_analytic_tiny_kappa_exits_2(self, tmp_path, capsys):
+        # alpha overflows at kappa = 1e-200 while the threshold stays finite
+        # and positive, so the message names kappa and does not blame K
+        cfg = self.base_cfg(kinds=["heat_kernel"], K=0.2, eta=1.0, c=1.0, analytic=True)
+        cfg["model"] = {**MODEL, "kappa": 1e-200}
+        del cfg["initial"]
+        out = tmp_path / "out"
+        assert main(["certify", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "kappa=1e-200" in err and "too large" not in err
+        assert not (out / "certificates.csv").exists()
 
     def test_repeated_kind_exits_2_without_files(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -18,13 +18,12 @@ from scipy.sparse.linalg import splu
 
 from spdelab.blowup import ModelParams, PowerLaw, TabulatedNonlinearity, deterministic_dichotomy, Dichotomy
 from spdelab.domain import (
-    DiscreteOperator,
     DomainSpec,
     EigenData,
     GridSpec,
+    _laplacian,
     apply_heat_semigroup,
     build_grid,
-    build_laplacian,
     solve_eigenpairs,
 )
 from spdelab.errors import ConfigurationError, NumericalFailure, PreconditionFailure
@@ -51,22 +50,21 @@ def linear_params(kappa):
 
 
 def scalar_problem(lam=1.0):
-    """1-node discrete operator and its eigendata: the engine becomes a scalar
-    recursion."""
-    dom = DomainSpec(kind="interval", lengths=(2.0,))
-    grid = GridSpec(domain=dom, n=1, axes=(np.array([1.0]),), h=(1.0,),
+    """Eigendata of a 1-node grid whose stencil -2/h^2 is -lam: the engine
+    becomes a scalar recursion."""
+    h = math.sqrt(2.0 / lam)
+    dom = DomainSpec(kind="interval", lengths=(2.0 * h,))
+    grid = GridSpec(domain=dom, n=1, axes=(np.array([h]),), h=(h,),
                     weights=np.array([1.0]))
-    op = DiscreteOperator(matrix=sparse.csr_matrix(np.array([[-lam]])), grid=grid)
-    eig = EigenData(grid=grid, eigenvalues=np.array([lam]), modes=np.array([[1.0]]),
-                    psi=np.array([1.0]))
-    return op, eig
+    return EigenData(grid=grid, eigenvalues=np.array([lam]), modes=np.array([[1.0]]),
+                     psi=np.array([1.0]))
 
 
-def field_after(k, f, params, op, eig, cfg):
+def field_after(k, f, params, eig, cfg):
     """The transformed field after k steps on the zero noise path. With k + 1
     snapshots the stride is one, so snapshot k is the field after step k."""
     path = BrownianPath.frozen_zero(horizon=k * cfg.dt, dt=cfg.dt)
-    traj = simulate_paths(f, [path], params, op, eig, replace(cfg, max_snapshots=k + 1))[0]
+    traj = simulate_paths(f, [path], params, eig, replace(cfg, max_snapshots=k + 1))[0]
     assert len(traj.times) == k + 1
     return traj.snapshots[k]
 
@@ -86,18 +84,18 @@ class TestSchemeConfig:
 class TestStep:
     def test_eigenmode_implicit_decay_exact(self, interval_48):
         # G = 0, kappa = 0, f = psi: k steps give (1 + dt lam1)^{-k} psi exactly
-        _, grid, op, eig = interval_48
+        _, grid, _, eig = interval_48
         cfg = SchemeConfig(dt=0.01)
-        values = field_after(5, eig.psi, linear_params(0.0), op, eig, cfg)
+        values = field_after(5, eig.psi, linear_params(0.0), eig, cfg)
         expected = (1.0 + cfg.dt * eig.lam1) ** -5 * eig.psi
         np.testing.assert_allclose(values, expected, rtol=1e-11)
 
     def test_scalar_reaction_recursion(self):
         # v' = -lam v + v^2 under IMEX: v+ = (v + dt v^2)/(1 + dt lam)
-        op, eig = scalar_problem(lam=1.0)
+        eig = scalar_problem(lam=1.0)
         cfg = SchemeConfig(dt=0.05)
         v = 0.4
-        values = field_after(8, np.array([v]), ModelParams(beta=1.0, kappa=0.0), op, eig, cfg)
+        values = field_after(8, np.array([v]), ModelParams(beta=1.0, kappa=0.0), eig, cfg)
         for _ in range(8):
             v = (v + cfg.dt * v**2) / (1.0 + cfg.dt * 1.0)
         assert values[0] == pytest.approx(v, rel=1e-14)
@@ -105,40 +103,40 @@ class TestStep:
     def test_zero_noise_value_matches_dense_oracle(self, interval_48):
         # W_t = 0 with kappa = 1: the step is the deterministic semilinear one
         # with the kappa^2/2 shift; check against a dense direct solve.
-        _, grid, op, eig = interval_48
+        _, grid, _, eig = interval_48
         cfg = SchemeConfig(dt=0.02)
         f = 0.3 * eig.psi
-        new = field_after(1, f, ModelParams(beta=1.0, kappa=1.0), op, eig, cfg)
+        new = field_after(1, f, ModelParams(beta=1.0, kappa=1.0), eig, cfg)
         n = grid.npoints
-        A = np.eye(n) - cfg.dt * (op.matrix.toarray() - 0.5 * np.eye(n))
+        A = np.eye(n) - cfg.dt * (_laplacian(grid).toarray() - 0.5 * np.eye(n))
         expected = np.linalg.solve(A, f + cfg.dt * f**2)
         np.testing.assert_allclose(new, expected, rtol=1e-12)
 
     def test_crank_nicolson_eigenmode(self, interval_48):
-        _, grid, op, eig = interval_48
+        _, grid, _, eig = interval_48
         cfg = SchemeConfig(dt=0.01, scheme=Scheme.CRANK_NICOLSON)
-        new = field_after(1, eig.psi, linear_params(0.0), op, eig, cfg)
+        new = field_after(1, eig.psi, linear_params(0.0), eig, cfg)
         factor = (1.0 - 0.5 * cfg.dt * eig.lam1) / (1.0 + 0.5 * cfg.dt * eig.lam1)
         np.testing.assert_allclose(new, factor * eig.psi, rtol=1e-11)
 
     def test_negative_field_aborts(self, interval_48):
         # dt lam1 > 2 makes the Crank-Nicolson factor of psi negative, so one
         # step from the positive psi gives a negative field
-        _, grid, op, eig = interval_48
+        _, grid, _, eig = interval_48
         cfg = SchemeConfig(dt=3.0, scheme=Scheme.CRANK_NICOLSON)
         assert cfg.dt * eig.lam1 > 2.0
         with pytest.raises(NumericalFailure, match="positivity lost"):
-            field_after(1, eig.psi, linear_params(0.0), op, eig, cfg)
+            field_after(1, eig.psi, linear_params(0.0), eig, cfg)
 
 
 class TestSimulateRpde:
     def test_linear_mass_decay_closed_form(self, interval_48):
         # G = 0: mass decays at rate lam1 + kappa^2/2 regardless of the path
-        _, grid, op, eig = interval_48
+        _, grid, _, eig = interval_48
         kappa = 0.5
         path = sample_brownian(seed=9, path_index=0, horizon=2.0, dt=1e-3)
         cfg = SchemeConfig(dt=1e-3)
-        traj = simulate_paths(eig.psi, [path], linear_params(kappa), op, eig, cfg)[0]
+        traj = simulate_paths(eig.psi, [path], linear_params(kappa), eig, cfg)[0]
         assert traj.outcome is Outcome.COMPLETED
         rate = eig.lam1 + 0.5 * kappa**2
         exact = traj.mass[0] * math.exp(-rate * 2.0)
@@ -147,11 +145,11 @@ class TestSimulateRpde:
         assert traj.mass[-1] == pytest.approx(recursion, rel=1e-10)
 
     def test_mass_series_is_weighted_pairing(self, interval_48):
-        _, grid, op, eig = interval_48
+        _, grid, _, eig = interval_48
         path = sample_brownian(seed=10, path_index=0, horizon=0.5, dt=1e-3)
         cfg = SchemeConfig(dt=1e-3, max_snapshots=501)
         f = 0.2 * np.ones(grid.npoints)
-        traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=1.0), op, eig, cfg)[0]
+        traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=1.0), eig, cfg)[0]
         # snapshots are at full resolution here; compare the pairing directly
         idx = np.rint(traj.snapshot_times / cfg.dt).astype(int)
         expected = traj.snapshots @ (grid.weights * eig.psi)
@@ -162,12 +160,12 @@ class TestSimulateRpde:
         #     >= e^{kappa beta W_k} m_k^{1+beta}  up to rounding:
         # eigen-pairing kills the diffusion exactly and Jensen bounds the
         # reaction from below, both exact in the uniform discrete measure.
-        _, grid, op, eig = interval_48
+        _, grid, _, eig = interval_48
         kappa = 1.0
         path = sample_brownian(seed=11, path_index=0, horizon=1.0, dt=1e-3)
         cfg = SchemeConfig(dt=1e-3)
         f = 0.3 * np.ones(grid.npoints)
-        traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=kappa), op, eig, cfg)[0]
+        traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=kappa), eig, cfg)[0]
         m = traj.mass
         w = path.values[: len(m) - 1]
         lhs = np.diff(m) / cfg.dt + (eig.lam1 + 0.5 * kappa**2) * m[1:]
@@ -175,12 +173,12 @@ class TestSimulateRpde:
         assert np.all(lhs - rhs >= -1e-9 * np.max(np.abs(lhs)))
 
     def test_supercritical_blowup_detected(self, interval_48):
-        _, grid, op, eig = interval_48
+        _, grid, _, eig = interval_48
         f = 2.0 * np.ones(grid.npoints)
         assert deterministic_dichotomy(f, eig, 1.0) is Dichotomy.BLOWUP_CERTIFIED
         path = BrownianPath.frozen_zero(horizon=10.0, dt=1e-3)
         cfg = SchemeConfig(dt=1e-3)
-        traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), op, eig, cfg)[0]
+        traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), eig, cfg)[0]
         assert traj.outcome is Outcome.NUMERICAL_BLOWUP
         assert traj.t_blowup < 10.0
         assert traj.t_last_stable <= traj.t_blowup
@@ -190,68 +188,66 @@ class TestSimulateRpde:
         assert traj.times[-1] <= traj.t_last_stable + 1e-12
 
     def test_subcritical_completes_with_decreasing_sup(self, interval_48):
-        _, grid, op, eig = interval_48
+        _, grid, _, eig = interval_48
         f = 0.5 * np.ones(grid.npoints)
         path = BrownianPath.frozen_zero(horizon=5.0, dt=1e-3)
         cfg = SchemeConfig(dt=1e-3)
-        traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), op, eig, cfg)[0]
+        traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), eig, cfg)[0]
         assert traj.outcome is Outcome.COMPLETED
         assert traj.sup[-1] < traj.sup[0]
         assert traj.mass[-1] < traj.mass[0]
 
     def test_blowup_time_stable_under_grid_refinement(self):
         # halving h moves the reported t_b by well under 5%
-        from spdelab.domain import build_grid, build_laplacian, solve_eigenpairs
+        from spdelab.domain import build_grid, solve_eigenpairs
 
         dom = DomainSpec(kind="interval", lengths=(math.pi,))
         t_b = {}
         for n in (24, 48):
             grid = build_grid(dom, n)
-            op = build_laplacian(dom, grid)
             eig = solve_eigenpairs(grid, 8)
             f = 2.0 * np.ones(grid.npoints)
             path = BrownianPath.frozen_zero(horizon=10.0, dt=1e-3)
-            traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), op, eig,
+            traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), eig,
                                   SchemeConfig(dt=1e-3))[0]
             assert traj.outcome is Outcome.NUMERICAL_BLOWUP
             t_b[n] = traj.t_blowup
         assert abs(t_b[48] - t_b[24]) / t_b[48] <= 0.05
 
     def test_snapshot_decimation(self, interval_48):
-        _, grid, op, eig = interval_48
+        _, grid, _, eig = interval_48
         path = BrownianPath.frozen_zero(horizon=1.0, dt=1e-3)
         cfg = SchemeConfig(dt=1e-3, max_snapshots=50)
         f = 0.5 * np.ones(grid.npoints)
-        traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), op, eig, cfg)[0]
+        traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), eig, cfg)[0]
         assert len(traj.snapshot_times) <= 51
         assert traj.snapshot_times[0] == 0.0
         assert traj.snapshot_times[-1] == traj.times[-1]
         assert len(traj.times) == 1001  # scalar series stay at full resolution
 
     def test_input_guards(self, interval_48):
-        _, grid, op, eig = interval_48
+        _, grid, _, eig = interval_48
         path = BrownianPath.frozen_zero(horizon=1.0, dt=1e-3)
         cfg = SchemeConfig(dt=1e-3)
         params = ModelParams(beta=1.0, kappa=0.0)
         with pytest.raises(PreconditionFailure):
-            simulate_paths(-np.ones(grid.npoints), [path], params, op, eig, cfg)
+            simulate_paths(-np.ones(grid.npoints), [path], params, eig, cfg)
         with pytest.raises(PreconditionFailure):
-            simulate_paths(np.zeros(grid.npoints), [path], params, op, eig, cfg)
+            simulate_paths(np.zeros(grid.npoints), [path], params, eig, cfg)
         with pytest.raises(ConfigurationError):
-            simulate_paths(np.ones(grid.npoints), [path], params, op, eig,
+            simulate_paths(np.ones(grid.npoints), [path], params, eig,
                            SchemeConfig(dt=2e-3))
         for bad in (math.nan, math.inf, -math.inf):
             f = np.ones(grid.npoints)
             f[3] = bad
             with pytest.raises(ConfigurationError, match=f"not finite at node 3: f={bad}"):
-                simulate_paths(f, [path], params, op, eig, cfg)
+                simulate_paths(f, [path], params, eig, cfg)
 
 
 def interval_16():
     dom = DomainSpec(kind="interval", lengths=(math.pi,))
     grid = build_grid(dom, 16)
-    op = build_laplacian(dom, grid)
-    return grid, op, solve_eigenpairs(grid, 4)
+    return grid, solve_eigenpairs(grid, 4)
 
 
 def tabulated_square():
@@ -261,13 +257,13 @@ def tabulated_square():
     return TabulatedNonlinearity(z=z, g=z**2)
 
 
-def single_path_loop(f, path, params, op, eig, cfg, variable):
+def single_path_loop(f, path, params, eig, cfg, variable):
     """Reference: one path, one column per solve, mass and sup up to the
     first cutoff crossing."""
-    n = op.matrix.shape[0]
-    eye = sparse.identity(n, format="csc")
+    lap = _laplacian(eig.grid)
+    eye = sparse.identity(lap.shape[0], format="csc")
     shift = 0.5 * params.kappa**2 if variable == "v" else 0.0
-    gen = (op.matrix - shift * eye).tocsc()
+    gen = (lap - shift * eye).tocsc()
     theta = 1.0 if cfg.scheme is Scheme.IMEX else 0.5
     solve = splu((eye - theta * cfg.dt * gen).tocsc()).solve
     explicit = None if theta == 1.0 else (eye + 0.5 * cfg.dt * gen).tocsr()
@@ -295,16 +291,16 @@ class TestBlockEngine:
     def test_block_width_invariance(self, variable, scheme, nonlinearity):
         # six paths that mix blowup and completion: one block, blocks of two,
         # and single-path calls give the same bytes
-        grid, op, eig = interval_16()
+        grid, eig = interval_16()
         g = PowerLaw() if nonlinearity == "power_law" else tabulated_square()
         params = ModelParams(beta=1.0, kappa=1.0, G=g)
         cfg = SchemeConfig(dt=2e-3, cutoff=1e6, scheme=scheme, max_snapshots=40)
         f = 3.0 * eig.psi
         paths = [sample_brownian(2.0, 2e-3, 7, i) for i in range(6)]
-        single = [simulate_paths(f, [p], params, op, eig, cfg, variable)[0] for p in paths]
+        single = [simulate_paths(f, [p], params, eig, cfg, variable)[0] for p in paths]
         pairs = [r for i in range(0, 6, 2)
-                 for r in simulate_paths(f, paths[i:i + 2], params, op, eig, cfg, variable)]
-        block = simulate_paths(f, paths, params, op, eig, cfg, variable)
+                 for r in simulate_paths(f, paths[i:i + 2], params, eig, cfg, variable)]
+        block = simulate_paths(f, paths, params, eig, cfg, variable)
         outcomes = {r.outcome for r in single}
         assert outcomes == {Outcome.COMPLETED, Outcome.NUMERICAL_BLOWUP}
         for run in (pairs, block):
@@ -319,34 +315,23 @@ class TestBlockEngine:
     def test_matches_single_path_loop(self, variable, scheme):
         # the block engine reproduces the per-path loop it replaced, bit for
         # bit, on every accepted step of every path
-        grid, op, eig = interval_16()
+        grid, eig = interval_16()
         params = ModelParams(beta=1.0, kappa=1.0)
         cfg = SchemeConfig(dt=2e-3, cutoff=1e6, scheme=scheme)
         f = 3.0 * eig.psi
         paths = [sample_brownian(2.0, 2e-3, 7, i) for i in range(6)]
-        block = simulate_paths(f, paths, params, op, eig, cfg, variable)
+        block = simulate_paths(f, paths, params, eig, cfg, variable)
         for path, traj in zip(paths, block):
-            mass, sup = single_path_loop(f, path, params, op, eig, cfg, variable)
+            mass, sup = single_path_loop(f, path, params, eig, cfg, variable)
             assert traj.mass.tobytes() == mass.tobytes()
             assert traj.sup.tobytes() == sup.tobytes()
 
     def test_paths_must_share_the_grid(self):
-        grid, op, eig = interval_16()
+        grid, eig = interval_16()
         paths = [BrownianPath.frozen_zero(1.0, 1e-3), BrownianPath.frozen_zero(2.0, 1e-3)]
         with pytest.raises(ConfigurationError):
-            simulate_paths(eig.psi, paths, ModelParams(beta=1.0, kappa=0.0), op, eig,
+            simulate_paths(eig.psi, paths, ModelParams(beta=1.0, kappa=0.0), eig,
                            SchemeConfig(dt=1e-3))
-
-    @pytest.mark.parametrize("lengths, n", [((2 * math.pi,), 16), ((math.pi,), 32)])
-    def test_operator_and_eigenbasis_must_share_the_grid(self, lengths, n):
-        # the same n on another length would read the mass through the other
-        # grid's weights and psi; another n would fail on array shapes
-        grid, op, _ = interval_16()
-        dom = DomainSpec(kind="interval", lengths=lengths)
-        eig = solve_eigenpairs(build_grid(dom, n), 4)
-        with pytest.raises(ConfigurationError, match="differ"):
-            simulate_paths(0.5 * np.ones(grid.npoints), [BrownianPath.frozen_zero(1.0, 1e-2)],
-                           ModelParams(beta=1.0, kappa=0.0), op, eig, SchemeConfig(dt=1e-2))
 
     @given(
         dt=st.sampled_from([0.05, 0.02, 0.01, 0.005, 0.002]),
@@ -358,12 +343,12 @@ class TestBlockEngine:
     )
     @settings(max_examples=200)
     def test_bracket_stays_inside_the_crossing_step(self, dt, a, cutoff, kappa, scheme, seed):
-        grid, op, eig = interval_16()
+        grid, eig = interval_16()
         params = ModelParams(beta=1.0, kappa=kappa)
         path = (BrownianPath.frozen_zero(4.0, dt) if kappa == 0.0
                 else sample_brownian(4.0, dt, seed, 0))
         cfg = SchemeConfig(dt=dt, cutoff=cutoff, scheme=scheme)
-        traj = simulate_paths(a * eig.psi, [path], params, op, eig, cfg)[0]
+        traj = simulate_paths(a * eig.psi, [path], params, eig, cfg)[0]
         event(traj.outcome.value)
         if traj.outcome is not Outcome.NUMERICAL_BLOWUP:
             return
@@ -375,69 +360,69 @@ class TestBlockEngine:
 
 class TestSchemeCrossValidation:
     def test_noiseless_schemes_coincide_exactly(self, interval_48):
-        _, grid, op, eig = interval_48
+        _, grid, _, eig = interval_48
         f = 0.4 * eig.psi
         path = BrownianPath.frozen_zero(horizon=1.0, dt=1e-3)
         cfg = SchemeConfig(dt=1e-3)
         params = ModelParams(beta=1.0, kappa=0.0)
-        a = simulate_paths(f, [path], params, op, eig, cfg)[0]
-        b = simulate_paths(f, [path], params, op, eig, cfg, variable="u")[0]
+        a = simulate_paths(f, [path], params, eig, cfg)[0]
+        b = simulate_paths(f, [path], params, eig, cfg, variable="u")[0]
         assert np.array_equal(a.mass, b.mass)
         assert np.array_equal(a.snapshots, b.snapshots)
 
     def test_em_mass_tracks_geometric_noise(self, interval_48):
         # G = 0, kappa = 0.5: exact mass is m0 e^{-lam1 t + kappa W_t - kappa^2 t/2}
-        _, grid, op, eig = interval_48
+        _, grid, _, eig = interval_48
         kappa = 0.5
         path = sample_brownian(seed=21, path_index=0, horizon=1.0, dt=1e-4)
         cfg = SchemeConfig(dt=1e-4)
-        traj = simulate_paths(eig.psi, [path], linear_params(kappa), op, eig, cfg, "u")[0]
+        traj = simulate_paths(eig.psi, [path], linear_params(kappa), eig, cfg, "u")[0]
         w_T = float(path.values[-1])
         exact = traj.mass[0] * math.exp(-eig.lam1 * 1.0 + kappa * w_T - 0.5 * kappa**2)
         assert traj.mass[-1] == pytest.approx(exact, rel=0.03)
 
     def test_transform_identity_between_schemes(self, interval_48):
         # u from the direct scheme vs e^{kappa W} v from the transformed one
-        _, grid, op, eig = interval_48
+        _, grid, _, eig = interval_48
         kappa = 0.5
         f = 0.3 * eig.psi
         params = ModelParams(beta=1.0, kappa=kappa)
         path = sample_brownian(seed=33, path_index=0, horizon=1.0, dt=1e-4)
         cfg = SchemeConfig(dt=1e-4, max_snapshots=200)
-        u_direct = simulate_paths(f, [path], params, op, eig, cfg, variable="u")[0]
-        u_mapped = reconstruct_u(simulate_paths(f, [path], params, op, eig, cfg)[0], path, kappa)
+        u_direct = simulate_paths(f, [path], params, eig, cfg, variable="u")[0]
+        u_mapped = reconstruct_u(simulate_paths(f, [path], params, eig, cfg)[0], path, kappa)
         assert u_direct.outcome is Outcome.COMPLETED
         scale = np.max(np.abs(u_mapped.snapshots))
         diff = np.max(np.abs(u_direct.snapshots - u_mapped.snapshots))
         assert diff / scale <= 0.05
 
     def test_reconstruct_identity_at_zero_noise(self, interval_48):
-        _, grid, op, eig = interval_48
+        _, grid, _, eig = interval_48
         f = 0.4 * eig.psi
         path = BrownianPath.frozen_zero(horizon=1.0, dt=1e-3)
         cfg = SchemeConfig(dt=1e-3)
-        v = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), op, eig, cfg)[0]
+        v = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), eig, cfg)[0]
         u = reconstruct_u(v, path, 0.0)
         assert np.array_equal(u.mass, v.mass)
         assert np.array_equal(u.snapshots, v.snapshots)
         assert u.variable == "u"
 
     def test_reconstruct_mass_relation_exact(self, interval_48):
-        _, grid, op, eig = interval_48
+        _, grid, _, eig = interval_48
         kappa = 0.8
         f = 0.3 * eig.psi
         path = sample_brownian(seed=4, path_index=2, horizon=0.5, dt=1e-3)
-        v = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=kappa), op, eig,
+        v = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=kappa), eig,
                            SchemeConfig(dt=1e-3))[0]
         u = reconstruct_u(v, path, kappa)
         np.testing.assert_allclose(u.mass, v.mass * np.exp(kappa * path.values), rtol=1e-14)
         assert np.all(u.snapshots >= 0)
 
     def test_reconstruct_guards(self, interval_48):
-        _, grid, op, eig = interval_48
+        _, grid, _, eig = interval_48
         f = 0.3 * eig.psi
         path = BrownianPath.frozen_zero(horizon=1.0, dt=1e-3)
-        v = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), op, eig,
+        v = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), eig,
                            SchemeConfig(dt=1e-3))[0]
         with pytest.raises(ConfigurationError):
             reconstruct_u(v, BrownianPath.frozen_zero(horizon=1.0, dt=2e-3), 0.0)
@@ -448,13 +433,13 @@ class TestSchemeCrossValidation:
 
 class TestWeakFormResidual:
     def _run(self, interval_48, dt, kappa=0.0, nonlinearity=None, variable="v"):
-        _, grid, op, eig = interval_48
+        _, grid, _, eig = interval_48
         params = (ModelParams(beta=1.0, kappa=kappa, G=nonlinearity)
                   if nonlinearity is not None else ModelParams(beta=1.0, kappa=kappa))
         f = 0.3 * eig.psi
         path = BrownianPath.frozen_zero(horizon=0.5, dt=dt)
         cfg = SchemeConfig(dt=dt, max_snapshots=100000)
-        traj = simulate_paths(f, [path], params, op, eig, cfg, variable)[0]
+        traj = simulate_paths(f, [path], params, eig, cfg, variable)[0]
         return mode_residuals(traj, path, params, eig, n_modes=3)[:2]
 
     def test_zero_at_initial_time(self, interval_48):
@@ -480,10 +465,10 @@ class TestWeakFormResidual:
         assert res[0] == 0.0
 
     def test_mode_count_guard(self, interval_48):
-        _, grid, op, eig = interval_48
+        _, grid, _, eig = interval_48
         path = BrownianPath.frozen_zero(horizon=0.5, dt=1e-3)
         traj = simulate_paths(0.3 * eig.psi, [path], ModelParams(beta=1.0, kappa=0.0),
-                              op, eig, SchemeConfig(dt=1e-3))[0]
+                              eig, SchemeConfig(dt=1e-3))[0]
         with pytest.raises(ConfigurationError):
             mode_residuals(traj, path, ModelParams(beta=1.0, kappa=0.0), eig,
                            n_modes=eig.m + 1)
@@ -493,7 +478,7 @@ class TestMildResidual:
     def test_exact_semigroup_trajectory_has_tiny_residual(self, interval_48):
         # Fabricate snapshots from the exact linear flow: the mild identity
         # then holds to rounding (no reaction, no time-march defect).
-        _, grid, op, eig = interval_48
+        _, grid, _, eig = interval_48
         kappa = 0.7
         params = linear_params(kappa)
         times = np.linspace(0.0, 1.0, 11)
@@ -512,21 +497,21 @@ class TestMildResidual:
         assert np.max(res) < 1e-12
 
     def test_zero_at_initial_time(self, interval_48):
-        _, grid, op, eig = interval_48
+        _, grid, _, eig = interval_48
         path = BrownianPath.frozen_zero(horizon=0.5, dt=1e-3)
         params = ModelParams(beta=1.0, kappa=0.0)
-        traj = simulate_paths(0.2 * eig.psi, [path], params, op, eig,
+        traj = simulate_paths(0.2 * eig.psi, [path], params, eig,
                               SchemeConfig(dt=1e-3, max_snapshots=100000))[0]
         _, _, res = mode_residuals(traj, path, params, eig)
         assert res[0] == 0.0
 
     def test_nonlinear_first_order_in_dt(self, interval_48):
-        _, grid, op, eig = interval_48
+        _, grid, _, eig = interval_48
         params = ModelParams(beta=1.0, kappa=0.0)
         maxima = {}
         for dt in (2e-3, 1e-3):
             path = BrownianPath.frozen_zero(horizon=0.5, dt=dt)
-            traj = simulate_paths(0.1 * eig.psi, [path], params, op, eig,
+            traj = simulate_paths(0.1 * eig.psi, [path], params, eig,
                                   SchemeConfig(dt=dt, max_snapshots=100000))[0]
             _, _, res = mode_residuals(traj, path, params, eig)
             maxima[dt] = np.max(res)
@@ -537,10 +522,10 @@ class TestMildResidual:
     def test_scan_matches_per_snapshot_recursion(self, interval_48, a):
         # reference: the convolution advanced one snapshot interval at a
         # time; the scan sums in another order, so agreement is to rounding
-        _, grid, op, eig = interval_48
+        _, grid, _, eig = interval_48
         params = ModelParams(beta=1.0, kappa=1.0)
         path = sample_brownian(2.0, 1e-3, 3, 0)
-        traj = simulate_paths(a * eig.psi, [path], params, op, eig, SchemeConfig(dt=1e-3))[0]
+        traj = simulate_paths(a * eig.psi, [path], params, eig, SchemeConfig(dt=1e-3))[0]
         t, w = traj.snapshot_times, grid.weights
         factor = _noise_factor(np.interp(t, path.times, path.values), params)
         react = _transformed_reaction(traj.snapshots, factor, params)
@@ -561,10 +546,10 @@ class TestMildResidual:
 
     def test_transformed_only(self, interval_48):
         # the mild form is stated for v: mild is None for u
-        _, grid, op, eig = interval_48
+        _, grid, _, eig = interval_48
         path = BrownianPath.frozen_zero(horizon=0.5, dt=1e-3)
         params = ModelParams(beta=1.0, kappa=0.0)
-        traj = simulate_paths(0.2 * eig.psi, [path], params, op, eig, SchemeConfig(dt=1e-3),
+        traj = simulate_paths(0.2 * eig.psi, [path], params, eig, SchemeConfig(dt=1e-3),
                               variable="u")[0]
         t, weak, mild = mode_residuals(traj, path, params, eig)
         assert mild is None

@@ -40,6 +40,13 @@ class TestDerivedParams:
         with pytest.raises(ConfigurationError, match="dichotomy"):
             gamma_shape(1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("kappa, beta", [(1e-160, 1.0), (5e-324, 1.0), (1e-200, 1e-200)])
+    def test_overflowing_shape_refused(self, kappa, beta):
+        # 2 lam1 / (kappa^2 beta) past the float range: alpha would be inf, or
+        # kappa beta / 2 itself underflows to 0
+        with pytest.raises(ConfigurationError, match=f"overflows at kappa={kappa!r}"):
+            gamma_shape(beta, kappa, 1.0)
+
 
 class TestBrownianPath:
     def test_bitwise_reproducible(self):
