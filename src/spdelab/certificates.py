@@ -177,11 +177,11 @@ def certificate_sup_norm(
     path: BrownianPath,
     f: np.ndarray,
     params: ModelParams,
-    lam1: float,
     eigen: EigenData,
     kinds: list[CertificateKind],
 ) -> dict[CertificateKind, CertificateReport]:
-    """The integral and saturation certificates of f, keyed by kind.
+    """The integral and saturation certificates of f, keyed by kind, with
+    lam1 read from eigen.
 
     Both integrate the weight Lambda beta ||e^{-kappa^2 r/2} S_r f||_inf^beta
     against e^{b W_r}, so f is validated and projected and its sup-norm
@@ -215,8 +215,8 @@ def certificate_sup_norm(
         )
     norms = sup_norm_decay(f, path.times, params.kappa, eigen)
     N_T = _coefficient_envelope(coeff, path.horizon, params.kappa, eigen)
-    # lam_min <= every retained eigenvalue keeps the tail a majorant
-    rate = (min(lam1, eigen.lam1) + 0.5 * params.kappa**2) * params.beta
+    # lam1 <= every retained eigenvalue keeps the tail a majorant
+    rate = (eigen.lam1 + 0.5 * params.kappa**2) * params.beta
     weight = params.Lambda * params.beta * norms**params.beta
     weight_T = params.Lambda * params.beta * N_T**params.beta
     reports = {}
@@ -259,7 +259,6 @@ def certificate_heat_kernel(
     K: float,
     eta: float,
     params: ModelParams,
-    lam1: float,
     eigen: EigenData,
     c: float,
     path: BrownianPath | None = None,
@@ -267,8 +266,8 @@ def certificate_heat_kernel(
 ) -> CertificateReport:
     """Certificate for initial data dominated by K S_eta psi.
 
-    With psi the L2-normalized principal mode and c the kernel-ratio constant,
-    the sufficient condition is
+    With psi the L2-normalized principal mode of eigen, lam1 its eigenvalue
+    and c the kernel-ratio constant, the sufficient condition is
 
         int_0^inf e^{kappa beta W_r - (lam1 + kappa^2/2) beta r} dr
             < e^{lam1 beta eta} / (Lambda beta [K (1+c) (sup psi)^2 int psi]^beta).
@@ -279,6 +278,8 @@ def certificate_heat_kernel(
     diverges. In analytic mode (path None) the left side is the blowup
     functional A_inf, and the report carries the probability that the
     condition holds, analytic_blowup_bound(lam1, kappa, beta, threshold).p_global.
+    A right side whose denominator underflows to 0 is +inf: every path
+    certifies, and the probability is 1.
 
     When f is given it is checked against the domination f <= K S_eta psi
     node by node; the first violating node is named in the failure.
@@ -309,12 +310,14 @@ def certificate_heat_kernel(
         denom = params.Lambda * beta * (K * (1.0 + c) * sup_phi1**2 * mass_phi1) ** beta
     except OverflowError:  # float ** raises where * gives inf; both leave threshold 0
         denom = math.inf
-    threshold = math.exp(min(lam1 * beta * eta, EXP_CLAMP)) / denom
+    numerator = math.exp(min(eigen.lam1 * beta * eta, EXP_CLAMP))
+    # a denominator that underflows to 0 puts the right side at +inf
+    threshold = numerator / denom if denom > 0 else math.inf
 
     if path is None:
         # the left side is A_inf of the blowup functional, at the same (a, b)
         try:
-            probability = analytic_blowup_bound(lam1, params.kappa, beta, threshold).p_global
+            probability = analytic_blowup_bound(eigen.lam1, params.kappa, beta, threshold).p_global
         except ConfigurationError as exc:
             raise ConfigurationError(f"heat-kernel certificate at K={K!r}: {exc}") from exc
         return CertificateReport(
@@ -325,7 +328,7 @@ def certificate_heat_kernel(
             probability=probability,
         )
 
-    rate = (lam1 + 0.5 * params.kappa**2) * beta
+    rate = (eigen.lam1 + 0.5 * params.kappa**2) * beta
     J_series, tail, reason = _path_integral(
         path, params.kappa * beta, np.exp(-rate * path.times), math.exp(-rate * path.horizon), rate
     )

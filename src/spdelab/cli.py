@@ -231,7 +231,7 @@ def cmd_blowup(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) ->
             verdict = deterministic_dichotomy(f, eigen, params.beta)
             rows.append([mass, crit, verdict.value])
         return [write_csv(out_dir / "dichotomy.csv", ["mass", "threshold", "verdict"], rows)]
-    levels = [BlowupThreshold(m, params.beta).x_star for m in sim.v0psi_sweep]
+    levels = [BlowupThreshold(m, params).x_star for m in sim.v0psi_sweep]
     sweep = mc_blowup_probability(
         params,
         eigen.lam1,
@@ -307,11 +307,9 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) 
     eigen = _eigen_setup(cfg, m=12)
     f = _initial_field(initial, eigen)
     run_seed = seed if seed is not None else sim.seed
-    scheme_cfg = SchemeConfig(
-        dt=sim.dt, cutoff=sim.cutoff, scheme=sim.scheme, max_snapshots=sim.max_snapshots
-    )
+    scheme_cfg = SchemeConfig(cutoff=sim.cutoff, scheme=sim.scheme, max_snapshots=sim.max_snapshots)
     mass0 = weighted_inner(eigen.grid, f, eigen.psi)
-    threshold = BlowupThreshold(float(mass0), params.beta) if mass0 > 0 else None
+    threshold = BlowupThreshold(float(mass0), params) if mass0 > 0 else None
     # the Euler-Maruyama run is compared through its sup series only
     em_cfg = replace(scheme_cfg, max_snapshots=2)
     n_paths = 1 if params.kappa == 0 else sim.n_paths
@@ -339,9 +337,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) 
         ):
             t_i = lower = tau = None
             if threshold is not None:
-                t_i, lower, _, tau = lower_solution_series(
-                    path, threshold, params.kappa, eigen.lam1
-                )
+                t_i, lower, _, tau = lower_solution_series(path, threshold, eigen.lam1)
             series = write_mass_series(
                 out_dir / f"mass_series_{idx:04d}.csv", t_cells, traj.mass, traj.sup
             )
@@ -399,28 +395,19 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) 
     return files
 
 
-def _fitted_c(cfg: RunConfig, basis: EigenData) -> float:
+def _fitted_c(cfg: RunConfig) -> float:
     cert = cfg.need("certificate")
     if cert.c != "fit":
         return float(cert.c)
-    return heat_kernel_ratio_report(basis, _heat_kernel_config(cfg).times()).c
+    hk = _heat_kernel_config(cfg)
+    return heat_kernel_ratio_report(_eigen_setup(cfg, m=hk.n_modes), hk.times()).c
 
 
 def cmd_certify(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -> list[Path]:
     params = cfg.need("model")
     sim = cfg.need("sim")
     cert = cfg.need("certificate")
-    # one eigen solve serves the certificates (the first 48 pairs) and the
-    # fit of c (at least heat_kernel.n_modes pairs)
-    m = 48
-    if cert.c == "fit" and "heat_kernel" in cert.kinds:
-        m = max(m, _heat_kernel_config(cfg).n_modes)
-    basis = _eigen_setup(cfg, m=m)
-    eigen = basis
-    if basis.m > 48:
-        eigen = replace(
-            basis, eigenvalues=basis.eigenvalues[:48], modes=basis.modes[:, :48].copy()
-        )
+    eigen = _eigen_setup(cfg, m=48)
     run_seed = seed if seed is not None else sim.seed
     if cert.frozen_zero_path:
         path = BrownianPath.frozen_zero(sim.horizon, sim.dt)
@@ -435,14 +422,12 @@ def cmd_certify(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -
         if kind == "heat_kernel":
             if cert.K is None:
                 raise ConfigurationError("heat_kernel certificate needs certificate.K")
-            c = _fitted_c(cfg, basis)
             reports[kind] = certificate_heat_kernel(
                 cert.K,
                 cert.eta,
                 params,
-                eigen.lam1,
                 eigen,
-                c,
+                _fitted_c(cfg),
                 path=None if cert.analytic else path,
                 f=f,
             )
@@ -453,7 +438,7 @@ def cmd_certify(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -
     # one series serves every sup-norm kind
     sup_kinds = [k for k in cert.kinds if k != "heat_kernel"]
     if sup_kinds:
-        reports.update(certificate_sup_norm(path, f, params, eigen.lam1, eigen, sup_kinds))
+        reports.update(certificate_sup_norm(path, f, params, eigen, sup_kinds))
     rows = []
     for kind in cert.kinds:
         report = reports[kind]
@@ -478,27 +463,16 @@ def cmd_heat_kernel(cfg: RunConfig, out_dir: Path, seed: int | None, workers: in
     hk = _heat_kernel_config(cfg)
     basis = _eigen_setup(cfg, m=hk.n_modes)
     report = heat_kernel_ratio_report(basis, hk.times())
-    p = (basis.grid.domain.dimension + 2) / 2.0
-    gap = float(basis.eigenvalues[1] - basis.eigenvalues[0])
-    rows = []
-    for i, t in enumerate(report.times):
-        lower = max(1.0, t**-p / report.c)
-        upper = 1.0 + report.c * min(t, 1.0) ** -p * math.exp(-gap * t)
-        rows.append([t, report.ratios[i], lower, upper, bool(report.passed[i])])
-    files = [
-        write_csv(
-            out_dir / "heatkernel.csv",
-            ["t", "ratio", "lower_bound", "upper_bound_with_fitted_c", "pass"],
-            rows,
-        )
-    ]
+    rows = zip(report.times, report.ratios, report.lower, report.upper, report.passed)
+    header = ["t", "ratio", "lower_bound", "upper_bound_with_fitted_c", "pass"]
+    files = [write_csv(out_dir / "heatkernel.csv", header, list(rows))]
     files.append(
         write_json(
             out_dir / "heatkernel_summary.json",
             {
                 "c": report.c,
                 "dimension": basis.grid.domain.dimension,
-                "spectral_gap": gap,
+                "spectral_gap": basis.lam2 - basis.lam1,
                 "n_modes": basis.m,
                 "truncation_estimate": report.truncation_estimate,
                 "truncation_warning": bool(report.truncation_warning),

@@ -322,12 +322,15 @@ class HeatKernelBoundReport:
     L2-normalized principal mode. ``c`` is the smallest constant making both
     the lower bound ``ratio >= max(1, t^{-(d+2)/2} / c)`` and the upper bound
     ``ratio <= 1 + c (1 ^ t)^{-(d+2)/2} exp(-(lam2-lam1) t)`` hold on the
-    sampled times; ``passed`` marks the times where both bounds hold.
+    sampled times; ``lower`` and ``upper`` are those bounds at each time, and
+    ``passed`` marks the times where both hold.
     """
 
     times: np.ndarray
     ratios: np.ndarray
     c: float
+    lower: np.ndarray
+    upper: np.ndarray
     passed: np.ndarray
     truncation_estimate: float
     truncation_warning: bool
@@ -372,8 +375,8 @@ def heat_kernel_ratio_report(basis: EigenData, times) -> HeatKernelBoundReport:
     over = np.maximum(ratios - 1.0, 0.0)
     c_upper = float(np.max(over * np.minimum(times, 1.0) ** p * np.exp(gap21 * times)))
     c = max(c_lower, c_upper, np.finfo(float).tiny)
-    lower_ok = ratios >= np.maximum(1.0, times**-p / c) * (1.0 - 1e-12)
-    upper_ok = ratios <= 1.0 + c * np.minimum(times, 1.0) ** -p * np.exp(-gap21 * times) + 1e-12
+    lower = np.maximum(1.0, times**-p / c)
+    upper = 1.0 + c * np.minimum(times, 1.0) ** -p * np.exp(-gap21 * times)
     est = _spectral_tail_estimate(basis, float(np.min(times)))
     warn = est > 0.01 * float(np.min(ratios))
     if warn:
@@ -386,7 +389,9 @@ def heat_kernel_ratio_report(basis: EigenData, times) -> HeatKernelBoundReport:
         times=times,
         ratios=ratios,
         c=float(c),
-        passed=lower_ok & upper_ok,
+        lower=lower,
+        upper=upper,
+        passed=(ratios >= lower * (1.0 - 1e-12)) & (ratios <= upper + 1e-12),
         truncation_estimate=float(est),
         truncation_warning=bool(warn),
     )

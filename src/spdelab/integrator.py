@@ -17,7 +17,7 @@ is bitwise independent of the block it ran in.
 Numerical blowup is declared when the sup norm passes the cutoff; the path
 leaves the block and its blowup time is bracketed by re-integrating the
 offending step with halved dt (one factorization per halving level, shared by
-the block), so the reported t_b carries resolution dt / 2^max_halvings.
+the block), so the reported t_b carries resolution dt / 2^MAX_HALVINGS.
 
 ``mode_residuals`` checks a trajectory against the weak and the mild form
 from one projection of its snapshots onto the eigenmodes. ``simulate``
@@ -44,6 +44,8 @@ from .stochastic import EXP_CLAMP, BrownianPath
 logger = logging.getLogger(__name__)
 
 POSITIVITY_TOL = 1e-8
+# dt halvings that bracket a cutoff crossing inside its step
+MAX_HALVINGS = 10
 
 
 class Scheme(str, Enum):
@@ -58,19 +60,15 @@ class Outcome(str, Enum):
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    dt: float
+    """How paths are integrated; their time grid is read from the paths."""
+
     cutoff: float = 1e8
-    max_halvings: int = 10
     scheme: Scheme = Scheme.IMEX
     max_snapshots: int = 1000
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigurationError(f"dt must be positive, got {self.dt}")
         if self.cutoff <= 1:
             raise ConfigurationError(f"blowup cutoff must exceed one, got {self.cutoff}")
-        if self.max_halvings < 0:
-            raise ConfigurationError(f"max_halvings must be >= 0, got {self.max_halvings}")
         if self.max_snapshots < 2:
             raise ConfigurationError(f"need at least 2 snapshots, got {self.max_snapshots}")
 
@@ -190,18 +188,14 @@ def _check_positivity(new: np.ndarray, new_sup: np.ndarray, old_sup: np.ndarray,
         raise NumericalFailure(f"positivity lost at t={t}: min={float(low[lost][0]):.3e}")
 
 
-def _check_grids(paths: list[BrownianPath], cfg: SchemeConfig) -> int:
-    for path in paths:
-        if abs(cfg.dt - path.dt) > 1e-12 * path.dt:
-            raise ConfigurationError(
-                f"scheme dt={cfg.dt} must match the path grid dt={path.dt}"
-            )
-    nsteps = {path.nsteps for path in paths}
-    if len(nsteps) != 1:
+def _check_grids(paths: list[BrownianPath]) -> tuple[float, int]:
+    """The (dt, nsteps) that every path of a block shares."""
+    grids = {(path.dt, path.nsteps) for path in paths}
+    if len(grids) != 1:
         raise ConfigurationError(
-            f"the paths of one block need one horizon, got {sorted(nsteps)} steps"
+            f"the paths of one block need one time grid, got (dt, steps) {sorted(grids)}"
         )
-    return nsteps.pop()
+    return grids.pop()
 
 
 def _refine_blowup_time(
@@ -211,7 +205,8 @@ def _refine_blowup_time(
     reaction,
     noise_at,
     level_workspace,
-    cfg: SchemeConfig,
+    dt: float,
+    cutoff: float,
 ) -> tuple[float, float]:
     """Bracket the cutoff crossing inside [t_lo, t_hi] by dt halving, starting
     from the stable field ``values`` at t_lo.
@@ -221,15 +216,15 @@ def _refine_blowup_time(
     cascade refines the PDE time step, not the noise resolution.
     """
     block = values[None, :]
-    dt_f = cfg.dt
-    for _ in range(cfg.max_halvings):
+    dt_f = dt
+    for _ in range(MAX_HALVINGS):
         dt_f *= 0.5
         nsub = max(1, int(round((t_hi - t_lo) / dt_f)))
         ws = level_workspace(dt_f)
         t = t_lo
         for _ in range(nsub):
             nxt = _step(block, reaction(block, noise_at(t)), ws)
-            if not np.max(np.abs(nxt)) < cfg.cutoff:
+            if not np.max(np.abs(nxt)) < cutoff:
                 t_hi = t + dt_f
                 break
             block, t = nxt, t + dt_f
@@ -248,7 +243,8 @@ def simulate_paths(
     variable: str = "v",
 ) -> list[TrajectoryResult]:
     """Integrate one field per noise path, all from f, as one block, on the
-    grid of ``eigen``, whose Laplacian is assembled here.
+    grid of ``eigen``, whose Laplacian is assembled here, and on the time grid
+    of the paths, which must all share one.
 
     variable "v" integrates the transformed field, "u" the physical one with
     multiplicative Euler-Maruyama increments. Every step advances the
@@ -259,7 +255,7 @@ def simulate_paths(
     """
     if variable not in ("v", "u"):
         raise ConfigurationError(f"variable must be 'v' or 'u', got {variable!r}")
-    nsteps = _check_grids(paths, cfg)
+    dt, nsteps = _check_grids(paths)
     f = _validate_initial(f, eigen.grid)
     if variable == "v":
         shift = 0.5 * params.kappa**2
@@ -276,20 +272,20 @@ def simulate_paths(
         shift = 0.0
         # multiplicative increment folded into the explicit term:
         # u + dt G(u) + kappa u dW = u + dt (G(u) + kappa u dW/dt)
-        noise = np.stack([np.diff(p.values) / cfg.dt for p in paths], axis=1)
+        noise = np.stack([np.diff(p.values) / dt for p in paths], axis=1)
 
         def reaction(block, rate):
             return params.G(block) + params.kappa * block * rate[:, None]
 
         def noise_for(j):
-            return lambda t: noise[min(int(round(t / cfg.dt)), nsteps - 1), j : j + 1]
+            return lambda t: noise[min(int(round(t / dt)), nsteps - 1), j : j + 1]
 
     lap = _laplacian(eigen.grid)
-    ws = _Workspace(lap, shift, cfg.dt, cfg.scheme)
+    ws = _Workspace(lap, shift, dt, cfg.scheme)
 
     @functools.cache
-    def level_workspace(dt):  # one factorization per halving level and call
-        return _Workspace(lap, shift, dt, cfg.scheme)
+    def level_workspace(dt_level):  # one factorization per halving level and call
+        return _Workspace(lap, shift, dt_level, cfg.scheme)
 
     weights, psi = eigen.grid.weights, eigen.psi
     stride = max(1, math.ceil((nsteps + 1) / cfg.max_snapshots))
@@ -330,7 +326,7 @@ def simulate_paths(
                 j = live[i]
                 k_stop[j] = k
                 brackets[j] = _refine_blowup_time(
-                    block[i], t, t + cfg.dt, reaction, noise_for(j), level_workspace, cfg
+                    block[i], t, t + dt, reaction, noise_for(j), level_workspace, dt, cfg.cutoff
                 )
             live, live_noise = live[stable], live_noise[:, stable]
             block, block_sup = block[stable], block_sup[stable]
@@ -338,8 +334,8 @@ def simulate_paths(
             if live.size == 0:
                 break
         if variable == "v":
-            _check_positivity(new, new_sup, block_sup, t + cfg.dt)
-        t += cfg.dt
+            _check_positivity(new, new_sup, block_sup, t + dt)
+        t += dt
         block, block_sup = new, new_sup
         mass[live, k + 1] = np.vecdot(psi * block, weights)
         sup[live, k + 1] = block_sup
@@ -367,7 +363,7 @@ def simulate_paths(
             sup=sup[j, :keep],
             snapshot_times=times[snap_idx],
             snapshots=snaps[j][: n_snaps[j]],
-            dt=cfg.dt,
+            dt=dt,
         )
         if outcome is Outcome.NUMERICAL_BLOWUP:
             logger.info(

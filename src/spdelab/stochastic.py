@@ -26,17 +26,11 @@ EXP_CLAMP = 700.0
 
 @dataclass(frozen=True, eq=False)
 class BrownianPath:
-    """Wiener values on the uniform grid t_k = k*dt, with W(0) = 0.
-
-    ``seed``/``path_index`` record how the path was drawn; injected diagnostic
-    paths (e.g. the frozen zero path) carry ``None`` for both.
-    """
+    """Wiener values on the uniform grid t_k = k*dt, with W(0) = 0."""
 
     dt: float
     horizon: float
     values: np.ndarray
-    seed: int | None = None
-    path_index: int | None = None
 
     def __post_init__(self):
         if self.dt <= 0 or self.horizon <= 0 or self.dt > self.horizon:
@@ -94,7 +88,7 @@ def sample_brownian(horizon: float, dt: float, seed: int, path_index: int) -> Br
     values = np.empty(nsteps + 1)
     values[0] = 0.0
     np.cumsum(incr, out=values[1:])
-    return BrownianPath(dt=dt, horizon=horizon, values=values, seed=seed, path_index=path_index)
+    return BrownianPath(dt=dt, horizon=horizon, values=values)
 
 
 def gamma_shape(beta: float, kappa: float, lam1: float) -> float:

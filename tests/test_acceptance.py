@@ -194,23 +194,23 @@ def test_criterion_4_deterministic_dichotomy():
 
     f2 = a2 * eig.psi
     path = BrownianPath.frozen_zero(10.0, 1e-3)
-    traj = simulate_paths(f2, [path], params, eig, SchemeConfig(dt=1e-3))[0]
+    traj = simulate_paths(f2, [path], params, eig, SchemeConfig())[0]
     blew = traj.outcome is Outcome.NUMERICAL_BLOWUP and traj.t_blowup < 10.0
 
-    thr = BlowupThreshold(2.0, 1.0)
-    tau = lower_solution_series(path, thr, 0.0, eig.lam1)[3]
+    thr = BlowupThreshold(2.0, params)
+    tau = lower_solution_series(path, thr, eig.lam1)[3]
     tau_err = abs(tau - math.log(2.0)) if tau is not None else math.inf
     tau_ok = tau_err <= 1e-4
 
-    thr_low = BlowupThreshold(0.5, 1.0)
+    thr_low = BlowupThreshold(0.5, params)
     censored_all = all(
-        lower_solution_series(BrownianPath.frozen_zero(T, 1e-3), thr_low, 0.0, eig.lam1)[3]
+        lower_solution_series(BrownianPath.frozen_zero(T, 1e-3), thr_low, eig.lam1)[3]
         is None
         for T in (5.0, 20.0, 50.0)
     )
     f05 = 0.25 * a2 * eig.psi
     traj5 = simulate_paths(f05, [BrownianPath.frozen_zero(5.0, 1e-3)], params, eig,
-                           SchemeConfig(dt=1e-3))[0]
+                           SchemeConfig())[0]
     decays = traj5.outcome is Outcome.COMPLETED and bool(np.all(np.diff(traj5.sup) < 0))
     verdicts = (
         deterministic_dichotomy(f2, eig, 1.0) is Dichotomy.BLOWUP_CERTIFIED
@@ -231,7 +231,7 @@ def test_criterion_5_transform_consistency():
     dom, grid, eig = _setup("interval", [math.pi], 32)
     params = ModelParams(beta=1.0, kappa=0.5, G=PowerLaw(coeff=1.0, beta=1.0))
     f = 0.3 * eig.psi
-    cfg = SchemeConfig(dt=1e-4)
+    cfg = SchemeConfig()
     worst = 0.0
     for seed in range(10):
         path = sample_brownian(1.0, 1e-4, seed, 0)
@@ -254,15 +254,15 @@ def test_criterion_6_lower_solution_domination():
     a = 0.5 / weighted_inner(grid, eig.psi, eig.psi)
     f = a * eig.psi
     params = ModelParams(beta=1.0, kappa=1.0)
-    thr = BlowupThreshold(0.5, 1.0)
-    cfg = SchemeConfig(dt=1e-3)
+    thr = BlowupThreshold(0.5, params)
+    cfg = SchemeConfig()
     worst = math.inf
     n_blowups = 0
     for start in range(0, 100, 25):  # blocks of 25 paths bound the memory
         paths = [sample_brownian(50.0, 1e-3, 12345, idx) for idx in range(start, start + 25)]
         for path, traj in zip(paths, simulate_paths(f, paths, params, eig, cfg)):
             n_blowups += traj.outcome is Outcome.NUMERICAL_BLOWUP
-            t_i, lower, _, _ = lower_solution_series(path, thr, params.kappa, eig.lam1)
+            t_i, lower, _, _ = lower_solution_series(path, thr, eig.lam1)
             k = min(len(traj.times), len(t_i))
             keep = np.isfinite(lower[:k]) & (lower[:k] > 0)
             worst = min(worst, float(np.min(traj.mass[:k][keep] / lower[:k][keep])))
@@ -281,12 +281,12 @@ def test_criterion_7_certificate_soundness():
     params = ModelParams(beta=1.0, kappa=1.0)
     path = BrownianPath.frozen_zero(20.0, 1e-3)
     kind = CertificateKind.INTEGRAL
-    report = certificate_sup_norm(path, f, params, eig.lam1, eig, [kind])[kind]
+    report = certificate_sup_norm(path, f, params, eig, [kind])[kind]
     j_err = abs(report.J - 1.0 / 3.0)
     cert_ok = j_err <= 1e-6 and report.verdict is Verdict.CERTIFIED
 
     traj = simulate_paths(f, [BrownianPath.frozen_zero(10.0, 1e-3)], params, eig,
-                          SchemeConfig(dt=1e-3))[0]
+                          SchemeConfig())[0]
     bound = report.bound_sup[: len(traj.sup)]
     within = bool(np.all(traj.sup <= 1.02 * bound))
     margin = float(np.max(traj.sup / bound))

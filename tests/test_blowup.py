@@ -136,15 +136,29 @@ class TestModelParams:
         with pytest.raises(ConfigurationError):
             ModelParams(beta=1.0, kappa=1.0, Cstar=0.0)
 
+    @pytest.mark.parametrize(
+        "kappa, beta, name", [(1e200, 1.0, "kappa"), (1.0, 1e200, "beta"), (1e100, 1e100, "beta")]
+    )
+    def test_rejects_overflowing_squares(self, kappa, beta, name):
+        # kappa^2 or (kappa beta)^2 is not a finite float
+        with pytest.raises(ConfigurationError, match=f"{name}=1e"):
+            ModelParams(beta=beta, kappa=kappa)
+        assert ModelParams(beta=1e200, kappa=0.0).beta == 1e200  # no noise, nothing squared
+
 
 class TestThreshold:
     def test_reference_values(self):
-        thr = BlowupThreshold(0.5, 1.0)
+        thr = BlowupThreshold(0.5, ModelParams(beta=1.0, kappa=1.0))
         assert thr.x_star == pytest.approx(2.0, rel=1e-15)
-        thr = BlowupThreshold(2.0, 1.0)
+        thr = BlowupThreshold(2.0, ModelParams(beta=1.0, kappa=1.0))
         assert thr.x_star == pytest.approx(0.5, rel=1e-15)
-        thr = BlowupThreshold(4.0, 0.5)
+        thr = BlowupThreshold(4.0, ModelParams(beta=0.5, kappa=1.0))
         assert thr.x_star == pytest.approx(2.0 / 2.0, rel=1e-15)  # (1/b) 4^{-1/2}
+
+    def test_level_reads_the_lower_constant(self):
+        # G >= C z^(1+beta) with C = 1/4: x* = v0psi^(-beta)/(C beta)
+        params = ModelParams(beta=1.0, kappa=1.0, C=0.25, Lambda=0.25)
+        assert BlowupThreshold(0.5, params).x_star == 8.0
 
     @given(
         v0_small=st.floats(min_value=0.01, max_value=10.0),
@@ -153,8 +167,8 @@ class TestThreshold:
     )
     @settings(max_examples=60)
     def test_level_decreases_with_mass(self, v0_small, factor, beta):
-        lo = BlowupThreshold(v0_small, beta)
-        hi = BlowupThreshold(v0_small * factor, beta)
+        lo = BlowupThreshold(v0_small, ModelParams(beta=beta, kappa=1.0))
+        hi = BlowupThreshold(v0_small * factor, ModelParams(beta=beta, kappa=1.0))
         assert hi.x_star < lo.x_star
 
 
@@ -163,25 +177,37 @@ class TestLowerSolution:
     # closed form is I(t) = e^{-t} / (2 - (1 - e^{-t})) ... = 1/(1 + e^t).
     def test_subcritical_closed_form(self):
         path = BrownianPath.frozen_zero(horizon=5.0, dt=1e-3)
-        thr = BlowupThreshold(0.5, 1.0)
-        times, values, blown, tau = lower_solution_series(path, thr, kappa=0.0, lam1=1.0)
+        thr = BlowupThreshold(0.5, ModelParams(beta=1.0, kappa=0.0))
+        times, values, blown, tau = lower_solution_series(path, thr, lam1=1.0)
         assert blown is None and tau is None
         for t in (0.0, 0.25, 1.0, 3.0, 5.0):
             k = int(round(t / path.dt))
             assert times[k] == pytest.approx(t, abs=1e-12)
             assert values[k] == pytest.approx(1.0 / (1.0 + math.exp(times[k])), rel=1e-6)
 
+    def test_lower_constant_closed_form(self):
+        # C = 1/2 halves the reaction: with v0psi = 2 the bracket is
+        # 1/2 - (1 - e^{-t})/2 = e^{-t}/2, so I(t) = e^{-t} (e^{-t}/2)^{-1} = 2
+        # for all t, where C = 1 diverges at ln 2
+        path = BrownianPath.frozen_zero(horizon=5.0, dt=1e-3)
+        thr = BlowupThreshold(2.0, ModelParams(beta=1.0, kappa=0.0, C=0.5, Lambda=0.5))
+        _, values, blown, tau = lower_solution_series(path, thr, lam1=1.0)
+        assert blown is None and tau is None
+        # the trapezoid error of A, about dt^2/12, grows relative to the
+        # shrinking bracket: 1.2e-5 at t = 5
+        assert_allclose(values, 2.0, rtol=1e-4)
+
     def test_initial_value_is_initial_mass(self):
         path = sample_brownian(seed=3, path_index=0, horizon=1.0, dt=1e-3)
-        thr = BlowupThreshold(0.7, 2.0)
-        _, values, _, _ = lower_solution_series(path, thr, kappa=0.8, lam1=1.0)
+        thr = BlowupThreshold(0.7, ModelParams(beta=2.0, kappa=0.8))
+        _, values, _, _ = lower_solution_series(path, thr, lam1=1.0)
         assert values[0] == pytest.approx(0.7, rel=1e-14)
 
     def test_supercritical_diverges_at_log_two(self):
         path = BrownianPath.frozen_zero(horizon=5.0, dt=1e-3)
-        thr = BlowupThreshold(2.0, 1.0)
+        thr = BlowupThreshold(2.0, ModelParams(beta=1.0, kappa=0.0))
         # finite just before the divergence time ln 2, NaN from there on
-        times, values, blown, _ = lower_solution_series(path, thr, kappa=0.0, lam1=1.0)
+        times, values, blown, _ = lower_solution_series(path, thr, lam1=1.0)
         assert times[690] == pytest.approx(0.69, abs=1e-12)
         assert math.isfinite(values[690]) and values[690] > 50.0
         assert blown is not None and times[blown] <= 0.7
@@ -189,8 +215,8 @@ class TestLowerSolution:
 
     def test_series_masks_after_divergence(self):
         path = BrownianPath.frozen_zero(horizon=2.0, dt=1e-3)
-        thr = BlowupThreshold(2.0, 1.0)
-        times, values, blown, _ = lower_solution_series(path, thr, kappa=0.0, lam1=1.0)
+        thr = BlowupThreshold(2.0, ModelParams(beta=1.0, kappa=0.0))
+        times, values, blown, _ = lower_solution_series(path, thr, lam1=1.0)
         assert blown is not None
         assert times[blown] == pytest.approx(math.log(2.0), abs=2e-3)
         assert np.all(np.isfinite(values[:blown]))
@@ -198,8 +224,8 @@ class TestLowerSolution:
 
     def test_series_monotone_increasing_supercritical(self):
         path = BrownianPath.frozen_zero(horizon=2.0, dt=1e-3)
-        thr = BlowupThreshold(2.0, 1.0)
-        _, values, blown, _ = lower_solution_series(path, thr, kappa=0.0, lam1=1.0)
+        thr = BlowupThreshold(2.0, ModelParams(beta=1.0, kappa=0.0))
+        _, values, blown, _ = lower_solution_series(path, thr, lam1=1.0)
         alive = values[:blown]
         assert np.all(np.diff(alive) > 0)
 
@@ -208,24 +234,24 @@ class TestTauFromPath:
     # tau is the fourth return of lower_solution_series
     def test_deterministic_crossing_at_log_two(self):
         path = BrownianPath.frozen_zero(horizon=5.0, dt=1e-3)
-        thr = BlowupThreshold(2.0, 1.0)
-        _, _, blown, tau = lower_solution_series(path, thr, kappa=0.0, lam1=1.0)
+        thr = BlowupThreshold(2.0, ModelParams(beta=1.0, kappa=0.0))
+        _, _, blown, tau = lower_solution_series(path, thr, lam1=1.0)
         assert blown is not None
         assert tau == pytest.approx(math.log(2.0), abs=1e-6)
 
     def test_censored_when_level_unreachable(self):
         # kappa=0 caps A at 1/lam1 = 1 < x* = 2
         path = BrownianPath.frozen_zero(horizon=5.0, dt=1e-3)
-        thr = BlowupThreshold(0.5, 1.0)
-        _, _, blown, tau = lower_solution_series(path, thr, kappa=0.0, lam1=1.0)
+        thr = BlowupThreshold(0.5, ModelParams(beta=1.0, kappa=0.0))
+        _, _, blown, tau = lower_solution_series(path, thr, lam1=1.0)
         assert blown is None
         assert tau is None
 
     def test_interpolation_beats_grid_resolution(self):
         # Coarse grid, same crossing: interpolated tau stays sharp.
         path = BrownianPath.frozen_zero(horizon=5.0, dt=0.05)
-        thr = BlowupThreshold(2.0, 1.0)
-        _, _, _, tau = lower_solution_series(path, thr, kappa=0.0, lam1=1.0)
+        thr = BlowupThreshold(2.0, ModelParams(beta=1.0, kappa=0.0))
+        _, _, _, tau = lower_solution_series(path, thr, lam1=1.0)
         assert tau == pytest.approx(math.log(2.0), abs=2e-4)
 
     @given(
@@ -236,8 +262,8 @@ class TestTauFromPath:
     @settings(max_examples=60, deadline=None)
     def test_tau_inside_the_blown_step(self, seed, beta, v0psi):
         path = sample_brownian(horizon=5.0, dt=1e-2, seed=seed, path_index=0)
-        thr = BlowupThreshold(v0psi, beta)
-        times, _, blown, tau = lower_solution_series(path, thr, kappa=1.0, lam1=1.0)
+        thr = BlowupThreshold(v0psi, ModelParams(beta=beta, kappa=1.0))
+        times, _, blown, tau = lower_solution_series(path, thr, lam1=1.0)
         assert (tau is None) == (blown is None)
         if blown is not None:
             assert times[blown - 1] <= tau <= times[blown]
@@ -245,7 +271,7 @@ class TestTauFromPath:
 
 class TestAnalyticBound:
     def test_reference_parameter_point(self):
-        thr = BlowupThreshold(0.5, 1.0)
+        thr = BlowupThreshold(0.5, ModelParams(beta=1.0, kappa=1.0))
         bound = analytic_blowup_bound(1.0, 1.0, 1.0, thr.x_star)
         assert bound.alpha == pytest.approx(3.0, rel=1e-14)
         assert bound.z_star == pytest.approx(1.0, rel=1e-14)
@@ -253,7 +279,7 @@ class TestAnalyticBound:
         assert bound.p_blowup_lower == pytest.approx(P_BLOWUP_REF, rel=1e-12)
 
     def test_noiseless_redirects(self):
-        thr = BlowupThreshold(0.5, 1.0)
+        thr = BlowupThreshold(0.5, ModelParams(beta=1.0, kappa=1.0))
         with pytest.raises(ConfigurationError):
             analytic_blowup_bound(1.0, 0.0, 1.0, thr.x_star)
 
@@ -264,7 +290,7 @@ class TestAnalyticBound:
     )
     @settings(max_examples=60)
     def test_probabilities_complementary(self, v0, kappa, beta):
-        thr = BlowupThreshold(v0, beta)
+        thr = BlowupThreshold(v0, ModelParams(beta=beta, kappa=1.0))
         bound = analytic_blowup_bound(1.0, kappa, beta, thr.x_star)
         assert 0.0 <= bound.p_global <= 1.0
         assert bound.p_blowup_lower + bound.p_global == pytest.approx(1.0, abs=1e-12)
@@ -285,18 +311,19 @@ class TestAnalyticBound:
 
     def test_tiny_mass_is_an_infinite_level(self):
         # 1e-320^(-2) overflows a float power; the level is out of reach
-        thr = BlowupThreshold(1e-320, 2.0)
+        thr = BlowupThreshold(1e-320, ModelParams(beta=2.0, kappa=1.0))
         assert thr.x_star == math.inf
         path = sample_brownian(1.0, 1e-2, 3, 0)
-        _, values, blown, tau = lower_solution_series(path, thr, kappa=1.0, lam1=1.0)
+        _, values, blown, tau = lower_solution_series(path, thr, lam1=1.0)
         assert blown is None and tau is None
         assert np.all(values == 0.0)
 
     def test_blowup_probability_increases_with_mass(self):
         kappa, beta = 1.0, 1.0
+        params = ModelParams(beta=beta, kappa=kappa)
         masses = [0.25, 0.5, 1.0, 2.0, 4.0]
         probs = [
-            analytic_blowup_bound(1.0, kappa, beta, BlowupThreshold(m, beta).x_star).p_blowup_lower
+            analytic_blowup_bound(1.0, kappa, beta, BlowupThreshold(m, params).x_star).p_blowup_lower
             for m in masses
         ]
         assert all(b > a for a, b in zip(probs, probs[1:]))
@@ -369,14 +396,13 @@ class TestMassInvariants:
 
 class TestMonteCarlo:
     PARAMS = ModelParams(beta=1.0, kappa=1.0)
-    LEVEL = BlowupThreshold(0.5, 1.0).x_star
+    LEVEL = BlowupThreshold(0.5, PARAMS).x_star
 
     def test_smoke_estimate_matches_gamma_tail(self):
         est = mc_blowup_probability(
             self.PARAMS, 1.0, [self.LEVEL], n_paths=1500, horizon=40.0, dt=1e-3, seed=777
         ).estimates[0]
         assert abs(est.p_hat - P_BLOWUP_REF) <= 4.0 * est.stderr + est.truncation_allowance
-        assert est.analytic_reference == pytest.approx(P_BLOWUP_REF, rel=1e-12)
         assert est.n_censored == est.n_paths - round(est.p_hat * est.n_paths)
         assert est.truncation_allowance < 1e-10  # horizon 40 leaves no tail mass
         assert est.n_saturated == 0
@@ -458,7 +484,7 @@ class TestMonteCarlo:
         # block width, on where a thread job's index range starts, or on
         # which rows have already stopped
         dt, seed, n = 1e-3, 5, 300
-        thr = BlowupThreshold(v0psi, 1.0)
+        thr = BlowupThreshold(v0psi, self.PARAMS)
         a, b = blowup._drift_scale(self.PARAMS.beta, self.PARAMS.kappa, 1.0)
         alpha = analytic_blowup_bound(1.0, self.PARAMS.kappa, 1.0, thr.x_star).alpha
         x_star = thr.x_star
@@ -492,7 +518,7 @@ class TestMonteCarlo:
         # each entry the estimate of a pass against it alone, for less work;
         # the sweep is unsorted and repeats a mass
         masses = [1.0, 0.25, 0.5, 0.25]
-        levels = [BlowupThreshold(m, 1.0).x_star for m in masses]
+        levels = [BlowupThreshold(m, self.PARAMS).x_star for m in masses]
         kw = dict(n_paths=1000, horizon=10.0, dt=1e-3, seed=42, workers=workers)
         with caplog.at_level(logging.INFO, logger="spdelab.blowup"):
             sweep = mc_blowup_probability(self.PARAMS, 1.0, levels, **kw)
@@ -500,7 +526,7 @@ class TestMonteCarlo:
         assert f"normals drawn={sweep.normals_drawn} of {1000 * 10_000}" in line
         assert line.count("p_hat=") == line.count("allowance=") == len(levels)
         singles = [mc_blowup_probability(self.PARAMS, 1.0, [x], **kw) for x in levels]
-        assert (sweep.n_paths, sweep.seed) == (1000, 42)
+        assert sweep.n_paths == 1000
         assert len(sweep.estimates) == len(levels)
         for est, single in zip(sweep.estimates, singles):
             [ref] = single.estimates
@@ -538,7 +564,7 @@ class TestMonteCarlo:
         a, b = blowup._drift_scale(self.PARAMS.beta, self.PARAMS.kappa, 1.0)
         alpha = analytic_blowup_bound(1.0, self.PARAMS.kappa, 1.0, self.LEVEL).alpha
         nsteps = _n_steps(horizon, dt)
-        x_stars = [BlowupThreshold(m, 1.0).x_star for m in (0.25, 0.5, 1.0, 2.0)]
+        x_stars = [BlowupThreshold(m, self.PARAMS).x_star for m in (0.25, 0.5, 1.0, 2.0)]
         A, p, _, steps = blowup._advance_paths(9, 0, n, nsteps, dt, a * dt, b, x_stars, alpha)
         hit = A >= np.array(x_stars)
         early = ~hit & (steps < nsteps)
@@ -554,12 +580,13 @@ class TestMonteCarlo:
     def test_allowance_accounts_for_the_censored_paths(self, v0psi, horizon):
         # each path adds 1 if it hit, else its conditional probability of
         # hitting later, so p_hat + allowance estimates the t = inf law
-        thr = BlowupThreshold(v0psi, 1.0)
+        thr = BlowupThreshold(v0psi, self.PARAMS)
         est = mc_blowup_probability(
             self.PARAMS, 1.0, [thr.x_star], n_paths=4000, horizon=horizon, dt=1e-3, seed=2024
         ).estimates[0]
+        reference = analytic_blowup_bound(1.0, 1.0, 1.0, thr.x_star).p_blowup_lower
         s = est.p_hat + est.truncation_allowance
-        assert abs(s - est.analytic_reference) <= 4.0 * math.sqrt(s * (1.0 - s) / est.n_paths)
+        assert abs(s - reference) <= 4.0 * math.sqrt(s * (1.0 - s) / est.n_paths)
         assert 0.0 < est.truncation_allowance <= est.n_censored / est.n_paths
 
     def test_worker_count_invariance(self):
@@ -571,7 +598,7 @@ class TestMonteCarlo:
         assert e1.estimates[0].p_hat == 74 / 1000
 
     def test_enormous_mass_hits_immediately(self):
-        thr = BlowupThreshold(1e6, 1.0)
+        thr = BlowupThreshold(1e6, self.PARAMS)
         [est] = mc_blowup_probability(
             self.PARAMS, 1.0, [thr.x_star], n_paths=1000, horizon=1.0, dt=1e-3, seed=5
         ).estimates
@@ -602,7 +629,7 @@ class TestMonteCarlo:
 
     def test_estimate_validation(self):
         est = ProbabilityEstimate(
-            p_hat=0.25, n_paths=400, analytic_reference=0.5,
+            p_hat=0.25, n_paths=400,
             truncation_allowance=0.0, n_censored=300, n_saturated=0,
         )
         assert est.stderr == math.sqrt(0.25 * 0.75 / 400)
@@ -682,15 +709,15 @@ class TestGlobalSide:
     def test_the_two_bounds_cannot_overlap(self, kappa, beta, Lambda, a):
         # f = a psi with the smallest K that dominates it, K S_eta psi >= f.
         # P[blowup] >= 1 - Q(alpha, z(x*)) and P[global] >= Q(alpha, z(threshold))
-        # can both hold only if threshold <= x*. The lab's x* assumes the lower
-        # constant C = 1, so Lambda >= C = 1.
+        # can both hold only if threshold <= x*. x* reads the lower constant
+        # C of params, here its default 1, so Lambda >= C = 1.
         eig, c = fitted_interval_64()
         eta = 1.0
         f = a * eig.psi
         K = a * math.exp(eig.lam1 * eta) / float(np.sum(eig.grid.weights * eig.modes[:, 0]))
         params = ModelParams(beta=beta, kappa=kappa, Lambda=Lambda)
-        cert = certificate_heat_kernel(K, eta, params, eig.lam1, eig, c, f=f)
-        x_star = BlowupThreshold(weighted_inner(eig.grid, f, eig.psi), beta).x_star
+        cert = certificate_heat_kernel(K, eta, params, eig, c, f=f)
+        x_star = BlowupThreshold(weighted_inner(eig.grid, f, eig.psi), params).x_star
         assert cert.threshold <= x_star
         p_blowup = analytic_blowup_bound(eig.lam1, kappa, beta, x_star).p_blowup_lower
         assert p_blowup + cert.probability <= 1.0

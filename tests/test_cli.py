@@ -129,6 +129,36 @@ class TestConfigValidation:
         assert f"configuration error: {flag[0]} must be" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, kappa, beta, name",
+        [
+            ("blowup", 1e200, 1.0, "kappa"),
+            ("simulate", 1e200, 1.0, "kappa"),
+            ("certify", 1e200, 1.0, "kappa"),
+            ("blowup", 1.0, 1e200, "beta"),
+            ("certify", 1.0, 1e200, "beta"),
+        ],
+    )
+    def test_overflowing_kappa_or_beta_exits_2_without_files(
+        self, tmp_path, capsys, command, kappa, beta, name
+    ):
+        # kappa^2 or (kappa beta)^2 overflows a float; a float ** raised
+        # OverflowError deep in the gamma law, certificates or integrator
+        cfg = interval_cfg(
+            n=32,
+            model={"beta": beta, "kappa": kappa},
+            initial={"mode": "eigen-multiple", "a": 0.05},
+            sim={"dt": 0.01, "horizon": 1.0, "n_paths": 1000, "seed": 1, "v0psi_sweep": [0.5]},
+            certificate={"kinds": ["integral", "heat_kernel"], "K": 0.5, "c": 1.0},
+        )
+        out = tmp_path / "out"
+        p = write_cfg(tmp_path, cfg)
+        assert main([command, "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert f"{name}=1e+200 is too large" in err
+        assert not out.exists()
+
     def test_tabulated_nonlinearity_parses(self, tmp_path):
         cfg = interval_cfg(
             model={**MODEL, "G": {"type": "tabulated", "z": [0.0, 1.0, 2.0], "g": [0.0, 0.5, 2.0]}}
@@ -335,6 +365,20 @@ class TestBlowupCommand:
         assert main(["blowup", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(alone)]) == 0
         assert read_csv(alone / "blowup.csv") == [other]
 
+    def test_level_reads_the_lower_constant(self, tmp_path):
+        # G = z^2/2 (C = Lambda = 1/2): x* = v0psi^(-beta)/(C beta) = 2 at
+        # v0psi = 1, so z* = 2/(kappa^2 beta^2 x*) = 1, and the paths are
+        # counted against that level
+        cfg = self.cfg(v0psi_sweep=[1.0])
+        cfg["model"] = {**MODEL, "C": 0.5, "Lambda": 0.5}
+        out = tmp_path / "out"
+        assert main(["blowup", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+        [row] = read_csv(out / "blowup.csv")
+        assert (row["x_star"], row["z_star"]) == ("2.0", "1.0")
+        p_ref = float(row["p_analytic_blowup"])
+        assert p_ref == pytest.approx(0.0805, abs=1e-4)
+        assert abs(float(row["p_hat"]) - p_ref) <= 3.0 * float(row["stderr"]) + 0.005
+
     def test_missing_sweep_exits_2(self, tmp_path):
         cfg = interval_cfg(n=32, model=MODEL, sim={"dt": 0.01, "horizon": 1.0, "n_paths": 1000})
         p = write_cfg(tmp_path, cfg)
@@ -363,8 +407,8 @@ class TestSimulateCommand:
         params = ModelParams(beta=1.0, kappa=1.0)
         path = sample_brownian(2.0, 1e-2, 3, 0)
         f = 0.5 * eig.psi
-        traj = simulate_paths(f, [path], params, eig, SchemeConfig(dt=1e-2))[0]
-        em_cfg = SchemeConfig(dt=1e-2, max_snapshots=2)
+        traj = simulate_paths(f, [path], params, eig, SchemeConfig())[0]
+        em_cfg = SchemeConfig(max_snapshots=2)
         traj_em = simulate_paths(f, [path], params, eig, em_cfg, variable="u")[0]
         em_diff = _consistency_row(traj, traj_em, path, params, None, None, None)[0]
         u_sup = reconstruct_u(traj, path, params.kappa).sup
@@ -421,6 +465,23 @@ class TestSimulateCommand:
         sup = np.array([float(r["sup"]) for r in series])
         assert np.all(np.diff(sup) < 0)
 
+    def test_lower_solution_reads_the_lower_constant(self, tmp_path):
+        # G = z^2/2 (C = Lambda = 1/2), no noise, psi-mass 1.97: the bracket
+        # 1/1.97 - (1 - e^{-lam1 t})/(2 lam1) stays positive, so the lower
+        # solution is finite for all time and the simulated mass dominates it
+        cfg = interval_cfg(
+            n=32,
+            model={"beta": 1.0, "kappa": 0.0, "C": 0.5, "Lambda": 0.5},
+            initial={"mode": "eigen-multiple", "a": 5.0},
+            sim={"dt": 1e-3, "horizon": 5.0},
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+        [row] = read_csv(out / "trajectories.csv")
+        [cons] = read_csv(out / "consistency.csv")
+        assert row["tau_analytic"] == ""
+        assert float(cons["mass_over_lower_min"]) == pytest.approx(1.0, abs=1e-12)
+
     def test_tiny_mass_has_no_blowup_time(self, tmp_path):
         # at beta = 2 a psi-mass of about 4e-201 overflows v0psi^(-2): x* is
         # +inf, the lower solution never reaches it and tau stays empty
@@ -471,7 +532,7 @@ class TestSimulateCommand:
         assert {r["outcome"] for r in rows} == {"completed_horizon", "numerical_blowup"}
         for row in rows:
             path = sample_brownian(horizon, dt, seed, int(row["path_index"]))
-            traj = simulate_paths(a * eig.psi, [path], params, eig, SchemeConfig(dt=dt))[0]
+            traj = simulate_paths(a * eig.psi, [path], params, eig, SchemeConfig())[0]
             _, weak, mild = mode_residuals(traj, path, params, eig)
             assert float(row["weak_residual_max"]) == float(np.max(weak))
             assert float(row["mild_residual_max"]) == float(np.max(mild))
@@ -735,6 +796,17 @@ class TestCertifyCommand:
         p = write_cfg(tmp_path, cfg)
         assert main(["certify", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert f"K={K!r}" in capsys.readouterr().err
+
+    def test_heat_kernel_analytic_tiny_K_certifies(self, tmp_path):
+        # [K (1+c) (sup psi)^2 int psi]^beta underflows to 0 at K = 1e-300
+        # and beta = 2: the threshold is +inf, which no path reaches
+        cfg = self.base_cfg(kinds=["heat_kernel"], K=1e-300, eta=1.0, c=1.0, analytic=True)
+        cfg["model"] = {**MODEL, "beta": 2.0}
+        del cfg["initial"]
+        out = tmp_path / "out"
+        assert main(["certify", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+        [row] = read_csv(out / "certificates.csv")
+        assert (row["threshold"], row["probability_certified"]) == ("inf", "1.0")
 
     def test_heat_kernel_analytic_tiny_kappa_exits_2(self, tmp_path, capsys):
         # alpha overflows at kappa = 1e-200 while the threshold stays finite

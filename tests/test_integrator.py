@@ -60,10 +60,10 @@ def scalar_problem(lam=1.0):
                      psi=np.array([1.0]))
 
 
-def field_after(k, f, params, eig, cfg):
-    """The transformed field after k steps on the zero noise path. With k + 1
-    snapshots the stride is one, so snapshot k is the field after step k."""
-    path = BrownianPath.frozen_zero(horizon=k * cfg.dt, dt=cfg.dt)
+def field_after(k, f, params, eig, dt, cfg=SchemeConfig()):
+    """The transformed field after k steps of dt on the zero noise path. With
+    k + 1 snapshots the stride is one, so snapshot k is the field after step k."""
+    path = BrownianPath.frozen_zero(horizon=k * dt, dt=dt)
     traj = simulate_paths(f, [path], params, eig, replace(cfg, max_snapshots=k + 1))[0]
     assert len(traj.times) == k + 1
     return traj.snapshots[k]
@@ -72,61 +72,57 @@ def field_after(k, f, params, eig, cfg):
 class TestSchemeConfig:
     def test_guards(self):
         with pytest.raises(ConfigurationError):
-            SchemeConfig(dt=0.0)
+            SchemeConfig(cutoff=0.5)
         with pytest.raises(ConfigurationError):
-            SchemeConfig(dt=1e-3, cutoff=0.5)
-        with pytest.raises(ConfigurationError):
-            SchemeConfig(dt=1e-3, max_halvings=-1)
-        with pytest.raises(ConfigurationError):
-            SchemeConfig(dt=1e-3, max_snapshots=1)
+            SchemeConfig(max_snapshots=1)
 
 
 class TestStep:
     def test_eigenmode_implicit_decay_exact(self, interval_48):
         # G = 0, kappa = 0, f = psi: k steps give (1 + dt lam1)^{-k} psi exactly
         _, grid, _, eig = interval_48
-        cfg = SchemeConfig(dt=0.01)
-        values = field_after(5, eig.psi, linear_params(0.0), eig, cfg)
-        expected = (1.0 + cfg.dt * eig.lam1) ** -5 * eig.psi
+        dt = 0.01
+        values = field_after(5, eig.psi, linear_params(0.0), eig, dt)
+        expected = (1.0 + dt * eig.lam1) ** -5 * eig.psi
         np.testing.assert_allclose(values, expected, rtol=1e-11)
 
     def test_scalar_reaction_recursion(self):
         # v' = -lam v + v^2 under IMEX: v+ = (v + dt v^2)/(1 + dt lam)
         eig = scalar_problem(lam=1.0)
-        cfg = SchemeConfig(dt=0.05)
+        dt = 0.05
         v = 0.4
-        values = field_after(8, np.array([v]), ModelParams(beta=1.0, kappa=0.0), eig, cfg)
+        values = field_after(8, np.array([v]), ModelParams(beta=1.0, kappa=0.0), eig, dt)
         for _ in range(8):
-            v = (v + cfg.dt * v**2) / (1.0 + cfg.dt * 1.0)
+            v = (v + dt * v**2) / (1.0 + dt * 1.0)
         assert values[0] == pytest.approx(v, rel=1e-14)
 
     def test_zero_noise_value_matches_dense_oracle(self, interval_48):
         # W_t = 0 with kappa = 1: the step is the deterministic semilinear one
         # with the kappa^2/2 shift; check against a dense direct solve.
         _, grid, _, eig = interval_48
-        cfg = SchemeConfig(dt=0.02)
+        dt = 0.02
         f = 0.3 * eig.psi
-        new = field_after(1, f, ModelParams(beta=1.0, kappa=1.0), eig, cfg)
+        new = field_after(1, f, ModelParams(beta=1.0, kappa=1.0), eig, dt)
         n = grid.npoints
-        A = np.eye(n) - cfg.dt * (_laplacian(grid).toarray() - 0.5 * np.eye(n))
-        expected = np.linalg.solve(A, f + cfg.dt * f**2)
+        A = np.eye(n) - dt * (_laplacian(grid).toarray() - 0.5 * np.eye(n))
+        expected = np.linalg.solve(A, f + dt * f**2)
         np.testing.assert_allclose(new, expected, rtol=1e-12)
 
     def test_crank_nicolson_eigenmode(self, interval_48):
         _, grid, _, eig = interval_48
-        cfg = SchemeConfig(dt=0.01, scheme=Scheme.CRANK_NICOLSON)
-        new = field_after(1, eig.psi, linear_params(0.0), eig, cfg)
-        factor = (1.0 - 0.5 * cfg.dt * eig.lam1) / (1.0 + 0.5 * cfg.dt * eig.lam1)
+        dt, cfg = 0.01, SchemeConfig(scheme=Scheme.CRANK_NICOLSON)
+        new = field_after(1, eig.psi, linear_params(0.0), eig, dt, cfg)
+        factor = (1.0 - 0.5 * dt * eig.lam1) / (1.0 + 0.5 * dt * eig.lam1)
         np.testing.assert_allclose(new, factor * eig.psi, rtol=1e-11)
 
     def test_negative_field_aborts(self, interval_48):
         # dt lam1 > 2 makes the Crank-Nicolson factor of psi negative, so one
         # step from the positive psi gives a negative field
         _, grid, _, eig = interval_48
-        cfg = SchemeConfig(dt=3.0, scheme=Scheme.CRANK_NICOLSON)
-        assert cfg.dt * eig.lam1 > 2.0
+        dt, cfg = 3.0, SchemeConfig(scheme=Scheme.CRANK_NICOLSON)
+        assert dt * eig.lam1 > 2.0
         with pytest.raises(NumericalFailure, match="positivity lost"):
-            field_after(1, eig.psi, linear_params(0.0), eig, cfg)
+            field_after(1, eig.psi, linear_params(0.0), eig, dt, cfg)
 
 
 class TestSimulateRpde:
@@ -135,23 +131,23 @@ class TestSimulateRpde:
         _, grid, _, eig = interval_48
         kappa = 0.5
         path = sample_brownian(seed=9, path_index=0, horizon=2.0, dt=1e-3)
-        cfg = SchemeConfig(dt=1e-3)
+        cfg = SchemeConfig()
         traj = simulate_paths(eig.psi, [path], linear_params(kappa), eig, cfg)[0]
         assert traj.outcome is Outcome.COMPLETED
         rate = eig.lam1 + 0.5 * kappa**2
         exact = traj.mass[0] * math.exp(-rate * 2.0)
         assert traj.mass[-1] == pytest.approx(exact, rel=3e-3)
-        recursion = traj.mass[0] * (1.0 + cfg.dt * rate) ** -path.nsteps
+        recursion = traj.mass[0] * (1.0 + path.dt * rate) ** -path.nsteps
         assert traj.mass[-1] == pytest.approx(recursion, rel=1e-10)
 
     def test_mass_series_is_weighted_pairing(self, interval_48):
         _, grid, _, eig = interval_48
         path = sample_brownian(seed=10, path_index=0, horizon=0.5, dt=1e-3)
-        cfg = SchemeConfig(dt=1e-3, max_snapshots=501)
+        cfg = SchemeConfig(max_snapshots=501)
         f = 0.2 * np.ones(grid.npoints)
         traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=1.0), eig, cfg)[0]
         # snapshots are at full resolution here; compare the pairing directly
-        idx = np.rint(traj.snapshot_times / cfg.dt).astype(int)
+        idx = np.rint(traj.snapshot_times / path.dt).astype(int)
         expected = traj.snapshots @ (grid.weights * eig.psi)
         np.testing.assert_allclose(traj.mass[idx], expected, rtol=1e-12, atol=1e-15)
 
@@ -163,12 +159,12 @@ class TestSimulateRpde:
         _, grid, _, eig = interval_48
         kappa = 1.0
         path = sample_brownian(seed=11, path_index=0, horizon=1.0, dt=1e-3)
-        cfg = SchemeConfig(dt=1e-3)
+        cfg = SchemeConfig()
         f = 0.3 * np.ones(grid.npoints)
         traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=kappa), eig, cfg)[0]
         m = traj.mass
         w = path.values[: len(m) - 1]
-        lhs = np.diff(m) / cfg.dt + (eig.lam1 + 0.5 * kappa**2) * m[1:]
+        lhs = np.diff(m) / path.dt + (eig.lam1 + 0.5 * kappa**2) * m[1:]
         rhs = np.exp(kappa * 1.0 * w) * m[:-1] ** 2
         assert np.all(lhs - rhs >= -1e-9 * np.max(np.abs(lhs)))
 
@@ -177,7 +173,7 @@ class TestSimulateRpde:
         f = 2.0 * np.ones(grid.npoints)
         assert deterministic_dichotomy(f, eig, 1.0) is Dichotomy.BLOWUP_CERTIFIED
         path = BrownianPath.frozen_zero(horizon=10.0, dt=1e-3)
-        cfg = SchemeConfig(dt=1e-3)
+        cfg = SchemeConfig()
         traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), eig, cfg)[0]
         assert traj.outcome is Outcome.NUMERICAL_BLOWUP
         assert traj.t_blowup < 10.0
@@ -191,7 +187,7 @@ class TestSimulateRpde:
         _, grid, _, eig = interval_48
         f = 0.5 * np.ones(grid.npoints)
         path = BrownianPath.frozen_zero(horizon=5.0, dt=1e-3)
-        cfg = SchemeConfig(dt=1e-3)
+        cfg = SchemeConfig()
         traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), eig, cfg)[0]
         assert traj.outcome is Outcome.COMPLETED
         assert traj.sup[-1] < traj.sup[0]
@@ -209,7 +205,7 @@ class TestSimulateRpde:
             f = 2.0 * np.ones(grid.npoints)
             path = BrownianPath.frozen_zero(horizon=10.0, dt=1e-3)
             traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), eig,
-                                  SchemeConfig(dt=1e-3))[0]
+                                  SchemeConfig())[0]
             assert traj.outcome is Outcome.NUMERICAL_BLOWUP
             t_b[n] = traj.t_blowup
         assert abs(t_b[48] - t_b[24]) / t_b[48] <= 0.05
@@ -217,7 +213,7 @@ class TestSimulateRpde:
     def test_snapshot_decimation(self, interval_48):
         _, grid, _, eig = interval_48
         path = BrownianPath.frozen_zero(horizon=1.0, dt=1e-3)
-        cfg = SchemeConfig(dt=1e-3, max_snapshots=50)
+        cfg = SchemeConfig(max_snapshots=50)
         f = 0.5 * np.ones(grid.npoints)
         traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), eig, cfg)[0]
         assert len(traj.snapshot_times) <= 51
@@ -228,15 +224,12 @@ class TestSimulateRpde:
     def test_input_guards(self, interval_48):
         _, grid, _, eig = interval_48
         path = BrownianPath.frozen_zero(horizon=1.0, dt=1e-3)
-        cfg = SchemeConfig(dt=1e-3)
+        cfg = SchemeConfig()
         params = ModelParams(beta=1.0, kappa=0.0)
         with pytest.raises(PreconditionFailure):
             simulate_paths(-np.ones(grid.npoints), [path], params, eig, cfg)
         with pytest.raises(PreconditionFailure):
             simulate_paths(np.zeros(grid.npoints), [path], params, eig, cfg)
-        with pytest.raises(ConfigurationError):
-            simulate_paths(np.ones(grid.npoints), [path], params, eig,
-                           SchemeConfig(dt=2e-3))
         for bad in (math.nan, math.inf, -math.inf):
             f = np.ones(grid.npoints)
             f[3] = bad
@@ -265,8 +258,8 @@ def single_path_loop(f, path, params, eig, cfg, variable):
     shift = 0.5 * params.kappa**2 if variable == "v" else 0.0
     gen = (lap - shift * eye).tocsc()
     theta = 1.0 if cfg.scheme is Scheme.IMEX else 0.5
-    solve = splu((eye - theta * cfg.dt * gen).tocsc()).solve
-    explicit = None if theta == 1.0 else (eye + 0.5 * cfg.dt * gen).tocsr()
+    solve = splu((eye - theta * path.dt * gen).tocsc()).solve
+    explicit = None if theta == 1.0 else (eye + 0.5 * path.dt * gen).tocsr()
     dw = np.diff(path.values)
     v = f
     mass, sup = [float(np.dot(eig.grid.weights, eig.psi * v))], [float(np.max(np.abs(v)))]
@@ -275,8 +268,8 @@ def single_path_loop(f, path, params, eig, cfg, variable):
             factor = params.G.coeff * math.exp(min(params.kappa * params.beta * path.values[k], 700.0))
             r = factor * np.power(np.maximum(v, 0.0), 1.0 + params.beta)
         else:
-            r = params.G(v) + params.kappa * v * (dw[k] / cfg.dt)
-        v = solve((v if explicit is None else explicit @ v) + cfg.dt * r)
+            r = params.G(v) + params.kappa * v * (dw[k] / path.dt)
+        v = solve((v if explicit is None else explicit @ v) + path.dt * r)
         if not np.max(np.abs(v)) < cfg.cutoff:
             break
         mass.append(float(np.dot(eig.grid.weights, eig.psi * v)))
@@ -294,7 +287,7 @@ class TestBlockEngine:
         grid, eig = interval_16()
         g = PowerLaw() if nonlinearity == "power_law" else tabulated_square()
         params = ModelParams(beta=1.0, kappa=1.0, G=g)
-        cfg = SchemeConfig(dt=2e-3, cutoff=1e6, scheme=scheme, max_snapshots=40)
+        cfg = SchemeConfig(cutoff=1e6, scheme=scheme, max_snapshots=40)
         f = 3.0 * eig.psi
         paths = [sample_brownian(2.0, 2e-3, 7, i) for i in range(6)]
         single = [simulate_paths(f, [p], params, eig, cfg, variable)[0] for p in paths]
@@ -317,7 +310,7 @@ class TestBlockEngine:
         # bit, on every accepted step of every path
         grid, eig = interval_16()
         params = ModelParams(beta=1.0, kappa=1.0)
-        cfg = SchemeConfig(dt=2e-3, cutoff=1e6, scheme=scheme)
+        cfg = SchemeConfig(cutoff=1e6, scheme=scheme)
         f = 3.0 * eig.psi
         paths = [sample_brownian(2.0, 2e-3, 7, i) for i in range(6)]
         block = simulate_paths(f, paths, params, eig, cfg, variable)
@@ -328,10 +321,12 @@ class TestBlockEngine:
 
     def test_paths_must_share_the_grid(self):
         grid, eig = interval_16()
-        paths = [BrownianPath.frozen_zero(1.0, 1e-3), BrownianPath.frozen_zero(2.0, 1e-3)]
-        with pytest.raises(ConfigurationError):
-            simulate_paths(eig.psi, paths, ModelParams(beta=1.0, kappa=0.0), eig,
-                           SchemeConfig(dt=1e-3))
+        # another step count at one dt, and one step count at another dt
+        for other in (BrownianPath.frozen_zero(2.0, 1e-3), BrownianPath.frozen_zero(2.0, 2e-3)):
+            paths = [BrownianPath.frozen_zero(1.0, 1e-3), other]
+            with pytest.raises(ConfigurationError, match="one time grid"):
+                simulate_paths(eig.psi, paths, ModelParams(beta=1.0, kappa=0.0), eig,
+                               SchemeConfig())
 
     @given(
         dt=st.sampled_from([0.05, 0.02, 0.01, 0.005, 0.002]),
@@ -347,7 +342,7 @@ class TestBlockEngine:
         params = ModelParams(beta=1.0, kappa=kappa)
         path = (BrownianPath.frozen_zero(4.0, dt) if kappa == 0.0
                 else sample_brownian(4.0, dt, seed, 0))
-        cfg = SchemeConfig(dt=dt, cutoff=cutoff, scheme=scheme)
+        cfg = SchemeConfig(cutoff=cutoff, scheme=scheme)
         traj = simulate_paths(a * eig.psi, [path], params, eig, cfg)[0]
         event(traj.outcome.value)
         if traj.outcome is not Outcome.NUMERICAL_BLOWUP:
@@ -363,7 +358,7 @@ class TestSchemeCrossValidation:
         _, grid, _, eig = interval_48
         f = 0.4 * eig.psi
         path = BrownianPath.frozen_zero(horizon=1.0, dt=1e-3)
-        cfg = SchemeConfig(dt=1e-3)
+        cfg = SchemeConfig()
         params = ModelParams(beta=1.0, kappa=0.0)
         a = simulate_paths(f, [path], params, eig, cfg)[0]
         b = simulate_paths(f, [path], params, eig, cfg, variable="u")[0]
@@ -375,7 +370,7 @@ class TestSchemeCrossValidation:
         _, grid, _, eig = interval_48
         kappa = 0.5
         path = sample_brownian(seed=21, path_index=0, horizon=1.0, dt=1e-4)
-        cfg = SchemeConfig(dt=1e-4)
+        cfg = SchemeConfig()
         traj = simulate_paths(eig.psi, [path], linear_params(kappa), eig, cfg, "u")[0]
         w_T = float(path.values[-1])
         exact = traj.mass[0] * math.exp(-eig.lam1 * 1.0 + kappa * w_T - 0.5 * kappa**2)
@@ -388,7 +383,7 @@ class TestSchemeCrossValidation:
         f = 0.3 * eig.psi
         params = ModelParams(beta=1.0, kappa=kappa)
         path = sample_brownian(seed=33, path_index=0, horizon=1.0, dt=1e-4)
-        cfg = SchemeConfig(dt=1e-4, max_snapshots=200)
+        cfg = SchemeConfig(max_snapshots=200)
         u_direct = simulate_paths(f, [path], params, eig, cfg, variable="u")[0]
         u_mapped = reconstruct_u(simulate_paths(f, [path], params, eig, cfg)[0], path, kappa)
         assert u_direct.outcome is Outcome.COMPLETED
@@ -400,7 +395,7 @@ class TestSchemeCrossValidation:
         _, grid, _, eig = interval_48
         f = 0.4 * eig.psi
         path = BrownianPath.frozen_zero(horizon=1.0, dt=1e-3)
-        cfg = SchemeConfig(dt=1e-3)
+        cfg = SchemeConfig()
         v = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), eig, cfg)[0]
         u = reconstruct_u(v, path, 0.0)
         assert np.array_equal(u.mass, v.mass)
@@ -413,7 +408,7 @@ class TestSchemeCrossValidation:
         f = 0.3 * eig.psi
         path = sample_brownian(seed=4, path_index=2, horizon=0.5, dt=1e-3)
         v = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=kappa), eig,
-                           SchemeConfig(dt=1e-3))[0]
+                           SchemeConfig())[0]
         u = reconstruct_u(v, path, kappa)
         np.testing.assert_allclose(u.mass, v.mass * np.exp(kappa * path.values), rtol=1e-14)
         assert np.all(u.snapshots >= 0)
@@ -423,7 +418,7 @@ class TestSchemeCrossValidation:
         f = 0.3 * eig.psi
         path = BrownianPath.frozen_zero(horizon=1.0, dt=1e-3)
         v = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), eig,
-                           SchemeConfig(dt=1e-3))[0]
+                           SchemeConfig())[0]
         with pytest.raises(ConfigurationError):
             reconstruct_u(v, BrownianPath.frozen_zero(horizon=1.0, dt=2e-3), 0.0)
         u = reconstruct_u(v, path, 0.0)
@@ -438,7 +433,7 @@ class TestWeakFormResidual:
                   if nonlinearity is not None else ModelParams(beta=1.0, kappa=kappa))
         f = 0.3 * eig.psi
         path = BrownianPath.frozen_zero(horizon=0.5, dt=dt)
-        cfg = SchemeConfig(dt=dt, max_snapshots=100000)
+        cfg = SchemeConfig(max_snapshots=100000)
         traj = simulate_paths(f, [path], params, eig, cfg, variable)[0]
         return mode_residuals(traj, path, params, eig, n_modes=3)[:2]
 
@@ -468,7 +463,7 @@ class TestWeakFormResidual:
         _, grid, _, eig = interval_48
         path = BrownianPath.frozen_zero(horizon=0.5, dt=1e-3)
         traj = simulate_paths(0.3 * eig.psi, [path], ModelParams(beta=1.0, kappa=0.0),
-                              eig, SchemeConfig(dt=1e-3))[0]
+                              eig, SchemeConfig())[0]
         with pytest.raises(ConfigurationError):
             mode_residuals(traj, path, ModelParams(beta=1.0, kappa=0.0), eig,
                            n_modes=eig.m + 1)
@@ -501,7 +496,7 @@ class TestMildResidual:
         path = BrownianPath.frozen_zero(horizon=0.5, dt=1e-3)
         params = ModelParams(beta=1.0, kappa=0.0)
         traj = simulate_paths(0.2 * eig.psi, [path], params, eig,
-                              SchemeConfig(dt=1e-3, max_snapshots=100000))[0]
+                              SchemeConfig(max_snapshots=100000))[0]
         _, _, res = mode_residuals(traj, path, params, eig)
         assert res[0] == 0.0
 
@@ -512,7 +507,7 @@ class TestMildResidual:
         for dt in (2e-3, 1e-3):
             path = BrownianPath.frozen_zero(horizon=0.5, dt=dt)
             traj = simulate_paths(0.1 * eig.psi, [path], params, eig,
-                                  SchemeConfig(dt=dt, max_snapshots=100000))[0]
+                                  SchemeConfig(max_snapshots=100000))[0]
             _, _, res = mode_residuals(traj, path, params, eig)
             maxima[dt] = np.max(res)
         ratio = maxima[2e-3] / maxima[1e-3]
@@ -525,7 +520,7 @@ class TestMildResidual:
         _, grid, _, eig = interval_48
         params = ModelParams(beta=1.0, kappa=1.0)
         path = sample_brownian(2.0, 1e-3, 3, 0)
-        traj = simulate_paths(a * eig.psi, [path], params, eig, SchemeConfig(dt=1e-3))[0]
+        traj = simulate_paths(a * eig.psi, [path], params, eig, SchemeConfig())[0]
         t, w = traj.snapshot_times, grid.weights
         factor = _noise_factor(np.interp(t, path.times, path.values), params)
         react = _transformed_reaction(traj.snapshots, factor, params)
@@ -549,7 +544,7 @@ class TestMildResidual:
         _, grid, _, eig = interval_48
         path = BrownianPath.frozen_zero(horizon=0.5, dt=1e-3)
         params = ModelParams(beta=1.0, kappa=0.0)
-        traj = simulate_paths(0.2 * eig.psi, [path], params, eig, SchemeConfig(dt=1e-3),
+        traj = simulate_paths(0.2 * eig.psi, [path], params, eig, SchemeConfig(),
                               variable="u")[0]
         t, weak, mild = mode_residuals(traj, path, params, eig)
         assert mild is None

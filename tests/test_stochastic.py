@@ -86,7 +86,6 @@ class TestBrownianPath:
     def test_frozen_zero(self):
         p = BrownianPath.frozen_zero(3.0, 0.5)
         assert np.all(p.values == 0)
-        assert p.seed is None
 
     def test_endpoint_law(self):
         n = 100_000
