@@ -236,17 +236,25 @@ class Dichotomy(str, Enum):
     TAU_INFINITE = "tau_infinite"
 
 
-def deterministic_dichotomy(f: np.ndarray, eigen: EigenData, beta: float) -> Dichotomy:
-    """Noiseless classification by initial mass against lam1^(1/beta).
+class DichotomyVerdict(NamedTuple):
+    outcome: Dichotomy
+    threshold: float
 
-    The boundary case <f, psi> = lam1^(1/beta) classifies as TAU_INFINITE
+
+def deterministic_dichotomy(
+    f: np.ndarray, eigen: EigenData, params: ModelParams
+) -> DichotomyVerdict:
+    """Noiseless classification by initial mass against the lower solution's
+    threshold (lam1/C)^(1/beta), with beta and the lower constant C of params:
+    above it the lower solution of G >= C z^(1+beta) blows up.
+
+    The boundary case <f, psi> = (lam1/C)^(1/beta) classifies as TAU_INFINITE
     (the hitting functional saturates without crossing).
     """
-    if beta <= 0:
-        raise ConfigurationError(f"beta must be positive, got {beta}")
     mass = weighted_inner(eigen.grid, f, eigen.psi)
-    threshold = eigen.lam1 ** (1.0 / beta)
-    return Dichotomy.BLOWUP_CERTIFIED if mass > threshold else Dichotomy.TAU_INFINITE
+    threshold = (eigen.lam1 / params.C) ** (1.0 / params.beta)
+    outcome = Dichotomy.BLOWUP_CERTIFIED if mass > threshold else Dichotomy.TAU_INFINITE
+    return DichotomyVerdict(outcome, threshold)
 
 
 @dataclass(frozen=True)

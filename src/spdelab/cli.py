@@ -29,7 +29,6 @@ import numpy as np
 from . import __version__
 from .blowup import (
     BlowupThreshold,
-    Dichotomy,
     analytic_blowup_bound,
     deterministic_dichotomy,
     lower_solution_series,
@@ -224,12 +223,11 @@ def cmd_blowup(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) ->
     run_seed = seed if seed is not None else sim.seed
     if params.kappa == 0:
         rows = []
-        crit = eigen.lam1 ** (1.0 / params.beta)
         for mass in sim.v0psi_sweep:
             # constant fields carry their value as exact psi-mass
             f = mass * np.ones(eigen.grid.npoints)
-            verdict = deterministic_dichotomy(f, eigen, params.beta)
-            rows.append([mass, crit, verdict.value])
+            verdict = deterministic_dichotomy(f, eigen, params)
+            rows.append([mass, verdict.threshold, verdict.outcome.value])
         return [write_csv(out_dir / "dichotomy.csv", ["mass", "threshold", "verdict"], rows)]
     levels = [BlowupThreshold(m, params).x_star for m in sim.v0psi_sweep]
     sweep = mc_blowup_probability(
@@ -321,20 +319,12 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) 
         if t_cells is None:  # every path runs on the grid k*dt
             t_cells = list(map(repr, paths[0].times.tolist()))
         trajs = simulate_paths(f, paths, params, eigen, scheme_cfg, variable="v")
-        residuals = []
-        for i, path in enumerate(paths):
-            _, weak, mild = mode_residuals(trajs[i], path, params, eigen)
-            residuals.append((float(np.max(weak)), float(np.max(mild))))
-            # drop the snapshots before the Euler-Maruyama block runs; a
-            # slice of them would keep the whole buffer alive
-            trajs[i] = replace(trajs[i], snapshot_times=np.empty(0), snapshots=np.empty((0, 0)))
         try:
             trajs_em = simulate_paths(f, paths, params, eigen, em_cfg, variable="u")
         except NumericalFailure:
             trajs_em = [None] * len(paths)
-        for idx, path, traj, traj_em, (weak_max, mild_max) in zip(
-            block, paths, trajs, trajs_em, residuals
-        ):
+        for idx, path, traj, traj_em in zip(block, paths, trajs, trajs_em):
+            _, weak, mild = mode_residuals(traj, path, params, eigen)
             t_i = lower = tau = None
             if threshold is not None:
                 t_i, lower, _, tau = lower_solution_series(path, threshold, eigen.lam1)
@@ -356,9 +346,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) 
                 ]
             )
             em_diff, ratio_min = _consistency_row(traj, traj_em, path, params, t_i, lower, tau)
-            cons_rows.append([idx, traj.outcome.value, em_diff, ratio_min, weak_max, mild_max])
-        # free this block's fields before the next block is integrated
-        del paths, trajs, trajs_em, path, traj, traj_em
+            cons_rows.append([idx, traj.outcome.value, em_diff, ratio_min, weak.max(), mild.max()])
     files.insert(
         0,
         write_csv(

@@ -19,11 +19,14 @@ leaves the block and its blowup time is bracketed by re-integrating the
 offending step with halved dt (one factorization per halving level, shared by
 the block), so the reported t_b carries resolution dt / 2^MAX_HALVINGS.
 
+A trajectory keeps no node fields. At each kept row the engine stores the
+field's weighted projection onto the modes of its eigenbasis and the
+projection of the field's reaction, 2m numbers per row whatever the grid.
 ``mode_residuals`` checks a trajectory against the weak and the mild form
-from one projection of its snapshots onto the eigenmodes. ``simulate``
-reports, per path, the max over snapshots of the mode-1 weak residual
-(``weak_residual_max``) and of the mild residual's Euclidean norm over the
-12 retained modes (``mild_residual_max``); both are absolute.
+from these coefficients. ``simulate`` reports, per path, the max over
+snapshots of the mode-1 weak residual (``weak_residual_max``) and of the
+mild residual's Euclidean norm over the 12 retained modes
+(``mild_residual_max``); both are absolute.
 """
 
 from __future__ import annotations
@@ -75,12 +78,18 @@ class SchemeConfig:
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryResult:
-    """One integrated trajectory: full-resolution scalar series, decimated fields.
+    """One integrated trajectory: full-resolution scalar series, decimated
+    mode coefficients.
 
     variable is "v" for the transformed equation and "u" for the physical one;
     mass is the pairing <field, psi> at every kept step, sup the grid sup norm.
-    On numerical blowup the series stop at the last stable step; t_blowup is
-    the refined cutoff-crossing time and t_last_stable its lower bracket.
+    At each snapshot time, snapshot_coeffs holds the weighted pairings
+    <field, phi_j> with the m modes of the eigenbasis the run used, and
+    reaction_coeffs those of the field's reaction: e^{-kappa W} G(e^{kappa W} v)
+    for v, with W at the snapshot's own step, and G(u) for u. Both have shape
+    (snapshots, m). On numerical blowup the series stop at the last stable
+    step; t_blowup is the refined cutoff-crossing time and t_last_stable its
+    lower bracket.
     """
 
     variable: str
@@ -91,7 +100,8 @@ class TrajectoryResult:
     mass: np.ndarray
     sup: np.ndarray
     snapshot_times: np.ndarray
-    snapshots: np.ndarray
+    snapshot_coeffs: np.ndarray
+    reaction_coeffs: np.ndarray
     dt: float
 
     def __post_init__(self):
@@ -104,7 +114,9 @@ class TrajectoryResult:
             raise ConfigurationError("scalar series must stay finite up to the outcome time")
         if len(self.times) != len(self.mass) or len(self.times) != len(self.sup):
             raise ConfigurationError("scalar series lengths disagree")
-        if len(self.snapshot_times) != self.snapshots.shape[0]:
+        if self.snapshot_coeffs.shape != self.reaction_coeffs.shape:
+            raise ConfigurationError("snapshot and reaction coefficients disagree in shape")
+        if len(self.snapshot_times) != self.snapshot_coeffs.shape[0]:
             raise ConfigurationError("snapshot count disagrees with snapshot times")
 
 
@@ -250,7 +262,9 @@ def simulate_paths(
     multiplicative Euler-Maruyama increments. Every step advances the
     (paths x nodes) block with one reaction evaluation and one solve on all
     right-hand sides; a path that crosses the cutoff leaves the block and has
-    its crossing refined. Each result is bitwise the one its path gives in a
+    its crossing refined. A kept row is stored as the coefficients of the
+    field and of its reaction in ``eigen.modes``, each pairing a dot product
+    of fixed length, so each result is bitwise the one its path gives in a
     block of its own.
     """
     if variable not in ("v", "u"):
@@ -259,10 +273,14 @@ def simulate_paths(
     f = _validate_initial(f, eigen.grid)
     if variable == "v":
         shift = 0.5 * params.kappa**2
-        noise = np.stack([_noise_factor(p.values[:nsteps], params) for p in paths], axis=1)
+        # one factor per step start, and one at t = T for the last kept row
+        noise = np.stack([_noise_factor(p.values, params) for p in paths], axis=1)
 
         def reaction(block, factor):
             return _transformed_reaction(block, factor, params)
+
+        def drift(block, explicit):  # the explicit term is the reaction itself
+            return explicit
 
         def noise_for(j):
             times, values = paths[j].times, paths[j].values
@@ -277,8 +295,12 @@ def simulate_paths(
         def reaction(block, rate):
             return params.G(block) + params.kappa * block * rate[:, None]
 
+        def drift(block, explicit):  # the explicit term also carries the increment
+            return params.G(block)
+
         def noise_for(j):
-            return lambda t: noise[min(int(round(t / dt)), nsteps - 1), j : j + 1]
+            rates = np.diff(paths[j].values) / dt
+            return lambda t: rates[min(int(round(t / dt)), nsteps - 1), None]
 
     lap = _laplacian(eigen.grid)
     ws = _Workspace(lap, shift, dt, cfg.scheme)
@@ -288,19 +310,21 @@ def simulate_paths(
         return _Workspace(lap, shift, dt_level, cfg.scheme)
 
     weights, psi = eigen.grid.weights, eigen.psi
+    modes_t = np.ascontiguousarray(eigen.modes.T)
     stride = max(1, math.ceil((nsteps + 1) / cfg.max_snapshots))
     n_paths = len(paths)
     mass = np.empty((n_paths, nsteps + 1))
     sup = np.empty((n_paths, nsteps + 1))
-    # one array per path: the unused tail of a path that stops early is
-    # never touched, so it never becomes resident
-    snaps = [np.empty((nsteps // stride + 2, f.size)) for _ in paths]
-    n_snaps = np.ones(n_paths, dtype=int)
+    # per path and kept row: the coefficients of the field, then of its reaction
+    coeffs = np.empty((n_paths, nsteps // stride + 2, 2, eigen.m))
 
-    def snapshot(rows, idx):  # append each row to the snapshots of its path
-        for row, j in zip(rows, idx):
-            snaps[j][n_snaps[j]] = row
-        n_snaps[idx] += 1
+    def keep(k, rows, react, idx):
+        # step k is kept at row ceil(k / stride): every stride-th step, then
+        # the last stable step of a path that stops between them. One dot
+        # product of fixed length per (row, mode): the bits do not depend on
+        # how many rows are projected together
+        pairs = np.stack((rows, react), axis=1) * weights
+        coeffs[idx, -(-k // stride)] = np.vecdot(pairs[:, :, None, :], modes_t)
 
     k_stop = np.full(n_paths, nsteps)
     brackets: list[tuple[float, float] | None] = [None] * n_paths
@@ -308,27 +332,33 @@ def simulate_paths(
     block = np.repeat(f[None, :], n_paths, axis=0)
     block_sup = np.abs(block).max(axis=1)
     live = np.arange(n_paths)
-    live_noise = noise
+    live_noise = noise  # column i is the noise of path live[i]
     mass[:, 0] = np.vecdot(psi * block, weights)
     sup[:, 0] = block_sup
-    for snap in snaps:
-        snap[0] = f
     t = 0.0
     for k in range(nsteps):
-        new = _step(block, reaction(block, live_noise[k]), ws)
+        explicit = reaction(block, live_noise[k])
+        if k % stride == 0:
+            keep(k, block, drift(block, explicit), live)
+        new = _step(block, explicit, ws)
         new_sup = np.abs(new).max(axis=1)
         stable = new_sup < cfg.cutoff
         if not stable.all():
             blown = ~stable
             if k % stride:
-                snapshot(block[blown], live[blown])
+                keep(k, block[blown], drift(block[blown], explicit[blown]), live[blown])
             for i in np.flatnonzero(blown):
                 j = live[i]
                 k_stop[j] = k
                 brackets[j] = _refine_blowup_time(
                     block[i], t, t + dt, reaction, noise_for(j), level_workspace, dt, cfg.cutoff
                 )
-            live, live_noise = live[stable], live_noise[:, stable]
+            # compact the noise columns in place: a copy per crossing would
+            # leave (steps x paths) arrays behind in the heap
+            kept = np.flatnonzero(stable)
+            for i, col in enumerate(kept):
+                live_noise[:, i] = live_noise[:, col]
+            live, live_noise = live[kept], live_noise[:, : kept.size]
             block, block_sup = block[stable], block_sup[stable]
             new, new_sup = new[stable], new_sup[stable]
             if live.size == 0:
@@ -339,16 +369,15 @@ def simulate_paths(
         block, block_sup = new, new_sup
         mass[live, k + 1] = np.vecdot(psi * block, weights)
         sup[live, k + 1] = block_sup
-        if (k + 1) % stride == 0:
-            snapshot(block, live)
-    if nsteps % stride:
-        snapshot(block, live)
+    if live.size:  # the row at t = T: v reads the noise there, u needs none
+        last = reaction(block, live_noise[nsteps]) if variable == "v" else None
+        keep(nsteps, block, drift(block, last), live)
 
     results = []
     for j, path in enumerate(paths):
         times = path.times
-        keep = k_stop[j] + 1
-        snap_idx = np.arange(0, keep, stride)
+        keep_steps = k_stop[j] + 1
+        snap_idx = np.arange(0, keep_steps, stride)
         if snap_idx[-1] != k_stop[j]:
             snap_idx = np.append(snap_idx, k_stop[j])
         t_last_stable, t_blowup = brackets[j] if brackets[j] is not None else (None, None)
@@ -358,11 +387,12 @@ def simulate_paths(
             outcome=outcome,
             t_blowup=t_blowup,
             t_last_stable=t_last_stable,
-            times=times[:keep],
-            mass=mass[j, :keep],
-            sup=sup[j, :keep],
+            times=times[:keep_steps],
+            mass=mass[j, :keep_steps],
+            sup=sup[j, :keep_steps],
             snapshot_times=times[snap_idx],
-            snapshots=snaps[j][: n_snaps[j]],
+            snapshot_coeffs=coeffs[j, : len(snap_idx), 0],
+            reaction_coeffs=coeffs[j, : len(snap_idx), 1],
             dt=dt,
         )
         if outcome is Outcome.NUMERICAL_BLOWUP:
@@ -375,7 +405,11 @@ def simulate_paths(
 
 
 def reconstruct_u(traj: TrajectoryResult, path: BrownianPath, kappa: float) -> TrajectoryResult:
-    """Map a transformed trajectory to the physical field via u = e^{kappa W} v."""
+    """Map a transformed trajectory to the physical field via u = e^{kappa W} v.
+
+    Both coefficient arrays scale by e^{kappa W}: that is exact for the
+    reaction too, since G(e^{kappa W} v) = e^{kappa W} (e^{-kappa W} G(e^{kappa W} v)).
+    """
     if traj.variable != "v":
         raise ConfigurationError("reconstruction applies to transformed trajectories only")
     if abs(traj.dt - path.dt) > 1e-12 * path.dt or traj.times[-1] > path.horizon * (1 + 1e-12):
@@ -389,7 +423,8 @@ def reconstruct_u(traj: TrajectoryResult, path: BrownianPath, kappa: float) -> T
         variable="u",
         mass=traj.mass * factor,
         sup=traj.sup * factor,
-        snapshots=traj.snapshots * snap_factor[:, None],
+        snapshot_coeffs=traj.snapshot_coeffs * snap_factor[:, None],
+        reaction_coeffs=traj.reaction_coeffs * snap_factor[:, None],
     )
 
 
@@ -402,16 +437,17 @@ def mode_residuals(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Weak-form and mild-form residuals of a trajectory on its snapshot grid.
 
-    The snapshots and their reaction are projected onto the retained
-    eigenmodes once; in coefficient space both forms read the mode equation
-    c' = -mu c + b, with mu = lam + kappa^2/2 for v and mu = lam for u (the
-    discrete eigenrelation replaces <field, Delta phi_j> by -lam_j <field,
-    phi_j> exactly). Returns (times, weak, mild):
+    Both forms read the trajectory's stored coefficients in the modes of
+    ``eigen``, which must be the eigenbasis it ran on, as the mode equation
+    c' = -mu c + b: c are the snapshot coefficients, b those of the reaction,
+    mu = lam + kappa^2/2 for v and mu = lam for u (the discrete eigenrelation
+    replaces <field, Delta phi_j> by -lam_j <field, phi_j> exactly). Nothing
+    is projected here. Returns (times, weak, mild):
 
     - weak is the residual of the integrated identity, trapezoid rule on the
       drift, max over the first n_modes modes. For u it carries the Ito sum
-      with left-point increments, whose accuracy is limited by the snapshot
-      spacing.
+      with left-point increments of ``path``, whose accuracy is limited by
+      the snapshot spacing.
     - mild is the residual of the variation-of-constants form, Euclidean norm
       over all retained modes. The convolution obeys conv_i = a_i conv_{i-1}
       + x_i, with a_i = e^{-mu dt_i} the exact kernel across snapshot
@@ -421,21 +457,16 @@ def mode_residuals(
       It is None for u, since the mild form is stated for the transformed
       equation.
     """
+    if traj.snapshot_coeffs.shape[1] != eigen.m:
+        raise ConfigurationError(
+            f"trajectory carries {traj.snapshot_coeffs.shape[1]} mode coefficients, "
+            f"the eigenbasis has {eigen.m} modes"
+        )
     if n_modes < 1 or n_modes > eigen.m:
         raise ConfigurationError(f"n_modes must be in [1, {eigen.m}], got {n_modes}")
     t = traj.snapshot_times
-    fields = traj.snapshots
-    w = eigen.grid.weights
-    w_at = np.interp(t, path.times, path.values)
-    if traj.variable == "v":
-        mu = eigen.eigenvalues + 0.5 * params.kappa**2
-        react = _transformed_reaction(fields, _noise_factor(w_at, params), params)
-    else:
-        mu = eigen.eigenvalues
-        react = params.G(fields)
-    coeff = (fields * w[None, :]) @ eigen.modes  # <field, phi_j> at snapshot times
-    b = (react * w[None, :]) @ eigen.modes
-
+    coeff, b = traj.snapshot_coeffs, traj.reaction_coeffs
+    mu = eigen.eigenvalues + (0.5 * params.kappa**2 if traj.variable == "v" else 0.0)
     c = coeff[:, :n_modes]
     drift = -mu[None, :n_modes] * c + b[:, :n_modes]
     dt_s = np.diff(t)
@@ -445,6 +476,7 @@ def mode_residuals(
     ])
     weak_res = c - c[0][None, :] - drift_int
     if traj.variable == "u":
+        w_at = np.interp(t, path.times, path.values)
         increments = params.kappa * c[:-1] * np.diff(w_at)[:, None]
         weak_res -= np.vstack([np.zeros((1, n_modes)), np.cumsum(increments, axis=0)])
         mild = None

@@ -213,8 +213,8 @@ def test_criterion_4_deterministic_dichotomy():
                            SchemeConfig())[0]
     decays = traj5.outcome is Outcome.COMPLETED and bool(np.all(np.diff(traj5.sup) < 0))
     verdicts = (
-        deterministic_dichotomy(f2, eig, 1.0) is Dichotomy.BLOWUP_CERTIFIED
-        and deterministic_dichotomy(f05, eig, 1.0) is Dichotomy.TAU_INFINITE
+        deterministic_dichotomy(f2, eig, params).outcome is Dichotomy.BLOWUP_CERTIFIED
+        and deterministic_dichotomy(f05, eig, params).outcome is Dichotomy.TAU_INFINITE
     )
 
     ok = blew and tau_ok and censored_all and decays and verdicts

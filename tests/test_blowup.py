@@ -330,25 +330,39 @@ class TestAnalyticBound:
 
 
 class TestDichotomy:
+    NOISELESS = ModelParams(beta=1.0, kappa=0.0)
+
     def test_supercritical_mass(self, interval_48):
         _, grid, _, eig = interval_48
         f = 2.0 * np.ones(grid.npoints)  # <f, psi> = 2 since sum(w psi) = 1
-        assert deterministic_dichotomy(f, eig, beta=1.0) is Dichotomy.BLOWUP_CERTIFIED
+        verdict = deterministic_dichotomy(f, eig, self.NOISELESS)
+        assert verdict == (Dichotomy.BLOWUP_CERTIFIED, eig.lam1)
 
     def test_subcritical_mass(self, interval_48):
         _, grid, _, eig = interval_48
         f = 0.5 * np.ones(grid.npoints)
-        assert deterministic_dichotomy(f, eig, beta=1.0) is Dichotomy.TAU_INFINITE
+        assert deterministic_dichotomy(f, eig, self.NOISELESS).outcome is Dichotomy.TAU_INFINITE
 
     def test_near_boundary_from_below(self, interval_48):
         _, grid, _, eig = interval_48
         f = (eig.lam1 * 0.999) * np.ones(grid.npoints)
-        assert deterministic_dichotomy(f, eig, beta=1.0) is Dichotomy.TAU_INFINITE
+        assert deterministic_dichotomy(f, eig, self.NOISELESS).outcome is Dichotomy.TAU_INFINITE
 
     def test_bad_beta_rejected(self, interval_48):
         _, grid, _, eig = interval_48
         with pytest.raises(ConfigurationError):
-            deterministic_dichotomy(np.ones(grid.npoints), eig, beta=0.0)
+            deterministic_dichotomy(np.ones(grid.npoints), eig, ModelParams(beta=0.0, kappa=0.0))
+
+    def test_threshold_reads_the_lower_constant(self, interval_48):
+        # G >= C z^(1+beta): the lower solution blows up above (lam1/C)^(1/beta)
+        _, grid, _, eig = interval_48
+        params = ModelParams(beta=2.0, kappa=0.0, C=0.25, Lambda=0.5)
+        threshold = (4.0 * eig.lam1) ** 0.5
+        for mass, outcome in ((0.99, Dichotomy.TAU_INFINITE), (1.01, Dichotomy.BLOWUP_CERTIFIED)):
+            f = mass * threshold * np.ones(grid.npoints)
+            verdict = deterministic_dichotomy(f, eig, params)
+            assert verdict.outcome is outcome
+            assert verdict.threshold == pytest.approx(threshold, rel=1e-15)
 
 
 class TestMassInvariants:

@@ -44,6 +44,7 @@ def interval_cfg(n=32, **extra):
 
 
 MODEL = {"beta": 1.0, "kappa": 1.0}
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def nonfinite_table(tmp_path, bad, n=16):
@@ -325,6 +326,23 @@ class TestBlowupCommand:
         assert [r["verdict"] for r in rows] == ["tau_infinite", "blowup_certified"]
         assert abs(float(rows[0]["threshold"]) - 1.0) < 1e-3
 
+    def test_noiseless_dichotomy_reads_the_lower_constant(self, tmp_path):
+        # G = z^2/2 (C = Lambda = 1/2): the lower solution blows up only above
+        # (lam1/C)^(1/beta) = 2 lam1, so mass 1.5 > lam1 = 0.99924 decays
+        cfg = interval_cfg(
+            n=32,
+            model={"beta": 1.0, "kappa": 0.0, "C": 0.5, "Lambda": 0.5},
+            sim={"dt": 0.01, "horizon": 1.0, "v0psi_sweep": [1.5]},
+        )
+        out = tmp_path / "out"
+        assert main(["blowup", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+        [row] = read_csv(out / "dichotomy.csv")
+        assert row == {
+            "mass": "1.5",
+            "threshold": repr(0.999244978322859 / 0.5),
+            "verdict": "tau_infinite",
+        }
+
     @pytest.mark.parametrize("v0psi", [1e200, math.inf, math.nan], ids=["underflow", "inf", "nan"])
     def test_sweep_entry_without_positive_x_star_exits_2(self, tmp_path, v0psi):
         # at beta = 2, x* = v0psi^(-2)/2 underflows to 0 for 1e200 and inf,
@@ -536,6 +554,33 @@ class TestSimulateCommand:
             _, weak, mild = mode_residuals(traj, path, params, eig)
             assert float(row["weak_residual_max"]) == float(np.max(weak))
             assert float(row["mild_residual_max"]) == float(np.max(mild))
+
+    # weak_residual_max and mild_residual_max of the shipped configs' paths,
+    # all of which complete; a reaction projected with another step's noise
+    # factor moves them by far more than the rel 1e-10 allowed here
+    PINNED_RESIDUALS = {
+        "simulate_stochastic.json": [
+            (0.00034440980766015095, 0.00012803312526749028),
+            (0.0003591488467546977, 0.00014311260394219428),
+            (0.00033725780871590727, 0.00014011964698525518),
+            (0.00031485768133954206, 0.00011713610368464958),
+        ],
+        "simulate_rectangle.json": [
+            (0.00029210522716427434, 0.00018168482939284002),
+            (0.0002647535796000966, 0.00017243316027720041),
+            (0.0003200264831455524, 0.00019902402153515887),
+        ],
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_RESIDUALS))
+    def test_shipped_config_residuals_are_pinned(self, tmp_path, name):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(CONFIGS / name), "--out", str(out)]) == 0
+        rows = read_csv(out / "consistency.csv")
+        assert {r["outcome"] for r in rows} == {"completed_horizon"}
+        got = [float(r[col]) for r in rows for col in ("weak_residual_max", "mild_residual_max")]
+        pinned = [x for pair in self.PINNED_RESIDUALS[name] for x in pair]
+        assert got == pytest.approx(pinned, rel=1e-10, abs=0.0)
 
     def test_one_exp_functional_pass_per_path(self, tmp_path, monkeypatch):
         # the lower solution and its blowup time come from one A(t) pass

@@ -8,6 +8,7 @@ is the cheapest honest oracle for the IMEX update algebra.
 from dataclasses import replace
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,13 +61,26 @@ def scalar_problem(lam=1.0):
                      psi=np.array([1.0]))
 
 
+def full_basis(eig):
+    """The eigenbasis of every mode of eig's grid: a trajectory run on it
+    keeps coefficients that determine each kept field."""
+    return eig if eig.m == eig.grid.npoints else solve_eigenpairs(eig.grid, eig.grid.npoints)
+
+
+def node_fields(coeffs, basis):
+    """The fields sum_j c_j phi_j of coefficient rows in a full basis."""
+    return coeffs @ basis.modes.T
+
+
 def field_after(k, f, params, eig, dt, cfg=SchemeConfig()):
     """The transformed field after k steps of dt on the zero noise path. With
-    k + 1 snapshots the stride is one, so snapshot k is the field after step k."""
+    k + 1 snapshots the stride is one, so snapshot k is the field after step
+    k; the full basis gives the field back from its coefficients."""
     path = BrownianPath.frozen_zero(horizon=k * dt, dt=dt)
-    traj = simulate_paths(f, [path], params, eig, replace(cfg, max_snapshots=k + 1))[0]
+    basis = full_basis(eig)
+    traj = simulate_paths(f, [path], params, basis, replace(cfg, max_snapshots=k + 1))[0]
     assert len(traj.times) == k + 1
-    return traj.snapshots[k]
+    return node_fields(traj.snapshot_coeffs[k], basis)
 
 
 class TestSchemeConfig:
@@ -146,9 +160,10 @@ class TestSimulateRpde:
         cfg = SchemeConfig(max_snapshots=501)
         f = 0.2 * np.ones(grid.npoints)
         traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=1.0), eig, cfg)[0]
-        # snapshots are at full resolution here; compare the pairing directly
+        # snapshots are at full resolution here; psi is phi_1 scaled, so the
+        # pairing is the first coefficient times <phi_1, psi>
         idx = np.rint(traj.snapshot_times / path.dt).astype(int)
-        expected = traj.snapshots @ (grid.weights * eig.psi)
+        expected = traj.snapshot_coeffs[:, 0] * np.dot(grid.weights * eig.psi, eig.modes[:, 0])
         np.testing.assert_allclose(traj.mass[idx], expected, rtol=1e-12, atol=1e-15)
 
     def test_mass_differential_chain(self, interval_48):
@@ -171,10 +186,11 @@ class TestSimulateRpde:
     def test_supercritical_blowup_detected(self, interval_48):
         _, grid, _, eig = interval_48
         f = 2.0 * np.ones(grid.npoints)
-        assert deterministic_dichotomy(f, eig, 1.0) is Dichotomy.BLOWUP_CERTIFIED
+        params = ModelParams(beta=1.0, kappa=0.0)
+        assert deterministic_dichotomy(f, eig, params).outcome is Dichotomy.BLOWUP_CERTIFIED
         path = BrownianPath.frozen_zero(horizon=10.0, dt=1e-3)
         cfg = SchemeConfig()
-        traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), eig, cfg)[0]
+        traj = simulate_paths(f, [path], params, eig, cfg)[0]
         assert traj.outcome is Outcome.NUMERICAL_BLOWUP
         assert traj.t_blowup < 10.0
         assert traj.t_last_stable <= traj.t_blowup
@@ -300,7 +316,8 @@ class TestBlockEngine:
             for a, b in zip(single, run):
                 assert a.outcome is b.outcome
                 assert (a.t_last_stable, a.t_blowup) == (b.t_last_stable, b.t_blowup)
-                for name in ("times", "mass", "sup", "snapshot_times", "snapshots"):
+                for name in ("times", "mass", "sup", "snapshot_times", "snapshot_coeffs",
+                             "reaction_coeffs"):
                     assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
     @pytest.mark.parametrize("variable", ["v", "u"])
@@ -353,6 +370,69 @@ class TestBlockEngine:
         assert stable_t <= traj.t_last_stable <= traj.t_blowup <= stable_t + dt
 
 
+class TestModeCoefficients:
+    @pytest.mark.parametrize("variable", ["v", "u"])
+    def test_reaction_reads_each_rows_own_step(self, variable):
+        # in a full basis the kept fields come back from their coefficients;
+        # each row's reaction coefficients are those of G at that row's own
+        # step: W at the step for v, including the last stable row of a path
+        # that blows up between kept rows and the row at t = T
+        grid, eig = interval_16()
+        basis = full_basis(eig)
+        params = ModelParams(beta=1.0, kappa=1.0)
+        cfg = SchemeConfig(cutoff=1e6, max_snapshots=40)
+        paths = [sample_brownian(2.0, 2e-3, 7, i) for i in range(6)]
+        trajs = simulate_paths(3.0 * eig.psi, paths, params, basis, cfg, variable)
+        assert {t.outcome for t in trajs} == {Outcome.COMPLETED, Outcome.NUMERICAL_BLOWUP}
+        stride = math.ceil((paths[0].nsteps + 1) / cfg.max_snapshots)
+        off_stride = False
+        for path, traj in zip(paths, trajs):
+            assert traj.snapshot_times[-1] == traj.times[-1]
+            off_stride |= (len(traj.times) - 1) % stride != 0
+            fields = node_fields(traj.snapshot_coeffs, basis)
+            idx = np.rint(traj.snapshot_times / path.dt).astype(int)
+            if variable == "v":
+                factor = _noise_factor(path.values[idx], params)
+                react = _transformed_reaction(fields, factor, params)
+            else:
+                react = params.G(fields)
+            expected = (react * grid.weights) @ basis.modes
+            scale = np.max(np.abs(expected), axis=1, keepdims=True)
+            assert np.all(np.abs(traj.reaction_coeffs - expected) <= 1e-10 * scale)
+        assert off_stride  # some path stops between kept rows
+
+    def test_residuals_need_the_runs_basis(self, interval_48):
+        _, grid, _, eig = interval_48
+        path = BrownianPath.frozen_zero(horizon=0.5, dt=1e-3)
+        params = ModelParams(beta=1.0, kappa=0.0)
+        small = solve_eigenpairs(grid, 12)
+        traj = simulate_paths(0.3 * eig.psi, [path], params, small, SchemeConfig())[0]
+        assert traj.snapshot_coeffs.shape == traj.reaction_coeffs.shape == (501, 12)
+        with pytest.raises(ConfigurationError, match="12 mode coefficients"):
+            mode_residuals(traj, path, params, eig)
+
+    def test_block_memory_does_not_grow_with_the_grid(self):
+        # 32 paths, 501 kept rows each: node snapshots took 63.8 MiB at
+        # n = 512; the coefficients take 2 * 32 * 502 * 12 floats on every grid
+        params = ModelParams(beta=1.0, kappa=0.5)
+        paths = [sample_brownian(0.5, 1e-3, 5, i) for i in range(32)]
+        shapes, peak = {}, None
+        for n in (64, 512):
+            grid = build_grid(DomainSpec(kind="interval", lengths=(math.pi,)), n)
+            eig = solve_eigenpairs(grid, 12)
+            f = 0.8 * eig.psi
+            simulate_paths(f, paths, params, eig, SchemeConfig())  # imports scipy.sparse
+            tracemalloc.start()
+            try:
+                trajs = simulate_paths(f, paths, params, eig, SchemeConfig())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            shapes[n] = {(t.snapshot_coeffs.shape, t.reaction_coeffs.shape) for t in trajs}
+        assert shapes[64] == shapes[512] == {((501, 12), (501, 12))}
+        assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MiB at n = 512"
+
+
 class TestSchemeCrossValidation:
     def test_noiseless_schemes_coincide_exactly(self, interval_48):
         _, grid, _, eig = interval_48
@@ -363,7 +443,9 @@ class TestSchemeCrossValidation:
         a = simulate_paths(f, [path], params, eig, cfg)[0]
         b = simulate_paths(f, [path], params, eig, cfg, variable="u")[0]
         assert np.array_equal(a.mass, b.mass)
-        assert np.array_equal(a.snapshots, b.snapshots)
+        assert np.array_equal(a.snapshot_coeffs, b.snapshot_coeffs)
+        # at kappa = 0 the transformed reaction is G itself
+        assert np.array_equal(a.reaction_coeffs, b.reaction_coeffs)
 
     def test_em_mass_tracks_geometric_noise(self, interval_48):
         # G = 0, kappa = 0.5: exact mass is m0 e^{-lam1 t + kappa W_t - kappa^2 t/2}
@@ -387,9 +469,9 @@ class TestSchemeCrossValidation:
         u_direct = simulate_paths(f, [path], params, eig, cfg, variable="u")[0]
         u_mapped = reconstruct_u(simulate_paths(f, [path], params, eig, cfg)[0], path, kappa)
         assert u_direct.outcome is Outcome.COMPLETED
-        scale = np.max(np.abs(u_mapped.snapshots))
-        diff = np.max(np.abs(u_direct.snapshots - u_mapped.snapshots))
-        assert diff / scale <= 0.05
+        for name in ("snapshot_coeffs", "reaction_coeffs"):
+            direct, mapped = getattr(u_direct, name), getattr(u_mapped, name)
+            assert np.max(np.abs(direct - mapped)) / np.max(np.abs(mapped)) <= 0.05, name
 
     def test_reconstruct_identity_at_zero_noise(self, interval_48):
         _, grid, _, eig = interval_48
@@ -399,7 +481,8 @@ class TestSchemeCrossValidation:
         v = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), eig, cfg)[0]
         u = reconstruct_u(v, path, 0.0)
         assert np.array_equal(u.mass, v.mass)
-        assert np.array_equal(u.snapshots, v.snapshots)
+        assert np.array_equal(u.snapshot_coeffs, v.snapshot_coeffs)
+        assert np.array_equal(u.reaction_coeffs, v.reaction_coeffs)
         assert u.variable == "u"
 
     def test_reconstruct_mass_relation_exact(self, interval_48):
@@ -407,11 +490,12 @@ class TestSchemeCrossValidation:
         kappa = 0.8
         f = 0.3 * eig.psi
         path = sample_brownian(seed=4, path_index=2, horizon=0.5, dt=1e-3)
-        v = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=kappa), eig,
+        basis = full_basis(eig)
+        v = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=kappa), basis,
                            SchemeConfig())[0]
         u = reconstruct_u(v, path, kappa)
         np.testing.assert_allclose(u.mass, v.mass * np.exp(kappa * path.values), rtol=1e-14)
-        assert np.all(u.snapshots >= 0)
+        assert np.all(node_fields(u.snapshot_coeffs, basis) >= 0)
 
     def test_reconstruct_guards(self, interval_48):
         _, grid, _, eig = interval_48
@@ -481,11 +565,12 @@ class TestMildResidual:
         snaps = np.stack([
             math.exp(-0.5 * kappa**2 * t) * apply_heat_semigroup(f, t, eig) for t in times
         ])
+        coeffs = (snaps * grid.weights) @ eig.modes
         traj = TrajectoryResult(
             variable="v", outcome=Outcome.COMPLETED, t_blowup=None, t_last_stable=None,
             times=times, mass=snaps @ (grid.weights * eig.psi),
-            sup=np.max(np.abs(snaps), axis=1), snapshot_times=times, snapshots=snaps,
-            dt=0.1,
+            sup=np.max(np.abs(snaps), axis=1), snapshot_times=times, snapshot_coeffs=coeffs,
+            reaction_coeffs=np.zeros_like(coeffs), dt=0.1,
         )
         path = BrownianPath.frozen_zero(horizon=1.0, dt=0.1)
         _, _, res = mode_residuals(traj, path, params, eig)
@@ -521,11 +606,7 @@ class TestMildResidual:
         params = ModelParams(beta=1.0, kappa=1.0)
         path = sample_brownian(2.0, 1e-3, 3, 0)
         traj = simulate_paths(a * eig.psi, [path], params, eig, SchemeConfig())[0]
-        t, w = traj.snapshot_times, grid.weights
-        factor = _noise_factor(np.interp(t, path.times, path.values), params)
-        react = _transformed_reaction(traj.snapshots, factor, params)
-        coeff = (traj.snapshots * w) @ eig.modes
-        b = (react * w) @ eig.modes
+        t, coeff, b = traj.snapshot_times, traj.snapshot_coeffs, traj.reaction_coeffs
         mu = eig.eigenvalues + 0.5 * params.kappa**2
         conv = np.zeros_like(coeff)
         for i in range(1, len(t)):
