@@ -35,7 +35,7 @@ from .blowup import (
     mc_blowup_probability,
 )
 from .certificates import _check_sup_norm_kind, certificate_heat_kernel, certificate_sup_norm
-from .config import HeatKernelConfig, InitialConfig, RunConfig, load_config
+from .config import InitialConfig, RunConfig, load_config
 from .domain import (
     EigenData,
     build_grid,
@@ -45,8 +45,8 @@ from .domain import (
     weighted_inner,
 )
 from .errors import ConfigurationError, NumericalFailure, PreconditionFailure
-from .integrator import SchemeConfig, mode_residuals, simulate_paths
-from .stochastic import EXP_CLAMP, BrownianPath, sample_brownian
+from .integrator import mode_residuals, reconstruct_u, simulate_paths
+from .stochastic import BrownianPath, sample_brownian
 
 OUT_ENV_VAR = "SPDELAB_OUT"
 # simulate advances its noise paths in blocks of this many: the per-step
@@ -71,13 +71,15 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header: list[str], rows) -> Path:
-    """Write a header and rows, each cell formatted by _cell."""
+def write_csv(path: Path, rows: list[dict]) -> Path:
+    """Write rows that map column names to cells, under a header of the
+    first row's keys; every row has the same keys in the same order, and
+    each cell is formatted by _cell."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        writer.writerow(rows[0])
         for row in rows:
-            writer.writerow([_cell(x) for x in row])
+            writer.writerow([_cell(x) for x in row.values()])
     return path
 
 
@@ -147,10 +149,6 @@ def _eigen_setup(cfg: RunConfig, m: int = 4) -> EigenData:
     return solve_eigenpairs(grid, min(m, grid.npoints))
 
 
-def _heat_kernel_config(cfg: RunConfig) -> HeatKernelConfig:
-    return cfg.heat_kernel if cfg.heat_kernel is not None else HeatKernelConfig()
-
-
 def _initial_field(initial: InitialConfig, eigen: EigenData) -> np.ndarray:
     if initial.mode == "eigen-multiple":
         return initial.a * eigen.psi
@@ -180,6 +178,7 @@ def _sample_path(sim, kappa: float, seed: int, path_index: int) -> BrownianPath:
 
 
 def cmd_eigen(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -> list[Path]:
+    """Dirichlet eigenvalues, Richardson extrapolation, principal mode"""
     dom_cfg = cfg.need("domain")
     dom = dom_cfg.spec()
     n_coarse = dom_cfg.n
@@ -206,29 +205,31 @@ def cmd_eigen(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -> 
         "lam2_extrapolated": richardson_extrapolate(eig.lam2, eig_f.lam2, ratio),
     }
     files = [write_json(out_dir / "eigenvalues.json", payload)]
-    coords = grid.nodes()
-    axis_names = ["x", "y"][: dom.dimension]
-    header = axis_names + ["psi"]
-    rows = [[*(c[i] for c in coords), eig.psi[i]] for i in range(grid.npoints)]
-    files.append(write_csv(out_dir / "psi.csv", header, rows))
+    axes = list(zip(("x", "y"), grid.nodes()))
+    rows = [
+        {**{name: c[i] for name, c in axes}, "psi": eig.psi[i]} for i in range(grid.npoints)
+    ]
+    files.append(write_csv(out_dir / "psi.csv", rows))
     return files
 
 
 def cmd_blowup(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -> list[Path]:
+    """analytic blowup bounds and Monte Carlo hitting estimates"""
     params = cfg.need("model")
     sim = cfg.need("sim")
     eigen = _eigen_setup(cfg)
     if not sim.v0psi_sweep:
         raise ConfigurationError("blowup command needs sim.v0psi_sweep")
-    run_seed = seed if seed is not None else sim.seed
     if params.kappa == 0:
         rows = []
         for mass in sim.v0psi_sweep:
             # constant fields carry their value as exact psi-mass
             f = mass * np.ones(eigen.grid.npoints)
             verdict = deterministic_dichotomy(f, eigen, params)
-            rows.append([mass, verdict.threshold, verdict.outcome.value])
-        return [write_csv(out_dir / "dichotomy.csv", ["mass", "threshold", "verdict"], rows)]
+            rows.append(
+                {"mass": mass, "threshold": verdict.threshold, "verdict": verdict.outcome.value}
+            )
+        return [write_csv(out_dir / "dichotomy.csv", rows)]
     levels = [BlowupThreshold(m, params).x_star for m in sim.v0psi_sweep]
     sweep = mc_blowup_probability(
         params,
@@ -237,53 +238,37 @@ def cmd_blowup(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) ->
         n_paths=sim.n_paths,
         horizon=sim.horizon,
         dt=sim.dt,
-        seed=run_seed,
+        seed=seed,
         workers=workers,
     )
     rows = []
     for v0psi, x_star, est in zip(sim.v0psi_sweep, levels, sweep.estimates):
         bound = analytic_blowup_bound(eigen.lam1, params.kappa, params.beta, x_star)
         rows.append(
-            [
-                v0psi,
-                x_star,
-                bound.z_star,
-                bound.alpha,
-                bound.p_blowup_lower,
-                est.p_hat,
-                est.stderr,
-                est.n_censored,
-                est.truncation_allowance,
-                est.n_saturated,
-            ]
+            {
+                "v0psi": v0psi,
+                "x_star": x_star,
+                "z_star": bound.z_star,
+                "alpha": bound.alpha,
+                "p_analytic_blowup": bound.p_blowup_lower,
+                "p_hat": est.p_hat,
+                "stderr": est.stderr,
+                "n_censored": est.n_censored,
+                "truncation_allowance": est.truncation_allowance,
+                "n_saturated": est.n_saturated,
+            }
         )
-    header = [
-        "v0psi",
-        "x_star",
-        "z_star",
-        "alpha",
-        "p_analytic_blowup",
-        "p_hat",
-        "stderr",
-        "n_censored",
-        "truncation_allowance",
-        "n_saturated",
-    ]
-    return [write_csv(out_dir / "blowup.csv", header, rows)]
+    return [write_csv(out_dir / "blowup.csv", rows)]
 
 
-def _consistency_row(traj, traj_em, path, params, t_i, lower, tau):
+def _consistency_row(traj, traj_em, path, params, t_i, lower, tau) -> dict:
     """Cross-checks for one path: transform agreement and domination of the
     lower solution (t_i, lower) up to its blowup time tau. lower is None when
     there is no lower solution."""
-    em_diff = None
-    if traj_em is not None:
-        # sup of u = e^{kappa W} v, the series reconstruct_u would give
-        idx = np.rint(traj.times / path.dt).astype(int)
-        u_sup = traj.sup * np.exp(np.minimum(params.kappa * path.values[idx], EXP_CLAMP))
-        k = min(len(u_sup), len(traj_em.sup))
-        scale = np.maximum(np.abs(u_sup[:k]), 1e-300)
-        em_diff = float(np.max(np.abs(traj_em.sup[:k] - u_sup[:k]) / scale))
+    u_sup = reconstruct_u(traj, path, params.kappa).sup
+    k = min(len(u_sup), len(traj_em.sup))
+    scale = np.maximum(np.abs(u_sup[:k]), 1e-300)
+    em_diff = float(np.max(np.abs(traj_em.sup[:k] - u_sup[:k]) / scale))
     ratio_min = None
     if lower is not None:
         t_end = min(
@@ -295,34 +280,30 @@ def _consistency_row(traj, traj_em, path, params, t_i, lower, tau):
         keep = (t_i[:k] <= t_end) & np.isfinite(lower[:k]) & (lower[:k] > 0)
         if np.any(keep):
             ratio_min = float(np.min(traj.mass[:k][keep] / lower[:k][keep]))
-    return em_diff, ratio_min
+    return {"em_transform_rel_diff": em_diff, "mass_over_lower_min": ratio_min}
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -> list[Path]:
+    """integrate trajectories and emit consistency diagnostics"""
     params = cfg.need("model")
     sim = cfg.need("sim")
     initial = cfg.need("initial")
     eigen = _eigen_setup(cfg, m=12)
     f = _initial_field(initial, eigen)
-    run_seed = seed if seed is not None else sim.seed
-    scheme_cfg = SchemeConfig(cutoff=sim.cutoff, scheme=sim.scheme, max_snapshots=sim.max_snapshots)
     mass0 = weighted_inner(eigen.grid, f, eigen.psi)
     threshold = BlowupThreshold(float(mass0), params) if mass0 > 0 else None
     # the Euler-Maruyama run is compared through its sup series only
-    em_cfg = replace(scheme_cfg, max_snapshots=2)
+    em_cfg = replace(sim.integrator, max_snapshots=2)
     n_paths = 1 if params.kappa == 0 else sim.n_paths
     traj_rows, cons_rows, files = [], [], []
     t_cells = None
     for start in range(0, n_paths, BLOCK_PATHS):
         block = range(start, min(start + BLOCK_PATHS, n_paths))
-        paths = [_sample_path(sim, params.kappa, run_seed, idx) for idx in block]
+        paths = [_sample_path(sim, params.kappa, seed, idx) for idx in block]
         if t_cells is None:  # every path runs on the grid k*dt
             t_cells = list(map(repr, paths[0].times.tolist()))
-        trajs = simulate_paths(f, paths, params, eigen, scheme_cfg, variable="v")
-        try:
-            trajs_em = simulate_paths(f, paths, params, eigen, em_cfg, variable="u")
-        except NumericalFailure:
-            trajs_em = [None] * len(paths)
+        trajs = simulate_paths(f, paths, params, eigen, sim.integrator, variable="v")
+        trajs_em = simulate_paths(f, paths, params, eigen, em_cfg, variable="u")
         for idx, path, traj, traj_em in zip(block, paths, trajs, trajs_em):
             _, weak, mild = mode_residuals(traj, path, params, eigen)
             t_i = lower = tau = None
@@ -333,74 +314,52 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) 
             )
             files.append(series)
             traj_rows.append(
-                [
-                    idx,
-                    traj.outcome.value,
-                    traj.t_blowup,
-                    traj.t_last_stable,
-                    tau,
-                    mass0,
-                    float(traj.mass[-1]),
-                    float(traj.sup[-1]),
-                    series.name,
-                ]
+                {
+                    "path_index": idx,
+                    "outcome": traj.outcome.value,
+                    "t_blowup": traj.t_blowup,
+                    "t_last_stable": traj.t_last_stable,
+                    "tau_analytic": tau,
+                    "mass_initial": mass0,
+                    "mass_final": float(traj.mass[-1]),
+                    "sup_final": float(traj.sup[-1]),
+                    "mass_series_file": series.name,
+                }
             )
-            em_diff, ratio_min = _consistency_row(traj, traj_em, path, params, t_i, lower, tau)
-            cons_rows.append([idx, traj.outcome.value, em_diff, ratio_min, weak.max(), mild.max()])
-    files.insert(
-        0,
-        write_csv(
-            out_dir / "trajectories.csv",
-            [
-                "path_index",
-                "outcome",
-                "t_blowup",
-                "t_last_stable",
-                "tau_analytic",
-                "mass_initial",
-                "mass_final",
-                "sup_final",
-                "mass_series_file",
-            ],
-            traj_rows,
-        ),
-    )
-    files.insert(
-        1,
-        write_csv(
-            out_dir / "consistency.csv",
-            [
-                "path_index",
-                "outcome",
-                "em_transform_rel_diff",
-                "mass_over_lower_min",
-                "weak_residual_max",
-                "mild_residual_max",
-            ],
-            cons_rows,
-        ),
-    )
-    return files
+            cons_rows.append(
+                {
+                    "path_index": idx,
+                    "outcome": traj.outcome.value,
+                    **_consistency_row(traj, traj_em, path, params, t_i, lower, tau),
+                    "weak_residual_max": weak.max(),
+                    "mild_residual_max": mild.max(),
+                }
+            )
+    tables = [
+        write_csv(out_dir / "trajectories.csv", traj_rows),
+        write_csv(out_dir / "consistency.csv", cons_rows),
+    ]
+    return tables + files
 
 
 def _fitted_c(cfg: RunConfig) -> float:
     cert = cfg.need("certificate")
     if cert.c != "fit":
         return float(cert.c)
-    hk = _heat_kernel_config(cfg)
+    hk = cfg.heat_kernel
     return heat_kernel_ratio_report(_eigen_setup(cfg, m=hk.n_modes), hk.times()).c
 
 
 def cmd_certify(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -> list[Path]:
+    """evaluate global-existence certificates on a noise path"""
     params = cfg.need("model")
     sim = cfg.need("sim")
     cert = cfg.need("certificate")
     eigen = _eigen_setup(cfg, m=48)
-    run_seed = seed if seed is not None else sim.seed
     if cert.frozen_zero_path:
         path = BrownianPath.frozen_zero(sim.horizon, sim.dt)
     else:
-        path = _sample_path(sim, params.kappa, run_seed, 0)
+        path = _sample_path(sim, params.kappa, seed, 0)
     f = _initial_field(cfg.initial, eigen) if cfg.initial is not None else None
     # every kind's checks run in the listed order before the sup-norm series
     # is evaluated, so the first fault listed is the one reported; the
@@ -431,29 +390,32 @@ def cmd_certify(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -
     for kind in cert.kinds:
         report = reports[kind]
         rows.append(
-            [
-                kind,
-                None if math.isnan(report.J) else report.J,
-                report.threshold,
-                None if report.verdict is None else report.verdict.value,
-                None if report.envelope is None else float(np.max(report.envelope)),
-                report.probability,
-                None if report.verdict is None else report.tail,
-                report.reason,
-            ]
+            {
+                "kind": kind,
+                "J": None if math.isnan(report.J) else report.J,
+                "threshold": report.threshold,
+                "verdict": None if report.verdict is None else report.verdict.value,
+                "envelope_max": None if report.envelope is None else float(np.max(report.envelope)),
+                "probability_certified": report.probability,
+                "tail": None if report.verdict is None else report.tail,
+                "reason": report.reason,
+            }
         )
-    header = ["kind", "J", "threshold", "verdict", "envelope_max", "probability_certified"]
-    header += ["tail", "reason"]
-    return [write_csv(out_dir / "certificates.csv", header, rows)]
+    return [write_csv(out_dir / "certificates.csv", rows)]
 
 
 def cmd_heat_kernel(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -> list[Path]:
-    hk = _heat_kernel_config(cfg)
+    """sample the kernel ratio and fit the sandwich constant"""
+    hk = cfg.heat_kernel
     basis = _eigen_setup(cfg, m=hk.n_modes)
     report = heat_kernel_ratio_report(basis, hk.times())
-    rows = zip(report.times, report.ratios, report.lower, report.upper, report.passed)
-    header = ["t", "ratio", "lower_bound", "upper_bound_with_fitted_c", "pass"]
-    files = [write_csv(out_dir / "heatkernel.csv", header, list(rows))]
+    rows = [
+        {"t": t, "ratio": r, "lower_bound": lo, "upper_bound_with_fitted_c": up, "pass": ok}
+        for t, r, lo, up, ok in zip(
+            report.times, report.ratios, report.lower, report.upper, report.passed
+        )
+    ]
+    files = [write_csv(out_dir / "heatkernel.csv", rows)]
     files.append(
         write_json(
             out_dir / "heatkernel_summary.json",
@@ -470,6 +432,7 @@ def cmd_heat_kernel(cfg: RunConfig, out_dir: Path, seed: int | None, workers: in
     return files
 
 
+# each command's help is its docstring
 _COMMANDS = {
     "eigen": cmd_eigen,
     "blowup": cmd_blowup,
@@ -486,15 +449,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "stochastically forced semilinear heat equation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "eigen": "Dirichlet eigenvalues, Richardson extrapolation, principal mode",
-        "blowup": "analytic blowup bounds and Monte Carlo hitting estimates",
-        "simulate": "integrate trajectories and emit consistency diagnostics",
-        "certify": "evaluate global-existence certificates on a noise path",
-        "heat-kernel": "sample the kernel ratio and fit the sandwich constant",
-    }
     for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=helps[name])
+        p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--config", required=True, help="path to the JSON run configuration")
         p.add_argument("--seed", type=int, default=None, help="override sim.seed")
         p.add_argument(
@@ -519,14 +475,15 @@ def main(argv=None) -> int:
         if args.workers < 1:
             raise ConfigurationError(f"--workers must be >= 1, got {args.workers}")
         cfg = load_config(args.config)
+        seed = args.seed if args.seed is not None else (cfg.sim.seed if cfg.sim else None)
         out_dir = _resolve_out_dir(args.out, cfg)
-        files = args.fn(cfg, out_dir, args.seed, args.workers)
+        files = args.fn(cfg, out_dir, seed, args.workers)
         manifest = RunManifest(
             command=args.command,
             config_path=str(args.config),
             config_sha256=cfg.sha256,
             code_version=__version__,
-            seed=args.seed if args.seed is not None else (cfg.sim.seed if cfg.sim else None),
+            seed=seed,
             started_at=started,
             outputs=[f.name for f in files],
         )

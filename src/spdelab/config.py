@@ -18,7 +18,7 @@ import numpy as np
 from .blowup import ModelParams, TabulatedNonlinearity
 from .domain import DomainSpec
 from .errors import ConfigurationError
-from .integrator import Scheme
+from .integrator import Scheme, SchemeConfig
 
 _CERT_KINDS = ("integral", "saturation", "heat_kernel")
 
@@ -96,10 +96,9 @@ class SimConfig:
     horizon: float
     n_paths: int = 1
     seed: int = 0
-    cutoff: float = 1e8
-    scheme: Scheme = Scheme.IMEX
     v0psi_sweep: tuple[float, ...] = ()
-    max_snapshots: int = 1000
+    # sim.cutoff, sim.scheme and sim.max_snapshots
+    integrator: SchemeConfig = field(default_factory=SchemeConfig)
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,7 @@ class RunConfig:
     initial: InitialConfig | None
     sim: SimConfig | None
     certificate: CertificateConfig | None
-    heat_kernel: HeatKernelConfig | None
+    heat_kernel: HeatKernelConfig = field(default_factory=HeatKernelConfig)
     outputs: OutputsConfig = field(default_factory=OutputsConfig)
     sha256: str = ""
 
@@ -227,8 +226,6 @@ def _parse_sim(section: dict) -> SimConfig:
     horizon = _number(section, "horizon", "sim", required=True, strict_min=0.0)
     n_paths = _integer(section, "n_paths", "sim", default=1, minimum=1)
     seed = _integer(section, "seed", "sim", default=0, minimum=0)
-    cutoff = _number(section, "cutoff", "sim", default=1e8, strict_min=1.0)
-    max_snapshots = _integer(section, "max_snapshots", "sim", default=1000, minimum=2)
     scheme_name = section.get("scheme", "imex")
     try:
         scheme = Scheme(scheme_name)
@@ -236,6 +233,12 @@ def _parse_sim(section: dict) -> SimConfig:
         raise ConfigurationError(
             f"sim.scheme must be one of {[s.value for s in Scheme]}, got {scheme_name!r}"
         ) from None
+    cutoff = _number(section, "cutoff", "sim", default=1e8)
+    max_snapshots = _integer(section, "max_snapshots", "sim", default=1000)
+    try:  # SchemeConfig checks the values and names the field
+        integrator = SchemeConfig(cutoff=cutoff, scheme=scheme, max_snapshots=max_snapshots)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"sim.{exc}") from None
     sweep = section.get("v0psi_sweep", [])
     if not isinstance(sweep, list):
         raise ConfigurationError("sim.v0psi_sweep must be a list of positive finite numbers")
@@ -243,8 +246,8 @@ def _parse_sim(section: dict) -> SimConfig:
     if sweep and min(sweep) <= 0:
         raise ConfigurationError(f"sim.v0psi_sweep entries must be positive, got {min(sweep)}")
     return SimConfig(
-        dt=dt, horizon=horizon, n_paths=n_paths, seed=seed, cutoff=cutoff,
-        scheme=scheme, v0psi_sweep=sweep, max_snapshots=max_snapshots,
+        dt=dt, horizon=horizon, n_paths=n_paths, seed=seed, v0psi_sweep=sweep,
+        integrator=integrator,
     )
 
 
@@ -329,7 +332,7 @@ def load_config(path: str | Path) -> RunConfig:
         initial=parsed.get("initial"),
         sim=parsed.get("sim"),
         certificate=parsed.get("certificate"),
-        heat_kernel=parsed.get("heat_kernel"),
+        heat_kernel=parsed.get("heat_kernel", HeatKernelConfig()),
         outputs=parsed.get("outputs", OutputsConfig()),
         sha256=hashlib.sha256(raw_bytes).hexdigest(),
     )

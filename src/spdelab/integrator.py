@@ -71,9 +71,9 @@ class SchemeConfig:
 
     def __post_init__(self):
         if self.cutoff <= 1:
-            raise ConfigurationError(f"blowup cutoff must exceed one, got {self.cutoff}")
+            raise ConfigurationError(f"cutoff must exceed one, got {self.cutoff}")
         if self.max_snapshots < 2:
-            raise ConfigurationError(f"need at least 2 snapshots, got {self.max_snapshots}")
+            raise ConfigurationError(f"max_snapshots must be at least 2, got {self.max_snapshots}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,7 +299,7 @@ def simulate_paths(
             return params.G(block)
 
         def noise_for(j):
-            rates = np.diff(paths[j].values) / dt
+            rates = noise[:, j]
             return lambda t: rates[min(int(round(t / dt)), nsteps - 1), None]
 
     lap = _laplacian(eigen.grid)
@@ -332,12 +332,11 @@ def simulate_paths(
     block = np.repeat(f[None, :], n_paths, axis=0)
     block_sup = np.abs(block).max(axis=1)
     live = np.arange(n_paths)
-    live_noise = noise  # column i is the noise of path live[i]
     mass[:, 0] = np.vecdot(psi * block, weights)
     sup[:, 0] = block_sup
     t = 0.0
     for k in range(nsteps):
-        explicit = reaction(block, live_noise[k])
+        explicit = reaction(block, noise[k][live])
         if k % stride == 0:
             keep(k, block, drift(block, explicit), live)
         new = _step(block, explicit, ws)
@@ -353,12 +352,7 @@ def simulate_paths(
                 brackets[j] = _refine_blowup_time(
                     block[i], t, t + dt, reaction, noise_for(j), level_workspace, dt, cfg.cutoff
                 )
-            # compact the noise columns in place: a copy per crossing would
-            # leave (steps x paths) arrays behind in the heap
-            kept = np.flatnonzero(stable)
-            for i, col in enumerate(kept):
-                live_noise[:, i] = live_noise[:, col]
-            live, live_noise = live[kept], live_noise[:, : kept.size]
+            live = live[stable]
             block, block_sup = block[stable], block_sup[stable]
             new, new_sup = new[stable], new_sup[stable]
             if live.size == 0:
@@ -370,7 +364,7 @@ def simulate_paths(
         mass[live, k + 1] = np.vecdot(psi * block, weights)
         sup[live, k + 1] = block_sup
     if live.size:  # the row at t = T: v reads the noise there, u needs none
-        last = reaction(block, live_noise[nsteps]) if variable == "v" else None
+        last = reaction(block, noise[nsteps][live]) if variable == "v" else None
         keep(nsteps, block, drift(block, last), live)
 
     results = []

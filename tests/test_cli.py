@@ -21,7 +21,7 @@ from spdelab.domain import (
     solve_eigenpairs,
     weighted_inner,
 )
-from spdelab.errors import ConfigurationError
+from spdelab.errors import ConfigurationError, NumericalFailure
 from spdelab.integrator import SchemeConfig, mode_residuals, reconstruct_u, simulate_paths
 from spdelab.stochastic import sample_brownian
 
@@ -88,6 +88,31 @@ class TestConfigValidation:
         cfg = interval_cfg(model={"beta": True, "kappa": 1.0})
         with pytest.raises(ConfigurationError, match="beta"):
             load_config(write_cfg(tmp_path, cfg))
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("cutoff", 1.0, "cutoff must exceed one"),
+            ("cutoff", 0.5, "cutoff must exceed one"),
+            ("max_snapshots", 1, "max_snapshots must be at least 2"),
+            ("max_snapshots", 0, "max_snapshots must be at least 2"),
+        ],
+    )
+    def test_bad_integrator_setting_exits_2_without_files(
+        self, tmp_path, capsys, key, value, message
+    ):
+        # sim.cutoff and sim.max_snapshots are checked once, by the
+        # integrator's SchemeConfig, when the config loads
+        cfg = interval_cfg(
+            n=16,
+            model=MODEL,
+            initial={"mode": "eigen-multiple", "a": 0.3},
+            sim={"dt": 0.01, "horizon": 0.5, "seed": 1, key: value},
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: sim.{message}, got {value}\n"
+        assert not out.exists()
 
     def test_bad_scheme_rejected(self, tmp_path):
         cfg = interval_cfg(sim={"dt": 0.1, "horizon": 1.0, "scheme": "leapfrog"})
@@ -418,8 +443,8 @@ class TestBlowupCommand:
 
 class TestSimulateCommand:
     def test_transform_gap_matches_reconstruct_u(self):
-        # the consistency row reads u.sup = e^{kappa W} v.sup directly; it
-        # must equal the gap computed from the full reconstruct_u trajectory
+        # the consistency row's EM gap is the relative sup gap between the
+        # Euler-Maruyama run and the reconstruct_u trajectory
         grid = build_grid(DomainSpec(kind="interval", lengths=(math.pi,)), 32)
         eig = solve_eigenpairs(grid, 12)
         params = ModelParams(beta=1.0, kappa=1.0)
@@ -428,7 +453,8 @@ class TestSimulateCommand:
         traj = simulate_paths(f, [path], params, eig, SchemeConfig())[0]
         em_cfg = SchemeConfig(max_snapshots=2)
         traj_em = simulate_paths(f, [path], params, eig, em_cfg, variable="u")[0]
-        em_diff = _consistency_row(traj, traj_em, path, params, None, None, None)[0]
+        row = _consistency_row(traj, traj_em, path, params, None, None, None)
+        em_diff = row["em_transform_rel_diff"]
         u_sup = reconstruct_u(traj, path, params.kappa).sup
         k = min(len(u_sup), len(traj_em.sup))
         gap = np.abs(traj_em.sup[:k] - u_sup[:k]) / np.maximum(np.abs(u_sup[:k]), 1e-300)
@@ -702,6 +728,26 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert f"not finite at node 5: f={bad}" in capsys.readouterr().err
 
+    def test_euler_maruyama_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a failing u run fails the command like any other numerical failure,
+        # and blanks no rows
+        def simulate(*args, variable="v"):
+            if variable == "u":
+                raise NumericalFailure("linear solve failed: injected")
+            return simulate_paths(*args, variable=variable)
+
+        monkeypatch.setattr(cli, "simulate_paths", simulate)
+        cfg = interval_cfg(
+            n=16,
+            model=MODEL,
+            initial={"mode": "eigen-multiple", "a": 0.3},
+            sim={"dt": 0.01, "horizon": 0.5, "n_paths": 2, "seed": 1},
+        )
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "numerical failure: linear solve failed: injected\n"
+        assert not any(out.iterdir())
+
     def test_unallocatable_run_exits_3(self, tmp_path, capsys):
         # 1e15 steps: numpy refuses the 7.11 PiB noise path at once, without
         # touching memory
@@ -955,10 +1001,10 @@ class TestWriteCsv:
         rows *= rng.choice([-1.0, 1.0], size=rows.shape)
         rows[0] = [-0.0, np.nan, np.inf]
         rows[1] = [5e-324, -np.inf, 0.0]
-        header = ["t", "mass", "sup"]
         t_cells = [repr(t) for t in rows[:, 0].tolist()] + ["1.0"]
         fast = write_mass_series(tmp_path / "fast.csv", t_cells, rows[:, 1], rows[:, 2])
-        cells = write_csv(tmp_path / "cells.csv", header, rows.tolist())
+        mapped = [{"t": t, "mass": m, "sup": s} for t, m, s in rows.tolist()]
+        cells = write_csv(tmp_path / "cells.csv", mapped)
         assert fast.read_bytes() == cells.read_bytes()
         lines = fast.read_text().splitlines()
         assert lines[1:3] == ["-0.0,nan,inf", "5e-324,-inf,0.0"]
