@@ -9,15 +9,20 @@ non-anticipating reading of the noise factor.
 
 One engine, ``simulate_paths``, advances a block of paths that share the
 initial field, grid and scheme: each step is one reaction evaluation on
-the (paths x nodes) block and one solve with one sparse factorization on all
-of its right-hand sides. It is also the single-path integrator: one path is a
-block of one, ``simulate_paths(f, [path], ...)[0]``, and every path's result
-is bitwise independent of the block it ran in.
+the (paths x nodes) block and one solve on all of its right-hand sides with
+the LAPACK Cholesky factor of the banded implicit operator. Each step writes
+its block into a staging buffer of ``STAGE_BYTES``; the sup norms, cutoff
+crossings, positivity check, mass and sup rows and the kept rows' mode
+projections run once per staged chunk of steps. It is also the single-path
+integrator: one path is a block of one, ``simulate_paths(f, [path], ...)[0]``,
+and every path's result is bitwise independent of the block it ran in and of
+the chunk width.
 
 Numerical blowup is declared when the sup norm passes the cutoff; the path
-leaves the block and its blowup time is bracketed by re-integrating the
-offending step with halved dt (one factorization per halving level, shared by
-the block), so the reported t_b carries resolution dt / 2^MAX_HALVINGS.
+leaves the block at the end of its chunk and its blowup time is bracketed by
+re-integrating the offending step, from the staged last stable field, with
+halved dt (one factorization per halving level, shared by the block), so the
+reported t_b carries resolution dt / 2^MAX_HALVINGS.
 
 A trajectory keeps no node fields. At each kept row the engine stores the
 field's weighted projection onto the modes of its eigenbasis and the
@@ -32,6 +37,7 @@ mild residual's Euclidean norm over the 12 retained modes
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -49,6 +55,9 @@ logger = logging.getLogger(__name__)
 POSITIVITY_TOL = 1e-8
 # dt halvings that bracket a cutoff crossing inside its step
 MAX_HALVINGS = 10
+# bytes of new fields staged per chunk of steps: a chunk holds
+# STAGE_BYTES // (8 * paths * nodes) steps, at least one
+STAGE_BYTES = 1 << 18
 
 
 class Scheme(str, Enum):
@@ -121,31 +130,55 @@ class TrajectoryResult:
 
 
 class _Workspace:
-    """Factorization of the implicit operator at one time step.
+    """Cholesky factor of the implicit operator of one time step.
 
-    lap is the sparse grid Laplacian and shift the zeroth-order coefficient
-    moved into the implicit solve (kappa^2/2 for the transformed equation, 0
-    for the physical one). One workspace serves every path of a block.
+    I - theta dt (lap - shift) is symmetric positive definite and banded: band
+    1 on an interval, band n on an n x n rectangle numbered row by row. Band 1
+    is factored by LAPACK's tridiagonal dpttrf, any other band by the band
+    Cholesky dpbtrf. Both solves treat each right-hand side on its own, so a
+    path's bits do not depend on the block it runs in. lap is the sparse grid
+    Laplacian and shift the zeroth-order coefficient moved into the implicit
+    solve (kappa^2/2 for the transformed equation, 0 for the physical one).
+    One workspace serves every path of a block.
     """
 
     def __init__(self, lap, shift: float, dt: float, scheme: Scheme):
         # imported on first use, so that importing the package loads no scipy
         from scipy import sparse
-        from scipy.sparse.linalg import splu
+        from scipy.linalg import lapack
 
-        eye = sparse.identity(lap.shape[0], format="csc")
-        gen = (lap - shift * eye).tocsc()
+        eye = sparse.identity(lap.shape[0], format="csr")
+        gen = lap - shift * eye
         if scheme is Scheme.IMEX:
             implicit = eye - dt * gen
             self.explicit = None
         else:
             implicit = eye - 0.5 * dt * gen
             self.explicit = (eye + 0.5 * dt * gen).tocsr()
-        try:
-            self.solve = splu(implicit.tocsc()).solve
-        except RuntimeError as exc:  # singular factorization
-            raise NumericalFailure(f"implicit operator factorization failed: {exc}") from exc
+        # lower band storage: row i holds the i-th subdiagonal, read off the
+        # stored diagonals; data[k, j] is the entry in column j
+        dia = implicit.todia()
+        lower = {-off: diag for off, diag in zip(dia.offsets, dia.data) if off <= 0}
+        n, band = lap.shape[0], max(lower)
+        bands = np.zeros((band + 1, n))
+        for i, diag in lower.items():
+            bands[i, : n - i] = diag[: n - i]
+        if band == 1:
+            d, e, info = lapack.dpttrf(bands[0], bands[1, :-1])
+            self._solve = functools.partial(lapack.dpttrs, d, e, overwrite_b=1)
+        else:
+            chol, info = lapack.dpbtrf(bands, lower=1)
+            self._solve = functools.partial(lapack.dpbtrs, chol, lower=1, overwrite_b=1)
+        if info:
+            raise NumericalFailure(f"implicit operator factorization failed: LAPACK info {info}")
         self.dt = dt
+
+    def solve(self, rhs: np.ndarray) -> None:
+        """Overwrite rhs, one right-hand side per column in Fortran order,
+        with the solution."""
+        _, info = self._solve(b=rhs)
+        if info:
+            raise NumericalFailure(f"linear solve failed: LAPACK info {info}")
 
 
 def _noise_factor(w, params: ModelParams) -> np.ndarray:
@@ -177,27 +210,12 @@ def _transformed_reaction(
     return params.G(factor * values) / factor
 
 
-def _step(block: np.ndarray, explicit_term: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """One linear-implicit step of a block of fields, one field per row, with
-    the precomputed factorization; the only place fields are advanced."""
-    if ws.explicit is None:
-        rhs = block + ws.dt * explicit_term
-    else:
-        rhs = (ws.explicit @ block.T).T + ws.dt * explicit_term
-    try:
-        return ws.solve(rhs.T).T
-    except RuntimeError as exc:
-        raise NumericalFailure(f"linear solve failed: {exc}") from exc
-
-
-def _check_positivity(new: np.ndarray, new_sup: np.ndarray, old_sup: np.ndarray, t: float) -> None:
-    """Abort when a row dips below -1e-8 times its field scale."""
-    if new.min() >= 0.0:
-        return
-    low = new.min(axis=1)
-    lost = low < -POSITIVITY_TOL * np.maximum(np.maximum(new_sup, old_sup), 1e-300)
-    if lost.any():
-        raise NumericalFailure(f"positivity lost at t={t}: min={float(low[lost][0]):.3e}")
+def _step(block: np.ndarray, explicit_term: np.ndarray, ws: _Workspace, out: np.ndarray):
+    """One linear-implicit step of a block of fields, one field per row,
+    written into the C-ordered out; the only place fields are advanced."""
+    np.multiply(explicit_term, ws.dt, out=out)
+    out += block if ws.explicit is None else (ws.explicit @ block.T).T
+    ws.solve(out.T)
 
 
 def _check_grids(paths: list[BrownianPath]) -> tuple[float, int]:
@@ -235,7 +253,8 @@ def _refine_blowup_time(
         ws = level_workspace(dt_f)
         t = t_lo
         for _ in range(nsub):
-            nxt = _step(block, reaction(block, noise_at(t)), ws)
+            nxt = np.empty_like(block)
+            _step(block, reaction(block, noise_at(t)), ws, nxt)
             if not np.max(np.abs(nxt)) < cutoff:
                 t_hi = t + dt_f
                 break
@@ -261,11 +280,13 @@ def simulate_paths(
     variable "v" integrates the transformed field, "u" the physical one with
     multiplicative Euler-Maruyama increments. Every step advances the
     (paths x nodes) block with one reaction evaluation and one solve on all
-    right-hand sides; a path that crosses the cutoff leaves the block and has
-    its crossing refined. A kept row is stored as the coefficients of the
-    field and of its reaction in ``eigen.modes``, each pairing a dot product
-    of fixed length, so each result is bitwise the one its path gives in a
-    block of its own.
+    right-hand sides, and writes it into the staging buffer; the checks and
+    the series rows of a chunk of steps are read off the buffer at the chunk
+    end. A path that crosses the cutoff leaves the block there and has its
+    crossing refined. A kept row is stored as the coefficients of the field
+    and of its reaction in ``eigen.modes``, each pairing a dot product of
+    fixed length, so each result is bitwise the one its path gives in a block
+    of its own, whatever the chunk width.
     """
     if variable not in ("v", "u"):
         raise ConfigurationError(f"variable must be 'v' or 'u', got {variable!r}")
@@ -279,8 +300,8 @@ def simulate_paths(
         def reaction(block, factor):
             return _transformed_reaction(block, factor, params)
 
-        def drift(block, explicit):  # the explicit term is the reaction itself
-            return explicit
+        def drift(rows, steps, idx):  # the reaction at each row's own step
+            return reaction(rows, noise[steps, idx])
 
         def noise_for(j):
             times, values = paths[j].times, paths[j].values
@@ -295,8 +316,8 @@ def simulate_paths(
         def reaction(block, rate):
             return params.G(block) + params.kappa * block * rate[:, None]
 
-        def drift(block, explicit):  # the explicit term also carries the increment
-            return params.G(block)
+        def drift(rows, steps, idx):  # the explicit term also carries the increment
+            return params.G(rows)
 
         def noise_for(j):
             rates = noise[:, j]
@@ -312,60 +333,76 @@ def simulate_paths(
     weights, psi = eigen.grid.weights, eigen.psi
     modes_t = np.ascontiguousarray(eigen.modes.T)
     stride = max(1, math.ceil((nsteps + 1) / cfg.max_snapshots))
-    n_paths = len(paths)
+    n_paths, npoints = len(paths), eigen.grid.npoints
     mass = np.empty((n_paths, nsteps + 1))
     sup = np.empty((n_paths, nsteps + 1))
     # per path and kept row: the coefficients of the field, then of its reaction
     coeffs = np.empty((n_paths, nsteps // stride + 2, 2, eigen.m))
-
-    def keep(k, rows, react, idx):
-        # step k is kept at row ceil(k / stride): every stride-th step, then
-        # the last stable step of a path that stops between them. One dot
-        # product of fixed length per (row, mode): the bits do not depend on
-        # how many rows are projected together
-        pairs = np.stack((rows, react), axis=1) * weights
-        coeffs[idx, -(-k // stride)] = np.vecdot(pairs[:, :, None, :], modes_t)
-
     k_stop = np.full(n_paths, nsteps)
     brackets: list[tuple[float, float] | None] = [None] * n_paths
 
-    block = np.repeat(f[None, :], n_paths, axis=0)
-    block_sup = np.abs(block).max(axis=1)
-    live = np.arange(n_paths)
-    mass[:, 0] = np.vecdot(psi * block, weights)
+    # stage[s] holds the block s steps into the chunk; stage[0] is its start
+    width = max(1, STAGE_BYTES // (8 * n_paths * npoints))
+    stage = np.empty((width + 1, n_paths, npoints))
+    stage[0] = f
+    block_sup = np.abs(stage[0]).max(axis=1)
+    mass[:, 0] = np.vecdot(psi * stage[0], weights)
     sup[:, 0] = block_sup
-    t = 0.0
-    for k in range(nsteps):
-        explicit = reaction(block, noise[k][live])
-        if k % stride == 0:
-            keep(k, block, drift(block, explicit), live)
-        new = _step(block, explicit, ws)
-        new_sup = np.abs(new).max(axis=1)
+    live = np.arange(n_paths)
+    k0, t = 0, 0.0
+    while k0 < nsteps and live.size:
+        c = min(width, nsteps - k0)
+        block = stage[:, : live.size]
+        step_noise = noise[k0 : k0 + c, live]
+        # a path that crosses the cutoff keeps stepping to the chunk end; its
+        # rows past the crossing overflow and reach no output
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in range(c):
+                _step(block[s], reaction(block[s], step_noise[s]), ws, block[s + 1])
+            new = block[1 : c + 1]
+            new_sup = np.abs(new).max(axis=2)
+            mass[live, k0 + 1 : k0 + c + 1] = np.vecdot(psi * new, weights).T
+            sup[live, k0 + 1 : k0 + c + 1] = new_sup.T
         stable = new_sup < cfg.cutoff
-        if not stable.all():
-            blown = ~stable
-            if k % stride:
-                keep(k, block[blown], drift(block[blown], explicit[blown]), live[blown])
-            for i in np.flatnonzero(blown):
-                j = live[i]
-                k_stop[j] = k
-                brackets[j] = _refine_blowup_time(
-                    block[i], t, t + dt, reaction, noise_for(j), level_workspace, dt, cfg.cutoff
-                )
-            live = live[stable]
-            block, block_sup = block[stable], block_sup[stable]
-            new, new_sup = new[stable], new_sup[stable]
-            if live.size == 0:
-                break
-        if variable == "v":
-            _check_positivity(new, new_sup, block_sup, t + dt)
-        t += dt
-        block, block_sup = new, new_sup
-        mass[live, k + 1] = np.vecdot(psi * block, weights)
-        sup[live, k + 1] = block_sup
-    if live.size:  # the row at t = T: v reads the noise there, u needs none
-        last = reaction(block, noise[nsteps][live]) if variable == "v" else None
-        keep(nsteps, block, drift(block, last), live)
+        # the step of each path's first crossing, c for none
+        cross = np.where(stable.all(axis=0), c, np.argmin(stable, axis=0))
+        blown = cross < c
+        rows = np.arange(c + 1)[:, None]
+        # the engine's clock at each step start: dt summed step by step
+        ts = list(itertools.accumulate(itertools.repeat(dt, c), initial=t))
+        if variable == "v":  # a row dips below -1e-8 times its field scale
+            low = new.min(axis=2)
+            old_sup = np.concatenate((block_sup[None], new_sup[:-1]))
+            scale = np.maximum(np.maximum(new_sup, old_sup), 1e-300)
+            lost = (rows[:c] < cross) & (low < -POSITIVITY_TOL * scale)
+            if lost.any():
+                s, i = np.argwhere(lost)[0]
+                raise NumericalFailure(f"positivity lost at t={ts[s + 1]}: min={low[s, i]:.3e}")
+        # step k is kept at row ceil(k / stride): every stride-th step, then
+        # the last stable step of a path that stops between them, the row at
+        # t = T included. One dot product of fixed length per (row, mode):
+        # the bits do not depend on how many rows are projected together
+        final = k0 + c == nsteps
+        last = np.where(blown, cross, c if final else c - 1)
+        on_stride = ((k0 + rows) % stride == 0) & (rows <= last)
+        stop = (blown | final) & (rows == last)
+        s_kept, i_kept = np.nonzero(on_stride | stop)
+        steps, idx = k0 + s_kept, live[i_kept]
+        fields = block[s_kept, i_kept]
+        pairs = np.empty((len(fields), 2, npoints))
+        np.multiply(fields, weights, out=pairs[:, 0])
+        np.multiply(drift(fields, steps, idx), weights, out=pairs[:, 1])
+        coeffs[idx, -(-steps // stride)] = np.vecdot(pairs[:, :, None, :], modes_t)
+        for i in np.flatnonzero(blown):
+            j, s = live[i], cross[i]
+            k_stop[j] = k0 + s
+            brackets[j] = _refine_blowup_time(
+                block[s, i], ts[s], ts[s] + dt, reaction, noise_for(j), level_workspace, dt,
+                cfg.cutoff,
+            )
+        live, block_sup = live[~blown], new_sup[-1, ~blown]
+        stage[0, : live.size] = block[c, ~blown]
+        k0, t = k0 + c, ts[c]
 
     results = []
     for j, path in enumerate(paths):

@@ -61,7 +61,10 @@ class BrownianPath:
 
 
 def _n_steps(horizon: float, dt: float) -> int:
-    return int(math.floor(horizon / dt + 1e-9))
+    steps = horizon / dt + 1e-9
+    if not math.isfinite(steps):
+        raise ConfigurationError(f"horizon/dt is not a finite step count: T={horizon} dt={dt}")
+    return int(math.floor(steps))
 
 
 def _path_rng(seed: int, path_index: int) -> np.random.Generator:

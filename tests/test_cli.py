@@ -185,6 +185,21 @@ class TestConfigValidation:
         assert f"{name}=1e+200 is too large" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, kappa", [("simulate", 1.0), ("simulate", 0.0),
+                                                ("blowup", 1.0)])
+    def test_non_finite_step_count_exits_2_without_files(self, tmp_path, capsys, command, kappa):
+        # horizon/dt overflows to inf: the step count raised OverflowError
+        cfg = interval_cfg(
+            n=16,
+            model={"beta": 1.0, "kappa": kappa},
+            initial={"mode": "eigen-multiple", "a": 0.3},
+            sim={"dt": 1e-320, "horizon": 1.0, "n_paths": 1000, "seed": 1, "v0psi_sweep": [0.5]},
+        )
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert "not a finite step count" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_tabulated_nonlinearity_parses(self, tmp_path):
         cfg = interval_cfg(
             model={**MODEL, "G": {"type": "tabulated", "z": [0.0, 1.0, 2.0], "g": [0.0, 0.5, 2.0]}}
@@ -592,9 +607,9 @@ class TestSimulateCommand:
             (0.00031485768133954206, 0.00011713610368464958),
         ],
         "simulate_rectangle.json": [
-            (0.00029210522716427434, 0.00018168482939284002),
-            (0.0002647535796000966, 0.00017243316027720041),
-            (0.0003200264831455524, 0.00019902402153515887),
+            (0.00029210522708122966, 0.00018168482936707045),
+            (0.00026475357951460943, 0.00017243316025840504),
+            (0.0003200264830536259, 0.00019902402151597754),
         ],
     }
 
@@ -1031,8 +1046,8 @@ class TestImports:
     def test_scipy_loads_only_where_it_is_used(self, tmp_path):
         # one process, so each step sees what the steps before it loaded:
         # the import and the light commands load no scipy module, the gamma
-        # law loads scipy.special, and only simulate's factorization loads
-        # scipy.sparse
+        # law loads scipy.special, and only simulate loads scipy.sparse for
+        # its Laplacian and scipy.linalg for its factorization
         configs = Path(__file__).resolve().parents[1] / "configs"
         mc = interval_cfg(
             n=16, model=MODEL, sim={"dt": 0.01, "horizon": 1.0, "n_paths": 1000, "seed": 1,
@@ -1067,7 +1082,9 @@ class TestImports:
             assert seen[label][1] == [], label
         after_mc = seen["blowup kappa>0"][1]
         assert "scipy.special" in after_mc and "scipy.sparse" not in after_mc
-        assert "scipy.sparse.linalg" in seen["simulate"][1]
+        after_simulate = seen["simulate"][1]
+        assert "scipy.linalg" in after_simulate and "scipy.sparse" in after_simulate
+        assert "scipy.sparse.linalg" not in after_simulate
 
 
 class TestOutputRouting:

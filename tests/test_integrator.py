@@ -15,8 +15,10 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
+from spdelab import integrator
 from spdelab.blowup import ModelParams, PowerLaw, TabulatedNonlinearity, deterministic_dichotomy, Dichotomy
 from spdelab.domain import (
     DomainSpec,
@@ -33,6 +35,7 @@ from spdelab.integrator import (
     Scheme,
     SchemeConfig,
     TrajectoryResult,
+    _Workspace,
     _noise_factor,
     _transformed_reaction,
     mode_residuals,
@@ -267,14 +270,22 @@ def tabulated_square():
 
 
 def single_path_loop(f, path, params, eig, cfg, variable):
-    """Reference: one path, one column per solve, mass and sup up to the
-    first cutoff crossing."""
+    """Reference: one path, one column per solve with the tridiagonal
+    Cholesky factor, mass and sup up to the first cutoff crossing."""
     lap = _laplacian(eig.grid)
-    eye = sparse.identity(lap.shape[0], format="csc")
+    eye = sparse.identity(lap.shape[0], format="csr")
     shift = 0.5 * params.kappa**2 if variable == "v" else 0.0
-    gen = (lap - shift * eye).tocsc()
+    gen = lap - shift * eye
     theta = 1.0 if cfg.scheme is Scheme.IMEX else 0.5
-    solve = splu((eye - theta * path.dt * gen).tocsc()).solve
+    implicit = eye - theta * path.dt * gen
+    d, e, info = lapack.dpttrf(implicit.diagonal(), implicit.diagonal(-1))
+    assert info == 0
+
+    def solve(rhs):
+        x, info = lapack.dpttrs(d, e, rhs[:, None])
+        assert info == 0
+        return x[:, 0]
+
     explicit = None if theta == 1.0 else (eye + 0.5 * path.dt * gen).tocsr()
     dw = np.diff(path.values)
     v = f
@@ -336,6 +347,74 @@ class TestBlockEngine:
             assert traj.mass.tobytes() == mass.tobytes()
             assert traj.sup.tobytes() == sup.tobytes()
 
+    @pytest.mark.parametrize("variable", ["v", "u"])
+    @pytest.mark.parametrize("scheme", [Scheme.IMEX, Scheme.CRANK_NICOLSON])
+    def test_chunk_width_invariance(self, monkeypatch, variable, scheme):
+        # six paths that mix blowup and completion, staged one step at a
+        # time, seven steps at a time (the kept-row stride is 26) and at the
+        # default width, give the same bytes
+        grid, eig = interval_16()
+        params = ModelParams(beta=1.0, kappa=1.0)
+        cfg = SchemeConfig(cutoff=1e6, scheme=scheme, max_snapshots=40)
+        paths = [sample_brownian(2.0, 2e-3, 7, i) for i in range(6)]
+        step_bytes = 8 * len(paths) * grid.npoints
+        runs = []
+        for stage_bytes in (step_bytes, 7 * step_bytes, integrator.STAGE_BYTES):
+            monkeypatch.setattr(integrator, "STAGE_BYTES", stage_bytes)
+            runs.append(simulate_paths(3.0 * eig.psi, paths, params, eig, cfg, variable))
+        assert math.ceil((paths[0].nsteps + 1) / cfg.max_snapshots) == 26
+        assert {r.outcome for r in runs[0]} == {Outcome.COMPLETED, Outcome.NUMERICAL_BLOWUP}
+        for run in runs[1:]:
+            for a, b in zip(runs[0], run):
+                assert a.outcome is b.outcome
+                assert (a.t_last_stable, a.t_blowup) == (b.t_last_stable, b.t_blowup)
+                for name in ("times", "mass", "sup", "snapshot_times", "snapshot_coeffs",
+                             "reaction_coeffs"):
+                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+    def test_positivity_loss_reported_at_the_same_step_for_every_width(self, monkeypatch):
+        # Crank-Nicolson at dt lam_max >> 2 flips the top mode each step and
+        # damps it less than psi, so a positive field turns negative after 28
+        # steps, inside a chunk of seven
+        _, eig = interval_16()
+        basis = full_basis(eig)
+        top = basis.modes[:, -1]
+        f = basis.psi + 1e-2 * basis.psi.min() * top / np.max(np.abs(top))
+        assert f.min() > 0
+        paths = [sample_brownian(20.0, 0.25, 7, i) for i in range(4)]
+        cfg = SchemeConfig(scheme=Scheme.CRANK_NICOLSON)
+        step_bytes = 8 * len(paths) * basis.grid.npoints
+        messages = set()
+        for stage_bytes in (step_bytes, 7 * step_bytes, integrator.STAGE_BYTES):
+            monkeypatch.setattr(integrator, "STAGE_BYTES", stage_bytes)
+            with pytest.raises(NumericalFailure, match="positivity lost") as err:
+                simulate_paths(f, paths, ModelParams(beta=1.0, kappa=1.0), basis, cfg)
+            messages.add(str(err.value))
+        assert messages == {"positivity lost at t=7.0: min=-1.215e-07"}
+
+    def test_rows_from_a_crossing_on_are_not_checked_for_positivity(self, monkeypatch):
+        # a path that crosses the cutoff has blown up: a dip below zero in its
+        # crossing field, or in the rows staged after it, is no positivity loss
+        grid, eig = interval_16()
+        params = ModelParams(beta=1.0, kappa=1.0)
+        cfg = SchemeConfig(cutoff=1e6, max_snapshots=40)
+        paths = [sample_brownian(2.0, 2e-3, 7, i) for i in range(6)]
+        clean = simulate_paths(3.0 * eig.psi, paths, params, eig, cfg)
+        step = integrator._step
+
+        def step_with_dip(block, explicit_term, ws, out):
+            step(block, explicit_term, ws, out)
+            crossed = ~(np.abs(out).max(axis=1) < cfg.cutoff)
+            out[crossed, 0] = -np.abs(out[crossed]).max(axis=1)
+
+        monkeypatch.setattr(integrator, "_step", step_with_dip)
+        dipped = simulate_paths(3.0 * eig.psi, paths, params, eig, cfg)
+        assert {r.outcome for r in clean} == {Outcome.COMPLETED, Outcome.NUMERICAL_BLOWUP}
+        for a, b in zip(clean, dipped):
+            assert a.outcome is b.outcome
+            assert (a.t_last_stable, a.t_blowup) == (b.t_last_stable, b.t_blowup)
+            assert a.mass.tobytes() == b.mass.tobytes()
+
     def test_paths_must_share_the_grid(self):
         grid, eig = interval_16()
         # another step count at one dt, and one step count at another dt
@@ -368,6 +447,31 @@ class TestBlockEngine:
         for _ in range(len(traj.times) - 1):
             stable_t += dt
         assert stable_t <= traj.t_last_stable <= traj.t_blowup <= stable_t + dt
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("scheme", [Scheme.IMEX, Scheme.CRANK_NICOLSON])
+    @pytest.mark.parametrize("shift", [0.0, 0.5], ids=["u", "v"])
+    @pytest.mark.parametrize(
+        "kind, n", [("interval", 8), ("interval", 64), ("interval", 1023),
+                    ("rectangle", 8), ("rectangle", 32)]
+    )
+    def test_solve_matches_superlu(self, kind, n, shift, scheme):
+        # the band Cholesky solve against a sparse LU solve of the same
+        # implicit operator I - theta dt (lap - shift), shift = kappa^2/2 at
+        # kappa = 1 for v; the solve overwrites its right-hand sides
+        lengths = (math.pi,) if kind == "interval" else (math.pi, math.pi)
+        grid = build_grid(DomainSpec(kind=kind, lengths=lengths), n)
+        lap, dt = _laplacian(grid), 1e-3
+        ws = _Workspace(lap, shift, dt, scheme)
+        theta = 1.0 if scheme is Scheme.IMEX else 0.5
+        eye = sparse.identity(grid.npoints, format="csc")
+        lu = splu((eye - theta * dt * (lap - shift * eye)).tocsc())
+        block = np.random.default_rng(n).uniform(0.0, 1.0, (5, grid.npoints))
+        rhs = block.copy()
+        ws.solve(rhs.T)
+        expected = lu.solve(block.T).T
+        assert np.max(np.abs(rhs - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestModeCoefficients:
