@@ -54,8 +54,9 @@ class PowerLaw:
     beta: float = 1.0
 
     def __post_init__(self):
-        if self.coeff <= 0 or self.beta <= 0:
-            raise ConfigurationError(f"power law needs coeff, beta > 0, got {self}")
+        for name, value in (("coeff", self.coeff), ("beta", self.beta)):
+            if value <= 0:
+                raise ConfigurationError(f"{name} must be positive, got {value}")
 
     def __call__(self, z):
         return self.coeff * np.power(np.maximum(z, 0.0), 1.0 + self.beta)
@@ -76,16 +77,16 @@ class TabulatedNonlinearity:
         z = np.asarray(self.z, dtype=float)
         g = np.asarray(self.g, dtype=float)
         if not (np.isfinite(z).all() and np.isfinite(g).all()):
-            raise ConfigurationError("tabulated nonlinearity entries must be finite")
+            raise ConfigurationError("z and g entries must be finite")
         if z.ndim != 1 or z.shape != g.shape or len(z) < 2:
-            raise ConfigurationError("tabulated nonlinearity needs matching 1d tables")
+            raise ConfigurationError("z and g must be 1d tables of the same length, at least 2")
         if z[0] != 0.0 or g[0] != 0.0:
-            raise ConfigurationError("tabulated nonlinearity must anchor G(0) = 0")
+            raise ConfigurationError("z and g must start at 0, anchoring G(0) = 0")
         if np.any(np.diff(z) <= 0):
-            raise ConfigurationError("tabulated abscissae must be strictly increasing")
+            raise ConfigurationError("z must be strictly increasing")
         ratio = g[1:] / z[1:]
         if np.any(np.diff(ratio) < -1e-12 * np.abs(ratio[:-1])):
-            raise ConfigurationError("G(z)/z must be nondecreasing on the tabulation")
+            raise ConfigurationError("g/z must be nondecreasing on the tabulation")
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "g", g)
 
@@ -125,22 +126,22 @@ class ModelParams:
                 f"beta={self.beta!r} is too large at kappa={self.kappa!r}: "
                 "(kappa beta)^2 overflows"
             )
-        if self.C <= 0 or self.Lambda <= 0:
-            raise ConfigurationError("bound constants C, Lambda must be positive")
+        for name, value in (("C", self.C), ("Lambda", self.Lambda)):
+            if value <= 0:
+                raise ConfigurationError(f"{name} must be positive, got {value}")
         if self.Cstar is not None and self.Cstar <= 0:
-            raise ConfigurationError("Cstar must be positive when set")
+            raise ConfigurationError(f"Cstar must be positive when set, got {self.Cstar}")
         if self.C > self.Lambda:
-            raise ConfigurationError(f"lower constant C={self.C} exceeds Lambda={self.Lambda}")
+            raise ConfigurationError(f"C must be <= Lambda={self.Lambda}, got {self.C}")
         if self.G is None:
             object.__setattr__(self, "G", PowerLaw(coeff=self.Lambda, beta=self.beta))
         if isinstance(self.G, PowerLaw):
             if self.G.beta != self.beta:
-                raise ConfigurationError(
-                    f"power-law exponent {self.G.beta} disagrees with beta={self.beta}"
-                )
+                raise ConfigurationError(f"G.beta must equal beta={self.beta}, got {self.G.beta}")
             if not (self.C <= self.G.coeff <= self.Lambda):
                 raise ConfigurationError(
-                    f"power-law coefficient {self.G.coeff} outside [C, Lambda]"
+                    f"G.coeff must lie in [C, Lambda] = [{self.C}, {self.Lambda}], "
+                    f"got {self.G.coeff}"
                 )
 
 

@@ -145,7 +145,7 @@ def _resolve_out_dir(cli_out: str | None, cfg: RunConfig) -> Path:
 
 def _eigen_setup(cfg: RunConfig, m: int = 4) -> EigenData:
     dom_cfg = cfg.need("domain")
-    grid = build_grid(dom_cfg.spec(), dom_cfg.n)
+    grid = build_grid(dom_cfg, dom_cfg.n)
     return solve_eigenpairs(grid, min(m, grid.npoints))
 
 
@@ -179,10 +179,9 @@ def _sample_path(sim, kappa: float, seed: int, path_index: int) -> BrownianPath:
 
 def cmd_eigen(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -> list[Path]:
     """Dirichlet eigenvalues, Richardson extrapolation, principal mode"""
-    dom_cfg = cfg.need("domain")
-    dom = dom_cfg.spec()
-    n_coarse = dom_cfg.n
-    n_fine = dom_cfg.n_fine if dom_cfg.n_fine is not None else 2 * (n_coarse + 1) - 1
+    dom = cfg.need("domain")
+    n_coarse = dom.n
+    n_fine = dom.n_fine if dom.n_fine is not None else 2 * (n_coarse + 1) - 1
     results = {}
     for label, n in (("", n_coarse), ("_fine", n_fine)):
         grid = build_grid(dom, n)
@@ -293,7 +292,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) 
     mass0 = weighted_inner(eigen.grid, f, eigen.psi)
     threshold = BlowupThreshold(float(mass0), params) if mass0 > 0 else None
     # the Euler-Maruyama run is compared through its sup series only
-    em_cfg = replace(sim.integrator, max_snapshots=2)
+    em_cfg = replace(sim, max_snapshots=2)
     n_paths = 1 if params.kappa == 0 else sim.n_paths
     traj_rows, cons_rows, files = [], [], []
     t_cells = None
@@ -302,7 +301,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) 
         paths = [_sample_path(sim, params.kappa, seed, idx) for idx in block]
         if t_cells is None:  # every path runs on the grid k*dt
             t_cells = list(map(repr, paths[0].times.tolist()))
-        trajs = simulate_paths(f, paths, params, eigen, sim.integrator, variable="v")
+        trajs = simulate_paths(f, paths, params, eigen, sim, variable="v")
         trajs_em = simulate_paths(f, paths, params, eigen, em_cfg, variable="u")
         for idx, path, traj, traj_em in zip(block, paths, trajs, trajs_em):
             _, weak, mild = mode_residuals(traj, path, params, eigen)

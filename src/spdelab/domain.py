@@ -32,6 +32,8 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 MIN_POINTS_PER_AXIS = 8
+# the fewest modes the kernel-ratio report samples short times with
+MIN_RATIO_MODES = 30
 # bytes of semigroup fields per block in sup_norm_decay: npoints floats per
 # time, so a block of times stays cache-sized whatever the grid
 SUP_NORM_BLOCK_BYTES = 1 << 20
@@ -54,15 +56,15 @@ class DomainSpec:
 
     def __post_init__(self):
         if self.kind not in ("interval", "rectangle"):
-            raise ConfigurationError(f"unknown domain kind {self.kind!r}")
+            raise ConfigurationError(f"kind must be 'interval' or 'rectangle', got {self.kind!r}")
         lengths = tuple(float(L) for L in self.lengths)
         expected = 1 if self.kind == "interval" else 2
         if len(lengths) != expected:
             raise ConfigurationError(
-                f"{self.kind} needs {expected} length(s), got {len(lengths)}"
+                f"lengths must hold {expected} number(s) for {self.kind!r}, got {len(lengths)}"
             )
         if any(L <= 0 or not math.isfinite(L) for L in lengths):
-            raise ConfigurationError(f"lengths must be positive, got {lengths}")
+            raise ConfigurationError(f"lengths must be positive and finite, got {lengths}")
         object.__setattr__(self, "lengths", lengths)
 
     @property
@@ -106,20 +108,28 @@ def build_grid(domain: DomainSpec, n: int) -> GridSpec:
     Raises
     ------
     ConfigurationError
-        If ``n < 8``; coarser grids cannot support the spectral operations.
+        If ``n < 8``, as coarser grids cannot support the spectral
+        operations, or if the stencil's eigenvalues or the cell volume are
+        not positive finite floats.
     """
     n = int(n)
     if n < MIN_POINTS_PER_AXIS:
         raise ConfigurationError(f"grid too coarse: n={n} < {MIN_POINTS_PER_AXIS}")
-    axes = []
-    spacings = []
-    for L in domain.lengths:
-        h = L / (n + 1)
-        axes.append(h * np.arange(1, n + 1))
-        spacings.append(h)
-    cell = float(np.prod(spacings))
+    spacings = [L / (n + 1) for L in domain.lengths]
+    # the first and the last eigenvalue by _modes_1d's closed form bound
+    # every other one and the stencil's entries
+    theta = np.array([1, n]) * (math.pi / (n + 1))
+    with np.errstate(over="ignore", divide="ignore"):
+        lo, hi = map(float, sum((2.0 / np.float64(h) * np.sin(0.5 * theta)) ** 2 for h in spacings))
+    cell = math.prod(spacings)
+    if not (lo > 0 and math.isfinite(hi) and 0 < cell < math.inf):
+        raise ConfigurationError(
+            f"lengths {domain.lengths} at n={n} give eigenvalues from {lo!r} to {hi!r} "
+            f"and cell volume {cell!r}; each must be a positive finite float"
+        )
+    axes = tuple(h * np.arange(1, n + 1) for h in spacings)
     weights = np.full(n ** domain.dimension, cell)
-    return GridSpec(domain=domain, n=n, axes=tuple(axes), h=tuple(spacings), weights=weights)
+    return GridSpec(domain=domain, n=n, axes=axes, h=tuple(spacings), weights=weights)
 
 
 def _validate_initial(f: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -362,8 +372,10 @@ def heat_kernel_ratio_report(basis: EigenData, times) -> HeatKernelBoundReport:
     times = np.asarray(times, dtype=float)
     if np.any(times <= 0):
         raise ConfigurationError("ratio sampling needs strictly positive times")
-    if basis.m < 30:
-        raise ConfigurationError(f"need at least 30 modes for short times, got {basis.m}")
+    if basis.m < MIN_RATIO_MODES:
+        raise ConfigurationError(
+            f"need at least {MIN_RATIO_MODES} modes for short times, got {basis.m}"
+        )
     p = (basis.grid.domain.dimension + 2) / 2.0
     gaps = basis.eigenvalues - basis.eigenvalues[0]
     R2 = (basis.modes / basis.modes[:, [0]]) ** 2
@@ -372,8 +384,12 @@ def heat_kernel_ratio_report(basis: EigenData, times) -> HeatKernelBoundReport:
         ratios[i] = float(np.max(R2 @ np.exp(-gaps * t)))
     gap21 = float(basis.eigenvalues[1] - basis.eigenvalues[0])
     c_lower = float(np.max(times**-p / ratios))
-    over = np.maximum(ratios - 1.0, 0.0)
-    c_upper = float(np.max(over * np.minimum(times, 1.0) ** p * np.exp(gap21 * times)))
+    # only a time where the ratio exceeds one bounds c through the upper
+    # bound; at the others e^{gap t} may overflow, and 0 * inf is nan
+    above = ratios > 1.0
+    t_up = times[above]
+    terms = (ratios[above] - 1.0) * np.minimum(t_up, 1.0) ** p * np.exp(gap21 * t_up)
+    c_upper = float(np.max(terms, initial=0.0))
     c = max(c_lower, c_upper, np.finfo(float).tiny)
     lower = np.maximum(1.0, times**-p / c)
     upper = 1.0 + c * np.minimum(times, 1.0) ** -p * np.exp(-gap21 * times)

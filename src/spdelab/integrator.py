@@ -79,6 +79,12 @@ class SchemeConfig:
     max_snapshots: int = 1000
 
     def __post_init__(self):
+        try:  # a config names the scheme by its value
+            object.__setattr__(self, "scheme", Scheme(self.scheme))
+        except ValueError:
+            raise ConfigurationError(
+                f"scheme must be one of {[s.value for s in Scheme]}, got {self.scheme!r}"
+            ) from None
         if self.cutoff <= 1:
             raise ConfigurationError(f"cutoff must exceed one, got {self.cutoff}")
         if self.max_snapshots < 2:

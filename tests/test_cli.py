@@ -46,6 +46,47 @@ def interval_cfg(n=32, **extra):
 MODEL = {"beta": 1.0, "kappa": 1.0}
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
+# one refused value per range-checked key, as (dotted key, section update); a
+# None drops the key. cutoff and max_snapshots are in
+# test_bad_integrator_setting_exits_2_without_files.
+RANGE_CASES = [
+    ("domain.kind", {"kind": "disk"}),
+    ("domain.lengths", {"lengths": [-1.0]}),
+    ("domain.lengths", {"lengths": [1.0, 2.0]}),
+    ("domain.n", {"n": 7}),
+    ("domain.n_fine", {"n_fine": 16}),
+    ("model.beta", {"beta": 0.0}),
+    ("model.kappa", {"kappa": -1.0}),
+    ("model.C", {"C": 0.0}),
+    ("model.C", {"C": 2.0}),
+    ("model.Lambda", {"Lambda": -1.0}),
+    ("model.Cstar", {"Cstar": 0.0}),
+    ("model.G.coeff", {"G": {"type": "power_law", "coeff": -1.0}}),
+    ("model.G.coeff", {"G": {"type": "power_law", "coeff": 2.0}}),
+    ("model.G.beta", {"G": {"type": "power_law", "beta": 2.0}}),
+    ("model.G.z", {"G": {"type": "tabulated", "z": [0, 2, 1], "g": [0, 1, 2]}}),
+    ("initial.mode", {"mode": "random"}),
+    ("initial.a", {"a": 0.0}),
+    ("initial.a", {"mode": "eigen-multiple", "a": None}),
+    ("initial.file", {"mode": "tabulated", "file": ""}),
+    ("sim.dt", {"dt": 0.0}),
+    ("sim.horizon", {"horizon": -1.0}),
+    ("sim.n_paths", {"n_paths": 0}),
+    ("sim.seed", {"seed": -1}),
+    ("sim.scheme", {"scheme": "leapfrog"}),
+    ("sim.v0psi_sweep", {"v0psi_sweep": [0.5, 0.0]}),
+    ("certificate.kinds", {"kinds": []}),
+    ("certificate.kinds", {"kinds": ["integral", "heat"]}),
+    ("certificate.kinds", {"kinds": ["integral", "integral"]}),
+    ("certificate.K", {"K": 0.0}),
+    ("certificate.eta", {"eta": 0.5}),
+    ("certificate.c", {"c": -1.0}),
+    ("heat_kernel.n_modes", {"n_modes": 29}),
+    ("heat_kernel.t_start", {"t_start": 0.0}),
+    ("heat_kernel.t_stop", {"t_stop": 0.01}),
+    ("heat_kernel.t_num", {"t_num": 1}),
+]
+
 
 def nonfinite_table(tmp_path, bad, n=16):
     """A tabulated initial datum on the n-interval grid with ``bad`` at node 5."""
@@ -207,9 +248,12 @@ class TestConfigValidation:
         loaded = load_config(write_cfg(tmp_path, cfg))
         assert loaded.model.G(1.0) == 0.5
 
-    @pytest.mark.parametrize("where", ["horizon", "lengths", "sweep", "c"])
+    @pytest.mark.parametrize(
+        "where", ["horizon", "lengths", "sweep", "c", "n", "n_fine", "t_num", "n_paths"]
+    )
     def test_integer_past_float_range_exits_2(self, tmp_path, capsys, where):
-        # JSON integers are unbounded; float() of this one overflows
+        # JSON integers are unbounded; float() of this one overflows, and no
+        # int64 holds it as a count
         huge = 10**400
         cfg = interval_cfg(
             n=32,
@@ -223,8 +267,14 @@ class TestConfigValidation:
             cfg["domain"]["lengths"] = [huge]
         elif where == "sweep":
             cfg["sim"]["v0psi_sweep"] = [huge]
-        else:
+        elif where == "c":
             cfg["certificate"]["c"] = huge
+        elif where == "t_num":
+            cfg["heat_kernel"] = {"t_num": huge}
+        elif where == "n_paths":
+            cfg["sim"]["n_paths"] = huge
+        else:
+            cfg["domain"][where] = huge
         out = tmp_path / "out"
         assert main(["blowup", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 2
         assert "must be finite" in capsys.readouterr().err
@@ -241,6 +291,28 @@ class TestConfigValidation:
         out = tmp_path / "out"
         assert main(["eigen", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 2
         assert "model.G" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        RANGE_CASES,
+        ids=[f"{key}={list(value.values())[-1]}" for key, value in RANGE_CASES],
+    )
+    def test_out_of_range_setting_exits_2_naming_its_key(self, tmp_path, capsys, key, value):
+        cfg = interval_cfg(
+            n=16,
+            model=dict(MODEL),
+            initial={"mode": "eigen-multiple", "a": 0.3},
+            sim={"dt": 0.01, "horizon": 0.5, "v0psi_sweep": [0.5]},
+            certificate={"K": 0.5},
+            heat_kernel={},
+        )
+        section = key.split(".")[0]
+        cfg[section].update(value)
+        cfg[section] = {k: v for k, v in cfg[section].items() if v is not None}
+        out = tmp_path / "out"
+        assert main(["eigen", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {key} ")
         assert not out.exists()
 
 
@@ -280,6 +352,31 @@ class TestEigenCommand:
         assert abs(data["lam1_extrapolated"] - 2.0) < 1e-3
         rows = read_csv(out / "psi.csv")
         assert len(rows) == 256 and set(rows[0]) == {"x", "y", "psi"}
+
+
+    @pytest.mark.parametrize(
+        "command, lengths",
+        [
+            ("eigen", [1e-300]),  # the eigenvalues overflow
+            ("eigen", [1e300]),  # they underflow to 0
+            ("simulate", [1e-300]),
+            ("eigen", [1e160, 1e160]),  # the cell volume overflows
+        ],
+    )
+    def test_unrepresentable_mesh_exits_2_without_files(self, tmp_path, capsys, command, lengths):
+        # unchecked, eigen writes lam1 Infinity and NaN extrapolations, or lam1
+        # 0.0, and simulate raises ZeroDivisionError; warnings are errors here
+        kind = "interval" if len(lengths) == 1 else "rectangle"
+        cfg = {
+            "domain": {"kind": kind, "lengths": lengths, "n": 16},
+            "model": MODEL,
+            "initial": {"mode": "eigen-multiple", "a": 0.3},
+            "sim": {"dt": 0.01, "horizon": 0.1},
+        }
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert "must be a positive finite float" in capsys.readouterr().err
+        assert not [*out.glob("*.csv"), *out.glob("*.json")]
 
 
 class TestBlowupCommand:

@@ -1,9 +1,10 @@
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -295,6 +296,14 @@ class TestHeatSemigroup:
             assert sup_norm_decay(f, t, 0.0, eig) <= base + 1e-12
 
 
+@functools.cache
+def long_range():
+    """The n = 64 interval with 40 modes, and ten times out to 1e4, where
+    e^{gap t} overflows at the times whose ratio is exactly one."""
+    eig = solve_eigenpairs(build_grid(DomainSpec("interval", (PI,)), 64), 40)
+    return eig, np.logspace(math.log10(0.05), 4.0, 10)
+
+
 class TestHeatKernelRatio:
     def test_sandwich_on_log_grid(self, interval_512):
         dom, grid, _, eig = interval_512
@@ -341,6 +350,16 @@ class TestHeatKernelRatio:
         small = solve_eigenpairs(grid48, 10)
         with pytest.raises(ConfigurationError):
             heat_kernel_ratio_report(small, [1.0])
+
+    @given(keep=st.lists(st.booleans(), min_size=10, max_size=10).filter(any))
+    @example(keep=[True] * 4 + [False] * 6)
+    def test_c_over_a_time_grid_bounds_c_over_any_subset(self, keep):
+        # the constraints on c only add up as times are added; a nan from
+        # 0 * inf at the long times once dropped every upper constraint, and
+        # c read 2.164 instead of 3.991
+        eig, times = long_range()
+        c = heat_kernel_ratio_report(eig, times).c
+        assert c >= heat_kernel_ratio_report(eig, times[np.array(keep)]).c
 
     def test_rectangle_report_runs(self, rect_32):
         dom, grid, _, eig = rect_32

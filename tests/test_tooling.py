@@ -1,10 +1,16 @@
-"""The repository's pytest configuration, run on a scratch test file."""
+"""The repository's pytest configuration, run on a scratch test file, and the
+README's configuration reference against the keys the loader accepts."""
 
+import dataclasses
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+from spdelab import config
+
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 
 FAILING_PROPERTY = """
 from hypothesis import given
@@ -33,3 +39,17 @@ def test_failing_property_test_does_not_stop_the_session(tmp_path):
     )
     assert "INTERNALERROR" not in run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout
+
+
+def test_configuration_reference_names_every_key():
+    # a section's keys are the fields of the dataclass that RunConfig holds it as
+    reference = (ROOT / "README.md").read_text().split("## Configuration reference", 1)[1]
+    reference = reference.split("\n## ", 1)[0]
+    hints = typing.get_type_hints(config.RunConfig)
+    missing = []
+    for section in config._SECTION_PARSERS:
+        [cls] = [t for t in (hints[section], *typing.get_args(hints[section]))
+                 if dataclasses.is_dataclass(t)]
+        missing += [f"{section}.{f.name}" for f in dataclasses.fields(cls)
+                    if f"`{f.name}`" not in reference]
+    assert missing == []
