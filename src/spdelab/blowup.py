@@ -24,8 +24,8 @@ import numpy as np
 from .domain import EigenData, weighted_inner
 from .errors import ConfigurationError
 from .stochastic import (
-    EXP_CLAMP,
     BrownianPath,
+    _clamped_exp,
     _n_steps,
     _path_rng,
     exp_functional,
@@ -196,7 +196,7 @@ def lower_solution_series(
     """
     beta, kappa = threshold.params.beta, threshold.params.kappa
     a, b = _drift_scale(beta, kappa, lam1)
-    A = exp_functional(path, a, b)
+    A, _ = exp_functional(path, a, b)
     bracket = threshold.mass_power - threshold.params.C * beta * A
     alive = bracket > 0.0
     t = path.times
@@ -337,11 +337,7 @@ def _advance_paths(
             # the drift a t_k = a_dt k of steps start+1..stop, built per
             # chunk so that no array grows with the horizon
             w += a_dt * np.arange(start + 1, stop + 1)
-            clamped = w.max(axis=1) > EXP_CLAMP
-            if clamped.any():
-                saturated |= clamped
-                np.minimum(w, EXP_CLAMP, out=w)
-            np.exp(w, out=w)
+            saturated |= _clamped_exp(w)
             A += dt * (0.5 * e_last + w.sum(axis=1) - 0.5 * w[:, -1])
             e_last = w[:, -1].copy()
             hit = A[:, None] >= x

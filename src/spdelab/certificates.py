@@ -1,32 +1,30 @@
 """Global-existence certificates along a noise path.
 
-Three checks, each one scalar path integral int_0^inf e^{b W_r} w(r) dr:
+Three checks, each one path integral int_0^inf e^{a r + b W_r} w(r) dr that
+stochastic.exp_functional evaluates with log w as its log weight:
 
 * integral certificate: J = Lambda beta int_0^inf e^{kappa beta W_r}
   ||e^{-kappa^2 r/2} S_r f||_inf^beta dr < 1 grants a global solution with
   the envelope B(t) = (1 - J(t))^{-1/beta};
 * saturation certificate: same integral with factor e^{-kappa W_r}, for
   nonlinearities only controlled on (0, C*); certifies when
-  ||f||_inf <= C* (1 - J*)^{1/beta} and the enveloped sup norm stays
-  inside (0, C*);
-* heat-kernel certificate: for f dominated by K S_eta psi, the integral
-  int e^{kappa beta W_r - (lam1 + kappa^2/2) beta r} dr against a closed-form
-  threshold built from the kernel-ratio constant c; that integral is the
-  blowup functional A_inf itself, so an analytic mode returns the
-  certification probability from the gamma law of blowup.analytic_blowup_bound
-  at the threshold.
+  ||f||_inf <= C* (1 - J*)^{1/beta} and the enveloped sup norm stays below C*;
+* heat-kernel certificate: for f dominated by K S_eta psi, the blowup
+  functional int e^{kappa beta W_r - (lam1 + kappa^2/2) beta r} dr of
+  blowup.lower_solution_series against a closed-form threshold built from the
+  kernel-ratio constant c; an analytic mode returns the certification
+  probability from the gamma law of blowup.analytic_blowup_bound at it.
 
 The [0, T] part of each integral is trapezoidal on the path grid; the
 (T, inf) remainder is replaced by a closed-form majorant that freezes W at
 its endpoint and grows the remaining Brownian factor at its conditional
 mean rate. A certificate is granted only if computed part plus majorant
-clears the threshold.
+clears the threshold; a clamped exponent makes both infinite.
 
 The first two share the semigroup sup-norm series of f, so one call of
 certificate_sup_norm evaluates it once for both; certificate_heat_kernel
 needs no series.
 """
-
 from __future__ import annotations
 
 import logging
@@ -36,10 +34,16 @@ from enum import Enum
 
 import numpy as np
 
-from .blowup import ModelParams, PowerLaw, TabulatedNonlinearity, analytic_blowup_bound
+from .blowup import (
+    ModelParams,
+    PowerLaw,
+    TabulatedNonlinearity,
+    _drift_scale,
+    analytic_blowup_bound,
+)
 from .domain import EigenData, _validate_initial, sup_norm_decay
 from .errors import ConfigurationError, PreconditionFailure
-from .stochastic import EXP_CLAMP, BrownianPath, _cumtrapz
+from .stochastic import EXP_CLAMP, BrownianPath, _clamped_exp, exp_functional
 
 logger = logging.getLogger(__name__)
 
@@ -120,27 +124,23 @@ def _coefficient_envelope(coeff: np.ndarray, T: float, kappa: float, eigen: Eige
 
 
 def _path_integral(
-    path: BrownianPath, b: float, weight: np.ndarray, weight_T: float, rate: float
-) -> tuple[np.ndarray, float, str | None]:
-    """J(t) = int_0^t e^{b W_r} weight(r) dr on the path grid, the (T, inf)
-    majorant, and why the integral cannot certify (None if nothing stops it).
-
-    The majorant freezes W at W_T, grows its factor at the conditional mean
-    rate b^2/2 and decays the weight as weight_T e^{-rate (r - T)}, giving
-    e^{b W_T} weight_T / (rate - b^2/2); it is infinite if that rate is not
-    positive. Exponents above EXP_CLAMP are clamped.
-    """
-    exponent = b * path.values
-    reason = None
-    if float(np.max(exponent)) > EXP_CLAMP:
-        reason = "exponential factor overflows along the path"
-        exponent = np.minimum(exponent, EXP_CLAMP)
-    J_series = _cumtrapz(np.exp(exponent) * weight, path.dt)
+    path: BrownianPath, a: float, b: float, log_weight, weight_T: float, rate: float
+) -> tuple[np.ndarray | None, float, float, str | None]:
+    """J(t) = int_0^t e^{a r + b W_r + log_weight(r)} dr on the path grid (None
+    if infinite), J(T) plus the (T, inf) majorant, the majorant, and why the
+    integral cannot certify (None if nothing stops it). The majorant freezes
+    W at W_T, grows its factor at the conditional mean rate b^2/2 and decays
+    the rest at rate: e^{a T + b W_T} weight_T / (rate - b^2/2). It is
+    infinite if that rate is not positive or an exponent is clamped."""
     c_env = rate - 0.5 * b**2
     if c_env <= 0:
-        return J_series, math.inf, "tail majorant diverges (noise growth beats decay)"
-    tail = math.exp(min(b * float(path.values[-1]), EXP_CLAMP)) * weight_T / c_env
-    return J_series, tail, reason
+        return None, math.inf, math.inf, "tail majorant diverges (noise growth beats decay)"
+    J_series, clamped = exp_functional(path, a, b, log_weight)
+    factor_T = np.array([a * path.horizon + b * float(path.values[-1])])
+    if _clamped_exp(factor_T) or clamped:
+        return None, math.inf, math.inf, "exponential factor overflows along the path"
+    tail = float(factor_T[0]) * weight_T / c_env
+    return J_series, float(J_series[-1]) + tail, tail, None
 
 
 def _report(
@@ -192,7 +192,7 @@ def certificate_sup_norm(
     * SATURATION (b = -kappa): the variant model driven by G(v) itself, where
       the power-law domination is only assumed on (0, C*). Certifies when
       ||f||_inf <= C* (1 - J*)^(1/beta) and the enveloped sup norm
-      B*(t) ||e^{-kappa^2 t/2} S_t f||_inf stays strictly inside (0, C*).
+      B*(t) ||e^{-kappa^2 t/2} S_t f||_inf, an upper bound, stays below C*.
 
     J adds a closed-form majorant for the horizon tail to the trapezoidal
     [0, T] part, so a certified J is an overestimate of the true integral up
@@ -215,16 +215,18 @@ def certificate_sup_norm(
         )
     norms = sup_norm_decay(f, path.times, params.kappa, eigen)
     N_T = _coefficient_envelope(coeff, path.horizon, params.kappa, eigen)
+    # the weight Lambda beta N^beta, in logs on the grid: an underflowed N has
+    # weight 0, and an overflowed one makes J infinite
+    with np.errstate(divide="ignore", over="ignore"):
+        log_weight = np.log(params.Lambda * params.beta) + params.beta * np.log(norms)
+        weight_T = float(params.Lambda * params.beta * np.float64(N_T) ** params.beta)
     # lam1 <= every retained eigenvalue keeps the tail a majorant
-    rate = (eigen.lam1 + 0.5 * params.kappa**2) * params.beta
-    weight = params.Lambda * params.beta * norms**params.beta
-    weight_T = params.Lambda * params.beta * N_T**params.beta
+    a, b_integral = _drift_scale(params.beta, params.kappa, eigen.lam1)
     reports = {}
     for kind in kinds:
         saturation = kind is CertificateKind.SATURATION
-        b = -params.kappa if saturation else params.kappa * params.beta
-        J_series, tail, reason = _path_integral(path, b, weight, weight_T, rate)
-        J = float(J_series[-1]) + tail
+        b = -params.kappa if saturation else b_integral
+        J_series, J, tail, reason = _path_integral(path, 0.0, b, log_weight, weight_T, -a)
         if reason is None and not J < 1.0:
             reason = f"integral {J:.6g} is not below one"
         if reason is not None:
@@ -236,12 +238,12 @@ def certificate_sup_norm(
         if saturation:
             threshold = params.Cstar * (1.0 - J) ** (1.0 / params.beta)
             sup_f = float(np.max(f))
-            inside = (bound_sup > 0.0) & (bound_sup < params.Cstar)
+            inside = bound_sup < params.Cstar
             if sup_f > threshold:
                 reason = f"||f||_inf = {sup_f:.6g} exceeds Cstar (1 - J)^(1/beta) = {threshold:.6g}"
             elif not bool(inside.all()):
                 t_out = path.times[int(np.argmin(inside))]
-                reason = f"enveloped sup norm leaves (0, Cstar) at t={t_out:.6g}"
+                reason = f"enveloped sup norm reaches Cstar at t={t_out:.6g}"
         fields = {}
         if reason is None:
             fields = {"times": path.times, "envelope": envelope, "bound_sup": bound_sup}
@@ -272,10 +274,10 @@ def certificate_heat_kernel(
         int_0^inf e^{kappa beta W_r - (lam1 + kappa^2/2) beta r} dr
             < e^{lam1 beta eta} / (Lambda beta [K (1+c) (sup psi)^2 int psi]^beta).
 
-    In path mode (path given) the left side is evaluated on the path grid plus
-    the endpoint-frozen tail majorant and compared against the right side; it
-    is infinite when the exponential factor overflows or the majorant
-    diverges. In analytic mode (path None) the left side is the blowup
+    In path mode (path given) the left side is the blowup functional of
+    lower_solution_series plus the endpoint-frozen tail majorant, compared
+    against the right side; it is infinite when an exponent is clamped or the
+    majorant diverges. In analytic mode (path None) the left side is the blowup
     functional A_inf, and the report carries the probability that the
     condition holds, analytic_blowup_bound(lam1, kappa, beta, threshold).p_global.
     A right side whose denominator underflows to 0 is +inf: every path
@@ -328,14 +330,8 @@ def certificate_heat_kernel(
             probability=probability,
         )
 
-    rate = (eigen.lam1 + 0.5 * params.kappa**2) * beta
-    J_series, tail, reason = _path_integral(
-        path, params.kappa * beta, np.exp(-rate * path.times), math.exp(-rate * path.horizon), rate
-    )
-    if reason is not None:
-        J = tail = math.inf
-    else:
-        J = float(J_series[-1]) + tail
+    a, b = _drift_scale(beta, params.kappa, eigen.lam1)
+    _, J, tail, reason = _path_integral(path, a, b, 0.0, 1.0, -a)
     if not J < threshold:
         reason = reason or f"functional {J:.6g} is not below {threshold:.6g}"
     return _report(CertificateKind.HEAT_KERNEL, J, threshold, tail, reason, times=path.times)

@@ -71,10 +71,6 @@ class DomainSpec:
     def dimension(self) -> int:
         return len(self.lengths)
 
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.lengths))
-
 
 @dataclass(frozen=True, eq=False)
 class GridSpec:
@@ -383,7 +379,8 @@ def heat_kernel_ratio_report(basis: EigenData, times) -> HeatKernelBoundReport:
     for i, t in enumerate(times):
         ratios[i] = float(np.max(R2 @ np.exp(-gaps * t)))
     gap21 = float(basis.eigenvalues[1] - basis.eigenvalues[0])
-    c_lower = float(np.max(times**-p / ratios))
+    with np.errstate(over="ignore"):  # refused below as a non-finite c
+        c_lower = float(np.max(times**-p / ratios))
     # only a time where the ratio exceeds one bounds c through the upper
     # bound; at the others e^{gap t} may overflow, and 0 * inf is nan
     above = ratios > 1.0
@@ -391,6 +388,10 @@ def heat_kernel_ratio_report(basis: EigenData, times) -> HeatKernelBoundReport:
     terms = (ratios[above] - 1.0) * np.minimum(t_up, 1.0) ** p * np.exp(gap21 * t_up)
     c_upper = float(np.max(terms, initial=0.0))
     c = max(c_lower, c_upper, np.finfo(float).tiny)
+    if not math.isfinite(c):
+        raise ConfigurationError(
+            f"the kernel-ratio constant is not finite: t^(-{p:g}) overflows at t={times.min():g}"
+        )
     lower = np.maximum(1.0, times**-p / c)
     upper = 1.0 + c * np.minimum(times, 1.0) ** -p * np.exp(-gap21 * times)
     est = _spectral_tail_estimate(basis, float(np.min(times)))

@@ -1,5 +1,9 @@
 """Brownian paths, exponential functionals, and the limiting gamma law.
 
+``exp_functional`` integrates every path functional: the blowup functional,
+which is also the heat-kernel certificate's, and the certificates' weighted
+integrals. ``_clamped_exp`` clamps its exponents and the Monte Carlo kernel's.
+
 The sampling scheme is counter-based: every path owns the generator seeded by
 ``[seed, path_index]`` and reads its increments from that one stream, in one
 call or in consecutive chunks; chunked ``standard_normal`` draws are bitwise
@@ -123,24 +127,26 @@ def gamma_shape(beta: float, kappa: float, lam1: float) -> float:
     return alpha
 
 
-def _cumtrapz(values: np.ndarray, dt: float) -> np.ndarray:
-    """Running trapezoidal integral of uniformly spaced samples, starting at 0."""
-    out = np.empty(len(values))
-    out[0] = 0.0
-    np.cumsum(0.5 * dt * (values[1:] + values[:-1]), out=out[1:])
-    return out
+def _clamped_exp(expo: np.ndarray):
+    """Exponentiate expo in place, each entry clamped to EXP_CLAMP, and return
+    whether each row (the last axis) had an entry clamped."""
+    clamped = expo.max(axis=-1) > EXP_CLAMP
+    if clamped.any():
+        np.minimum(expo, EXP_CLAMP, out=expo)
+    np.exp(expo, out=expo)
+    return clamped
 
 
-def exp_functional(path: BrownianPath, a: float, b: float) -> np.ndarray:
-    """Running trapezoidal values of A(t) = int_0^t exp(a s + b W_s) ds on
-    the path grid.
-
-    An exponent above the float64 ceiling is clamped to EXP_CLAMP, so A stays
-    finite: an understatement that signals the blowup regime, not a silent
-    infinity.
-    """
-    expo = np.minimum(a * path.times + b * path.values, EXP_CLAMP)
-    return _cumtrapz(np.exp(expo), path.dt)
+def exp_functional(
+    path: BrownianPath, a: float, b: float, log_weight=0.0
+) -> tuple[np.ndarray, bool]:
+    """Running trapezoidal values of int_0^t exp(a s + b W_s + log_weight(s)) ds
+    on the path grid, and whether an exponent passed EXP_CLAMP and was
+    clamped. log_weight is a scalar or sampled on the path grid."""
+    expo = a * path.times + b * path.values + log_weight
+    clamped = bool(_clamped_exp(expo))
+    steps = 0.5 * path.dt * (expo[1:] + expo[:-1])
+    return np.concatenate(([0.0], np.cumsum(steps))), clamped
 
 
 def gamma_tail(alpha: float, z: float) -> float:

@@ -444,7 +444,7 @@ class TestMonteCarlo:
             return int(np.sum(A >= x_star))
 
         ref = np.array(
-            [exp_functional(sample_brownian(horizon, dt, seed, i), a, b)[-1] for i in range(n)]
+            [exp_functional(sample_brownian(horizon, dt, seed, i), a, b)[0][-1] for i in range(n)]
         )
         ordered = np.sort(ref)
         x_star = 0.5 * (ordered[n // 2 - 1] + ordered[n // 2])

@@ -8,6 +8,7 @@ kappa = 1 the certificate integral is a/3, the envelope is
 """
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spdelab import certificates
-from spdelab.blowup import ModelParams, TabulatedNonlinearity
+from spdelab.blowup import ModelParams, TabulatedNonlinearity, _drift_scale
 from spdelab.certificates import (
     CertificateKind,
     CertificateReport,
@@ -25,10 +26,16 @@ from spdelab.certificates import (
     certificate_heat_kernel,
     certificate_sup_norm,
 )
-from spdelab.domain import DomainSpec, EigenData, build_grid, solve_eigenpairs
+from spdelab.domain import (
+    DomainSpec,
+    EigenData,
+    build_grid,
+    heat_kernel_ratio_report,
+    solve_eigenpairs,
+)
 from spdelab.errors import ConfigurationError, PreconditionFailure
 from spdelab.integrator import SchemeConfig, simulate_paths
-from spdelab.stochastic import BrownianPath, sample_brownian
+from spdelab.stochastic import BrownianPath, exp_functional, sample_brownian
 
 
 def gamma_q(alpha, x):
@@ -51,6 +58,19 @@ def cert_env():
 
 
 PARAMS = ModelParams(beta=1.0, kappa=1.0, Cstar=1.0)
+
+
+@pytest.fixture(scope="module")
+def small_eig():
+    """24 modes on a 64-node interval."""
+    return solve_eigenpairs(build_grid(DomainSpec(kind="interval", lengths=(math.pi,)), 64), 24)
+
+
+def linear_path(top, horizon, dt):
+    """A path whose W rises linearly from 0 to top over the horizon."""
+    return BrownianPath(
+        dt=dt, horizon=horizon, values=np.linspace(0.0, top, round(horizon / dt) + 1)
+    )
 
 
 class TestIntegralCertificate:
@@ -204,6 +224,39 @@ class TestSaturationCertificate:
                 certificate_sup_norm(path, 0.1 * eig.psi, params, eig, kinds)
 
 
+    def test_underflowed_bound_does_not_refuse(self, small_eig):
+        # on the zero path the sup-norm series of 0.2 psi underflows to 0
+        # near t = 495; the enveloped norm is an upper bound and the solution
+        # stays positive, so only reaching Cstar refuses. T = 600 used to be
+        # refused with "leaves (0, Cstar) at t=495.29", at the J of T = 400
+        params = ModelParams(beta=1.0, kappa=1.0, Cstar=2.0)
+        reps = {}
+        for T in (400.0, 600.0):
+            path = BrownianPath.frozen_zero(T, 0.01)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                reps[T] = certificate_sup_norm(
+                    path, 0.2 * small_eig.psi, params, small_eig, [INTEGRAL, SATURATION]
+                )
+        assert reps[600.0][SATURATION].bound_sup[-1] == 0.0
+        for kind in (INTEGRAL, SATURATION):
+            assert reps[400.0][kind].verdict is Verdict.CERTIFIED
+            assert reps[600.0][kind].verdict is Verdict.CERTIFIED
+            assert reps[600.0][kind].J == pytest.approx(reps[400.0][kind].J, rel=1e-15)
+
+    def test_projected_sup_over_cstar_refuses(self, small_eig):
+        # a box of height 0.01 clears Cstar (1 - J) = 0.0101, but its 24-mode
+        # projection overshoots to 0.01097, past Cstar = 0.0102, at t = 0
+        x = small_eig.grid.axes[0]
+        f = np.where(np.abs(x - math.pi / 2) < 1.0, 0.01, 0.0)
+        params = ModelParams(beta=1.0, kappa=1.0, Cstar=0.0102)
+        path = BrownianPath.frozen_zero(5.0, 0.01)
+        rep = certificate_sup_norm(path, f, params, small_eig, [SATURATION])[SATURATION]
+        assert float(np.max(f)) <= rep.threshold
+        assert rep.verdict is Verdict.NOT_CERTIFIED
+        assert rep.reason == "enveloped sup norm reaches Cstar at t=0"
+
+
 class TestHeatKernelCertificate:
     @staticmethod
     def _k_for_threshold(eig, target, eta=1.0, c=1.0):
@@ -316,6 +369,102 @@ class TestHeatKernelCertificate:
             certificate_heat_kernel(0.5, 1.0, params, eig, c=0.0)
         with pytest.raises(ConfigurationError):
             certificate_heat_kernel(0.5, 1.0, params, eig, c=math.inf)
+
+
+class TestOneKernel:
+    """Every kind integrates through exp_functional and shares one overflow
+    rule: a clamped exponent of the integrand or of the tail makes J and the
+    tail infinite."""
+
+    OVERFLOW = "exponential factor overflows along the path"
+    PARAMS = ModelParams(beta=1.0, kappa=1.0, Cstar=1e6)
+
+    @pytest.mark.parametrize("kind, top", [(INTEGRAL, 1600.0), (SATURATION, -1600.0)])
+    def test_sup_norm_kinds_overflow_to_inf(self, small_eig, kind, top):
+        # b W_T = 1600 for the integral kind on W rising to 1600, and for the
+        # saturation kind (b = -kappa) on its mirror image; the integral kind
+        # used to report the clamped, finite J = 9.96e296
+        path = linear_path(top, 2.0, 1e-3)
+        f = 1e-6 * small_eig.psi
+        rep = certificate_sup_norm(path, f, self.PARAMS, small_eig, [kind])[kind]
+        assert rep.J == rep.tail == math.inf
+        assert rep.verdict is Verdict.NOT_CERTIFIED
+        assert rep.reason == self.OVERFLOW
+
+    def test_overflowing_weight_is_infinite(self, small_eig):
+        # (1e200 sup psi)^2 overflows a float: the tail weight used to raise
+        # OverflowError, and certify exited 1 with a traceback
+        params = ModelParams(beta=2.0, kappa=1.0)
+        path = BrownianPath.frozen_zero(1.0, 0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            reps = certificate_sup_norm(path, 1e200 * small_eig.psi, params, small_eig, [INTEGRAL])
+        assert reps[INTEGRAL].J == reps[INTEGRAL].tail == math.inf
+        assert reps[INTEGRAL].verdict is Verdict.NOT_CERTIFIED
+
+    def test_heat_kernel_overflows_to_inf(self, small_eig):
+        path = linear_path(1600.0, 2.0, 1e-3)
+        rep = certificate_heat_kernel(1e-3, 1.0, self.PARAMS, small_eig, 1.0, path=path)
+        assert rep.J == rep.tail == math.inf
+        assert rep.reason == self.OVERFLOW
+
+    def test_heat_kernel_clamps_its_whole_exponent(self, small_eig):
+        # b W reaches 705, past EXP_CLAMP, but a t + b W peaks near 105: the
+        # functional is finite and its threshold gives the verdict; it used
+        # to be refused as an overflow
+        path = linear_path(705.0, 400.0, 0.01)
+        rep = certificate_heat_kernel(1e-3, 1.0, self.PARAMS, small_eig, 1.0, path=path)
+        assert math.isfinite(rep.J) and math.isfinite(rep.tail)
+        assert rep.verdict is Verdict.NOT_CERTIFIED
+        assert rep.reason == f"functional {rep.J:.6g} is not below {rep.threshold:.6g}"
+
+    def test_heat_kernel_functional_is_the_blowup_functional(self, small_eig):
+        # J is A(T) at the (a, b) that lower_solution_series uses, plus the tail
+        params = ModelParams(beta=1.3, kappa=0.8)
+        path = sample_brownian(3.0, 1e-3, 7, 0)
+        rep = certificate_heat_kernel(1.0, 1.0, params, small_eig, 1.0, path=path)
+        a, b = _drift_scale(params.beta, params.kappa, small_eig.lam1)
+        A, clamped = exp_functional(path, a, b)
+        assert not clamped
+        assert rep.J == float(A[-1]) + rep.tail
+        tail = math.exp(a * path.horizon + b * path.values[-1]) / (-a - 0.5 * b * b)
+        assert rep.tail == pytest.approx(tail, rel=1e-14)
+
+
+@pytest.fixture(scope="module")
+def sampled_env():
+    """n = 128 with 48 modes, the kernel-ratio constant fitted as certify fits
+    it (120 modes, 30 times on [0.05, 10]), and 40 paths of seed 11 on
+    T = 10, dt = 2e-3."""
+    grid = build_grid(DomainSpec(kind="interval", lengths=(math.pi,)), 128)
+    times = np.logspace(math.log10(0.05), 1.0, 30)
+    c = heat_kernel_ratio_report(solve_eigenpairs(grid, 120), times).c
+    paths = [sample_brownian(10.0, 2e-3, 11, i) for i in range(40)]
+    return solve_eigenpairs(grid, 48), c, paths
+
+
+class TestHeatKernelImpliesIntegral:
+    # (kappa, beta, K); 31, 8, 8 and 28 of the 40 paths are heat-kernel
+    # certified, and J_int / (J_hk / threshold) was at most 0.226
+    @pytest.mark.parametrize(
+        "kappa, beta, K", [(1.0, 1.0, 0.5), (1.0, 1.0, 1.5), (0.7, 1.5, 1.0), (1.5, 0.8, 0.8)]
+    )
+    def test_pathwise(self, sampled_env, kappa, beta, K):
+        # for f <= K S_eta psi and a true kernel-ratio constant, the
+        # heat-kernel condition implies the integral one, path by path
+        eig, c, paths = sampled_env
+        params = ModelParams(beta=beta, kappa=kappa)
+        f = admissible_initial(K, 1.0, eig)
+        certified = 0
+        for path in paths:
+            hk = certificate_heat_kernel(K, 1.0, params, eig, c, path=path, f=f)
+            if hk.verdict is not Verdict.CERTIFIED:
+                continue
+            certified += 1
+            rep = certificate_sup_norm(path, f, params, eig, [INTEGRAL])[INTEGRAL]
+            assert rep.verdict is Verdict.CERTIFIED
+            assert rep.J < hk.J / hk.threshold
+        assert certified > 0
 
 
 class TestTailMajorant:

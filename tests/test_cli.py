@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1102,6 +1103,28 @@ class TestHeatKernelCommand:
         summary = json.loads((out / "heatkernel_summary.json").read_text())
         assert math.isfinite(summary["c"]) and summary["c"] > 0
         assert summary["dimension"] == 1
+
+    @pytest.mark.parametrize("command", ["heat-kernel", "certify"])
+    def test_infinite_constant_exits_2_without_files(self, tmp_path, capsys, command):
+        # t^(-3/2) overflows at t = 1e-250, so the fitted c is infinite: it
+        # was written as "c": Infinity, which is not JSON, beside nan lower
+        # bounds; certify with c "fit" takes the same constant
+        cfg = interval_cfg(
+            n=64, heat_kernel={"n_modes": 40, "t_start": 1e-250, "t_stop": 10.0, "t_num": 20}
+        )
+        if command == "certify":
+            cfg.update(
+                model=MODEL,
+                sim={"dt": 0.01, "horizon": 1.0, "seed": 3},
+                certificate={"kinds": ["heat_kernel"], "K": 0.5, "c": "fit", "analytic": True},
+            )
+        out = tmp_path / "out"
+        p = write_cfg(tmp_path, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, "--config", str(p), "--out", str(out)]) == 2
+        assert "kernel-ratio constant is not finite" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 class TestWriteCsv:

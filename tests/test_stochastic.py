@@ -9,7 +9,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from spdelab.errors import ConfigurationError
 from spdelab.stochastic import (
+    EXP_CLAMP,
     BrownianPath,
+    _clamped_exp,
     blowup_density,
     brownian_increments,
     exp_functional,
@@ -100,12 +102,12 @@ class TestBrownianPath:
 class TestExpFunctional:
     def test_constant_integrand(self):
         p = BrownianPath.frozen_zero(2.0, 0.01)
-        A = exp_functional(p, 0.0, 0.0)
+        A, _ = exp_functional(p, 0.0, 0.0)
         assert_allclose(A, p.times, rtol=0, atol=1e-12)
 
     def test_closed_form_decay(self):
         p = BrownianPath.frozen_zero(5.0, 0.001)
-        A = exp_functional(p, -1.0, 0.0)
+        A, _ = exp_functional(p, -1.0, 0.0)
         assert np.max(np.abs(A - (1.0 - np.exp(-p.times)))) < 1e-6
 
     def test_infinite_horizon_limit(self):
@@ -113,13 +115,13 @@ class TestExpFunctional:
         lam1, kappa, beta = 1.0, 1.0, 1.0
         a = -(lam1 + 0.5 * kappa**2) * beta
         p = BrownianPath.frozen_zero(40.0, 0.001)
-        A = exp_functional(p, a, 0.0)
+        A, _ = exp_functional(p, a, 0.0)
         assert A[-1] == pytest.approx(1.0 / ((lam1 + 0.5 * kappa**2) * beta), rel=1e-6)
 
     def test_saturation_flag(self):
         # a = 10 passes EXP_CLAMP at t = 70: the clamp keeps A finite
         p = BrownianPath.frozen_zero(100.0, 0.1)
-        A = exp_functional(p, 10.0, 0.0)
+        A, _ = exp_functional(p, 10.0, 0.0)
         assert np.all(np.isfinite(A))
 
     @settings(max_examples=40)
@@ -130,7 +132,7 @@ class TestExpFunctional:
     )
     def test_nondecreasing(self, a, b, idx):
         p = sample_brownian(1.0, 0.01, seed=5, path_index=idx)
-        A = exp_functional(p, a, b)
+        A, _ = exp_functional(p, a, b)
         assert A[0] == 0.0
         assert np.all(np.diff(A) >= 0)
         assert np.all(A[1:] > 0)
@@ -138,9 +140,54 @@ class TestExpFunctional:
     def test_monotone_in_scale_on_nonnegative_path(self):
         base = sample_brownian(1.0, 0.01, seed=11, path_index=4)
         p = BrownianPath(dt=base.dt, horizon=base.horizon, values=np.abs(base.values))
-        low = exp_functional(p, -0.5, 0.5)
-        high = exp_functional(p, -0.5, 1.5)
+        low, _ = exp_functional(p, -0.5, 0.5)
+        high, _ = exp_functional(p, -0.5, 1.5)
         assert np.all(high >= low)
+
+    def test_clamp_flag(self):
+        # a = 10 passes EXP_CLAMP at t = 70; a = 1 never does
+        p = BrownianPath.frozen_zero(100.0, 0.1)
+        assert exp_functional(p, 10.0, 0.0)[1] is True
+        assert exp_functional(p, 1.0, 0.0)[1] is False
+
+    def test_log_weight_multiplies_the_integrand(self):
+        p = sample_brownian(2.0, 0.01, seed=5, path_index=3)
+        w = 1.0 + np.sin(3.0 * p.times) ** 2
+        A, clamped = exp_functional(p, -0.5, 0.7, np.log(w))
+        f = np.exp(-0.5 * p.times + 0.7 * p.values) * w
+        ref = np.concatenate([[0.0], np.cumsum(0.5 * p.dt * (f[1:] + f[:-1]))])
+        assert_allclose(A, ref, rtol=1e-13, atol=0)
+        assert not clamped
+
+    def test_scalar_log_weight_scales(self):
+        p = sample_brownian(1.0, 0.01, seed=5, path_index=4)
+        A, _ = exp_functional(p, -0.5, 1.0)
+        scaled, _ = exp_functional(p, -0.5, 1.0, math.log(3.0))
+        assert_allclose(scaled, 3.0 * A, rtol=1e-13, atol=0)
+
+    def test_log_weight_enters_the_clamp(self):
+        # a t alone passes EXP_CLAMP at t = 70, a t + log_weight never does,
+        # and a weight of 0 (log weight -inf) adds nothing
+        p = BrownianPath.frozen_zero(100.0, 0.1)
+        A, clamped = exp_functional(p, 10.0, 0.0, -10.0 * p.times)
+        assert not clamped
+        assert_allclose(A, p.times, rtol=1e-12, atol=0)
+        A, _ = exp_functional(p, 0.0, 0.0, np.where(p.times < 50.0, 0.0, -np.inf))
+        assert A[-1] == pytest.approx(50.0 - 0.5 * p.dt, rel=1e-12)
+
+
+class TestClampedExp:
+    def test_rows_and_values(self):
+        expo = np.array([[0.0, 800.0, 1.0], [1.0, 2.0, EXP_CLAMP]])
+        clamped = _clamped_exp(expo)
+        assert clamped.tolist() == [True, False]
+        assert_array_equal(expo, np.exp([[0.0, EXP_CLAMP, 1.0], [1.0, 2.0, EXP_CLAMP]]))
+        assert np.isfinite(expo).all()
+
+    def test_one_row(self):
+        expo = np.array([1e300, -1e300])
+        assert bool(_clamped_exp(expo)) is True
+        assert expo.tolist() == [math.exp(EXP_CLAMP), 0.0]
 
 
 class TestGammaTail:
