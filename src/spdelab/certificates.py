@@ -43,7 +43,7 @@ from .blowup import (
 )
 from .domain import EigenData, _validate_initial, sup_norm_decay
 from .errors import ConfigurationError, PreconditionFailure
-from .stochastic import EXP_CLAMP, BrownianPath, _clamped_exp, exp_functional
+from .stochastic import BrownianPath, _clamped_exp, exp_functional
 
 logger = logging.getLogger(__name__)
 
@@ -312,9 +312,13 @@ def certificate_heat_kernel(
         denom = params.Lambda * beta * (K * (1.0 + c) * sup_phi1**2 * mass_phi1) ** beta
     except OverflowError:  # float ** raises where * gives inf; both leave threshold 0
         denom = math.inf
-    numerator = math.exp(min(eigen.lam1 * beta * eta, EXP_CLAMP))
-    # a denominator that underflows to 0 puts the right side at +inf
-    threshold = numerator / denom if denom > 0 else math.inf
+    # e^{lam1 beta eta} / denom, formed in logs so that no exponent is clamped:
+    # a denominator that overflows puts the right side at 0, and one that
+    # underflows to 0 or a quotient past the largest float puts it at +inf
+    try:
+        threshold = 0.0 if denom == math.inf else math.exp(eigen.lam1 * beta * eta - math.log(denom))
+    except (ValueError, OverflowError):  # the log of 0, or the exp of the quotient
+        threshold = math.inf
 
     if path is None:
         # the left side is A_inf of the blowup functional, at the same (a, b)

@@ -2,8 +2,9 @@
 
 Everything downstream (mass pipeline, certificates, trajectory integration)
 consumes the objects built here, and each derives what it needs from the
-grid: the eigenpairs have a closed form, and the sparse matrix that only the
-integrator factors is assembled from the grid by ``_laplacian``. Conventions:
+grid: the Laplacian is the (-2, 1)/h^2 stencil on each axis, so its
+eigenpairs have a closed form and the integrator reads its implicit band off
+the spacings ``h``; no matrix is assembled. Conventions:
 
 * only interior nodes are stored; the zero boundary values are implicit;
 * quadrature is the trapezoidal rule restricted to functions vanishing on the
@@ -17,17 +18,14 @@ integrator factors is assembled from the grid by ``_laplacian``. Conventions:
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericalFailure, PreconditionFailure
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 logger = logging.getLogger(__name__)
 
@@ -112,11 +110,11 @@ def build_grid(domain: DomainSpec, n: int) -> GridSpec:
     if n < MIN_POINTS_PER_AXIS:
         raise ConfigurationError(f"grid too coarse: n={n} < {MIN_POINTS_PER_AXIS}")
     spacings = [L / (n + 1) for L in domain.lengths]
-    # the first and the last eigenvalue by _modes_1d's closed form bound
-    # every other one and the stencil's entries
-    theta = np.array([1, n]) * (math.pi / (n + 1))
+    # the first and the last eigenvalue bound every other one and the
+    # stencil's entries
+    ends = np.array([1, n])
     with np.errstate(over="ignore", divide="ignore"):
-        lo, hi = map(float, sum((2.0 / np.float64(h) * np.sin(0.5 * theta)) ** 2 for h in spacings))
+        lo, hi = map(float, sum(_eigenvalues_1d(n, np.float64(h), ends) for h in spacings))
     cell = math.prod(spacings)
     if not (lo > 0 and math.isfinite(hi) and 0 < cell < math.inf):
         raise ConfigurationError(
@@ -145,27 +143,6 @@ def _validate_initial(f: np.ndarray, grid: GridSpec) -> np.ndarray:
     if not np.any(f > 0):
         raise PreconditionFailure("initial data vanishes identically")
     return f
-
-
-def _laplacian(grid: GridSpec) -> sp.csr_matrix:
-    """Dirichlet Laplacian (negative definite) of the grid.
-
-    1D gives the tridiagonal second-difference stencil (-2, 1)/h^2; 2D the
-    tensor-product five-point stencil ``kron(T1, I) + kron(I, T2)``. Only the
-    integrator's factorization reads the matrix, so scipy.sparse is imported
-    here, on first use, and not with the package.
-    """
-    import scipy.sparse as sp
-
-    def stencil(h):
-        off = np.full(grid.n - 1, 1.0 / h**2)
-        return sp.diags([off, np.full(grid.n, -2.0 / h**2), off], (-1, 0, 1), format="csr")
-
-    blocks = [stencil(h) for h in grid.h]
-    if len(blocks) == 1:
-        return blocks[0]
-    eye = sp.identity(grid.n, format="csr")
-    return sp.kron(blocks[0], eye, format="csr") + sp.kron(eye, blocks[1], format="csr")
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,18 +197,21 @@ def weighted_inner(grid: GridSpec, f: np.ndarray, g: np.ndarray) -> float:
     return float(np.dot(grid.weights * np.asarray(f, dtype=float), np.asarray(g, dtype=float)))
 
 
-def _modes_1d(n: int, h: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """First m eigenpairs of the positive 1D stencil -(-2, 1)/h^2, in closed form.
-
+def _eigenvalues_1d(n: int, h: float, k: np.ndarray) -> np.ndarray:
+    """The eigenvalues of index k of the positive 1D stencil -(-2, 1)/h^2:
     lam_k = (2/h^2)(1 - cos(k pi/(n+1))), written as (4/h^2) sin^2(k pi/(2(n+1)))
-    to avoid cancellation for small k, and v_k(j) = sqrt(2/(n+1)) sin(j k pi/(n+1)).
-    Eigenvalues ascend, columns are orthonormal in plain l2, and the first
-    column is positive.
+    to avoid cancellation for small k."""
+    return (2.0 / h * np.sin(0.5 * (k * (math.pi / (n + 1))))) ** 2
+
+
+def _modes_1d(n: int, h: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """First m eigenpairs of the positive 1D stencil -(-2, 1)/h^2, in closed form:
+    the eigenvalues of _eigenvalues_1d, ascending, and v_k(j) = sqrt(2/(n+1))
+    sin(j k pi/(n+1)), orthonormal in plain l2 with a positive first column.
     """
-    theta = np.arange(1, m + 1) * (math.pi / (n + 1))
-    lam = (2.0 / h * np.sin(0.5 * theta)) ** 2
-    V = math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(np.arange(1, n + 1), theta))
-    return lam, V
+    k = np.arange(1, m + 1)
+    V = math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(np.arange(1, n + 1), k * (math.pi / (n + 1))))
+    return _eigenvalues_1d(n, h, k), V
 
 
 def solve_eigenpairs(grid: GridSpec, m: int) -> EigenData:
@@ -342,18 +322,19 @@ class HeatKernelBoundReport:
     truncation_warning: bool
 
 
-def _spectral_tail_estimate(basis: EigenData, t_min: float) -> float:
-    # Weyl-scaled heuristic for the modes beyond m, in ratio units: mode j osc-
-    # illates like the last retained one scaled by (j/m)^2 near the boundary.
-    d = basis.grid.domain.dimension
-    m = basis.m
-    lam1 = basis.lam1
-    lam_m = float(basis.eigenvalues[-1])
-    phi1 = basis.modes[:, 0]
-    last = float(np.max((basis.modes[:, -1] / phi1) ** 2))
-    j = np.arange(m + 1, m + 5001, dtype=float)
-    lam_j = lam_m * (j / m) ** (2.0 / d)
-    return last * float(np.sum((j / m) ** 2 * np.exp(-(lam_j - lam1) * t_min)))
+def _spectral_tail_bound(basis: EigenData, t_min: float) -> float:
+    """Upper bound, in ratio units, on the kernel ratio's terms from the modes
+    past the basis at t_min. A mode over the principal one is sin(k x)/sin(x)
+    at each node, at most k in size, or a product of two such quotients on a
+    rectangle, so the bound sums k^2 (or (a b)^2) e^{-(lam_k - lam1) t_min}
+    over every mode of the grid past the m-th in solve_eigenpairs' order.
+    """
+    grid, k = basis.grid, np.arange(1, basis.grid.n + 1)
+    lam = functools.reduce(np.add.outer, [_eigenvalues_1d(grid.n, h, k) for h in grid.h])
+    weight = functools.reduce(np.multiply.outer, [k.astype(float) ** 2] * len(grid.h))
+    past = np.argsort(lam, axis=None, kind="stable")[basis.m :]
+    gaps = lam.ravel()[past] - basis.lam1
+    return float(np.sum(weight.ravel()[past] * np.exp(-gaps * t_min)))
 
 
 def heat_kernel_ratio_report(basis: EigenData, times) -> HeatKernelBoundReport:
@@ -394,11 +375,11 @@ def heat_kernel_ratio_report(basis: EigenData, times) -> HeatKernelBoundReport:
         )
     lower = np.maximum(1.0, times**-p / c)
     upper = 1.0 + c * np.minimum(times, 1.0) ** -p * np.exp(-gap21 * times)
-    est = _spectral_tail_estimate(basis, float(np.min(times)))
+    est = _spectral_tail_bound(basis, float(np.min(times)))
     warn = est > 0.01 * float(np.min(ratios))
     if warn:
         logger.warning(
-            "spectral tail ~%.3e exceeds 1%% of the kernel at t=%.3e; add modes",
+            "spectral tail bound %.3e exceeds 1%% of the kernel at t=%.3e; add modes",
             est,
             float(np.min(times)),
         )

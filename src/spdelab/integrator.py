@@ -10,10 +10,11 @@ non-anticipating reading of the noise factor.
 One engine, ``simulate_paths``, advances a block of paths that share the
 initial field, grid and scheme: each step is one reaction evaluation on
 the (paths x nodes) block and one solve on all of its right-hand sides with
-the LAPACK Cholesky factor of the banded implicit operator. Each step writes
-its block into a staging buffer of ``STAGE_BYTES``; the sup norms, cutoff
-crossings, positivity check, mass and sup rows and the kept rows' mode
-projections run once per staged chunk of steps. It is also the single-path
+the LAPACK Cholesky factor of the banded implicit operator, whose band is
+read off the grid's (-2, 1)/h^2 stencil; no matrix is assembled. Each step
+writes its block into a staging buffer of ``STAGE_BYTES``; the sup norms,
+cutoff crossings, positivity check, mass and sup rows and the kept rows'
+mode projections run once per staged chunk of steps. It is also the single-path
 integrator: one path is a block of one, ``simulate_paths(f, [path], ...)[0]``,
 and every path's result is bitwise independent of the block it ran in and of
 the chunk width.
@@ -21,8 +22,8 @@ the chunk width.
 Numerical blowup is declared when the sup norm passes the cutoff; the path
 leaves the block at the end of its chunk and its blowup time is bracketed by
 re-integrating the offending step, from the staged last stable field, with
-halved dt (one factorization per halving level, shared by the block), so the
-reported t_b carries resolution dt / 2^MAX_HALVINGS.
+halved dt (one factorization per halving level), so the reported t_b carries
+resolution dt / 2^MAX_HALVINGS, unless a halved level no longer crosses.
 
 A trajectory keeps no node fields. At each kept row the engine stores the
 field's weighted projection onto the modes of its eigenbasis and the
@@ -46,7 +47,7 @@ from enum import Enum
 import numpy as np
 
 from .blowup import ModelParams, PowerLaw
-from .domain import EigenData, _laplacian, _validate_initial
+from .domain import EigenData, GridSpec, _validate_initial
 from .errors import ConfigurationError, NumericalFailure
 from .stochastic import EXP_CLAMP, BrownianPath
 
@@ -138,37 +139,33 @@ class TrajectoryResult:
 class _Workspace:
     """Cholesky factor of the implicit operator of one time step.
 
-    I - theta dt (lap - shift) is symmetric positive definite and banded: band
-    1 on an interval, band n on an n x n rectangle numbered row by row. Band 1
-    is factored by LAPACK's tridiagonal dpttrf, any other band by the band
-    Cholesky dpbtrf. Both solves treat each right-hand side on its own, so a
-    path's bits do not depend on the block it runs in. lap is the sparse grid
-    Laplacian and shift the zeroth-order coefficient moved into the implicit
-    solve (kappa^2/2 for the transformed equation, 0 for the physical one).
-    One workspace serves every path of a block.
+    lap is the grid's (-2, 1)/h^2 stencil on each axis, so I - theta dt
+    (lap - shift) is symmetric positive definite with a band read off the
+    spacings: 1 on an interval, n on an n x n rectangle numbered row by row.
+    Band 1 is factored by LAPACK's tridiagonal dpttrf, any other band by the
+    band Cholesky dpbtrf; each solve treats each right-hand side on its own,
+    so a path's bits do not depend on its block. shift is kappa^2/2 for the
+    transformed equation, 0 for the physical one.
     """
 
-    def __init__(self, lap, shift: float, dt: float, scheme: Scheme):
+    def __init__(self, grid: GridSpec, shift: float, dt: float, scheme: Scheme):
         # imported on first use, so that importing the package loads no scipy
-        from scipy import sparse
         from scipy.linalg import lapack
 
-        eye = sparse.identity(lap.shape[0], format="csr")
-        gen = lap - shift * eye
-        if scheme is Scheme.IMEX:
-            implicit = eye - dt * gen
-            self.explicit = None
-        else:
-            implicit = eye - 0.5 * dt * gen
-            self.explicit = (eye + 0.5 * dt * gen).tocsr()
-        # lower band storage: row i holds the i-th subdiagonal, read off the
-        # stored diagonals; data[k, j] is the entry in column j
-        dia = implicit.todia()
-        lower = {-off: diag for off, diag in zip(dia.offsets, dia.data) if off <= 0}
-        n, band = lap.shape[0], max(lower)
-        bands = np.zeros((band + 1, n))
-        for i, diag in lower.items():
-            bands[i, : n - i] = diag[: n - i]
+        theta_dt = dt if scheme is Scheme.IMEX else 0.5 * dt
+        # the diagonal of lap - shift, and the off-diagonal of lap along each axis
+        diag = sum(-2.0 / h**2 for h in grid.h) - shift
+        off = [1.0 / h**2 for h in grid.h]
+        n, npoints = grid.n, grid.npoints
+        band = 0 if npoints == 1 else n ** (len(grid.h) - 1)
+        # lower band storage: bands[k, j] is the entry in row j + k, column j
+        bands = np.zeros((band + 1, npoints))
+        bands[0] = 1.0 - theta_dt * diag
+        if band:
+            bands[1, :-1] = -(theta_dt * off[-1])
+            bands[1, n - 1 :: n] = 0.0  # no neighbour across the end of a grid row
+        if band > 1:
+            bands[band, : npoints - band] = -(theta_dt * off[0])
         if band == 1:
             d, e, info = lapack.dpttrf(bands[0], bands[1, :-1])
             self._solve = functools.partial(lapack.dpttrs, d, e, overwrite_b=1)
@@ -178,6 +175,27 @@ class _Workspace:
         if info:
             raise NumericalFailure(f"implicit operator factorization failed: LAPACK info {info}")
         self.dt = dt
+        # Crank-Nicolson's explicit operator I + theta dt (lap - shift)
+        self._explicit = None if scheme is Scheme.IMEX else (
+            (n,) * len(off), 1.0 + theta_dt * diag, [theta_dt * c for c in off]
+        )
+
+    def explicit_product(self, block: np.ndarray) -> np.ndarray:
+        """The explicit operator applied to each row of block; each entry sums
+        its terms in column order (i - n, i - 1, i, i + 1, i + n), as a CSR
+        product would."""
+        if self._explicit is None:
+            return block
+        shape, diag, off = self._explicit
+        x = block.reshape(len(block), *shape)
+        out = np.zeros_like(x)
+        axes = range(1, x.ndim)
+        for axis, c in zip(axes, off):  # lower neighbours, slowest axis first
+            np.moveaxis(out, axis, -1)[..., 1:] += c * np.moveaxis(x, axis, -1)[..., :-1]
+        out += diag * x
+        for axis, c in zip(reversed(axes), reversed(off)):  # upper neighbours
+            np.moveaxis(out, axis, -1)[..., :-1] += c * np.moveaxis(x, axis, -1)[..., 1:]
+        return out.reshape(block.shape)
 
     def solve(self, rhs: np.ndarray) -> None:
         """Overwrite rhs, one right-hand side per column in Fortran order,
@@ -220,7 +238,7 @@ def _step(block: np.ndarray, explicit_term: np.ndarray, ws: _Workspace, out: np.
     """One linear-implicit step of a block of fields, one field per row,
     written into the C-ordered out; the only place fields are advanced."""
     np.multiply(explicit_term, ws.dt, out=out)
-    out += block if ws.explicit is None else (ws.explicit @ block.T).T
+    out += ws.explicit_product(block)
     ws.solve(out.T)
 
 
@@ -244,11 +262,11 @@ def _refine_blowup_time(
     dt: float,
     cutoff: float,
 ) -> tuple[float, float]:
-    """Bracket the cutoff crossing inside [t_lo, t_hi] by dt halving, starting
-    from the stable field ``values`` at t_lo.
+    """Bracket the cutoff crossing inside the step [t_lo, t_hi] by dt halving,
+    starting from the stable field ``values`` at t_lo.
 
-    ``noise_at(t)`` gives the one-row noise term at an off-grid time, and
-    ``level_workspace(dt)`` the factorization of a halving level. The
+    ``noise_at(t)`` gives the one-row noise term at a time inside the step,
+    and ``level_workspace(dt)`` the factorization of a halving level. The
     cascade refines the PDE time step, not the noise resolution.
     """
     block = values[None, :]
@@ -265,8 +283,8 @@ def _refine_blowup_time(
                 t_hi = t + dt_f
                 break
             block, t = nxt, t + dt_f
-        # without a crossing at this dt the crossing sits at the bracket end
-        # within this resolution
+        else:  # no crossing at this dt: the bracket the last level found stays
+            break
         t_lo = t
     return t_lo, t_hi
 
@@ -280,8 +298,8 @@ def simulate_paths(
     variable: str = "v",
 ) -> list[TrajectoryResult]:
     """Integrate one field per noise path, all from f, as one block, on the
-    grid of ``eigen``, whose Laplacian is assembled here, and on the time grid
-    of the paths, which must all share one.
+    grid of ``eigen`` and on the time grid of the paths, which must all share
+    one.
 
     variable "v" integrates the transformed field, "u" the physical one with
     multiplicative Euler-Maruyama increments. Every step advances the
@@ -309,7 +327,7 @@ def simulate_paths(
         def drift(rows, steps, idx):  # the reaction at each row's own step
             return reaction(rows, noise[steps, idx])
 
-        def noise_for(j):
+        def noise_for(j, k):  # W interpolated inside the step
             times, values = paths[j].times, paths[j].values
             return lambda t: _noise_factor([np.interp(t, times, values)], params)
 
@@ -325,16 +343,11 @@ def simulate_paths(
         def drift(rows, steps, idx):  # the explicit term also carries the increment
             return params.G(rows)
 
-        def noise_for(j):
-            rates = noise[:, j]
-            return lambda t: rates[min(int(round(t / dt)), nsteps - 1), None]
+        def noise_for(j, k):  # the increment of step k, spread evenly over it
+            return lambda t: noise[k, j, None]
 
-    lap = _laplacian(eigen.grid)
-    ws = _Workspace(lap, shift, dt, cfg.scheme)
-
-    @functools.cache
-    def level_workspace(dt_level):  # one factorization per halving level and call
-        return _Workspace(lap, shift, dt_level, cfg.scheme)
+    ws = _Workspace(eigen.grid, shift, dt, cfg.scheme)
+    level_workspace = functools.partial(_Workspace, eigen.grid, shift, scheme=cfg.scheme)
 
     weights, psi = eigen.grid.weights, eigen.psi
     modes_t = np.ascontiguousarray(eigen.modes.T)
@@ -403,7 +416,7 @@ def simulate_paths(
             j, s = live[i], cross[i]
             k_stop[j] = k0 + s
             brackets[j] = _refine_blowup_time(
-                block[s, i], ts[s], ts[s] + dt, reaction, noise_for(j), level_workspace, dt,
+                block[s, i], ts[s], ts[s] + dt, reaction, noise_for(j, k0 + s), level_workspace, dt,
                 cfg.cutoff,
             )
         live, block_sup = live[~blown], new_sup[-1, ~blown]

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, settings
 
-from spdelab.domain import DomainSpec, _laplacian, build_grid, solve_eigenpairs
+from spdelab.domain import DomainSpec, build_grid, solve_eigenpairs
 
 settings.register_profile(
     "spdelab",
@@ -11,6 +12,25 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("spdelab")
+
+
+def _laplacian(grid):
+    """Dirichlet Laplacian (negative definite) of the grid, assembled as a
+    sparse matrix: the reference the library's closed forms are checked
+    against.
+
+    1D gives the tridiagonal second-difference stencil (-2, 1)/h^2; 2D the
+    tensor-product five-point stencil ``kron(T1, I) + kron(I, T2)``.
+    """
+    def stencil(h):
+        off = np.full(grid.n - 1, 1.0 / h**2)
+        return sp.diags([off, np.full(grid.n, -2.0 / h**2), off], (-1, 0, 1), format="csr")
+
+    blocks = [stencil(h) for h in grid.h]
+    if len(blocks) == 1:
+        return blocks[0]
+    eye = sp.identity(grid.n, format="csr")
+    return sp.kron(blocks[0], eye, format="csr") + sp.kron(eye, blocks[1], format="csr")
 
 
 @pytest.fixture(scope="session")

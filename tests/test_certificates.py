@@ -290,6 +290,22 @@ class TestHeatKernelCertificate:
         rep = certificate_heat_kernel(1e-300, 1.0, params, eig, c=1.0, path=path)
         assert rep.threshold == math.inf and rep.verdict is Verdict.CERTIFIED
 
+    def test_threshold_grows_past_the_exponent_clamp(self, small_eig):
+        # e^{lam1 beta eta} overflows past eta ~ 710 / (lam1 beta), but the
+        # quotient is formed in logs: the threshold grows by e^{lam1 beta d_eta}
+        # from eta = 710 to 750 to 800 (it once read 1998.28 at all three),
+        # and a quotient past the largest float is +inf
+        params = ModelParams(beta=1.0, kappa=1.0)
+        etas = (710.0, 750.0, 800.0, 2000.0)
+        thresholds = [
+            certificate_heat_kernel(1e300, eta, params, small_eig, c=4.0).threshold
+            for eta in etas
+        ]
+        assert thresholds[0] == pytest.approx(3.83e7, rel=1e-3)
+        assert thresholds[3] == math.inf
+        logs = np.log(thresholds[:3])
+        assert np.diff(logs) == pytest.approx(small_eig.lam1 * np.diff(etas[:3]), rel=1e-12)
+
     def test_probability_decreases_with_data_size(self, cert_env):
         _, eig, _ = cert_env
         params = ModelParams(beta=1.0, kappa=1.0)

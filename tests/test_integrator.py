@@ -20,11 +20,11 @@ from scipy.sparse.linalg import splu
 
 from spdelab import integrator
 from spdelab.blowup import ModelParams, PowerLaw, TabulatedNonlinearity, deterministic_dichotomy, Dichotomy
+from conftest import _laplacian
 from spdelab.domain import (
     DomainSpec,
     EigenData,
     GridSpec,
-    _laplacian,
     apply_heat_semigroup,
     build_grid,
     solve_eigenpairs,
@@ -449,6 +449,43 @@ class TestBlockEngine:
         assert stable_t <= traj.t_last_stable <= traj.t_blowup <= stable_t + dt
 
 
+    @pytest.mark.parametrize("variable", ["v", "u"])
+    @pytest.mark.parametrize("n, dt, n_paths", [(32, 0.01, 16), (16, 0.02, 8)])
+    def test_low_cutoff_brackets_stay_inside_their_step(self, n, dt, n_paths, variable):
+        # at cutoff 2 some halving levels do not cross: on 32 nodes in the u
+        # route (paths 0, 7 and 14, which once left their step and raised),
+        # on 16 nodes in the v route; each keeps the bracket found before it
+        grid = build_grid(DomainSpec(kind="interval", lengths=(math.pi,)), n)
+        eig = solve_eigenpairs(grid, 12)
+        params = ModelParams(beta=1.0, kappa=1.0)
+        paths = [sample_brownian(3.0, dt, 0, i) for i in range(n_paths)]
+        trajs = simulate_paths(3.0 * eig.psi, paths, params, eig, SchemeConfig(cutoff=2.0), variable)
+        blown = [t for t in trajs if t.outcome is Outcome.NUMERICAL_BLOWUP]
+        assert len(blown) >= 3
+        for traj in blown:
+            t_k = 0.0  # the engine's clock at the last stable step
+            for _ in range(len(traj.times) - 1):
+                t_k += dt
+            assert t_k <= traj.t_last_stable <= traj.t_blowup <= t_k + dt
+
+    def test_u_bracket_reads_only_the_crossing_steps_increment(self):
+        # moving W after the crossing step changes no increment up to it, so
+        # the refined u bracket keeps its bits; sub-steps in the second half
+        # of the step once read the next step's increment
+        grid = build_grid(DomainSpec(kind="interval", lengths=(math.pi,)), 32)
+        eig = solve_eigenpairs(grid, 12)
+        params, cfg = ModelParams(beta=1.0, kappa=1.0), SchemeConfig(cutoff=3.0)
+        path = sample_brownian(5.0, 0.01, 4, 0)
+        traj = simulate_paths(3.0 * eig.psi, [path], params, eig, cfg, "u")[0]
+        assert traj.outcome is Outcome.NUMERICAL_BLOWUP
+        k = len(traj.times) - 1  # the crossing step runs from t_k to t_{k+1}
+        values = path.values.copy()
+        values[k + 2 :] += 0.5
+        moved = BrownianPath(dt=path.dt, horizon=path.horizon, values=values)
+        again = simulate_paths(3.0 * eig.psi, [moved], params, eig, cfg, "u")[0]
+        assert (again.t_last_stable, again.t_blowup) == (traj.t_last_stable, traj.t_blowup)
+
+
 class TestWorkspace:
     @pytest.mark.parametrize("scheme", [Scheme.IMEX, Scheme.CRANK_NICOLSON])
     @pytest.mark.parametrize("shift", [0.0, 0.5], ids=["u", "v"])
@@ -463,7 +500,7 @@ class TestWorkspace:
         lengths = (math.pi,) if kind == "interval" else (math.pi, math.pi)
         grid = build_grid(DomainSpec(kind=kind, lengths=lengths), n)
         lap, dt = _laplacian(grid), 1e-3
-        ws = _Workspace(lap, shift, dt, scheme)
+        ws = _Workspace(grid, shift, dt, scheme)
         theta = 1.0 if scheme is Scheme.IMEX else 0.5
         eye = sparse.identity(grid.npoints, format="csc")
         lu = splu((eye - theta * dt * (lap - shift * eye)).tocsc())
@@ -472,6 +509,47 @@ class TestWorkspace:
         ws.solve(rhs.T)
         expected = lu.solve(block.T).T
         assert np.max(np.abs(rhs - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+    @pytest.mark.parametrize("scheme", [Scheme.IMEX, Scheme.CRANK_NICOLSON])
+    @pytest.mark.parametrize(
+        "kind, lengths, n", [("interval", (math.pi,), 8), ("interval", (2.5,), 64),
+                             ("rectangle", (math.pi, math.pi), 8),
+                             ("rectangle", (1.0, 2.5), 16), ("scalar", None, 1)]
+    )
+    def test_band_and_explicit_product_are_the_sparse_operators(self, kind, lengths, n, scheme):
+        # the closed-form band, factored, solves bitwise as the band read off
+        # the assembled sparse operator does, and the Crank-Nicolson explicit
+        # product is bitwise the CSR product; the 1-node grid has band 0
+        grid = (scalar_problem(3.0).grid if kind == "scalar"
+                else build_grid(DomainSpec(kind=kind, lengths=lengths), n))
+        dt, shift = 1e-3, 0.5
+        ws = _Workspace(grid, shift, dt, scheme)
+        theta_dt = dt if scheme is Scheme.IMEX else 0.5 * dt
+        lap = _laplacian(grid)
+        eye = sparse.identity(grid.npoints, format="csr")
+        gen = lap - shift * eye
+        dia = (eye - theta_dt * gen).todia()
+        lower = {-off: diag for off, diag in zip(dia.offsets, dia.data) if off <= 0}
+        band = max(lower)
+        bands = np.zeros((band + 1, grid.npoints))
+        for i, diag in lower.items():
+            bands[i, : grid.npoints - i] = diag[: grid.npoints - i]
+        block = np.random.default_rng(n).uniform(0.0, 1.0, (5, grid.npoints))
+        if band == 1:
+            d, e, _ = lapack.dpttrf(bands[0], bands[1, :-1])
+            expected, _ = lapack.dpttrs(d, e, block.T)
+        else:
+            chol, _ = lapack.dpbtrf(bands, lower=1)
+            expected, _ = lapack.dpbtrs(chol, block.T, lower=1)
+        rhs = np.asfortranarray(block.T)
+        ws.solve(rhs)
+        assert rhs.tobytes() == expected.tobytes()
+        product = ws.explicit_product(block)
+        if scheme is Scheme.IMEX:
+            assert product is block
+        else:
+            assert product.tobytes() == (eye + theta_dt * gen).tocsr().dot(block.T).T.tobytes()
 
 
 class TestModeCoefficients:
@@ -525,7 +603,7 @@ class TestModeCoefficients:
             grid = build_grid(DomainSpec(kind="interval", lengths=(math.pi,)), n)
             eig = solve_eigenpairs(grid, 12)
             f = 0.8 * eig.psi
-            simulate_paths(f, paths, params, eig, SchemeConfig())  # imports scipy.sparse
+            simulate_paths(f, paths, params, eig, SchemeConfig())  # imports scipy.linalg
             tracemalloc.start()
             try:
                 trajs = simulate_paths(f, paths, params, eig, SchemeConfig())
