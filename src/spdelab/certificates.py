@@ -312,11 +312,10 @@ def certificate_heat_kernel(
         denom = params.Lambda * beta * (K * (1.0 + c) * sup_phi1**2 * mass_phi1) ** beta
     except OverflowError:  # float ** raises where * gives inf; both leave threshold 0
         denom = math.inf
-    # e^{lam1 beta eta} / denom, formed in logs so that no exponent is clamped:
-    # a denominator that overflows puts the right side at 0, and one that
-    # underflows to 0 or a quotient past the largest float puts it at +inf
+    # e^{lam1 beta eta} / denom in logs, so that no exponent is clamped: 0 past an
+    # overflowing denominator, +inf past one that underflows or the largest float
     try:
-        threshold = 0.0 if denom == math.inf else math.exp(eigen.lam1 * beta * eta - math.log(denom))
+        threshold = math.exp(eigen.lam1 * beta * eta - math.log(denom))
     except (ValueError, OverflowError):  # the log of 0, or the exp of the quotient
         threshold = math.inf
 

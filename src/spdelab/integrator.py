@@ -22,8 +22,8 @@ the chunk width.
 Numerical blowup is declared when the sup norm passes the cutoff; the path
 leaves the block at the end of its chunk and its blowup time is bracketed by
 re-integrating the offending step, from the staged last stable field, with
-halved dt (one factorization per halving level), so the reported t_b carries
-resolution dt / 2^MAX_HALVINGS, unless a halved level no longer crosses.
+halved dt (one factorization per halving level, shared by the block), so t_b
+carries resolution dt / 2^MAX_HALVINGS unless a halved level no longer crosses.
 
 A trajectory keeps no node fields. At each kept row the engine stores the
 field's weighted projection onto the modes of its eigenbasis and the
@@ -157,6 +157,7 @@ class _Workspace:
         diag = sum(-2.0 / h**2 for h in grid.h) - shift
         off = [1.0 / h**2 for h in grid.h]
         n, npoints = grid.n, grid.npoints
+        # band 0 on the 1-node grid: dpttrf's wrapper refuses a 1 x 1 system
         band = 0 if npoints == 1 else n ** (len(grid.h) - 1)
         # lower band storage: bands[k, j] is the entry in row j + k, column j
         bands = np.zeros((band + 1, npoints))
@@ -177,24 +178,26 @@ class _Workspace:
         self.dt = dt
         # Crank-Nicolson's explicit operator I + theta dt (lap - shift)
         self._explicit = None if scheme is Scheme.IMEX else (
-            (n,) * len(off), 1.0 + theta_dt * diag, [theta_dt * c for c in off]
+            (n,) * len(off), 1.0 + theta_dt * diag, theta_dt * off[0], theta_dt * off[-1]
         )
 
     def explicit_product(self, block: np.ndarray) -> np.ndarray:
-        """The explicit operator applied to each row of block; each entry sums
-        its terms in column order (i - n, i - 1, i, i + 1, i + n), as a CSR
-        product would."""
+        """The explicit operator applied to each row of block, each entry summed
+        in column order (i - n, i - 1, i, i + 1, i + n) as a CSR product sums it."""
         if self._explicit is None:
             return block
-        shape, diag, off = self._explicit
-        x = block.reshape(len(block), *shape)
+        shape, diag, c_across, c_along = self._explicit
+        x = block.reshape(len(block), *shape)  # (paths, rows, n) on a rectangle
         out = np.zeros_like(x)
-        axes = range(1, x.ndim)
-        for axis, c in zip(axes, off):  # lower neighbours, slowest axis first
-            np.moveaxis(out, axis, -1)[..., 1:] += c * np.moveaxis(x, axis, -1)[..., :-1]
+        along = c_along * x
+        if x.ndim == 3:  # the neighbours i -+ n in the adjacent grid rows
+            across = c_across * x
+            out[:, 1:] += across[:, :-1]
+        out[..., 1:] += along[..., :-1]
         out += diag * x
-        for axis, c in zip(reversed(axes), reversed(off)):  # upper neighbours
-            np.moveaxis(out, axis, -1)[..., :-1] += c * np.moveaxis(x, axis, -1)[..., 1:]
+        out[..., :-1] += along[..., 1:]
+        if x.ndim == 3:
+            out[:, :-1] += across[:, 1:]
         return out.reshape(block.shape)
 
     def solve(self, rhs: np.ndarray) -> None:
@@ -316,6 +319,8 @@ def simulate_paths(
         raise ConfigurationError(f"variable must be 'v' or 'u', got {variable!r}")
     dt, nsteps = _check_grids(paths)
     f = _validate_initial(f, eigen.grid)
+    # noise_for(j, k) is path j's noise term inside step k as a function of
+    # time: v reads W interpolated at the time, u the increment of step k
     if variable == "v":
         shift = 0.5 * params.kappa**2
         # one factor per step start, and one at t = T for the last kept row
@@ -347,7 +352,10 @@ def simulate_paths(
             return lambda t: noise[k, j, None]
 
     ws = _Workspace(eigen.grid, shift, dt, cfg.scheme)
-    level_workspace = functools.partial(_Workspace, eigen.grid, shift, scheme=cfg.scheme)
+
+    @functools.cache
+    def level_workspace(dt_level):  # one factorization per halving level and call
+        return _Workspace(eigen.grid, shift, dt_level, cfg.scheme)
 
     weights, psi = eigen.grid.weights, eigen.psi
     modes_t = np.ascontiguousarray(eigen.modes.T)

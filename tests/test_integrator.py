@@ -468,6 +468,27 @@ class TestBlockEngine:
                 t_k += dt
             assert t_k <= traj.t_last_stable <= traj.t_blowup <= t_k + dt
 
+    @pytest.mark.parametrize("kind, lengths", [("interval", (math.pi,)),
+                                               ("rectangle", (math.pi, math.pi))])
+    def test_block_factors_each_halving_level_once(self, monkeypatch, kind, lengths):
+        # every blown path of a block refines through the same halving
+        # levels, so the step and each level are factored once per call
+        built = []
+
+        class CountedWorkspace(_Workspace):
+            def __init__(self, grid, shift, dt, scheme):
+                built.append(dt)
+                super().__init__(grid, shift, dt, scheme)
+
+        monkeypatch.setattr(integrator, "_Workspace", CountedWorkspace)
+        grid = build_grid(DomainSpec(kind=kind, lengths=lengths), 8)
+        eig = solve_eigenpairs(grid, 4)
+        paths = [sample_brownian(1.0, 0.01, 0, i) for i in range(8)]
+        trajs = simulate_paths(10.0 * eig.psi, paths, ModelParams(beta=1.0, kappa=1.0), eig,
+                               SchemeConfig(cutoff=2.0))
+        assert sum(t.outcome is Outcome.NUMERICAL_BLOWUP for t in trajs) >= 2
+        assert len(built) == len(set(built)) > 2
+
     def test_u_bracket_reads_only_the_crossing_steps_increment(self):
         # moving W after the crossing step changes no increment up to it, so
         # the refined u bracket keeps its bits; sub-steps in the second half
