@@ -34,7 +34,9 @@ from .blowup import (
     lower_solution_series,
     mc_blowup_probability,
 )
-from .certificates import _check_sup_norm_kind, certificate_heat_kernel, certificate_sup_norm
+from .certificates import (
+    CertificateKind, _check_sup_norm_kind, certificate_heat_kernel, certificate_sup_norm
+)
 from .config import InitialConfig, RunConfig, load_config
 from .domain import (
     EigenData,
@@ -291,7 +293,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) 
     f = _initial_field(initial, eigen)
     mass0 = weighted_inner(eigen.grid, f, eigen.psi)
     threshold = BlowupThreshold(float(mass0), params) if mass0 > 0 else None
-    # the Euler-Maruyama run is compared through its sup series only
+    # the Euler-Maruyama run is compared through its sup series and bracket
     em_cfg = replace(sim, max_snapshots=2)
     n_paths = 1 if params.kappa == 0 else sim.n_paths
     traj_rows, cons_rows, files = [], [], []
@@ -332,6 +334,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) 
                     **_consistency_row(traj, traj_em, path, params, t_i, lower, tau),
                     "weak_residual_max": weak.max(),
                     "mild_residual_max": mild.max(),
+                    "t_blowup_em": traj_em.t_blowup,
+                    "t_last_stable_em": traj_em.t_last_stable,
                 }
             )
     tables = [
@@ -365,7 +369,7 @@ def cmd_certify(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -
     # heat-kernel report needs no series and is built where it is listed
     reports = {}
     for kind in cert.kinds:
-        if kind == "heat_kernel":
+        if kind == CertificateKind.HEAT_KERNEL:
             if cert.K is None:
                 raise ConfigurationError("heat_kernel certificate needs certificate.K")
             reports[kind] = certificate_heat_kernel(
@@ -382,7 +386,7 @@ def cmd_certify(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -
         else:
             _check_sup_norm_kind(kind, f, params, eigen)
     # one series serves every sup-norm kind
-    sup_kinds = [k for k in cert.kinds if k != "heat_kernel"]
+    sup_kinds = [k for k in cert.kinds if k != CertificateKind.HEAT_KERNEL]
     if sup_kinds:
         reports.update(certificate_sup_norm(path, f, params, eigen, sup_kinds))
     rows = []

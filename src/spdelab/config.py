@@ -20,11 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from .blowup import ModelParams, PowerLaw, TabulatedNonlinearity
+from .certificates import CertificateKind
 from .domain import MIN_POINTS_PER_AXIS, MIN_RATIO_MODES, DomainSpec
 from .errors import ConfigurationError
 from .integrator import SchemeConfig
 
-_CERT_KINDS = ("integral", "saturation", "heat_kernel")
+_CERT_KINDS = tuple(kind.value for kind in CertificateKind)
 # numpy holds counts and sizes in 64-bit integers; JSON integers are unbounded
 _INT64 = 1 << 63
 

@@ -5,7 +5,9 @@ e^{-kappa W_t} G(e^{kappa W_t} v) along a fixed noise path; the physical field
 u = e^{kappa W_t} v can instead be advanced directly with a multiplicative
 Euler-Maruyama increment. Both use IMEX stepping: the stiff linear part is
 implicit, the reaction explicit at the step start, which is the
-non-anticipating reading of the noise factor.
+non-anticipating reading of the noise factor. Crank-Nicolson treats the
+linear part by the trapezoid rule instead, as the backward-Euler half step
+w extrapolated to 2w - v, so a step of either scheme is one solve.
 
 One engine, ``simulate_paths``, advances a block of paths that share the
 initial field, grid and scheme: each step is one reaction evaluation on
@@ -145,14 +147,16 @@ class _Workspace:
     Band 1 is factored by LAPACK's tridiagonal dpttrf, any other band by the
     band Cholesky dpbtrf; each solve treats each right-hand side on its own,
     so a path's bits do not depend on its block. shift is kappa^2/2 for the
-    transformed equation, 0 for the physical one.
+    transformed equation, 0 for the physical one. theta is 1 for IMEX and
+    1/2 for Crank-Nicolson, whose step extrapolates the solution (_step).
     """
 
     def __init__(self, grid: GridSpec, shift: float, dt: float, scheme: Scheme):
         # imported on first use, so that importing the package loads no scipy
         from scipy.linalg import lapack
 
-        theta_dt = dt if scheme is Scheme.IMEX else 0.5 * dt
+        self.extrapolate = scheme is Scheme.CRANK_NICOLSON
+        self.theta_dt = theta_dt = 0.5 * dt if self.extrapolate else dt
         # the diagonal of lap - shift, and the off-diagonal of lap along each axis
         diag = sum(-2.0 / h**2 for h in grid.h) - shift
         off = [1.0 / h**2 for h in grid.h]
@@ -175,30 +179,6 @@ class _Workspace:
             self._solve = functools.partial(lapack.dpbtrs, chol, lower=1, overwrite_b=1)
         if info:
             raise NumericalFailure(f"implicit operator factorization failed: LAPACK info {info}")
-        self.dt = dt
-        # Crank-Nicolson's explicit operator I + theta dt (lap - shift)
-        self._explicit = None if scheme is Scheme.IMEX else (
-            (n,) * len(off), 1.0 + theta_dt * diag, theta_dt * off[0], theta_dt * off[-1]
-        )
-
-    def explicit_product(self, block: np.ndarray) -> np.ndarray:
-        """The explicit operator applied to each row of block, each entry summed
-        in column order (i - n, i - 1, i, i + 1, i + n) as a CSR product sums it."""
-        if self._explicit is None:
-            return block
-        shape, diag, c_across, c_along = self._explicit
-        x = block.reshape(len(block), *shape)  # (paths, rows, n) on a rectangle
-        out = np.zeros_like(x)
-        along = c_along * x
-        if x.ndim == 3:  # the neighbours i -+ n in the adjacent grid rows
-            across = c_across * x
-            out[:, 1:] += across[:, :-1]
-        out[..., 1:] += along[..., :-1]
-        out += diag * x
-        out[..., :-1] += along[..., 1:]
-        if x.ndim == 3:
-            out[:, :-1] += across[:, 1:]
-        return out.reshape(block.shape)
 
     def solve(self, rhs: np.ndarray) -> None:
         """Overwrite rhs, one right-hand side per column in Fortran order,
@@ -239,10 +219,15 @@ def _transformed_reaction(
 
 def _step(block: np.ndarray, explicit_term: np.ndarray, ws: _Workspace, out: np.ndarray):
     """One linear-implicit step of a block of fields, one field per row,
-    written into the C-ordered out; the only place fields are advanced."""
-    np.multiply(explicit_term, ws.dt, out=out)
-    out += ws.explicit_product(block)
+    written into the C-ordered out; the only place fields are advanced.
+    Crank-Nicolson's half step w solves (I - dt L/2) w = v + dt R/2, so
+    2w - v solves (I - dt L/2) x = (I + dt L/2) v + dt R."""
+    np.multiply(explicit_term, ws.theta_dt, out=out)
+    out += block
     ws.solve(out.T)
+    if ws.extrapolate:
+        out *= 2.0
+        out -= block
 
 
 def _check_grids(paths: list[BrownianPath]) -> tuple[float, int]:
@@ -319,6 +304,8 @@ def simulate_paths(
         raise ConfigurationError(f"variable must be 'v' or 'u', got {variable!r}")
     dt, nsteps = _check_grids(paths)
     f = _validate_initial(f, eigen.grid)
+    if not f.max() < cfg.cutoff:
+        raise ConfigurationError(f"initial sup norm {f.max()} is not below the cutoff {cfg.cutoff}")
     # noise_for(j, k) is path j's noise term inside step k as a function of
     # time: v reads W interpolated at the time, u the increment of step k
     if variable == "v":

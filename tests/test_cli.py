@@ -586,6 +586,44 @@ class TestSimulateCommand:
         assert len(rows) == 16
         assert {row["outcome"] for row in rows} == {"numerical_blowup", "completed_horizon"}
 
+    def test_euler_maruyama_brackets_reach_the_consistency_table(self, tmp_path):
+        # the refined u-route bracket of each Euler-Maruyama blowup is written,
+        # and it lies inside the crossing step
+        out = tmp_path / "out"
+        config = CONFIGS / "simulate_low_cutoff.json"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        rows = read_csv(out / "consistency.csv")
+        cfg = load_config(config)
+        grid = build_grid(cfg.domain, cfg.domain.n)
+        eig = solve_eigenpairs(grid, 12)
+        paths = [sample_brownian(cfg.sim.horizon, cfg.sim.dt, cfg.sim.seed, i)
+                 for i in range(cfg.sim.n_paths)]
+        trajs = simulate_paths(cfg.initial.a * eig.psi, paths, cfg.model, eig, cfg.sim, "u")
+        assert any(t.t_blowup is not None for t in trajs)
+        assert any(t.t_blowup is None for t in trajs)
+        for row, traj in zip(rows, trajs):
+            if traj.t_blowup is None:
+                assert row["t_blowup_em"] == row["t_last_stable_em"] == ""
+                continue
+            lo, hi = float(row["t_last_stable_em"]), float(row["t_blowup_em"])
+            assert (lo, hi) == (traj.t_last_stable, traj.t_blowup)
+            t_k = 0.0  # the engine's clock at the last stable step
+            for _ in range(len(traj.times) - 1):
+                t_k += cfg.sim.dt
+            assert t_k <= lo <= hi <= t_k + cfg.sim.dt
+
+    def test_initial_sup_not_below_the_cutoff_exits_2(self, tmp_path, capsys):
+        # sup f = 49.9 against cutoff 2 once gave every path a blowup bracket
+        # of (0, dt / 2^10)
+        cfg = interval_cfg(
+            n=16, model=MODEL, initial={"mode": "eigen-multiple", "a": 100.0},
+            sim={"dt": 0.01, "horizon": 0.5, "n_paths": 2, "seed": 0, "cutoff": 2.0},
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert "is not below the cutoff 2.0" in capsys.readouterr().err
+        assert not (out / "trajectories.csv").exists()
+
     def test_deterministic_blowup(self, tmp_path):
         # kappa=0, mass 2 > lam1: blows up at ln 2; transform is the identity
         dom = build_grid(__import__("spdelab.domain", fromlist=["DomainSpec"]).DomainSpec(
@@ -718,9 +756,9 @@ class TestSimulateCommand:
             (0.00031485768133954206, 0.00011713610368464958),
         ],
         "simulate_rectangle.json": [
-            (0.00029210522708122966, 0.00018168482936707045),
-            (0.00026475357951460943, 0.00017243316025840504),
-            (0.0003200264830536259, 0.00019902402151597754),
+            (0.00029210522703682074, 0.00018168482935318508),
+            (0.00026475357946798006, 0.00017243316024754602),
+            (0.0003200264830052202, 0.00019902402150554063),
         ],
     }
 

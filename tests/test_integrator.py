@@ -255,6 +255,18 @@ class TestSimulateRpde:
             with pytest.raises(ConfigurationError, match=f"not finite at node 3: f={bad}"):
                 simulate_paths(f, [path], params, eig, cfg)
 
+    @pytest.mark.parametrize("variable", ["v", "u"])
+    @pytest.mark.parametrize("sup", [2.0, 49.9])
+    def test_initial_sup_not_below_the_cutoff_is_refused(self, interval_48, variable, sup):
+        # a field at the cutoff before any step would read as a blowup
+        # inside the first step
+        _, grid, _, eig = interval_48
+        path = sample_brownian(0.5, 0.01, 0, 0)
+        f = sup * eig.psi / eig.psi.max()
+        with pytest.raises(ConfigurationError, match="is not below the cutoff 2.0"):
+            simulate_paths(f, [path], ModelParams(beta=1.0, kappa=1.0), eig,
+                           SchemeConfig(cutoff=2.0), variable)
+
 
 def interval_16():
     dom = DomainSpec(kind="interval", lengths=(math.pi,))
@@ -271,7 +283,8 @@ def tabulated_square():
 
 def single_path_loop(f, path, params, eig, cfg, variable):
     """Reference: one path, one column per solve with the tridiagonal
-    Cholesky factor, mass and sup up to the first cutoff crossing."""
+    Cholesky factor, mass and sup up to the first cutoff crossing;
+    Crank-Nicolson extrapolates the backward-Euler half step w to 2w - v."""
     lap = _laplacian(eig.grid)
     eye = sparse.identity(lap.shape[0], format="csr")
     shift = 0.5 * params.kappa**2 if variable == "v" else 0.0
@@ -286,7 +299,6 @@ def single_path_loop(f, path, params, eig, cfg, variable):
         assert info == 0
         return x[:, 0]
 
-    explicit = None if theta == 1.0 else (eye + 0.5 * path.dt * gen).tocsr()
     dw = np.diff(path.values)
     v = f
     mass, sup = [float(np.dot(eig.grid.weights, eig.psi * v))], [float(np.max(np.abs(v)))]
@@ -296,7 +308,8 @@ def single_path_loop(f, path, params, eig, cfg, variable):
             r = factor * np.power(np.maximum(v, 0.0), 1.0 + params.beta)
         else:
             r = params.G(v) + params.kappa * v * (dw[k] / path.dt)
-        v = solve((v if explicit is None else explicit @ v) + path.dt * r)
+        w = solve(v + theta * path.dt * r)
+        v = w if theta == 1.0 else 2.0 * w - v
         if not np.max(np.abs(v)) < cfg.cutoff:
             break
         mass.append(float(np.dot(eig.grid.weights, eig.psi * v)))
@@ -484,8 +497,8 @@ class TestBlockEngine:
         grid = build_grid(DomainSpec(kind=kind, lengths=lengths), 8)
         eig = solve_eigenpairs(grid, 4)
         paths = [sample_brownian(1.0, 0.01, 0, i) for i in range(8)]
-        trajs = simulate_paths(10.0 * eig.psi, paths, ModelParams(beta=1.0, kappa=1.0), eig,
-                               SchemeConfig(cutoff=2.0))
+        trajs = simulate_paths(12.0 * eig.psi, paths, ModelParams(beta=1.0, kappa=1.0), eig,
+                               SchemeConfig(cutoff=6.0))
         assert sum(t.outcome is Outcome.NUMERICAL_BLOWUP for t in trajs) >= 2
         assert len(built) == len(set(built)) > 2
 
@@ -531,6 +544,27 @@ class TestWorkspace:
         expected = lu.solve(block.T).T
         assert np.max(np.abs(rhs - expected)) <= 1e-12 * np.max(np.abs(expected))
 
+    @pytest.mark.parametrize("dt", [1e-3, 0.1])
+    @pytest.mark.parametrize("shift", [0.0, 0.5], ids=["u", "v"])
+    @pytest.mark.parametrize(
+        "kind, n", [("interval", 8), ("interval", 64), ("interval", 1023),
+                    ("rectangle", 8), ("rectangle", 32)]
+    )
+    def test_crank_nicolson_step_matches_superlu(self, kind, n, shift, dt):
+        # one Crank-Nicolson step, the extrapolated half step 2w - v, against
+        # a sparse LU solve of (I - dt gen/2) x = (I + dt gen/2) v + dt r
+        lengths = (math.pi,) if kind == "interval" else (math.pi, math.pi)
+        grid = build_grid(DomainSpec(kind=kind, lengths=lengths), n)
+        ws = _Workspace(grid, shift, dt, Scheme.CRANK_NICOLSON)
+        eye = sparse.identity(grid.npoints, format="csc")
+        gen = _laplacian(grid) - shift * eye
+        lu = splu((eye - 0.5 * dt * gen).tocsc())
+        rng = np.random.default_rng(n)
+        block, r = rng.uniform(0.0, 1.0, (2, 5, grid.npoints))
+        out = np.empty_like(block)
+        integrator._step(block, r, ws, out)
+        expected = lu.solve((eye + 0.5 * dt * gen) @ block.T + dt * r.T).T
+        assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("scheme", [Scheme.IMEX, Scheme.CRANK_NICOLSON])
     @pytest.mark.parametrize(
@@ -538,10 +572,9 @@ class TestWorkspace:
                              ("rectangle", (math.pi, math.pi), 8),
                              ("rectangle", (1.0, 2.5), 16), ("scalar", None, 1)]
     )
-    def test_band_and_explicit_product_are_the_sparse_operators(self, kind, lengths, n, scheme):
+    def test_band_is_read_off_the_sparse_operator(self, kind, lengths, n, scheme):
         # the closed-form band, factored, solves bitwise as the band read off
-        # the assembled sparse operator does, and the Crank-Nicolson explicit
-        # product is bitwise the CSR product; the 1-node grid has band 0
+        # the assembled sparse operator does; the 1-node grid has band 0
         grid = (scalar_problem(3.0).grid if kind == "scalar"
                 else build_grid(DomainSpec(kind=kind, lengths=lengths), n))
         dt, shift = 1e-3, 0.5
@@ -566,11 +599,6 @@ class TestWorkspace:
         rhs = np.asfortranarray(block.T)
         ws.solve(rhs)
         assert rhs.tobytes() == expected.tobytes()
-        product = ws.explicit_product(block)
-        if scheme is Scheme.IMEX:
-            assert product is block
-        else:
-            assert product.tobytes() == (eye + theta_dt * gen).tocsr().dot(block.T).T.tobytes()
 
 
 class TestModeCoefficients:
