@@ -14,8 +14,7 @@ from __future__ import annotations
 import logging
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
@@ -40,7 +39,7 @@ MIN_MC_PATHS = 1_000
 # the per-call overhead, large ones draw past the point where a path stops
 MC_CHUNK = 2000
 # paths per block of the Monte Carlo kernel: each chunk operation is one numpy
-# call over MC_BLOCK rows; wider blocks only grow the per-thread buffer
+# call over MC_BLOCK rows; wider blocks only grow the per-worker buffer
 MC_BLOCK = 64
 # a path stops once the probability that it still hits is at most this
 MC_STOP_PROB = 1e-10
@@ -363,11 +362,14 @@ def _advance_paths(
 @dataclass(frozen=True)
 class SweepEstimate:
     """One Monte Carlo pass over n_paths paths: an estimate per threshold,
-    in input order, and the normals the pass drew."""
+    in input order, the normals the pass drew, and the processes that
+    advanced the paths. The estimates do not depend on the worker count, so
+    it takes no part in comparisons."""
 
     n_paths: int
     normals_drawn: int
     estimates: tuple[ProbabilityEstimate, ...]
+    workers: int = field(default=1, compare=False)
 
 
 def mc_blowup_probability(
@@ -389,13 +391,17 @@ def mc_blowup_probability(
     advanced once for the whole sweep. Each path index draws its own
     generator stream and runs only until, for every level, it has hit x, the
     gamma law gives it at most MC_STOP_PROB of still hitting, or the horizon.
-    Each worker thread advances its index range in blocks of MC_BLOCK paths,
-    one row per path; see ``_advance_paths``. A level's per-path results
-    equal those of a pass against it alone, so its estimate does not depend
-    on which other levels share the pass. Every row is its own path, so
-    results do not depend on the block width, and the hits are counted, so
-    the estimates are identical for any worker count. The thread pool never
-    exceeds os.cpu_count() threads.
+    With workers > 1 the index range is cut into min(workers,
+    os.cpu_count()) contiguous ranges, and each range runs in its own
+    process, forked from this one; a single range runs in this process. Each
+    range is advanced in blocks of MC_BLOCK paths, one row per path; see
+    ``_advance_paths``. A level's per-path results equal those of a pass
+    against it alone, so its estimate does not depend on which other levels
+    share the pass. Every row is its own path, so results do not depend on
+    the block width, and the hits are counted, so the estimates are
+    identical for any worker count. Every worker process has exited when
+    this returns or raises. A worker that dies, killed by a signal or by the
+    OOM killer, raises ``concurrent.futures.process.BrokenProcessPool``.
 
     The truncation allowance of a level is the mean over paths of the
     probability that a path still hits after it stopped (0 for a hit), summed
@@ -426,7 +432,16 @@ def mc_blowup_probability(
     if len(jobs) == 1:
         results = [_advance_paths(seed, *jobs[0], *args)]
     else:
-        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+        # processes, since threads serialise on the GIL between the kernel's
+        # numpy calls; forked, since a spawned worker would import numpy and
+        # scipy afresh on every call; imported on first use, since at module
+        # level the pool slows `import spdelab.cli`
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            max_workers=len(jobs), mp_context=multiprocessing.get_context("fork")
+        ) as pool:
             futures = [pool.submit(_advance_paths, seed, lo, hi, *args) for lo, hi in jobs]
             results = [f.result() for f in futures]
     A_stop, p_stop, saturated, steps = (np.concatenate(parts) for parts in zip(*results))
@@ -453,4 +468,6 @@ def mc_blowup_probability(
             for x, est in zip(x_stars, estimates)
         ),
     )
-    return SweepEstimate(n_paths=n_paths, normals_drawn=drawn, estimates=tuple(estimates))
+    return SweepEstimate(
+        n_paths=n_paths, normals_drawn=drawn, estimates=tuple(estimates), workers=len(jobs)
+    )

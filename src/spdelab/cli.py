@@ -9,7 +9,8 @@ preconditions.
 
 Every float lands in CSV via repr(), so reruns of the same config are
 byte-identical (the manifest carries the only timestamps). Output rows are
-written single-threaded in path-index order regardless of --workers.
+written by this process in path-index order regardless of --workers; with
+--workers above 1, `blowup` forks Monte Carlo worker processes.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import json
 import math
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -92,11 +94,9 @@ def write_mass_series(path: Path, t_cells: list[str], mass: np.ndarray, sup: np.
     the series: every path of a run shares one time grid, so it is
     formatted once. Each float goes through repr(), as in _cell.
     """
-    body = "".join(
-        f"{t},{m!r},{s!r}\n" for t, m, s in zip(t_cells, mass.tolist(), sup.tolist())
-    )
+    rows = zip(t_cells, map(repr, mass.tolist()), map(repr, sup.tolist()))
     with open(path, "w", newline="") as fh:
-        fh.write("t,mass,sup\n" + body)
+        fh.write("t,mass,sup\n" + "\n".join(map(",".join, rows)) + "\n")
     return path
 
 
@@ -112,7 +112,9 @@ class RunManifest:
     """Provenance record for one command invocation.
 
     Timestamps aside, a rerun of the same config produces byte-identical
-    output files; the manifest is what may differ.
+    output files; the manifest is what may differ. ``workers_requested`` is
+    --workers; ``workers_used`` is the number of processes that ran the
+    command's work, which a command that runs in one process leaves at 1.
     """
 
     command: str
@@ -121,6 +123,9 @@ class RunManifest:
     code_version: str
     seed: int | None
     started_at: str
+    workers_requested: int
+    cpu_count: int | None
+    workers_used: int = 1
     finished_at: str = ""
     outputs: list[str] = field(default_factory=list)
 
@@ -179,7 +184,7 @@ def _sample_path(sim, kappa: float, seed: int, path_index: int) -> BrownianPath:
 # commands
 
 
-def cmd_eigen(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -> list[Path]:
+def cmd_eigen(cfg: RunConfig, out_dir: Path, seed: int | None, run: RunManifest) -> list[Path]:
     """Dirichlet eigenvalues, Richardson extrapolation, principal mode"""
     dom = cfg.need("domain")
     n_coarse = dom.n
@@ -214,7 +219,7 @@ def cmd_eigen(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -> 
     return files
 
 
-def cmd_blowup(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -> list[Path]:
+def cmd_blowup(cfg: RunConfig, out_dir: Path, seed: int | None, run: RunManifest) -> list[Path]:
     """analytic blowup bounds and Monte Carlo hitting estimates"""
     params = cfg.need("model")
     sim = cfg.need("sim")
@@ -240,8 +245,9 @@ def cmd_blowup(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) ->
         horizon=sim.horizon,
         dt=sim.dt,
         seed=seed,
-        workers=workers,
+        workers=run.workers_requested,
     )
+    run.workers_used = sweep.workers
     rows = []
     for v0psi, x_star, est in zip(sim.v0psi_sweep, levels, sweep.estimates):
         bound = analytic_blowup_bound(eigen.lam1, params.kappa, params.beta, x_star)
@@ -284,7 +290,7 @@ def _consistency_row(traj, traj_em, path, params, t_i, lower, tau) -> dict:
     return {"em_transform_rel_diff": em_diff, "mass_over_lower_min": ratio_min}
 
 
-def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -> list[Path]:
+def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, run: RunManifest) -> list[Path]:
     """integrate trajectories and emit consistency diagnostics"""
     params = cfg.need("model")
     sim = cfg.need("sim")
@@ -353,7 +359,7 @@ def _fitted_c(cfg: RunConfig) -> float:
     return heat_kernel_ratio_report(_eigen_setup(cfg, m=hk.n_modes), hk.times()).c
 
 
-def cmd_certify(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -> list[Path]:
+def cmd_certify(cfg: RunConfig, out_dir: Path, seed: int | None, run: RunManifest) -> list[Path]:
     """evaluate global-existence certificates on a noise path"""
     params = cfg.need("model")
     sim = cfg.need("sim")
@@ -407,7 +413,7 @@ def cmd_certify(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -
     return [write_csv(out_dir / "certificates.csv", rows)]
 
 
-def cmd_heat_kernel(cfg: RunConfig, out_dir: Path, seed: int | None, workers: int) -> list[Path]:
+def cmd_heat_kernel(cfg: RunConfig, out_dir: Path, seed: int | None, run: RunManifest) -> list[Path]:
     """sample the kernel ratio and fit the sandwich constant"""
     hk = cfg.heat_kernel
     basis = _eigen_setup(cfg, m=hk.n_modes)
@@ -463,7 +469,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=1,
-            help="worker threads for Monte Carlo; results are worker-count invariant",
+            help="worker processes for Monte Carlo, at most the core count; results are "
+            "worker-count invariant",
         )
         p.set_defaults(fn=fn)
     return parser
@@ -480,7 +487,6 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         seed = args.seed if args.seed is not None else (cfg.sim.seed if cfg.sim else None)
         out_dir = _resolve_out_dir(args.out, cfg)
-        files = args.fn(cfg, out_dir, seed, args.workers)
         manifest = RunManifest(
             command=args.command,
             config_path=str(args.config),
@@ -488,8 +494,11 @@ def main(argv=None) -> int:
             code_version=__version__,
             seed=seed,
             started_at=started,
-            outputs=[f.name for f in files],
+            workers_requested=args.workers,
+            cpu_count=os.cpu_count(),
         )
+        files = args.fn(cfg, out_dir, seed, manifest)
+        manifest.outputs = [f.name for f in files]
         files.append(manifest.write(out_dir))
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -503,6 +512,12 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         # numpy's message names the size and shape it could not allocate
         print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
+        return 3
+    except BrokenExecutor as exc:
+        # the base of BrokenProcessPool, importable without loading the
+        # process pool: a Monte Carlo worker was killed, by a signal or by
+        # the OOM killer
+        print(f"numerical failure: a worker process died: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         # config and initial-data reads report their own OSErrors as

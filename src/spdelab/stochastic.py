@@ -10,7 +10,7 @@ call or in consecutive chunks; chunked ``standard_normal`` draws are bitwise
 equal to a single draw. The Monte Carlo kernel draws each chunk into the
 path's own row of a block of MC_BLOCK paths, so a row holds exactly the draws
 of that path. Paths are therefore bitwise reproducible regardless of
-chunking, block width, thread count, or the order in which indices are
+chunking, block width, worker count, or the order in which indices are
 visited.
 """
 

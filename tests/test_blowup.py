@@ -6,12 +6,12 @@ Carlo estimator is checked against the gamma-tail law it exists to verify,
 plus frozen regression values for bitwise reproducibility.
 """
 
+import concurrent.futures
 import functools
 import logging
 import math
+import multiprocessing
 import os
-import threading
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -649,38 +649,43 @@ class TestMonteCarlo:
         assert est.stderr == math.sqrt(0.25 * 0.75 / 400)
 
     @pytest.mark.parametrize("cores", [2, 7])
-    def test_thread_pool_capped_at_core_count(self, monkeypatch, cores):
-        class SerialPool:
-            """Records max_workers and runs each job inline; starts no thread."""
+    def test_process_pool_capped_at_core_count(self, monkeypatch, cores):
+        sizes = []
 
-            sizes = []
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            """The real pool, recording the size it is asked for."""
 
-            def __init__(self, max_workers):
-                self.sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                done = Future()
-                done.set_result(fn(*args))
-                return done
-
-        def no_threads(self):
-            raise AssertionError("a thread was started")
+            def __init__(self, max_workers, mp_context):
+                sizes.append(max_workers)
+                super().__init__(max_workers, mp_context=mp_context)
 
         kw = dict(n_paths=1000, horizon=5.0, dt=1e-3, seed=42)
         serial = mc_blowup_probability(self.PARAMS, 1.0, [self.LEVEL], workers=1, **kw)
-        monkeypatch.setattr(blowup, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        monkeypatch.setattr(threading.Thread, "start", no_threads)
         est = mc_blowup_probability(self.PARAMS, 1.0, [self.LEVEL], workers=10_000, **kw)
-        assert SerialPool.sizes == [cores]
+        assert sizes == [cores]
         assert est == serial
+        assert (serial.workers, est.workers) == (1, cores)
         assert 0 < est.estimates[0].n_censored < est.n_paths
+        assert multiprocessing.active_children() == []
+        # a worker's exception reaches the caller, and the pool is gone
+        monkeypatch.setattr(blowup, "_advance_paths", _advance_or_raise)
+        with pytest.raises(ValueError, match="injected failure in paths"):
+            mc_blowup_probability(self.PARAMS, 1.0, [self.LEVEL], workers=10_000, **kw)
+        assert sizes == [cores, cores]
+        assert multiprocessing.active_children() == []
+
+
+def _advance_or_raise(seed, lo, hi, *args):
+    """The Monte Carlo kernel, except that every range but the first raises;
+    module-level, so the pool can send it to its workers by name."""
+    if lo > 0:
+        raise ValueError(f"injected failure in paths {lo}..{hi - 1}")
+    return _ADVANCE_PATHS(seed, lo, hi, *args)
+
+
+_ADVANCE_PATHS = blowup._advance_paths
 
 
 @functools.cache

@@ -4,6 +4,8 @@ import csv
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import subprocess
 import sys
 import warnings
@@ -380,6 +382,13 @@ class TestEigenCommand:
         assert not [*out.glob("*.csv"), *out.glob("*.json")]
 
 
+def _exit_worker(*args):
+    """Stands in for the Monte Carlo kernel and kills the worker running it."""
+    if multiprocessing.parent_process() is None:
+        raise AssertionError("the kernel ran in the parent, not in a worker")
+    os._exit(1)
+
+
 class TestBlowupCommand:
     def cfg(self, **sim_extra):
         sim = {"dt": 0.01, "horizon": 10.0, "n_paths": 1000, "seed": 7, "v0psi_sweep": [0.5]}
@@ -442,6 +451,35 @@ class TestBlowupCommand:
         ref = (outs[0] / "blowup.csv").read_bytes()
         assert (outs[1] / "blowup.csv").read_bytes() == ref
         assert (outs[2] / "blowup.csv").read_bytes() == ref
+
+    def test_manifest_records_workers(self, tmp_path):
+        p = write_cfg(tmp_path, self.cfg())
+        cores = os.cpu_count()
+        for workers in (1, 3):
+            out = tmp_path / f"w{workers}"
+            assert main(["blowup", "--config", str(p), "--out", str(out),
+                         "--workers", str(workers)]) == 0
+            man = json.loads((out / "blowup_manifest.json").read_text())
+            assert man["workers_requested"] == workers
+            assert man["workers_used"] == min(workers, cores)
+            assert man["cpu_count"] == cores
+        # a command that runs in one process uses one worker
+        out = tmp_path / "eigen"
+        assert main(["eigen", "--config", str(p), "--out", str(out), "--workers", "3"]) == 0
+        man = json.loads((out / "eigen_manifest.json").read_text())
+        assert (man["workers_requested"], man["workers_used"]) == (3, 1)
+
+    def test_dead_worker_exits_3_without_csv(self, tmp_path, capsys, monkeypatch):
+        # a worker killed by a signal or by the OOM killer breaks the pool;
+        # the forked workers inherit the patched kernel
+        monkeypatch.setattr(blowup, "_advance_paths", _exit_worker)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool on any runner
+        out = tmp_path / "o"
+        p = write_cfg(tmp_path, self.cfg())
+        assert main(["blowup", "--config", str(p), "--out", str(out), "--workers", "2"]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: a worker process died:")
+        assert not (out / "blowup.csv").exists()
+        assert multiprocessing.active_children() == []
 
     def test_seed_override_recorded_and_deterministic(self, tmp_path):
         p = write_cfg(tmp_path, self.cfg())
@@ -1256,6 +1294,19 @@ class TestImports:
         after_simulate = seen["simulate"][1]
         assert "scipy.linalg" in after_simulate
         assert not any(name.startswith("scipy.sparse") for name in after_simulate)
+
+    def test_import_loads_no_process_pool(self):
+        # the Monte Carlo pool is imported on first use; at module level
+        # concurrent.futures.process alone costs about 22 ms of set-up
+        probe = (
+            "import json, sys; sys.path.insert(0, sys.argv[1]); import spdelab.cli; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == "
+            "'multiprocessing' or m.startswith('concurrent.futures.process'))))"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", probe, src], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
 
 
 class TestOutputRouting:
