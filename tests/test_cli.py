@@ -979,6 +979,44 @@ class TestSimulateCommand:
 
 
 class TestCertifyCommand:
+    # (J, threshold, tail, envelope_max) of each kind in the shipped configs'
+    # certificates.csv; None is an empty cell. The sup-norm series drops modal
+    # terms below 2^-1000, which must leave every figure here unmoved
+    PINNED_CERTIFICATES = {
+        "certify_frozen.json": {
+            "integral": (
+                0.06666671389149288, 1.0, 9.358222506624883e-15, 1.0714286256407364
+            ),
+            "saturation": (
+                0.06666671389149288, 1.8666665722170142, 9.358222506624883e-15,
+                1.0714286256407364,
+            ),
+            "heat_kernel": (0.6666681806644144, 1.0631306824755542, 9.358237129999827e-14, None),
+        },
+        "certify_sampled.json": {
+            "integral": (
+                0.07284588895566993, 1.0, 1.8133764081558952e-06, 1.0785672330409501
+            ),
+            "saturation": (
+                0.037753695777259295, 1.9244926084454814, 2.90570056081972e-10,
+                1.0392349602275526,
+            ),
+            "heat_kernel": (0.9713025221245574, 1.0637343913995263, 2.417894961615269e-05, None),
+        },
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_CERTIFICATES))
+    def test_shipped_config_certificates_are_pinned(self, tmp_path, name):
+        out = tmp_path / "out"
+        assert main(["certify", "--config", str(CONFIGS / name), "--out", str(out)]) == 0
+        rows = read_csv(out / "certificates.csv")
+        pinned = self.PINNED_CERTIFICATES[name]
+        assert [r["kind"] for r in rows] == list(pinned)
+        for row in rows:
+            cells = [row[col] for col in ("J", "threshold", "tail", "envelope_max")]
+            got = [float(c) if c else None for c in cells]
+            assert got == pytest.approx(pinned[row["kind"]], rel=1e-12, abs=0.0), row["kind"]
+
     def base_cfg(self, **cert):
         certificate = {"kinds": ["integral"], "frozen_zero_path": True}
         certificate.update(cert)

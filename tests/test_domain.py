@@ -297,6 +297,68 @@ class TestHeatSemigroup:
         # one reused buffer: the 1 MiB block is never alive twice
         assert peak <= 1.6 * 2**20
 
+    @pytest.mark.parametrize("t", [math.nan, [0.5, math.nan], -0.1])
+    def test_sup_norm_decay_refuses_negative_and_nan_times(self, interval_48, t):
+        _, _, _, eig = interval_48
+        with pytest.raises(ConfigurationError):
+            sup_norm_decay(eig.psi, np.asarray(t), 1.0, eig)
+
+    # no node of the 16x16 rectangle lies under the narrow bump
+    @pytest.mark.parametrize(
+        "shape, data",
+        [(s, d) for s in ("512", "100", "64", "short") for d in ("random", "bump")]
+        + [("16x16", "random")],
+    )
+    def test_sup_norm_decay_matches_full_basis(self, shape, data):
+        # the full-basis series: every mode in every block, no floor
+        def full_series(f, times, kappa, eig):
+            coeff = eig.project(f)
+            decay = np.exp(-np.outer(eig.eigenvalues, times)) * coeff[:, None]
+            fields = eig.modes @ decay
+            return np.max(np.abs(fields), axis=0) * np.exp(-0.5 * kappa**2 * times)
+
+        if shape == "16x16":
+            grid = build_grid(DomainSpec("rectangle", (PI, 2.0)), 16)
+            x = np.repeat(grid.axes[0], 16)
+        else:
+            # a 1e-6-long interval has lam_1 near 1e13 and sup |phi_k| near 1400
+            length, n = (1e-6, 64) if shape == "short" else (PI, int(shape))
+            grid = build_grid(DomainSpec("interval", (length,)), n)
+            x = grid.axes[0] / length
+        eig = solve_eigenpairs(grid, 48)
+        if data == "random":
+            f = np.abs(np.random.default_rng(5).standard_normal(grid.npoints))
+        else:
+            f = 37.9653 * np.maximum(0.0, 1.0 - np.abs(x - 1.0) / 0.05)
+        assert np.max(f) > 0.0
+        # unsorted times out to 200, several blocks of them
+        times = np.concatenate([np.linspace(0.0, 20.0, 601), np.linspace(20.0, 200.0, 400)])
+        times = np.random.default_rng(6).permutation(times)
+        if shape == "short":
+            times = times * 1e-12
+        atol = eig.m * 2.0**-1000
+        got = sup_norm_decay(f, times, 1.0, eig)
+        assert_allclose(got, full_series(f, times, 1.0, eig), rtol=1e-14, atol=atol)
+        # every term underflows: both sides are exactly zero
+        far = np.array([1e4, 2e4]) * (1e-12 if shape == "short" else 1.0)
+        assert np.all(sup_norm_decay(f, far, 1.0, eig) == 0.0)
+        assert np.all(full_series(f, far, 1.0, eig) == 0.0)
+
+    def test_sup_norm_decay_multiplies_few_modes_at_certify_shape(self, interval_512, monkeypatch):
+        # certify's shape: 512 nodes, 48 modes, 20,001 path times on [0, 20];
+        # most terms are below the floor, and the block products skip them
+        _, grid, _, _ = interval_512
+        eig = solve_eigenpairs(grid, 48)
+        times = np.linspace(0.0, 20.0, 20_001)
+        inner, matmul = [], np.matmul
+        monkeypatch.setattr(
+            np, "matmul", lambda a, b, **kw: inner.append(a.shape[1]) or matmul(a, b, **kw)
+        )
+        sup_norm_decay(0.2 * eig.psi, times, 1.0, eig)
+        blocks = math.ceil(times.size / 256)
+        assert len(inner) == blocks
+        assert sum(inner) <= 0.25 * eig.m * blocks
+
     def test_contraction_without_noise(self, interval_512):
         _, _, _, eig = interval_512
         f = eig.psi + 0.3 * eig.modes[:, 3]
