@@ -30,7 +30,6 @@ from .domain import (
     EigenData,
     GridSpec,
     HeatKernelBoundReport,
-    apply_heat_semigroup,
     build_grid,
     heat_kernel_ratio_report,
     richardson_extrapolate,
@@ -68,7 +67,7 @@ __all__ = [
     # domain
     "DomainSpec", "GridSpec", "EigenData", "HeatKernelBoundReport",
     "build_grid", "solve_eigenpairs", "weighted_inner",
-    "richardson_extrapolate", "apply_heat_semigroup", "sup_norm_decay",
+    "richardson_extrapolate", "sup_norm_decay",
     "heat_kernel_ratio_report",
     # stochastic
     "BrownianPath", "brownian_increments", "sample_brownian",

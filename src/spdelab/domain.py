@@ -3,8 +3,8 @@
 Everything downstream (mass pipeline, certificates, trajectory integration)
 consumes the objects built here, and each derives what it needs from the
 grid: the Laplacian is the (-2, 1)/h^2 stencil on each axis, so its
-eigenpairs have a closed form and the integrator reads its implicit band off
-the spacings ``h``; no matrix is assembled. Conventions:
+eigenpairs have a closed form, in which the integrator also solves its
+implicit step on rectangles; no matrix is assembled. Conventions:
 
 * only interior nodes are stored; the zero boundary values are implicit;
 * quadrature is the trapezoidal rule restricted to functions vanishing on the
@@ -190,11 +190,6 @@ class EigenData:
             )
         return self.modes.T @ (self.grid.weights * f)
 
-    def projection_defect(self, f: np.ndarray) -> float:
-        """Sup-norm of the part of ``f`` outside the retained basis."""
-        coeff = self.project(f)
-        return float(np.max(np.abs(np.asarray(f, dtype=float) - self.modes @ coeff)))
-
 
 def weighted_inner(grid: GridSpec, f: np.ndarray, g: np.ndarray) -> float:
     """Discrete pairing sum(w * f * g)."""
@@ -206,6 +201,15 @@ def _eigenvalues_1d(n: int, h: float, k: np.ndarray) -> np.ndarray:
     lam_k = (2/h^2)(1 - cos(k pi/(n+1))), written as (4/h^2) sin^2(k pi/(2(n+1)))
     to avoid cancellation for small k."""
     return (2.0 / h * np.sin(0.5 * (k * (math.pi / (n + 1))))) ** 2
+
+
+def _spectrum(grid: GridSpec) -> np.ndarray:
+    """Every eigenvalue of the grid's positive stencil, as an (n,) * d tensor:
+    on a rectangle, entry [i, j] is the first axis' eigenvalue of index i + 1
+    plus the second axis' of index j + 1. The stencil is separable, so its
+    eigenvectors are the tensor products of the axes' sine modes (_modes_1d)."""
+    k = np.arange(1, grid.n + 1)
+    return functools.reduce(np.add.outer, [_eigenvalues_1d(grid.n, h, k) for h in grid.h])
 
 
 def _modes_1d(n: int, h: float, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -263,19 +267,6 @@ def solve_eigenpairs(grid: GridSpec, m: int) -> EigenData:
 def richardson_extrapolate(coarse: float, fine: float, ratio: float) -> float:
     """Second-order Richardson step with exact step-size ratio ``(h_c/h_f)**2``."""
     return (ratio * fine - coarse) / (ratio - 1.0)
-
-
-def apply_heat_semigroup(f: np.ndarray, t: float, basis: EigenData) -> np.ndarray:
-    """Heat semigroup through the retained spectral basis.
-
-    Returns ``sum_k exp(-lam_k t) <f, phi_k> phi_k``. At ``t = 0`` this is the
-    projection of ``f`` onto the basis, not ``f`` itself, when ``f`` has a
-    component outside the first ``m`` modes.
-    """
-    if t < 0:
-        raise ConfigurationError(f"negative time t={t}")
-    coeff = basis.project(f)
-    return basis.modes @ (np.exp(-basis.eigenvalues * t) * coeff)
 
 
 def sup_norm_decay(f: np.ndarray, t, kappa: float, basis: EigenData):
@@ -350,7 +341,7 @@ def _spectral_tail_bound(basis: EigenData, t_min: float) -> float:
     over every mode of the grid past the m-th in solve_eigenpairs' order.
     """
     grid, k = basis.grid, np.arange(1, basis.grid.n + 1)
-    lam = functools.reduce(np.add.outer, [_eigenvalues_1d(grid.n, h, k) for h in grid.h])
+    lam = _spectrum(grid)
     weight = functools.reduce(np.multiply.outer, [k.astype(float) ** 2] * len(grid.h))
     past = np.argsort(lam, axis=None, kind="stable")[basis.m :]
     gaps = lam.ravel()[past] - basis.lam1

@@ -11,9 +11,9 @@ w extrapolated to 2w - v, so a step of either scheme is one solve.
 
 One engine, ``simulate_paths``, advances a block of paths that share the
 initial field, grid and scheme: each step is one reaction evaluation on
-the (paths x nodes) block and one solve on all of its right-hand sides with
-the LAPACK Cholesky factor of the banded implicit operator, whose band is
-read off the grid's (-2, 1)/h^2 stencil; no matrix is assembled. Each step
+the (paths x nodes) block and one solve on all of its rows, in the closed
+form of the grid's (-2, 1)/h^2 stencil: tridiagonal on an interval, diagonal
+in the tensor sine basis on a rectangle; no matrix is assembled. Each step
 writes its block into a staging buffer of ``STAGE_BYTES``; the sup norms,
 cutoff crossings, positivity check, mass and sup rows and the kept rows'
 mode projections run once per staged chunk of steps. It is also the single-path
@@ -49,7 +49,7 @@ from enum import Enum
 import numpy as np
 
 from .blowup import ModelParams, PowerLaw
-from .domain import EigenData, GridSpec, _validate_initial
+from .domain import EigenData, GridSpec, _modes_1d, _spectrum, _validate_initial
 from .errors import ConfigurationError, NumericalFailure
 from .stochastic import EXP_CLAMP, BrownianPath
 
@@ -139,53 +139,61 @@ class TrajectoryResult:
 
 
 class _Workspace:
-    """Cholesky factor of the implicit operator of one time step.
+    """The implicit operator of one time step, I - theta dt (lap - shift).
+    solve(block) overwrites a C-ordered (paths x nodes) block with the
+    solution of each row, each on its own, so a path's bits do not depend on
+    its block.
 
-    lap is the grid's (-2, 1)/h^2 stencil on each axis, so I - theta dt
-    (lap - shift) is symmetric positive definite with a band read off the
-    spacings: 1 on an interval, n on an n x n rectangle numbered row by row.
-    Band 1 is factored by LAPACK's tridiagonal dpttrf, any other band by the
-    band Cholesky dpbtrf; each solve treats each right-hand side on its own,
-    so a path's bits do not depend on its block. shift is kappa^2/2 for the
-    transformed equation, 0 for the physical one. theta is 1 for IMEX and
-    1/2 for Crank-Nicolson, whose step extrapolates the solution (_step).
+    lap is the grid's (-2, 1)/h^2 stencil on each axis. An interval of two or
+    more nodes is factored by LAPACK's tridiagonal dpttrf, O(n) a solve. Any
+    other grid is solved in the tensor sine basis of _modes_1d, where the
+    separable stencil is diagonal: a field X shaped rows x n solves as
+    V_a ((V_a X V_b) / div) V_b, div = 1 + theta dt (lam + shift) over the
+    grid's spectrum lam, each V symmetric and orthogonal (the 1-node grid is
+    one row, with V_a = 1), O(n^2) a solve on an interval. shift is kappa^2/2 for
+    v, 0 for u; theta is 1 for IMEX and 1/2 for Crank-Nicolson, whose step
+    extrapolates the solution (_step).
     """
 
     def __init__(self, grid: GridSpec, shift: float, dt: float, scheme: Scheme):
-        # imported on first use, so that importing the package loads no scipy
-        from scipy.linalg import lapack
-
         self.extrapolate = scheme is Scheme.CRANK_NICOLSON
         self.theta_dt = theta_dt = 0.5 * dt if self.extrapolate else dt
-        # the diagonal of lap - shift, and the off-diagonal of lap along each axis
-        diag = sum(-2.0 / h**2 for h in grid.h) - shift
-        off = [1.0 / h**2 for h in grid.h]
-        n, npoints = grid.n, grid.npoints
-        # band 0 on the 1-node grid: dpttrf's wrapper refuses a 1 x 1 system
-        band = 0 if npoints == 1 else n ** (len(grid.h) - 1)
-        # lower band storage: bands[k, j] is the entry in row j + k, column j
-        bands = np.zeros((band + 1, npoints))
-        bands[0] = 1.0 - theta_dt * diag
-        if band:
-            bands[1, :-1] = -(theta_dt * off[-1])
-            bands[1, n - 1 :: n] = 0.0  # no neighbour across the end of a grid row
-        if band > 1:
-            bands[band, : npoints - band] = -(theta_dt * off[0])
-        if band == 1:
-            d, e, info = lapack.dpttrf(bands[0], bands[1, :-1])
-            self._solve = functools.partial(lapack.dpttrs, d, e, overwrite_b=1)
-        else:
-            chol, info = lapack.dpbtrf(bands, lower=1)
-            self._solve = functools.partial(lapack.dpbtrs, chol, lower=1, overwrite_b=1)
-        if info:
-            raise NumericalFailure(f"implicit operator factorization failed: LAPACK info {info}")
+        n = grid.n
+        if len(grid.h) == 1 and n > 1:
+            # imported on first use, so that importing the package loads no scipy
+            from scipy.linalg import lapack
 
-    def solve(self, rhs: np.ndarray) -> None:
-        """Overwrite rhs, one right-hand side per column in Fortran order,
-        with the solution."""
-        _, info = self._solve(b=rhs)
+            (h,) = grid.h
+            d, e, info = lapack.dpttrf(
+                np.full(n, 1.0 - theta_dt * (-2.0 / h**2 - shift)),
+                np.full(n - 1, -(theta_dt * (1.0 / h**2))),
+            )
+            if info:
+                raise NumericalFailure(f"implicit operator factorization failed: LAPACK info {info}")
+            self._dpttrs = functools.partial(lapack.dpttrs, d, e, overwrite_b=1)
+            self.solve = self._solve_tridiagonal
+        else:
+            # the sine matrix of each axis, after the 1 x 1 one of a single row
+            bases = [np.ones((1, 1))] + [_modes_1d(n, h, n)[1] for h in grid.h]
+            self._rows, self._cols = bases[-2:]
+            lam = _spectrum(grid).reshape(-1, n)
+            self._div = 1.0 + theta_dt * (lam + shift)
+            self.solve = self._solve_sine
+
+    def _solve_tridiagonal(self, block: np.ndarray) -> None:
+        _, info = self._dpttrs(b=block.T)
         if info:
             raise NumericalFailure(f"linear solve failed: LAPACK info {info}")
+
+    def _solve_sine(self, block: np.ndarray) -> None:
+        # one temporary: each product past the first overwrites an operand
+        # that has been read
+        fields = block.reshape(len(block), *self._div.shape)
+        coeffs = self._rows @ fields
+        np.matmul(coeffs, self._cols, out=fields)
+        fields /= self._div
+        np.matmul(self._rows, fields, out=coeffs)
+        np.matmul(coeffs, self._cols, out=fields)
 
 
 def _noise_factor(w, params: ModelParams) -> np.ndarray:
@@ -224,7 +232,7 @@ def _step(block: np.ndarray, explicit_term: np.ndarray, ws: _Workspace, out: np.
     2w - v solves (I - dt L/2) x = (I + dt L/2) v + dt R."""
     np.multiply(explicit_term, ws.theta_dt, out=out)
     out += block
-    ws.solve(out.T)
+    ws.solve(out)
     if ws.extrapolate:
         out *= 2.0
         out -= block

@@ -794,9 +794,9 @@ class TestSimulateCommand:
             (0.00031485768133954206, 0.00011713610368464958),
         ],
         "simulate_rectangle.json": [
-            (0.00029210522703682074, 0.00018168482935318508),
-            (0.00026475357946798006, 0.00017243316024754602),
-            (0.0003200264830052202, 0.00019902402150554063),
+            (0.00029210522746692114, 0.00018168482948599488),
+            (0.0002647535799162881, 0.00017243316034688529),
+            (0.00032002648348239404, 0.00019902402160565816),
         ],
     }
 

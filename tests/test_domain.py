@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spdelab import domain
-from conftest import _laplacian
+from conftest import _heat_semigroup, _laplacian
 from spdelab.domain import (
     DomainSpec,
     GridSpec,
-    apply_heat_semigroup,
     build_grid,
     heat_kernel_ratio_report,
     richardson_extrapolate,
@@ -175,6 +174,18 @@ class TestEigenpairs:
         dense = np.linalg.eigvalsh(a.toarray())[:m]
         assert_allclose(eig.eigenvalues, dense, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("kind, lengths", [("interval", (PI,)), ("rectangle", (1.0, 2.5))])
+    def test_spectrum_belongs_to_each_tensor_sine_mode(self, kind, lengths):
+        # entry [i, j] of the grid's spectrum is the eigenvalue of the tensor
+        # product of the axes' sine modes i and j, the basis the integrator
+        # solves rectangles in; unequal spacings catch swapped axes
+        grid = build_grid(DomainSpec(kind, lengths), 12)
+        lam = domain._spectrum(grid)
+        assert lam.shape == (grid.n,) * len(lengths)
+        modes = functools.reduce(np.kron, [domain._modes_1d(grid.n, h, grid.n)[1] for h in grid.h])
+        residual = -_laplacian(grid) @ modes - modes * lam.ravel()
+        assert np.max(np.abs(residual)) <= 1e-12 * np.max(lam)
+
     def test_mode_count_guards(self, interval_48):
         _, grid, _, _ = interval_48
         with pytest.raises(ConfigurationError):
@@ -188,55 +199,6 @@ class TestEigenpairs:
 
 
 class TestHeatSemigroup:
-    def test_eigenmode_decay_exact(self, interval_512):
-        _, _, _, eig = interval_512
-        out = apply_heat_semigroup(eig.psi, 0.7, eig)
-        assert_allclose(out, math.exp(-eig.lam1 * 0.7) * eig.psi, rtol=0, atol=1e-14)
-
-    def test_identity_at_zero_for_in_span_function(self, interval_512):
-        _, _, _, eig = interval_512
-        f = eig.modes[:, 0] + 0.4 * eig.modes[:, 2] - 0.1 * eig.modes[:, 7]
-        assert np.max(np.abs(apply_heat_semigroup(f, 0.0, eig) - f)) < 1e-12
-
-    def test_second_mode(self, interval_512):
-        _, grid, _, eig = interval_512
-        f = np.sin(2.0 * grid.axes[0])
-        out = apply_heat_semigroup(f, 0.5, eig)
-        assert np.max(np.abs(out - math.exp(-4.0 * 0.5) * f)) < 1e-4
-        # and exactly with the discrete eigenvalue
-        coeff = eig.project(f)
-        exact = eig.modes @ (np.exp(-eig.eigenvalues * 0.5) * coeff)
-        assert_allclose(out, exact, rtol=0, atol=1e-15)
-
-    def test_semigroup_property(self, interval_512):
-        _, _, _, eig = interval_512
-        f = eig.psi + 0.2 * eig.modes[:, 4]
-        lhs = apply_heat_semigroup(f, 0.9, eig)
-        rhs = apply_heat_semigroup(apply_heat_semigroup(f, 0.5, eig), 0.4, eig)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-10
-
-    @settings(max_examples=25)
-    @given(t=st.floats(0.0, 2.0), s=st.floats(0.0, 2.0))
-    def test_semigroup_property_random_times(self, interval_48, t, s):
-        _, _, _, eig = interval_48
-        f = eig.psi
-        lhs = apply_heat_semigroup(f, t + s, eig)
-        rhs = apply_heat_semigroup(apply_heat_semigroup(f, s, eig), t, eig)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-10
-
-    def test_positivity_up_to_truncation(self, interval_512):
-        _, grid, _, eig = interval_512
-        x = grid.axes[0]
-        f = np.exp(-8.0 * (x - 1.1) ** 2)  # nonnegative bump, not in the retained span
-        defect = eig.projection_defect(f)
-        for t in (0.01, 0.1, 1.0):
-            assert float(np.min(apply_heat_semigroup(f, t, eig))) >= -defect
-
-    def test_negative_time_rejected(self, interval_48):
-        _, _, _, eig = interval_48
-        with pytest.raises(ConfigurationError):
-            apply_heat_semigroup(eig.psi, -0.1, eig)
-
     def test_sup_norm_decay_eigenmode_value(self, interval_512):
         _, _, _, eig = interval_512
         # e^{-1/2} * e^{-1} * sup(psi) with sup(psi) = 1/2 on [0, pi]
@@ -260,7 +222,7 @@ class TestHeatSemigroup:
         scalars = np.array([sup_norm_decay(f, t, 0.8, eig) for t in times.ravel()])
         assert_allclose(series.ravel(), scalars, rtol=1e-14, atol=0)
         reference = [
-            math.exp(-0.32 * t) * np.max(np.abs(apply_heat_semigroup(f, t, eig)))
+            math.exp(-0.32 * t) * np.max(np.abs(_heat_semigroup(f, t, eig)))
             for t in times.ravel()
         ]
         assert_allclose(scalars, reference, rtol=1e-12, atol=0)

@@ -20,12 +20,11 @@ from scipy.sparse.linalg import splu
 
 from spdelab import integrator
 from spdelab.blowup import ModelParams, PowerLaw, TabulatedNonlinearity, deterministic_dichotomy, Dichotomy
-from conftest import _laplacian
+from conftest import _heat_semigroup, _laplacian
 from spdelab.domain import (
     DomainSpec,
     EigenData,
     GridSpec,
-    apply_heat_semigroup,
     build_grid,
     solve_eigenpairs,
 )
@@ -274,6 +273,18 @@ def interval_16():
     return grid, solve_eigenpairs(grid, 4)
 
 
+def mixed_outcome_problem(kind):
+    """Eigendata and an initial field on an interval or a rectangle from
+    which the six paths sample_brownian(2.0, 2e-3, 7, i) mix blowup and
+    completion at cutoff 1e6."""
+    if kind == "interval":
+        _, eig = interval_16()
+        return eig, 3.0 * eig.psi
+    grid = build_grid(DomainSpec(kind="rectangle", lengths=(math.pi, math.pi)), 10)
+    eig = solve_eigenpairs(grid, 4)
+    return eig, 12.0 * eig.psi
+
+
 def tabulated_square():
     # G(z) = z^2 sampled geometrically far past the cutoff, so the chord
     # interpolant blows up like the power law it samples
@@ -321,14 +332,14 @@ class TestBlockEngine:
     @pytest.mark.parametrize("variable", ["v", "u"])
     @pytest.mark.parametrize("scheme", [Scheme.IMEX, Scheme.CRANK_NICOLSON])
     @pytest.mark.parametrize("nonlinearity", ["power_law", "tabulated"])
-    def test_block_width_invariance(self, variable, scheme, nonlinearity):
+    @pytest.mark.parametrize("kind", ["interval", "rectangle"])
+    def test_block_width_invariance(self, kind, variable, scheme, nonlinearity):
         # six paths that mix blowup and completion: one block, blocks of two,
         # and single-path calls give the same bytes
-        grid, eig = interval_16()
+        eig, f = mixed_outcome_problem(kind)
         g = PowerLaw() if nonlinearity == "power_law" else tabulated_square()
         params = ModelParams(beta=1.0, kappa=1.0, G=g)
         cfg = SchemeConfig(cutoff=1e6, scheme=scheme, max_snapshots=40)
-        f = 3.0 * eig.psi
         paths = [sample_brownian(2.0, 2e-3, 7, i) for i in range(6)]
         single = [simulate_paths(f, [p], params, eig, cfg, variable)[0] for p in paths]
         pairs = [r for i in range(0, 6, 2)
@@ -362,19 +373,20 @@ class TestBlockEngine:
 
     @pytest.mark.parametrize("variable", ["v", "u"])
     @pytest.mark.parametrize("scheme", [Scheme.IMEX, Scheme.CRANK_NICOLSON])
-    def test_chunk_width_invariance(self, monkeypatch, variable, scheme):
+    @pytest.mark.parametrize("kind", ["interval", "rectangle"])
+    def test_chunk_width_invariance(self, monkeypatch, kind, variable, scheme):
         # six paths that mix blowup and completion, staged one step at a
         # time, seven steps at a time (the kept-row stride is 26) and at the
         # default width, give the same bytes
-        grid, eig = interval_16()
+        eig, f = mixed_outcome_problem(kind)
         params = ModelParams(beta=1.0, kappa=1.0)
         cfg = SchemeConfig(cutoff=1e6, scheme=scheme, max_snapshots=40)
         paths = [sample_brownian(2.0, 2e-3, 7, i) for i in range(6)]
-        step_bytes = 8 * len(paths) * grid.npoints
+        step_bytes = 8 * len(paths) * eig.grid.npoints
         runs = []
         for stage_bytes in (step_bytes, 7 * step_bytes, integrator.STAGE_BYTES):
             monkeypatch.setattr(integrator, "STAGE_BYTES", stage_bytes)
-            runs.append(simulate_paths(3.0 * eig.psi, paths, params, eig, cfg, variable))
+            runs.append(simulate_paths(f, paths, params, eig, cfg, variable))
         assert math.ceil((paths[0].nsteps + 1) / cfg.max_snapshots) == 26
         assert {r.outcome for r in runs[0]} == {Outcome.COMPLETED, Outcome.NUMERICAL_BLOWUP}
         for run in runs[1:]:
@@ -520,19 +532,27 @@ class TestBlockEngine:
         assert (again.t_last_stable, again.t_blowup) == (traj.t_last_stable, traj.t_blowup)
 
 
+def workspace_grid(kind, n):
+    """An interval, a square or a strip whose axes differ in spacing, so that
+    a solve that swaps the axes of a rectangle fails."""
+    lengths = {"interval": (math.pi,), "rectangle": (math.pi, math.pi), "strip": (1.0, 2.5)}[kind]
+    return build_grid(DomainSpec(kind="interval" if kind == "interval" else "rectangle",
+                                 lengths=lengths), n)
+
+
 class TestWorkspace:
     @pytest.mark.parametrize("scheme", [Scheme.IMEX, Scheme.CRANK_NICOLSON])
     @pytest.mark.parametrize("shift", [0.0, 0.5], ids=["u", "v"])
     @pytest.mark.parametrize(
         "kind, n", [("interval", 8), ("interval", 64), ("interval", 1023),
-                    ("rectangle", 8), ("rectangle", 32)]
+                    ("rectangle", 8), ("rectangle", 32), ("strip", 16)]
     )
     def test_solve_matches_superlu(self, kind, n, shift, scheme):
-        # the band Cholesky solve against a sparse LU solve of the same
-        # implicit operator I - theta dt (lap - shift), shift = kappa^2/2 at
-        # kappa = 1 for v; the solve overwrites its right-hand sides
-        lengths = (math.pi,) if kind == "interval" else (math.pi, math.pi)
-        grid = build_grid(DomainSpec(kind=kind, lengths=lengths), n)
+        # the tridiagonal (interval) and sine-basis (rectangle) solves against
+        # a sparse LU solve of the same implicit operator I - theta dt (lap -
+        # shift), shift = kappa^2/2 at kappa = 1 for v; the solve overwrites
+        # its block of right-hand sides
+        grid = workspace_grid(kind, n)
         lap, dt = _laplacian(grid), 1e-3
         ws = _Workspace(grid, shift, dt, scheme)
         theta = 1.0 if scheme is Scheme.IMEX else 0.5
@@ -540,7 +560,7 @@ class TestWorkspace:
         lu = splu((eye - theta * dt * (lap - shift * eye)).tocsc())
         block = np.random.default_rng(n).uniform(0.0, 1.0, (5, grid.npoints))
         rhs = block.copy()
-        ws.solve(rhs.T)
+        ws.solve(rhs)
         expected = lu.solve(block.T).T
         assert np.max(np.abs(rhs - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -548,13 +568,12 @@ class TestWorkspace:
     @pytest.mark.parametrize("shift", [0.0, 0.5], ids=["u", "v"])
     @pytest.mark.parametrize(
         "kind, n", [("interval", 8), ("interval", 64), ("interval", 1023),
-                    ("rectangle", 8), ("rectangle", 32)]
+                    ("rectangle", 8), ("rectangle", 32), ("strip", 16)]
     )
     def test_crank_nicolson_step_matches_superlu(self, kind, n, shift, dt):
         # one Crank-Nicolson step, the extrapolated half step 2w - v, against
         # a sparse LU solve of (I - dt gen/2) x = (I + dt gen/2) v + dt r
-        lengths = (math.pi,) if kind == "interval" else (math.pi, math.pi)
-        grid = build_grid(DomainSpec(kind=kind, lengths=lengths), n)
+        grid = workspace_grid(kind, n)
         ws = _Workspace(grid, shift, dt, Scheme.CRANK_NICOLSON)
         eye = sparse.identity(grid.npoints, format="csc")
         gen = _laplacian(grid) - shift * eye
@@ -567,38 +586,21 @@ class TestWorkspace:
         assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("scheme", [Scheme.IMEX, Scheme.CRANK_NICOLSON])
-    @pytest.mark.parametrize(
-        "kind, lengths, n", [("interval", (math.pi,), 8), ("interval", (2.5,), 64),
-                             ("rectangle", (math.pi, math.pi), 8),
-                             ("rectangle", (1.0, 2.5), 16), ("scalar", None, 1)]
-    )
-    def test_band_is_read_off_the_sparse_operator(self, kind, lengths, n, scheme):
-        # the closed-form band, factored, solves bitwise as the band read off
-        # the assembled sparse operator does; the 1-node grid has band 0
-        grid = (scalar_problem(3.0).grid if kind == "scalar"
-                else build_grid(DomainSpec(kind=kind, lengths=lengths), n))
+    @pytest.mark.parametrize("lengths, n", [((math.pi,), 8), ((2.5,), 64)])
+    def test_band_is_read_off_the_sparse_operator(self, lengths, n, scheme):
+        # on an interval the closed-form tridiagonal operator, factored,
+        # solves bitwise as the one read off the assembled sparse operator
+        grid = build_grid(DomainSpec(kind="interval", lengths=lengths), n)
         dt, shift = 1e-3, 0.5
         ws = _Workspace(grid, shift, dt, scheme)
         theta_dt = dt if scheme is Scheme.IMEX else 0.5 * dt
-        lap = _laplacian(grid)
         eye = sparse.identity(grid.npoints, format="csr")
-        gen = lap - shift * eye
-        dia = (eye - theta_dt * gen).todia()
-        lower = {-off: diag for off, diag in zip(dia.offsets, dia.data) if off <= 0}
-        band = max(lower)
-        bands = np.zeros((band + 1, grid.npoints))
-        for i, diag in lower.items():
-            bands[i, : grid.npoints - i] = diag[: grid.npoints - i]
+        implicit = eye - theta_dt * (_laplacian(grid) - shift * eye)
+        d, e, _ = lapack.dpttrf(implicit.diagonal(), implicit.diagonal(-1))
         block = np.random.default_rng(n).uniform(0.0, 1.0, (5, grid.npoints))
-        if band == 1:
-            d, e, _ = lapack.dpttrf(bands[0], bands[1, :-1])
-            expected, _ = lapack.dpttrs(d, e, block.T)
-        else:
-            chol, _ = lapack.dpbtrf(bands, lower=1)
-            expected, _ = lapack.dpbtrs(chol, block.T, lower=1)
-        rhs = np.asfortranarray(block.T)
-        ws.solve(rhs)
-        assert rhs.tobytes() == expected.tobytes()
+        expected, _ = lapack.dpttrs(d, e, block.T)
+        ws.solve(block)
+        assert block.tobytes() == expected.T.tobytes()
 
 
 class TestModeCoefficients:
@@ -794,7 +796,7 @@ class TestMildResidual:
         times = np.linspace(0.0, 1.0, 11)
         f = eig.psi
         snaps = np.stack([
-            math.exp(-0.5 * kappa**2 * t) * apply_heat_semigroup(f, t, eig) for t in times
+            math.exp(-0.5 * kappa**2 * t) * _heat_semigroup(f, t, eig) for t in times
         ])
         coeffs = (snaps * grid.weights) @ eig.modes
         traj = TrajectoryResult(
