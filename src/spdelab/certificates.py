@@ -15,8 +15,9 @@ stochastic.exp_functional evaluates with log w as its log weight:
   kernel-ratio constant c; an analytic mode returns the certification
   probability from the gamma law of blowup.analytic_blowup_bound at it.
 
-The [0, T] part of each integral is trapezoidal on the path grid; the
-(T, inf) remainder is replaced by a closed-form majorant that freezes W at
+The [0, T] part of each integral is trapezoidal on the path grid, with T
+its last grid time, which is the horizon when dt divides it; the (T, inf)
+remainder is replaced by a closed-form majorant that freezes W at
 its endpoint and grows the remaining Brownian factor at its conditional
 mean rate. A certificate is granted only if computed part plus majorant
 clears the threshold; a clamped exponent makes both infinite.
@@ -136,7 +137,7 @@ def _path_integral(
     if c_env <= 0:
         return None, math.inf, math.inf, "tail majorant diverges (noise growth beats decay)"
     J_series, clamped = exp_functional(path, a, b, log_weight)
-    factor_T = np.array([a * path.horizon + b * float(path.values[-1])])
+    factor_T = np.array([a * float(path.times[-1]) + b * float(path.values[-1])])
     if _clamped_exp(factor_T) or clamped:
         return None, math.inf, math.inf, "exponential factor overflows along the path"
     tail = float(factor_T[0]) * weight_T / c_env
@@ -214,7 +215,7 @@ def certificate_sup_norm(
             defect / scale,
         )
     norms = sup_norm_decay(f, path.times, params.kappa, eigen)
-    N_T = _coefficient_envelope(coeff, path.horizon, params.kappa, eigen)
+    N_T = _coefficient_envelope(coeff, float(path.times[-1]), params.kappa, eigen)
     # the weight Lambda beta N^beta, in logs on the grid: an underflowed N has
     # weight 0, and an overflowed one makes J infinite
     with np.errstate(divide="ignore", over="ignore"):

@@ -1,10 +1,12 @@
-"""Dirichlet Laplacian on an interval or rectangle: grids, eigenpairs, heat semigroup.
+"""Dirichlet Laplacian on an interval or rectangle: grids, eigenpairs, the
+sup-norm series of the heat semigroup and the heat-kernel ratio report.
 
 Everything downstream (mass pipeline, certificates, trajectory integration)
 consumes the objects built here, and each derives what it needs from the
 grid: the Laplacian is the (-2, 1)/h^2 stencil on each axis, so its
-eigenpairs have a closed form, in which the integrator also solves its
-implicit step on rectangles; no matrix is assembled. Conventions:
+eigenpairs have a closed form: ``_spectrum`` and ``_sine_vectors``, which
+the eigenpairs and the integrator's step on rectangles read; no matrix is
+assembled. Conventions:
 
 * only interior nodes are stored; the zero boundary values are implicit;
 * quadrature is the trapezoidal rule restricted to functions vanishing on the
@@ -207,27 +209,26 @@ def _spectrum(grid: GridSpec) -> np.ndarray:
     """Every eigenvalue of the grid's positive stencil, as an (n,) * d tensor:
     on a rectangle, entry [i, j] is the first axis' eigenvalue of index i + 1
     plus the second axis' of index j + 1. The stencil is separable, so its
-    eigenvectors are the tensor products of the axes' sine modes (_modes_1d)."""
+    eigenvectors are the tensor products of the axes' _sine_vectors."""
     k = np.arange(1, grid.n + 1)
     return functools.reduce(np.add.outer, [_eigenvalues_1d(grid.n, h, k) for h in grid.h])
 
 
-def _modes_1d(n: int, h: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """First m eigenpairs of the positive 1D stencil -(-2, 1)/h^2, in closed form:
-    the eigenvalues of _eigenvalues_1d, ascending, and v_k(j) = sqrt(2/(n+1))
-    sin(j k pi/(n+1)), orthonormal in plain l2 with a positive first column.
-    """
-    k = np.arange(1, m + 1)
-    V = math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(np.arange(1, n + 1), k * (math.pi / (n + 1))))
-    return _eigenvalues_1d(n, h, k), V
+def _sine_vectors(n: int, k: np.ndarray) -> np.ndarray:
+    """The eigenvectors of index k of the 1D stencil on n nodes, as columns:
+    v_k(j) = sqrt(2/(n+1)) sin(j k pi/(n+1)), orthonormal in plain l2 and
+    positive for k = 1. They do not depend on the spacing."""
+    return math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(np.arange(1, n + 1), k * (math.pi / (n + 1))))
 
 
 def solve_eigenpairs(grid: GridSpec, m: int) -> EigenData:
     """The first ``m`` Dirichlet eigenpairs on ``grid``, ascending, from the
     closed-form spectrum of the stencil; no matrix is assembled.
 
-    The rectangle case combines tensor-product pairs of the two 1D problems,
-    which is exact for the separable five-point stencil.
+    The modes are the first m entries of ``_spectrum`` in stable order, ties
+    in row-major order of their indices. Mode j is the tensor product of the
+    axes' sine vectors at the indices of its entry, which is exact for the
+    separable stencil, rescaled to unit weighted L2 norm.
 
     Raises
     ------
@@ -241,27 +242,19 @@ def solve_eigenpairs(grid: GridSpec, m: int) -> EigenData:
         raise ConfigurationError(f"need at least two modes, got m={m}")
     if m > grid.npoints:
         raise ConfigurationError(f"m={m} exceeds grid size {grid.npoints}")
-    if grid.domain.dimension == 1:
-        lam, V = _modes_1d(grid.n, grid.h[0], m)
-        modes = V / math.sqrt(grid.h[0])  # plain l2 -> weighted L2 normalization
-    else:
-        m_axis = min(grid.n, m)
-        lam_a, V_a = _modes_1d(grid.n, grid.h[0], m_axis)
-        lam_b, V_b = _modes_1d(grid.n, grid.h[1], m_axis)
-        sums = lam_a[:, None] + lam_b[None, :]
-        flat = np.argsort(sums, axis=None, kind="stable")[:m]
-        ia, ib = np.unravel_index(flat, sums.shape)
-        lam = sums[ia, ib]
-        # column j is kron(V_a[:, ia[j]], V_b[:, ib[j]]) in row-major ij order
-        cell = math.sqrt(grid.h[0] * grid.h[1])
-        modes = (V_a[:, None, ia] * V_b[None, :, ib]).reshape(grid.npoints, m) / cell
+    lam = _spectrum(grid)
+    order = np.argsort(lam, axis=None, kind="stable")[:m]
+    # column j is kron over the axes of the sine vectors at order[j]'s indices
+    vectors = [_sine_vectors(grid.n, k + 1) for k in np.unravel_index(order, lam.shape)]
+    modes = functools.reduce(lambda a, b: (a[:, None] * b[None]).reshape(-1, m), vectors)
+    modes /= math.sqrt(math.prod(grid.h))  # plain l2 -> weighted L2 normalization
     phi1 = modes[:, 0]
     scale = weighted_inner(grid, np.ones_like(phi1), phi1)
     psi = phi1 / scale
     total = float(np.dot(grid.weights, psi))
     if abs(total - 1.0) > 1e-12:
         raise NumericalFailure(f"psi normalization defect {total - 1.0:.3e}")
-    return EigenData(grid=grid, eigenvalues=lam, modes=modes, psi=psi)
+    return EigenData(grid=grid, eigenvalues=lam.ravel()[order], modes=modes, psi=psi)
 
 
 def richardson_extrapolate(coarse: float, fine: float, ratio: float) -> float:
@@ -358,8 +351,9 @@ def heat_kernel_ratio_report(basis: EigenData, times) -> HeatKernelBoundReport:
     discrete model.
     """
     times = np.asarray(times, dtype=float)
-    if np.any(times <= 0):
-        raise ConfigurationError("ratio sampling needs strictly positive times")
+    bad = times[~((times > 0) & (times < math.inf))]  # NaN fails both comparisons
+    if bad.size:
+        raise ConfigurationError(f"ratio sampling needs positive finite times, got t={bad[0]}")
     if basis.m < MIN_RATIO_MODES:
         raise ConfigurationError(
             f"need at least {MIN_RATIO_MODES} modes for short times, got {basis.m}"

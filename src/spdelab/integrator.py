@@ -40,7 +40,6 @@ mild residual's Euclidean norm over the 12 retained modes
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -49,7 +48,7 @@ from enum import Enum
 import numpy as np
 
 from .blowup import ModelParams, PowerLaw
-from .domain import EigenData, GridSpec, _modes_1d, _spectrum, _validate_initial
+from .domain import EigenData, GridSpec, _sine_vectors, _spectrum, _validate_initial
 from .errors import ConfigurationError, NumericalFailure
 from .stochastic import EXP_CLAMP, BrownianPath
 
@@ -107,7 +106,8 @@ class TrajectoryResult:
     for v, with W at the snapshot's own step, and G(u) for u. Both have shape
     (snapshots, m). On numerical blowup the series stop at the last stable
     step; t_blowup is the refined cutoff-crossing time and t_last_stable its
-    lower bracket.
+    lower bracket, both inside the crossing step:
+    times[-1] <= t_last_stable <= t_blowup <= times[-1] + dt.
     """
 
     variable: str
@@ -146,11 +146,12 @@ class _Workspace:
 
     lap is the grid's (-2, 1)/h^2 stencil on each axis. An interval of two or
     more nodes is factored by LAPACK's tridiagonal dpttrf, O(n) a solve. Any
-    other grid is solved in the tensor sine basis of _modes_1d, where the
-    separable stencil is diagonal: a field X shaped rows x n solves as
-    V_a ((V_a X V_b) / div) V_b, div = 1 + theta dt (lam + shift) over the
-    grid's spectrum lam, each V symmetric and orthogonal (the 1-node grid is
-    one row, with V_a = 1), O(n^2) a solve on an interval. shift is kappa^2/2 for
+    other grid is solved in the tensor sine basis, where the separable
+    stencil is diagonal: a field X shaped rows x n solves as
+    V_a ((V_a X V) / div) V, div = 1 + theta dt (lam + shift) over the
+    grid's spectrum lam, V the symmetric orthogonal matrix of _sine_vectors
+    and V_a = V (the 1-node grid is one row, with V_a = 1), O(n^2) a solve
+    on an interval. shift is kappa^2/2 for
     v, 0 for u; theta is 1 for IMEX and 1/2 for Crank-Nicolson, whose step
     extrapolates the solution (_step).
     """
@@ -173,9 +174,9 @@ class _Workspace:
             self._dpttrs = functools.partial(lapack.dpttrs, d, e, overwrite_b=1)
             self.solve = self._solve_tridiagonal
         else:
-            # the sine matrix of each axis, after the 1 x 1 one of a single row
-            bases = [np.ones((1, 1))] + [_modes_1d(n, h, n)[1] for h in grid.h]
-            self._rows, self._cols = bases[-2:]
+            # the one sine matrix of every axis, after the 1 x 1 one of a single row
+            sines = _sine_vectors(n, np.arange(1, n + 1))
+            self._rows, self._cols = ([np.ones((1, 1))] + [sines] * len(grid.h))[-2:]
             lam = _spectrum(grid).reshape(-1, n)
             self._div = 1.0 + theta_dt * (lam + shift)
             self.solve = self._solve_sine
@@ -276,7 +277,7 @@ def _refine_blowup_time(
             nxt = np.empty_like(block)
             _step(block, reaction(block, noise_at(t)), ws, nxt)
             if not np.max(np.abs(nxt)) < cutoff:
-                t_hi = t + dt_f
+                t_hi = min(t + dt_f, t_hi)  # the sum may round past the step end
                 break
             block, t = nxt, t + dt_f
         else:  # no crossing at this dt: the bracket the last level found stays
@@ -311,6 +312,7 @@ def simulate_paths(
     if variable not in ("v", "u"):
         raise ConfigurationError(f"variable must be 'v' or 'u', got {variable!r}")
     dt, nsteps = _check_grids(paths)
+    times = paths[0].times  # the grid every path shares
     f = _validate_initial(f, eigen.grid)
     if not f.max() < cfg.cutoff:
         raise ConfigurationError(f"initial sup norm {f.max()} is not below the cutoff {cfg.cutoff}")
@@ -328,8 +330,7 @@ def simulate_paths(
             return reaction(rows, noise[steps, idx])
 
         def noise_for(j, k):  # W interpolated inside the step
-            times, values = paths[j].times, paths[j].values
-            return lambda t: _noise_factor([np.interp(t, times, values)], params)
+            return lambda t: _noise_factor([np.interp(t, times, paths[j].values)], params)
 
     else:
         shift = 0.0
@@ -371,7 +372,7 @@ def simulate_paths(
     mass[:, 0] = np.vecdot(psi * stage[0], weights)
     sup[:, 0] = block_sup
     live = np.arange(n_paths)
-    k0, t = 0, 0.0
+    k0 = 0
     while k0 < nsteps and live.size:
         c = min(width, nsteps - k0)
         block = stage[:, : live.size]
@@ -390,8 +391,6 @@ def simulate_paths(
         cross = np.where(stable.all(axis=0), c, np.argmin(stable, axis=0))
         blown = cross < c
         rows = np.arange(c + 1)[:, None]
-        # the engine's clock at each step start: dt summed step by step
-        ts = list(itertools.accumulate(itertools.repeat(dt, c), initial=t))
         if variable == "v":  # a row dips below -1e-8 times its field scale
             low = new.min(axis=2)
             old_sup = np.concatenate((block_sup[None], new_sup[:-1]))
@@ -399,7 +398,8 @@ def simulate_paths(
             lost = (rows[:c] < cross) & (low < -POSITIVITY_TOL * scale)
             if lost.any():
                 s, i = np.argwhere(lost)[0]
-                raise NumericalFailure(f"positivity lost at t={ts[s + 1]}: min={low[s, i]:.3e}")
+                t_lost = times[k0 + s + 1]
+                raise NumericalFailure(f"positivity lost at t={t_lost}: min={low[s, i]:.3e}")
         # step k is kept at row ceil(k / stride): every stride-th step, then
         # the last stable step of a path that stops between them, the row at
         # t = T included. One dot product of fixed length per (row, mode):
@@ -416,19 +416,18 @@ def simulate_paths(
         np.multiply(drift(fields, steps, idx), weights, out=pairs[:, 1])
         coeffs[idx, -(-steps // stride)] = np.vecdot(pairs[:, :, None, :], modes_t)
         for i in np.flatnonzero(blown):
-            j, s = live[i], cross[i]
-            k_stop[j] = k0 + s
+            j, k = live[i], k0 + cross[i]
+            k_stop[j], t_k = k, float(times[k])
             brackets[j] = _refine_blowup_time(
-                block[s, i], ts[s], ts[s] + dt, reaction, noise_for(j, k0 + s), level_workspace, dt,
+                block[cross[i], i], t_k, t_k + dt, reaction, noise_for(j, k), level_workspace, dt,
                 cfg.cutoff,
             )
         live, block_sup = live[~blown], new_sup[-1, ~blown]
         stage[0, : live.size] = block[c, ~blown]
-        k0, t = k0 + c, ts[c]
+        k0 += c
 
     results = []
-    for j, path in enumerate(paths):
-        times = path.times
+    for j in range(n_paths):
         keep_steps = k_stop[j] + 1
         snap_idx = np.arange(0, keep_steps, stride)
         if snap_idx[-1] != k_stop[j]:

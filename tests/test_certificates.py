@@ -518,6 +518,25 @@ class TestTailMajorant:
         assert math.isfinite(short.tail) and math.isfinite(long.tail)
         assert short.J >= long.J - long.tail
 
+    def test_certificates_close_at_the_last_grid_time(self):
+        # a horizon that dt does not divide ends the grid before it; the
+        # trapezoid stops at the last grid time, so the tail must start
+        # there: at horizon 1.0099 J once fell from 0.056451 to 0.056273
+        eig = solve_eigenpairs(build_grid(DomainSpec("interval", (math.pi,)), 64), 48)
+        params = ModelParams(beta=1.0, kappa=1.0, Cstar=2.0)
+        values = sample_brownian(1.0, 0.01, 3, 0).values
+        reports = []
+        for horizon in (1.0, 1.0099):
+            path = BrownianPath(dt=0.01, horizon=horizon, values=values)
+            sup = certificate_sup_norm(path, 0.2 * eig.psi, params, eig, [INTEGRAL, SATURATION])
+            hk = certificate_heat_kernel(0.5, 1.0, params, eig, c=4.0, path=path)
+            reports.append([sup[INTEGRAL], sup[SATURATION], hk])
+        for at_grid, past_grid in zip(*reports):
+            assert at_grid.verdict is Verdict.CERTIFIED
+            assert (past_grid.J, past_grid.tail, past_grid.verdict) == (
+                at_grid.J, at_grid.tail, at_grid.verdict
+            )
+
 
 class TestOnePass:
     def test_one_series_serves_both_kinds(self, cert_env, monkeypatch):

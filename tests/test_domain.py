@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -182,9 +183,26 @@ class TestEigenpairs:
         grid = build_grid(DomainSpec(kind, lengths), 12)
         lam = domain._spectrum(grid)
         assert lam.shape == (grid.n,) * len(lengths)
-        modes = functools.reduce(np.kron, [domain._modes_1d(grid.n, h, grid.n)[1] for h in grid.h])
+        sines = domain._sine_vectors(grid.n, np.arange(1, grid.n + 1))
+        modes = functools.reduce(np.kron, [sines] * len(lengths))
         residual = -_laplacian(grid) @ modes - modes * lam.ravel()
         assert np.max(np.abs(residual)) <= 1e-12 * np.max(lam)
+
+    def test_tied_modes_split_in_row_major_order(self):
+        # on a square the modes (1, 2) and (2, 1) tie: the basis keeps (1, 2),
+        # the first in row-major order, and the tail bound starts at (2, 1)
+        grid = build_grid(DomainSpec("rectangle", (PI, PI)), 8)
+        eig = solve_eigenpairs(grid, 2)
+        sines = domain._sine_vectors(grid.n, np.array([1, 2]))
+        tensor = np.kron(sines[:, 0], sines[:, 1]) / grid.h[0]
+        assert eig.modes[:, 1].tobytes() == tensor.tobytes()
+        t = 0.05
+        lam = domain._spectrum(grid)
+        term = 4.0 * math.exp(-(lam[1, 0] - lam[0, 0]) * t)  # weight (2 * 1)^2
+        split = domain._spectral_tail_bound(eig, t) - domain._spectral_tail_bound(
+            solve_eigenpairs(grid, 3), t
+        )
+        assert split == pytest.approx(term, rel=1e-11)
 
     def test_mode_count_guards(self, interval_48):
         _, grid, _, _ = interval_48
@@ -408,6 +426,14 @@ class TestHeatKernelRatio:
         small = solve_eigenpairs(grid48, 10)
         with pytest.raises(ConfigurationError):
             heat_kernel_ratio_report(small, [1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_time_refused_up_front(self, bad):
+        # named before any evaluation: nan was blamed on an overflow, and inf
+        # warned in the sums and then blamed t=0.5
+        eig, _ = long_range()
+        with pytest.raises(ConfigurationError, match=re.escape(f"finite times, got t={bad}")):
+            heat_kernel_ratio_report(eig, [0.5, bad, 2.0])
 
     @given(keep=st.lists(st.booleans(), min_size=10, max_size=10).filter(any))
     @example(keep=[True] * 4 + [False] * 6)
