@@ -418,13 +418,11 @@ def mc_blowup_probability(
         raise ConfigurationError(f"need at least {MIN_MC_PATHS} paths, got {n_paths}")
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    if not 0 < dt <= horizon:
-        raise ConfigurationError(f"need 0 < dt <= horizon, got dt={dt} T={horizon}")
+    nsteps = _n_steps(horizon, dt)
     x_stars = [float(x) for x in levels]
     # the gamma law of each level refuses a level it cannot take
     bounds = [analytic_blowup_bound(lam1, params.kappa, params.beta, x) for x in x_stars]
     a, b = _drift_scale(params.beta, params.kappa, lam1)
-    nsteps = _n_steps(horizon, dt)
     args = (nsteps, dt, a * dt, b, x_stars, bounds[0].alpha)
     workers = min(workers, os.cpu_count() or 1)
     cuts = np.linspace(0, n_paths, workers + 1).astype(int)

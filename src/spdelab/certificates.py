@@ -16,7 +16,7 @@ stochastic.exp_functional evaluates with log w as its log weight:
   probability from the gamma law of blowup.analytic_blowup_bound at it.
 
 The [0, T] part of each integral is trapezoidal on the path grid, with T
-its last grid time, which is the horizon when dt divides it; the (T, inf)
+its last grid time floor(horizon/dt) dt; the (T, inf)
 remainder is replaced by a closed-form majorant that freezes W at
 its endpoint and grows the remaining Brownian factor at its conditional
 mean rate. A certificate is granted only if computed part plus majorant

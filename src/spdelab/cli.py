@@ -268,10 +268,10 @@ def cmd_blowup(cfg: RunConfig, out_dir: Path, seed: int | None, run: RunManifest
     return [write_csv(out_dir / "blowup.csv", rows)]
 
 
-def _consistency_row(traj, traj_em, path, params, t_i, lower, tau) -> dict:
+def _consistency_row(traj, traj_em, path, params, lower, tau) -> dict:
     """Cross-checks for one path: transform agreement and domination of the
-    lower solution (t_i, lower) up to its blowup time tau. lower is None when
-    there is no lower solution."""
+    lower solution, on the path grid, up to its blowup time tau. lower is
+    None when there is no lower solution."""
     u_sup = reconstruct_u(traj, path, params.kappa).sup
     k = min(len(u_sup), len(traj_em.sup))
     scale = np.maximum(np.abs(u_sup[:k]), 1e-300)
@@ -281,12 +281,11 @@ def _consistency_row(traj, traj_em, path, params, t_i, lower, tau) -> dict:
         t_end = min(
             traj.t_blowup if traj.t_blowup is not None else math.inf,
             tau if tau is not None else math.inf,
-            path.horizon,
         )
-        k = min(len(traj.times), len(t_i))
-        keep = (t_i[:k] <= t_end) & np.isfinite(lower[:k]) & (lower[:k] > 0)
+        lower = lower[: len(traj.times)]
+        keep = (traj.times <= t_end) & np.isfinite(lower) & (lower > 0)
         if np.any(keep):
-            ratio_min = float(np.min(traj.mass[:k][keep] / lower[:k][keep]))
+            ratio_min = float(np.min(traj.mass[keep] / lower[keep]))
     return {"em_transform_rel_diff": em_diff, "mass_over_lower_min": ratio_min}
 
 
@@ -313,9 +312,9 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, run: RunManife
         trajs_em = simulate_paths(f, paths, params, eigen, em_cfg, variable="u")
         for idx, path, traj, traj_em in zip(block, paths, trajs, trajs_em):
             _, weak, mild = mode_residuals(traj, path, params, eigen)
-            t_i = lower = tau = None
+            lower = tau = None
             if threshold is not None:
-                t_i, lower, _, tau = lower_solution_series(path, threshold, eigen.lam1)
+                _, lower, _, tau = lower_solution_series(path, threshold, eigen.lam1)
             series = write_mass_series(
                 out_dir / f"mass_series_{idx:04d}.csv", t_cells, traj.mass, traj.sup
             )
@@ -337,7 +336,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, run: RunManife
                 {
                     "path_index": idx,
                     "outcome": traj.outcome.value,
-                    **_consistency_row(traj, traj_em, path, params, t_i, lower, tau),
+                    **_consistency_row(traj, traj_em, path, params, lower, tau),
                     "weak_residual_max": weak.max(),
                     "mild_residual_max": mild.max(),
                     "t_blowup_em": traj_em.t_blowup,

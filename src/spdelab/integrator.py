@@ -107,7 +107,7 @@ class TrajectoryResult:
     (snapshots, m). On numerical blowup the series stop at the last stable
     step; t_blowup is the refined cutoff-crossing time and t_last_stable its
     lower bracket, both inside the crossing step:
-    times[-1] <= t_last_stable <= t_blowup <= times[-1] + dt.
+    times[-1] <= t_last_stable <= t_blowup <= times[-1] + the path's dt.
     """
 
     variable: str
@@ -120,7 +120,6 @@ class TrajectoryResult:
     snapshot_times: np.ndarray
     snapshot_coeffs: np.ndarray
     reaction_coeffs: np.ndarray
-    dt: float
 
     def __post_init__(self):
         if self.outcome is Outcome.NUMERICAL_BLOWUP:
@@ -445,7 +444,6 @@ def simulate_paths(
             snapshot_times=times[snap_idx],
             snapshot_coeffs=coeffs[j, : len(snap_idx), 0],
             reaction_coeffs=coeffs[j, : len(snap_idx), 1],
-            dt=dt,
         )
         if outcome is Outcome.NUMERICAL_BLOWUP:
             logger.info(
@@ -464,12 +462,11 @@ def reconstruct_u(traj: TrajectoryResult, path: BrownianPath, kappa: float) -> T
     """
     if traj.variable != "v":
         raise ConfigurationError("reconstruction applies to transformed trajectories only")
-    if abs(traj.dt - path.dt) > 1e-12 * path.dt or traj.times[-1] > path.horizon * (1 + 1e-12):
+    n = len(traj.times)
+    if not np.array_equal(traj.times, path.times[:n]):
         raise ConfigurationError("trajectory and path are on different time grids")
-    idx = np.rint(traj.times / path.dt).astype(int)
-    factor = np.exp(np.minimum(kappa * path.values[idx], EXP_CLAMP))
-    snap_idx = np.rint(traj.snapshot_times / path.dt).astype(int)
-    snap_factor = np.exp(np.minimum(kappa * path.values[snap_idx], EXP_CLAMP))
+    factor = np.exp(np.minimum(kappa * path.values[:n], EXP_CLAMP))
+    snap_factor = factor[np.searchsorted(traj.times, traj.snapshot_times)]
     return replace(
         traj,
         variable="u",

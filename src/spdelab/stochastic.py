@@ -30,22 +30,19 @@ EXP_CLAMP = 700.0
 
 @dataclass(frozen=True, eq=False)
 class BrownianPath:
-    """Wiener values on the uniform grid t_k = k*dt, with W(0) = 0."""
+    """Wiener values on the uniform grid t_k = k*dt, with W(0) = 0. The grid
+    ends at the last value: T = times[-1]."""
 
     dt: float
-    horizon: float
     values: np.ndarray
 
     def __post_init__(self):
-        if self.dt <= 0 or self.horizon <= 0 or self.dt > self.horizon:
-            raise ConfigurationError(f"need 0 < dt <= horizon, got dt={self.dt} T={self.horizon}")
+        if not 0 < self.dt < math.inf:
+            raise ConfigurationError(f"need a positive finite dt, got dt={self.dt}")
+        if len(self.values) < 2:
+            raise ConfigurationError(f"a path needs at least one step, got {len(self.values)} values")
         if self.values[0] != 0.0:
             raise ConfigurationError("Brownian path must start at zero")
-        expected = _n_steps(self.horizon, self.dt) + 1
-        if len(self.values) != expected:
-            raise ConfigurationError(
-                f"path length {len(self.values)} does not match horizon/dt grid ({expected})"
-            )
 
     @property
     def nsteps(self) -> int:
@@ -61,10 +58,13 @@ class BrownianPath:
     @classmethod
     def frozen_zero(cls, horizon: float, dt: float) -> "BrownianPath":
         """Diagnostic injection: the identically-zero path."""
-        return cls(dt=dt, horizon=horizon, values=np.zeros(_n_steps(horizon, dt) + 1))
+        return cls(dt=dt, values=np.zeros(_n_steps(horizon, dt) + 1))
 
 
 def _n_steps(horizon: float, dt: float) -> int:
+    """floor(horizon/dt), allowing 1e-9 of a step for rounding."""
+    if not 0 < dt <= horizon:
+        raise ConfigurationError(f"need 0 < dt <= horizon, got dt={dt} T={horizon}")
     steps = horizon / dt + 1e-9
     if not math.isfinite(steps):
         raise ConfigurationError(f"horizon/dt is not a finite step count: T={horizon} dt={dt}")
@@ -88,14 +88,12 @@ def brownian_increments(seed: int, path_index: int, nsteps: int) -> np.ndarray:
 
 def sample_brownian(horizon: float, dt: float, seed: int, path_index: int) -> BrownianPath:
     """Draw one reproducible Brownian path on the uniform grid."""
-    if dt <= 0 or horizon <= 0 or dt > horizon:
-        raise ConfigurationError(f"need 0 < dt <= horizon, got dt={dt} T={horizon}")
     nsteps = _n_steps(horizon, dt)
     incr = math.sqrt(dt) * brownian_increments(seed, path_index, nsteps)
     values = np.empty(nsteps + 1)
     values[0] = 0.0
     np.cumsum(incr, out=values[1:])
-    return BrownianPath(dt=dt, horizon=horizon, values=values)
+    return BrownianPath(dt=dt, values=values)
 
 
 def gamma_shape(beta: float, kappa: float, lam1: float) -> float:

@@ -68,9 +68,7 @@ def small_eig():
 
 def linear_path(top, horizon, dt):
     """A path whose W rises linearly from 0 to top over the horizon."""
-    return BrownianPath(
-        dt=dt, horizon=horizon, values=np.linspace(0.0, top, round(horizon / dt) + 1)
-    )
+    return BrownianPath(dt=dt, values=np.linspace(0.0, top, round(horizon / dt) + 1))
 
 
 class TestIntegralCertificate:
@@ -114,7 +112,7 @@ class TestIntegralCertificate:
     def test_overflowing_path_rejected_with_reason(self, cert_env):
         _, eig, _ = cert_env
         ramp = np.linspace(0.0, 1600.0, 2001)
-        wild = BrownianPath(dt=1e-3, horizon=2.0, values=ramp)
+        wild = BrownianPath(dt=1e-3, values=ramp)
         rep = certificate_sup_norm(wild, eig.psi, PARAMS, eig, [INTEGRAL])[INTEGRAL]
         assert rep.verdict is Verdict.NOT_CERTIFIED
         assert "overflow" in rep.reason
@@ -358,7 +356,7 @@ class TestHeatKernelCertificate:
     def test_path_mode_overflow_and_divergent_tail_are_infinite(self, cert_env):
         _, eig, path = cert_env
         K = self._k_for_threshold(eig, 2.0)
-        wild = BrownianPath(dt=1e-3, horizon=2.0, values=np.linspace(0.0, 1600.0, 2001))
+        wild = BrownianPath(dt=1e-3, values=np.linspace(0.0, 1600.0, 2001))
         cases = [
             (wild, ModelParams(beta=1.0, kappa=1.0), "overflow"),
             (path, ModelParams(beta=2.0, kappa=2.0), "tail majorant"),
@@ -443,7 +441,7 @@ class TestOneKernel:
         A, clamped = exp_functional(path, a, b)
         assert not clamped
         assert rep.J == float(A[-1]) + rep.tail
-        tail = math.exp(a * path.horizon + b * path.values[-1]) / (-a - 0.5 * b * b)
+        tail = math.exp(a * path.times[-1] + b * path.values[-1]) / (-a - 0.5 * b * b)
         assert rep.tail == pytest.approx(tail, rel=1e-14)
 
 
@@ -524,10 +522,9 @@ class TestTailMajorant:
         # there: at horizon 1.0099 J once fell from 0.056451 to 0.056273
         eig = solve_eigenpairs(build_grid(DomainSpec("interval", (math.pi,)), 64), 48)
         params = ModelParams(beta=1.0, kappa=1.0, Cstar=2.0)
-        values = sample_brownian(1.0, 0.01, 3, 0).values
         reports = []
         for horizon in (1.0, 1.0099):
-            path = BrownianPath(dt=0.01, horizon=horizon, values=values)
+            path = sample_brownian(horizon, 0.01, 3, 0)
             sup = certificate_sup_norm(path, 0.2 * eig.psi, params, eig, [INTEGRAL, SATURATION])
             hk = certificate_heat_kernel(0.5, 1.0, params, eig, c=4.0, path=path)
             reports.append([sup[INTEGRAL], sup[SATURATION], hk])

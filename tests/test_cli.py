@@ -604,7 +604,7 @@ class TestSimulateCommand:
         traj = simulate_paths(f, [path], params, eig, SchemeConfig())[0]
         em_cfg = SchemeConfig(max_snapshots=2)
         traj_em = simulate_paths(f, [path], params, eig, em_cfg, variable="u")[0]
-        row = _consistency_row(traj, traj_em, path, params, None, None, None)
+        row = _consistency_row(traj, traj_em, path, params, None, None)
         em_diff = row["em_transform_rel_diff"]
         u_sup = reconstruct_u(traj, path, params.kappa).sup
         k = min(len(u_sup), len(traj_em.sup))
@@ -1211,6 +1211,26 @@ class TestCertifyCommand:
         assert main(["certify", "--config", str(p), "--out", str(out)]) == code
         assert message in capsys.readouterr().err
         assert not (out / "certificates.csv").exists()
+
+
+class TestHorizonPastTheGrid:
+    @pytest.mark.parametrize("command", ["certify", "simulate"])
+    def test_outputs_equal_those_at_the_last_grid_time(self, tmp_path, command):
+        # floor(1.0099 / 0.01) = 100 steps, as at horizon 1.0: a run covers
+        # its path grid, which ends at t = 1.0 in both
+        outs = {}
+        for horizon in (1.0, 1.0099):
+            cfg = interval_cfg(
+                n=32,
+                model={**MODEL, "Cstar": 2.0},
+                initial={"mode": "eigen-multiple", "a": 0.15},
+                sim={"dt": 0.01, "horizon": horizon, "n_paths": 2, "seed": 3},
+                certificate={"kinds": ["integral", "saturation", "heat_kernel"], "K": 0.5, "c": 4.0},
+            )
+            out = tmp_path / f"T{horizon}"
+            assert main([command, "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+            outs[horizon] = {f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))}
+        assert outs[1.0] and outs[1.0099] == outs[1.0]
 
 
 class TestHeatKernelCommand:

@@ -523,7 +523,7 @@ class TestBlockEngine:
         k = len(traj.times) - 1  # the crossing step runs from t_k to t_{k+1}
         values = path.values.copy()
         values[k + 2 :] += 0.5
-        moved = BrownianPath(dt=path.dt, horizon=path.horizon, values=values)
+        moved = BrownianPath(dt=path.dt, values=values)
         again = simulate_paths(3.0 * eig.psi, [moved], params, eig, cfg, "u")[0]
         assert (again.t_last_stable, again.t_blowup) == (traj.t_last_stable, traj.t_blowup)
 
@@ -734,6 +734,11 @@ class TestSchemeCrossValidation:
                            SchemeConfig())[0]
         with pytest.raises(ConfigurationError):
             reconstruct_u(v, BrownianPath.frozen_zero(horizon=1.0, dt=2e-3), 0.0)
+        # a dt one ulp off passed the old 1e-12 tolerance; grids now match exactly
+        with pytest.raises(ConfigurationError, match="different time grids"):
+            reconstruct_u(v, BrownianPath.frozen_zero(1.0, np.nextafter(1e-3, 1)), 0.0)
+        with pytest.raises(ConfigurationError, match="different time grids"):
+            reconstruct_u(v, BrownianPath.frozen_zero(horizon=0.5, dt=1e-3), 0.0)
         u = reconstruct_u(v, path, 0.0)
         with pytest.raises(ConfigurationError):
             reconstruct_u(u, path, 0.0)  # already physical
@@ -799,7 +804,7 @@ class TestMildResidual:
             variable="v", outcome=Outcome.COMPLETED, t_blowup=None, t_last_stable=None,
             times=times, mass=snaps @ (grid.weights * eig.psi),
             sup=np.max(np.abs(snaps), axis=1), snapshot_times=times, snapshot_coeffs=coeffs,
-            reaction_coeffs=np.zeros_like(coeffs), dt=0.1,
+            reaction_coeffs=np.zeros_like(coeffs),
         )
         path = BrownianPath.frozen_zero(horizon=1.0, dt=0.1)
         _, _, res = mode_residuals(traj, path, params, eig)

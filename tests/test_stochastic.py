@@ -81,13 +81,22 @@ class TestBrownianPath:
         with pytest.raises(ConfigurationError):
             sample_brownian(1.0, 2.0, 0, 0)
         with pytest.raises(ConfigurationError):
-            BrownianPath(dt=0.1, horizon=1.0, values=np.ones(11))
-        with pytest.raises(ConfigurationError):
-            BrownianPath(dt=0.1, horizon=1.0, values=np.zeros(5))
+            BrownianPath(dt=0.1, values=np.ones(11))
+        for dt, n in ((0.0, 11), (-0.1, 11), (math.nan, 11), (math.inf, 11), (0.1, 1)):
+            with pytest.raises(ConfigurationError):
+                BrownianPath(dt=dt, values=np.zeros(n))
 
     def test_frozen_zero(self):
         p = BrownianPath.frozen_zero(3.0, 0.5)
         assert np.all(p.values == 0)
+
+    @pytest.mark.parametrize("horizon, dt", [(1.0, -0.1), (1.0, 0.0), (1.0, 2.0), (1.0, math.nan)])
+    def test_both_constructors_refuse_a_bad_step(self, horizon, dt):
+        # frozen_zero once sized its array first, so numpy's ValueError
+        # ("negative dimensions are not allowed") escaped
+        for build in (BrownianPath.frozen_zero, lambda T, h: sample_brownian(T, h, 0, 0)):
+            with pytest.raises(ConfigurationError, match="need 0 < dt <= horizon"):
+                build(horizon, dt)
 
     def test_endpoint_law(self):
         n = 100_000
@@ -139,7 +148,7 @@ class TestExpFunctional:
 
     def test_monotone_in_scale_on_nonnegative_path(self):
         base = sample_brownian(1.0, 0.01, seed=11, path_index=4)
-        p = BrownianPath(dt=base.dt, horizon=base.horizon, values=np.abs(base.values))
+        p = BrownianPath(dt=base.dt, values=np.abs(base.values))
         low, _ = exp_functional(p, -0.5, 0.5)
         high, _ = exp_functional(p, -0.5, 1.5)
         assert np.all(high >= low)
