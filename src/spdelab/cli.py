@@ -3,9 +3,9 @@
     spdelab <command> --config cfg.json [--seed N] [--out DIR] [--workers W]
 
 Commands: eigen, blowup, simulate, certify, heat-kernel. Exit codes: 0 on
-success, 2 for configuration problems and output I/O errors, 3 for numerical
-failures and arrays too large to allocate, 4 for violated mathematical
-preconditions.
+success, 2 for configuration problems (arrays numpy cannot hold included) and
+output I/O errors, 3 for numerical failures and arrays too large for memory,
+4 for violated mathematical preconditions.
 
 Every float lands in CSV via repr(), so reruns of the same config are
 byte-identical (the manifest carries the only timestamps). Output rows are
@@ -364,10 +364,14 @@ def cmd_certify(cfg: RunConfig, out_dir: Path, seed: int | None, run: RunManifes
     sim = cfg.need("sim")
     cert = cfg.need("certificate")
     eigen = _eigen_setup(cfg, m=48)
-    if cert.frozen_zero_path:
-        path = BrownianPath.frozen_zero(sim.horizon, sim.dt)
-    else:
-        path = _sample_path(sim, params.kappa, seed, 0)
+    sup_kinds = [k for k in cert.kinds if k != CertificateKind.HEAT_KERNEL]
+    # the analytic heat-kernel kind is the one kind that reads no path
+    path = None
+    if sup_kinds or not cert.analytic:
+        if cert.frozen_zero_path:
+            path = BrownianPath.frozen_zero(sim.horizon, sim.dt)
+        else:
+            path = _sample_path(sim, params.kappa, seed, 0)
     f = _initial_field(cfg.initial, eigen) if cfg.initial is not None else None
     # every kind's checks run in the listed order before the sup-norm series
     # is evaluated, so the first fault listed is the one reported; the
@@ -391,7 +395,6 @@ def cmd_certify(cfg: RunConfig, out_dir: Path, seed: int | None, run: RunManifes
         else:
             _check_sup_norm_kind(kind, f, params, eigen)
     # one series serves every sup-norm kind
-    sup_kinds = [k for k in cert.kinds if k != CertificateKind.HEAT_KERNEL]
     if sup_kinds:
         reports.update(certificate_sup_norm(path, f, params, eigen, sup_kinds))
     rows = []

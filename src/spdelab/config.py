@@ -285,7 +285,9 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     try:
         raw = json.loads(raw_bytes)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError; nesting
+        # past the decoder's recursion limit raises RecursionError
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError("config root must be a JSON object")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalFailure, PreconditionFailure
+from .errors import ConfigurationError, NumericalFailure, PreconditionFailure, _refuse_oversized
 
 logger = logging.getLogger(__name__)
 
@@ -109,12 +109,14 @@ def build_grid(domain: DomainSpec, n: int) -> GridSpec:
     ------
     ConfigurationError
         If ``n < 8``, as coarser grids cannot support the spectral
-        operations, or if the stencil's eigenvalues or the cell volume are
-        not positive finite floats.
+        operations, if numpy cannot hold the n^d node weights, or if the
+        stencil's eigenvalues or the cell volume are not positive finite
+        floats.
     """
     n = int(n)
     if n < MIN_POINTS_PER_AXIS:
         raise ConfigurationError(f"grid too coarse: n={n} < {MIN_POINTS_PER_AXIS}")
+    _refuse_oversized(n**domain.dimension, f"a grid of n={n} nodes per axis")
     spacings = [L / (n + 1) for L in domain.lengths]
     # the first and the last eigenvalue bound every other one and the
     # stencil's entries

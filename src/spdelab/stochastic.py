@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _refuse_oversized
 
 # exponent ceiling: exp(700) is still finite in float64, exp(710) is not
 EXP_CLAMP = 700.0
@@ -40,7 +40,7 @@ class BrownianPath:
         if not 0 < self.dt < math.inf:
             raise ConfigurationError(f"need a positive finite dt, got dt={self.dt}")
         if len(self.values) < 2:
-            raise ConfigurationError(f"a path needs at least one step, got {len(self.values)} values")
+            raise ConfigurationError(f"a path needs a step, got {len(self.values)} values")
         if self.values[0] != 0.0:
             raise ConfigurationError("Brownian path must start at zero")
 
@@ -58,7 +58,9 @@ class BrownianPath:
     @classmethod
     def frozen_zero(cls, horizon: float, dt: float) -> "BrownianPath":
         """Diagnostic injection: the identically-zero path."""
-        return cls(dt=dt, values=np.zeros(_n_steps(horizon, dt) + 1))
+        nsteps = _n_steps(horizon, dt)
+        _refuse_oversized(nsteps + 1, f"a path of T={horizon} at dt={dt}")
+        return cls(dt=dt, values=np.zeros(nsteps + 1))
 
 
 def _n_steps(horizon: float, dt: float) -> int:
@@ -89,6 +91,7 @@ def brownian_increments(seed: int, path_index: int, nsteps: int) -> np.ndarray:
 def sample_brownian(horizon: float, dt: float, seed: int, path_index: int) -> BrownianPath:
     """Draw one reproducible Brownian path on the uniform grid."""
     nsteps = _n_steps(horizon, dt)
+    _refuse_oversized(nsteps + 1, f"a path of T={horizon} at dt={dt}")
     incr = math.sqrt(dt) * brownian_increments(seed, path_index, nsteps)
     values = np.empty(nsteps + 1)
     values[0] = 0.0

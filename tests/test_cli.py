@@ -24,7 +24,7 @@ from spdelab.domain import (
     solve_eigenpairs,
     weighted_inner,
 )
-from spdelab.errors import ConfigurationError, NumericalFailure
+from spdelab.errors import ConfigurationError, NumericalFailure, _refuse_oversized
 from spdelab.integrator import SchemeConfig, mode_residuals, reconstruct_u, simulate_paths
 from spdelab.stochastic import sample_brownian
 
@@ -124,6 +124,19 @@ class TestConfigValidation:
         p = tmp_path / "bad.json"
         p.write_text("{not json")
         assert main(["eigen", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize(
+        "text", [b'{"domain": {"kind": "interval\xff"}}', b"[" * 100_000 + b"]" * 100_000],
+        ids=["non-utf8-byte", "nested-100000-deep"],
+    )
+    def test_text_that_is_not_json_exits_2_without_files(self, tmp_path, capsys, text):
+        # the decoder's UnicodeDecodeError and RecursionError escaped as exit 1
+        p = tmp_path / "bad.json"
+        p.write_bytes(text)
+        out = tmp_path / "out"
+        assert main(["eigen", "--config", str(p), "--out", str(out)]) == 2
+        assert "is not valid JSON" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["eigen", "--config", str(tmp_path / "absent.json")]) == 2
@@ -243,6 +256,45 @@ class TestConfigValidation:
         assert main([command, "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 2
         assert "not a finite step count" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "command, domain, kappa, horizon, certificate",
+        [
+            ("simulate", {}, 1.0, 1e300, {}),
+            ("simulate", {}, 1.0, 1e17, {}),
+            ("simulate", {}, 0.0, 1e300, {}),
+            ("certify", {}, 1.0, 1e300, {}),
+            ("certify", {}, 1.0, 1e300, {"frozen_zero_path": True}),
+            ("certify", {}, 1.0, 1e300, {"kinds": ["heat_kernel"], "K": 0.5, "c": 4.0}),
+            ("eigen", {"n": 2**62}, 1.0, 1.0, {}),
+            ("simulate", {"kind": "rectangle", "lengths": [1.0, 1.0], "n": 2**31}, 1.0, 1.0, {}),
+        ],
+        ids=["simulate-T1e300", "simulate-T1e17", "simulate-kappa0", "certify-sampled",
+             "certify-frozen", "certify-heat-kernel-path", "eigen-n2^62", "rectangle-n2^31"],
+    )
+    def test_array_numpy_cannot_hold_exits_2_without_files(
+        self, tmp_path, capsys, command, domain, kappa, horizon, certificate
+    ):
+        # numpy's ValueError for these sizes once escaped as exit 1; the
+        # refusal comes before any allocation
+        cfg = interval_cfg(
+            n=16,
+            model={"beta": 1.0, "kappa": kappa},
+            initial={"mode": "eigen-multiple", "a": 0.1},
+            sim={"dt": 1e-3, "horizon": horizon, "n_paths": 2, "seed": 1},
+            certificate={"kinds": ["integral"], **certificate},
+        )
+        cfg["domain"].update(domain)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert "more than numpy can hold" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_largest_array_numpy_can_hold_is_not_refused(self):
+        limit = np.iinfo(np.intp).max // 8
+        _refuse_oversized(limit, "the largest array")
+        with pytest.raises(ConfigurationError, match=f"needs {limit + 1} float64 values"):
+            _refuse_oversized(limit + 1, "one entry more")
 
     def test_tabulated_nonlinearity_parses(self, tmp_path):
         cfg = interval_cfg(
@@ -580,16 +632,17 @@ class TestBlowupCommand:
 
     def test_horizon_only_caps_the_run(self, tmp_path):
         # every path stops by the gamma rule long before T = 50, so a horizon
-        # of 1e12 (1e15 steps) changes no byte and allocates nothing per step
+        # of 1e12 (1e15 steps), or one no path array could hold, changes no
+        # byte and allocates nothing per step
         outs = {}
-        for horizon in (50.0, 1e12):
+        for horizon in (50.0, 1e12, 1e300):
             sim = {"dt": 1e-3, "horizon": horizon, "n_paths": 1000, "seed": 4}
             cfg = interval_cfg(n=32, model=MODEL, sim={**sim, "v0psi_sweep": [0.25, 1.0]})
             p = write_cfg(tmp_path, cfg)
             out = tmp_path / f"T{horizon:g}"
             assert main(["blowup", "--config", str(p), "--out", str(out)]) == 0
             outs[horizon] = (out / "blowup.csv").read_bytes()
-        assert outs[1e12] == outs[50.0]
+        assert outs[1e12] == outs[1e300] == outs[50.0]
 
 
 class TestSimulateCommand:
@@ -1116,6 +1169,24 @@ class TestCertifyCommand:
         assert row["J"] == "" and row["verdict"] == ""
         assert row["tail"] == "" and row["reason"] == ""
         assert 0.0 < float(row["probability_certified"]) <= 1.0
+
+    def test_analytic_heat_kernel_draws_no_path(self, tmp_path, capsys):
+        # no path array could hold T = 1e300 at dt = 0.01; the analytic kind
+        # reads none, so only a listed path-mode kind refuses the horizon
+        outs = {}
+        for horizon in (20.0, 1e300):
+            cfg = self.base_cfg(kinds=["heat_kernel"], K=0.2, c=4.0, analytic=True)
+            del cfg["initial"]
+            cfg["sim"]["horizon"] = horizon
+            out = tmp_path / f"T{horizon:g}"
+            assert main(["certify", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+            outs[horizon] = (out / "certificates.csv").read_bytes()
+        assert outs[1e300] == outs[20.0]
+        cfg["certificate"]["analytic"] = False
+        out = tmp_path / "path_mode"
+        assert main(["certify", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert "more than numpy can hold" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("K, beta", [(1e308, 1.0), (1e200, 2.0)])
     def test_heat_kernel_analytic_huge_K_exits_2(self, tmp_path, capsys, K, beta):
