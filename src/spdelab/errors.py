@@ -29,12 +29,11 @@ class PreconditionFailure(SpdeLabError):
     """A documented mathematical precondition was violated by the inputs."""
 
 
-
 def _refuse_oversized(entries: int, what: str) -> None:
     """Refuse a float64 array of more entries than numpy can hold, before it
     is allocated: numpy raises ValueError for it, not MemoryError."""
     limit = np.iinfo(np.intp).max // 8
     if entries > limit:
         raise ConfigurationError(
-            f"{what} needs {entries} float64 values, more than numpy can hold ({limit})"
+            f"{what} needs {entries:.4g} float64 values, more than numpy can hold ({limit:.4g})"
         )
