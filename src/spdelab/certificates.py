@@ -78,7 +78,6 @@ class CertificateReport:
     verdict: Verdict | None
     threshold: float
     tail: float = 0.0
-    times: np.ndarray | None = None
     envelope: np.ndarray | None = None
     bound_sup: np.ndarray | None = None
     probability: float | None = None
@@ -247,7 +246,7 @@ def certificate_sup_norm(
                 reason = f"enveloped sup norm reaches Cstar at t={t_out:.6g}"
         fields = {}
         if reason is None:
-            fields = {"times": path.times, "envelope": envelope, "bound_sup": bound_sup}
+            fields = {"envelope": envelope, "bound_sup": bound_sup}
         reports[kind] = _report(kind, J, threshold, tail, reason, **fields)
     return reports
 
@@ -338,4 +337,4 @@ def certificate_heat_kernel(
     _, J, tail, reason = _path_integral(path, a, b, 0.0, 1.0, -a)
     if not J < threshold:
         reason = reason or f"functional {J:.6g} is not below {threshold:.6g}"
-    return _report(CertificateKind.HEAT_KERNEL, J, threshold, tail, reason, times=path.times)
+    return _report(CertificateKind.HEAT_KERNEL, J, threshold, tail, reason)

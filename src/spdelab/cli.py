@@ -174,8 +174,9 @@ def _initial_field(initial: InitialConfig, eigen: EigenData) -> np.ndarray:
     return values
 
 
-def _sample_path(sim, kappa: float, seed: int, path_index: int) -> BrownianPath:
-    if kappa == 0:
+def _sample_path(sim, frozen: bool, seed: int, path_index: int) -> BrownianPath:
+    """The run's path of index path_index, or the W = 0 path when frozen."""
+    if frozen:
         return BrownianPath.frozen_zero(sim.horizon, sim.dt)
     return sample_brownian(sim.horizon, sim.dt, seed, path_index)
 
@@ -187,21 +188,14 @@ def _sample_path(sim, kappa: float, seed: int, path_index: int) -> BrownianPath:
 def cmd_eigen(cfg: RunConfig, out_dir: Path, seed: int | None, run: RunManifest) -> list[Path]:
     """Dirichlet eigenvalues, Richardson extrapolation, principal mode"""
     dom = cfg.need("domain")
-    n_coarse = dom.n
-    n_fine = dom.n_fine if dom.n_fine is not None else 2 * (n_coarse + 1) - 1
-    results = {}
-    for label, n in (("", n_coarse), ("_fine", n_fine)):
-        grid = build_grid(dom, n)
-        eig = solve_eigenpairs(grid, min(4, grid.npoints))
-        results[label] = (grid, eig)
-    grid, eig = results[""]
-    grid_f, eig_f = results["_fine"]
+    grid, grid_f = build_grid(dom, dom.n), build_grid(dom, dom.n_fine)
+    eig, eig_f = (solve_eigenpairs(g, min(4, g.npoints)) for g in (grid, grid_f))
     # both mesh widths shrink by the same factor, so one Richardson ratio
     # serves every axis
     ratio = (grid.h[0] / grid_f.h[0]) ** 2
     payload = {
-        "n": n_coarse,
-        "n_fine": n_fine,
+        "n": dom.n,
+        "n_fine": dom.n_fine,
         "ratio": ratio,
         "lam1": eig.lam1,
         "lam2": eig.lam2,
@@ -305,7 +299,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, run: RunManife
     t_cells = None
     for start in range(0, n_paths, BLOCK_PATHS):
         block = range(start, min(start + BLOCK_PATHS, n_paths))
-        paths = [_sample_path(sim, params.kappa, seed, idx) for idx in block]
+        paths = [_sample_path(sim, params.kappa == 0, seed, idx) for idx in block]
         if t_cells is None:  # every path runs on the grid k*dt
             t_cells = list(map(repr, paths[0].times.tolist()))
         trajs = simulate_paths(f, paths, params, eigen, sim, variable="v")
@@ -368,10 +362,7 @@ def cmd_certify(cfg: RunConfig, out_dir: Path, seed: int | None, run: RunManifes
     # the analytic heat-kernel kind is the one kind that reads no path
     path = None
     if sup_kinds or not cert.analytic:
-        if cert.frozen_zero_path:
-            path = BrownianPath.frozen_zero(sim.horizon, sim.dt)
-        else:
-            path = _sample_path(sim, params.kappa, seed, 0)
+        path = _sample_path(sim, cert.frozen_zero_path or params.kappa == 0, seed, 0)
     f = _initial_field(cfg.initial, eigen) if cfg.initial is not None else None
     # every kind's checks run in the listed order before the sup-norm series
     # is evaluated, so the first fault listed is the one reported; the

@@ -43,7 +43,8 @@ def _at_least(name: str, value, bound) -> None:
 @dataclass(frozen=True)
 class DomainConfig(DomainSpec):
     """The domain with its mesh: ``n`` interior points per axis, and
-    ``n_fine`` for the Richardson pair (None doubles the mesh exactly)."""
+    ``n_fine`` for the Richardson pair (None doubles the mesh exactly: the
+    widths L/(n+1) halve at 2(n+1) - 1 points)."""
 
     n: int
     n_fine: int | None = None
@@ -51,7 +52,9 @@ class DomainConfig(DomainSpec):
     def __post_init__(self):
         super().__post_init__()
         _at_least("n", self.n, MIN_POINTS_PER_AXIS)
-        if self.n_fine is not None and self.n_fine <= self.n:
+        if self.n_fine is None:
+            object.__setattr__(self, "n_fine", 2 * (self.n + 1) - 1)
+        elif self.n_fine <= self.n:
             raise ConfigurationError(f"n_fine must exceed n={self.n}, got {self.n_fine}")
 
 

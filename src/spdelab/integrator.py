@@ -48,7 +48,7 @@ from enum import Enum
 import numpy as np
 
 from .blowup import ModelParams, PowerLaw
-from .domain import EigenData, GridSpec, _sine_vectors, _spectrum, _validate_initial
+from .domain import EigenData, GridSpec, _sine_vectors, _spectrum, _validate_initial, weighted_inner
 from .errors import ConfigurationError, NumericalFailure
 from .stochastic import EXP_CLAMP, BrownianPath
 
@@ -145,14 +145,14 @@ class _Workspace:
 
     lap is the grid's (-2, 1)/h^2 stencil on each axis. An interval of two or
     more nodes is factored by LAPACK's tridiagonal dpttrf, O(n) a solve. Any
-    other grid is solved in the tensor sine basis, where the separable
-    stencil is diagonal: a field X shaped rows x n solves as
-    V_a ((V_a X V) / div) V, div = 1 + theta dt (lam + shift) over the
-    grid's spectrum lam, V the symmetric orthogonal matrix of _sine_vectors
-    and V_a = V (the 1-node grid is one row, with V_a = 1), O(n^2) a solve
-    on an interval. shift is kappa^2/2 for
-    v, 0 for u; theta is 1 for IMEX and 1/2 for Crank-Nicolson, whose step
-    extrapolates the solution (_step).
+    other grid, a rectangle or the 1-node grid, is solved in the tensor sine
+    basis, where the separable stencil is diagonal: a field X shaped rows x n
+    solves as V_a ((V_a X V) / div) V, div = 1 + theta dt (lam + shift) over
+    the grid's spectrum lam, V the symmetric orthogonal matrix of
+    _sine_vectors and V_a = V (the 1-node grid is one row, with V_a = 1),
+    O(n^3) a solve on an n x n rectangle. shift is kappa^2/2 for v, 0 for u;
+    theta is 1 for IMEX and 1/2 for Crank-Nicolson, whose step extrapolates
+    the solution (_step).
     """
 
     def __init__(self, grid: GridSpec, shift: float, dt: float, scheme: Scheme):
@@ -367,9 +367,8 @@ def simulate_paths(
     width = max(1, STAGE_BYTES // (8 * n_paths * npoints))
     stage = np.empty((width + 1, n_paths, npoints))
     stage[0] = f
-    block_sup = np.abs(stage[0]).max(axis=1)
-    mass[:, 0] = np.vecdot(psi * stage[0], weights)
-    sup[:, 0] = block_sup
+    mass[:, 0] = weighted_inner(eigen.grid, stage[0], psi)
+    sup[:, 0] = np.abs(stage[0]).max(axis=1)
     live = np.arange(n_paths)
     k0 = 0
     while k0 < nsteps and live.size:
@@ -383,7 +382,7 @@ def simulate_paths(
                 _step(block[s], reaction(block[s], step_noise[s]), ws, block[s + 1])
             new = block[1 : c + 1]
             new_sup = np.abs(new).max(axis=2)
-            mass[live, k0 + 1 : k0 + c + 1] = np.vecdot(psi * new, weights).T
+            mass[live, k0 + 1 : k0 + c + 1] = weighted_inner(eigen.grid, new, psi).T
             sup[live, k0 + 1 : k0 + c + 1] = new_sup.T
         stable = new_sup < cfg.cutoff
         # the step of each path's first crossing, c for none
@@ -392,7 +391,7 @@ def simulate_paths(
         rows = np.arange(c + 1)[:, None]
         if variable == "v":  # a row dips below -1e-8 times its field scale
             low = new.min(axis=2)
-            old_sup = np.concatenate((block_sup[None], new_sup[:-1]))
+            old_sup = np.concatenate((sup[live, k0][None], new_sup[:-1]))
             scale = np.maximum(np.maximum(new_sup, old_sup), 1e-300)
             lost = (rows[:c] < cross) & (low < -POSITIVITY_TOL * scale)
             if lost.any():
@@ -421,16 +420,15 @@ def simulate_paths(
                 block[cross[i], i], t_k, t_k + dt, reaction, noise_for(j, k), level_workspace, dt,
                 cfg.cutoff,
             )
-        live, block_sup = live[~blown], new_sup[-1, ~blown]
+        live = live[~blown]
         stage[0, : live.size] = block[c, ~blown]
         k0 += c
 
     results = []
     for j in range(n_paths):
         keep_steps = k_stop[j] + 1
-        snap_idx = np.arange(0, keep_steps, stride)
-        if snap_idx[-1] != k_stop[j]:
-            snap_idx = np.append(snap_idx, k_stop[j])
+        # the steps the rows hold: step k went to row ceil(k / stride)
+        snap_idx = np.minimum(stride * np.arange(-(-k_stop[j] // stride) + 1), k_stop[j])
         t_last_stable, t_blowup = brackets[j] if brackets[j] is not None else (None, None)
         outcome = Outcome.COMPLETED if brackets[j] is None else Outcome.NUMERICAL_BLOWUP
         result = TrajectoryResult(

@@ -862,6 +862,10 @@ class TestSimulateCommand:
         got = [float(r[col]) for r in rows for col in ("weak_residual_max", "mild_residual_max")]
         pinned = [x for pair in self.PINNED_RESIDUALS[name] for x in pair]
         assert got == pytest.approx(pinned, rel=1e-10, abs=0.0)
+        # the initial eigen-mass is the first row of every mass series, to the bit
+        for row in read_csv(out / "trajectories.csv"):
+            series = read_csv(out / row["mass_series_file"])
+            assert row["mass_initial"] == series[0]["mass"]
 
     def test_one_exp_functional_pass_per_path(self, tmp_path, monkeypatch):
         # the lower solution and its blowup time come from one A(t) pass

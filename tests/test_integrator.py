@@ -27,6 +27,7 @@ from spdelab.domain import (
     GridSpec,
     build_grid,
     solve_eigenpairs,
+    weighted_inner,
 )
 from spdelab.errors import ConfigurationError, NumericalFailure, PreconditionFailure
 from spdelab.integrator import (
@@ -526,6 +527,31 @@ class TestBlockEngine:
         moved = BrownianPath(dt=path.dt, values=values)
         again = simulate_paths(3.0 * eig.psi, [moved], params, eig, cfg, "u")[0]
         assert (again.t_last_stable, again.t_blowup) == (traj.t_last_stable, traj.t_blowup)
+
+
+class TestEigenMassPairing:
+    """The eigen-mass <u, psi> is one expression wherever it is taken."""
+
+    def test_block_pairs_as_its_fields(self):
+        grid = build_grid(DomainSpec(kind="rectangle", lengths=(math.pi, 2.0)), 16)
+        psi = solve_eigenpairs(grid, 4).psi
+        block = np.random.default_rng(3).random((5, 3, grid.npoints))
+        got = weighted_inner(grid, block, psi)
+        assert got.shape == (5, 3)
+        for s, i in np.ndindex(got.shape):
+            one = weighted_inner(grid, block[s, i], psi)
+            assert type(one) is float and got[s, i] == one
+
+    def test_engine_mass_starts_at_the_pairing_of_f(self):
+        grid = build_grid(DomainSpec(kind="rectangle", lengths=(math.pi, 2.0)), 16)
+        eig = solve_eigenpairs(grid, 4)
+        f = 0.3 * eig.psi + 0.01 * np.random.default_rng(9).random(grid.npoints)
+        paths = [sample_brownian(0.1, 1e-2, 0, i) for i in range(3)]
+        params = ModelParams(beta=1.0, kappa=1.0)
+        mass0 = weighted_inner(grid, f, eig.psi)
+        for variable in ("v", "u"):
+            for traj in simulate_paths(f, paths, params, eig, SchemeConfig(), variable):
+                assert traj.mass[0] == mass0
 
 
 def workspace_grid(kind, n):
