@@ -4,7 +4,6 @@ forced reaction-diffusion equations with Dirichlet boundary."""
 __version__ = "0.1.0"
 
 from .blowup import (
-    BlowupThreshold,
     Dichotomy,
     ModelParams,
     PowerLaw,
@@ -13,6 +12,7 @@ from .blowup import (
     TabulatedNonlinearity,
     analytic_blowup_bound,
     deterministic_dichotomy,
+    hitting_level,
     lower_solution_series,
     mc_blowup_probability,
 )
@@ -73,7 +73,7 @@ __all__ = [
     "BrownianPath", "brownian_increments", "sample_brownian",
     "exp_functional", "gamma_shape", "gamma_tail", "blowup_density",
     # blowup
-    "ModelParams", "PowerLaw", "TabulatedNonlinearity", "BlowupThreshold",
+    "ModelParams", "PowerLaw", "TabulatedNonlinearity", "hitting_level",
     "Dichotomy", "ProbabilityEstimate", "SweepEstimate", "lower_solution_series",
     "analytic_blowup_bound", "deterministic_dichotomy", "mc_blowup_probability",
     # certificates

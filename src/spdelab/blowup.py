@@ -2,8 +2,10 @@
 
 The scalar reduction works on the weighted mass v(t, psi). The lower solution
 I(t) solves the mass inequality turned ODE, and blows up exactly when the
-exponential functional A(t) reaches the threshold x* = v0psi^(-beta)/(C beta);
-one pass of A(t) over a path gives both the series I(t_k) and that time tau.
+exponential functional A(t) reaches the level x* = v0psi^(-beta)/(C beta) of
+``hitting_level``; one pass of A(t) over a path gives both the series I(t_k)
+and that time tau. The lower solution and the Monte Carlo kernel share one hit
+rule, A(t_k) >= x*.
 The probability that this ever happens has the closed gamma-tail form
 1 - Q(alpha, 2/(kappa^2 beta^2 x*)); the Monte Carlo estimator below exists to
 be checked against it, not the other way around.
@@ -20,7 +22,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .domain import EigenData, weighted_inner
 from .errors import ConfigurationError
 from .stochastic import (
     BrownianPath,
@@ -144,30 +145,18 @@ class ModelParams:
                 )
 
 
-@dataclass(frozen=True)
-class BlowupThreshold:
-    """Initial mass v0psi of a model and its hitting level
-    x* = v0psi^(-beta)/(C beta), with beta and the lower constant C of params."""
-
-    v0psi: float
-    params: ModelParams
-
-    def __post_init__(self):
-        if self.v0psi <= 0:
-            raise ConfigurationError(f"threshold needs v0psi > 0, got {self.v0psi}")
-
-    @property
-    def mass_power(self) -> float:
-        """v0psi^(-beta), the lower solution's bracket at t = 0; +inf where a
-        tiny mass overflows the power, which puts x* out of reach."""
-        try:
-            return float(self.v0psi) ** (-self.params.beta)
-        except OverflowError:
-            return math.inf
-
-    @property
-    def x_star(self) -> float:
-        return self.mass_power / (self.params.C * self.params.beta)
+def hitting_level(v0psi: float, params: ModelParams) -> float:
+    """Level x* = v0psi^(-beta)/(C beta) of initial mass v0psi, with beta and
+    the lower constant C of params: the lower solution blows up when A(t)
+    reaches it. +inf where a tiny mass overflows the power, which puts x* out
+    of reach; a mass that is not > 0, NaN included, is refused."""
+    if not v0psi > 0:
+        raise ConfigurationError(f"hitting level needs v0psi > 0, got {v0psi}")
+    try:
+        mass_power = float(v0psi) ** (-params.beta)
+    except OverflowError:
+        mass_power = math.inf
+    return mass_power / (params.C * params.beta)
 
 
 class BlowupBound(NamedTuple):
@@ -182,32 +171,35 @@ def _drift_scale(beta: float, kappa: float, lam1: float) -> tuple[float, float]:
 
 
 def lower_solution_series(
-    path: BrownianPath, threshold: BlowupThreshold, lam1: float
+    path: BrownianPath, level: float, params: ModelParams, lam1: float
 ) -> tuple[np.ndarray, np.ndarray, int | None, float | None]:
-    """Lower solution I(t_k) on the path grid and its blowup time tau, with
-    beta, kappa and C read from threshold.params.
+    """Lower solution I(t_k) on the path grid and its blowup time tau, for
+    the hitting level of ``hitting_level``, with beta, kappa and C read from
+    params.
 
-    Returns (times, values, blown_index, tau). Entries from the first index
-    where the bracket v0psi^(-beta) - C beta A(t) hits zero are NaN, and that
-    index is reported. tau is the time A(t) reaches x*, linearly interpolated
-    inside the step that ends at blown_index. Both are None if the solution
-    stays finite through the horizon.
+    Returns (times, values, blown_index, tau). A step is blown where
+    A(t_k) >= level, the Monte Carlo kernel's hit rule; on the others
+    I(t) = e^{-(lam1 + kappa^2/2) t} (C beta (level - A(t)))^(-1/beta).
+    Entries from the first blown index are NaN, and that index is reported.
+    tau is the time A(t) reaches the level, linearly interpolated inside the
+    step that ends at blown_index. Both are None if the solution stays finite
+    through the horizon.
     """
-    beta, kappa = threshold.params.beta, threshold.params.kappa
+    beta, kappa = params.beta, params.kappa
     a, b = _drift_scale(beta, kappa, lam1)
     A, _ = exp_functional(path, a, b)
-    bracket = threshold.mass_power - threshold.params.C * beta * A
-    alive = bracket > 0.0
+    alive = A < level
     t = path.times
     values = np.full_like(A, np.nan)
-    values[alive] = np.exp(-(lam1 + 0.5 * kappa**2) * t[alive]) * bracket[alive] ** (-1.0 / beta)
+    gap = params.C * beta * (level - A[alive])
+    values[alive] = np.exp(-(lam1 + 0.5 * kappa**2) * t[alive]) * gap ** (-1.0 / beta)
     if alive.all():
         return t, values, None, None
     k = int(np.argmin(alive))
-    tau = 0.0  # k == 0 only when v0psi^(-beta) underflows to x* = 0
+    tau = 0.0  # k == 0 only when v0psi^(-beta) underflows to a level of 0
     if k > 0:
         dA = A[k] - A[k - 1]
-        frac = 0.0 if dA == 0 else (threshold.x_star - A[k - 1]) / dA
+        frac = 0.0 if dA == 0 else (level - A[k - 1]) / dA
         tau = float(t[k - 1] + frac * (t[k] - t[k - 1]))
     return t, values, k, tau
 
@@ -241,31 +233,30 @@ class DichotomyVerdict(NamedTuple):
     threshold: float
 
 
-def deterministic_dichotomy(
-    f: np.ndarray, eigen: EigenData, params: ModelParams
-) -> DichotomyVerdict:
-    """Noiseless classification by initial mass against the lower solution's
+def deterministic_dichotomy(mass: float, lam1: float, params: ModelParams) -> DichotomyVerdict:
+    """Noiseless classification of the psi-mass against the lower solution's
     threshold (lam1/C)^(1/beta), with beta and the lower constant C of params:
     above it the lower solution of G >= C z^(1+beta) blows up.
 
-    The boundary case <f, psi> = (lam1/C)^(1/beta) classifies as TAU_INFINITE
+    The boundary case mass = (lam1/C)^(1/beta) classifies as TAU_INFINITE
     (the hitting functional saturates without crossing).
     """
-    mass = weighted_inner(eigen.grid, f, eigen.psi)
-    threshold = (eigen.lam1 / params.C) ** (1.0 / params.beta)
+    threshold = (lam1 / params.C) ** (1.0 / params.beta)
     outcome = Dichotomy.BLOWUP_CERTIFIED if mass > threshold else Dichotomy.TAU_INFINITE
     return DichotomyVerdict(outcome, threshold)
 
 
 @dataclass(frozen=True)
 class ProbabilityEstimate:
-    """Monte Carlo hitting estimate of one level."""
+    """Monte Carlo hitting estimate of one level, and the gamma law of
+    A_inf at that level, which the estimate is checked against."""
 
     p_hat: float
     n_paths: int
     truncation_allowance: float
     n_censored: int
     n_saturated: int
+    bound: BlowupBound
 
     @property
     def stderr(self) -> float:
@@ -403,6 +394,9 @@ def mc_blowup_probability(
     this returns or raises. A worker that dies, killed by a signal or by the
     OOM killer, raises ``concurrent.futures.process.BrokenProcessPool``.
 
+    Each estimate carries the level's gamma law, evaluated once here; it
+    also refuses a level that the law cannot take.
+
     The truncation allowance of a level is the mean over paths of the
     probability that a path still hits after it stopped (0 for a hit), summed
     exactly in path-index order: the expected fraction of paths, censored at
@@ -420,7 +414,6 @@ def mc_blowup_probability(
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     nsteps = _n_steps(horizon, dt)
     x_stars = [float(x) for x in levels]
-    # the gamma law of each level refuses a level it cannot take
     bounds = [analytic_blowup_bound(lam1, params.kappa, params.beta, x) for x in x_stars]
     a, b = _drift_scale(params.beta, params.kappa, lam1)
     args = (nsteps, dt, a * dt, b, x_stars, bounds[0].alpha)
@@ -453,6 +446,7 @@ def mc_blowup_probability(
             truncation_allowance=math.fsum(p_stop[:, j].tolist()) / n_paths,
             n_censored=n_paths - hits[j],
             n_saturated=int(saturated[:, j].sum()),
+            bound=bounds[j],
         )
         for j in range(len(x_stars))
     ]

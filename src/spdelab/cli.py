@@ -30,11 +30,7 @@ import numpy as np
 
 from . import __version__
 from .blowup import (
-    BlowupThreshold,
-    analytic_blowup_bound,
-    deterministic_dichotomy,
-    lower_solution_series,
-    mc_blowup_probability,
+    deterministic_dichotomy, hitting_level, lower_solution_series, mc_blowup_probability
 )
 from .certificates import (
     CertificateKind, _check_sup_norm_kind, certificate_heat_kernel, certificate_sup_norm
@@ -223,14 +219,12 @@ def cmd_blowup(cfg: RunConfig, out_dir: Path, seed: int | None, run: RunManifest
     if params.kappa == 0:
         rows = []
         for mass in sim.v0psi_sweep:
-            # constant fields carry their value as exact psi-mass
-            f = mass * np.ones(eigen.grid.npoints)
-            verdict = deterministic_dichotomy(f, eigen, params)
+            verdict = deterministic_dichotomy(mass, eigen.lam1, params)
             rows.append(
                 {"mass": mass, "threshold": verdict.threshold, "verdict": verdict.outcome.value}
             )
         return [write_csv(out_dir / "dichotomy.csv", rows)]
-    levels = [BlowupThreshold(m, params).x_star for m in sim.v0psi_sweep]
+    levels = [hitting_level(m, params) for m in sim.v0psi_sweep]
     sweep = mc_blowup_probability(
         params,
         eigen.lam1,
@@ -244,14 +238,13 @@ def cmd_blowup(cfg: RunConfig, out_dir: Path, seed: int | None, run: RunManifest
     run.workers_used = sweep.workers
     rows = []
     for v0psi, x_star, est in zip(sim.v0psi_sweep, levels, sweep.estimates):
-        bound = analytic_blowup_bound(eigen.lam1, params.kappa, params.beta, x_star)
         rows.append(
             {
                 "v0psi": v0psi,
                 "x_star": x_star,
-                "z_star": bound.z_star,
-                "alpha": bound.alpha,
-                "p_analytic_blowup": bound.p_blowup_lower,
+                "z_star": est.bound.z_star,
+                "alpha": est.bound.alpha,
+                "p_analytic_blowup": est.bound.p_blowup_lower,
                 "p_hat": est.p_hat,
                 "stderr": est.stderr,
                 "n_censored": est.n_censored,
@@ -291,7 +284,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, run: RunManife
     eigen = _eigen_setup(cfg, m=12)
     f = _initial_field(initial, eigen)
     mass0 = weighted_inner(eigen.grid, f, eigen.psi)
-    threshold = BlowupThreshold(float(mass0), params) if mass0 > 0 else None
+    level = hitting_level(float(mass0), params) if mass0 > 0 else None
     # the Euler-Maruyama run is compared through its sup series and bracket
     em_cfg = replace(sim, max_snapshots=2)
     n_paths = 1 if params.kappa == 0 else sim.n_paths
@@ -307,8 +300,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, run: RunManife
         for idx, path, traj, traj_em in zip(block, paths, trajs, trajs_em):
             _, weak, mild = mode_residuals(traj, path, params, eigen)
             lower = tau = None
-            if threshold is not None:
-                _, lower, _, tau = lower_solution_series(path, threshold, eigen.lam1)
+            if level is not None:
+                _, lower, _, tau = lower_solution_series(path, level, params, eigen.lam1)
             series = write_mass_series(
                 out_dir / f"mass_series_{idx:04d}.csv", t_cells, traj.mass, traj.sup
             )

@@ -16,11 +16,11 @@ import pytest
 from scipy import integrate
 
 from spdelab.blowup import (
-    BlowupThreshold,
     Dichotomy,
     ModelParams,
     PowerLaw,
     deterministic_dichotomy,
+    hitting_level,
     lower_solution_series,
 )
 from spdelab.certificates import CertificateKind, Verdict, certificate_sup_norm
@@ -197,14 +197,14 @@ def test_criterion_4_deterministic_dichotomy():
     traj = simulate_paths(f2, [path], params, eig, SchemeConfig())[0]
     blew = traj.outcome is Outcome.NUMERICAL_BLOWUP and traj.t_blowup < 10.0
 
-    thr = BlowupThreshold(2.0, params)
-    tau = lower_solution_series(path, thr, eig.lam1)[3]
+    level = hitting_level(2.0, params)
+    tau = lower_solution_series(path, level, params, eig.lam1)[3]
     tau_err = abs(tau - math.log(2.0)) if tau is not None else math.inf
     tau_ok = tau_err <= 1e-4
 
-    thr_low = BlowupThreshold(0.5, params)
+    level_low = hitting_level(0.5, params)
     censored_all = all(
-        lower_solution_series(BrownianPath.frozen_zero(T, 1e-3), thr_low, eig.lam1)[3]
+        lower_solution_series(BrownianPath.frozen_zero(T, 1e-3), level_low, params, eig.lam1)[3]
         is None
         for T in (5.0, 20.0, 50.0)
     )
@@ -212,9 +212,10 @@ def test_criterion_4_deterministic_dichotomy():
     traj5 = simulate_paths(f05, [BrownianPath.frozen_zero(5.0, 1e-3)], params, eig,
                            SchemeConfig())[0]
     decays = traj5.outcome is Outcome.COMPLETED and bool(np.all(np.diff(traj5.sup) < 0))
+    mass2, mass05 = (weighted_inner(grid, f, eig.psi) for f in (f2, f05))
     verdicts = (
-        deterministic_dichotomy(f2, eig, params).outcome is Dichotomy.BLOWUP_CERTIFIED
-        and deterministic_dichotomy(f05, eig, params).outcome is Dichotomy.TAU_INFINITE
+        deterministic_dichotomy(mass2, eig.lam1, params).outcome is Dichotomy.BLOWUP_CERTIFIED
+        and deterministic_dichotomy(mass05, eig.lam1, params).outcome is Dichotomy.TAU_INFINITE
     )
 
     ok = blew and tau_ok and censored_all and decays and verdicts
@@ -254,7 +255,7 @@ def test_criterion_6_lower_solution_domination():
     a = 0.5 / weighted_inner(grid, eig.psi, eig.psi)
     f = a * eig.psi
     params = ModelParams(beta=1.0, kappa=1.0)
-    thr = BlowupThreshold(0.5, params)
+    level = hitting_level(0.5, params)
     cfg = SchemeConfig()
     worst = math.inf
     n_blowups = 0
@@ -262,7 +263,7 @@ def test_criterion_6_lower_solution_domination():
         paths = [sample_brownian(50.0, 1e-3, 12345, idx) for idx in range(start, start + 25)]
         for path, traj in zip(paths, simulate_paths(f, paths, params, eig, cfg)):
             n_blowups += traj.outcome is Outcome.NUMERICAL_BLOWUP
-            t_i, lower, _, _ = lower_solution_series(path, thr, eig.lam1)
+            t_i, lower, _, _ = lower_solution_series(path, level, params, eig.lam1)
             k = min(len(traj.times), len(t_i))
             keep = np.isfinite(lower[:k]) & (lower[:k] > 0)
             worst = min(worst, float(np.min(traj.mass[:k][keep] / lower[:k][keep])))

@@ -21,7 +21,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from spdelab import blowup, stochastic
 from spdelab.blowup import (
-    BlowupThreshold,
     Dichotomy,
     ModelParams,
     PowerLaw,
@@ -29,6 +28,7 @@ from spdelab.blowup import (
     TabulatedNonlinearity,
     analytic_blowup_bound,
     deterministic_dichotomy,
+    hitting_level,
     lower_solution_series,
     mc_blowup_probability,
 )
@@ -148,17 +148,17 @@ class TestModelParams:
 
 class TestThreshold:
     def test_reference_values(self):
-        thr = BlowupThreshold(0.5, ModelParams(beta=1.0, kappa=1.0))
-        assert thr.x_star == pytest.approx(2.0, rel=1e-15)
-        thr = BlowupThreshold(2.0, ModelParams(beta=1.0, kappa=1.0))
-        assert thr.x_star == pytest.approx(0.5, rel=1e-15)
-        thr = BlowupThreshold(4.0, ModelParams(beta=0.5, kappa=1.0))
-        assert thr.x_star == pytest.approx(2.0 / 2.0, rel=1e-15)  # (1/b) 4^{-1/2}
+        level = hitting_level(0.5, ModelParams(beta=1.0, kappa=1.0))
+        assert level == pytest.approx(2.0, rel=1e-15)
+        level = hitting_level(2.0, ModelParams(beta=1.0, kappa=1.0))
+        assert level == pytest.approx(0.5, rel=1e-15)
+        level = hitting_level(4.0, ModelParams(beta=0.5, kappa=1.0))
+        assert level == pytest.approx(2.0 / 2.0, rel=1e-15)  # (1/b) 4^{-1/2}
 
     def test_level_reads_the_lower_constant(self):
         # G >= C z^(1+beta) with C = 1/4: x* = v0psi^(-beta)/(C beta)
         params = ModelParams(beta=1.0, kappa=1.0, C=0.25, Lambda=0.25)
-        assert BlowupThreshold(0.5, params).x_star == 8.0
+        assert hitting_level(0.5, params) == 8.0
 
     @given(
         v0_small=st.floats(min_value=0.01, max_value=10.0),
@@ -167,9 +167,16 @@ class TestThreshold:
     )
     @settings(max_examples=60)
     def test_level_decreases_with_mass(self, v0_small, factor, beta):
-        lo = BlowupThreshold(v0_small, ModelParams(beta=beta, kappa=1.0))
-        hi = BlowupThreshold(v0_small * factor, ModelParams(beta=beta, kappa=1.0))
-        assert hi.x_star < lo.x_star
+        lo = hitting_level(v0_small, ModelParams(beta=beta, kappa=1.0))
+        hi = hitting_level(v0_small * factor, ModelParams(beta=beta, kappa=1.0))
+        assert hi < lo
+
+    @pytest.mark.parametrize("v0psi", [math.nan, 0.0, -1.0])
+    def test_mass_that_is_not_positive_is_refused(self, v0psi):
+        # a NaN mass would compare as a level no path reaches, or one every
+        # path hits at t = 0
+        with pytest.raises(ConfigurationError, match="v0psi > 0"):
+            hitting_level(v0psi, ModelParams(beta=1.0, kappa=1.0))
 
 
 class TestLowerSolution:
@@ -177,8 +184,9 @@ class TestLowerSolution:
     # closed form is I(t) = e^{-t} / (2 - (1 - e^{-t})) ... = 1/(1 + e^t).
     def test_subcritical_closed_form(self):
         path = BrownianPath.frozen_zero(horizon=5.0, dt=1e-3)
-        thr = BlowupThreshold(0.5, ModelParams(beta=1.0, kappa=0.0))
-        times, values, blown, tau = lower_solution_series(path, thr, lam1=1.0)
+        params = ModelParams(beta=1.0, kappa=0.0)
+        level = hitting_level(0.5, params)
+        times, values, blown, tau = lower_solution_series(path, level, params, lam1=1.0)
         assert blown is None and tau is None
         for t in (0.0, 0.25, 1.0, 3.0, 5.0):
             k = int(round(t / path.dt))
@@ -190,8 +198,9 @@ class TestLowerSolution:
         # 1/2 - (1 - e^{-t})/2 = e^{-t}/2, so I(t) = e^{-t} (e^{-t}/2)^{-1} = 2
         # for all t, where C = 1 diverges at ln 2
         path = BrownianPath.frozen_zero(horizon=5.0, dt=1e-3)
-        thr = BlowupThreshold(2.0, ModelParams(beta=1.0, kappa=0.0, C=0.5, Lambda=0.5))
-        _, values, blown, tau = lower_solution_series(path, thr, lam1=1.0)
+        params = ModelParams(beta=1.0, kappa=0.0, C=0.5, Lambda=0.5)
+        level = hitting_level(2.0, params)
+        _, values, blown, tau = lower_solution_series(path, level, params, lam1=1.0)
         assert blown is None and tau is None
         # the trapezoid error of A, about dt^2/12, grows relative to the
         # shrinking bracket: 1.2e-5 at t = 5
@@ -199,15 +208,17 @@ class TestLowerSolution:
 
     def test_initial_value_is_initial_mass(self):
         path = sample_brownian(seed=3, path_index=0, horizon=1.0, dt=1e-3)
-        thr = BlowupThreshold(0.7, ModelParams(beta=2.0, kappa=0.8))
-        _, values, _, _ = lower_solution_series(path, thr, lam1=1.0)
+        params = ModelParams(beta=2.0, kappa=0.8)
+        level = hitting_level(0.7, params)
+        _, values, _, _ = lower_solution_series(path, level, params, lam1=1.0)
         assert values[0] == pytest.approx(0.7, rel=1e-14)
 
     def test_supercritical_diverges_at_log_two(self):
         path = BrownianPath.frozen_zero(horizon=5.0, dt=1e-3)
-        thr = BlowupThreshold(2.0, ModelParams(beta=1.0, kappa=0.0))
+        params = ModelParams(beta=1.0, kappa=0.0)
+        level = hitting_level(2.0, params)
         # finite just before the divergence time ln 2, NaN from there on
-        times, values, blown, _ = lower_solution_series(path, thr, lam1=1.0)
+        times, values, blown, _ = lower_solution_series(path, level, params, lam1=1.0)
         assert times[690] == pytest.approx(0.69, abs=1e-12)
         assert math.isfinite(values[690]) and values[690] > 50.0
         assert blown is not None and times[blown] <= 0.7
@@ -215,8 +226,9 @@ class TestLowerSolution:
 
     def test_series_masks_after_divergence(self):
         path = BrownianPath.frozen_zero(horizon=2.0, dt=1e-3)
-        thr = BlowupThreshold(2.0, ModelParams(beta=1.0, kappa=0.0))
-        times, values, blown, _ = lower_solution_series(path, thr, lam1=1.0)
+        params = ModelParams(beta=1.0, kappa=0.0)
+        level = hitting_level(2.0, params)
+        times, values, blown, _ = lower_solution_series(path, level, params, lam1=1.0)
         assert blown is not None
         assert times[blown] == pytest.approx(math.log(2.0), abs=2e-3)
         assert np.all(np.isfinite(values[:blown]))
@@ -224,8 +236,9 @@ class TestLowerSolution:
 
     def test_series_monotone_increasing_supercritical(self):
         path = BrownianPath.frozen_zero(horizon=2.0, dt=1e-3)
-        thr = BlowupThreshold(2.0, ModelParams(beta=1.0, kappa=0.0))
-        _, values, blown, _ = lower_solution_series(path, thr, lam1=1.0)
+        params = ModelParams(beta=1.0, kappa=0.0)
+        level = hitting_level(2.0, params)
+        _, values, blown, _ = lower_solution_series(path, level, params, lam1=1.0)
         alive = values[:blown]
         assert np.all(np.diff(alive) > 0)
 
@@ -234,24 +247,27 @@ class TestTauFromPath:
     # tau is the fourth return of lower_solution_series
     def test_deterministic_crossing_at_log_two(self):
         path = BrownianPath.frozen_zero(horizon=5.0, dt=1e-3)
-        thr = BlowupThreshold(2.0, ModelParams(beta=1.0, kappa=0.0))
-        _, _, blown, tau = lower_solution_series(path, thr, lam1=1.0)
+        params = ModelParams(beta=1.0, kappa=0.0)
+        level = hitting_level(2.0, params)
+        _, _, blown, tau = lower_solution_series(path, level, params, lam1=1.0)
         assert blown is not None
         assert tau == pytest.approx(math.log(2.0), abs=1e-6)
 
     def test_censored_when_level_unreachable(self):
         # kappa=0 caps A at 1/lam1 = 1 < x* = 2
         path = BrownianPath.frozen_zero(horizon=5.0, dt=1e-3)
-        thr = BlowupThreshold(0.5, ModelParams(beta=1.0, kappa=0.0))
-        _, _, blown, tau = lower_solution_series(path, thr, lam1=1.0)
+        params = ModelParams(beta=1.0, kappa=0.0)
+        level = hitting_level(0.5, params)
+        _, _, blown, tau = lower_solution_series(path, level, params, lam1=1.0)
         assert blown is None
         assert tau is None
 
     def test_interpolation_beats_grid_resolution(self):
         # Coarse grid, same crossing: interpolated tau stays sharp.
         path = BrownianPath.frozen_zero(horizon=5.0, dt=0.05)
-        thr = BlowupThreshold(2.0, ModelParams(beta=1.0, kappa=0.0))
-        _, _, _, tau = lower_solution_series(path, thr, lam1=1.0)
+        params = ModelParams(beta=1.0, kappa=0.0)
+        level = hitting_level(2.0, params)
+        _, _, _, tau = lower_solution_series(path, level, params, lam1=1.0)
         assert tau == pytest.approx(math.log(2.0), abs=2e-4)
 
     @given(
@@ -262,8 +278,9 @@ class TestTauFromPath:
     @settings(max_examples=60, deadline=None)
     def test_tau_inside_the_blown_step(self, seed, beta, v0psi):
         path = sample_brownian(horizon=5.0, dt=1e-2, seed=seed, path_index=0)
-        thr = BlowupThreshold(v0psi, ModelParams(beta=beta, kappa=1.0))
-        times, _, blown, tau = lower_solution_series(path, thr, lam1=1.0)
+        params = ModelParams(beta=beta, kappa=1.0)
+        level = hitting_level(v0psi, params)
+        times, _, blown, tau = lower_solution_series(path, level, params, lam1=1.0)
         assert (tau is None) == (blown is None)
         if blown is not None:
             assert times[blown - 1] <= tau <= times[blown]
@@ -271,17 +288,17 @@ class TestTauFromPath:
 
 class TestAnalyticBound:
     def test_reference_parameter_point(self):
-        thr = BlowupThreshold(0.5, ModelParams(beta=1.0, kappa=1.0))
-        bound = analytic_blowup_bound(1.0, 1.0, 1.0, thr.x_star)
+        level = hitting_level(0.5, ModelParams(beta=1.0, kappa=1.0))
+        bound = analytic_blowup_bound(1.0, 1.0, 1.0, level)
         assert bound.alpha == pytest.approx(3.0, rel=1e-14)
         assert bound.z_star == pytest.approx(1.0, rel=1e-14)
         assert bound.p_global == pytest.approx(P_GLOBAL_REF, rel=1e-13)
         assert bound.p_blowup_lower == pytest.approx(P_BLOWUP_REF, rel=1e-12)
 
     def test_noiseless_redirects(self):
-        thr = BlowupThreshold(0.5, ModelParams(beta=1.0, kappa=1.0))
+        level = hitting_level(0.5, ModelParams(beta=1.0, kappa=1.0))
         with pytest.raises(ConfigurationError):
-            analytic_blowup_bound(1.0, 0.0, 1.0, thr.x_star)
+            analytic_blowup_bound(1.0, 0.0, 1.0, level)
 
     @given(
         v0=st.floats(min_value=0.05, max_value=5.0),
@@ -290,8 +307,8 @@ class TestAnalyticBound:
     )
     @settings(max_examples=60)
     def test_probabilities_complementary(self, v0, kappa, beta):
-        thr = BlowupThreshold(v0, ModelParams(beta=beta, kappa=1.0))
-        bound = analytic_blowup_bound(1.0, kappa, beta, thr.x_star)
+        level = hitting_level(v0, ModelParams(beta=beta, kappa=1.0))
+        bound = analytic_blowup_bound(1.0, kappa, beta, level)
         assert 0.0 <= bound.p_global <= 1.0
         assert bound.p_blowup_lower + bound.p_global == pytest.approx(1.0, abs=1e-12)
 
@@ -311,10 +328,11 @@ class TestAnalyticBound:
 
     def test_tiny_mass_is_an_infinite_level(self):
         # 1e-320^(-2) overflows a float power; the level is out of reach
-        thr = BlowupThreshold(1e-320, ModelParams(beta=2.0, kappa=1.0))
-        assert thr.x_star == math.inf
+        params = ModelParams(beta=2.0, kappa=1.0)
+        level = hitting_level(1e-320, params)
+        assert level == math.inf
         path = sample_brownian(1.0, 1e-2, 3, 0)
-        _, values, blown, tau = lower_solution_series(path, thr, lam1=1.0)
+        _, values, blown, tau = lower_solution_series(path, level, params, lam1=1.0)
         assert blown is None and tau is None
         assert np.all(values == 0.0)
 
@@ -323,7 +341,7 @@ class TestAnalyticBound:
         params = ModelParams(beta=beta, kappa=kappa)
         masses = [0.25, 0.5, 1.0, 2.0, 4.0]
         probs = [
-            analytic_blowup_bound(1.0, kappa, beta, BlowupThreshold(m, params).x_star).p_blowup_lower
+            analytic_blowup_bound(1.0, kappa, beta, hitting_level(m, params)).p_blowup_lower
             for m in masses
         ]
         assert all(b > a for a, b in zip(probs, probs[1:]))
@@ -335,23 +353,27 @@ class TestDichotomy:
     def test_supercritical_mass(self, interval_48):
         _, grid, _, eig = interval_48
         f = 2.0 * np.ones(grid.npoints)  # <f, psi> = 2 since sum(w psi) = 1
-        verdict = deterministic_dichotomy(f, eig, self.NOISELESS)
+        mass = weighted_inner(grid, f, eig.psi)
+        verdict = deterministic_dichotomy(mass, eig.lam1, self.NOISELESS)
         assert verdict == (Dichotomy.BLOWUP_CERTIFIED, eig.lam1)
 
     def test_subcritical_mass(self, interval_48):
         _, grid, _, eig = interval_48
         f = 0.5 * np.ones(grid.npoints)
-        assert deterministic_dichotomy(f, eig, self.NOISELESS).outcome is Dichotomy.TAU_INFINITE
+        mass = weighted_inner(grid, f, eig.psi)
+        assert deterministic_dichotomy(mass, eig.lam1, self.NOISELESS).outcome is Dichotomy.TAU_INFINITE
 
     def test_near_boundary_from_below(self, interval_48):
         _, grid, _, eig = interval_48
         f = (eig.lam1 * 0.999) * np.ones(grid.npoints)
-        assert deterministic_dichotomy(f, eig, self.NOISELESS).outcome is Dichotomy.TAU_INFINITE
+        mass = weighted_inner(grid, f, eig.psi)
+        assert deterministic_dichotomy(mass, eig.lam1, self.NOISELESS).outcome is Dichotomy.TAU_INFINITE
 
     def test_bad_beta_rejected(self, interval_48):
         _, grid, _, eig = interval_48
         with pytest.raises(ConfigurationError):
-            deterministic_dichotomy(np.ones(grid.npoints), eig, ModelParams(beta=0.0, kappa=0.0))
+            mass = weighted_inner(grid, np.ones(grid.npoints), eig.psi)
+            deterministic_dichotomy(mass, eig.lam1, ModelParams(beta=0.0, kappa=0.0))
 
     def test_threshold_reads_the_lower_constant(self, interval_48):
         # G >= C z^(1+beta): the lower solution blows up above (lam1/C)^(1/beta)
@@ -360,7 +382,7 @@ class TestDichotomy:
         threshold = (4.0 * eig.lam1) ** 0.5
         for mass, outcome in ((0.99, Dichotomy.TAU_INFINITE), (1.01, Dichotomy.BLOWUP_CERTIFIED)):
             f = mass * threshold * np.ones(grid.npoints)
-            verdict = deterministic_dichotomy(f, eig, params)
+            verdict = deterministic_dichotomy(weighted_inner(grid, f, eig.psi), eig.lam1, params)
             assert verdict.outcome is outcome
             assert verdict.threshold == pytest.approx(threshold, rel=1e-15)
 
@@ -410,7 +432,7 @@ class TestMassInvariants:
 
 class TestMonteCarlo:
     PARAMS = ModelParams(beta=1.0, kappa=1.0)
-    LEVEL = BlowupThreshold(0.5, PARAMS).x_star
+    LEVEL = hitting_level(0.5, PARAMS)
 
     def test_smoke_estimate_matches_gamma_tail(self):
         est = mc_blowup_probability(
@@ -498,10 +520,9 @@ class TestMonteCarlo:
         # block width, on where a thread job's index range starts, or on
         # which rows have already stopped
         dt, seed, n = 1e-3, 5, 300
-        thr = BlowupThreshold(v0psi, self.PARAMS)
+        x_star = hitting_level(v0psi, self.PARAMS)
         a, b = blowup._drift_scale(self.PARAMS.beta, self.PARAMS.kappa, 1.0)
-        alpha = analytic_blowup_bound(1.0, self.PARAMS.kappa, 1.0, thr.x_star).alpha
-        x_star = thr.x_star
+        alpha = analytic_blowup_bound(1.0, self.PARAMS.kappa, 1.0, x_star).alpha
         nsteps = _n_steps(horizon, dt)
         a_dt = a * dt
         if saturating:  # the exponent b W_t passes EXP_CLAMP on some paths
@@ -532,7 +553,7 @@ class TestMonteCarlo:
         # each entry the estimate of a pass against it alone, for less work;
         # the sweep is unsorted and repeats a mass
         masses = [1.0, 0.25, 0.5, 0.25]
-        levels = [BlowupThreshold(m, self.PARAMS).x_star for m in masses]
+        levels = [hitting_level(m, self.PARAMS) for m in masses]
         kw = dict(n_paths=1000, horizon=10.0, dt=1e-3, seed=42, workers=workers)
         with caplog.at_level(logging.INFO, logger="spdelab.blowup"):
             sweep = mc_blowup_probability(self.PARAMS, 1.0, levels, **kw)
@@ -578,7 +599,7 @@ class TestMonteCarlo:
         a, b = blowup._drift_scale(self.PARAMS.beta, self.PARAMS.kappa, 1.0)
         alpha = analytic_blowup_bound(1.0, self.PARAMS.kappa, 1.0, self.LEVEL).alpha
         nsteps = _n_steps(horizon, dt)
-        x_stars = [BlowupThreshold(m, self.PARAMS).x_star for m in (0.25, 0.5, 1.0, 2.0)]
+        x_stars = [hitting_level(m, self.PARAMS) for m in (0.25, 0.5, 1.0, 2.0)]
         A, p, _, steps = blowup._advance_paths(9, 0, n, nsteps, dt, a * dt, b, x_stars, alpha)
         hit = A >= np.array(x_stars)
         early = ~hit & (steps < nsteps)
@@ -594,11 +615,11 @@ class TestMonteCarlo:
     def test_allowance_accounts_for_the_censored_paths(self, v0psi, horizon):
         # each path adds 1 if it hit, else its conditional probability of
         # hitting later, so p_hat + allowance estimates the t = inf law
-        thr = BlowupThreshold(v0psi, self.PARAMS)
+        level = hitting_level(v0psi, self.PARAMS)
         est = mc_blowup_probability(
-            self.PARAMS, 1.0, [thr.x_star], n_paths=4000, horizon=horizon, dt=1e-3, seed=2024
+            self.PARAMS, 1.0, [level], n_paths=4000, horizon=horizon, dt=1e-3, seed=2024
         ).estimates[0]
-        reference = analytic_blowup_bound(1.0, 1.0, 1.0, thr.x_star).p_blowup_lower
+        reference = analytic_blowup_bound(1.0, 1.0, 1.0, level).p_blowup_lower
         s = est.p_hat + est.truncation_allowance
         assert abs(s - reference) <= 4.0 * math.sqrt(s * (1.0 - s) / est.n_paths)
         assert 0.0 < est.truncation_allowance <= est.n_censored / est.n_paths
@@ -612,9 +633,9 @@ class TestMonteCarlo:
         assert e1.estimates[0].p_hat == 74 / 1000
 
     def test_enormous_mass_hits_immediately(self):
-        thr = BlowupThreshold(1e6, self.PARAMS)
+        level = hitting_level(1e6, self.PARAMS)
         [est] = mc_blowup_probability(
-            self.PARAMS, 1.0, [thr.x_star], n_paths=1000, horizon=1.0, dt=1e-3, seed=5
+            self.PARAMS, 1.0, [level], n_paths=1000, horizon=1.0, dt=1e-3, seed=5
         ).estimates
         assert est.p_hat == 1.0
         assert est.n_censored == 0
@@ -645,6 +666,7 @@ class TestMonteCarlo:
         est = ProbabilityEstimate(
             p_hat=0.25, n_paths=400,
             truncation_allowance=0.0, n_censored=300, n_saturated=0,
+            bound=analytic_blowup_bound(1.0, 1.0, 1.0, 2.0),
         )
         assert est.stderr == math.sqrt(0.25 * 0.75 / 400)
 
@@ -675,6 +697,37 @@ class TestMonteCarlo:
             mc_blowup_probability(self.PARAMS, 1.0, [self.LEVEL], workers=10_000, **kw)
         assert sizes == [cores, cores]
         assert multiprocessing.active_children() == []
+
+
+class TestOneHitRule:
+    """The Monte Carlo kernel and the lower solution decide a hit by the same
+    rule, A(t_k) >= level, on the same paths."""
+
+    @pytest.mark.parametrize(
+        "C, beta, kappa", [(1.0, 1.0, 1.0), (0.3, 1.5, 0.8), (0.7, 0.6, 1.2)]
+    )
+    def test_kernel_and_lower_solution_hit_at_the_same_step(self, monkeypatch, C, beta, kappa):
+        # one step per chunk makes the kernel's stop step its hit step, and no
+        # early stop lets every path that misses run to the horizon
+        monkeypatch.setattr(blowup, "MC_CHUNK", 1)
+        monkeypatch.setattr(blowup, "MC_STOP_PROB", -1.0)
+        horizon, dt, seed, n, lam1 = 2.0, 1e-2, 13, 400, 1.0
+        params = ModelParams(beta=beta, kappa=kappa, C=C)
+        levels = [hitting_level(m, params) for m in (0.5, 1.0, 2.0)]
+        a, b = blowup._drift_scale(beta, kappa, lam1)
+        alpha = analytic_blowup_bound(lam1, kappa, beta, levels[0]).alpha
+        nsteps = _n_steps(horizon, dt)
+        A, _, _, steps = blowup._advance_paths(seed, 0, n, nsteps, dt, a * dt, b, levels, alpha)
+        kernel_hit = A >= np.array(levels)
+        for i in range(n):
+            path = sample_brownian(horizon, dt, seed, i)
+            for j, level in enumerate(levels):
+                _, _, blown, _ = lower_solution_series(path, level, params, lam1)
+                assert kernel_hit[i, j] == (blown is not None), (i, level)
+                if blown is not None:
+                    assert steps[i, j] == blown, (i, level)
+        # the comparison sees both outcomes
+        assert 0 < kernel_hit.sum() < kernel_hit.size
 
 
 def _advance_or_raise(seed, lo, hi, *args):
@@ -736,7 +789,7 @@ class TestGlobalSide:
         K = a * math.exp(eig.lam1 * eta) / float(np.sum(eig.grid.weights * eig.modes[:, 0]))
         params = ModelParams(beta=beta, kappa=kappa, Lambda=Lambda)
         cert = certificate_heat_kernel(K, eta, params, eig, c, f=f)
-        x_star = BlowupThreshold(weighted_inner(eig.grid, f, eig.psi), params).x_star
+        x_star = hitting_level(weighted_inner(eig.grid, f, eig.psi), params)
         assert cert.threshold <= x_star
         p_blowup = analytic_blowup_bound(eig.lam1, kappa, beta, x_star).p_blowup_lower
         assert p_blowup + cert.probability <= 1.0

@@ -481,6 +481,21 @@ class TestBlowupCommand:
         assert len(read_csv(tmp_path / "o" / "blowup.csv")) == 3
         assert sorted(built) == list(range(1000))
 
+    def test_each_level_evaluates_its_gamma_law_once(self, tmp_path, monkeypatch):
+        # the Monte Carlo pass evaluates each level's gamma law to check the
+        # level, and blowup.csv reads that same evaluation back
+        calls = []
+
+        def counting_tail(alpha, z):
+            calls.append(z)
+            return stochastic.gamma_tail(alpha, z)
+
+        monkeypatch.setattr(blowup, "gamma_tail", counting_tail)
+        p = write_cfg(tmp_path, self.cfg(v0psi_sweep=[0.25, 0.5, 1.0]))
+        assert main(["blowup", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+        rows = read_csv(tmp_path / "o" / "blowup.csv")
+        assert [repr(z) for z in calls] == [row["z_star"] for row in rows]
+
     def test_small_kappa_large_gamma_shape(self, tmp_path):
         # kappa = 0.02 puts the gamma law at alpha ~ 5000 with z* ~ alpha
         cfg = interval_cfg(

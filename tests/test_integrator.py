@@ -190,7 +190,8 @@ class TestSimulateRpde:
         _, grid, _, eig = interval_48
         f = 2.0 * np.ones(grid.npoints)
         params = ModelParams(beta=1.0, kappa=0.0)
-        assert deterministic_dichotomy(f, eig, params).outcome is Dichotomy.BLOWUP_CERTIFIED
+        mass = weighted_inner(grid, f, eig.psi)
+        assert deterministic_dichotomy(mass, eig.lam1, params).outcome is Dichotomy.BLOWUP_CERTIFIED
         path = BrownianPath.frozen_zero(horizon=10.0, dt=1e-3)
         cfg = SchemeConfig()
         traj = simulate_paths(f, [path], params, eig, cfg)[0]
