@@ -10,16 +10,18 @@ linear part by the trapezoid rule instead, as the backward-Euler half step
 w extrapolated to 2w - v, so a step of either scheme is one solve.
 
 One engine, ``simulate_paths``, advances a block of paths that share the
-initial field, grid and scheme: each step is one reaction evaluation on
-the (paths x nodes) block and one solve on all of its rows, in the closed
-form of the grid's (-2, 1)/h^2 stencil: tridiagonal on an interval, diagonal
-in the tensor sine basis on a rectangle; no matrix is assembled. Each step
-writes its block into a staging buffer of ``STAGE_BYTES``; the sup norms,
-cutoff crossings, positivity check, mass and sup rows and the kept rows'
-mode projections run once per staged chunk of steps. It is also the single-path
-integrator: one path is a block of one, ``simulate_paths(f, [path], ...)[0]``,
-and every path's result is bitwise independent of the block it ran in and of
-the chunk width.
+initial field, grid and scheme: each step, ``_advance``, builds the
+explicit term of the (paths x nodes) block in place, in the slot of the
+staging buffer that the new block fills, and makes one solve on all of its
+rows, in the closed form of the grid's (-2, 1)/h^2 stencil: tridiagonal on
+an interval, diagonal in the tensor sine basis on a rectangle; no matrix is
+assembled. A chunk stages at most ``STAGE_BYTES`` of new fields and at most
+``STAGE_STEPS`` steps. Once per chunk, a node-major copy of its new fields
+gives their min and sup over nodes, and the cutoff crossings, positivity
+check, mass and sup rows and the kept rows' mode projections follow. It is
+also the single-path integrator: one path is a block of one,
+``simulate_paths(f, [path], ...)[0]``, and every path's result is bitwise
+independent of the block it ran in and of the chunk width.
 
 Numerical blowup is declared when the sup norm passes the cutoff; the path
 leaves the block at the end of its chunk and its blowup time is bracketed by
@@ -57,9 +59,11 @@ logger = logging.getLogger(__name__)
 POSITIVITY_TOL = 1e-8
 # dt halvings that bracket a cutoff crossing inside its step
 MAX_HALVINGS = 10
-# bytes of new fields staged per chunk of steps: a chunk holds
-# STAGE_BYTES // (8 * paths * nodes) steps, at least one
-STAGE_BYTES = 1 << 18
+# a chunk of staged steps holds STAGE_BYTES // (8 * paths * nodes) steps of
+# new fields, at least one and at most STAGE_STEPS, so that a path that
+# crosses the cutoff early in its chunk stages few steps past the crossing
+STAGE_BYTES = 1 << 19
+STAGE_STEPS = 64
 
 
 class Scheme(str, Enum):
@@ -139,9 +143,9 @@ class TrajectoryResult:
 
 class _Workspace:
     """The implicit operator of one time step, I - theta dt (lap - shift).
-    solve(block) overwrites a C-ordered (paths x nodes) block with the
-    solution of each row, each on its own, so a path's bits do not depend on
-    its block.
+    solve(block) overwrites a (paths x nodes) block, C-ordered or not, with
+    the solution of each row, each on its own, so a path's bits do not depend
+    on its block.
 
     lap is the grid's (-2, 1)/h^2 stencil on each axis. An interval of two or
     more nodes is factored by LAPACK's tridiagonal dpttrf, O(n) a solve. Any
@@ -152,12 +156,13 @@ class _Workspace:
     _sine_vectors and V_a = V (the 1-node grid is one row, with V_a = 1),
     O(n^3) a solve on an n x n rectangle. shift is kappa^2/2 for v, 0 for u;
     theta is 1 for IMEX and 1/2 for Crank-Nicolson, whose step extrapolates
-    the solution (_step).
+    the solution (_advance).
     """
 
     def __init__(self, grid: GridSpec, shift: float, dt: float, scheme: Scheme):
         self.extrapolate = scheme is Scheme.CRANK_NICOLSON
-        self.theta_dt = theta_dt = 0.5 * dt if self.extrapolate else dt
+        theta_dt = 0.5 * dt if self.extrapolate else dt
+        self.theta_dt = np.array(theta_dt)  # 0-d, as _Reaction's constants
         n = grid.n
         if len(grid.h) == 1 and n > 1:
             # imported on first use, so that importing the package loads no scipy
@@ -170,18 +175,26 @@ class _Workspace:
             )
             if info:
                 raise NumericalFailure(f"implicit operator factorization failed: LAPACK info {info}")
-            self._dpttrs = functools.partial(lapack.dpttrs, d, e, overwrite_b=1)
-            self.solve = self._solve_tridiagonal
+            self._dpttrs = functools.partial(lapack.dpttrs, d, e)
+            self._solve = self._solve_tridiagonal
         else:
             # the one sine matrix of every axis, after the 1 x 1 one of a single row
             sines = _sine_vectors(n, np.arange(1, n + 1))
             self._rows, self._cols = ([np.ones((1, 1))] + [sines] * len(grid.h))[-2:]
             lam = _spectrum(grid).reshape(-1, n)
             self._div = 1.0 + theta_dt * (lam + shift)
-            self.solve = self._solve_sine
+            self._solve = self._solve_sine
+
+    def solve(self, block: np.ndarray) -> None:
+        if block.flags.c_contiguous:
+            self._solve(block)
+        else:  # both solves work in place on C-ordered memory only
+            rows = np.ascontiguousarray(block)
+            self._solve(rows)
+            block[...] = rows
 
     def _solve_tridiagonal(self, block: np.ndarray) -> None:
-        _, info = self._dpttrs(b=block.T)
+        _, info = self._dpttrs(block.T, 1)  # overwrite_b: solve in place
         if info:
             raise NumericalFailure(f"linear solve failed: LAPACK info {info}")
 
@@ -214,28 +227,61 @@ def _noise_factor(w, params: ModelParams) -> np.ndarray:
     return params.G.coeff * factor if power_law else factor
 
 
-def _transformed_reaction(
-    values: np.ndarray, factor: np.ndarray, params: ModelParams
-) -> np.ndarray:
-    """e^{-kappa W} G(e^{kappa W} v) for fields values[..., :], one noise factor
-    per field; collapsed analytically for power laws."""
-    factor = factor[..., None]
-    if isinstance(params.G, PowerLaw):
-        return factor * np.power(np.maximum(values, 0.0), 1.0 + params.beta)
-    return params.G(factor * values) / factor
+class _Reaction:
+    """The reaction of a run's variable, written in place into out for a
+    block of fields, one field per row: e^{-kappa W} G(e^{kappa W} v) for v,
+    with noise the column of the rows' noise factors (_noise_factor),
+    collapsed analytically for a power law; G(u) for u, which reads no noise.
+
+    Its constants are 0-d arrays, which a ufunc takes faster than floats,
+    to the same bits.
+    """
+
+    def __init__(self, params: ModelParams, variable: str):
+        self.variable, self.G = variable, params.G
+        self.power_law = isinstance(params.G, PowerLaw)
+        self.kappa = np.array(params.kappa)
+        if self.power_law:
+            self.zero = np.array(0.0)
+            self.exponent = np.array(1.0 + params.beta)
+            self.coeff = np.array(params.G.coeff)
+
+    def __call__(self, fields: np.ndarray, noise, out: np.ndarray) -> None:
+        if self.power_law:
+            np.maximum(fields, self.zero, out=out)
+            np.power(out, self.exponent, out=out)
+            out *= noise if self.variable == "v" else self.coeff
+        elif self.variable == "v":
+            np.multiply(noise, fields, out=out)
+            out[...] = self.G(out)
+            out /= noise
+        else:
+            out[...] = self.G(fields)
 
 
-def _step(block: np.ndarray, explicit_term: np.ndarray, ws: _Workspace, out: np.ndarray):
-    """One linear-implicit step of a block of fields, one field per row,
-    written into the C-ordered out; the only place fields are advanced.
+def _advance(reaction: _Reaction, cur, noise, ws: _Workspace, out, scratch) -> None:
+    """One linear-implicit step of a block of fields, one field per row; the
+    only place fields are advanced. The explicit term at cur is built in out,
+    the C-ordered block the step fills, then scaled by theta dt, added to cur
+    and solved in place, so a step allocates nothing for a power law.
+
+    noise is a column, one entry per row: the noise factor at the step start
+    for v; for u the rate dW/dt of the step, whose multiplicative increment
+    is folded into the explicit term, u + dt G(u) + kappa u dW = u + dt (G(u)
+    + kappa u dW/dt), through scratch, a block shaped as out.
     Crank-Nicolson's half step w solves (I - dt L/2) w = v + dt R/2, so
     2w - v solves (I - dt L/2) x = (I + dt L/2) v + dt R."""
-    np.multiply(explicit_term, ws.theta_dt, out=out)
-    out += block
+    reaction(cur, noise, out)
+    if reaction.variable == "u":
+        np.multiply(cur, reaction.kappa, out=scratch)
+        scratch *= noise
+        out += scratch
+    out *= ws.theta_dt
+    out += cur
     ws.solve(out)
     if ws.extrapolate:
         out *= 2.0
-        out -= block
+        out -= cur
 
 
 def _check_grids(paths: list[BrownianPath]) -> tuple[float, int]:
@@ -252,7 +298,7 @@ def _refine_blowup_time(
     values: np.ndarray,
     t_lo: float,
     t_hi: float,
-    reaction,
+    advance,
     noise_at,
     level_workspace,
     dt: float,
@@ -261,11 +307,13 @@ def _refine_blowup_time(
     """Bracket the cutoff crossing inside the step [t_lo, t_hi] by dt halving,
     starting from the stable field ``values`` at t_lo.
 
-    ``noise_at(t)`` gives the one-row noise term at a time inside the step,
-    and ``level_workspace(dt)`` the factorization of a halving level. The
-    cascade refines the PDE time step, not the noise resolution.
+    ``advance(cur, noise, ws, out, scratch)`` is the run's step, ``noise_at(t)``
+    gives the 1 x 1 noise column at a time inside the step, and
+    ``level_workspace(dt)`` the factorization of a halving level. The cascade
+    refines the PDE time step, not the noise resolution.
     """
-    block = values[None, :]
+    cur = values[None, :].copy()
+    nxt, scratch = np.empty_like(cur), np.empty_like(cur)
     dt_f = dt
     for _ in range(MAX_HALVINGS):
         dt_f *= 0.5
@@ -273,12 +321,11 @@ def _refine_blowup_time(
         ws = level_workspace(dt_f)
         t = t_lo
         for _ in range(nsub):
-            nxt = np.empty_like(block)
-            _step(block, reaction(block, noise_at(t)), ws, nxt)
+            advance(cur, noise_at(t), ws, nxt, scratch)
             if not np.max(np.abs(nxt)) < cutoff:
                 t_hi = min(t + dt_f, t_hi)  # the sum may round past the step end
                 break
-            block, t = nxt, t + dt_f
+            cur, nxt, t = nxt, cur, t + dt_f
         else:  # no crossing at this dt: the bracket the last level found stays
             break
         t_lo = t
@@ -315,47 +362,39 @@ def simulate_paths(
     f = _validate_initial(f, eigen.grid)
     if not f.max() < cfg.cutoff:
         raise ConfigurationError(f"initial sup norm {f.max()} is not below the cutoff {cfg.cutoff}")
-    # noise_for(j, k) is path j's noise term inside step k as a function of
-    # time: v reads W interpolated at the time, u the increment of step k
+    # noise[k, j] is path j's noise term of step k as a 1-entry column, and
+    # noise_for(j, k) the term inside step k as a function of time: v reads W
+    # interpolated at the time, u the increment of step k
     if variable == "v":
         shift = 0.5 * params.kappa**2
         # one factor per step start, and one at t = T for the last kept row
-        noise = np.stack([_noise_factor(p.values, params) for p in paths], axis=1)
-
-        def reaction(block, factor):
-            return _transformed_reaction(block, factor, params)
-
-        def drift(rows, steps, idx):  # the reaction at each row's own step
-            return reaction(rows, noise[steps, idx])
+        noise = np.stack([_noise_factor(p.values, params) for p in paths], axis=1)[..., None]
 
         def noise_for(j, k):  # W interpolated inside the step
-            return lambda t: _noise_factor([np.interp(t, times, paths[j].values)], params)
+            return lambda t: _noise_factor([[np.interp(t, times, paths[j].values)]], params)
 
     else:
         shift = 0.0
-        # multiplicative increment folded into the explicit term:
-        # u + dt G(u) + kappa u dW = u + dt (G(u) + kappa u dW/dt)
-        noise = np.stack([np.diff(p.values) / dt for p in paths], axis=1)
-
-        def reaction(block, rate):
-            return params.G(block) + params.kappa * block * rate[:, None]
-
-        def drift(rows, steps, idx):  # the explicit term also carries the increment
-            return params.G(rows)
+        noise = np.stack([np.diff(p.values) / dt for p in paths], axis=1)[..., None]
 
         def noise_for(j, k):  # the increment of step k, spread evenly over it
             return lambda t: noise[k, j, None]
 
+    reaction = _Reaction(params, variable)
+    advance = functools.partial(_advance, reaction)
     ws = _Workspace(eigen.grid, shift, dt, cfg.scheme)
 
     @functools.cache
     def level_workspace(dt_level):  # one factorization per halving level and call
         return _Workspace(eigen.grid, shift, dt_level, cfg.scheme)
 
-    weights, psi = eigen.grid.weights, eigen.psi
+    weights = eigen.grid.weights
     modes_t = np.ascontiguousarray(eigen.modes.T)
     stride = max(1, math.ceil((nsteps + 1) / cfg.max_snapshots))
     n_paths, npoints = len(paths), eigen.grid.npoints
+    # psi once per path: the mass pairing of a block multiplies whole steps,
+    # not rows, to the same bits
+    psi_rows = np.tile(eigen.psi, (n_paths, 1))
     mass = np.empty((n_paths, nsteps + 1))
     sup = np.empty((n_paths, nsteps + 1))
     # per path and kept row: the coefficients of the field, then of its reaction
@@ -364,25 +403,33 @@ def simulate_paths(
     brackets: list[tuple[float, float] | None] = [None] * n_paths
 
     # stage[s] holds the block s steps into the chunk; stage[0] is its start
-    width = max(1, STAGE_BYTES // (8 * n_paths * npoints))
+    width = min(STAGE_STEPS, max(1, STAGE_BYTES // (8 * n_paths * npoints)))
     stage = np.empty((width + 1, n_paths, npoints))
+    scratch = np.empty((n_paths, npoints))
     stage[0] = f
-    mass[:, 0] = weighted_inner(eigen.grid, stage[0], psi)
+    mass[:, 0] = weighted_inner(eigen.grid, stage[0], psi_rows)
     sup[:, 0] = np.abs(stage[0]).max(axis=1)
     live = np.arange(n_paths)
     k0 = 0
     while k0 < nsteps and live.size:
         c = min(width, nsteps - k0)
         block = stage[:, : live.size]
-        step_noise = noise[k0 : k0 + c, live]
+        step_noise, work = noise[k0 : k0 + c, live], scratch[: live.size]
         # a path that crosses the cutoff keeps stepping to the chunk end; its
         # rows past the crossing overflow and reach no output
         with np.errstate(over="ignore", invalid="ignore"):
             for s in range(c):
-                _step(block[s], reaction(block[s], step_noise[s]), ws, block[s + 1])
+                advance(block[s], step_noise[s], ws, block[s + 1], work)
             new = block[1 : c + 1]
-            new_sup = np.abs(new).max(axis=2)
-            mass[live, k0 + 1 : k0 + c + 1] = weighted_inner(eigen.grid, new, psi).T
+            # one node-major copy of the new fields: their min and sup over
+            # nodes are elementwise reductions over whole steps, exact, so
+            # the bits of one reduction per field
+            nodes = np.ascontiguousarray(np.moveaxis(new, 2, 0))
+            low = nodes.min(axis=0) if variable == "v" else None
+            new_sup = np.abs(nodes, out=nodes).max(axis=0)
+            del nodes  # its memory serves the pairing
+            pairing = weighted_inner(eigen.grid, new, psi_rows[: live.size])
+            mass[live, k0 + 1 : k0 + c + 1] = pairing.T
             sup[live, k0 + 1 : k0 + c + 1] = new_sup.T
         stable = new_sup < cfg.cutoff
         # the step of each path's first crossing, c for none
@@ -390,7 +437,6 @@ def simulate_paths(
         blown = cross < c
         rows = np.arange(c + 1)[:, None]
         if variable == "v":  # a row dips below -1e-8 times its field scale
-            low = new.min(axis=2)
             old_sup = np.concatenate((sup[live, k0][None], new_sup[:-1]))
             scale = np.maximum(np.maximum(new_sup, old_sup), 1e-300)
             lost = (rows[:c] < cross) & (low < -POSITIVITY_TOL * scale)
@@ -409,15 +455,17 @@ def simulate_paths(
         s_kept, i_kept = np.nonzero(on_stride | stop)
         steps, idx = k0 + s_kept, live[i_kept]
         fields = block[s_kept, i_kept]
-        pairs = np.empty((len(fields), 2, npoints))
-        np.multiply(fields, weights, out=pairs[:, 0])
-        np.multiply(drift(fields, steps, idx), weights, out=pairs[:, 1])
-        coeffs[idx, -(-steps // stride)] = np.vecdot(pairs[:, :, None, :], modes_t)
+        pairs = np.empty((2, len(fields), npoints))
+        np.multiply(fields, weights, out=pairs[0])
+        reaction(fields, noise[steps, idx] if variable == "v" else None, pairs[1])
+        pairs[1] *= weights
+        kept = np.vecdot(pairs[:, :, None, :], modes_t)
+        coeffs[idx, -(-steps // stride)] = kept.swapaxes(0, 1)
         for i in np.flatnonzero(blown):
             j, k = live[i], k0 + cross[i]
             k_stop[j], t_k = k, float(times[k])
             brackets[j] = _refine_blowup_time(
-                block[cross[i], i], t_k, t_k + dt, reaction, noise_for(j, k), level_workspace, dt,
+                block[cross[i], i], t_k, t_k + dt, advance, noise_for(j, k), level_workspace, dt,
                 cfg.cutoff,
             )
         live = live[~blown]

@@ -36,8 +36,6 @@ from spdelab.integrator import (
     SchemeConfig,
     TrajectoryResult,
     _Workspace,
-    _noise_factor,
-    _transformed_reaction,
     mode_residuals,
     reconstruct_u,
     simulate_paths,
@@ -297,7 +295,9 @@ def tabulated_square():
 def single_path_loop(f, path, params, eig, cfg, variable):
     """Reference: one path, one column per solve with the tridiagonal
     Cholesky factor, mass and sup up to the first cutoff crossing;
-    Crank-Nicolson extrapolates the backward-Euler half step w to 2w - v."""
+    Crank-Nicolson extrapolates the backward-Euler half step w to 2w - v.
+    The v reaction collapses a power law to c e^{kappa beta W} v^(1+beta) and
+    evaluates any other G as e^{-kappa W} G(e^{kappa W} v)."""
     lap = _laplacian(eig.grid)
     eye = sparse.identity(lap.shape[0], format="csr")
     shift = 0.5 * params.kappa**2 if variable == "v" else 0.0
@@ -316,9 +316,12 @@ def single_path_loop(f, path, params, eig, cfg, variable):
     v = f
     mass, sup = [float(np.dot(eig.grid.weights, eig.psi * v))], [float(np.max(np.abs(v)))]
     for k in range(path.nsteps):
-        if variable == "v":
+        if variable == "v" and isinstance(params.G, PowerLaw):
             factor = params.G.coeff * math.exp(min(params.kappa * params.beta * path.values[k], 700.0))
             r = factor * np.power(np.maximum(v, 0.0), 1.0 + params.beta)
+        elif variable == "v":
+            factor = math.exp(min(max(params.kappa * path.values[k], -700.0), 700.0))
+            r = params.G(factor * v) / factor
         else:
             r = params.G(v) + params.kappa * v * (dw[k] / path.dt)
         w = solve(v + theta * path.dt * r)
@@ -359,11 +362,14 @@ class TestBlockEngine:
 
     @pytest.mark.parametrize("variable", ["v", "u"])
     @pytest.mark.parametrize("scheme", [Scheme.IMEX, Scheme.CRANK_NICOLSON])
-    def test_matches_single_path_loop(self, variable, scheme):
+    @pytest.mark.parametrize("nonlinearity", ["power_law", "tabulated"])
+    def test_matches_single_path_loop(self, variable, scheme, nonlinearity):
         # the block engine reproduces the per-path loop it replaced, bit for
-        # bit, on every accepted step of every path
+        # bit, on every accepted step of every path, for the power law and
+        # for a G that is evaluated as given
         grid, eig = interval_16()
-        params = ModelParams(beta=1.0, kappa=1.0)
+        g = PowerLaw() if nonlinearity == "power_law" else tabulated_square()
+        params = ModelParams(beta=1.0, kappa=1.0, G=g)
         cfg = SchemeConfig(cutoff=1e6, scheme=scheme)
         f = 3.0 * eig.psi
         paths = [sample_brownian(2.0, 2e-3, 7, i) for i in range(6)]
@@ -379,7 +385,7 @@ class TestBlockEngine:
     def test_chunk_width_invariance(self, monkeypatch, kind, variable, scheme):
         # six paths that mix blowup and completion, staged one step at a
         # time, seven steps at a time (the kept-row stride is 26) and at the
-        # default width, give the same bytes
+        # default width, which STAGE_STEPS caps here, give the same bytes
         eig, f = mixed_outcome_problem(kind)
         params = ModelParams(beta=1.0, kappa=1.0)
         cfg = SchemeConfig(cutoff=1e6, scheme=scheme, max_snapshots=40)
@@ -427,14 +433,14 @@ class TestBlockEngine:
         cfg = SchemeConfig(cutoff=1e6, max_snapshots=40)
         paths = [sample_brownian(2.0, 2e-3, 7, i) for i in range(6)]
         clean = simulate_paths(3.0 * eig.psi, paths, params, eig, cfg)
-        step = integrator._step
+        step = integrator._advance
 
-        def step_with_dip(block, explicit_term, ws, out):
-            step(block, explicit_term, ws, out)
+        def step_with_dip(reaction, cur, noise, ws, out, scratch):
+            step(reaction, cur, noise, ws, out, scratch)
             crossed = ~(np.abs(out).max(axis=1) < cfg.cutoff)
             out[crossed, 0] = -np.abs(out[crossed]).max(axis=1)
 
-        monkeypatch.setattr(integrator, "_step", step_with_dip)
+        monkeypatch.setattr(integrator, "_advance", step_with_dip)
         dipped = simulate_paths(3.0 * eig.psi, paths, params, eig, cfg)
         assert {r.outcome for r in clean} == {Outcome.COMPLETED, Outcome.NUMERICAL_BLOWUP}
         for a, b in zip(clean, dipped):
@@ -511,6 +517,27 @@ class TestBlockEngine:
                                SchemeConfig(cutoff=6.0))
         assert sum(t.outcome is Outcome.NUMERICAL_BLOWUP for t in trajs) >= 2
         assert len(built) == len(set(built)) > 2
+
+    def test_a_path_stages_at_most_63_steps_past_its_crossing(self, monkeypatch):
+        # a one-path block on 16 nodes that crosses the cutoff early keeps
+        # stepping only to the end of its chunk: STAGE_STEPS caps the chunk
+        # at 64 steps, where 512 KiB alone would hold 4,096 of them
+        main_solves = []
+
+        class CountedWorkspace(_Workspace):
+            def solve(self, block):
+                main_solves.append(self.theta_dt == path.dt)
+                super().solve(block)
+
+        monkeypatch.setattr(integrator, "_Workspace", CountedWorkspace)
+        _, eig = interval_16()
+        path = BrownianPath.frozen_zero(horizon=5.0, dt=1e-3)
+        traj = simulate_paths(40.0 * eig.psi, [path], ModelParams(beta=1.0, kappa=0.0), eig,
+                              SchemeConfig(cutoff=1e6))[0]
+        assert traj.outcome is Outcome.NUMERICAL_BLOWUP
+        crossing = len(traj.times)  # the step whose field first crosses
+        assert crossing < 100 < path.nsteps
+        assert crossing <= sum(main_solves) <= crossing + 63
 
     def test_u_bracket_reads_only_the_crossing_steps_increment(self):
         # moving W after the crossing step changes no increment up to it, so
@@ -602,11 +629,34 @@ class TestWorkspace:
         gen = _laplacian(grid) - shift * eye
         lu = splu((eye - 0.5 * dt * gen).tocsc())
         rng = np.random.default_rng(n)
-        block, r = rng.uniform(0.0, 1.0, (2, 5, grid.npoints))
+        block = rng.uniform(0.0, 1.0, (5, grid.npoints))
+        factor = rng.uniform(0.5, 2.0, (5, 1))
+        r = factor * block**2  # the v reaction at beta = 1, c = 1
         out = np.empty_like(block)
-        integrator._step(block, r, ws, out)
+        reaction = integrator._Reaction(ModelParams(beta=1.0, kappa=1.0), "v")
+        integrator._advance(reaction, block, factor, ws, out, None)
         expected = lu.solve((eye + 0.5 * dt * gen) @ block.T + dt * r.T).T
         assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("kind, n", [("interval", 16), ("rectangle", 8)])
+    def test_solve_overwrites_a_block_that_is_not_c_ordered(self, kind, n):
+        # every other row, or every other column of a wider array: each view
+        # is solved in place, to the bits of its C-ordered copy, and the
+        # memory between its entries is left alone
+        grid = workspace_grid(kind, n)
+        ws = _Workspace(grid, 0.5, 1e-3, Scheme.IMEX)
+        rng = np.random.default_rng(n)
+        for base, take in ((rng.uniform(0.0, 1.0, (8, grid.npoints)), np.s_[::2]),
+                           (rng.uniform(0.0, 1.0, (4, 2 * grid.npoints)), np.s_[:, ::2])):
+            view, before = base[take], base.copy()
+            assert view.shape == (4, grid.npoints) and not view.flags.c_contiguous
+            expected = view.copy()
+            ws.solve(expected)
+            ws.solve(view)
+            assert base[take].tobytes() == expected.tobytes()
+            untouched = np.ones(base.shape, bool)
+            untouched[take] = False
+            assert base[untouched].tobytes() == before[untouched].tobytes()
 
     @pytest.mark.parametrize("scheme", [Scheme.IMEX, Scheme.CRANK_NICOLSON])
     @pytest.mark.parametrize("lengths, n", [((math.pi,), 8), ((2.5,), 64)])
@@ -647,9 +697,9 @@ class TestModeCoefficients:
             off_stride |= (len(traj.times) - 1) % stride != 0
             fields = node_fields(traj.snapshot_coeffs, basis)
             idx = np.rint(traj.snapshot_times / path.dt).astype(int)
-            if variable == "v":
-                factor = _noise_factor(path.values[idx], params)
-                react = _transformed_reaction(fields, factor, params)
+            if variable == "v":  # e^{-kappa W} G(e^{kappa W} v), W at each row's step
+                factor = np.exp(params.kappa * path.values[idx])[:, None]
+                react = params.G(factor * fields) / factor
             else:
                 react = params.G(fields)
             expected = (react * grid.weights) @ basis.modes
