@@ -2,10 +2,12 @@
 
     spdelab <command> --config cfg.json [--seed N] [--out DIR] [--workers W]
 
-Commands: eigen, blowup, simulate, certify, heat-kernel. Exit codes: 0 on
-success, 2 for configuration problems (arrays numpy cannot hold included) and
-output I/O errors, 3 for numerical failures and arrays too large for memory,
-4 for violated mathematical preconditions.
+Commands: eigen, blowup, simulate, certify, heat-kernel. The parser is built
+once per process, on the first call of main; each call then looks its command
+up in ``_COMMANDS``, so a wrapped entry there is the one that runs. Exit codes:
+0 on success, 2 for configuration problems (arrays numpy cannot hold included)
+and output I/O errors, 3 for numerical failures and arrays too large for
+memory, 4 for violated mathematical preconditions.
 
 Every float lands in CSV via repr(), so reruns of the same config are
 byte-identical (the manifest carries the only timestamps). Output rows are
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import json
 import math
 import os
@@ -296,7 +299,11 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, run: RunManife
         if t_cells is None:  # every path runs on the grid k*dt
             t_cells = list(map(repr, paths[0].times.tolist()))
         trajs = simulate_paths(f, paths, params, eigen, sim, variable="v")
-        trajs_em = simulate_paths(f, paths, params, eigen, em_cfg, variable="u")
+        # at kappa = 0 the v step is the EM step operation for operation, so
+        # the v run is the EM run, bit for bit
+        trajs_em = trajs
+        if params.kappa != 0:
+            trajs_em = simulate_paths(f, paths, params, eigen, em_cfg, variable="u")
         for idx, path, traj, traj_em in zip(block, paths, trajs, trajs_em):
             _, weak, mild = mode_residuals(traj, path, params, eigen)
             lower = tau = None
@@ -437,6 +444,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spdelab",
@@ -458,7 +466,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="worker processes for Monte Carlo, at most the core count; results are "
             "worker-count invariant",
         )
-        p.set_defaults(fn=fn)
     return parser
 
 
@@ -483,7 +490,7 @@ def main(argv=None) -> int:
             workers_requested=args.workers,
             cpu_count=os.cpu_count(),
         )
-        files = args.fn(cfg, out_dir, seed, manifest)
+        files = _COMMANDS[args.command](cfg, out_dir, seed, manifest)
         manifest.outputs = [f.name for f in files]
         files.append(manifest.write(out_dir))
     except ConfigurationError as exc:

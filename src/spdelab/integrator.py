@@ -349,11 +349,13 @@ def simulate_paths(
     (paths x nodes) block with one reaction evaluation and one solve on all
     right-hand sides, and writes it into the staging buffer; the checks and
     the series rows of a chunk of steps are read off the buffer at the chunk
-    end. A path that crosses the cutoff leaves the block there and has its
-    crossing refined. A kept row is stored as the coefficients of the field
-    and of its reaction in ``eigen.modes``, each pairing a dot product of
-    fixed length, so each result is bitwise the one its path gives in a block
-    of its own, whatever the chunk width.
+    end. The noise terms are built chunk by chunk too, for the rows still in
+    the block, each v factor through math.exp entry by entry, so no array of
+    them grows with the horizon. A path that crosses the cutoff leaves the
+    block there and has its crossing refined. A kept row is stored as the
+    coefficients of the field and of its reaction in ``eigen.modes``, each
+    pairing a dot product of fixed length, so each result is bitwise the one
+    its path gives in a block of its own, whatever the chunk width.
     """
     if variable not in ("v", "u"):
         raise ConfigurationError(f"variable must be 'v' or 'u', got {variable!r}")
@@ -362,23 +364,28 @@ def simulate_paths(
     f = _validate_initial(f, eigen.grid)
     if not f.max() < cfg.cutoff:
         raise ConfigurationError(f"initial sup norm {f.max()} is not below the cutoff {cfg.cutoff}")
-    # noise[k, j] is path j's noise term of step k as a 1-entry column, and
+    # chunk_noise(rows, k0, c)[s, i] is path rows[i]'s noise term of step
+    # k0 + s as a 1-entry column, built per chunk for the live rows only, and
     # noise_for(j, k) the term inside step k as a function of time: v reads W
     # interpolated at the time, u the increment of step k
+    def chunk_noise(rows, k0, c):
+        w = np.stack([paths[j].values[k0 : k0 + c + 1] for j in rows], axis=1)
+        if variable == "v":  # the factor at each step start, and at k0 + c for a kept row
+            return _noise_factor(w, params)[..., None]
+        return (np.diff(w, axis=0) / dt)[..., None]
+
     if variable == "v":
         shift = 0.5 * params.kappa**2
-        # one factor per step start, and one at t = T for the last kept row
-        noise = np.stack([_noise_factor(p.values, params) for p in paths], axis=1)[..., None]
 
         def noise_for(j, k):  # W interpolated inside the step
             return lambda t: _noise_factor([[np.interp(t, times, paths[j].values)]], params)
 
     else:
         shift = 0.0
-        noise = np.stack([np.diff(p.values) / dt for p in paths], axis=1)[..., None]
 
         def noise_for(j, k):  # the increment of step k, spread evenly over it
-            return lambda t: noise[k, j, None]
+            rate = chunk_noise([j], k, 1)[0]
+            return lambda t: rate
 
     reaction = _Reaction(params, variable)
     advance = functools.partial(_advance, reaction)
@@ -414,7 +421,7 @@ def simulate_paths(
     while k0 < nsteps and live.size:
         c = min(width, nsteps - k0)
         block = stage[:, : live.size]
-        step_noise, work = noise[k0 : k0 + c, live], scratch[: live.size]
+        step_noise, work = chunk_noise(live, k0, c), scratch[: live.size]
         # a path that crosses the cutoff keeps stepping to the chunk end; its
         # rows past the crossing overflow and reach no output
         with np.errstate(over="ignore", invalid="ignore"):
@@ -457,7 +464,7 @@ def simulate_paths(
         fields = block[s_kept, i_kept]
         pairs = np.empty((2, len(fields), npoints))
         np.multiply(fields, weights, out=pairs[0])
-        reaction(fields, noise[steps, idx] if variable == "v" else None, pairs[1])
+        reaction(fields, step_noise[s_kept, i_kept] if variable == "v" else None, pairs[1])
         pairs[1] *= weights
         kept = np.vecdot(pairs[:, :, None, :], modes_t)
         coeffs[idx, -(-steps // stride)] = kept.swapaxes(0, 1)

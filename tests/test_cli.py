@@ -388,6 +388,23 @@ class TestEigenCommand:
         assert np.all(psi > 0)
         assert abs(h * psi.sum() - 1.0) < 1e-12
 
+    def test_one_parser_serves_every_call(self, tmp_path, monkeypatch):
+        # the parser is built once per process, and each call looks its
+        # command up in _COMMANDS, so a wrapped entry there is the one that runs
+        p = write_cfg(tmp_path, interval_cfg(n=16))
+        with pytest.raises(SystemExit) as exc:
+            main(["eigen", "--config", str(p), "--workers", "two"])
+        assert exc.value.code == 2
+        assert main(["eigen", "--config", str(p), "--out", str(tmp_path / "a")]) == 0
+        calls = []
+        eigen = cli._COMMANDS["eigen"]
+        monkeypatch.setitem(cli._COMMANDS, "eigen", lambda *a: calls.append(a) or eigen(*a))
+        assert main(["eigen", "--config", str(p), "--out", str(tmp_path / "b")]) == 0
+        assert len(calls) == 1
+        for name in ("eigenvalues.json", "psi.csv"):
+            assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+        assert cli._build_parser() is cli._build_parser()
+
     def test_manifest_records_run(self, tmp_path):
         out = tmp_path / "out"
         p = write_cfg(tmp_path, interval_cfg(n=16))
@@ -952,6 +969,33 @@ class TestSimulateCommand:
         p = write_cfg(tmp_path, cfg)
         assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
         assert schemes == [(16, "v"), (16, "u")]
+
+    def test_noiseless_run_integrates_once(self, tmp_path, monkeypatch):
+        # at kappa = 0 the v run is the Euler-Maruyama run, so it is not
+        # integrated again; a noisy run integrates both, as
+        # test_trajectories_shape_runs_one_block records
+        schemes = []
+        simulate = cli.simulate_paths
+        monkeypatch.setattr(
+            cli,
+            "simulate_paths",
+            lambda *a, **k: schemes.append((len(a[1]), k["variable"])) or simulate(*a, **k),
+        )
+        cfg = interval_cfg(
+            n=32,
+            model={"beta": 1.0, "kappa": 0.0},
+            initial={"mode": "eigen-multiple", "a": 3.0},
+            sim={"dt": 1e-2, "horizon": 2.0, "n_paths": 16, "seed": 7},
+        )
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+        assert schemes == [(1, "v")]
+        (traj,), (cons,) = read_csv(out / "trajectories.csv"), read_csv(out / "consistency.csv")
+        assert traj["outcome"] == "numerical_blowup"
+        assert (cons["t_blowup_em"], cons["t_last_stable_em"]) == (
+            traj["t_blowup"], traj["t_last_stable"]
+        )
+        assert float(cons["em_transform_rel_diff"]) == 0.0
 
     @pytest.mark.parametrize("seed", [7, 1, 2, 3])
     def test_lower_solution_blowup_forces_numerical_blowup(self, tmp_path, seed):

@@ -753,6 +753,23 @@ class TestSchemeCrossValidation:
         # at kappa = 0 the transformed reaction is G itself
         assert np.array_equal(a.reaction_coeffs, b.reaction_coeffs)
 
+    def test_noiseless_blowup_em_run_is_the_v_run(self):
+        # simulate reuses the v run as the Euler-Maruyama run at kappa = 0,
+        # which holds only while the two steps agree operation for operation:
+        # the series and the refined bracket the consistency table reads
+        grid = build_grid(DomainSpec(kind="interval", lengths=(math.pi,)), 128)
+        eig = solve_eigenpairs(grid, 12)
+        f = 5.093 * eig.psi
+        path = BrownianPath.frozen_zero(horizon=2.0, dt=1e-3)
+        params = ModelParams(beta=1.0, kappa=0.0)
+        cfg = SchemeConfig(cutoff=1e8)
+        v = simulate_paths(f, [path], params, eig, cfg, variable="v")[0]
+        u = simulate_paths(f, [path], params, eig, replace(cfg, max_snapshots=2), "u")[0]
+        assert v.outcome is Outcome.NUMERICAL_BLOWUP
+        assert u.sup.tobytes() == v.sup.tobytes()
+        bracket = [(r.t_blowup.hex(), r.t_last_stable.hex()) for r in (u, v)]
+        assert bracket[0] == bracket[1]
+
     def test_em_mass_tracks_geometric_noise(self, interval_48):
         # G = 0, kappa = 0.5: exact mass is m0 e^{-lam1 t + kappa W_t - kappa^2 t/2}
         _, grid, _, eig = interval_48
