@@ -117,9 +117,8 @@ def _coefficient_envelope(coeff: np.ndarray, T: float, kappa: float, eigen: Eige
     """Bound on ||e^{-kappa^2 t/2} S_t f||_inf at t = T, from the coefficients
     of f, that keeps majorizing after multiplication by
     e^{-(lam_1 + kappa^2/2)(t - T)} for t > T."""
-    mode_sup = np.max(np.abs(eigen.modes), axis=0)
     return math.exp(-0.5 * kappa**2 * T) * float(
-        np.sum(np.abs(coeff) * np.exp(-eigen.eigenvalues * T) * mode_sup)
+        np.sum(np.abs(coeff) * np.exp(-eigen.eigenvalues * T) * eigen.mode_sup)
     )
 
 

@@ -185,6 +185,14 @@ class EigenData:
     def m(self) -> int:
         return int(self.eigenvalues.shape[0])
 
+    @functools.cached_property
+    def mode_sup(self) -> np.ndarray:
+        """max |phi_k| over the grid for each mode, built on first use and
+        read-only."""
+        mode_sup = np.max(np.abs(self.modes), axis=0)
+        mode_sup.flags.writeable = False
+        return mode_sup
+
     def project(self, f: np.ndarray) -> np.ndarray:
         """Coefficients of ``f`` in the retained basis (weighted inner products)."""
         f = np.asarray(f, dtype=float)
@@ -276,9 +284,22 @@ def sup_norm_decay(f: np.ndarray, t, kappa: float, basis: EigenData):
     ``|c_k| e^{-lam_k t} s_k`` in size, ``s_k = max |phi_k|``, and that bound
     only falls as ``t`` grows. Each block of times therefore multiplies out
     only the modes up to the last one at least ``SUP_NORM_FLOOR`` in size at
-    the block's earliest time, and zeroes the entries below the floor in the
-    kept rows. A dropped term cannot change a sum of size 2^-946 or more, so
-    the series differs from the full sum by at most ``m * SUP_NORM_FLOOR``.
+    the block's earliest time ``t0``, and zeroes the entries below the floor
+    in the kept rows. A dropped term cannot change a sum of size 2^-946 or
+    more, so the series differs from the full sum by at most
+    ``m * SUP_NORM_FLOOR``.
+
+    Each block also multiplies only the nodes that can hold its sup. Every
+    kept ``lam_k`` is at least ``lam_1``, so for ``t >= t0`` the field at node
+    x is at most ``e^{-lam_1 (t - t0)} U(x)``, with the node bound
+    ``U(x) = sum_k |phi_k(x)| |c_k| e^{-lam_k t0}``. The block computes the row
+    ``r(t)`` of the probe node, the one of largest U, and multiplies the
+    nodes with ``U(x) (1 + eps) >= min_t r(t) e^{lam_1 (t - t0)}``, compared
+    in logs. Any other node stays below the probe at every time of the
+    block, and ``eps`` covers the rounding of both sides. The sup then
+    matches the all-node product up to that product's own rounding: BLAS
+    may sum a subset of rows differently from the same rows of the full
+    product, by a few ulp.
     """
     times = np.asarray(t, dtype=float)
     if not np.all(times >= 0):  # NaN fails the comparison too
@@ -287,8 +308,17 @@ def sup_norm_decay(f: np.ndarray, t, kappa: float, basis: EigenData):
     coeff = basis.project(f)
     flat = times.reshape(-1)
     out = np.empty(flat.size)
-    lam, modes = basis.eigenvalues, basis.modes
-    sup_modes = np.max(np.abs(modes), axis=0)
+    abs_modes = np.abs(basis.modes)
+    # eps, in units of 2^-53: 2m for the two sums of up to m terms (U and the
+    # product, each within m 2^-53 of its sum of |terms|), 2Z for the exponents lam_k t
+    # of two kept terms, each rounded by up to 2^-53 lam_k t, 8Z for the logs
+    # and lam_1 (t - t0), each within 2 ulp of a value of size at most Z, and
+    # 6 for exp and the product with c_k. Z = 745 + ln max(1, sum |c_k| s_k)
+    # bounds each of these sizes: a kept term is at least 2^-1000 in size, a
+    # nonzero U or r at least 2^-1074. 2^-52 (m + 6Z) covers the sum with
+    # room for second-order terms.
+    scale = math.log(max(1.0, float(np.sum(np.abs(coeff) * basis.mode_sup))))
+    slack = math.log1p(2.0**-52 * (basis.m + 6.0 * (745.0 + scale)))
     # a positive multiple of 16 times per block: BLAS kernels sum the columns
     # left over past a multiple of 4 or 8 in another order, so only the last
     # block has such columns, as one block of all the times would
@@ -298,16 +328,49 @@ def sup_norm_decay(f: np.ndarray, t, kappa: float, basis: EigenData):
     buf = np.empty(npoints * min(width, flat.size))
     for lo in range(0, flat.size, width):
         chunk = flat[lo : lo + width]
-        fields = buf[: npoints * chunk.size].reshape(npoints, chunk.size)
-        first = np.abs(np.exp(-lam * np.min(chunk)) * coeff) * sup_modes
-        kept = np.flatnonzero(first >= SUP_NORM_FLOOR)
-        k = int(kept[-1]) + 1 if kept.size else 0
-        decay = np.exp(-np.outer(lam[:k], chunk)) * coeff[:k, None]
-        decay[np.abs(decay) * sup_modes[:k, None] < SUP_NORM_FLOOR] = 0.0
-        np.matmul(modes[:, :k], decay, out=fields)
-        out[lo : lo + width] = np.max(np.abs(fields, out=fields), axis=0)
-    out *= np.exp(-0.5 * kappa**2 * flat)
+        out[lo : lo + width] = _block_sup(chunk, coeff, basis, abs_modes, slack, buf)
+        out[lo : lo + width] *= np.exp(-0.5 * kappa**2 * chunk)
     return float(out[0]) if times.ndim == 0 else out.reshape(times.shape)
+
+
+def _block_sup(
+    chunk: np.ndarray,
+    coeff: np.ndarray,
+    basis: EigenData,
+    abs_modes: np.ndarray,
+    slack: float,
+    buf: np.ndarray,
+) -> np.ndarray:
+    """max_x |(S_t f)(x)| at each time t of one block, from the kept modes at
+    the candidate nodes (see sup_norm_decay). Its temporaries die with it."""
+    lam, modes, sup_modes = basis.eigenvalues, basis.modes, basis.mode_sup
+    t0 = np.min(chunk)
+    weight = np.abs(np.exp(-lam * t0) * coeff)
+    kept = np.flatnonzero(weight * sup_modes >= SUP_NORM_FLOOR)
+    k = int(kept[-1]) + 1 if kept.size else 0
+    # built in place: einsum forms the products lam_k (-t) of np.outer with
+    # no broadcast buffers, and lam t is exact under negation
+    decay = np.einsum("k,t->kt", lam[:k], -chunk)
+    np.exp(decay, out=decay)
+    decay *= coeff[:k, None]
+    # the fields buffer is free until the product: it holds the sizes
+    size = np.abs(decay, out=buf[: decay.size].reshape(decay.shape))
+    size *= sup_modes[:k, None]
+    decay[size < SUP_NORM_FLOOR] = 0.0
+    # the node bound U at t0 and the row r of the probe, the node of largest
+    # U, which the test below always keeps
+    bound = abs_modes[:, :k] @ weight[:k]
+    # log 0 is -inf: a time where r underflows keeps every node, and an
+    # infinite time, where r(t) e^{lam_1 (t - t0)} is 0 * inf, bounds none
+    with np.errstate(divide="ignore", invalid="ignore"):
+        row = np.log(np.abs(modes[np.argmax(bound), :k] @ decay)) + lam[0] * (chunk - t0)
+        keep = np.log(bound) + slack >= np.fmin.reduce(row)
+    # past half the grid the block multiplies every node, so the gathered
+    # rows never hold more than half the basis
+    rows = modes[keep, :k] if 2 * np.count_nonzero(keep) <= keep.size else modes[:, :k]
+    fields = buf[: rows.shape[0] * chunk.size].reshape(rows.shape[0], chunk.size)
+    np.matmul(rows, decay, out=fields)
+    return np.max(np.abs(fields, out=fields), axis=0)
 
 
 @dataclass(frozen=True, eq=False)

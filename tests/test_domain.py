@@ -22,8 +22,28 @@ from spdelab.domain import (
     weighted_inner,
 )
 from spdelab.errors import ConfigurationError
+from spdelab.stochastic import BrownianPath
 
 PI = np.pi
+
+
+def all_node_series(f, times, kappa, eig):
+    """sup_norm_decay's blocks, kept modes and floor, with every node
+    multiplied in every block."""
+    coeff = eig.project(f)
+    lam, modes = eig.eigenvalues, eig.modes
+    sup_modes = np.max(np.abs(modes), axis=0)
+    width = 16 * max(1, domain.SUP_NORM_BLOCK_BYTES // (16 * 8 * eig.grid.npoints))
+    out = np.empty(times.size)
+    for lo in range(0, times.size, width):
+        chunk = times[lo : lo + width]
+        first = np.abs(np.exp(-lam * np.min(chunk)) * coeff) * sup_modes
+        kept = np.flatnonzero(first >= domain.SUP_NORM_FLOOR)
+        k = int(kept[-1]) + 1 if kept.size else 0
+        decay = np.exp(-np.outer(lam[:k], chunk)) * coeff[:k, None]
+        decay[np.abs(decay) * sup_modes[:k, None] < domain.SUP_NORM_FLOOR] = 0.0
+        out[lo : lo + width] = np.max(np.abs(modes[:, :k] @ decay), axis=0)
+    return out * np.exp(-0.5 * kappa**2 * times)
 
 
 class TestDomainAndGrid:
@@ -338,6 +358,84 @@ class TestHeatSemigroup:
         blocks = math.ceil(times.size / 256)
         assert len(inner) == blocks
         assert sum(inner) <= 0.25 * eig.m * blocks
+
+    # the sup of the two-peak data sits on two mirror nodes at once; blocks
+    # of 16 times, the fewest, let the small grids prune as well
+    @pytest.mark.parametrize("budget", ["default", "16 times"])
+    @pytest.mark.parametrize(
+        "shape, data",
+        [
+            (s, d)
+            for s in ("512", "100", "16", "short", "16x16")
+            for d in ("random", "bump", "twin")
+        ],
+    )
+    def test_sup_norm_decay_pruning_matches_all_nodes(self, shape, data, budget, monkeypatch):
+        if budget == "16 times":
+            monkeypatch.setattr(domain, "SUP_NORM_BLOCK_BYTES", 0)
+        if shape == "16x16":
+            grid = build_grid(DomainSpec("rectangle", (PI, 2.0)), 16)
+            y = np.repeat(grid.axes[0], 16) / PI
+        else:
+            # a 1e-6-long interval has lam_1 near 1e13
+            length, n = (1e-6, 64) if shape == "short" else (PI, int(shape))
+            grid = build_grid(DomainSpec("interval", (length,)), n)
+            y = grid.axes[0] / length
+        eig = solve_eigenpairs(grid, min(48, grid.npoints))
+
+        def bump(centre, half_width):
+            return np.maximum(0.0, 1.0 - np.abs(y - centre) / half_width)
+
+        if data == "random":
+            f = np.abs(np.random.default_rng(7).standard_normal(grid.npoints))
+        elif data == "bump":
+            f = 37.9653 * bump(0.3, 0.05)
+        else:
+            # mirrored node for node: each mirror pair holds the same bits
+            half = bump(0.25, 0.15).reshape(grid.n, -1)
+            f = (half + half[::-1]).ravel()
+            assert np.array_equal(f.reshape(grid.n, -1), f.reshape(grid.n, -1)[::-1])
+        assert np.max(f) > 0.0
+        # times out to 200 with repeats, unsorted and sorted
+        times = np.concatenate([np.linspace(0.0, 20.0, 601), np.linspace(20.0, 200.0, 400)])
+        times = np.concatenate([times, times[::7], np.zeros(3)])
+        times = np.random.default_rng(8).permutation(times)
+        scale = 1e-12 if shape == "short" else 1.0
+        atol = eig.m * 2.0**-1000
+        for t in (times * scale, np.sort(times) * scale):
+            want = all_node_series(f, t, 1.0, eig)
+            assert_allclose(sup_norm_decay(f, t, 1.0, eig), want, rtol=1e-14, atol=atol)
+        # every term underflows: both sides are exactly zero
+        far = np.array([1e4, 2e4, 1e4]) * scale
+        assert np.all(sup_norm_decay(f, far, 1.0, eig) == 0.0)
+        assert np.all(all_node_series(f, far, 1.0, eig) == 0.0)
+        # an infinite time bounds no node in its block
+        mixed = np.array([0.5, np.inf, 0.0]) * scale
+        assert_allclose(sup_norm_decay(f, mixed, 1.0, eig), all_node_series(f, mixed, 1.0, eig))
+
+    # certify_frozen and certify_sampled: their initial data, grids and path times
+    @pytest.mark.parametrize("n, a, horizon", [(512, 0.2, 20.0), (128, 0.15, 10.0)])
+    def test_sup_norm_decay_pruning_is_bitwise_at_shipped_shapes(self, n, a, horizon):
+        eig = solve_eigenpairs(build_grid(DomainSpec("interval", (PI,)), n), 48)
+        times = BrownianPath.frozen_zero(horizon, 1e-3).times
+        got = sup_norm_decay(a * eig.psi, times, 1.0, eig)
+        assert got.tobytes() == all_node_series(a * eig.psi, times, 1.0, eig).tobytes()
+
+    def test_sup_norm_decay_multiplies_few_nodes_at_certify_shape(self, interval_512, monkeypatch):
+        # certify's shape: 512 nodes, 48 modes, 20,001 path times on [0, 20];
+        # the sup of 0.2 psi sits on the two middle nodes, and once the
+        # other modes have decayed no other node can reach it
+        _, grid, _, _ = interval_512
+        eig = solve_eigenpairs(grid, 48)
+        times = np.linspace(0.0, 20.0, 20_001)
+        rows, matmul = [], np.matmul
+        monkeypatch.setattr(
+            np, "matmul", lambda a, b, **kw: rows.append(a.shape[0]) or matmul(a, b, **kw)
+        )
+        sup_norm_decay(0.2 * eig.psi, times, 1.0, eig)
+        blocks = math.ceil(times.size / 256)
+        assert len(rows) == blocks
+        assert sum(rows) <= 0.01 * grid.npoints * blocks
 
     def test_contraction_without_noise(self, interval_512):
         _, _, _, eig = interval_512
