@@ -86,16 +86,17 @@ def write_csv(path: Path, rows: list[dict]) -> Path:
     return path
 
 
-def write_mass_series(path: Path, t_cells: list[str], mass: np.ndarray, sup: np.ndarray) -> Path:
-    """Write one path's t, mass, sup series, the bytes write_csv gives.
+def write_columns(path: Path, columns: dict[str, list[str] | np.ndarray]) -> Path:
+    """Write named columns under a header of their names, the bytes
+    write_csv gives for the same floats.
 
-    ``t_cells`` is the time column already formatted, at least as long as
-    the series: every path of a run shares one time grid, so it is
-    formatted once. Each float goes through repr(), as in _cell.
+    A column is a float array, each float formatted by repr() as in _cell,
+    or a list of cells already formatted, such as the time column every
+    path of a run shares. The rows stop at the shortest column.
     """
-    rows = zip(t_cells, map(repr, mass.tolist()), map(repr, sup.tolist()))
+    cells = [c if isinstance(c, list) else map(repr, c.tolist()) for c in columns.values()]
     with open(path, "w", newline="") as fh:
-        fh.write("t,mass,sup\n" + "\n".join(map(",".join, rows)) + "\n")
+        fh.write(",".join(columns) + "\n" + "\n".join(map(",".join, zip(*cells))) + "\n")
     return path
 
 
@@ -204,11 +205,8 @@ def cmd_eigen(cfg: RunConfig, out_dir: Path, seed: int | None, run: RunManifest)
         "lam2_extrapolated": richardson_extrapolate(eig.lam2, eig_f.lam2, ratio),
     }
     files = [write_json(out_dir / "eigenvalues.json", payload)]
-    axes = list(zip(("x", "y"), grid.nodes()))
-    rows = [
-        {**{name: c[i] for name, c in axes}, "psi": eig.psi[i]} for i in range(grid.npoints)
-    ]
-    files.append(write_csv(out_dir / "psi.csv", rows))
+    columns = {**dict(zip(("x", "y"), grid.nodes())), "psi": eig.psi}
+    files.append(write_columns(out_dir / "psi.csv", columns))
     return files
 
 
@@ -291,14 +289,15 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, run: RunManife
     # the Euler-Maruyama run is compared through its sup series and bracket
     em_cfg = replace(sim, max_snapshots=2)
     n_paths = 1 if params.kappa == 0 else sim.n_paths
-    traj_rows, cons_rows, files = [], [], []
-    t_cells = None
+    traj_rows, cons_rows, files, t_cells = [], [], [], []
     for start in range(0, n_paths, BLOCK_PATHS):
         block = range(start, min(start + BLOCK_PATHS, n_paths))
         paths = [_sample_path(sim, params.kappa == 0, seed, idx) for idx in block]
-        if t_cells is None:  # every path runs on the grid k*dt
-            t_cells = list(map(repr, paths[0].times.tolist()))
         trajs = simulate_paths(f, paths, params, eigen, sim, variable="v")
+        # every path runs on the grid k*dt: its times are formatted once, as
+        # far as the longest series written so far
+        longest = max(len(traj.mass) for traj in trajs)
+        t_cells += map(repr, paths[0].times[len(t_cells) : longest].tolist())
         # at kappa = 0 the v step is the EM step operation for operation, so
         # the v run is the EM run, bit for bit
         trajs_em = trajs
@@ -309,8 +308,9 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, run: RunManife
             lower = tau = None
             if level is not None:
                 _, lower, _, tau = lower_solution_series(path, level, params, eigen.lam1)
-            series = write_mass_series(
-                out_dir / f"mass_series_{idx:04d}.csv", t_cells, traj.mass, traj.sup
+            series = write_columns(
+                out_dir / f"mass_series_{idx:04d}.csv",
+                {"t": t_cells, "mass": traj.mass, "sup": traj.sup},
             )
             files.append(series)
             traj_rows.append(
@@ -344,12 +344,14 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, run: RunManife
     return tables + files
 
 
-def _fitted_c(cfg: RunConfig) -> float:
+def _fitted_c(cfg: RunConfig, basis: EigenData) -> float:
+    """certificate.c, or the constant fitted on the leading
+    heat_kernel.n_modes eigenpairs of basis."""
     cert = cfg.need("certificate")
     if cert.c != "fit":
         return float(cert.c)
     hk = cfg.heat_kernel
-    return heat_kernel_ratio_report(_eigen_setup(cfg, m=hk.n_modes), hk.times()).c
+    return heat_kernel_ratio_report(basis.leading(hk.n_modes), hk.times()).c
 
 
 def cmd_certify(cfg: RunConfig, out_dir: Path, seed: int | None, run: RunManifest) -> list[Path]:
@@ -357,7 +359,11 @@ def cmd_certify(cfg: RunConfig, out_dir: Path, seed: int | None, run: RunManifes
     params = cfg.need("model")
     sim = cfg.need("sim")
     cert = cfg.need("certificate")
-    eigen = _eigen_setup(cfg, m=48)
+    # one basis serves the certificates, on its 48 leading modes, and the
+    # fit of c, on its heat_kernel.n_modes leading modes
+    fit = CertificateKind.HEAT_KERNEL in cert.kinds and cert.c == "fit"
+    basis = _eigen_setup(cfg, m=max(48, cfg.heat_kernel.n_modes) if fit else 48)
+    eigen = basis.leading(48)
     sup_kinds = [k for k in cert.kinds if k != CertificateKind.HEAT_KERNEL]
     # the analytic heat-kernel kind is the one kind that reads no path
     path = None
@@ -377,7 +383,7 @@ def cmd_certify(cfg: RunConfig, out_dir: Path, seed: int | None, run: RunManifes
                 cert.eta,
                 params,
                 eigen,
-                _fitted_c(cfg),
+                _fitted_c(cfg, basis),
                 path=None if cert.analytic else path,
                 f=f,
             )

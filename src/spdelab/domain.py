@@ -34,8 +34,9 @@ logger = logging.getLogger(__name__)
 MIN_POINTS_PER_AXIS = 8
 # the fewest modes the kernel-ratio report samples short times with
 MIN_RATIO_MODES = 30
-# bytes of semigroup fields per block in sup_norm_decay: npoints floats per
-# time, so a block of times stays cache-sized whatever the grid
+# bytes of working arrays per block of times: sup_norm_decay's decay and
+# buffer hold m floats per time each, the kernel-ratio report's product
+# npoints floats per time, so a block stays cache-sized whatever the grid
 SUP_NORM_BLOCK_BYTES = 1 << 20
 # sup_norm_decay drops every modal term below this size at every node: such a
 # term cannot change a sum of size 2^-946 or more, and the terms just above
@@ -193,6 +194,19 @@ class EigenData:
         mode_sup.flags.writeable = False
         return mode_sup
 
+    def leading(self, m: int) -> EigenData:
+        """The first ``m`` eigenpairs, or this basis when it has no more:
+        bitwise ``solve_eigenpairs(grid, m)``, which builds each column
+        elementwise, whatever columns follow it."""
+        if m >= self.m:
+            return self
+        return EigenData(
+            grid=self.grid,
+            eigenvalues=self.eigenvalues[:m].copy(),
+            modes=np.ascontiguousarray(self.modes[:, :m]),
+            psi=self.psi,
+        )
+
     def project(self, f: np.ndarray) -> np.ndarray:
         """Coefficients of ``f`` in the retained basis (weighted inner products)."""
         f = np.asarray(f, dtype=float)
@@ -296,7 +310,10 @@ def sup_norm_decay(f: np.ndarray, t, kappa: float, basis: EigenData):
     ``r(t)`` of the probe node, the one of largest U, and multiplies the
     nodes with ``U(x) (1 + eps) >= min_t r(t) e^{lam_1 (t - t0)}``, compared
     in logs. Any other node stays below the probe at every time of the
-    block, and ``eps`` covers the rounding of both sides. The sup then
+    block, and ``eps`` covers the rounding of both sides. The min leaves out
+    the dead times, those whose every term is below the floor: their column
+    of the product is all zeros, so the field is 0 at every node and any
+    node holds the sup there. A block of dead times only is 0. The sup then
     matches the all-node product up to that product's own rounding: BLAS
     may sum a subset of rows differently from the same rows of the full
     product, by a few ulp.
@@ -321,11 +338,14 @@ def sup_norm_decay(f: np.ndarray, t, kappa: float, basis: EigenData):
     slack = math.log1p(2.0**-52 * (basis.m + 6.0 * (745.0 + scale)))
     # a positive multiple of 16 times per block: BLAS kernels sum the columns
     # left over past a multiple of 4 or 8 in another order, so only the last
-    # block has such columns, as one block of all the times would
-    npoints = basis.grid.npoints
-    width = 16 * max(1, SUP_NORM_BLOCK_BYTES // (16 * 8 * npoints))
-    # every block is written into one buffer, so no two blocks are alive at once
-    buf = np.empty(npoints * min(width, flat.size))
+    # block has such columns, as one block of all the times would. The decay
+    # and the buffer hold m floats per time each, and the budget is theirs.
+    m, npoints = basis.m, basis.grid.npoints
+    width = 16 * max(1, SUP_NORM_BLOCK_BYTES // (16 * 16 * m))
+    # every block is written into one buffer, so no two blocks are alive at
+    # once; it also holds 16 times at every node, the fewest a block
+    # multiplies at once
+    buf = np.empty(max(m * min(width, flat.size), npoints * min(16, flat.size)))
     for lo in range(0, flat.size, width):
         chunk = flat[lo : lo + width]
         out[lo : lo + width] = _block_sup(chunk, coeff, basis, abs_modes, slack, buf)
@@ -353,24 +373,35 @@ def _block_sup(
     decay = np.einsum("k,t->kt", lam[:k], -chunk)
     np.exp(decay, out=decay)
     decay *= coeff[:k, None]
-    # the fields buffer is free until the product: it holds the sizes
+    # the buffer is free until the product: it holds the sizes
     size = np.abs(decay, out=buf[: decay.size].reshape(decay.shape))
     size *= sup_modes[:k, None]
     decay[size < SUP_NORM_FLOOR] = 0.0
+    # an infinite time is dead too: each of its terms is 0
+    live = np.any(decay, axis=0)
+    if not live.any():
+        return np.zeros(chunk.size)
     # the node bound U at t0 and the row r of the probe, the node of largest
-    # U, which the test below always keeps
+    # U, which the test below always keeps; log 0 is -inf, so a live time
+    # where r underflows keeps every node
     bound = abs_modes[:, :k] @ weight[:k]
-    # log 0 is -inf: a time where r underflows keeps every node, and an
-    # infinite time, where r(t) e^{lam_1 (t - t0)} is 0 * inf, bounds none
-    with np.errstate(divide="ignore", invalid="ignore"):
-        row = np.log(np.abs(modes[np.argmax(bound), :k] @ decay)) + lam[0] * (chunk - t0)
-        keep = np.log(bound) + slack >= np.fmin.reduce(row)
+    with np.errstate(divide="ignore"):
+        row = np.log(np.abs(modes[np.argmax(bound), :k] @ decay)[live])
+        row += lam[0] * (chunk[live] - t0)
+        keep = np.log(bound) + slack >= np.min(row)
     # past half the grid the block multiplies every node, so the gathered
     # rows never hold more than half the basis
     rows = modes[keep, :k] if 2 * np.count_nonzero(keep) <= keep.size else modes[:, :k]
-    fields = buf[: rows.shape[0] * chunk.size].reshape(rows.shape[0], chunk.size)
-    np.matmul(rows, decay, out=fields)
-    return np.max(np.abs(fields, out=fields), axis=0)
+    # the rows times column sub-blocks of a positive multiple of 16 times
+    # that fill the buffer, which at the certify shapes is the whole block
+    step = 16 * max(1, buf.size // (16 * rows.shape[0]))
+    sup = np.empty(chunk.size)
+    for lo in range(0, chunk.size, step):
+        cols = decay[:, lo : lo + step]
+        fields = buf[: rows.shape[0] * cols.shape[1]].reshape(rows.shape[0], cols.shape[1])
+        np.matmul(rows, cols, out=fields)
+        np.max(np.abs(fields, out=fields), axis=0, out=sup[lo : lo + step])
+    return sup
 
 
 @dataclass(frozen=True, eq=False)
@@ -430,9 +461,13 @@ def heat_kernel_ratio_report(basis: EigenData, times) -> HeatKernelBoundReport:
     p = (basis.grid.domain.dimension + 2) / 2.0
     gaps = basis.eigenvalues - basis.eigenvalues[0]
     R2 = (basis.modes / basis.modes[:, [0]]) ** 2
+    # each block of times is one (times x modes) @ (modes x nodes) product,
+    # whose rows are the per-time row sums R2 @ e^{-gaps t}
+    per_block = max(1, SUP_NORM_BLOCK_BYTES // (8 * basis.grid.npoints))
     ratios = np.empty_like(times)
-    for i, t in enumerate(times):
-        ratios[i] = float(np.max(R2 @ np.exp(-gaps * t)))
+    for lo in range(0, times.size, per_block):
+        decay = np.exp(-np.outer(times[lo : lo + per_block], gaps))
+        np.max(decay @ R2.T, axis=1, out=ratios[lo : lo + per_block])
     gap21 = float(basis.eigenvalues[1] - basis.eigenvalues[0])
     with np.errstate(over="ignore"):  # refused below as a non-finite c
         c_lower = float(np.max(times**-p / ratios))

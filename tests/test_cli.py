@@ -16,7 +16,7 @@ import pytest
 
 from spdelab import blowup, certificates, cli, stochastic
 from spdelab.blowup import ModelParams
-from spdelab.cli import _consistency_row, main, write_csv, write_mass_series
+from spdelab.cli import _consistency_row, main, write_columns, write_csv
 from spdelab.config import load_config
 from spdelab.domain import (
     DomainSpec,
@@ -26,7 +26,7 @@ from spdelab.domain import (
 )
 from spdelab.errors import ConfigurationError, NumericalFailure, _refuse_oversized
 from spdelab.integrator import SchemeConfig, mode_residuals, reconstruct_u, simulate_paths
-from spdelab.stochastic import sample_brownian
+from spdelab.stochastic import BrownianPath, sample_brownian
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -405,6 +405,22 @@ class TestEigenCommand:
             assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
         assert cli._build_parser() is cli._build_parser()
 
+    @pytest.mark.parametrize(
+        "kind, lengths, n", [("interval", [math.pi], 32), ("rectangle", [math.pi, 2.0], 16)]
+    )
+    def test_psi_csv_matches_the_row_writer(self, tmp_path, kind, lengths, n):
+        out = tmp_path / "out"
+        p = write_cfg(tmp_path, {"domain": {"kind": kind, "lengths": lengths, "n": n}})
+        assert main(["eigen", "--config", str(p), "--out", str(out)]) == 0
+        grid = build_grid(DomainSpec(kind=kind, lengths=tuple(lengths)), n)
+        eig = solve_eigenpairs(grid, 4)
+        axes = list(zip(("x", "y"), grid.nodes()))
+        rows = [
+            {**{name: c[i] for name, c in axes}, "psi": eig.psi[i]} for i in range(grid.npoints)
+        ]
+        cells = write_csv(tmp_path / "cells.csv", rows)
+        assert (out / "psi.csv").read_bytes() == cells.read_bytes()
+
     def test_manifest_records_run(self, tmp_path):
         out = tmp_path / "out"
         p = write_cfg(tmp_path, interval_cfg(n=16))
@@ -779,6 +795,26 @@ class TestSimulateCommand:
         assert set(series[0]) == {"t", "mass", "sup"}
         assert float(series[0]["mass"]) == pytest.approx(2.0, rel=1e-12)
 
+    def test_time_column_is_formatted_as_far_as_written(self, tmp_path, monkeypatch):
+        # one path per block, of unequal lengths: blocks whose series run
+        # longer extend the shared time cells, and each file holds its prefix
+        monkeypatch.setattr(cli, "BLOCK_PATHS", 1)
+        cfg = interval_cfg(
+            n=16,
+            model=MODEL,
+            initial={"mode": "eigen-multiple", "a": 4.0},
+            sim={"dt": 0.01, "horizon": 2.0, "n_paths": 6, "seed": 5, "cutoff": 1e6},
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+        grid_times = [repr(t) for t in BrownianPath.frozen_zero(2.0, 0.01).times.tolist()]
+        lengths = []
+        for row in read_csv(out / "trajectories.csv"):
+            series = read_csv(out / row["mass_series_file"])
+            assert [r["t"] for r in series] == grid_times[: len(series)]
+            lengths.append(len(series))
+        assert len(set(lengths)) > 1 and max(lengths) == len(grid_times)
+
     def test_censored_run_decays(self, tmp_path):
         cfg = interval_cfg(
             n=32,
@@ -1121,6 +1157,16 @@ class TestCertifyCommand:
         },
     }
 
+    def test_one_eigen_solve_serves_the_certificates_and_the_fit(self, tmp_path, monkeypatch):
+        # certify_frozen fits c on 120 modes and certifies on the leading 48
+        calls, solve = [], cli.solve_eigenpairs
+        monkeypatch.setattr(
+            cli, "solve_eigenpairs", lambda grid, m: calls.append(m) or solve(grid, m)
+        )
+        config = str(CONFIGS / "certify_frozen.json")
+        assert main(["certify", "--config", config, "--out", str(tmp_path / "out")]) == 0
+        assert calls == [120]
+
     @pytest.mark.parametrize("name", sorted(PINNED_CERTIFICATES))
     def test_shipped_config_certificates_are_pinned(self, tmp_path, name):
         out = tmp_path / "out"
@@ -1414,7 +1460,8 @@ class TestWriteCsv:
         rows[0] = [-0.0, np.nan, np.inf]
         rows[1] = [5e-324, -np.inf, 0.0]
         t_cells = [repr(t) for t in rows[:, 0].tolist()] + ["1.0"]
-        fast = write_mass_series(tmp_path / "fast.csv", t_cells, rows[:, 1], rows[:, 2])
+        columns = {"t": t_cells, "mass": rows[:, 1], "sup": rows[:, 2]}
+        fast = write_columns(tmp_path / "fast.csv", columns)
         mapped = [{"t": t, "mass": m, "sup": s} for t, m, s in rows.tolist()]
         cells = write_csv(tmp_path / "cells.csv", mapped)
         assert fast.read_bytes() == cells.read_bytes()

@@ -27,9 +27,17 @@ from spdelab.stochastic import BrownianPath
 PI = np.pi
 
 
+def block_width(eig):
+    """sup_norm_decay's times per block: its decay and buffer hold m floats
+    per time each, 1360 times at 48 modes."""
+    return 16 * max(1, domain.SUP_NORM_BLOCK_BYTES // (16 * 16 * eig.m))
+
+
 def all_node_series(f, times, kappa, eig):
-    """sup_norm_decay's blocks, kept modes and floor, with every node
-    multiplied in every block."""
+    """Blocks of 1 MiB of node fields each, sup_norm_decay's kept modes and
+    floor, with every node multiplied in every block. The blocks need not be
+    sup_norm_decay's: any block keeps the same nonzero terms at each time,
+    those at least the floor in size there."""
     coeff = eig.project(f)
     lam, modes = eig.eigenvalues, eig.modes
     sup_modes = np.max(np.abs(modes), axis=0)
@@ -224,6 +232,18 @@ class TestEigenpairs:
         )
         assert split == pytest.approx(term, rel=1e-11)
 
+    @pytest.mark.parametrize(
+        "kind, lengths, n", [("interval", (PI,), 512), ("rectangle", (PI, 2.0), 16)]
+    )
+    def test_leading_modes_are_the_smaller_solve_bitwise(self, kind, lengths, n):
+        # certify fits c on 120 modes and certifies on the leading 48
+        grid = build_grid(DomainSpec(kind, lengths), n)
+        lead, want = solve_eigenpairs(grid, 120).leading(48), solve_eigenpairs(grid, 48)
+        for name in ("eigenvalues", "modes", "psi"):
+            assert getattr(lead, name).tobytes() == getattr(want, name).tobytes()
+        assert lead.modes.flags.c_contiguous
+        assert want.leading(48) is want and want.leading(60) is want
+
     def test_mode_count_guards(self, interval_48):
         _, grid, _, _ = interval_48
         with pytest.raises(ConfigurationError):
@@ -269,8 +289,8 @@ class TestHeatSemigroup:
 
     @pytest.mark.parametrize("n", [512, 100])
     def test_sup_norm_decay_blocks_match_one_block(self, monkeypatch, n):
-        # the default byte budget gives 256 times per block at 512 nodes and
-        # 1296 at 100 nodes, where bytes / (8 nodes) alone would give 1310
+        # the default byte budget gives 1360 times per block at 48 modes,
+        # whatever the grid, so 4001 times take three blocks
         grid = build_grid(DomainSpec("interval", (PI,)), n)
         eig = solve_eigenpairs(grid, 48)
         f = np.abs(eig.modes @ np.random.default_rng(0).standard_normal(48))
@@ -355,7 +375,7 @@ class TestHeatSemigroup:
             np, "matmul", lambda a, b, **kw: inner.append(a.shape[1]) or matmul(a, b, **kw)
         )
         sup_norm_decay(0.2 * eig.psi, times, 1.0, eig)
-        blocks = math.ceil(times.size / 256)
+        blocks = math.ceil(times.size / block_width(eig))
         assert len(inner) == blocks
         assert sum(inner) <= 0.25 * eig.m * blocks
 
@@ -433,9 +453,30 @@ class TestHeatSemigroup:
             np, "matmul", lambda a, b, **kw: rows.append(a.shape[0]) or matmul(a, b, **kw)
         )
         sup_norm_decay(0.2 * eig.psi, times, 1.0, eig)
-        blocks = math.ceil(times.size / 256)
+        blocks = math.ceil(times.size / block_width(eig))
         assert len(rows) == blocks
         assert sum(rows) <= 0.01 * grid.npoints * blocks
+
+    def test_sup_norm_decay_cuts_nodes_beside_underflowed_times(self, monkeypatch):
+        # unsorted times on the 1e-6-long interval, 16 to a block: most
+        # blocks hold a time where every term is below the floor and the
+        # probe's row is 0; such a time bounds no node, and the cut holds
+        monkeypatch.setattr(domain, "SUP_NORM_BLOCK_BYTES", 0)
+        grid = build_grid(DomainSpec("interval", (1e-6,)), 64)
+        eig = solve_eigenpairs(grid, 48)
+        f = np.abs(np.random.default_rng(7).standard_normal(grid.npoints))
+        times = np.concatenate([np.linspace(0.0, 20.0, 601), np.linspace(20.0, 200.0, 400)])
+        times = np.concatenate([times, times[::7], np.zeros(3)])
+        times = np.random.default_rng(8).permutation(times) * 1e-12
+        rows, matmul = [], np.matmul
+        monkeypatch.setattr(
+            np, "matmul", lambda a, b, **kw: rows.append(a.shape[0]) or matmul(a, b, **kw)
+        )
+        got = sup_norm_decay(f, times, 1.0, eig)
+        # every node of every block of 16 times: 4,608 rows
+        assert 0 < sum(rows) < 0.25 * grid.npoints * math.ceil(times.size / 16)
+        want = all_node_series(f, times, 1.0, eig)
+        assert_allclose(got, want, rtol=1e-14, atol=eig.m * 2.0**-1000)
 
     def test_contraction_without_noise(self, interval_512):
         _, _, _, eig = interval_512
@@ -542,6 +583,26 @@ class TestHeatKernelRatio:
         eig, times = long_range()
         c = heat_kernel_ratio_report(eig, times).c
         assert c >= heat_kernel_ratio_report(eig, times[np.array(keep)]).c
+
+    @pytest.mark.parametrize("budget", ["default", "one time per block"])
+    @pytest.mark.parametrize("order", ["sorted", "unsorted", "repeated"])
+    @pytest.mark.parametrize("shape", ["interval", "rectangle"])
+    def test_batched_ratios_match_per_time_matvec(
+        self, shape, order, budget, interval_512, rect_32, monkeypatch
+    ):
+        if budget == "one time per block":
+            monkeypatch.setattr(domain, "SUP_NORM_BLOCK_BYTES", 0)
+        eig = (interval_512 if shape == "interval" else rect_32)[3]
+        times = np.logspace(-2, 1, 25)
+        if order == "unsorted":
+            times = np.random.default_rng(9).permutation(times)
+        elif order == "repeated":
+            times = np.concatenate([times, times[::3], times[:2]])
+        R2 = (eig.modes / eig.modes[:, [0]]) ** 2
+        gaps = eig.eigenvalues - eig.eigenvalues[0]
+        want = np.array([np.max(R2 @ np.exp(-gaps * t)) for t in times])
+        got = heat_kernel_ratio_report(eig, times).ratios
+        assert_allclose(got, want, rtol=1e-14, atol=0)
 
     def test_rectangle_report_runs(self, rect_32):
         dom, grid, _, eig = rect_32
