@@ -51,7 +51,6 @@ from .errors import ConfigurationError, NumericalFailure, PreconditionFailure
 from .integrator import mode_residuals, reconstruct_u, simulate_paths
 from .stochastic import BrownianPath, sample_brownian
 
-OUT_ENV_VAR = "SPDELAB_OUT"
 # simulate advances its noise paths in blocks of this many: the per-step
 # overhead is paid once per block, and memory stays bounded however many
 # paths a run has
@@ -137,13 +136,6 @@ class RunManifest:
 
 def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
-
-
-def _resolve_out_dir(cli_out: str | None, cfg: RunConfig) -> Path:
-    directory = cli_out or os.environ.get(OUT_ENV_VAR) or cfg.outputs.directory or "."
-    out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +274,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, run: RunManife
     params = cfg.need("model")
     sim = cfg.need("sim")
     initial = cfg.need("initial")
+    # the trajectories keep, and the residuals read, 12 mode coefficients
     eigen = _eigen_setup(cfg, m=12)
     f = _initial_field(initial, eigen)
     mass0 = weighted_inner(eigen.grid, f, eigen.psi)
@@ -357,7 +350,6 @@ def _fitted_c(cfg: RunConfig, basis: EigenData) -> float:
 def cmd_certify(cfg: RunConfig, out_dir: Path, seed: int | None, run: RunManifest) -> list[Path]:
     """evaluate global-existence certificates on a noise path"""
     params = cfg.need("model")
-    sim = cfg.need("sim")
     cert = cfg.need("certificate")
     # one basis serves the certificates, on its 48 leading modes, and the
     # fit of c, on its heat_kernel.n_modes leading modes
@@ -368,7 +360,7 @@ def cmd_certify(cfg: RunConfig, out_dir: Path, seed: int | None, run: RunManifes
     # the analytic heat-kernel kind is the one kind that reads no path
     path = None
     if sup_kinds or not cert.analytic:
-        path = _sample_path(sim, cert.frozen_zero_path or params.kappa == 0, seed, 0)
+        path = _sample_path(cfg.need("sim"), cert.frozen_zero_path or params.kappa == 0, seed, 0)
     f = _initial_field(cfg.initial, eigen) if cfg.initial is not None else None
     # every kind's checks run in the listed order before the sup-norm series
     # is evaluated, so the first fault listed is the one reported; the
@@ -462,9 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--config", required=True, help="path to the JSON run configuration")
         p.add_argument("--seed", type=int, default=None, help="override sim.seed")
-        p.add_argument(
-            "--out", default=None, help=f"output directory (overrides ${OUT_ENV_VAR} and config)"
-        )
+        p.add_argument("--out", default=".", help="output directory, default the working one")
         p.add_argument(
             "--workers",
             type=int,
@@ -485,7 +475,8 @@ def main(argv=None) -> int:
             raise ConfigurationError(f"--workers must be >= 1, got {args.workers}")
         cfg = load_config(args.config)
         seed = args.seed if args.seed is not None else (cfg.sim.seed if cfg.sim else None)
-        out_dir = _resolve_out_dir(args.out, cfg)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
         manifest = RunManifest(
             command=args.command,
             config_path=str(args.config),

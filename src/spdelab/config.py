@@ -141,11 +141,6 @@ class HeatKernelConfig:
 
 
 @dataclass(frozen=True)
-class OutputsConfig:
-    directory: str | None = None
-
-
-@dataclass(frozen=True)
 class RunConfig:
     domain: DomainConfig | None = None
     model: ModelParams | None = None
@@ -153,7 +148,6 @@ class RunConfig:
     sim: SimConfig | None = None
     certificate: CertificateConfig | None = None
     heat_kernel: HeatKernelConfig = field(default_factory=HeatKernelConfig)
-    outputs: OutputsConfig = field(default_factory=OutputsConfig)
     sha256: str = ""
 
     def need(self, name: str):
@@ -276,7 +270,6 @@ _SECTION_PARSERS = {
         _make, HeatKernelConfig,
         n_modes=_integer, t_start=_finite_number, t_stop=_finite_number, t_num=_integer,
     ),
-    "outputs": partial(_make, OutputsConfig, directory=_string),
 }
 
 

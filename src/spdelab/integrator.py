@@ -28,6 +28,9 @@ leaves the block at the end of its chunk and its blowup time is bracketed by
 re-integrating the offending step, from the staged last stable field, with
 halved dt (one factorization per halving level, shared by the block), so t_b
 carries resolution dt / 2^MAX_HALVINGS unless a halved level no longer crosses.
+One noise rule holds for both variables: every step and sub-step reads the
+noise term of its own grid step, the factor at the step start for v and the
+increment rate for u.
 
 A trajectory keeps no node fields. At each kept row the engine stores the
 field's weighted projection onto the modes of its eigenbasis and the
@@ -35,7 +38,7 @@ projection of the field's reaction, 2m numbers per row whatever the grid.
 ``mode_residuals`` checks a trajectory against the weak and the mild form
 from these coefficients. ``simulate`` reports, per path, the max over
 snapshots of the mode-1 weak residual (``weak_residual_max``) and of the
-mild residual's Euclidean norm over the 12 retained modes
+mild residual's Euclidean norm over the eigenbasis's retained modes
 (``mild_residual_max``); both are absolute.
 """
 
@@ -209,14 +212,13 @@ class _Workspace:
         np.matmul(coeffs, self._cols, out=fields)
 
 
-def _noise_factor(w, params: ModelParams) -> np.ndarray:
+def _noise_factor(w: np.ndarray, params: ModelParams) -> np.ndarray:
     """The noise factor of the transformed reaction at each noise value in w.
 
     c e^{kappa beta W} for a power law, e^{kappa W} otherwise, clamped. Each
     entry goes through math.exp, so a value does not depend on how many
     times are evaluated together.
     """
-    w = np.asarray(w, dtype=float)
     power_law = isinstance(params.G, PowerLaw)
     if power_law:
         exponent = np.minimum(params.kappa * params.beta * w, EXP_CLAMP)
@@ -299,7 +301,7 @@ def _refine_blowup_time(
     t_lo: float,
     t_hi: float,
     advance,
-    noise_at,
+    noise,
     level_workspace,
     dt: float,
     cutoff: float,
@@ -307,8 +309,8 @@ def _refine_blowup_time(
     """Bracket the cutoff crossing inside the step [t_lo, t_hi] by dt halving,
     starting from the stable field ``values`` at t_lo.
 
-    ``advance(cur, noise, ws, out, scratch)`` is the run's step, ``noise_at(t)``
-    gives the 1 x 1 noise column at a time inside the step, and
+    ``advance(cur, noise, ws, out, scratch)`` is the run's step, ``noise`` the
+    crossing step's own 1 x 1 noise column, which every sub-step reads, and
     ``level_workspace(dt)`` the factorization of a halving level. The cascade
     refines the PDE time step, not the noise resolution.
     """
@@ -321,7 +323,7 @@ def _refine_blowup_time(
         ws = level_workspace(dt_f)
         t = t_lo
         for _ in range(nsub):
-            advance(cur, noise_at(t), ws, nxt, scratch)
+            advance(cur, noise, ws, nxt, scratch)
             if not np.max(np.abs(nxt)) < cutoff:
                 t_hi = min(t + dt_f, t_hi)  # the sum may round past the step end
                 break
@@ -352,7 +354,8 @@ def simulate_paths(
     end. The noise terms are built chunk by chunk too, for the rows still in
     the block, each v factor through math.exp entry by entry, so no array of
     them grows with the horizon. A path that crosses the cutoff leaves the
-    block there and has its crossing refined. A kept row is stored as the
+    block there and has its crossing refined by dt halving, every sub-step
+    reading the crossing step's own noise term. A kept row is stored as the
     coefficients of the field and of its reaction in ``eigen.modes``, each
     pairing a dot product of fixed length, so each result is bitwise the one
     its path gives in a block of its own, whatever the chunk width.
@@ -365,36 +368,22 @@ def simulate_paths(
     if not f.max() < cfg.cutoff:
         raise ConfigurationError(f"initial sup norm {f.max()} is not below the cutoff {cfg.cutoff}")
     # chunk_noise(rows, k0, c)[s, i] is path rows[i]'s noise term of step
-    # k0 + s as a 1-entry column, built per chunk for the live rows only, and
-    # noise_for(j, k) the term inside step k as a function of time: v reads W
-    # interpolated at the time, u the increment of step k
+    # k0 + s as a 1-entry column, built per chunk for the live rows only
     def chunk_noise(rows, k0, c):
         w = np.stack([paths[j].values[k0 : k0 + c + 1] for j in rows], axis=1)
         if variable == "v":  # the factor at each step start, and at k0 + c for a kept row
             return _noise_factor(w, params)[..., None]
         return (np.diff(w, axis=0) / dt)[..., None]
 
-    if variable == "v":
-        shift = 0.5 * params.kappa**2
-
-        def noise_for(j, k):  # W interpolated inside the step
-            return lambda t: _noise_factor([[np.interp(t, times, paths[j].values)]], params)
-
-    else:
-        shift = 0.0
-
-        def noise_for(j, k):  # the increment of step k, spread evenly over it
-            rate = chunk_noise([j], k, 1)[0]
-            return lambda t: rate
-
+    shift = 0.5 * params.kappa**2 if variable == "v" else 0.0
     reaction = _Reaction(params, variable)
     advance = functools.partial(_advance, reaction)
-    ws = _Workspace(eigen.grid, shift, dt, cfg.scheme)
 
     @functools.cache
-    def level_workspace(dt_level):  # one factorization per halving level and call
+    def level_workspace(dt_level):  # one factorization per step size and call
         return _Workspace(eigen.grid, shift, dt_level, cfg.scheme)
 
+    ws = level_workspace(dt)
     weights = eigen.grid.weights
     modes_t = np.ascontiguousarray(eigen.modes.T)
     stride = max(1, math.ceil((nsteps + 1) / cfg.max_snapshots))
@@ -472,8 +461,8 @@ def simulate_paths(
             j, k = live[i], k0 + cross[i]
             k_stop[j], t_k = k, float(times[k])
             brackets[j] = _refine_blowup_time(
-                block[cross[i], i], t_k, t_k + dt, advance, noise_for(j, k), level_workspace, dt,
-                cfg.cutoff,
+                block[cross[i], i], t_k, t_k + dt, advance, step_noise[cross[i], i, None],
+                level_workspace, dt, cfg.cutoff,
             )
         live = live[~blown]
         stage[0, : live.size] = block[c, ~blown]

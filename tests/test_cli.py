@@ -110,7 +110,7 @@ class TestConfigValidation:
         cfg = interval_cfg(model={**MODEL, "gamma": 2.0})
         with pytest.raises(ConfigurationError, match="gamma"):
             load_config(write_cfg(tmp_path, cfg))
-        cfg = interval_cfg(outputs={"formats": ["csv"]})
+        cfg = interval_cfg(heat_kernel={"formats": ["csv"]})
         with pytest.raises(ConfigurationError, match="formats"):
             load_config(write_cfg(tmp_path, cfg))
 
@@ -1293,6 +1293,24 @@ class TestCertifyCommand:
             outs[horizon] = (out / "certificates.csv").read_bytes()
         assert outs[1e300] == outs[20.0]
 
+    def test_analytic_heat_kernel_needs_no_sim_section(self, tmp_path, capsys):
+        # the analytic kind reads no path, so nothing of sim; a kind that
+        # reads the path still demands the section
+        shipped = json.loads((CONFIGS / "certify_analytic.json").read_text())
+        assert main(["certify", "--config", str(CONFIGS / "certify_analytic.json"),
+                     "--out", str(tmp_path / "shipped")]) == 0
+        cfg = {k: v for k, v in shipped.items() if k != "sim"}
+        p = write_cfg(tmp_path, cfg)
+        assert main(["certify", "--config", str(p), "--out", str(tmp_path / "no_sim")]) == 0
+        table = "certificates.csv"
+        assert (tmp_path / "no_sim" / table).read_bytes() == (tmp_path / "shipped" / table).read_bytes()
+        capsys.readouterr()
+        cfg["certificate"] = {**cfg["certificate"], "analytic": False}
+        out = tmp_path / "path_mode"
+        assert main(["certify", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert "config section 'sim' is required" in capsys.readouterr().err
+        assert not (out / table).exists()
+
     @pytest.mark.parametrize("K, beta", [(1e308, 1.0), (1e200, 2.0)])
     def test_heat_kernel_analytic_huge_K_exits_2(self, tmp_path, capsys, K, beta):
         # [K (1+c) (sup psi)^2 int psi]^beta overflows, the threshold is 0 and
@@ -1545,25 +1563,28 @@ class TestImports:
 
 
 class TestOutputRouting:
-    def test_out_flag_beats_env_beats_config(self, tmp_path, monkeypatch):
-        cfg_dir = tmp_path / "from_config"
-        env_dir = tmp_path / "from_env"
-        cli_dir = tmp_path / "from_cli"
-        cfg = interval_cfg(n=16, outputs={"directory": str(cfg_dir)})
-        p = write_cfg(tmp_path, cfg)
-
+    def test_out_flag_is_the_one_source(self, tmp_path, monkeypatch, capsys):
+        # --out names the directory, the working one by default; the
+        # environment is not read and a config has no outputs section
+        env_dir, cli_dir, cwd = tmp_path / "from_env", tmp_path / "from_cli", tmp_path / "cwd"
+        cwd.mkdir()
+        p = write_cfg(tmp_path, interval_cfg(n=16))
         monkeypatch.setenv("SPDELAB_OUT", str(env_dir))
+        monkeypatch.chdir(cwd)
+
         assert main(["eigen", "--config", str(p), "--out", str(cli_dir)]) == 0
         assert (cli_dir / "eigenvalues.json").exists()
-        assert not env_dir.exists() and not cfg_dir.exists()
 
         assert main(["eigen", "--config", str(p)]) == 0
-        assert (env_dir / "eigenvalues.json").exists()
-        assert not cfg_dir.exists()
+        assert (cwd / "eigenvalues.json").exists()
+        assert not env_dir.exists()
 
-        monkeypatch.delenv("SPDELAB_OUT")
-        assert main(["eigen", "--config", str(p)]) == 0
-        assert (cfg_dir / "eigenvalues.json").exists()
+        capsys.readouterr()
+        refused = tmp_path / "refused"
+        q = write_cfg(tmp_path, interval_cfg(n=16, outputs={"directory": str(refused)}), "o.json")
+        assert main(["eigen", "--config", str(q), "--out", str(refused)]) == 2
+        assert "unknown keys ['outputs']" in capsys.readouterr().err
+        assert not refused.exists()
 
     def test_output_error_exits_2(self, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -556,6 +556,37 @@ class TestBlockEngine:
         again = simulate_paths(3.0 * eig.psi, [moved], params, eig, cfg, "u")[0]
         assert (again.t_last_stable, again.t_blowup) == (traj.t_last_stable, traj.t_blowup)
 
+    @pytest.mark.parametrize("variable", ["v", "u"])
+    def test_refinement_sub_steps_read_the_crossing_steps_noise(self, monkeypatch, variable):
+        # one noise rule: every halving sub-step reads, bitwise, the noise
+        # column the grid step that crossed read, the factor at its start for
+        # v and its increment rate for u
+        calls = []
+        step = integrator._advance
+
+        def recorded(reaction, cur, noise, ws, out, scratch):
+            calls.append((np.array(noise), float(ws.theta_dt)))
+            step(reaction, cur, noise, ws, out, scratch)
+
+        monkeypatch.setattr(integrator, "_advance", recorded)
+        grid = build_grid(DomainSpec(kind="interval", lengths=(math.pi,)), 32)
+        eig = solve_eigenpairs(grid, 12)
+        params, cfg = ModelParams(beta=1.0, kappa=1.0), SchemeConfig(cutoff=3.0)
+        path = sample_brownian(5.0, 0.01, 4, 0)
+        traj = simulate_paths(3.0 * eig.psi, [path], params, eig, cfg, variable)[0]
+        assert traj.outcome is Outcome.NUMERICAL_BLOWUP
+        k = len(traj.times) - 1  # the crossing step runs from t_k to t_{k+1}
+        grid_steps = [noise for noise, theta_dt in calls if theta_dt == path.dt]
+        sub_steps = [noise for noise, theta_dt in calls if theta_dt < path.dt]
+        if variable == "v":
+            expected = params.G.coeff * math.exp(params.kappa * params.beta * path.values[k])
+        else:
+            expected = (path.values[k + 1] - path.values[k]) / path.dt
+        assert grid_steps[k].tolist() == [[expected]]
+        assert len(sub_steps) > 2
+        for noise in sub_steps:
+            assert noise.tobytes() == grid_steps[k].tobytes()
+
 
 class TestEigenMassPairing:
     """The eigen-mass <u, psi> is one expression wherever it is taken."""
