@@ -45,7 +45,6 @@ from .errors import (
 )
 from .integrator import (
     Outcome,
-    Scheme,
     SchemeConfig,
     TrajectoryResult,
     mode_residuals,
@@ -80,7 +79,7 @@ __all__ = [
     "CertificateKind", "CertificateReport", "Verdict", "admissible_initial",
     "certificate_sup_norm", "certificate_heat_kernel",
     # integrator
-    "Scheme", "SchemeConfig", "Outcome", "TrajectoryResult", "simulate_paths",
+    "SchemeConfig", "Outcome", "TrajectoryResult", "simulate_paths",
     "reconstruct_u", "mode_residuals",
     # config
     "RunConfig", "load_config",

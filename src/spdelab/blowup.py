@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, PreconditionFailure
 from .stochastic import (
     BrownianPath,
     _clamped_exp,
@@ -64,7 +64,7 @@ class PowerLaw:
 
 @dataclass(frozen=True, eq=False)
 class TabulatedNonlinearity:
-    """Monotone tabulated nonlinearity with G(0) = 0 and G(z)/z increasing.
+    """Tabulated nonlinearity with G(0) = 0, G >= 0 and G(z)/z nondecreasing.
 
     Evaluated by linear interpolation; arguments beyond the last table entry
     are clamped to it, so keep the table wide enough for the intended run.
@@ -84,6 +84,8 @@ class TabulatedNonlinearity:
             raise ConfigurationError("z and g must start at 0, anchoring G(0) = 0")
         if np.any(np.diff(z) <= 0):
             raise ConfigurationError("z must be strictly increasing")
+        if np.any(g < 0):
+            raise ConfigurationError(f"g must be >= 0, got {g.min()}")
         ratio = g[1:] / z[1:]
         if np.any(np.diff(ratio) < -1e-12 * np.abs(ratio[:-1])):
             raise ConfigurationError("g/z must be nondecreasing on the tabulation")
@@ -145,11 +147,21 @@ class ModelParams:
                 )
 
 
+def _check_lower_bound(params: ModelParams) -> None:
+    """The lower solution needs G(z) >= C z^(1+beta) for every z: a PowerLaw
+    meets it (coeff >= C), a tabulated G, constant past its table, does not."""
+    if not isinstance(params.G, PowerLaw):
+        name = type(params.G).__name__
+        raise PreconditionFailure(f"the lower solution needs G(z) >= C z^(1+beta), not a {name}")
+
+
 def hitting_level(v0psi: float, params: ModelParams) -> float:
     """Level x* = v0psi^(-beta)/(C beta) of initial mass v0psi, with beta and
     the lower constant C of params: the lower solution blows up when A(t)
     reaches it. +inf where a tiny mass overflows the power, which puts x* out
-    of reach; a mass that is not > 0, NaN included, is refused."""
+    of reach; a mass that is not > 0, NaN included, is refused, and so is a
+    G not known to dominate C z^(1+beta) (``_check_lower_bound``)."""
+    _check_lower_bound(params)
     if not v0psi > 0:
         raise ConfigurationError(f"hitting level needs v0psi > 0, got {v0psi}")
     try:
@@ -239,8 +251,10 @@ def deterministic_dichotomy(mass: float, lam1: float, params: ModelParams) -> Di
     above it the lower solution of G >= C z^(1+beta) blows up.
 
     The boundary case mass = (lam1/C)^(1/beta) classifies as TAU_INFINITE
-    (the hitting functional saturates without crossing).
+    (the hitting functional saturates without crossing). As ``hitting_level``
+    it refuses a G not known to dominate C z^(1+beta).
     """
+    _check_lower_bound(params)
     threshold = (lam1 / params.C) ** (1.0 / params.beta)
     outcome = Dichotomy.BLOWUP_CERTIFIED if mass > threshold else Dichotomy.TAU_INFINITE
     return DichotomyVerdict(outcome, threshold)

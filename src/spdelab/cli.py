@@ -278,7 +278,10 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, run: RunManife
     eigen = _eigen_setup(cfg, m=12)
     f = _initial_field(initial, eigen)
     mass0 = weighted_inner(eigen.grid, f, eigen.psi)
-    level = hitting_level(float(mass0), params) if mass0 > 0 else None
+    try:  # no lower solution for a G not known to dominate C z^(1+beta)
+        level = hitting_level(float(mass0), params) if mass0 > 0 else None
+    except PreconditionFailure:
+        level = None
     # the Euler-Maruyama run is compared through its sup series and bracket
     em_cfg = replace(sim, max_snapshots=2)
     n_paths = 1 if params.kappa == 0 else sim.n_paths

@@ -3,14 +3,14 @@
 The transformed field v solves dv/dt = (Delta - kappa^2/2) v +
 e^{-kappa W_t} G(e^{kappa W_t} v) along a fixed noise path; the physical field
 u = e^{kappa W_t} v can instead be advanced directly with a multiplicative
-Euler-Maruyama increment. Both use IMEX stepping: the stiff linear part is
-implicit, the reaction explicit at the step start, which is the
-non-anticipating reading of the noise factor. Crank-Nicolson treats the
-linear part by the trapezoid rule instead, as the backward-Euler half step
-w extrapolated to 2w - v, so a step of either scheme is one solve.
+Euler-Maruyama increment. Both use one IMEX step: the stiff linear part is
+backward Euler, the reaction explicit at the step start, which is the
+non-anticipating reading of the noise factor. Backward Euler keeps v
+nonnegative at any dt for G >= 0, since (I - dt(Delta_h - shift))^{-1} is a
+nonnegative matrix.
 
 One engine, ``simulate_paths``, advances a block of paths that share the
-initial field, grid and scheme: each step, ``_advance``, builds the
+initial field and grid: each step, ``_advance``, builds the
 explicit term of the (paths x nodes) block in place, in the slot of the
 staging buffer that the new block fills, and makes one solve on all of its
 rows, in the closed form of the grid's (-2, 1)/h^2 stencil: tridiagonal on
@@ -69,11 +69,6 @@ STAGE_BYTES = 1 << 19
 STAGE_STEPS = 64
 
 
-class Scheme(str, Enum):
-    IMEX = "imex"  # backward Euler on the linear part
-    CRANK_NICOLSON = "crank_nicolson"
-
-
 class Outcome(str, Enum):
     COMPLETED = "completed_horizon"
     NUMERICAL_BLOWUP = "numerical_blowup"
@@ -84,16 +79,9 @@ class SchemeConfig:
     """How paths are integrated; their time grid is read from the paths."""
 
     cutoff: float = 1e8
-    scheme: Scheme = Scheme.IMEX
     max_snapshots: int = 1000
 
     def __post_init__(self):
-        try:  # a config names the scheme by its value
-            object.__setattr__(self, "scheme", Scheme(self.scheme))
-        except ValueError:
-            raise ConfigurationError(
-                f"scheme must be one of {[s.value for s in Scheme]}, got {self.scheme!r}"
-            ) from None
         if self.cutoff <= 1:
             raise ConfigurationError(f"cutoff must exceed one, got {self.cutoff}")
         if self.max_snapshots < 2:
@@ -145,7 +133,7 @@ class TrajectoryResult:
 
 
 class _Workspace:
-    """The implicit operator of one time step, I - theta dt (lap - shift).
+    """The implicit operator of one time step, I - dt (lap - shift).
     solve(block) overwrites a (paths x nodes) block, C-ordered or not, with
     the solution of each row, each on its own, so a path's bits do not depend
     on its block.
@@ -154,18 +142,14 @@ class _Workspace:
     more nodes is factored by LAPACK's tridiagonal dpttrf, O(n) a solve. Any
     other grid, a rectangle or the 1-node grid, is solved in the tensor sine
     basis, where the separable stencil is diagonal: a field X shaped rows x n
-    solves as V_a ((V_a X V) / div) V, div = 1 + theta dt (lam + shift) over
+    solves as V_a ((V_a X V) / div) V, div = 1 + dt (lam + shift) over
     the grid's spectrum lam, V the symmetric orthogonal matrix of
     _sine_vectors and V_a = V (the 1-node grid is one row, with V_a = 1),
-    O(n^3) a solve on an n x n rectangle. shift is kappa^2/2 for v, 0 for u;
-    theta is 1 for IMEX and 1/2 for Crank-Nicolson, whose step extrapolates
-    the solution (_advance).
+    O(n^3) a solve on an n x n rectangle. shift is kappa^2/2 for v, 0 for u.
     """
 
-    def __init__(self, grid: GridSpec, shift: float, dt: float, scheme: Scheme):
-        self.extrapolate = scheme is Scheme.CRANK_NICOLSON
-        theta_dt = 0.5 * dt if self.extrapolate else dt
-        self.theta_dt = np.array(theta_dt)  # 0-d, as _Reaction's constants
+    def __init__(self, grid: GridSpec, shift: float, dt: float):
+        self.dt = np.array(dt)  # 0-d, as _Reaction's constants
         n = grid.n
         if len(grid.h) == 1 and n > 1:
             # imported on first use, so that importing the package loads no scipy
@@ -173,8 +157,8 @@ class _Workspace:
 
             (h,) = grid.h
             d, e, info = lapack.dpttrf(
-                np.full(n, 1.0 - theta_dt * (-2.0 / h**2 - shift)),
-                np.full(n - 1, -(theta_dt * (1.0 / h**2))),
+                np.full(n, 1.0 - dt * (-2.0 / h**2 - shift)),
+                np.full(n - 1, -(dt * (1.0 / h**2))),
             )
             if info:
                 raise NumericalFailure(f"implicit operator factorization failed: LAPACK info {info}")
@@ -185,7 +169,7 @@ class _Workspace:
             sines = _sine_vectors(n, np.arange(1, n + 1))
             self._rows, self._cols = ([np.ones((1, 1))] + [sines] * len(grid.h))[-2:]
             lam = _spectrum(grid).reshape(-1, n)
-            self._div = 1.0 + theta_dt * (lam + shift)
+            self._div = 1.0 + dt * (lam + shift)
             self._solve = self._solve_sine
 
     def solve(self, block: np.ndarray) -> None:
@@ -262,28 +246,24 @@ class _Reaction:
 
 
 def _advance(reaction: _Reaction, cur, noise, ws: _Workspace, out, scratch) -> None:
-    """One linear-implicit step of a block of fields, one field per row; the
-    only place fields are advanced. The explicit term at cur is built in out,
-    the C-ordered block the step fills, then scaled by theta dt, added to cur
-    and solved in place, so a step allocates nothing for a power law.
+    """One IMEX step of a block of fields, one field per row, on the step
+    ws.dt; the only place fields are advanced. The explicit term at cur is
+    built in out, the C-ordered block the step fills, then scaled by dt,
+    added to cur and solved in place, so a step allocates nothing for a
+    power law.
 
     noise is a column, one entry per row: the noise factor at the step start
     for v; for u the rate dW/dt of the step, whose multiplicative increment
     is folded into the explicit term, u + dt G(u) + kappa u dW = u + dt (G(u)
-    + kappa u dW/dt), through scratch, a block shaped as out.
-    Crank-Nicolson's half step w solves (I - dt L/2) w = v + dt R/2, so
-    2w - v solves (I - dt L/2) x = (I + dt L/2) v + dt R."""
+    + kappa u dW/dt), through scratch, a block shaped as out."""
     reaction(cur, noise, out)
     if reaction.variable == "u":
         np.multiply(cur, reaction.kappa, out=scratch)
         scratch *= noise
         out += scratch
-    out *= ws.theta_dt
+    out *= ws.dt
     out += cur
     ws.solve(out)
-    if ws.extrapolate:
-        out *= 2.0
-        out -= cur
 
 
 def _check_grids(paths: list[BrownianPath]) -> tuple[float, int]:
@@ -381,7 +361,7 @@ def simulate_paths(
 
     @functools.cache
     def level_workspace(dt_level):  # one factorization per step size and call
-        return _Workspace(eigen.grid, shift, dt_level, cfg.scheme)
+        return _Workspace(eigen.grid, shift, dt_level)
 
     ws = level_workspace(dt)
     weights = eigen.grid.weights

@@ -92,6 +92,11 @@ class TestNonlinearities:
         with pytest.raises(ConfigurationError):
             # G(z)/z = 1, 4, 1: not nondecreasing
             TabulatedNonlinearity(z=np.array([0.0, 1.0, 2.0, 3.0]), g=np.array([0.0, 1.0, 8.0, 3.0]))
+        with pytest.raises(ConfigurationError, match="^g must be >= 0"):
+            # G(z)/z = -10, -5 is nondecreasing, but G(1.5) = -10
+            TabulatedNonlinearity(z=np.array([0.0, 1.0, 2.0]), g=np.array([0.0, -10.0, -10.0]))
+        zero = TabulatedNonlinearity(z=np.array([0.0, 1.0]), g=np.array([0.0, 0.0]))
+        assert zero(2.0) == 0.0  # G = 0, the linear model, stays accepted
 
     @pytest.mark.parametrize(
         "z, g",

@@ -68,6 +68,7 @@ RANGE_CASES = [
     ("model.G.coeff", {"G": {"type": "power_law", "coeff": 2.0}}),
     ("model.G.beta", {"G": {"type": "power_law", "beta": 2.0}}),
     ("model.G.z", {"G": {"type": "tabulated", "z": [0, 2, 1], "g": [0, 1, 2]}}),
+    ("model.G.g", {"G": {"type": "tabulated", "z": [0, 1, 2], "g": [0, -10, -10]}}),
     ("initial.mode", {"mode": "random"}),
     ("initial.a", {"a": 0.0}),
     ("initial.a", {"mode": "eigen-multiple", "a": None}),
@@ -76,7 +77,6 @@ RANGE_CASES = [
     ("sim.horizon", {"horizon": -1.0}),
     ("sim.n_paths", {"n_paths": 0}),
     ("sim.seed", {"seed": -1}),
-    ("sim.scheme", {"scheme": "leapfrog"}),
     ("sim.v0psi_sweep", {"v0psi_sweep": [0.5, 0.0]}),
     ("certificate.kinds", {"kinds": []}),
     ("certificate.kinds", {"kinds": ["integral", "heat"]}),
@@ -171,10 +171,19 @@ class TestConfigValidation:
         assert capsys.readouterr().err == f"configuration error: sim.{message}, got {value}\n"
         assert not out.exists()
 
-    def test_bad_scheme_rejected(self, tmp_path):
-        cfg = interval_cfg(sim={"dt": 0.1, "horizon": 1.0, "scheme": "leapfrog"})
-        with pytest.raises(ConfigurationError, match="scheme"):
-            load_config(write_cfg(tmp_path, cfg))
+    @pytest.mark.parametrize("scheme", ["leapfrog", "imex", "crank_nicolson"])
+    def test_bad_scheme_rejected(self, tmp_path, capsys, scheme):
+        # there is one linear step, so sim names none: scheme is an unknown key
+        cfg = interval_cfg(
+            n=16,
+            model=MODEL,
+            initial={"mode": "eigen-multiple", "a": 0.3},
+            sim={"dt": 0.1, "horizon": 1.0, "scheme": scheme},
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert "sim: unknown keys ['scheme']" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_sweep_entry_rejected(self, tmp_path):
         cfg = interval_cfg(sim={"dt": 0.1, "horizon": 1.0, "v0psi_sweep": [0.5, -1.0]})
@@ -693,6 +702,41 @@ class TestBlowupCommand:
         assert outs[1e12] == outs[1e300] == outs[50.0]
 
 
+class TestLowerSolutionNeedsAPowerLaw:
+    # G(z) = z lies below z^2 past z = 1 and is constant past its table, so
+    # no lower solution of G >= C z^(1+beta) holds for its runs
+    LINEAR_G = {"type": "tabulated", "z": [0, 1e9], "g": [0, 1e9]}
+
+    @pytest.mark.parametrize(
+        "kappa, sim", [(0.0, {}), (1.0, {"n_paths": 1000})], ids=["dichotomy", "monte-carlo"]
+    )
+    def test_blowup_exits_4_without_a_csv(self, tmp_path, capsys, kappa, sim):
+        cfg = interval_cfg(
+            model={"beta": 1.0, "kappa": kappa, "G": self.LINEAR_G},
+            sim={"dt": 0.01, "horizon": 3.0, "v0psi_sweep": [2.0], **sim},
+        )
+        out = tmp_path / "out"
+        assert main(["blowup", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 4
+        assert "G(z) >= C z^(1+beta)" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
+    def test_simulate_leaves_the_lower_solution_cells_empty(self, tmp_path):
+        # the path completes T = 3 from mass 1.97; a lower solution from that
+        # mass would blow up at t = 0.79
+        cfg = interval_cfg(
+            model={**MODEL, "G": self.LINEAR_G},
+            initial={"mode": "eigen-multiple", "a": 5.0},
+            sim={"dt": 0.01, "horizon": 3.0, "seed": 0},
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+        [traj] = read_csv(out / "trajectories.csv")
+        [cons] = read_csv(out / "consistency.csv")
+        assert traj["outcome"] == "completed_horizon"
+        assert traj["tau_analytic"] == cons["mass_over_lower_min"] == ""
+        assert float(traj["mass_initial"]) > 1.9 and float(cons["em_transform_rel_diff"]) > 0
+
+
 class TestSimulateCommand:
     def test_transform_gap_matches_reconstruct_u(self):
         # the consistency row's EM gap is the relative sup gap between the
@@ -915,9 +959,9 @@ class TestSimulateCommand:
             (0.00031485768133954206, 0.00011713610368464958),
         ],
         "simulate_rectangle.json": [
-            (0.00029210522746692114, 0.00018168482948599488),
-            (0.0002647535799162881, 0.00017243316034688529),
-            (0.00032002648348239404, 0.00019902402160565816),
+            (0.0016373568599512556, 0.0006617893598983463),
+            (0.0016041788321372596, 0.0006461123938160117),
+            (0.0016153532587876995, 0.0006197378094083749),
         ],
     }
 

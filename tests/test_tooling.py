@@ -1,7 +1,8 @@
 """The repository's pytest configuration, run on a scratch test file, and the
-README's configuration reference against the keys the loader accepts."""
+README against the keys the loader accepts and the configs the repo ships."""
 
 import dataclasses
+import re
 import subprocess
 import sys
 import typing
@@ -53,3 +54,26 @@ def test_configuration_reference_names_every_key():
         missing += [f"{section}.{f.name}" for f in dataclasses.fields(cls)
                     if f"`{f.name}`" not in reference]
     assert missing == []
+
+
+# the command CI's shipped-config step runs each configs/<prefix>*.json under
+SHIPPED_COMMANDS = {
+    "eigen_": "eigen",
+    "blowup_": "blowup",
+    "simulate_": "simulate",
+    "certify_": "certify",
+    "heat_kernel": "heat-kernel",
+}
+
+
+def test_readme_examples_name_exactly_the_shipped_configs():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("Example configurations live in `configs/`:", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", block, re.S).group(1)
+    runs = re.findall(r"^spdelab (\S+) +--config configs/(\S+)\.json", block, re.M)
+    names = [name for _, name in runs]
+    shipped = sorted(path.stem for path in (ROOT / "configs").glob("*.json"))
+    assert sorted(names) == shipped
+    for command, name in runs:
+        [expected] = [run for prefix, run in SHIPPED_COMMANDS.items() if name.startswith(prefix)]
+        assert command == expected, name
