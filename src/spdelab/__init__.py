@@ -58,6 +58,7 @@ from .stochastic import (
     exp_functional,
     gamma_shape,
     gamma_tail,
+    path_generators,
     sample_brownian,
 )
 
@@ -69,7 +70,7 @@ __all__ = [
     "richardson_extrapolate", "sup_norm_decay",
     "heat_kernel_ratio_report",
     # stochastic
-    "BrownianPath", "brownian_increments", "sample_brownian",
+    "BrownianPath", "brownian_increments", "sample_brownian", "path_generators",
     "exp_functional", "gamma_shape", "gamma_tail", "blowup_density",
     # blowup
     "ModelParams", "PowerLaw", "TabulatedNonlinearity", "hitting_level",

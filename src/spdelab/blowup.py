@@ -27,10 +27,10 @@ from .stochastic import (
     BrownianPath,
     _clamped_exp,
     _n_steps,
-    _path_rng,
     exp_functional,
     gamma_shape,
     gamma_tail,
+    path_generators,
 )
 
 logger = logging.getLogger(__name__)
@@ -294,10 +294,13 @@ def _advance_paths(
     x*, the gamma law stops it there, or at the horizon.
 
     Each path draws its chunk into its own row of one reusable buffer from
-    its own stream; the rest of a chunk is one numpy call per operation on
-    the whole block, and every cell is computed on its own, so a path's
-    results are bitwise the same for any block width or index split. A is
-    nondecreasing, so a path has hit x* iff its chunk-end A >= x*. Past t the
+    its own stream. The first block builds the generators, and each later
+    block reseeds them in one ``path_generators`` call; each stream is still
+    bitwise ``np.random.default_rng([seed, i])``'s under the running numpy.
+    The rest of a chunk is one numpy call per operation on the whole block,
+    and every cell is computed on its own, so a path's results are bitwise
+    the same for any block width or index split. A is nondecreasing, so a
+    path has hit x* iff its chunk-end A >= x*. Past t the
     rest of A_inf is e^{at+bW_t} times an independent copy of A_inf, whose
     law is 2/(b^2 Z) with Z ~ Gamma(alpha); the path still hits x* with
     probability p = P(alpha, 2 e^{at+bW_t} / (b^2 (x* - A(t)))), one
@@ -320,9 +323,11 @@ def _advance_paths(
     A_stop, p_stop = np.empty(shape), np.empty(shape)
     sat_stop, steps = np.empty(shape, dtype=bool), np.empty(shape, dtype=np.int64)
     buf = np.empty((min(MC_BLOCK, hi - lo), min(MC_CHUNK, nsteps)))
+    pool = None
     for first in range(lo, hi, MC_BLOCK):
         rows = np.arange(first - lo, min(first + MC_BLOCK, hi) - lo)
-        rngs = [_path_rng(seed, lo + i) for i in rows]
+        # the first block builds the generators, later blocks reseed them
+        pool = rngs = path_generators(seed, range(first, first + len(rows)), pool)
         is_open = np.ones((len(rows), len(x)), dtype=bool)
         w_last = np.zeros(len(rows))
         e_last = np.ones(len(rows))

@@ -92,17 +92,27 @@ class CertificateReport:
 
 
 def _check_upper_bound(params: ModelParams, z_max: float | None = None) -> None:
-    """The certificates need G(z) <= Lambda z^(1+beta), globally or on (0, z_max)."""
+    """The certificates need G(z) <= Lambda z^(1+beta), globally or on (0, z_max).
+
+    A tabulated G is linear between its nodes and constant past the last,
+    so G - Lambda z^(1+beta) is concave on each piece: its largest value is
+    at the stationary point Lambda (1+beta) z^beta = slope, clipped to the
+    piece (and below z_max).
+    """
     g = params.G
     if isinstance(g, PowerLaw):
         return  # coeff <= Lambda enforced at construction
     if isinstance(g, TabulatedNonlinearity):
-        z = g.z[1:]
-        vals = g.g[1:]
+        lo, hi, g_lo = g.z[:-1], g.z[1:], g.g[:-1]
+        slope = np.diff(g.g) / np.diff(g.z)
         if z_max is not None:
-            keep = z < z_max
-            z, vals = z[keep], vals[keep]
-        cap = params.Lambda * z ** (1.0 + params.beta)
+            keep = lo < z_max
+            lo, hi, g_lo, slope = lo[keep], np.minimum(hi[keep], z_max), g_lo[keep], slope[keep]
+        beta = params.beta
+        with np.errstate(over="ignore"):
+            z = np.clip((slope / (params.Lambda * (1.0 + beta))) ** (1.0 / beta), lo, hi)
+            cap = params.Lambda * z ** (1.0 + beta)
+        vals = g_lo + slope * (z - lo)
         bad = vals > cap * (1.0 + 1e-12)
         if np.any(bad):
             j = int(np.argmax(bad))

@@ -24,6 +24,7 @@ import functools
 import json
 import math
 import os
+import platform
 import sys
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field, replace
@@ -114,6 +115,11 @@ class RunManifest:
     output files; the manifest is what may differ. ``workers_requested`` is
     --workers; ``workers_used`` is the number of processes that ran the
     command's work, which a command that runs in one process leaves at 1.
+    The versions and ``rng_scheme`` say what the bytes are reproducible
+    under: numpy fixes its streams per version only. ``scipy_version`` is
+    None when the process has not imported scipy, which only some commands
+    need. ``normals_drawn`` is the Monte Carlo pass's count, None for a
+    command that runs none.
     """
 
     command: str
@@ -125,11 +131,18 @@ class RunManifest:
     workers_requested: int
     cpu_count: int | None
     workers_used: int = 1
+    normals_drawn: int | None = None
+    python_version: str = platform.python_version()
+    numpy_version: str = np.__version__
+    scipy_version: str | None = None
+    rng_scheme: str = "PCG64 default_rng([seed, path_index])"
     finished_at: str = ""
     outputs: list[str] = field(default_factory=list)
 
     def write(self, out_dir: Path) -> Path:
         self.finished_at = _now()
+        # read at the end: importing scipy only to name it costs ~15 ms
+        self.scipy_version = getattr(sys.modules.get("scipy"), "__version__", None)
         name = f"{self.command.replace('-', '_')}_manifest.json"
         return write_json(out_dir / name, self.__dict__)
 
@@ -229,6 +242,7 @@ def cmd_blowup(cfg: RunConfig, out_dir: Path, seed: int | None, run: RunManifest
         workers=run.workers_requested,
     )
     run.workers_used = sweep.workers
+    run.normals_drawn = sweep.normals_drawn
     rows = []
     for v0psi, x_star, est in zip(sim.v0psi_sweep, levels, sweep.estimates):
         rows.append(

@@ -495,26 +495,34 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("chunk", [7, 2000])
     def test_chunked_draws_are_the_published_stream(self, monkeypatch, chunk):
-        drawn = []
+        # one path a block: path 16 draws from a new generator, path 17 from
+        # the same generator reseeded for the second block
+        drawn = {}
 
         class Recording:
-            def __init__(self, rng):
-                self.rng = rng
+            def __init__(self, rng, index):
+                self.rng, self.draws = rng, drawn.setdefault(index, [])
 
             def standard_normal(self, size=None, out=None):
                 z = self.rng.standard_normal(size, out=out)
-                drawn.append(z.copy())  # the kernel scales its chunk in place
+                self.draws.append(z.copy())  # the kernel scales its chunk in place
                 return z
 
-        monkeypatch.setattr(blowup, "_path_rng", lambda s, i: Recording(stochastic._path_rng(s, i)))
+        def recording_generators(seed, path_indices, out=None):
+            pool = None if out is None else [rec.rng for rec in out]
+            rngs = stochastic.path_generators(seed, path_indices, pool)
+            return [Recording(rng, i) for rng, i in zip(rngs, path_indices)]
+
+        monkeypatch.setattr(blowup, "path_generators", recording_generators)
         monkeypatch.setattr(blowup, "MC_STOP_PROB", -1.0)
         monkeypatch.setattr(blowup, "MC_CHUNK", chunk)
+        monkeypatch.setattr(blowup, "MC_BLOCK", 1)
         nsteps, dt = 5003, 1e-3
         a, b = blowup._drift_scale(self.PARAMS.beta, self.PARAMS.kappa, 1.0)
-        _, _, _, steps = blowup._advance_paths(4, 17, 18, nsteps, dt, a * dt, b, [math.inf], 3.0)
-        [[normals]] = steps.tolist()
-        assert normals == nsteps
-        assert_array_equal(np.concatenate(drawn), brownian_increments(4, 17, nsteps))
+        _, _, _, steps = blowup._advance_paths(4, 16, 18, nsteps, dt, a * dt, b, [math.inf], 3.0)
+        assert steps.tolist() == [[nsteps], [nsteps]]
+        for index in (16, 17):
+            assert_array_equal(np.concatenate(drawn[index]), brownian_increments(4, index, nsteps))
 
     @pytest.mark.parametrize(
         "v0psi, horizon, saturating",
@@ -522,8 +530,8 @@ class TestMonteCarlo:
     )
     def test_block_width_invariance(self, monkeypatch, v0psi, horizon, saturating):
         # every row of a block is its own path: results do not depend on the
-        # block width, on where a thread job's index range starts, or on
-        # which rows have already stopped
+        # block width, on where a worker's index range starts, or on which
+        # rows have already stopped
         dt, seed, n = 1e-3, 5, 300
         x_star = hitting_level(v0psi, self.PARAMS)
         a, b = blowup._drift_scale(self.PARAMS.beta, self.PARAMS.kappa, 1.0)
@@ -551,6 +559,33 @@ class TestMonteCarlo:
             assert 0 < len(clamped) < n and len(set(clamped)) >= 4
         else:
             assert 0 < np.sum(A >= x_star) < n
+
+    @pytest.mark.parametrize("saturating", [False, True])
+    def test_block_seeding_is_default_rng_seeding(self, monkeypatch, saturating):
+        # the kernel builds its generators for the first block and reseeds
+        # them in one call at each later block; fed one default_rng([seed, i])
+        # per path instead, 300 paths (four full blocks and a part one) give
+        # the same bytes
+        dt, seed, n = 1e-3, 5, 300
+        x_star = hitting_level(0.5, self.PARAMS)
+        a, b = blowup._drift_scale(self.PARAMS.beta, self.PARAMS.kappa, 1.0)
+        alpha = analytic_blowup_bound(1.0, self.PARAMS.kappa, 1.0, x_star).alpha
+        args = (_n_steps(10.0, dt), dt, a * dt, b, [x_star], alpha)
+        if saturating:  # the exponent b W_t passes EXP_CLAMP on some paths
+            args = (_n_steps(10.5, dt), dt, 0.0, 400.0, [1e308], 0.1)
+
+        def advance():
+            return [column.tolist() for column in blowup._advance_paths(seed, 0, n, *args)]
+
+        seeded = advance()
+        monkeypatch.setattr(
+            blowup,
+            "path_generators",
+            lambda s, path_indices, out=None: [np.random.default_rng([s, i]) for i in path_indices],
+        )
+        assert advance() == seeded
+        _, _, clamped, _ = (np.array(column)[:, 0] for column in seeded)
+        assert 0 < clamped.sum() < n if saturating else not clamped.any()
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_sweep_equals_one_threshold_runs(self, caplog, workers):

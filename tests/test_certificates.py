@@ -158,9 +158,19 @@ class TestIntegralCertificate:
         with pytest.raises(PreconditionFailure):
             certificate_sup_norm(path, eig.psi, params, eig, [INTEGRAL])
 
-    def test_tabulated_nonlinearity_within_cap_accepted(self, cert_env):
+    def test_tabulated_nonlinearity_over_cap_between_nodes_rejected(self, cert_env):
+        # at or under z^2 at every node, but G(0.25) = 0.125 > 0.25^2 on the
+        # first piece: any table with g_1 > 0 is above the cap near 0
         _, eig, path = cert_env
         mild = TabulatedNonlinearity(z=np.array([0.0, 1.0, 2.0]), g=np.array([0.0, 0.5, 2.0]))
+        params = ModelParams(beta=1.0, kappa=1.0, Lambda=1.0, G=mild)
+        with pytest.raises(PreconditionFailure, match="at z=0.25: 0.125 > 0.0625"):
+            certificate_sup_norm(path, eig.psi, params, eig, [INTEGRAL])
+
+    def test_tabulated_nonlinearity_within_cap_accepted(self, cert_env):
+        # 2 (z - 1) <= z^2 on [1, 2], touching it nowhere
+        _, eig, path = cert_env
+        mild = TabulatedNonlinearity(z=np.array([0.0, 1.0, 2.0]), g=np.array([0.0, 0.0, 2.0]))
         params = ModelParams(beta=1.0, kappa=1.0, Lambda=1.0, G=mild)
         rep = certificate_sup_norm(path, eig.psi, params, eig, [INTEGRAL])[INTEGRAL]
         assert rep.verdict is Verdict.CERTIFIED
@@ -210,10 +220,11 @@ class TestSaturationCertificate:
             )
 
     def test_tabulated_cap_only_checked_inside_range(self, cert_env):
-        # Exceeds Lambda z^2 only at z = 2 >= Cstar = 1: fine for saturation,
-        # fatal for the unrestricted integral certificate.
+        # 8 (z - 1) exceeds Lambda z^2 only on (4 - 2 sqrt 2, 2], past
+        # Cstar = 1: fine for saturation, fatal for the unrestricted integral
+        # certificate.
         _, eig, path = cert_env
-        edge = TabulatedNonlinearity(z=np.array([0.0, 1.0, 2.0]), g=np.array([0.0, 1.0, 8.0]))
+        edge = TabulatedNonlinearity(z=np.array([0.0, 1.0, 2.0]), g=np.array([0.0, 0.0, 8.0]))
         params = ModelParams(beta=1.0, kappa=1.0, Lambda=1.0, Cstar=1.0, G=edge)
         rep = certificate_sup_norm(path, 0.1 * eig.psi, params, eig, [SATURATION])[SATURATION]
         assert rep.verdict is Verdict.CERTIFIED

@@ -6,6 +6,7 @@ import json
 import math
 import multiprocessing
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from spdelab import blowup, certificates, cli, stochastic
 from spdelab.blowup import ModelParams
@@ -509,15 +511,16 @@ class TestBlowupCommand:
         assert row["n_saturated"] == "0"
 
     def test_sweep_draws_each_path_once(self, tmp_path, monkeypatch):
-        # every sweep entry reads the same paths, so the command builds one
-        # generator per path for the whole sweep, not one per path and entry
+        # every sweep entry reads the same paths, so the command seeds each
+        # path's generator once for the whole sweep, not once per path and
+        # entry
         built = []
 
-        def counting_rng(seed, path_index):
-            built.append(path_index)
-            return stochastic._path_rng(seed, path_index)
+        def counting_generators(seed, path_indices, out=None):
+            built.extend(int(i) for i in path_indices)
+            return stochastic.path_generators(seed, path_indices, out)
 
-        monkeypatch.setattr(blowup, "_path_rng", counting_rng)
+        monkeypatch.setattr(blowup, "path_generators", counting_generators)
         p = write_cfg(tmp_path, self.cfg(v0psi_sweep=[0.25, 0.5, 1.0]))
         assert main(["blowup", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
         assert len(read_csv(tmp_path / "o" / "blowup.csv")) == 3
@@ -577,6 +580,45 @@ class TestBlowupCommand:
         assert main(["eigen", "--config", str(p), "--out", str(out), "--workers", "3"]) == 0
         man = json.loads((out / "eigen_manifest.json").read_text())
         assert (man["workers_requested"], man["workers_used"]) == (3, 1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_manifest_records_versions_and_normals_drawn(self, tmp_path, monkeypatch, workers):
+        sweeps = []
+
+        def recording(*args, **kwargs):
+            sweeps.append(blowup.mc_blowup_probability(*args, **kwargs))
+            return sweeps[-1]
+
+        monkeypatch.setattr(cli, "mc_blowup_probability", recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool on any runner
+        out = tmp_path / "o"
+        p = write_cfg(tmp_path, self.cfg(v0psi_sweep=[0.25, 1.0]))
+        assert main(["blowup", "--config", str(p), "--out", str(out),
+                     "--workers", str(workers)]) == 0
+        man = json.loads((out / "blowup_manifest.json").read_text())
+        [sweep] = sweeps
+        assert man["workers_used"] == sweep.workers == workers
+        assert man["normals_drawn"] == sweep.normals_drawn > 0
+        assert man["python_version"] == platform.python_version()
+        assert man["numpy_version"] == np.__version__
+        assert man["scipy_version"] == scipy.__version__
+        assert man["rng_scheme"] == "PCG64 default_rng([seed, path_index])"
+
+    def test_manifest_of_a_run_without_scipy_names_no_scipy(self, tmp_path):
+        # eigen loads no scipy; the manifest does not import it to name it
+        p = write_cfg(tmp_path, interval_cfg(n=16))
+        out = tmp_path / "o"
+        code = (
+            "import sys; from spdelab.cli import main; "
+            f"code = main(['eigen', '--config', {str(p)!r}, '--out', {str(out)!r}]); "
+            "sys.exit(code or 'scipy' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True)
+        man = json.loads((out / "eigen_manifest.json").read_text())
+        assert man["scipy_version"] is None and man["normals_drawn"] is None
+        assert man["numpy_version"] == np.__version__
+        assert man["rng_scheme"] == "PCG64 default_rng([seed, path_index])"
 
     def test_dead_worker_exits_3_without_csv(self, tmp_path, capsys, monkeypatch):
         # a worker killed by a signal or by the OOM killer breaks the pool;
@@ -1407,8 +1449,8 @@ class TestCertifyCommand:
         p = write_cfg(tmp_path, cfg)
         assert main(["certify", "--config", str(p), "--out", str(tmp_path / "o")]) == 4
 
-    # g(2) = 100 is over Lambda z^2, but g stays under it below z = 1.5
-    OVER_CAP = {"type": "tabulated", "z": [0.0, 1.0, 2.0], "g": [0.0, 0.5, 100.0]}
+    # g(2) = 100 is over Lambda z^2, but g is 0 up to z = 1.5
+    OVER_CAP = {"type": "tabulated", "z": [0.0, 1.5, 2.0], "g": [0.0, 0.0, 100.0]}
 
     # each config has two faults in different kinds: every kind's checks run
     # in the listed order before any series, so the first listed is reported

@@ -17,6 +17,7 @@ from spdelab.stochastic import (
     exp_functional,
     gamma_shape,
     gamma_tail,
+    path_generators,
     sample_brownian,
 )
 
@@ -48,6 +49,50 @@ class TestDerivedParams:
         # kappa beta / 2 itself underflows to 0
         with pytest.raises(ConfigurationError, match=f"overflows at kappa={kappa!r}"):
             gamma_shape(beta, kappa, 1.0)
+
+
+class TestPathGenerators:
+    # numpy's own seeding, default_rng([seed, i]), is the reference for the
+    # block reseeding: seeds of one to three 32-bit words, indices of one
+    # and two
+    INDICES = [0, 63, 4999, 2**32 - 1, 2**32]
+
+    @pytest.mark.parametrize("seed", [0, 12345, 2**32 - 1, 2**32, 2**64 + 9])
+    def test_reseeded_streams_are_default_rng(self, seed):
+        # one call reseeds indices of both word counts; seed 2**64 + 9 with
+        # index 2**32 is five words, one past the hash's pool of four
+        pool = [np.random.default_rng(99) for _ in self.INDICES]
+        rngs = path_generators(seed, self.INDICES, pool)
+        assert all(rng is old for rng, old in zip(rngs, pool, strict=True))
+        for index, rng in zip(self.INDICES, rngs):
+            ref = np.random.default_rng([seed, index])
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert_array_equal(rng.standard_normal(7), ref.standard_normal(7))
+
+    def test_new_generators_are_default_rng(self):
+        for index, rng in zip(self.INDICES, path_generators(2**32, self.INDICES)):
+            ref = np.random.default_rng([2**32, index])
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_a_pool_is_reseeded_after_drawing(self):
+        # the first generators of a longer pool, mid-stream, each restart at
+        # the start of its new path's stream
+        pool = path_generators(3, range(8))
+        for rng in pool:
+            rng.standard_normal(5)
+        indices = [20, 2**32 + 1, 21]
+        again = path_generators(3, indices, pool)
+        assert all(rng is old for rng, old in zip(again, pool[:3], strict=True))
+        for index, rng in zip(indices, again):
+            ref = np.random.default_rng([3, index])
+            assert_array_equal(rng.standard_normal(7), ref.standard_normal(7))
+
+    def test_refuses_negative_entropy_and_a_short_pool(self):
+        for seed, index in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match=">= 0"):
+                path_generators(seed, [index])
+        with pytest.raises(ValueError, match="2 generators for 3 paths"):
+            path_generators(0, range(3), path_generators(0, range(2)))
 
 
 class TestBrownianPath:
