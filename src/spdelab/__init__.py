@@ -45,7 +45,6 @@ from .errors import (
 )
 from .integrator import (
     Outcome,
-    SchemeConfig,
     TrajectoryResult,
     mode_residuals,
     reconstruct_u,
@@ -80,8 +79,7 @@ __all__ = [
     "CertificateKind", "CertificateReport", "Verdict", "admissible_initial",
     "certificate_sup_norm", "certificate_heat_kernel",
     # integrator
-    "SchemeConfig", "Outcome", "TrajectoryResult", "simulate_paths",
-    "reconstruct_u", "mode_residuals",
+    "Outcome", "TrajectoryResult", "simulate_paths", "reconstruct_u", "mode_residuals",
     # config
     "RunConfig", "load_config",
     # errors

@@ -27,7 +27,7 @@ import os
 import platform
 import sys
 from concurrent.futures import BrokenExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -296,14 +296,12 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, run: RunManife
         level = hitting_level(float(mass0), params) if mass0 > 0 else None
     except PreconditionFailure:
         level = None
-    # the Euler-Maruyama run is compared through its sup series and bracket
-    em_cfg = replace(sim, max_snapshots=2)
     n_paths = 1 if params.kappa == 0 else sim.n_paths
     traj_rows, cons_rows, files, t_cells = [], [], [], []
     for start in range(0, n_paths, BLOCK_PATHS):
         block = range(start, min(start + BLOCK_PATHS, n_paths))
         paths = [_sample_path(sim, params.kappa == 0, seed, idx) for idx in block]
-        trajs = simulate_paths(f, paths, params, eigen, sim, variable="v")
+        trajs = simulate_paths(f, paths, params, eigen, sim.cutoff, variable="v")
         # every path runs on the grid k*dt: its times are formatted once, as
         # far as the longest series written so far
         longest = max(len(traj.mass) for traj in trajs)
@@ -312,9 +310,12 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, run: RunManife
         # the v run is the EM run, bit for bit
         trajs_em = trajs
         if params.kappa != 0:
-            trajs_em = simulate_paths(f, paths, params, eigen, em_cfg, variable="u")
+            # compared through its sup series and bracket only: 2 kept rows
+            trajs_em = simulate_paths(
+                f, paths, params, eigen, sim.cutoff, variable="u", max_snapshots=2
+            )
         for idx, path, traj, traj_em in zip(block, paths, trajs, trajs_em):
-            _, weak, mild = mode_residuals(traj, path, params, eigen)
+            _, weak, mild = mode_residuals(traj, params, eigen)
             lower = tau = None
             if level is not None:
                 _, lower, _, tau = lower_solution_series(path, level, params, eigen.lam1)

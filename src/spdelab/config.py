@@ -23,7 +23,6 @@ from .blowup import ModelParams, PowerLaw, TabulatedNonlinearity
 from .certificates import CertificateKind
 from .domain import MIN_POINTS_PER_AXIS, MIN_RATIO_MODES, DomainSpec
 from .errors import ConfigurationError
-from .integrator import SchemeConfig
 
 _CERT_KINDS = tuple(kind.value for kind in CertificateKind)
 # numpy holds counts and sizes in 64-bit integers; JSON integers are unbounded
@@ -78,19 +77,21 @@ class InitialConfig:
             )
 
 
-@dataclass(frozen=True, kw_only=True)
-class SimConfig(SchemeConfig):
-    """The integrator's settings with the run's: time grid, paths, seed and
-    the masses the blowup command sweeps."""
+@dataclass(frozen=True)
+class SimConfig:
+    """The run's time grid, paths, seed, the masses the blowup command sweeps
+    and the sup norm past which a simulated path has blown up."""
 
     dt: float
     horizon: float
     n_paths: int = 1
     seed: int = 0
     v0psi_sweep: tuple[float, ...] = ()
+    cutoff: float = 1e8
 
     def __post_init__(self):
-        super().__post_init__()
+        if self.cutoff <= 1:
+            raise ConfigurationError(f"cutoff must exceed one, got {self.cutoff}")
         _above("dt", self.dt, 0.0)
         _above("horizon", self.horizon, 0.0)
         _at_least("n_paths", self.n_paths, 1)
@@ -260,7 +261,7 @@ _SECTION_PARSERS = {
     "sim": partial(
         _make, SimConfig, dt=_finite_number, horizon=_finite_number, n_paths=_integer,
         seed=_any_integer,  # numpy's SeedSequence takes any integer
-        v0psi_sweep=_numbers, cutoff=_finite_number, max_snapshots=_integer,
+        v0psi_sweep=_numbers, cutoff=_finite_number,
     ),
     "certificate": partial(
         _make, CertificateConfig, kinds=_list, K=_finite_number, eta=_finite_number,

@@ -35,11 +35,13 @@ increment rate for u.
 A trajectory keeps no node fields. At each kept row the engine stores the
 field's weighted projection onto the modes of its eigenbasis and the
 projection of the field's reaction, 2m numbers per row whatever the grid.
-``mode_residuals`` checks a trajectory against the weak and the mild form
-from these coefficients. ``simulate`` reports, per path, the max over
-snapshots of the mode-1 weak residual (``weak_residual_max``) and of the
-mild residual's Euclidean norm over the eigenbasis's retained modes
-(``mild_residual_max``); both are absolute.
+``mode_residuals`` checks a transformed trajectory against the weak and the
+mild form from these coefficients; a u trajectory is not checked, since the
+mild form is stated for the transformed equation, and the u route is
+compared through its sup series and blowup bracket instead. ``simulate``
+reports, per path, the max over snapshots of the mode-1 weak residual
+(``weak_residual_max``) and of the mild residual's Euclidean norm over the
+eigenbasis's retained modes (``mild_residual_max``); both are absolute.
 """
 
 from __future__ import annotations
@@ -72,20 +74,6 @@ STAGE_STEPS = 64
 class Outcome(str, Enum):
     COMPLETED = "completed_horizon"
     NUMERICAL_BLOWUP = "numerical_blowup"
-
-
-@dataclass(frozen=True)
-class SchemeConfig:
-    """How paths are integrated; their time grid is read from the paths."""
-
-    cutoff: float = 1e8
-    max_snapshots: int = 1000
-
-    def __post_init__(self):
-        if self.cutoff <= 1:
-            raise ConfigurationError(f"cutoff must exceed one, got {self.cutoff}")
-        if self.max_snapshots < 2:
-            raise ConfigurationError(f"max_snapshots must be at least 2, got {self.max_snapshots}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,19 +307,22 @@ def simulate_paths(
     paths: list[BrownianPath],
     params: ModelParams,
     eigen: EigenData,
-    cfg: SchemeConfig,
+    cutoff: float,
     variable: str = "v",
+    max_snapshots: int = 1000,
 ) -> list[TrajectoryResult]:
     """Integrate one field per noise path, all from f, as one block, on the
     grid of ``eigen`` and on the time grid of the paths, which must all share
-    one.
+    one, until the sup norm passes ``cutoff``, keeping at most
+    ``max_snapshots`` rows of mode coefficients a path.
 
     variable "v" integrates the transformed field, "u" the physical one with
-    multiplicative Euler-Maruyama increments. Every step advances the
-    (paths x nodes) block with one reaction evaluation and one solve on all
-    right-hand sides, and writes it into the staging buffer; the checks and
-    the series rows of a chunk of steps are read off the buffer at the chunk
-    end. The noise terms are built chunk by chunk too, for the rows still in
+    multiplicative Euler-Maruyama increments; only a v trajectory's rows are
+    read by ``mode_residuals``, whose mild form is stated for the transformed
+    equation. Every step advances the (paths x nodes) block with one
+    reaction evaluation and one solve on all right-hand sides, and writes it
+    into the staging buffer; the checks and the series rows of a chunk of
+    steps are read off the buffer at the chunk end. The noise terms are built chunk by chunk too, for the rows still in
     the block, each v factor through math.exp entry by entry, so no array of
     them grows with the horizon. A path that crosses the cutoff leaves the
     block there and has its crossing refined by dt halving, every sub-step
@@ -342,11 +333,13 @@ def simulate_paths(
     """
     if variable not in ("v", "u"):
         raise ConfigurationError(f"variable must be 'v' or 'u', got {variable!r}")
+    if max_snapshots < 2:
+        raise ConfigurationError(f"max_snapshots must be at least 2, got {max_snapshots}")
     dt, nsteps = _check_grids(paths)
     times = paths[0].times  # the grid every path shares
     f = _validate_initial(f, eigen.grid)
-    if not f.max() < cfg.cutoff:
-        raise ConfigurationError(f"initial sup norm {f.max()} is not below the cutoff {cfg.cutoff}")
+    if not f.max() < cutoff:
+        raise ConfigurationError(f"initial sup norm {f.max()} is not below the cutoff {cutoff}")
     # chunk_noise(rows, k0, c)[s, i] is path rows[i]'s noise term of step
     # k0 + s as a 1-entry column, built per chunk for the live rows only
     def chunk_noise(rows, k0, c):
@@ -366,7 +359,7 @@ def simulate_paths(
     ws = level_workspace(dt)
     weights = eigen.grid.weights
     modes_t = np.ascontiguousarray(eigen.modes.T)
-    stride = max(1, math.ceil((nsteps + 1) / cfg.max_snapshots))
+    stride = max(1, math.ceil((nsteps + 1) / max_snapshots))
     n_paths, npoints = len(paths), eigen.grid.npoints
     # psi once per path: the mass pairing of a block multiplies whole steps,
     # not rows, to the same bits
@@ -407,7 +400,7 @@ def simulate_paths(
             pairing = weighted_inner(eigen.grid, new, psi_rows[: live.size])
             mass[live, k0 + 1 : k0 + c + 1] = pairing.T
             sup[live, k0 + 1 : k0 + c + 1] = new_sup.T
-        stable = new_sup < cfg.cutoff
+        stable = new_sup < cutoff
         # the step of each path's first crossing, c for none
         cross = np.where(stable.all(axis=0), c, np.argmin(stable, axis=0))
         blown = cross < c
@@ -442,7 +435,7 @@ def simulate_paths(
             k_stop[j], t_k = k, float(times[k])
             brackets[j] = _refine_blowup_time(
                 block[cross[i], i], t_k, t_k + dt, advance, step_noise[cross[i], i, None],
-                level_workspace, dt, cfg.cutoff,
+                level_workspace, dt, cutoff,
             )
         live = live[~blown]
         stage[0, : live.size] = block[c, ~blown]
@@ -501,33 +494,32 @@ def reconstruct_u(traj: TrajectoryResult, path: BrownianPath, kappa: float) -> T
 
 def mode_residuals(
     traj: TrajectoryResult,
-    path: BrownianPath,
     params: ModelParams,
     eigen: EigenData,
     n_modes: int = 1,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Weak-form and mild-form residuals of a trajectory on its snapshot grid.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weak-form and mild-form residuals of a transformed trajectory on its
+    snapshot grid.
 
-    Both forms read the trajectory's stored coefficients in the modes of
-    ``eigen``, which must be the eigenbasis it ran on, as the mode equation
-    c' = -mu c + b: c are the snapshot coefficients, b those of the reaction,
-    mu = lam + kappa^2/2 for v and mu = lam for u (the discrete eigenrelation
-    replaces <field, Delta phi_j> by -lam_j <field, phi_j> exactly). Nothing
-    is projected here. Returns (times, weak, mild):
+    Only a v trajectory is checked: the mild form is stated for the
+    transformed equation, and a u trajectory is refused. Both forms read the
+    trajectory's stored coefficients in the modes of ``eigen``, which must be
+    the eigenbasis it ran on, as the mode equation c' = -mu c + b: c are the
+    snapshot coefficients, b those of the reaction, mu = lam + kappa^2/2 (the
+    discrete eigenrelation replaces <v, Delta phi_j> by -lam_j <v, phi_j>
+    exactly). Nothing is projected here. Returns (times, weak, mild):
 
     - weak is the residual of the integrated identity, trapezoid rule on the
-      drift, max over the first n_modes modes. For u it carries the Ito sum
-      with left-point increments of ``path``, whose accuracy is limited by
-      the snapshot spacing.
+      drift, max over the first n_modes modes.
     - mild is the residual of the variation-of-constants form, Euclidean norm
       over all retained modes. The convolution obeys conv_i = a_i conv_{i-1}
       + x_i, with a_i = e^{-mu dt_i} the exact kernel across snapshot
       interval i and x_i its trapezoid term. That recursion runs as a
       Hillis-Steele scan over all modes at once: log2(snapshots) passes,
       each of which composes the affine maps of the next span of intervals.
-      It is None for u, since the mild form is stated for the transformed
-      equation.
     """
+    if traj.variable != "v":
+        raise ConfigurationError("residuals are checked on transformed trajectories only")
     if traj.snapshot_coeffs.shape[1] != eigen.m:
         raise ConfigurationError(
             f"trajectory carries {traj.snapshot_coeffs.shape[1]} mode coefficients, "
@@ -537,7 +529,7 @@ def mode_residuals(
         raise ConfigurationError(f"n_modes must be in [1, {eigen.m}], got {n_modes}")
     t = traj.snapshot_times
     coeff, b = traj.snapshot_coeffs, traj.reaction_coeffs
-    mu = eigen.eigenvalues + (0.5 * params.kappa**2 if traj.variable == "v" else 0.0)
+    mu = eigen.eigenvalues + 0.5 * params.kappa**2
     c = coeff[:, :n_modes]
     drift = -mu[None, :n_modes] * c + b[:, :n_modes]
     dt_s = np.diff(t)
@@ -546,23 +538,17 @@ def mode_residuals(
         np.cumsum(0.5 * dt_s[:, None] * (drift[1:] + drift[:-1]), axis=0),
     ])
     weak_res = c - c[0][None, :] - drift_int
-    if traj.variable == "u":
-        w_at = np.interp(t, path.times, path.values)
-        increments = params.kappa * c[:-1] * np.diff(w_at)[:, None]
-        weak_res -= np.vstack([np.zeros((1, n_modes)), np.cumsum(increments, axis=0)])
-        mild = None
-    else:
-        # inclusive scan of conv_i = decay_i conv_{i-1} + x_i, conv_0 = 0:
-        # after the pass at distance d, row i of conv and decay composes the
-        # 2d intervals ending at snapshot i
-        decay = np.exp(-np.outer(dt_s, mu))
-        conv = np.zeros_like(coeff)
-        conv[1:] = 0.5 * dt_s[:, None] * (decay * b[:-1] + b[1:])
-        d = 1
-        while d < len(dt_s):
-            conv[d + 1 :] += decay[d:] * conv[1:-d]
-            decay[d:] = decay[d:] * decay[:-d]
-            d *= 2
-        homogeneous = np.exp(-np.outer(t, mu)) * coeff[0][None, :]
-        mild = np.sqrt(np.sum((coeff - homogeneous - conv) ** 2, axis=1))
+    # inclusive scan of conv_i = decay_i conv_{i-1} + x_i, conv_0 = 0:
+    # after the pass at distance d, row i of conv and decay composes the
+    # 2d intervals ending at snapshot i
+    decay = np.exp(-np.outer(dt_s, mu))
+    conv = np.zeros_like(coeff)
+    conv[1:] = 0.5 * dt_s[:, None] * (decay * b[:-1] + b[1:])
+    d = 1
+    while d < len(dt_s):
+        conv[d + 1 :] += decay[d:] * conv[1:-d]
+        decay[d:] = decay[d:] * decay[:-d]
+        d *= 2
+    homogeneous = np.exp(-np.outer(t, mu)) * coeff[0][None, :]
+    mild = np.sqrt(np.sum((coeff - homogeneous - conv) ** 2, axis=1))
     return t, np.max(np.abs(weak_res), axis=1), mild

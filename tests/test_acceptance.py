@@ -35,7 +35,6 @@ from spdelab.domain import (
 )
 from spdelab.integrator import (
     Outcome,
-    SchemeConfig,
     reconstruct_u,
     simulate_paths,
 )
@@ -194,7 +193,7 @@ def test_criterion_4_deterministic_dichotomy():
 
     f2 = a2 * eig.psi
     path = BrownianPath.frozen_zero(10.0, 1e-3)
-    traj = simulate_paths(f2, [path], params, eig, SchemeConfig())[0]
+    traj = simulate_paths(f2, [path], params, eig, 1e8)[0]
     blew = traj.outcome is Outcome.NUMERICAL_BLOWUP and traj.t_blowup < 10.0
 
     level = hitting_level(2.0, params)
@@ -209,8 +208,7 @@ def test_criterion_4_deterministic_dichotomy():
         for T in (5.0, 20.0, 50.0)
     )
     f05 = 0.25 * a2 * eig.psi
-    traj5 = simulate_paths(f05, [BrownianPath.frozen_zero(5.0, 1e-3)], params, eig,
-                           SchemeConfig())[0]
+    traj5 = simulate_paths(f05, [BrownianPath.frozen_zero(5.0, 1e-3)], params, eig, 1e8)[0]
     decays = traj5.outcome is Outcome.COMPLETED and bool(np.all(np.diff(traj5.sup) < 0))
     mass2, mass05 = (weighted_inner(grid, f, eig.psi) for f in (f2, f05))
     verdicts = (
@@ -232,12 +230,11 @@ def test_criterion_5_transform_consistency():
     dom, grid, eig = _setup("interval", [math.pi], 32)
     params = ModelParams(beta=1.0, kappa=0.5, G=PowerLaw(coeff=1.0, beta=1.0))
     f = 0.3 * eig.psi
-    cfg = SchemeConfig()
     worst = 0.0
     for seed in range(10):
         path = sample_brownian(1.0, 1e-4, seed, 0)
-        em = simulate_paths(f, [path], params, eig, cfg, variable="u")[0]
-        v = simulate_paths(f, [path], params, eig, cfg)[0]
+        em = simulate_paths(f, [path], params, eig, 1e8, variable="u")[0]
+        v = simulate_paths(f, [path], params, eig, 1e8)[0]
         u = reconstruct_u(v, path, params.kappa)
         k = min(len(em.sup), len(u.sup))
         rel = float(np.max(np.abs(em.sup[:k] - u.sup[:k]) / np.maximum(np.abs(u.sup[:k]), 1e-300)))
@@ -256,12 +253,11 @@ def test_criterion_6_lower_solution_domination():
     f = a * eig.psi
     params = ModelParams(beta=1.0, kappa=1.0)
     level = hitting_level(0.5, params)
-    cfg = SchemeConfig()
     worst = math.inf
     n_blowups = 0
     for start in range(0, 100, 25):  # blocks of 25 paths bound the memory
         paths = [sample_brownian(50.0, 1e-3, 12345, idx) for idx in range(start, start + 25)]
-        for path, traj in zip(paths, simulate_paths(f, paths, params, eig, cfg)):
+        for path, traj in zip(paths, simulate_paths(f, paths, params, eig, 1e8)):
             n_blowups += traj.outcome is Outcome.NUMERICAL_BLOWUP
             t_i, lower, _, _ = lower_solution_series(path, level, params, eig.lam1)
             k = min(len(traj.times), len(t_i))
@@ -286,8 +282,7 @@ def test_criterion_7_certificate_soundness():
     j_err = abs(report.J - 1.0 / 3.0)
     cert_ok = j_err <= 1e-6 and report.verdict is Verdict.CERTIFIED
 
-    traj = simulate_paths(f, [BrownianPath.frozen_zero(10.0, 1e-3)], params, eig,
-                          SchemeConfig())[0]
+    traj = simulate_paths(f, [BrownianPath.frozen_zero(10.0, 1e-3)], params, eig, 1e8)[0]
     bound = report.bound_sup[: len(traj.sup)]
     within = bool(np.all(traj.sup <= 1.02 * bound))
     margin = float(np.max(traj.sup / bound))

@@ -34,7 +34,7 @@ from spdelab.domain import (
     solve_eigenpairs,
 )
 from spdelab.errors import ConfigurationError, PreconditionFailure
-from spdelab.integrator import SchemeConfig, simulate_paths
+from spdelab.integrator import simulate_paths
 from spdelab.stochastic import BrownianPath, exp_functional, sample_brownian
 
 
@@ -603,7 +603,7 @@ class TestOnePass:
         with pytest.raises(PreconditionFailure, match="node 5") as cert_err:
             certificate_sup_norm(path, f, PARAMS, eig, [INTEGRAL])
         with pytest.raises(PreconditionFailure) as sim_err:
-            simulate_paths(f, [path], PARAMS, eig, SchemeConfig())
+            simulate_paths(f, [path], PARAMS, eig, 1e8)
         assert str(sim_err.value) == str(cert_err.value)
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import inspect
 import json
 import math
 import multiprocessing
@@ -27,7 +28,7 @@ from spdelab.domain import (
     weighted_inner,
 )
 from spdelab.errors import ConfigurationError, NumericalFailure, _refuse_oversized
-from spdelab.integrator import SchemeConfig, mode_residuals, reconstruct_u, simulate_paths
+from spdelab.integrator import mode_residuals, reconstruct_u, simulate_paths
 from spdelab.stochastic import BrownianPath, sample_brownian
 
 
@@ -52,7 +53,7 @@ MODEL = {"beta": 1.0, "kappa": 1.0}
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # one refused value per range-checked key, as (dotted key, section update); a
-# None drops the key. cutoff and max_snapshots are in
+# None drops the key. cutoff is in
 # test_bad_integrator_setting_exits_2_without_files.
 RANGE_CASES = [
     ("domain.kind", {"kind": "disk"}),
@@ -153,15 +154,12 @@ class TestConfigValidation:
         [
             ("cutoff", 1.0, "cutoff must exceed one"),
             ("cutoff", 0.5, "cutoff must exceed one"),
-            ("max_snapshots", 1, "max_snapshots must be at least 2"),
-            ("max_snapshots", 0, "max_snapshots must be at least 2"),
         ],
     )
     def test_bad_integrator_setting_exits_2_without_files(
         self, tmp_path, capsys, key, value, message
     ):
-        # sim.cutoff and sim.max_snapshots are checked once, by the
-        # integrator's SchemeConfig, when the config loads
+        # sim.cutoff is checked once, by SimConfig, when the config loads
         cfg = interval_cfg(
             n=16,
             model=MODEL,
@@ -171,6 +169,23 @@ class TestConfigValidation:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"configuration error: sim.{message}, got {value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "blowup"])
+    def test_max_snapshots_is_an_unknown_key(self, tmp_path, capsys, command):
+        # simulate keeps the integrator's default rows; no config sets them
+        cfg = interval_cfg(
+            n=16,
+            model=MODEL,
+            initial={"mode": "eigen-multiple", "a": 0.3},
+            sim={"dt": 0.01, "horizon": 0.5, "seed": 1, "v0psi_sweep": [0.5],
+                 "max_snapshots": 10},
+        )
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: sim: unknown keys ['max_snapshots']\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("scheme", ["leapfrog", "imex", "crank_nicolson"])
@@ -788,9 +803,8 @@ class TestSimulateCommand:
         params = ModelParams(beta=1.0, kappa=1.0)
         path = sample_brownian(2.0, 1e-2, 3, 0)
         f = 0.5 * eig.psi
-        traj = simulate_paths(f, [path], params, eig, SchemeConfig())[0]
-        em_cfg = SchemeConfig(max_snapshots=2)
-        traj_em = simulate_paths(f, [path], params, eig, em_cfg, variable="u")[0]
+        traj = simulate_paths(f, [path], params, eig, 1e8)[0]
+        traj_em = simulate_paths(f, [path], params, eig, 1e8, variable="u", max_snapshots=2)[0]
         row = _consistency_row(traj, traj_em, path, params, None, None)
         em_diff = row["em_transform_rel_diff"]
         u_sup = reconstruct_u(traj, path, params.kappa).sup
@@ -823,7 +837,7 @@ class TestSimulateCommand:
         eig = solve_eigenpairs(grid, 12)
         paths = [sample_brownian(cfg.sim.horizon, cfg.sim.dt, cfg.sim.seed, i)
                  for i in range(cfg.sim.n_paths)]
-        trajs = simulate_paths(cfg.initial.a * eig.psi, paths, cfg.model, eig, cfg.sim, "u")
+        trajs = simulate_paths(cfg.initial.a * eig.psi, paths, cfg.model, eig, cfg.sim.cutoff, "u")
         assert any(t.t_blowup is not None for t in trajs)
         assert any(t.t_blowup is None for t in trajs)
         for row, traj in zip(rows, trajs):
@@ -985,8 +999,8 @@ class TestSimulateCommand:
         assert {r["outcome"] for r in rows} == {"completed_horizon", "numerical_blowup"}
         for row in rows:
             path = sample_brownian(horizon, dt, seed, int(row["path_index"]))
-            traj = simulate_paths(a * eig.psi, [path], params, eig, SchemeConfig())[0]
-            _, weak, mild = mode_residuals(traj, path, params, eig)
+            traj = simulate_paths(a * eig.psi, [path], params, eig, 1e8)[0]
+            _, weak, mild = mode_residuals(traj, params, eig)
             assert float(row["weak_residual_max"]) == float(np.max(weak))
             assert float(row["mild_residual_max"]) == float(np.max(mild))
 
@@ -1092,6 +1106,35 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
         assert schemes == [(16, "v"), (16, "u")]
 
+    def test_euler_maruyama_run_keeps_two_rows(self, tmp_path, monkeypatch):
+        # the u run is compared through its sup series and bracket only, so
+        # it keeps 2 rows a path; the v run, whose residuals are written,
+        # keeps simulate_paths' default; both stop at sim.cutoff
+        calls = []
+        simulate = cli.simulate_paths
+
+        def recorded(*args, **kwargs):
+            bound = inspect.signature(simulate).bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append({k: bound.arguments[k] for k in ("variable", "cutoff", "max_snapshots")})
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate_paths", recorded)
+        cfg = interval_cfg(
+            n=16,
+            model=MODEL,
+            initial={"mode": "eigen-multiple", "a": 0.3},
+            sim={"dt": 0.01, "horizon": 0.5, "n_paths": 2, "seed": 1, "cutoff": 50.0},
+        )
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+        default = inspect.signature(simulate).parameters["max_snapshots"].default
+        assert default == 1000
+        assert calls == [
+            {"variable": "v", "cutoff": 50.0, "max_snapshots": default},
+            {"variable": "u", "cutoff": 50.0, "max_snapshots": 2},
+        ]
+
     def test_noiseless_run_integrates_once(self, tmp_path, monkeypatch):
         # at kappa = 0 the v run is the Euler-Maruyama run, so it is not
         # integrated again; a noisy run integrates both, as
@@ -1171,10 +1214,10 @@ class TestSimulateCommand:
     def test_euler_maruyama_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         # a failing u run fails the command like any other numerical failure,
         # and blanks no rows
-        def simulate(*args, variable="v"):
+        def simulate(*args, variable="v", **kwargs):
             if variable == "u":
                 raise NumericalFailure("linear solve failed: injected")
-            return simulate_paths(*args, variable=variable)
+            return simulate_paths(*args, variable=variable, **kwargs)
 
         monkeypatch.setattr(cli, "simulate_paths", simulate)
         cfg = interval_cfg(

@@ -5,7 +5,6 @@ The 1-node "grid" below turns the engine into a scalar ODE recursion, which
 is the cheapest honest oracle for the IMEX update algebra.
 """
 
-from dataclasses import replace
 
 import math
 import tracemalloc
@@ -32,7 +31,6 @@ from spdelab.domain import (
 from spdelab.errors import ConfigurationError, NumericalFailure, PreconditionFailure
 from spdelab.integrator import (
     Outcome,
-    SchemeConfig,
     TrajectoryResult,
     _Workspace,
     mode_residuals,
@@ -72,23 +70,25 @@ def node_fields(coeffs, basis):
     return coeffs @ basis.modes.T
 
 
-def field_after(k, f, params, eig, dt, cfg=SchemeConfig()):
+def field_after(k, f, params, eig, dt):
     """The transformed field after k steps of dt on the zero noise path. With
     k + 1 snapshots the stride is one, so snapshot k is the field after step
     k; the full basis gives the field back from its coefficients."""
     path = BrownianPath.frozen_zero(horizon=k * dt, dt=dt)
     basis = full_basis(eig)
-    traj = simulate_paths(f, [path], params, basis, replace(cfg, max_snapshots=k + 1))[0]
+    traj = simulate_paths(f, [path], params, basis, 1e8, max_snapshots=k + 1)[0]
     assert len(traj.times) == k + 1
     return node_fields(traj.snapshot_coeffs[k], basis)
 
 
-class TestSchemeConfig:
-    def test_guards(self):
-        with pytest.raises(ConfigurationError):
-            SchemeConfig(cutoff=0.5)
-        with pytest.raises(ConfigurationError):
-            SchemeConfig(max_snapshots=1)
+class TestSettings:
+    def test_fewer_than_two_snapshots_refused(self, interval_48):
+        # a trajectory keeps its first and its last row at least
+        _, grid, _, eig = interval_48
+        path = BrownianPath.frozen_zero(horizon=0.1, dt=1e-2)
+        with pytest.raises(ConfigurationError, match="max_snapshots must be at least 2, got 1"):
+            simulate_paths(0.3 * eig.psi, [path], ModelParams(beta=1.0, kappa=0.0), eig, 1e8,
+                           max_snapshots=1)
 
 
 class TestStep:
@@ -142,8 +142,7 @@ class TestSimulateRpde:
         _, grid, _, eig = interval_48
         kappa = 0.5
         path = sample_brownian(seed=9, path_index=0, horizon=2.0, dt=1e-3)
-        cfg = SchemeConfig()
-        traj = simulate_paths(eig.psi, [path], linear_params(kappa), eig, cfg)[0]
+        traj = simulate_paths(eig.psi, [path], linear_params(kappa), eig, 1e8)[0]
         assert traj.outcome is Outcome.COMPLETED
         rate = eig.lam1 + 0.5 * kappa**2
         exact = traj.mass[0] * math.exp(-rate * 2.0)
@@ -154,9 +153,9 @@ class TestSimulateRpde:
     def test_mass_series_is_weighted_pairing(self, interval_48):
         _, grid, _, eig = interval_48
         path = sample_brownian(seed=10, path_index=0, horizon=0.5, dt=1e-3)
-        cfg = SchemeConfig(max_snapshots=501)
         f = 0.2 * np.ones(grid.npoints)
-        traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=1.0), eig, cfg)[0]
+        traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=1.0), eig, 1e8,
+                              max_snapshots=501)[0]
         # snapshots are at full resolution here; psi is phi_1 scaled, so the
         # pairing is the first coefficient times <phi_1, psi>
         idx = np.rint(traj.snapshot_times / path.dt).astype(int)
@@ -171,9 +170,8 @@ class TestSimulateRpde:
         _, grid, _, eig = interval_48
         kappa = 1.0
         path = sample_brownian(seed=11, path_index=0, horizon=1.0, dt=1e-3)
-        cfg = SchemeConfig()
         f = 0.3 * np.ones(grid.npoints)
-        traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=kappa), eig, cfg)[0]
+        traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=kappa), eig, 1e8)[0]
         m = traj.mass
         w = path.values[: len(m) - 1]
         lhs = np.diff(m) / path.dt + (eig.lam1 + 0.5 * kappa**2) * m[1:]
@@ -187,8 +185,7 @@ class TestSimulateRpde:
         mass = weighted_inner(grid, f, eig.psi)
         assert deterministic_dichotomy(mass, eig.lam1, params).outcome is Dichotomy.BLOWUP_CERTIFIED
         path = BrownianPath.frozen_zero(horizon=10.0, dt=1e-3)
-        cfg = SchemeConfig()
-        traj = simulate_paths(f, [path], params, eig, cfg)[0]
+        traj = simulate_paths(f, [path], params, eig, 1e8)[0]
         assert traj.outcome is Outcome.NUMERICAL_BLOWUP
         assert traj.t_blowup < 10.0
         assert traj.t_last_stable <= traj.t_blowup
@@ -201,8 +198,7 @@ class TestSimulateRpde:
         _, grid, _, eig = interval_48
         f = 0.5 * np.ones(grid.npoints)
         path = BrownianPath.frozen_zero(horizon=5.0, dt=1e-3)
-        cfg = SchemeConfig()
-        traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), eig, cfg)[0]
+        traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), eig, 1e8)[0]
         assert traj.outcome is Outcome.COMPLETED
         assert traj.sup[-1] < traj.sup[0]
         assert traj.mass[-1] < traj.mass[0]
@@ -218,8 +214,7 @@ class TestSimulateRpde:
             eig = solve_eigenpairs(grid, 8)
             f = 2.0 * np.ones(grid.npoints)
             path = BrownianPath.frozen_zero(horizon=10.0, dt=1e-3)
-            traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), eig,
-                                  SchemeConfig())[0]
+            traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), eig, 1e8)[0]
             assert traj.outcome is Outcome.NUMERICAL_BLOWUP
             t_b[n] = traj.t_blowup
         assert abs(t_b[48] - t_b[24]) / t_b[48] <= 0.05
@@ -227,9 +222,9 @@ class TestSimulateRpde:
     def test_snapshot_decimation(self, interval_48):
         _, grid, _, eig = interval_48
         path = BrownianPath.frozen_zero(horizon=1.0, dt=1e-3)
-        cfg = SchemeConfig(max_snapshots=50)
         f = 0.5 * np.ones(grid.npoints)
-        traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), eig, cfg)[0]
+        traj = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), eig, 1e8,
+                              max_snapshots=50)[0]
         assert len(traj.snapshot_times) <= 51
         assert traj.snapshot_times[0] == 0.0
         assert traj.snapshot_times[-1] == traj.times[-1]
@@ -238,17 +233,16 @@ class TestSimulateRpde:
     def test_input_guards(self, interval_48):
         _, grid, _, eig = interval_48
         path = BrownianPath.frozen_zero(horizon=1.0, dt=1e-3)
-        cfg = SchemeConfig()
         params = ModelParams(beta=1.0, kappa=0.0)
         with pytest.raises(PreconditionFailure):
-            simulate_paths(-np.ones(grid.npoints), [path], params, eig, cfg)
+            simulate_paths(-np.ones(grid.npoints), [path], params, eig, 1e8)
         with pytest.raises(PreconditionFailure):
-            simulate_paths(np.zeros(grid.npoints), [path], params, eig, cfg)
+            simulate_paths(np.zeros(grid.npoints), [path], params, eig, 1e8)
         for bad in (math.nan, math.inf, -math.inf):
             f = np.ones(grid.npoints)
             f[3] = bad
             with pytest.raises(ConfigurationError, match=f"not finite at node 3: f={bad}"):
-                simulate_paths(f, [path], params, eig, cfg)
+                simulate_paths(f, [path], params, eig, 1e8)
 
     @pytest.mark.parametrize("variable", ["v", "u"])
     @pytest.mark.parametrize("sup", [2.0, 49.9])
@@ -259,8 +253,7 @@ class TestSimulateRpde:
         path = sample_brownian(0.5, 0.01, 0, 0)
         f = sup * eig.psi / eig.psi.max()
         with pytest.raises(ConfigurationError, match="is not below the cutoff 2.0"):
-            simulate_paths(f, [path], ModelParams(beta=1.0, kappa=1.0), eig,
-                           SchemeConfig(cutoff=2.0), variable)
+            simulate_paths(f, [path], ModelParams(beta=1.0, kappa=1.0), eig, 2.0, variable)
 
 
 def interval_16():
@@ -304,7 +297,7 @@ def block_params(nonlinearity):
     return ModelParams(beta=1.0, kappa=1.0, G=tabulated_square())
 
 
-def single_path_loop(f, path, params, eig, cfg, variable):
+def single_path_loop(f, path, params, eig, cutoff, variable):
     """Reference: one path, one column per solve with the tridiagonal
     Cholesky factor, mass and sup up to the first cutoff crossing.
     The v reaction collapses a power law to c e^{kappa beta W} v^(1+beta) and
@@ -335,7 +328,7 @@ def single_path_loop(f, path, params, eig, cfg, variable):
         else:
             r = params.G(v) + params.kappa * v * (dw[k] / path.dt)
         v = solve(v + path.dt * r)
-        if not np.max(np.abs(v)) < cfg.cutoff:
+        if not np.max(np.abs(v)) < cutoff:
             break
         mass.append(float(np.dot(eig.grid.weights, eig.psi * v)))
         sup.append(float(np.max(np.abs(v))))
@@ -351,12 +344,13 @@ class TestBlockEngine:
         # and single-path calls give the same bytes
         eig, f = mixed_outcome_problem(kind)
         params = block_params(nonlinearity)
-        cfg = SchemeConfig(cutoff=1e6, max_snapshots=40)
         paths = [sample_brownian(2.0, 2e-3, 7, i) for i in range(6)]
-        single = [simulate_paths(f, [p], params, eig, cfg, variable)[0] for p in paths]
+        single = [simulate_paths(f, [p], params, eig, 1e6, variable, max_snapshots=40)[0]
+                  for p in paths]
         pairs = [r for i in range(0, 6, 2)
-                 for r in simulate_paths(f, paths[i:i + 2], params, eig, cfg, variable)]
-        block = simulate_paths(f, paths, params, eig, cfg, variable)
+                 for r in simulate_paths(f, paths[i:i + 2], params, eig, 1e6, variable,
+                                         max_snapshots=40)]
+        block = simulate_paths(f, paths, params, eig, 1e6, variable, max_snapshots=40)
         outcomes = {r.outcome for r in single}
         assert outcomes == {Outcome.COMPLETED, Outcome.NUMERICAL_BLOWUP}
         for run in (pairs, block):
@@ -375,12 +369,11 @@ class TestBlockEngine:
         # for a G that is evaluated as given
         grid, eig = interval_16()
         params = block_params(nonlinearity)
-        cfg = SchemeConfig(cutoff=1e6)
         f = 3.0 * eig.psi
         paths = [sample_brownian(2.0, 2e-3, 7, i) for i in range(6)]
-        block = simulate_paths(f, paths, params, eig, cfg, variable)
+        block = simulate_paths(f, paths, params, eig, 1e6, variable)
         for path, traj in zip(paths, block):
-            mass, sup = single_path_loop(f, path, params, eig, cfg, variable)
+            mass, sup = single_path_loop(f, path, params, eig, 1e6, variable)
             assert traj.mass.tobytes() == mass.tobytes()
             assert traj.sup.tobytes() == sup.tobytes()
 
@@ -393,14 +386,15 @@ class TestBlockEngine:
         # default width, which STAGE_STEPS caps here, give the same bytes
         eig, f = mixed_outcome_problem(kind)
         params = block_params(nonlinearity)
-        cfg = SchemeConfig(cutoff=1e6, max_snapshots=40)
+        max_snapshots = 40
         paths = [sample_brownian(2.0, 2e-3, 7, i) for i in range(6)]
         step_bytes = 8 * len(paths) * eig.grid.npoints
         runs = []
         for stage_bytes in (step_bytes, 7 * step_bytes, integrator.STAGE_BYTES):
             monkeypatch.setattr(integrator, "STAGE_BYTES", stage_bytes)
-            runs.append(simulate_paths(f, paths, params, eig, cfg, variable))
-        assert math.ceil((paths[0].nsteps + 1) / cfg.max_snapshots) == 26
+            runs.append(simulate_paths(f, paths, params, eig, 1e6, variable,
+                                       max_snapshots=max_snapshots))
+        assert math.ceil((paths[0].nsteps + 1) / max_snapshots) == 26
         assert {r.outcome for r in runs[0]} == {Outcome.COMPLETED, Outcome.NUMERICAL_BLOWUP}
         for run in runs[1:]:
             for a, b in zip(runs[0], run):
@@ -431,8 +425,7 @@ class TestBlockEngine:
             monkeypatch.setattr(integrator, "STAGE_BYTES", stage_bytes)
             calls.clear()
             with pytest.raises(NumericalFailure, match="positivity lost") as err:
-                simulate_paths(eig.psi, paths, ModelParams(beta=1.0, kappa=1.0), eig,
-                               SchemeConfig())
+                simulate_paths(eig.psi, paths, ModelParams(beta=1.0, kappa=1.0), eig, 1e8)
             messages.add(str(err.value))
         assert messages == {"positivity lost at t=7.0: min=-1.215e-07"}
 
@@ -441,18 +434,18 @@ class TestBlockEngine:
         # crossing field, or in the rows staged after it, is no positivity loss
         grid, eig = interval_16()
         params = ModelParams(beta=1.0, kappa=1.0)
-        cfg = SchemeConfig(cutoff=1e6, max_snapshots=40)
+        cutoff = 1e6
         paths = [sample_brownian(2.0, 2e-3, 7, i) for i in range(6)]
-        clean = simulate_paths(3.0 * eig.psi, paths, params, eig, cfg)
+        clean = simulate_paths(3.0 * eig.psi, paths, params, eig, cutoff, max_snapshots=40)
         step = integrator._advance
 
         def step_with_dip(reaction, cur, noise, ws, out, scratch):
             step(reaction, cur, noise, ws, out, scratch)
-            crossed = ~(np.abs(out).max(axis=1) < cfg.cutoff)
+            crossed = ~(np.abs(out).max(axis=1) < cutoff)
             out[crossed, 0] = -np.abs(out[crossed]).max(axis=1)
 
         monkeypatch.setattr(integrator, "_advance", step_with_dip)
-        dipped = simulate_paths(3.0 * eig.psi, paths, params, eig, cfg)
+        dipped = simulate_paths(3.0 * eig.psi, paths, params, eig, cutoff, max_snapshots=40)
         assert {r.outcome for r in clean} == {Outcome.COMPLETED, Outcome.NUMERICAL_BLOWUP}
         for a, b in zip(clean, dipped):
             assert a.outcome is b.outcome
@@ -465,8 +458,7 @@ class TestBlockEngine:
         for other in (BrownianPath.frozen_zero(2.0, 1e-3), BrownianPath.frozen_zero(2.0, 2e-3)):
             paths = [BrownianPath.frozen_zero(1.0, 1e-3), other]
             with pytest.raises(ConfigurationError, match="one time grid"):
-                simulate_paths(eig.psi, paths, ModelParams(beta=1.0, kappa=0.0), eig,
-                               SchemeConfig())
+                simulate_paths(eig.psi, paths, ModelParams(beta=1.0, kappa=0.0), eig, 1e8)
 
     @given(
         dt=st.sampled_from([0.05, 0.02, 0.01, 0.005, 0.002]),
@@ -481,8 +473,7 @@ class TestBlockEngine:
         params = ModelParams(beta=1.0, kappa=kappa)
         path = (BrownianPath.frozen_zero(4.0, dt) if kappa == 0.0
                 else sample_brownian(4.0, dt, seed, 0))
-        cfg = SchemeConfig(cutoff=cutoff)
-        traj = simulate_paths(a * eig.psi, [path], params, eig, cfg)[0]
+        traj = simulate_paths(a * eig.psi, [path], params, eig, cutoff)[0]
         event(traj.outcome.value)
         if traj.outcome is not Outcome.NUMERICAL_BLOWUP:
             return
@@ -500,7 +491,7 @@ class TestBlockEngine:
         eig = solve_eigenpairs(grid, 12)
         params = ModelParams(beta=1.0, kappa=1.0)
         paths = [sample_brownian(3.0, dt, 0, i) for i in range(n_paths)]
-        trajs = simulate_paths(3.0 * eig.psi, paths, params, eig, SchemeConfig(cutoff=2.0), variable)
+        trajs = simulate_paths(3.0 * eig.psi, paths, params, eig, 2.0, variable)
         blown = [t for t in trajs if t.outcome is Outcome.NUMERICAL_BLOWUP]
         assert len(blown) >= 3
         for traj in blown:
@@ -523,8 +514,7 @@ class TestBlockEngine:
         grid = build_grid(DomainSpec(kind=kind, lengths=lengths), 8)
         eig = solve_eigenpairs(grid, 4)
         paths = [sample_brownian(1.0, 0.01, 0, i) for i in range(8)]
-        trajs = simulate_paths(12.0 * eig.psi, paths, ModelParams(beta=1.0, kappa=1.0), eig,
-                               SchemeConfig(cutoff=6.0))
+        trajs = simulate_paths(12.0 * eig.psi, paths, ModelParams(beta=1.0, kappa=1.0), eig, 6.0)
         assert sum(t.outcome is Outcome.NUMERICAL_BLOWUP for t in trajs) >= 2
         assert len(built) == len(set(built)) > 2
 
@@ -543,7 +533,7 @@ class TestBlockEngine:
         _, eig = interval_16()
         path = BrownianPath.frozen_zero(horizon=5.0, dt=1e-3)
         traj = simulate_paths(40.0 * eig.psi, [path], ModelParams(beta=1.0, kappa=0.0), eig,
-                              SchemeConfig(cutoff=1e6))[0]
+                              1e6)[0]
         assert traj.outcome is Outcome.NUMERICAL_BLOWUP
         crossing = len(traj.times)  # the step whose field first crosses
         assert crossing < 100 < path.nsteps
@@ -555,15 +545,15 @@ class TestBlockEngine:
         # of the step once read the next step's increment
         grid = build_grid(DomainSpec(kind="interval", lengths=(math.pi,)), 32)
         eig = solve_eigenpairs(grid, 12)
-        params, cfg = ModelParams(beta=1.0, kappa=1.0), SchemeConfig(cutoff=3.0)
+        params, cutoff = ModelParams(beta=1.0, kappa=1.0), 3.0
         path = sample_brownian(5.0, 0.01, 4, 0)
-        traj = simulate_paths(3.0 * eig.psi, [path], params, eig, cfg, "u")[0]
+        traj = simulate_paths(3.0 * eig.psi, [path], params, eig, cutoff, "u")[0]
         assert traj.outcome is Outcome.NUMERICAL_BLOWUP
         k = len(traj.times) - 1  # the crossing step runs from t_k to t_{k+1}
         values = path.values.copy()
         values[k + 2 :] += 0.5
         moved = BrownianPath(dt=path.dt, values=values)
-        again = simulate_paths(3.0 * eig.psi, [moved], params, eig, cfg, "u")[0]
+        again = simulate_paths(3.0 * eig.psi, [moved], params, eig, cutoff, "u")[0]
         assert (again.t_last_stable, again.t_blowup) == (traj.t_last_stable, traj.t_blowup)
 
     @pytest.mark.parametrize("variable", ["v", "u"])
@@ -581,9 +571,9 @@ class TestBlockEngine:
         monkeypatch.setattr(integrator, "_advance", recorded)
         grid = build_grid(DomainSpec(kind="interval", lengths=(math.pi,)), 32)
         eig = solve_eigenpairs(grid, 12)
-        params, cfg = ModelParams(beta=1.0, kappa=1.0), SchemeConfig(cutoff=3.0)
+        params, cutoff = ModelParams(beta=1.0, kappa=1.0), 3.0
         path = sample_brownian(5.0, 0.01, 4, 0)
-        traj = simulate_paths(3.0 * eig.psi, [path], params, eig, cfg, variable)[0]
+        traj = simulate_paths(3.0 * eig.psi, [path], params, eig, cutoff, variable)[0]
         assert traj.outcome is Outcome.NUMERICAL_BLOWUP
         k = len(traj.times) - 1  # the crossing step runs from t_k to t_{k+1}
         grid_steps = [noise for noise, dt in calls if dt == path.dt]
@@ -619,7 +609,7 @@ class TestEigenMassPairing:
         params = ModelParams(beta=1.0, kappa=1.0)
         mass0 = weighted_inner(grid, f, eig.psi)
         for variable in ("v", "u"):
-            for traj in simulate_paths(f, paths, params, eig, SchemeConfig(), variable):
+            for traj in simulate_paths(f, paths, params, eig, 1e8, variable):
                 assert traj.mass[0] == mass0
 
 
@@ -733,11 +723,12 @@ class TestModeCoefficients:
         grid, eig = interval_16()
         basis = full_basis(eig)
         params = ModelParams(beta=1.0, kappa=1.0)
-        cfg = SchemeConfig(cutoff=1e6, max_snapshots=40)
+        max_snapshots = 40
         paths = [sample_brownian(2.0, 2e-3, 7, i) for i in range(6)]
-        trajs = simulate_paths(3.0 * eig.psi, paths, params, basis, cfg, variable)
+        trajs = simulate_paths(3.0 * eig.psi, paths, params, basis, 1e6, variable,
+                               max_snapshots=max_snapshots)
         assert {t.outcome for t in trajs} == {Outcome.COMPLETED, Outcome.NUMERICAL_BLOWUP}
-        stride = math.ceil((paths[0].nsteps + 1) / cfg.max_snapshots)
+        stride = math.ceil((paths[0].nsteps + 1) / max_snapshots)
         off_stride = False
         for path, traj in zip(paths, trajs):
             assert traj.snapshot_times[-1] == traj.times[-1]
@@ -759,10 +750,10 @@ class TestModeCoefficients:
         path = BrownianPath.frozen_zero(horizon=0.5, dt=1e-3)
         params = ModelParams(beta=1.0, kappa=0.0)
         small = solve_eigenpairs(grid, 12)
-        traj = simulate_paths(0.3 * eig.psi, [path], params, small, SchemeConfig())[0]
+        traj = simulate_paths(0.3 * eig.psi, [path], params, small, 1e8)[0]
         assert traj.snapshot_coeffs.shape == traj.reaction_coeffs.shape == (501, 12)
         with pytest.raises(ConfigurationError, match="12 mode coefficients"):
-            mode_residuals(traj, path, params, eig)
+            mode_residuals(traj, params, eig)
 
     def test_block_memory_does_not_grow_with_the_grid(self):
         # 32 paths, 501 kept rows each: node snapshots took 63.8 MiB at
@@ -774,10 +765,10 @@ class TestModeCoefficients:
             grid = build_grid(DomainSpec(kind="interval", lengths=(math.pi,)), n)
             eig = solve_eigenpairs(grid, 12)
             f = 0.8 * eig.psi
-            simulate_paths(f, paths, params, eig, SchemeConfig())  # imports scipy.linalg
+            simulate_paths(f, paths, params, eig, 1e8)  # imports scipy.linalg
             tracemalloc.start()
             try:
-                trajs = simulate_paths(f, paths, params, eig, SchemeConfig())
+                trajs = simulate_paths(f, paths, params, eig, 1e8)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -791,10 +782,9 @@ class TestSchemeCrossValidation:
         _, grid, _, eig = interval_48
         f = 0.4 * eig.psi
         path = BrownianPath.frozen_zero(horizon=1.0, dt=1e-3)
-        cfg = SchemeConfig()
         params = ModelParams(beta=1.0, kappa=0.0)
-        a = simulate_paths(f, [path], params, eig, cfg)[0]
-        b = simulate_paths(f, [path], params, eig, cfg, variable="u")[0]
+        a = simulate_paths(f, [path], params, eig, 1e8)[0]
+        b = simulate_paths(f, [path], params, eig, 1e8, variable="u")[0]
         assert np.array_equal(a.mass, b.mass)
         assert np.array_equal(a.snapshot_coeffs, b.snapshot_coeffs)
         # at kappa = 0 the transformed reaction is G itself
@@ -809,9 +799,8 @@ class TestSchemeCrossValidation:
         f = 5.093 * eig.psi
         path = BrownianPath.frozen_zero(horizon=2.0, dt=1e-3)
         params = ModelParams(beta=1.0, kappa=0.0)
-        cfg = SchemeConfig(cutoff=1e8)
-        v = simulate_paths(f, [path], params, eig, cfg, variable="v")[0]
-        u = simulate_paths(f, [path], params, eig, replace(cfg, max_snapshots=2), "u")[0]
+        v = simulate_paths(f, [path], params, eig, 1e8, variable="v")[0]
+        u = simulate_paths(f, [path], params, eig, 1e8, "u", max_snapshots=2)[0]
         assert v.outcome is Outcome.NUMERICAL_BLOWUP
         assert u.sup.tobytes() == v.sup.tobytes()
         bracket = [(r.t_blowup.hex(), r.t_last_stable.hex()) for r in (u, v)]
@@ -822,8 +811,7 @@ class TestSchemeCrossValidation:
         _, grid, _, eig = interval_48
         kappa = 0.5
         path = sample_brownian(seed=21, path_index=0, horizon=1.0, dt=1e-4)
-        cfg = SchemeConfig()
-        traj = simulate_paths(eig.psi, [path], linear_params(kappa), eig, cfg, "u")[0]
+        traj = simulate_paths(eig.psi, [path], linear_params(kappa), eig, 1e8, "u")[0]
         w_T = float(path.values[-1])
         exact = traj.mass[0] * math.exp(-eig.lam1 * 1.0 + kappa * w_T - 0.5 * kappa**2)
         assert traj.mass[-1] == pytest.approx(exact, rel=0.03)
@@ -835,9 +823,9 @@ class TestSchemeCrossValidation:
         f = 0.3 * eig.psi
         params = ModelParams(beta=1.0, kappa=kappa)
         path = sample_brownian(seed=33, path_index=0, horizon=1.0, dt=1e-4)
-        cfg = SchemeConfig(max_snapshots=200)
-        u_direct = simulate_paths(f, [path], params, eig, cfg, variable="u")[0]
-        u_mapped = reconstruct_u(simulate_paths(f, [path], params, eig, cfg)[0], path, kappa)
+        u_direct = simulate_paths(f, [path], params, eig, 1e8, variable="u", max_snapshots=200)[0]
+        v = simulate_paths(f, [path], params, eig, 1e8, max_snapshots=200)[0]
+        u_mapped = reconstruct_u(v, path, kappa)
         assert u_direct.outcome is Outcome.COMPLETED
         for name in ("snapshot_coeffs", "reaction_coeffs"):
             direct, mapped = getattr(u_direct, name), getattr(u_mapped, name)
@@ -847,8 +835,7 @@ class TestSchemeCrossValidation:
         _, grid, _, eig = interval_48
         f = 0.4 * eig.psi
         path = BrownianPath.frozen_zero(horizon=1.0, dt=1e-3)
-        cfg = SchemeConfig()
-        v = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), eig, cfg)[0]
+        v = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), eig, 1e8)[0]
         u = reconstruct_u(v, path, 0.0)
         assert np.array_equal(u.mass, v.mass)
         assert np.array_equal(u.snapshot_coeffs, v.snapshot_coeffs)
@@ -861,8 +848,7 @@ class TestSchemeCrossValidation:
         f = 0.3 * eig.psi
         path = sample_brownian(seed=4, path_index=2, horizon=0.5, dt=1e-3)
         basis = full_basis(eig)
-        v = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=kappa), basis,
-                           SchemeConfig())[0]
+        v = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=kappa), basis, 1e8)[0]
         u = reconstruct_u(v, path, kappa)
         np.testing.assert_allclose(u.mass, v.mass * np.exp(kappa * path.values), rtol=1e-14)
         assert np.all(node_fields(u.snapshot_coeffs, basis) >= 0)
@@ -871,8 +857,7 @@ class TestSchemeCrossValidation:
         _, grid, _, eig = interval_48
         f = 0.3 * eig.psi
         path = BrownianPath.frozen_zero(horizon=1.0, dt=1e-3)
-        v = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), eig,
-                           SchemeConfig())[0]
+        v = simulate_paths(f, [path], ModelParams(beta=1.0, kappa=0.0), eig, 1e8)[0]
         with pytest.raises(ConfigurationError):
             reconstruct_u(v, BrownianPath.frozen_zero(horizon=1.0, dt=2e-3), 0.0)
         # a dt one ulp off passed the old 1e-12 tolerance; grids now match exactly
@@ -892,9 +877,8 @@ class TestWeakFormResidual:
                   if nonlinearity is not None else ModelParams(beta=1.0, kappa=kappa))
         f = 0.3 * eig.psi
         path = BrownianPath.frozen_zero(horizon=0.5, dt=dt)
-        cfg = SchemeConfig(max_snapshots=100000)
-        traj = simulate_paths(f, [path], params, eig, cfg, variable)[0]
-        return mode_residuals(traj, path, params, eig, n_modes=3)[:2]
+        traj = simulate_paths(f, [path], params, eig, 1e8, variable, max_snapshots=100000)[0]
+        return mode_residuals(traj, params, eig, n_modes=3)[:2]
 
     def test_zero_at_initial_time(self, interval_48):
         _, res = self._run(interval_48, dt=1e-3, nonlinearity=zero_g())
@@ -913,19 +897,18 @@ class TestWeakFormResidual:
         ratio = np.max(coarse) / np.max(fine)
         assert 1.6 <= ratio <= 2.6
 
-    def test_physical_variable_with_noise_runs(self, interval_48):
-        t, res = self._run(interval_48, dt=1e-3, kappa=0.4, variable="u")
-        assert np.all(np.isfinite(res))
-        assert res[0] == 0.0
+    def test_physical_variable_refused(self, interval_48):
+        # the weak and the mild form are checked on the transformed equation
+        with pytest.raises(ConfigurationError, match="transformed trajectories only"):
+            self._run(interval_48, dt=1e-3, kappa=0.4, variable="u")
 
     def test_mode_count_guard(self, interval_48):
         _, grid, _, eig = interval_48
         path = BrownianPath.frozen_zero(horizon=0.5, dt=1e-3)
         traj = simulate_paths(0.3 * eig.psi, [path], ModelParams(beta=1.0, kappa=0.0),
-                              eig, SchemeConfig())[0]
+                              eig, 1e8)[0]
         with pytest.raises(ConfigurationError):
-            mode_residuals(traj, path, ModelParams(beta=1.0, kappa=0.0), eig,
-                           n_modes=eig.m + 1)
+            mode_residuals(traj, ModelParams(beta=1.0, kappa=0.0), eig, n_modes=eig.m + 1)
 
 
 class TestMildResidual:
@@ -947,17 +930,15 @@ class TestMildResidual:
             sup=np.max(np.abs(snaps), axis=1), snapshot_times=times, snapshot_coeffs=coeffs,
             reaction_coeffs=np.zeros_like(coeffs),
         )
-        path = BrownianPath.frozen_zero(horizon=1.0, dt=0.1)
-        _, _, res = mode_residuals(traj, path, params, eig)
+        _, _, res = mode_residuals(traj, params, eig)
         assert np.max(res) < 1e-12
 
     def test_zero_at_initial_time(self, interval_48):
         _, grid, _, eig = interval_48
         path = BrownianPath.frozen_zero(horizon=0.5, dt=1e-3)
         params = ModelParams(beta=1.0, kappa=0.0)
-        traj = simulate_paths(0.2 * eig.psi, [path], params, eig,
-                              SchemeConfig(max_snapshots=100000))[0]
-        _, _, res = mode_residuals(traj, path, params, eig)
+        traj = simulate_paths(0.2 * eig.psi, [path], params, eig, 1e8, max_snapshots=100000)[0]
+        _, _, res = mode_residuals(traj, params, eig)
         assert res[0] == 0.0
 
     def test_nonlinear_first_order_in_dt(self, interval_48):
@@ -966,9 +947,9 @@ class TestMildResidual:
         maxima = {}
         for dt in (2e-3, 1e-3):
             path = BrownianPath.frozen_zero(horizon=0.5, dt=dt)
-            traj = simulate_paths(0.1 * eig.psi, [path], params, eig,
-                                  SchemeConfig(max_snapshots=100000))[0]
-            _, _, res = mode_residuals(traj, path, params, eig)
+            traj = simulate_paths(0.1 * eig.psi, [path], params, eig, 1e8,
+                                  max_snapshots=100000)[0]
+            _, _, res = mode_residuals(traj, params, eig)
             maxima[dt] = np.max(res)
         ratio = maxima[2e-3] / maxima[1e-3]
         assert 1.6 <= ratio <= 2.6
@@ -980,7 +961,7 @@ class TestMildResidual:
         _, grid, _, eig = interval_48
         params = ModelParams(beta=1.0, kappa=1.0)
         path = sample_brownian(2.0, 1e-3, 3, 0)
-        traj = simulate_paths(a * eig.psi, [path], params, eig, SchemeConfig())[0]
+        traj = simulate_paths(a * eig.psi, [path], params, eig, 1e8)[0]
         t, coeff, b = traj.snapshot_times, traj.snapshot_coeffs, traj.reaction_coeffs
         mu = eig.eigenvalues + 0.5 * params.kappa**2
         conv = np.zeros_like(coeff)
@@ -990,18 +971,7 @@ class TestMildResidual:
             conv[i] = decay * conv[i - 1] + 0.5 * step * (decay * b[i - 1] + b[i])
         homogeneous = np.exp(-np.outer(t, mu)) * coeff[0]
         reference = np.sqrt(np.sum((coeff - homogeneous - conv) ** 2, axis=1))
-        _, _, mild = mode_residuals(traj, path, params, eig)
+        _, _, mild = mode_residuals(traj, params, eig)
         assert (traj.outcome is Outcome.NUMERICAL_BLOWUP) == (a > 1)
         assert mild[0] == reference[0] == 0.0
         assert np.max(np.abs(mild - reference)) <= 1e-10 * np.max(reference)
-
-    def test_transformed_only(self, interval_48):
-        # the mild form is stated for v: mild is None for u
-        _, grid, _, eig = interval_48
-        path = BrownianPath.frozen_zero(horizon=0.5, dt=1e-3)
-        params = ModelParams(beta=1.0, kappa=0.0)
-        traj = simulate_paths(0.2 * eig.psi, [path], params, eig, SchemeConfig(),
-                              variable="u")[0]
-        t, weak, mild = mode_residuals(traj, path, params, eig)
-        assert mild is None
-        assert weak.shape == t.shape
