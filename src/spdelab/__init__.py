@@ -6,10 +6,8 @@ __version__ = "0.1.0"
 from .blowup import (
     Dichotomy,
     ModelParams,
-    PowerLaw,
     ProbabilityEstimate,
     SweepEstimate,
-    TabulatedNonlinearity,
     analytic_blowup_bound,
     deterministic_dichotomy,
     hitting_level,
@@ -72,8 +70,8 @@ __all__ = [
     "BrownianPath", "brownian_increments", "sample_brownian", "path_generators",
     "exp_functional", "gamma_shape", "gamma_tail", "blowup_density",
     # blowup
-    "ModelParams", "PowerLaw", "TabulatedNonlinearity", "hitting_level",
-    "Dichotomy", "ProbabilityEstimate", "SweepEstimate", "lower_solution_series",
+    "ModelParams", "hitting_level", "Dichotomy", "ProbabilityEstimate", "SweepEstimate",
+    "lower_solution_series",
     "analytic_blowup_bound", "deterministic_dichotomy", "mc_blowup_probability",
     # certificates
     "CertificateKind", "CertificateReport", "Verdict", "admissible_initial",

@@ -18,7 +18,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,63 +47,15 @@ MC_STOP_PROB = 1e-10
 
 
 @dataclass(frozen=True)
-class PowerLaw:
-    """Nonlinearity G(z) = coeff * z^(1+beta) for z >= 0."""
-
-    coeff: float = 1.0
-    beta: float = 1.0
-
-    def __post_init__(self):
-        for name, value in (("coeff", self.coeff), ("beta", self.beta)):
-            if value <= 0:
-                raise ConfigurationError(f"{name} must be positive, got {value}")
-
-    def __call__(self, z):
-        return self.coeff * np.power(np.maximum(z, 0.0), 1.0 + self.beta)
-
-
-@dataclass(frozen=True, eq=False)
-class TabulatedNonlinearity:
-    """Tabulated nonlinearity with G(0) = 0, G >= 0 and G(z)/z nondecreasing.
-
-    Evaluated by linear interpolation; arguments beyond the last table entry
-    are clamped to it, so keep the table wide enough for the intended run.
-    """
-
-    z: np.ndarray
-    g: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
-        g = np.asarray(self.g, dtype=float)
-        if not (np.isfinite(z).all() and np.isfinite(g).all()):
-            raise ConfigurationError("z and g entries must be finite")
-        if z.ndim != 1 or z.shape != g.shape or len(z) < 2:
-            raise ConfigurationError("z and g must be 1d tables of the same length, at least 2")
-        if z[0] != 0.0 or g[0] != 0.0:
-            raise ConfigurationError("z and g must start at 0, anchoring G(0) = 0")
-        if np.any(np.diff(z) <= 0):
-            raise ConfigurationError("z must be strictly increasing")
-        if np.any(g < 0):
-            raise ConfigurationError(f"g must be >= 0, got {g.min()}")
-        ratio = g[1:] / z[1:]
-        if np.any(np.diff(ratio) < -1e-12 * np.abs(ratio[:-1])):
-            raise ConfigurationError("g/z must be nondecreasing on the tabulation")
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "g", g)
-
-    def __call__(self, x):
-        return np.interp(np.maximum(x, 0.0), self.z, self.g)
-
-
-@dataclass(frozen=True)
 class ModelParams:
-    """Reaction model: exponents, noise strength, and the two-sided constants.
+    """Reaction model: the exponent beta, the noise strength kappa, and the
+    reaction Lambda z^(1+beta) of the paper's prototype equation.
 
-    C bounds the nonlinearity from below (C z^(1+beta) <= G(z)), Lambda from
-    above; a PowerLaw G sits exactly on both bounds when C = Lambda = coeff,
-    which the defaults give. Cstar is the optional saturation range bound used
-    by the saturation certificate.
+    C is the lower constant of the theorems, 0 <= C <= Lambda: the lower
+    solution reads C, the integrator and the certificates read Lambda, so
+    the lab's bounds keep their two-sided form. Lambda = 0, and with it
+    C = 0, is the linear equation. Cstar is the optional saturation range
+    bound used by the saturation certificate.
     """
 
     beta: float
@@ -111,7 +63,6 @@ class ModelParams:
     C: float = 1.0
     Lambda: float = 1.0
     Cstar: float | None = None
-    G: Callable = None  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.beta <= 0:
@@ -129,30 +80,22 @@ class ModelParams:
                 "(kappa beta)^2 overflows"
             )
         for name, value in (("C", self.C), ("Lambda", self.Lambda)):
-            if value <= 0:
-                raise ConfigurationError(f"{name} must be positive, got {value}")
+            if value < 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {value}")
         if self.Cstar is not None and self.Cstar <= 0:
             raise ConfigurationError(f"Cstar must be positive when set, got {self.Cstar}")
         if self.C > self.Lambda:
             raise ConfigurationError(f"C must be <= Lambda={self.Lambda}, got {self.C}")
-        if self.G is None:
-            object.__setattr__(self, "G", PowerLaw(coeff=self.Lambda, beta=self.beta))
-        if isinstance(self.G, PowerLaw):
-            if self.G.beta != self.beta:
-                raise ConfigurationError(f"G.beta must equal beta={self.beta}, got {self.G.beta}")
-            if not (self.C <= self.G.coeff <= self.Lambda):
-                raise ConfigurationError(
-                    f"G.coeff must lie in [C, Lambda] = [{self.C}, {self.Lambda}], "
-                    f"got {self.G.coeff}"
-                )
 
 
 def _check_lower_bound(params: ModelParams) -> None:
-    """The lower solution needs G(z) >= C z^(1+beta) for every z: a PowerLaw
-    meets it (coeff >= C), a tabulated G, constant past its table, does not."""
-    if not isinstance(params.G, PowerLaw):
-        name = type(params.G).__name__
-        raise PreconditionFailure(f"the lower solution needs G(z) >= C z^(1+beta), not a {name}")
+    """The lower solution divides by C beta, so it needs C beta > 0: C = 0,
+    the linear equation among them, has none, and neither has a C beta that
+    underflows to 0."""
+    if not params.C * params.beta > 0:
+        raise PreconditionFailure(
+            f"the lower solution needs C beta > 0, got C={params.C!r}, beta={params.beta!r}"
+        )
 
 
 def hitting_level(v0psi: float, params: ModelParams) -> float:
@@ -160,7 +103,7 @@ def hitting_level(v0psi: float, params: ModelParams) -> float:
     the lower constant C of params: the lower solution blows up when A(t)
     reaches it. +inf where a tiny mass overflows the power, which puts x* out
     of reach; a mass that is not > 0, NaN included, is refused, and so is a
-    G not known to dominate C z^(1+beta) (``_check_lower_bound``)."""
+    model with no lower solution (``_check_lower_bound``)."""
     _check_lower_bound(params)
     if not v0psi > 0:
         raise ConfigurationError(f"hitting level needs v0psi > 0, got {v0psi}")
@@ -248,14 +191,18 @@ class DichotomyVerdict(NamedTuple):
 def deterministic_dichotomy(mass: float, lam1: float, params: ModelParams) -> DichotomyVerdict:
     """Noiseless classification of the psi-mass against the lower solution's
     threshold (lam1/C)^(1/beta), with beta and the lower constant C of params:
-    above it the lower solution of G >= C z^(1+beta) blows up.
+    above it the lower solution of the reaction C z^(1+beta) blows up.
 
     The boundary case mass = (lam1/C)^(1/beta) classifies as TAU_INFINITE
-    (the hitting functional saturates without crossing). As ``hitting_level``
-    it refuses a G not known to dominate C z^(1+beta).
+    (the hitting functional saturates without crossing), and so does every
+    mass when the power overflows, which puts the threshold at +inf. As
+    ``hitting_level`` it refuses a model with no lower solution.
     """
     _check_lower_bound(params)
-    threshold = (lam1 / params.C) ** (1.0 / params.beta)
+    try:
+        threshold = (lam1 / params.C) ** (1.0 / params.beta)
+    except OverflowError:
+        threshold = math.inf
     outcome = Dichotomy.BLOWUP_CERTIFIED if mass > threshold else Dichotomy.TAU_INFINITE
     return DichotomyVerdict(outcome, threshold)
 

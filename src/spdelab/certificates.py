@@ -35,13 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from .blowup import (
-    ModelParams,
-    PowerLaw,
-    TabulatedNonlinearity,
-    _drift_scale,
-    analytic_blowup_bound,
-)
+from .blowup import ModelParams, _drift_scale, analytic_blowup_bound
 from .domain import EigenData, _validate_initial, sup_norm_decay
 from .errors import ConfigurationError, PreconditionFailure
 from .stochastic import BrownianPath, _clamped_exp, exp_functional
@@ -91,38 +85,6 @@ class CertificateReport:
             raise ConfigurationError(f"probability {self.probability} outside [0, 1]")
 
 
-def _check_upper_bound(params: ModelParams, z_max: float | None = None) -> None:
-    """The certificates need G(z) <= Lambda z^(1+beta), globally or on (0, z_max).
-
-    A tabulated G is linear between its nodes and constant past the last,
-    so G - Lambda z^(1+beta) is concave on each piece: its largest value is
-    at the stationary point Lambda (1+beta) z^beta = slope, clipped to the
-    piece (and below z_max).
-    """
-    g = params.G
-    if isinstance(g, PowerLaw):
-        return  # coeff <= Lambda enforced at construction
-    if isinstance(g, TabulatedNonlinearity):
-        lo, hi, g_lo = g.z[:-1], g.z[1:], g.g[:-1]
-        slope = np.diff(g.g) / np.diff(g.z)
-        if z_max is not None:
-            keep = lo < z_max
-            lo, hi, g_lo, slope = lo[keep], np.minimum(hi[keep], z_max), g_lo[keep], slope[keep]
-        beta = params.beta
-        with np.errstate(over="ignore"):
-            z = np.clip((slope / (params.Lambda * (1.0 + beta))) ** (1.0 / beta), lo, hi)
-            cap = params.Lambda * z ** (1.0 + beta)
-        vals = g_lo + slope * (z - lo)
-        bad = vals > cap * (1.0 + 1e-12)
-        if np.any(bad):
-            j = int(np.argmax(bad))
-            raise PreconditionFailure(
-                f"nonlinearity exceeds Lambda z^(1+beta) at z={z[j]}: {vals[j]} > {cap[j]}"
-            )
-        return
-    raise ConfigurationError(f"cannot verify the upper bound for nonlinearity {type(g).__name__}")
-
-
 def _coefficient_envelope(coeff: np.ndarray, T: float, kappa: float, eigen: EigenData) -> float:
     """Bound on ||e^{-kappa^2 t/2} S_t f||_inf at t = T, from the coefficients
     of f, that keeps majorizing after multiplication by
@@ -168,18 +130,17 @@ def _check_sup_norm_kind(
     """Raise if the integral or saturation certificate cannot be evaluated
     for f; return f validated.
 
-    The checks run in a fixed order: C* (saturation only), kappa > 0, the
-    initial data, then G <= Lambda z^(1+beta), for every z for the integral
-    kind and on (0, C*) for saturation. None evaluates the series.
+    The checks run in a fixed order: C* (saturation only), kappa > 0, then
+    the initial data. None evaluates the series. The reaction is Lambda
+    z^(1+beta) itself, so the upper bound the certificates assume holds for
+    every model.
     """
     saturation = kind == CertificateKind.SATURATION
     if saturation and params.Cstar is None:
         raise ConfigurationError("saturation certificate needs Cstar in the model parameters")
     if params.kappa <= 0:
         raise ConfigurationError("certificates need kappa > 0; the noiseless dichotomy is separate")
-    f = _validate_initial(f, eigen.grid)
-    _check_upper_bound(params, params.Cstar if saturation else None)
-    return f
+    return _validate_initial(f, eigen.grid)
 
 
 def certificate_sup_norm(
@@ -301,7 +262,6 @@ def certificate_heat_kernel(
         raise ConfigurationError(f"eta must be >= 1, got {eta}")
     if not (math.isfinite(c) and c > 0):
         raise ConfigurationError(f"kernel-ratio constant must be positive and finite, got {c}")
-    _check_upper_bound(params)
     if f is not None:
         f = _validate_initial(f, eigen.grid)
         cap = admissible_initial(K, eta, eigen)

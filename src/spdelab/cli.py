@@ -292,7 +292,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None, run: RunManife
     eigen = _eigen_setup(cfg, m=12)
     f = _initial_field(initial, eigen)
     mass0 = weighted_inner(eigen.grid, f, eigen.psi)
-    try:  # no lower solution for a G not known to dominate C z^(1+beta)
+    try:  # no lower solution where C beta is not > 0, as at C = 0
         level = hitting_level(float(mass0), params) if mass0 > 0 else None
     except PreconditionFailure:
         level = None

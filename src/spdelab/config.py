@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blowup import ModelParams, PowerLaw, TabulatedNonlinearity
+from .blowup import ModelParams
 from .certificates import CertificateKind
 from .domain import MIN_POINTS_PER_AXIS, MIN_RATIO_MODES, DomainSpec
 from .errors import ConfigurationError
@@ -227,36 +227,13 @@ def _make(cls, context: str, section: dict, **checks):
         raise ConfigurationError(f"{context}.{exc}") from None
 
 
-def _parse_nonlinearity(section, params: ModelParams):
-    """G from model.G: ``type`` names its class, whose fields are the other
-    keys; a power law defaults to the model's Lambda z^(1+beta)."""
-    _json(section, "model.G", dict, "an object")
-    kind = section.get("type")
-    given = {key: value for key, value in section.items() if key != "type"}
-    if kind == "power_law":
-        power = {"coeff": params.Lambda, "beta": params.beta, **given}
-        return _make(PowerLaw, "model.G", power, coeff=_finite_number, beta=_finite_number)
-    if kind == "tabulated":
-        return _make(TabulatedNonlinearity, "model.G", given, z=_numbers, g=_numbers)
-    raise ConfigurationError(f"model.G.type must be 'power_law' or 'tabulated', got {kind!r}")
-
-
-def _parse_model(context: str, section: dict) -> ModelParams:
-    """The model; G is built once the constructor has checked the scalars."""
-    checks = dict(beta=_finite_number, kappa=_finite_number, C=_finite_number,
-                  Lambda=_finite_number, Cstar=_finite_number)
-    scalars = {key: value for key, value in section.items() if key != "G"}
-    params = _make(ModelParams, context, scalars, **checks)
-    if "G" not in section:
-        return params
-    G = _parse_nonlinearity(section["G"], params)
-    return _make(ModelParams, context, {**scalars, "G": G}, **checks)
-
-
 # each section's parser: it takes the section's name and its JSON object
 _SECTION_PARSERS = {
     "domain": partial(_make, DomainConfig, lengths=_numbers, n=_integer, n_fine=_integer),
-    "model": _parse_model,
+    "model": partial(
+        _make, ModelParams, beta=_finite_number, kappa=_finite_number, C=_finite_number,
+        Lambda=_finite_number, Cstar=_finite_number,
+    ),
     "initial": partial(_make, InitialConfig, a=_finite_number, file=_string),
     "sim": partial(
         _make, SimConfig, dt=_finite_number, horizon=_finite_number, n_paths=_integer,

@@ -1,13 +1,15 @@
 """Trajectorywise integration of the transformed equation and the direct SPDE.
 
-The transformed field v solves dv/dt = (Delta - kappa^2/2) v +
-e^{-kappa W_t} G(e^{kappa W_t} v) along a fixed noise path; the physical field
-u = e^{kappa W_t} v can instead be advanced directly with a multiplicative
+The equation is du = (Delta u + Lambda u^(1+beta)) dt + kappa u dW, the
+paper's prototype; Lambda = 0 is the linear equation. The transformed field
+v = e^{-kappa W_t} u solves dv/dt = (Delta - kappa^2/2) v +
+Lambda e^{kappa beta W_t} v^(1+beta) along a fixed noise path; the physical
+field u can instead be advanced directly with a multiplicative
 Euler-Maruyama increment. Both use one IMEX step: the stiff linear part is
 backward Euler, the reaction explicit at the step start, which is the
 non-anticipating reading of the noise factor. Backward Euler keeps v
-nonnegative at any dt for G >= 0, since (I - dt(Delta_h - shift))^{-1} is a
-nonnegative matrix.
+nonnegative at any dt, since the reaction is nonnegative and
+(I - dt(Delta_h - shift))^{-1} is a nonnegative matrix.
 
 One engine, ``simulate_paths``, advances a block of paths that share the
 initial field and grid: each step, ``_advance``, builds the
@@ -54,7 +56,7 @@ from enum import Enum
 
 import numpy as np
 
-from .blowup import ModelParams, PowerLaw
+from .blowup import ModelParams
 from .domain import EigenData, GridSpec, _sine_vectors, _spectrum, _validate_initial, weighted_inner
 from .errors import ConfigurationError, NumericalFailure
 from .stochastic import EXP_CLAMP, BrownianPath
@@ -85,8 +87,8 @@ class TrajectoryResult:
     mass is the pairing <field, psi> at every kept step, sup the grid sup norm.
     At each snapshot time, snapshot_coeffs holds the weighted pairings
     <field, phi_j> with the m modes of the eigenbasis the run used, and
-    reaction_coeffs those of the field's reaction: e^{-kappa W} G(e^{kappa W} v)
-    for v, with W at the snapshot's own step, and G(u) for u. Both have shape
+    reaction_coeffs those of the field's reaction: Lambda e^{kappa beta W} v^(1+beta)
+    for v, with W at the snapshot's own step, and Lambda u^(1+beta) for u. Both have shape
     (snapshots, m). On numerical blowup the series stop at the last stable
     step; t_blowup is the refined cutoff-crossing time and t_last_stable its
     lower bracket, both inside the crossing step:
@@ -185,65 +187,50 @@ class _Workspace:
 
 
 def _noise_factor(w: np.ndarray, params: ModelParams) -> np.ndarray:
-    """The noise factor of the transformed reaction at each noise value in w.
-
-    c e^{kappa beta W} for a power law, e^{kappa W} otherwise, clamped. Each
-    entry goes through math.exp, so a value does not depend on how many
-    times are evaluated together.
+    """The noise factor Lambda e^{kappa beta W} of the transformed reaction at
+    each noise value in w, its exponent clamped. Each entry goes through
+    math.exp, so a value does not depend on how many times are evaluated
+    together.
     """
-    power_law = isinstance(params.G, PowerLaw)
-    if power_law:
-        exponent = np.minimum(params.kappa * params.beta * w, EXP_CLAMP)
-    else:
-        exponent = np.clip(params.kappa * w, -EXP_CLAMP, EXP_CLAMP)
+    exponent = np.minimum(params.kappa * params.beta * w, EXP_CLAMP)
     factor = np.fromiter(map(math.exp, exponent.ravel().tolist()), float, exponent.size)
-    factor = factor.reshape(exponent.shape)
-    return params.G.coeff * factor if power_law else factor
+    return params.Lambda * factor.reshape(exponent.shape)
 
 
 class _Reaction:
     """The reaction of a run's variable, written in place into out for a
-    block of fields, one field per row: e^{-kappa W} G(e^{kappa W} v) for v,
-    with noise the column of the rows' noise factors (_noise_factor),
-    collapsed analytically for a power law; G(u) for u, which reads no noise.
+    block of fields, one field per row: Lambda e^{kappa beta W} max(v, 0)^(1+beta)
+    for v, with noise the column of the rows' noise factors (_noise_factor);
+    Lambda max(u, 0)^(1+beta) for u, which reads no noise.
 
     Its constants are 0-d arrays, which a ufunc takes faster than floats,
     to the same bits.
     """
 
     def __init__(self, params: ModelParams, variable: str):
-        self.variable, self.G = variable, params.G
-        self.power_law = isinstance(params.G, PowerLaw)
+        self.variable = variable
         self.kappa = np.array(params.kappa)
-        if self.power_law:
-            self.zero = np.array(0.0)
-            self.exponent = np.array(1.0 + params.beta)
-            self.coeff = np.array(params.G.coeff)
+        self.zero = np.array(0.0)
+        self.exponent = np.array(1.0 + params.beta)
+        self.coeff = np.array(params.Lambda)
 
     def __call__(self, fields: np.ndarray, noise, out: np.ndarray) -> None:
-        if self.power_law:
-            np.maximum(fields, self.zero, out=out)
-            np.power(out, self.exponent, out=out)
-            out *= noise if self.variable == "v" else self.coeff
-        elif self.variable == "v":
-            np.multiply(noise, fields, out=out)
-            out[...] = self.G(out)
-            out /= noise
-        else:
-            out[...] = self.G(fields)
+        np.maximum(fields, self.zero, out=out)
+        np.power(out, self.exponent, out=out)
+        out *= noise if self.variable == "v" else self.coeff
 
 
 def _advance(reaction: _Reaction, cur, noise, ws: _Workspace, out, scratch) -> None:
     """One IMEX step of a block of fields, one field per row, on the step
     ws.dt; the only place fields are advanced. The explicit term at cur is
     built in out, the C-ordered block the step fills, then scaled by dt,
-    added to cur and solved in place, so a step allocates nothing for a
-    power law.
+    added to cur and solved in place, so a step allocates nothing.
 
     noise is a column, one entry per row: the noise factor at the step start
     for v; for u the rate dW/dt of the step, whose multiplicative increment
-    is folded into the explicit term, u + dt G(u) + kappa u dW = u + dt (G(u)
-    + kappa u dW/dt), through scratch, a block shaped as out."""
+    is folded into the explicit term, u + dt Lambda u^(1+beta) + kappa u dW
+    = u + dt (Lambda u^(1+beta) + kappa u dW/dt), through scratch, a block
+    shaped as out."""
     reaction(cur, noise, out)
     if reaction.variable == "u":
         np.multiply(cur, reaction.kappa, out=scratch)
@@ -473,7 +460,8 @@ def reconstruct_u(traj: TrajectoryResult, path: BrownianPath, kappa: float) -> T
     """Map a transformed trajectory to the physical field via u = e^{kappa W} v.
 
     Both coefficient arrays scale by e^{kappa W}: that is exact for the
-    reaction too, since G(e^{kappa W} v) = e^{kappa W} (e^{-kappa W} G(e^{kappa W} v)).
+    reaction too, since Lambda (e^{kappa W} v)^(1+beta) = e^{kappa W} (Lambda
+    e^{kappa beta W} v^(1+beta)).
     """
     if traj.variable != "v":
         raise ConfigurationError("reconstruction applies to transformed trajectories only")

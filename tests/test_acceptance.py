@@ -18,7 +18,6 @@ from scipy import integrate
 from spdelab.blowup import (
     Dichotomy,
     ModelParams,
-    PowerLaw,
     deterministic_dichotomy,
     hitting_level,
     lower_solution_series,
@@ -228,7 +227,7 @@ def test_criterion_4_deterministic_dichotomy():
 
 def test_criterion_5_transform_consistency():
     dom, grid, eig = _setup("interval", [math.pi], 32)
-    params = ModelParams(beta=1.0, kappa=0.5, G=PowerLaw(coeff=1.0, beta=1.0))
+    params = ModelParams(beta=1.0, kappa=0.5)
     f = 0.3 * eig.psi
     worst = 0.0
     for seed in range(10):

@@ -23,9 +23,7 @@ from spdelab import blowup, stochastic
 from spdelab.blowup import (
     Dichotomy,
     ModelParams,
-    PowerLaw,
     ProbabilityEstimate,
-    TabulatedNonlinearity,
     analytic_blowup_bound,
     deterministic_dichotomy,
     hitting_level,
@@ -41,7 +39,7 @@ from spdelab.domain import (
     solve_eigenpairs,
     weighted_inner,
 )
-from spdelab.errors import ConfigurationError
+from spdelab.errors import ConfigurationError, PreconditionFailure
 from spdelab.stochastic import (
     BrownianPath,
     _n_steps,
@@ -55,79 +53,14 @@ P_GLOBAL_REF = 0.9196986029286058
 P_BLOWUP_REF = 0.08030139707139416
 
 
-class TestNonlinearities:
-    def test_power_law_values(self):
-        g = PowerLaw(coeff=2.0, beta=1.5)
-        assert g(0.0) == 0.0
-        assert g(4.0) == pytest.approx(2.0 * 4.0**2.5, rel=1e-15)
-        assert g(-3.0) == 0.0  # negative part clipped
-
-    def test_power_law_validation(self):
-        with pytest.raises(ConfigurationError):
-            PowerLaw(coeff=0.0, beta=1.0)
-        with pytest.raises(ConfigurationError):
-            PowerLaw(coeff=1.0, beta=-1.0)
-
-    def test_power_law_two_sided_bounds_tight(self):
-        # With C = Lambda = coeff the sandwich C z^(1+b) <= G(z) <= L z^(1+b)
-        # holds with equality on both sides.
-        p = ModelParams(beta=2.0, kappa=0.5)
-        z = np.linspace(0, 7, 61)
-        gz = p.G(z)
-        np.testing.assert_allclose(gz, p.C * z**3, rtol=1e-14)
-        np.testing.assert_allclose(gz, p.Lambda * z**3, rtol=1e-14)
-
-    def test_tabulated_interpolates(self):
-        z = np.array([0.0, 1.0, 2.0, 4.0])
-        g = TabulatedNonlinearity(z=z, g=z**2)
-        assert g(1.5) == pytest.approx(2.5)  # chord between 1 and 4
-        assert g(0.0) == 0.0
-        assert g(10.0) == 16.0  # clamped at the table edge
-
-    def test_tabulated_rejects_bad_tables(self):
-        with pytest.raises(ConfigurationError):
-            TabulatedNonlinearity(z=np.array([0.0, 1.0]), g=np.array([0.5, 1.0]))
-        with pytest.raises(ConfigurationError):
-            TabulatedNonlinearity(z=np.array([0.0, 2.0, 1.0]), g=np.array([0.0, 4.0, 1.0]))
-        with pytest.raises(ConfigurationError):
-            # G(z)/z = 1, 4, 1: not nondecreasing
-            TabulatedNonlinearity(z=np.array([0.0, 1.0, 2.0, 3.0]), g=np.array([0.0, 1.0, 8.0, 3.0]))
-        with pytest.raises(ConfigurationError, match="^g must be >= 0"):
-            # G(z)/z = -10, -5 is nondecreasing, but G(1.5) = -10
-            TabulatedNonlinearity(z=np.array([0.0, 1.0, 2.0]), g=np.array([0.0, -10.0, -10.0]))
-        zero = TabulatedNonlinearity(z=np.array([0.0, 1.0]), g=np.array([0.0, 0.0]))
-        assert zero(2.0) == 0.0  # G = 0, the linear model, stays accepted
-
-    @pytest.mark.parametrize(
-        "z, g",
-        [
-            ([0.0, 1.0, math.nan], [0.0, 1.0, 4.0]),
-            ([0.0, 1.0, 2.0], [0.0, 1.0, math.nan]),
-            ([0.0, 1.0, math.inf], [0.0, 1.0, math.inf]),
-        ],
-        ids=["nan_z", "nan_g", "inf_both"],
-    )
-    def test_tabulated_rejects_non_finite_entries(self, z, g):
-        # NaN slips through every ordering check, and inf/inf warns in the
-        # ratio check, so finiteness is tested first
-        with pytest.raises(ConfigurationError, match="finite"):
-            TabulatedNonlinearity(z=np.array(z), g=np.array(g))
-
-
 class TestModelParams:
-    def test_defaults_build_matching_power_law(self):
-        p = ModelParams(beta=1.0, kappa=1.0)
-        assert isinstance(p.G, PowerLaw)
-        assert p.G.coeff == p.C == p.Lambda == 1.0
-        assert p.G.beta == 1.0
-
-    def test_rejects_exponent_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            ModelParams(beta=1.0, kappa=1.0, G=PowerLaw(coeff=1.0, beta=2.0))
-
-    def test_rejects_coefficient_outside_bounds(self):
-        with pytest.raises(ConfigurationError):
-            ModelParams(beta=1.0, kappa=1.0, C=1.0, Lambda=1.0, G=PowerLaw(coeff=2.0, beta=1.0))
+    def test_constants_range_from_zero_to_lambda(self):
+        # 0 <= C <= Lambda; Lambda = 0 is the linear equation
+        assert ModelParams(beta=1.0, kappa=1.0, C=0.0, Lambda=0.0).Lambda == 0.0
+        assert ModelParams(beta=1.0, kappa=1.0, C=0.0, Lambda=2.0).C == 0.0
+        for constants in ({"C": -1.0}, {"C": -1.0, "Lambda": -0.5}):
+            with pytest.raises(ConfigurationError, match=r"^(C|Lambda) must be >= 0"):
+                ModelParams(beta=1.0, kappa=1.0, **constants)
 
     def test_rejects_crossed_constants(self):
         with pytest.raises(ConfigurationError):
@@ -182,6 +115,16 @@ class TestThreshold:
         # path hits at t = 0
         with pytest.raises(ConfigurationError, match="v0psi > 0"):
             hitting_level(v0psi, ModelParams(beta=1.0, kappa=1.0))
+
+
+    @pytest.mark.parametrize("C, beta", [(0.0, 1.0), (1e-320, 1e-10)], ids=["C=0", "underflow"])
+    def test_no_lower_solution_without_a_positive_C_beta(self, C, beta):
+        # x* divides by C beta: at C = 0, or where C beta underflows to 0,
+        # there is no lower solution, in either regime
+        with pytest.raises(PreconditionFailure, match="C beta > 0"):
+            hitting_level(0.5, ModelParams(beta=beta, kappa=1.0, C=C))
+        with pytest.raises(PreconditionFailure, match="C beta > 0"):
+            deterministic_dichotomy(0.5, 1.0, ModelParams(beta=beta, kappa=0.0, C=C))
 
 
 class TestLowerSolution:
@@ -391,6 +334,14 @@ class TestDichotomy:
             assert verdict.outcome is outcome
             assert verdict.threshold == pytest.approx(threshold, rel=1e-15)
 
+    def test_overflowing_threshold_is_infinite(self, interval_48):
+        # (lam1/C)^(1/beta) past the largest float: float ** raised
+        # OverflowError; the threshold is +inf and no mass reaches it
+        _, _, _, eig = interval_48
+        params = ModelParams(beta=0.5, kappa=0.0, C=1e-300)
+        verdict = deterministic_dichotomy(1e300, eig.lam1, params)
+        assert verdict == (Dichotomy.TAU_INFINITE, math.inf)
+
 
 class TestMassInvariants:
     # Uniform interior weights make the discrete pairing exact for both
@@ -418,19 +369,20 @@ class TestMassInvariants:
         # sum(w psi) = 1 turns w*psi into a probability measure, so
         # <G(v), psi> >= C <v, psi>^(1+beta) for any v >= 0 exactly.
         _, grid, _, eig = interval_48
-        g = PowerLaw(coeff=1.0, beta=beta)
+        params = ModelParams(beta=beta, kappa=1.0)
         rng = np.random.default_rng(21)
         for _ in range(20):
             v = rng.exponential(scale=2.0, size=grid.npoints)
-            lhs = weighted_inner(grid, eig.psi, g(v))
+            g = params.Lambda * np.maximum(v, 0.0) ** (1.0 + beta)
+            lhs = weighted_inner(grid, eig.psi, g)
             rhs = weighted_inner(grid, eig.psi, v) ** (1.0 + beta)
             assert lhs >= rhs * (1.0 - 1e-12)
 
     def test_jensen_equality_on_constants(self, interval_48):
         _, grid, _, eig = interval_48
-        g = PowerLaw(coeff=1.0, beta=1.0)
+        params = ModelParams(beta=1.0, kappa=1.0)
         v = 3.0 * np.ones(grid.npoints)
-        lhs = weighted_inner(grid, eig.psi, g(v))
+        lhs = weighted_inner(grid, eig.psi, params.Lambda * np.maximum(v, 0.0) ** 2.0)
         rhs = weighted_inner(grid, eig.psi, v) ** 2
         assert lhs == pytest.approx(rhs, rel=1e-12)
 

@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spdelab import certificates
-from spdelab.blowup import ModelParams, TabulatedNonlinearity, _drift_scale
+from spdelab.blowup import ModelParams, _drift_scale
 from spdelab.certificates import (
     CertificateKind,
     CertificateReport,
@@ -151,30 +151,6 @@ class TestIntegralCertificate:
         with pytest.raises(ConfigurationError, match=f"not finite at node 7: f={bad}"):
             certificate_sup_norm(path, f, PARAMS, eig, [INTEGRAL])
 
-    def test_tabulated_nonlinearity_above_cap_rejected(self, cert_env):
-        _, eig, path = cert_env
-        hot = TabulatedNonlinearity(z=np.array([0.0, 1.0, 2.0]), g=np.array([0.0, 2.0, 8.0]))
-        params = ModelParams(beta=1.0, kappa=1.0, Lambda=1.0, G=hot)
-        with pytest.raises(PreconditionFailure):
-            certificate_sup_norm(path, eig.psi, params, eig, [INTEGRAL])
-
-    def test_tabulated_nonlinearity_over_cap_between_nodes_rejected(self, cert_env):
-        # at or under z^2 at every node, but G(0.25) = 0.125 > 0.25^2 on the
-        # first piece: any table with g_1 > 0 is above the cap near 0
-        _, eig, path = cert_env
-        mild = TabulatedNonlinearity(z=np.array([0.0, 1.0, 2.0]), g=np.array([0.0, 0.5, 2.0]))
-        params = ModelParams(beta=1.0, kappa=1.0, Lambda=1.0, G=mild)
-        with pytest.raises(PreconditionFailure, match="at z=0.25: 0.125 > 0.0625"):
-            certificate_sup_norm(path, eig.psi, params, eig, [INTEGRAL])
-
-    def test_tabulated_nonlinearity_within_cap_accepted(self, cert_env):
-        # 2 (z - 1) <= z^2 on [1, 2], touching it nowhere
-        _, eig, path = cert_env
-        mild = TabulatedNonlinearity(z=np.array([0.0, 1.0, 2.0]), g=np.array([0.0, 0.0, 2.0]))
-        params = ModelParams(beta=1.0, kappa=1.0, Lambda=1.0, G=mild)
-        rep = certificate_sup_norm(path, eig.psi, params, eig, [INTEGRAL])[INTEGRAL]
-        assert rep.verdict is Verdict.CERTIFIED
-
 
 class TestSaturationCertificate:
     def test_unit_bump_certified(self, cert_env):
@@ -218,20 +194,6 @@ class TestSaturationCertificate:
             certificate_sup_norm(
                 path, eig.psi, ModelParams(beta=1.0, kappa=1.0), eig, [SATURATION]
             )
-
-    def test_tabulated_cap_only_checked_inside_range(self, cert_env):
-        # 8 (z - 1) exceeds Lambda z^2 only on (4 - 2 sqrt 2, 2], past
-        # Cstar = 1: fine for saturation, fatal for the unrestricted integral
-        # certificate.
-        _, eig, path = cert_env
-        edge = TabulatedNonlinearity(z=np.array([0.0, 1.0, 2.0]), g=np.array([0.0, 0.0, 8.0]))
-        params = ModelParams(beta=1.0, kappa=1.0, Lambda=1.0, Cstar=1.0, G=edge)
-        rep = certificate_sup_norm(path, 0.1 * eig.psi, params, eig, [SATURATION])[SATURATION]
-        assert rep.verdict is Verdict.CERTIFIED
-        for kinds in ([INTEGRAL], [INTEGRAL, SATURATION]):
-            with pytest.raises(PreconditionFailure):
-                certificate_sup_norm(path, 0.1 * eig.psi, params, eig, kinds)
-
 
     def test_underflowed_bound_does_not_refuse(self, small_eig):
         # on the zero path the sup-norm series of 0.2 psi underflows to 0
@@ -394,6 +356,30 @@ class TestHeatKernelCertificate:
             certificate_heat_kernel(0.5, 1.0, params, eig, c=0.0)
         with pytest.raises(ConfigurationError):
             certificate_heat_kernel(0.5, 1.0, params, eig, c=math.inf)
+
+
+class TestLinearEquation:
+    """Lambda = C = 0: the reaction vanishes, so every certificate holds, with
+    no guard for Lambda. The weight Lambda beta N^beta is 0, and its log -inf,
+    and the heat-kernel denominator is 0; warnings are errors here."""
+
+    PARAMS = ModelParams(beta=1.0, kappa=1.0, C=0.0, Lambda=0.0, Cstar=1.0)
+
+    def test_sup_norm_integrals_are_zero_and_certified(self, small_eig):
+        path = sample_brownian(5.0, 1e-3, 3, 0)
+        reports = certificate_sup_norm(
+            path, 0.5 * small_eig.psi, self.PARAMS, small_eig, [INTEGRAL, SATURATION]
+        )
+        for rep in reports.values():
+            assert (rep.J, rep.tail, rep.verdict) == (0.0, 0.0, Verdict.CERTIFIED)
+            assert np.all(rep.envelope == 1.0)
+
+    def test_heat_kernel_threshold_is_infinite(self, small_eig):
+        rep = certificate_heat_kernel(1.0, 1.0, self.PARAMS, small_eig, c=1.0)
+        assert (rep.threshold, rep.probability) == (math.inf, 1.0)
+        path = sample_brownian(5.0, 1e-3, 3, 0)
+        rep = certificate_heat_kernel(1.0, 1.0, self.PARAMS, small_eig, c=1.0, path=path)
+        assert rep.threshold == math.inf and rep.verdict is Verdict.CERTIFIED
 
 
 class TestOneKernel:

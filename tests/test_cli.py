@@ -63,15 +63,10 @@ RANGE_CASES = [
     ("domain.n_fine", {"n_fine": 16}),
     ("model.beta", {"beta": 0.0}),
     ("model.kappa", {"kappa": -1.0}),
-    ("model.C", {"C": 0.0}),
+    ("model.C", {"C": -1.0}),
     ("model.C", {"C": 2.0}),
     ("model.Lambda", {"Lambda": -1.0}),
     ("model.Cstar", {"Cstar": 0.0}),
-    ("model.G.coeff", {"G": {"type": "power_law", "coeff": -1.0}}),
-    ("model.G.coeff", {"G": {"type": "power_law", "coeff": 2.0}}),
-    ("model.G.beta", {"G": {"type": "power_law", "beta": 2.0}}),
-    ("model.G.z", {"G": {"type": "tabulated", "z": [0, 2, 1], "g": [0, 1, 2]}}),
-    ("model.G.g", {"G": {"type": "tabulated", "z": [0, 1, 2], "g": [0, -10, -10]}}),
     ("initial.mode", {"mode": "random"}),
     ("initial.a", {"a": 0.0}),
     ("initial.a", {"mode": "eigen-multiple", "a": None}),
@@ -322,12 +317,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="more than numpy can hold"):
             _refuse_oversized(limit + 1, "one entry more")
 
-    def test_tabulated_nonlinearity_parses(self, tmp_path):
-        cfg = interval_cfg(
-            model={**MODEL, "G": {"type": "tabulated", "z": [0.0, 1.0, 2.0], "g": [0.0, 0.5, 2.0]}}
-        )
-        loaded = load_config(write_cfg(tmp_path, cfg))
-        assert loaded.model.G(1.0) == 0.5
+    @pytest.mark.parametrize(
+        "G", [{"type": "tabulated", "z": [0, 1], "g": [0, 0]}, {"type": "power_law"}],
+        ids=["tabulated", "power_law"],
+    )
+    def test_nonlinearity_key_exits_2_as_unknown(self, tmp_path, capsys, G):
+        # the reaction is Lambda z^(1+beta); model.G is no longer a key
+        cfg = interval_cfg(model={**MODEL, "G": G})
+        out = tmp_path / "out"
+        assert main(["eigen", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "configuration error: model: unknown keys ['G']\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "where", ["horizon", "lengths", "sweep", "c", "n", "n_fine", "t_num", "n_paths"]
@@ -359,19 +359,6 @@ class TestConfigValidation:
         out = tmp_path / "out"
         assert main(["blowup", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 2
         assert "must be finite" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "z, g",
-        [([0, "a", 2], [0, 1, 4]), ([0, 1, 2], [0, None, 4]), ([0, 1, 10**400], [0, 1, 4])],
-        ids=["string", "null", "huge"],
-    )
-    def test_bad_tabulated_entry_exits_2(self, tmp_path, capsys, z, g):
-        model = {**MODEL, "G": {"type": "tabulated", "z": z, "g": g}}
-        cfg = interval_cfg(n=32, model=model, sim={"dt": 0.01, "horizon": 1.0})
-        out = tmp_path / "out"
-        assert main(["eigen", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 2
-        assert "model.G" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -685,6 +672,19 @@ class TestBlowupCommand:
             "verdict": "tau_infinite",
         }
 
+    def test_overflowing_dichotomy_threshold_is_infinite(self, tmp_path):
+        # (lam1/C)^(1/beta) = (lam1 1e300)^2 overflows: float ** raised
+        # OverflowError, and blowup exited 1; no mass reaches the threshold
+        cfg = interval_cfg(
+            n=32,
+            model={"beta": 0.5, "kappa": 0.0, "C": 1e-300},
+            sim={"dt": 0.01, "horizon": 1.0, "v0psi_sweep": [1e300]},
+        )
+        out = tmp_path / "out"
+        assert main(["blowup", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+        [row] = read_csv(out / "dichotomy.csv")
+        assert row == {"mass": "1e+300", "threshold": "inf", "verdict": "tau_infinite"}
+
     @pytest.mark.parametrize("v0psi", [1e200, math.inf, math.nan], ids=["underflow", "inf", "nan"])
     def test_sweep_entry_without_positive_x_star_exits_2(self, tmp_path, v0psi):
         # at beta = 2, x* = v0psi^(-2)/2 underflows to 0 for 1e200 and inf,
@@ -759,31 +759,31 @@ class TestBlowupCommand:
         assert outs[1e12] == outs[1e300] == outs[50.0]
 
 
-class TestLowerSolutionNeedsAPowerLaw:
-    # G(z) = z lies below z^2 past z = 1 and is constant past its table, so
-    # no lower solution of G >= C z^(1+beta) holds for its runs
-    LINEAR_G = {"type": "tabulated", "z": [0, 1e9], "g": [0, 1e9]}
+class TestNoLowerSolution:
+    """The lower solution divides by C beta: where that is not > 0, blowup
+    exits 4 and simulate leaves the lower-solution cells empty. Both once
+    exited 1 with a ZeroDivisionError when C beta underflowed."""
+
+    # C beta = 1e-330 underflows to 0
+    UNDERFLOW = {"beta": 1e-10, "kappa": 1.0, "C": 1e-320}
 
     @pytest.mark.parametrize(
-        "kappa, sim", [(0.0, {}), (1.0, {"n_paths": 1000})], ids=["dichotomy", "monte-carlo"]
+        "model", [UNDERFLOW, {**UNDERFLOW, "kappa": 0.0}], ids=["monte-carlo", "dichotomy"]
     )
-    def test_blowup_exits_4_without_a_csv(self, tmp_path, capsys, kappa, sim):
+    def test_blowup_exits_4_without_a_csv(self, tmp_path, capsys, model):
         cfg = interval_cfg(
-            model={"beta": 1.0, "kappa": kappa, "G": self.LINEAR_G},
-            sim={"dt": 0.01, "horizon": 3.0, "v0psi_sweep": [2.0], **sim},
+            model=model, sim={"dt": 0.01, "horizon": 3.0, "v0psi_sweep": [2.0], "n_paths": 1000}
         )
         out = tmp_path / "out"
         assert main(["blowup", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 4
-        assert "G(z) >= C z^(1+beta)" in capsys.readouterr().err
+        assert "the lower solution needs C beta > 0" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
 
     def test_simulate_leaves_the_lower_solution_cells_empty(self, tmp_path):
-        # the path completes T = 3 from mass 1.97; a lower solution from that
-        # mass would blow up at t = 0.79
         cfg = interval_cfg(
-            model={**MODEL, "G": self.LINEAR_G},
-            initial={"mode": "eigen-multiple", "a": 5.0},
-            sim={"dt": 0.01, "horizon": 3.0, "seed": 0},
+            model=self.UNDERFLOW,
+            initial={"mode": "eigen-multiple", "a": 0.5},
+            sim={"dt": 0.01, "horizon": 1.0, "seed": 0},
         )
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
@@ -791,7 +791,61 @@ class TestLowerSolutionNeedsAPowerLaw:
         [cons] = read_csv(out / "consistency.csv")
         assert traj["outcome"] == "completed_horizon"
         assert traj["tau_analytic"] == cons["mass_over_lower_min"] == ""
-        assert float(traj["mass_initial"]) > 1.9 and float(cons["em_transform_rel_diff"]) > 0
+
+
+class TestLinearEquation:
+    """Lambda = C = 0, the linear equation, end to end with warnings as
+    errors: it integrates and certifies, and has no lower solution."""
+
+    def run(self, tmp_path, command, kappa=1.0, **sections):
+        model = {"beta": 1.0, "kappa": kappa, "C": 0.0, "Lambda": 0.0}
+        cfg = interval_cfg(model=model, **sections)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)])
+        return code, out
+
+    def test_simulate_mass_decays_at_the_linear_rate(self, tmp_path):
+        # v = e^{-kappa W} u solves dv/dt = (Delta - kappa^2/2) v whatever
+        # the path: each backward Euler step divides the psi-mass by
+        # 1 + dt (lam1 + kappa^2/2), lam1 the grid's
+        dt, horizon = 0.01, 2.0
+        code, out = self.run(
+            tmp_path, "simulate",
+            initial={"mode": "eigen-multiple", "a": 0.5},
+            sim={"dt": dt, "horizon": horizon, "n_paths": 2, "seed": 5},
+        )
+        assert code == 0
+        lam1 = solve_eigenpairs(build_grid(DomainSpec(kind="interval", lengths=(math.pi,)), 32), 2).lam1
+        rate = lam1 + 0.5
+        for traj in read_csv(out / "trajectories.csv"):
+            assert traj["outcome"] == "completed_horizon"
+            assert traj["tau_analytic"] == ""
+            mass = np.array([float(r["mass"]) for r in read_csv(out / traj["mass_series_file"])])
+            assert np.allclose(mass[1:] / mass[:-1], 1.0 / (1.0 + dt * rate), rtol=1e-12, atol=0)
+            observed = -math.log(mass[-1] / mass[0]) / horizon
+            assert observed == pytest.approx(rate, rel=dt * rate)
+
+    def test_certify_integral_is_zero_and_certified(self, tmp_path):
+        code, out = self.run(
+            tmp_path, "certify",
+            initial={"mode": "eigen-multiple", "a": 0.5},
+            sim={"dt": 0.01, "horizon": 5.0, "seed": 3},
+            certificate={"kinds": ["integral"]},
+        )
+        assert code == 0
+        [row] = read_csv(out / "certificates.csv")
+        assert (row["kind"], row["J"], row["verdict"]) == ("integral", "0.0", "certified")
+
+    @pytest.mark.parametrize("kappa", [1.0, 0.0], ids=["monte-carlo", "dichotomy"])
+    def test_blowup_exits_4_without_a_csv(self, tmp_path, capsys, kappa):
+        code, out = self.run(
+            tmp_path, "blowup", kappa, sim={"dt": 0.01, "horizon": 3.0, "v0psi_sweep": [2.0]}
+        )
+        assert code == 4
+        assert "the lower solution needs C beta > 0" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
 
 
 class TestSimulateCommand:
@@ -1492,16 +1546,13 @@ class TestCertifyCommand:
         p = write_cfg(tmp_path, cfg)
         assert main(["certify", "--config", str(p), "--out", str(tmp_path / "o")]) == 4
 
-    # g(2) = 100 is over Lambda z^2, but g is 0 up to z = 1.5
-    OVER_CAP = {"type": "tabulated", "z": [0.0, 1.5, 2.0], "g": [0.0, 0.0, 100.0]}
-
     # each config has two faults in different kinds: every kind's checks run
     # in the listed order before any series, so the first listed is reported
     @pytest.mark.parametrize(
         "kinds, model, cert, negative_f, code, message",
         [
             (["saturation"], {}, {}, True, 2, "needs Cstar"),
-            (["saturation", "integral"], {"G": OVER_CAP}, {}, False, 2, "needs Cstar"),
+            (["saturation", "integral"], {"kappa": 0.0}, {}, False, 2, "needs Cstar"),
             (
                 ["integral", "heat_kernel", "saturation"],
                 {},
@@ -1510,16 +1561,9 @@ class TestCertifyCommand:
                 4,
                 "exceeds K S_eta psi",
             ),
-            (
-                ["saturation", "heat_kernel", "integral"],
-                {"G": OVER_CAP, "Cstar": 1.5},
-                {},
-                False,
-                2,
-                "needs certificate.K",
-            ),
+            (["heat_kernel", "saturation", "integral"], {}, {}, False, 2, "needs certificate.K"),
         ],
-        ids=["negative-f", "over-cap", "above-K", "no-K"],
+        ids=["negative-f", "kappa-zero", "above-K", "no-K"],
     )
     def test_first_listed_fault_is_reported(
         self, tmp_path, capsys, kinds, model, cert, negative_f, code, message

@@ -18,7 +18,7 @@ from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
 from spdelab import integrator
-from spdelab.blowup import ModelParams, PowerLaw, TabulatedNonlinearity, deterministic_dichotomy, Dichotomy
+from spdelab.blowup import ModelParams, deterministic_dichotomy, Dichotomy
 from conftest import _heat_semigroup, _laplacian
 from spdelab.domain import (
     DomainSpec,
@@ -40,12 +40,9 @@ from spdelab.integrator import (
 from spdelab.stochastic import BrownianPath, sample_brownian
 
 
-def zero_g():
-    return TabulatedNonlinearity(z=np.array([0.0, 1.0]), g=np.array([0.0, 0.0]))
-
-
 def linear_params(kappa):
-    return ModelParams(beta=1.0, kappa=kappa, G=zero_g())
+    # Lambda = 0: the linear equation
+    return ModelParams(beta=1.0, kappa=kappa, C=0.0, Lambda=0.0)
 
 
 def scalar_problem(lam=1.0):
@@ -274,34 +271,22 @@ def mixed_outcome_problem(kind):
     return eig, 12.0 * eig.psi
 
 
-def tabulated_square():
-    # G(z) = z^2 sampled geometrically far past the cutoff, so the chord
-    # interpolant blows up like the power law it samples
-    z = np.concatenate([[0.0], np.logspace(-4.0, 10.0, 400)])
-    return TabulatedNonlinearity(z=z, g=z**2)
-
-
-NONLINEARITIES = ["power_law", "power_law_half", "tabulated"]
+NONLINEARITIES = ["power_law", "power_law_half"]
 
 
 def block_params(nonlinearity):
-    """The kappa = 1 model of the block engine tests: G = z^2; G = 2 z^(3/2),
-    whose exponent is not an integer and whose coefficient is not one, with
-    the same mix of outcomes from mixed_outcome_problem; or a table of z^2,
-    which is evaluated as given."""
+    """The kappa = 1 model of the block engine tests: the reaction z^2, or
+    2 z^(3/2), whose exponent is not an integer and whose coefficient is not
+    one, with the same mix of outcomes from mixed_outcome_problem."""
     if nonlinearity == "power_law":
-        return ModelParams(beta=1.0, kappa=1.0, G=PowerLaw())
-    if nonlinearity == "power_law_half":
-        return ModelParams(beta=0.5, kappa=1.0, C=2.0, Lambda=2.0,
-                           G=PowerLaw(coeff=2.0, beta=0.5))
-    return ModelParams(beta=1.0, kappa=1.0, G=tabulated_square())
+        return ModelParams(beta=1.0, kappa=1.0)
+    return ModelParams(beta=0.5, kappa=1.0, C=2.0, Lambda=2.0)
 
 
 def single_path_loop(f, path, params, eig, cutoff, variable):
     """Reference: one path, one column per solve with the tridiagonal
     Cholesky factor, mass and sup up to the first cutoff crossing.
-    The v reaction collapses a power law to c e^{kappa beta W} v^(1+beta) and
-    evaluates any other G as e^{-kappa W} G(e^{kappa W} v)."""
+    The v reaction is collapsed to Lambda e^{kappa beta W} v^(1+beta)."""
     lap = _laplacian(eig.grid)
     eye = sparse.identity(lap.shape[0], format="csr")
     shift = 0.5 * params.kappa**2 if variable == "v" else 0.0
@@ -319,14 +304,12 @@ def single_path_loop(f, path, params, eig, cutoff, variable):
     v = f
     mass, sup = [float(np.dot(eig.grid.weights, eig.psi * v))], [float(np.max(np.abs(v)))]
     for k in range(path.nsteps):
-        if variable == "v" and isinstance(params.G, PowerLaw):
-            factor = params.G.coeff * math.exp(min(params.kappa * params.beta * path.values[k], 700.0))
-            r = factor * np.power(np.maximum(v, 0.0), 1.0 + params.beta)
-        elif variable == "v":
-            factor = math.exp(min(max(params.kappa * path.values[k], -700.0), 700.0))
-            r = params.G(factor * v) / factor
+        power = np.power(np.maximum(v, 0.0), 1.0 + params.beta)
+        if variable == "v":
+            factor = params.Lambda * math.exp(min(params.kappa * params.beta * path.values[k], 700.0))
+            r = factor * power
         else:
-            r = params.G(v) + params.kappa * v * (dw[k] / path.dt)
+            r = params.Lambda * power + params.kappa * v * (dw[k] / path.dt)
         v = solve(v + path.dt * r)
         if not np.max(np.abs(v)) < cutoff:
             break
@@ -365,8 +348,7 @@ class TestBlockEngine:
     @pytest.mark.parametrize("nonlinearity", NONLINEARITIES)
     def test_matches_single_path_loop(self, variable, nonlinearity):
         # the block engine reproduces the per-path loop it replaced, bit for
-        # bit, on every accepted step of every path, for two power laws and
-        # for a G that is evaluated as given
+        # bit, on every accepted step of every path, for two power laws
         grid, eig = interval_16()
         params = block_params(nonlinearity)
         f = 3.0 * eig.psi
@@ -579,7 +561,7 @@ class TestBlockEngine:
         grid_steps = [noise for noise, dt in calls if dt == path.dt]
         sub_steps = [noise for noise, dt in calls if dt < path.dt]
         if variable == "v":
-            expected = params.G.coeff * math.exp(params.kappa * params.beta * path.values[k])
+            expected = params.Lambda * math.exp(params.kappa * params.beta * path.values[k])
         else:
             expected = (path.values[k + 1] - path.values[k]) / path.dt
         assert grid_steps[k].tolist() == [[expected]]
@@ -717,12 +699,16 @@ class TestModeCoefficients:
     @pytest.mark.parametrize("variable", ["v", "u"])
     def test_reaction_reads_each_rows_own_step(self, variable):
         # in a full basis the kept fields come back from their coefficients;
-        # each row's reaction coefficients are those of G at that row's own
-        # step: W at the step for v, including the last stable row of a path
-        # that blows up between kept rows and the row at t = T
+        # each row's reaction coefficients are those of G(z) = Lambda z^2 at
+        # that row's own step: W at the step for v, including the last stable
+        # row of a path that blows up between kept rows and the row at t = T
         grid, eig = interval_16()
         basis = full_basis(eig)
         params = ModelParams(beta=1.0, kappa=1.0)
+
+        def G(z):
+            return params.Lambda * np.maximum(z, 0.0) ** (1.0 + params.beta)
+
         max_snapshots = 40
         paths = [sample_brownian(2.0, 2e-3, 7, i) for i in range(6)]
         trajs = simulate_paths(3.0 * eig.psi, paths, params, basis, 1e6, variable,
@@ -737,9 +723,9 @@ class TestModeCoefficients:
             idx = np.rint(traj.snapshot_times / path.dt).astype(int)
             if variable == "v":  # e^{-kappa W} G(e^{kappa W} v), W at each row's step
                 factor = np.exp(params.kappa * path.values[idx])[:, None]
-                react = params.G(factor * fields) / factor
+                react = G(factor * fields) / factor
             else:
-                react = params.G(fields)
+                react = G(fields)
             expected = (react * grid.weights) @ basis.modes
             scale = np.max(np.abs(expected), axis=1, keepdims=True)
             assert np.all(np.abs(traj.reaction_coeffs - expected) <= 1e-10 * scale)
@@ -871,22 +857,21 @@ class TestSchemeCrossValidation:
 
 
 class TestWeakFormResidual:
-    def _run(self, interval_48, dt, kappa=0.0, nonlinearity=None, variable="v"):
+    def _run(self, interval_48, dt, kappa=0.0, linear=False, variable="v"):
         _, grid, _, eig = interval_48
-        params = (ModelParams(beta=1.0, kappa=kappa, G=nonlinearity)
-                  if nonlinearity is not None else ModelParams(beta=1.0, kappa=kappa))
+        params = linear_params(kappa) if linear else ModelParams(beta=1.0, kappa=kappa)
         f = 0.3 * eig.psi
         path = BrownianPath.frozen_zero(horizon=0.5, dt=dt)
         traj = simulate_paths(f, [path], params, eig, 1e8, variable, max_snapshots=100000)[0]
         return mode_residuals(traj, params, eig, n_modes=3)[:2]
 
     def test_zero_at_initial_time(self, interval_48):
-        _, res = self._run(interval_48, dt=1e-3, nonlinearity=zero_g())
+        _, res = self._run(interval_48, dt=1e-3, linear=True)
         assert res[0] == 0.0
 
     def test_linear_residual_small_and_first_order(self, interval_48):
-        _, coarse = self._run(interval_48, dt=2e-3, nonlinearity=zero_g())
-        _, fine = self._run(interval_48, dt=5e-4, nonlinearity=zero_g())
+        _, coarse = self._run(interval_48, dt=2e-3, linear=True)
+        _, fine = self._run(interval_48, dt=5e-4, linear=True)
         assert np.max(coarse) < 1e-3
         ratio = np.max(coarse) / np.max(fine)
         assert 2.8 <= ratio <= 5.5  # dt quartered -> residual ~ quartered
