@@ -66,6 +66,11 @@ class TestModelParams:
         with pytest.raises(ConfigurationError):
             ModelParams(beta=1.0, kappa=1.0, C=2.0, Lambda=1.0)
 
+    def test_linear_equation_has_no_positive_C(self):
+        # C z^(1+beta) <= Lambda z^(1+beta) = 0 leaves C = 0 alone
+        with pytest.raises(ConfigurationError, match=r"^C must be <= Lambda=0.0, got 1e-300"):
+            ModelParams(beta=1.0, kappa=1.0, C=1e-300, Lambda=0.0)
+
     def test_rejects_bad_scalars(self):
         with pytest.raises(ConfigurationError):
             ModelParams(beta=0.0, kappa=1.0)

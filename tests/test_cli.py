@@ -65,6 +65,7 @@ RANGE_CASES = [
     ("model.kappa", {"kappa": -1.0}),
     ("model.C", {"C": -1.0}),
     ("model.C", {"C": 2.0}),
+    ("model.C", {"Lambda": 0.0, "C": 1.0}),
     ("model.Lambda", {"Lambda": -1.0}),
     ("model.Cstar", {"Cstar": 0.0}),
     ("initial.mode", {"mode": "random"}),
@@ -797,8 +798,10 @@ class TestLinearEquation:
     """Lambda = C = 0, the linear equation, end to end with warnings as
     errors: it integrates and certifies, and has no lower solution."""
 
-    def run(self, tmp_path, command, kappa=1.0, **sections):
+    def run(self, tmp_path, command, kappa=1.0, Cstar=None, **sections):
         model = {"beta": 1.0, "kappa": kappa, "C": 0.0, "Lambda": 0.0}
+        if Cstar is not None:
+            model["Cstar"] = Cstar
         cfg = interval_cfg(model=model, **sections)
         out = tmp_path / "out"
         with warnings.catch_warnings():
@@ -806,19 +809,20 @@ class TestLinearEquation:
             code = main([command, "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)])
         return code, out
 
-    def test_simulate_mass_decays_at_the_linear_rate(self, tmp_path):
+    @pytest.mark.parametrize("kappa", [1.0, 0.0], ids=["noise", "no-noise"])
+    def test_simulate_mass_decays_at_the_linear_rate(self, tmp_path, kappa):
         # v = e^{-kappa W} u solves dv/dt = (Delta - kappa^2/2) v whatever
         # the path: each backward Euler step divides the psi-mass by
         # 1 + dt (lam1 + kappa^2/2), lam1 the grid's
         dt, horizon = 0.01, 2.0
         code, out = self.run(
-            tmp_path, "simulate",
+            tmp_path, "simulate", kappa,
             initial={"mode": "eigen-multiple", "a": 0.5},
             sim={"dt": dt, "horizon": horizon, "n_paths": 2, "seed": 5},
         )
         assert code == 0
         lam1 = solve_eigenpairs(build_grid(DomainSpec(kind="interval", lengths=(math.pi,)), 32), 2).lam1
-        rate = lam1 + 0.5
+        rate = lam1 + 0.5 * kappa**2
         for traj in read_csv(out / "trajectories.csv"):
             assert traj["outcome"] == "completed_horizon"
             assert traj["tau_analytic"] == ""
@@ -837,6 +841,38 @@ class TestLinearEquation:
         assert code == 0
         [row] = read_csv(out / "certificates.csv")
         assert (row["kind"], row["J"], row["verdict"]) == ("integral", "0.0", "certified")
+
+    def test_certify_saturation_is_zero_and_certified(self, tmp_path):
+        # no reaction: the sup bound is Cstar (1 - J) = Cstar
+        code, out = self.run(
+            tmp_path, "certify", Cstar=1.0,
+            initial={"mode": "eigen-multiple", "a": 0.5},
+            sim={"dt": 0.01, "horizon": 5.0, "seed": 3},
+            certificate={"kinds": ["saturation"]},
+        )
+        assert code == 0
+        [row] = read_csv(out / "certificates.csv")
+        assert (row["kind"], row["J"], row["threshold"], row["verdict"]) == (
+            "saturation", "0.0", "1.0", "certified"
+        )
+
+    @pytest.mark.parametrize("analytic", [False, True], ids=["path", "analytic"])
+    def test_certify_heat_kernel_threshold_is_infinite(self, tmp_path, analytic):
+        # the denominator Lambda beta (...)^beta is 0: every path stays under
+        # the threshold, so the gamma law gives probability 1
+        code, out = self.run(
+            tmp_path, "certify",
+            initial={"mode": "eigen-multiple", "a": 0.5},
+            sim={"dt": 0.01, "horizon": 5.0, "seed": 3},
+            certificate={"kinds": ["heat_kernel"], "K": 5.0, "c": 1.0, "analytic": analytic},
+        )
+        assert code == 0
+        [row] = read_csv(out / "certificates.csv")
+        assert row["threshold"] == "inf"
+        if analytic:
+            assert (row["verdict"], row["probability_certified"]) == ("", "1.0")
+        else:
+            assert (row["verdict"], row["probability_certified"]) == ("certified", "")
 
     @pytest.mark.parametrize("kappa", [1.0, 0.0], ids=["monte-carlo", "dichotomy"])
     def test_blowup_exits_4_without_a_csv(self, tmp_path, capsys, kappa):

@@ -88,6 +88,40 @@ class TestSettings:
                            max_snapshots=1)
 
 
+class TestReaction:
+    """The one reaction, Lambda max(z, 0)^(1+beta): for u as given, for v
+    with the noise factor Lambda e^{kappa beta W} in place of Lambda."""
+
+    @pytest.mark.parametrize("variable", ["v", "u"])
+    def test_values_clip_the_negative_part(self, variable):
+        params = ModelParams(beta=1.5, kappa=1.0, C=2.0, Lambda=2.0)
+        fields = np.array([[0.0, 4.0, -3.0]])
+        noise = integrator._noise_factor(np.zeros((1, 1)), params)
+        out = np.empty_like(fields)
+        integrator._Reaction(params, variable)(fields, noise, out)
+        assert out[0, 0] == out[0, 2] == 0.0
+        assert out[0, 1] == pytest.approx(2.0 * 4.0**2.5, rel=1e-15)
+
+    def test_noise_factor_is_lambda_e_kappa_beta_w_clamped(self):
+        # each entry is Lambda math.exp(min(kappa beta W, EXP_CLAMP)), the
+        # same float operation at every shape
+        params = ModelParams(beta=0.5, kappa=2.0, C=1.0, Lambda=3.0)
+        w = np.array([[-1.0], [0.0], [0.75], [1e3]])
+        factor = integrator._noise_factor(w, params)
+        expected = [3.0 * math.exp(min(x, 700.0)) for x in (-1.0, 0.0, 0.75, 1e3)]
+        assert factor.shape == w.shape and factor[:, 0].tolist() == expected
+
+    @pytest.mark.parametrize("variable", ["v", "u"])
+    def test_linear_equation_has_no_reaction(self, variable):
+        # Lambda = 0 zeroes the reaction, including at a clamped noise factor
+        params = linear_params(1.0)
+        fields = np.array([[0.0, 4.0, -3.0], [1e3, 2.0, 0.5]])
+        noise = integrator._noise_factor(np.array([[0.0], [1e3]]), params)
+        out = np.full_like(fields, np.nan)
+        integrator._Reaction(params, variable)(fields, noise, out)
+        assert out.tolist() == np.zeros_like(fields).tolist()
+
+
 class TestStep:
     def test_eigenmode_implicit_decay_exact(self, interval_48):
         # G = 0, kappa = 0, f = psi: k steps give (1 + dt lam1)^{-k} psi exactly
@@ -271,16 +305,19 @@ def mixed_outcome_problem(kind):
     return eig, 12.0 * eig.psi
 
 
-NONLINEARITIES = ["power_law", "power_law_half"]
+NONLINEARITIES = ["power_law", "power_law_half", "power_law_cubic"]
 
 
 def block_params(nonlinearity):
-    """The kappa = 1 model of the block engine tests: the reaction z^2, or
+    """The kappa = 1 model of the block engine tests: the reaction z^2;
     2 z^(3/2), whose exponent is not an integer and whose coefficient is not
-    one, with the same mix of outcomes from mixed_outcome_problem."""
+    one; or z^3 / 2 with C = 1/4 < Lambda, where the engine reads Lambda
+    alone. Each gives a mix of outcomes from mixed_outcome_problem."""
     if nonlinearity == "power_law":
         return ModelParams(beta=1.0, kappa=1.0)
-    return ModelParams(beta=0.5, kappa=1.0, C=2.0, Lambda=2.0)
+    if nonlinearity == "power_law_half":
+        return ModelParams(beta=0.5, kappa=1.0, C=2.0, Lambda=2.0)
+    return ModelParams(beta=2.0, kappa=1.0, C=0.25, Lambda=0.5)
 
 
 def single_path_loop(f, path, params, eig, cutoff, variable):
@@ -348,7 +385,7 @@ class TestBlockEngine:
     @pytest.mark.parametrize("nonlinearity", NONLINEARITIES)
     def test_matches_single_path_loop(self, variable, nonlinearity):
         # the block engine reproduces the per-path loop it replaced, bit for
-        # bit, on every accepted step of every path, for two power laws
+        # bit, on every accepted step of every path, for three power laws
         grid, eig = interval_16()
         params = block_params(nonlinearity)
         f = 3.0 * eig.psi
