@@ -250,8 +250,8 @@ def certificate_heat_kernel(
     majorant diverges. In analytic mode (path None) the left side is the blowup
     functional A_inf, and the report carries the probability that the
     condition holds, analytic_blowup_bound(lam1, kappa, beta, threshold).p_global.
-    A right side whose denominator underflows to 0 is +inf: every path
-    certifies, and the probability is 1.
+    A right side whose denominator is 0, at Lambda = 0 for any K or by an
+    underflow, is +inf: every path certifies, and the probability is 1.
 
     When f is given it is checked against the domination f <= K S_eta psi
     node by node; the first violating node is named in the failure.
@@ -279,8 +279,9 @@ def certificate_heat_kernel(
     beta = params.beta
     try:
         denom = params.Lambda * beta * (K * (1.0 + c) * sup_phi1**2 * mass_phi1) ** beta
-    except OverflowError:  # float ** raises where * gives inf; both leave threshold 0
-        denom = math.inf
+    except OverflowError:  # float ** raises where * gives inf: threshold 0, unless the
+        # weight Lambda beta is 0, which keeps the denominator 0 however large K is
+        denom = math.inf if params.Lambda * beta > 0 else 0.0
     # e^{lam1 beta eta} / denom in logs, so that no exponent is clamped: 0 past an
     # overflowing denominator, +inf past one that underflows or the largest float
     try:

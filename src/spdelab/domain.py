@@ -244,8 +244,16 @@ def _spectrum(grid: GridSpec) -> np.ndarray:
 def _sine_vectors(n: int, k: np.ndarray) -> np.ndarray:
     """The eigenvectors of index k of the 1D stencil on n nodes, as columns:
     v_k(j) = sqrt(2/(n+1)) sin(j k pi/(n+1)), orthonormal in plain l2 and
-    positive for k = 1. They do not depend on the spacing."""
-    return math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(np.arange(1, n + 1), k * (math.pi / (n + 1))))
+    positive for k = 1. They do not depend on the spacing.
+
+    The sine has period 2(n+1) in the integer j k, so every entry is read
+    from one table of the 2(n+1) values at m pi/(n+1), at the exact index
+    j k mod 2(n+1): no angle carries a j k-sized rounding, the full matrix
+    is bitwise symmetric, and the k = 1 column keeps the bits of
+    sin(j (pi/(n+1)))."""
+    period = 2 * (n + 1)
+    table = math.sqrt(2.0 / (n + 1)) * np.sin(np.arange(period) * (math.pi / (n + 1)))
+    return table[np.outer(np.arange(1, n + 1), k) % period]
 
 
 def solve_eigenpairs(grid: GridSpec, m: int) -> EigenData:

@@ -133,8 +133,8 @@ class _Workspace:
     other grid, a rectangle or the 1-node grid, is solved in the tensor sine
     basis, where the separable stencil is diagonal: a field X shaped rows x n
     solves as V_a ((V_a X V) / div) V, div = 1 + dt (lam + shift) over
-    the grid's spectrum lam, V the symmetric orthogonal matrix of
-    _sine_vectors and V_a = V (the 1-node grid is one row, with V_a = 1),
+    the grid's spectrum lam, V the orthogonal matrix of _sine_vectors,
+    symmetric to the bit, and V_a = V (the 1-node grid is one row, with V_a = 1),
     O(n^3) a solve on an n x n rectangle. shift is kappa^2/2 for v, 0 for u.
     """
 

@@ -261,6 +261,14 @@ class TestHeatKernelCertificate:
         rep = certificate_heat_kernel(1e-300, 1.0, params, eig, c=1.0, path=path)
         assert rep.threshold == math.inf and rep.verdict is Verdict.CERTIFIED
 
+    def test_overflowing_denominator_is_a_zero_threshold(self, small_eig):
+        # the power overflows at K = 1e200 and beta = 2, and Lambda beta > 0
+        # makes the denominator infinite: no path certifies
+        path = sample_brownian(5.0, 1e-3, 3, 0)
+        params = ModelParams(beta=2.0, kappa=1.0)
+        rep = certificate_heat_kernel(1e200, 1.0, params, small_eig, c=1.0, path=path)
+        assert rep.threshold == 0.0 and rep.verdict is Verdict.NOT_CERTIFIED
+
     def test_threshold_grows_past_the_exponent_clamp(self, small_eig):
         # e^{lam1 beta eta} overflows past eta ~ 710 / (lam1 beta), but the
         # quotient is formed in logs: the threshold grows by e^{lam1 beta d_eta}
@@ -375,11 +383,17 @@ class TestLinearEquation:
             assert np.all(rep.envelope == 1.0)
 
     def test_heat_kernel_threshold_is_infinite(self, small_eig):
-        rep = certificate_heat_kernel(1.0, 1.0, self.PARAMS, small_eig, c=1.0)
-        assert (rep.threshold, rep.probability) == (math.inf, 1.0)
+        # at K = 1e200, beta = 2 the power [K (1+c) (sup psi)^2 int psi]^beta
+        # overflows; its weight Lambda beta = 0 keeps the threshold +inf, where
+        # it used to read 0: path mode was not certified and analytic mode
+        # refused the gamma law at level 0
         path = sample_brownian(5.0, 1e-3, 3, 0)
-        rep = certificate_heat_kernel(1.0, 1.0, self.PARAMS, small_eig, c=1.0, path=path)
-        assert rep.threshold == math.inf and rep.verdict is Verdict.CERTIFIED
+        for beta, K in [(1.0, 1.0), (2.0, 1e3), (2.0, 1e200)]:
+            params = ModelParams(beta=beta, kappa=1.0, C=0.0, Lambda=0.0, Cstar=1.0)
+            rep = certificate_heat_kernel(K, 1.0, params, small_eig, c=1.0)
+            assert (rep.threshold, rep.probability) == (math.inf, 1.0)
+            rep = certificate_heat_kernel(K, 1.0, params, small_eig, c=1.0, path=path)
+            assert rep.threshold == math.inf and rep.verdict is Verdict.CERTIFIED
 
 
 class TestOneKernel:

@@ -216,6 +216,29 @@ class TestEigenpairs:
         residual = -_laplacian(grid) @ modes - modes * lam.ravel()
         assert np.max(np.abs(residual)) <= 1e-12 * np.max(lam)
 
+    @pytest.mark.parametrize("n, m", [(512, 512), (512, 200), (100, 100), (16, 16)])
+    def test_sine_vectors_are_exact_to_rounding(self, n, m):
+        # the reference reduces j k in integers to an angle of at most pi/2
+        # before it rounds one. An angle m pi/(n+1) with m < 2(n+1) errs by
+        # about 2 pi eps/2 at most, so 8 eps of the amplitude holds; angles
+        # j k pi/(n+1) erred by up to 1.1e-13 of it at n = 512, m = 200.
+        # The principal column keeps psi's bits. The full matrix is the
+        # integrator's V, its own inverse: symmetric to the bit and orthogonal
+        # to rounding (rounded angles gave a defect of 3.8e-14 at n = 512)
+        j, k = np.arange(1, n + 1), np.arange(1, m + 1)
+        r = np.outer(j, k) % (2 * (n + 1))
+        sign = np.where(r > n + 1, -1.0, 1.0)  # sin(x + pi) = -sin x
+        r = np.where(r > n + 1, r - (n + 1), r)
+        r = np.minimum(r, n + 1 - r)  # sin(pi - x) = sin x
+        scale = math.sqrt(2.0 / (n + 1))
+        reference = sign * scale * np.sin(r * (math.pi / (n + 1)))
+        sines = domain._sine_vectors(n, k)
+        assert np.max(np.abs(sines - reference)) <= 8 * np.finfo(float).eps * scale
+        assert sines[:, 0].tobytes() == (scale * np.sin(j * (math.pi / (n + 1)))).tobytes()
+        if m == n:
+            assert sines.tobytes() == sines.T.tobytes()
+            assert np.max(np.abs(sines.T @ sines - np.eye(n))) <= 1e-14
+
     def test_tied_modes_split_in_row_major_order(self):
         # on a square the modes (1, 2) and (2, 1) tie: the basis keeps (1, 2),
         # the first in row-major order, and the tail bound starts at (2, 1)
