@@ -6,8 +6,8 @@ stochastic.exp_functional evaluates with log w as its log weight:
 * integral certificate: J = Lambda beta int_0^inf e^{kappa beta W_r}
   ||e^{-kappa^2 r/2} S_r f||_inf^beta dr < 1 grants a global solution with
   the envelope B(t) = (1 - J(t))^{-1/beta};
-* saturation certificate: same integral with factor e^{-kappa W_r}, for
-  nonlinearities only controlled on (0, C*); certifies when
+* saturation certificate: same integral with factor e^{-kappa W_r}; certifies
+  a global solution that stays below the level C* when
   ||f||_inf <= C* (1 - J*)^{1/beta} and the enveloped sup norm stays below C*;
 * heat-kernel certificate: for f dominated by K S_eta psi, the blowup
   functional int e^{kappa beta W_r - (lam1 + kappa^2/2) beta r} dr of
@@ -159,8 +159,8 @@ def certificate_sup_norm(
 
     * INTEGRAL (b = kappa beta): certifies J < 1, with the envelope
       B(t) = (1 - J(t))^(-1/beta).
-    * SATURATION (b = -kappa): the variant model driven by G(v) itself, where
-      the power-law domination is only assumed on (0, C*). Certifies when
+    * SATURATION (b = -kappa): a global solution of the reaction
+      Lambda z^(1+beta) that stays below the level C*. Certifies when
       ||f||_inf <= C* (1 - J*)^(1/beta) and the enveloped sup norm
       B*(t) ||e^{-kappa^2 t/2} S_t f||_inf, an upper bound, stays below C*.
 
@@ -251,7 +251,9 @@ def certificate_heat_kernel(
     functional A_inf, and the report carries the probability that the
     condition holds, analytic_blowup_bound(lam1, kappa, beta, threshold).p_global.
     A right side whose denominator is 0, at Lambda = 0 for any K or by an
-    underflow, is +inf: every path certifies, and the probability is 1.
+    underflow, is +inf: every path certifies, and the probability is 1. One
+    that underflows to 0, past an overflowing denominator, certifies no path,
+    and the probability is 0.
 
     When f is given it is checked against the domination f <= K S_eta psi
     node by node; the first violating node is named in the failure.
@@ -290,9 +292,11 @@ def certificate_heat_kernel(
         threshold = math.inf
 
     if path is None:
-        # the left side is A_inf of the blowup functional, at the same (a, b)
+        # the left side is A_inf of the blowup functional, at the same (a, b);
+        # A_inf > 0 almost surely, so no path meets a threshold of 0
         try:
-            probability = analytic_blowup_bound(eigen.lam1, params.kappa, beta, threshold).p_global
+            probability = 0.0 if threshold == 0.0 else analytic_blowup_bound(
+                eigen.lam1, params.kappa, beta, threshold).p_global
         except ConfigurationError as exc:
             raise ConfigurationError(f"heat-kernel certificate at K={K!r}: {exc}") from exc
         return CertificateReport(

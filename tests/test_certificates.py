@@ -269,6 +269,22 @@ class TestHeatKernelCertificate:
         rep = certificate_heat_kernel(1e200, 1.0, params, small_eig, c=1.0, path=path)
         assert rep.threshold == 0.0 and rep.verdict is Verdict.NOT_CERTIFIED
 
+    @pytest.mark.parametrize("K, beta", [(1e308, 1.0), (1e200, 2.0)])
+    def test_zero_threshold_has_probability_0(self, small_eig, K, beta):
+        # the denominator is inf, by a product at beta = 1 and by a power at
+        # beta = 2; A_inf > 0 almost surely, so no path meets a threshold of 0
+        rep = certificate_heat_kernel(K, 1.0, ModelParams(beta=beta, kappa=1.0), small_eig, c=1.0)
+        assert (rep.threshold, rep.probability) == (0.0, 0.0)
+
+    def test_positive_threshold_lost_to_a_tiny_kappa_is_refused(self, small_eig):
+        # kappa^2 beta^2 threshold underflows to 0 at kappa = 1e-100 and
+        # K = 1e150, though the threshold itself is positive
+        rep = certificate_heat_kernel(1e150, 1.0, ModelParams(beta=1.0, kappa=1.0), small_eig, c=1.0)
+        assert 0.0 < rep.threshold < 1e-140
+        with pytest.raises(ConfigurationError, match=r"K=1e\+150: .*kappa=1e-100"):
+            certificate_heat_kernel(1e150, 1.0, ModelParams(beta=1.0, kappa=1e-100), small_eig,
+                                    c=1.0)
+
     def test_threshold_grows_past_the_exponent_clamp(self, small_eig):
         # e^{lam1 beta eta} overflows past eta ~ 710 / (lam1 beta), but the
         # quotient is formed in logs: the threshold grows by e^{lam1 beta d_eta}

@@ -1531,15 +1531,28 @@ class TestCertifyCommand:
         assert not (out / table).exists()
 
     @pytest.mark.parametrize("K, beta", [(1e308, 1.0), (1e200, 2.0)])
-    def test_heat_kernel_analytic_huge_K_exits_2(self, tmp_path, capsys, K, beta):
-        # [K (1+c) (sup psi)^2 int psi]^beta overflows, the threshold is 0 and
-        # the gamma-law argument 2/(kappa^2 beta^2 threshold) is infinite
+    def test_heat_kernel_analytic_huge_K_has_probability_0(self, tmp_path, K, beta):
+        # [K (1+c) (sup psi)^2 int psi]^beta overflows and the threshold is 0,
+        # which A_inf > 0 never meets
         cfg = self.base_cfg(kinds=["heat_kernel"], K=K, eta=1.0, c=1.0, analytic=True)
         cfg["model"] = {**MODEL, "beta": beta}
         del cfg["initial"]
-        p = write_cfg(tmp_path, cfg)
-        assert main(["certify", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
-        assert f"K={K!r}" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["certify", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+        [row] = read_csv(out / "certificates.csv")
+        assert (row["threshold"], row["probability_certified"]) == ("0.0", "0.0")
+
+    def test_heat_kernel_analytic_level_underflow_exits_2(self, tmp_path, capsys):
+        # at kappa = 1e-100 and K = 1e150 the threshold is positive but
+        # kappa^2 beta^2 threshold underflows, as in blowup's level-underflows
+        cfg = self.base_cfg(kinds=["heat_kernel"], K=1e150, eta=1.0, c=1.0, analytic=True)
+        cfg["model"] = {**MODEL, "kappa": 1e-100}
+        del cfg["initial"]
+        out = tmp_path / "out"
+        assert main(["certify", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "K=1e+150" in err and "kappa=1e-100" in err
+        assert not (out / "certificates.csv").exists()
 
     def test_heat_kernel_analytic_tiny_K_certifies(self, tmp_path):
         # [K (1+c) (sup psi)^2 int psi]^beta underflows to 0 at K = 1e-300

@@ -1,14 +1,18 @@
-"""The repository's pytest configuration, run on a scratch test file, and the
-README against the keys the loader accepts and the configs the repo ships."""
+"""The repository's pytest configuration, run on a scratch test file, the
+README against the keys the loader accepts and the configs the repo ships, and
+the output gate of tools/compare_outputs.py on fake checkouts."""
 
 import dataclasses
 import importlib.util
+import json
 import math
 import re
 import subprocess
 import sys
 import typing
 from pathlib import Path
+
+import pytest
 
 from spdelab import config
 
@@ -58,8 +62,8 @@ def test_configuration_reference_names_every_key():
     assert missing == []
 
 
-# the output comparison script, which owns the config -> command table that
-# CI's shipped-config step reads too
+# the output gate, which owns the config -> command table that the README
+# examples follow
 _spec = importlib.util.spec_from_file_location(
     "compare_outputs", ROOT / "tools" / "compare_outputs.py"
 )
@@ -133,3 +137,104 @@ def test_a_difference_is_named_by_its_config_and_file():
     assert compare_outputs.named(path, ["x", "blowup_mc moved: blowup.csv by 1e-16"])
     assert not compare_outputs.named(path, ["blowup_mc moved", "blowup.csv moved"])
     assert not compare_outputs.named(path, ["blowup_dichotomy: blowup.csv"])
+
+
+# the cli of a fake checkout: each config names the files a run writes, whose
+# text may hold {workers} and {time}, and may add a stderr line, a warning and
+# an exit code
+STUB_CLI = """
+import json, sys, time, warnings
+from pathlib import Path
+
+def main(argv):
+    args = dict(zip(argv[1::2], argv[2::2]))
+    cfg = json.loads(Path(args["--config"]).read_text())
+    out = Path(args["--out"])
+    out.mkdir(parents=True)
+    for name, text in cfg.get("files", {"table.csv": "x\\n1.0\\n"}).items():
+        (out / name).write_text(text.format(workers=args.get("--workers", "1"), time=time.time_ns()))
+    sys.stderr.write(cfg.get("stderr", ""))
+    if "warn" in cfg:
+        warnings.warn(cfg["warn"], RuntimeWarning)
+    return cfg.get("exit", 0)
+"""
+
+
+def _checkout(root, changes="", **configs):
+    """A checkout with the stub cli, CHANGES.md text and configs/blowup_mc.json,
+    which the extra runs read, beside the given configs."""
+    package = root / "src" / "spdelab"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(STUB_CLI)
+    (root / "configs").mkdir()
+    for name, cfg in {"blowup_mc": {}, **configs}.items():
+        (root / "configs" / f"{name}.json").write_text(json.dumps(cfg))
+    (root / "CHANGES.md").write_text(changes)
+    return root
+
+
+def _gate(tmp_path, capsys, base, head):
+    code = compare_outputs.main(["check", str(base), str(head), "--work", str(tmp_path / "work")])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "cfg, failure",
+    [({"exit": 3}, "exited 3"), ({"stderr": "a note\n"}, "exited 0: 'a note'"),
+     ({"warn": "overflow"}, "exited 1")],
+    ids=["nonzero-exit", "stderr", "warning"],
+)
+def test_gate_fails_a_head_run_that_exits_nonzero_or_writes_to_stderr(
+    tmp_path, capsys, cfg, failure
+):
+    # a warning is an error in a head run, and a base run is not held to either
+    base = _checkout(tmp_path / "base", eigen_x={"stderr": "a note\n"})
+    head = _checkout(tmp_path / "head", eigen_x=cfg)
+    code, out = _gate(tmp_path, capsys, base, head)
+    assert code == 1
+    assert f"- head run `eigen_x` {failure}" in out
+    assert "- base run" not in out
+
+
+def test_gate_fails_a_file_that_differs_between_head_passes(tmp_path, capsys):
+    # the difference from the base is named, but the head does not repeat itself
+    base = _checkout(tmp_path / "base", eigen_x={"files": {"table.csv": "t\n0\n"}})
+    head = _checkout(tmp_path / "head", "- eigen_x: table.csv now holds the time",
+                     eigen_x={"files": {"table.csv": "t\n{time}\n"}})
+    code, out = _gate(tmp_path, capsys, base, head)
+    assert code == 1
+    assert "- `eigen_x/table.csv`: not reproducible" in out
+    assert "- `eigen_x/table.csv`: differs; named in CHANGES.md" in out
+
+
+def test_gate_fails_runs_that_differ_only_in_worker_count(tmp_path, capsys):
+    # base and head write the same bytes, so only the worker pairs can fail
+    cfg = {"files": {"blowup.csv": "workers\n{workers}\n"}}
+    base = _checkout(tmp_path / "base")
+    (base / "configs" / "blowup_mc.json").write_text(json.dumps(cfg))
+    head = _checkout(tmp_path / "head")
+    (head / "configs" / "blowup_mc.json").write_text(json.dumps(cfg))
+    code, out = _gate(tmp_path, capsys, base, head)
+    assert code == 1
+    for one, other in compare_outputs.WORKER_PAIRS:
+        assert f"- `{other}/blowup.csv`: differs against `{one}`" in out
+    assert "No output file differs" in out
+
+
+def test_gate_names_a_new_run_once_and_a_new_file_by_its_name(tmp_path, capsys):
+    files = {f"mass_series_{i:04d}.csv": f"t,mass\n0.0,{i}.0\n" for i in range(3)}
+    base = _checkout(tmp_path / "base")
+    head = _checkout(tmp_path / "head", "- simulate_new: a new config",
+                     simulate_new={"files": files})
+    code, out = _gate(tmp_path, capsys, base, head)
+    assert code == 0, out
+    assert out.count("added; named in CHANGES.md") == 3
+    # a file added to a run the base has is named only by its own name
+    head = _checkout(tmp_path / "head_2", "- blowup_mc: a new table",
+                     simulate_new={"files": files})
+    (head / "configs" / "blowup_mc.json").write_text(
+        json.dumps({"files": {"table.csv": "x\n1.0\n", "extra.csv": "x\n"}}))
+    code, out = _gate(tmp_path / "second", capsys, base, head)
+    assert code == 1
+    assert "- `blowup_mc/extra.csv`: added; NOT named in CHANGES.md" in out

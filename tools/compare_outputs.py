@@ -1,23 +1,22 @@
 #!/usr/bin/env python3
 """Compare the output files of two checkouts of spdelab.
 
-Three subcommands:
-
-    python tools/compare_outputs.py command CONFIG...
     python tools/compare_outputs.py compare BASE_TREE HEAD_TREE
     python tools/compare_outputs.py check BASE_CHECKOUT [HEAD_CHECKOUT] [--work DIR] [--summary FILE]
 
-``command`` prints the command each shipped config runs under; ``COMMANDS``
-below is the one place that table is written. ``compare`` reports every file
-of two output trees that differs, is missing from the head or was added to
-it, manifests aside, with the largest relative change in each numeric
-column, and exits 1 if any file differs. ``check`` first runs, on each
-checkout, every shipped config under its command and ``blowup_mc`` at
-``--workers 2``, each into ``WORK/<side>/<run>``; both sides run under this
-interpreter, since output bytes hold only within one numpy version. It
-exits 1 when a file differs and no line that the head's CHANGES.md adds to
-the base's names both the run's config and the file's name. ``--summary``
-appends the report, in markdown, to a file such as a CI job summary.
+``compare`` reports every file of two output trees that differs, is missing
+from the head or was added to it, manifests aside, with the largest relative
+change in each numeric column, and exits 1 if any file differs. ``check``,
+the one gate on output files, runs every shipped config under its command and
+each of ``EXTRA_RUNS`` once on the base and twice, under ``-W error``, on
+the head, into ``WORK/<pass>/<run>``, all with this interpreter, since
+output bytes hold only within one numpy version. It exits 1 if a head run
+exits nonzero or writes to stderr, a file differs between the two head
+passes, the runs of a ``WORKER_PAIRS`` entry differ, or a file differs from
+the base's and no line that the head's CHANGES.md adds to the base's names
+the run's config and the file's name (only the config, for a run the base
+has no directory of). ``--summary`` appends the report, in markdown, to a
+file such as a CI job summary.
 
 The script needs only the standard library.
 """
@@ -41,8 +40,20 @@ COMMANDS = {
     "certify_": "certify",
     "heat_kernel": "heat-kernel",
 }
-# runs past one per config: (run name, config name, extra arguments)
-EXTRA_RUNS = [("blowup_mc_workers_2", "blowup_mc", ["--workers", "2"])]
+# runs past one per config, which runs at --workers 1: (run name, config
+# name, extra arguments); 2^32 + 5 is a seed of two 32-bit words
+EXTRA_RUNS = [
+    ("blowup_mc_workers_2", "blowup_mc", ["--workers", "2"]),
+    ("blowup_mc_workers_4", "blowup_mc", ["--workers", "4"]),
+    ("blowup_mc_two_word_seed", "blowup_mc", ["--seed", "4294967301"]),
+    ("blowup_mc_two_word_seed_workers_2", "blowup_mc", ["--seed", "4294967301", "--workers", "2"]),
+]
+# runs that differ only in --workers, so must write the same files
+WORKER_PAIRS = [
+    ("blowup_mc", "blowup_mc_workers_2"),
+    ("blowup_mc", "blowup_mc_workers_4"),
+    ("blowup_mc_two_word_seed", "blowup_mc_two_word_seed_workers_2"),
+]
 
 # runs one command of the checkout whose src is argv[1], and refuses to run
 # any other installed copy of the package
@@ -71,21 +82,23 @@ def config_of(run: str) -> str:
     return {extra: config for extra, config, _ in EXTRA_RUNS}.get(run, run)
 
 
-def run_checkout(checkout: Path, out: Path) -> list[str]:
+def run_checkout(checkout: Path, out: Path, strict: bool = False) -> list[str]:
     """Run every run of ``checkout`` into out/<run>; return a line for each
-    run that did not exit 0."""
+    run that did not exit 0 or, if strict, ran under -W error and wrote to
+    stderr."""
     configs = checkout / "configs"
     runs = [(path.stem, path.stem, []) for path in sorted(configs.glob("*.json"))]
     failed = []
     for run, config, extra in runs + EXTRA_RUNS:
         path = configs / f"{config}.json"
         argv = [command_for(config), "--config", str(path), "--out", str(out / run), *extra]
+        flags = ["-W", "error"] if strict else []
         proc = subprocess.run(
-            [sys.executable, "-c", _RUNNER, str(checkout / "src"), *argv],
+            [sys.executable, *flags, "-c", _RUNNER, str(checkout / "src"), *argv],
             cwd=checkout, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
         )
-        if proc.returncode:
-            failed.append(f"`{run}` exited {proc.returncode}: {proc.stderr.strip()[-300:]}")
+        if proc.returncode or (strict and proc.stderr):
+            failed.append(f"`{run}` exited {proc.returncode}: {proc.stderr.strip()[-300:]!r}")
     return failed
 
 
@@ -174,20 +187,22 @@ def added_lines(base_changes: Path, head_changes: Path) -> list[str]:
     return [line for line in head_changes.read_text().splitlines() if line not in old]
 
 
-def named(path: str, lines: list[str]) -> bool:
-    """Whether one of lines names both the run's config and the file."""
+def named(path: str, lines: list[str], new_runs=()) -> bool:
+    """Whether one of lines names both the run's config and the file, or
+    only the config for a run in new_runs."""
     run, _, name = path.partition("/")
     config = config_of(run)
-    return any(config in line and Path(name).name in line for line in lines)
+    file = "" if run in new_runs else Path(name).name
+    return any(config in line and file in line for line in lines)
 
 
-def report(diffs, lines=None) -> list[str]:
+def report(diffs, lines=None, new_runs=()) -> list[str]:
     """Markdown lines, one per differing file; empty when none differs.
     With lines, each says whether the CHANGES.md lines name it."""
     out = []
     for path, status, notes in diffs:
-        mark = "" if lines is None else ("; named in CHANGES.md" if named(path, lines) else
-                                         "; NOT named in CHANGES.md")
+        mark = "" if lines is None else ("; named in CHANGES.md" if named(path, lines, new_runs)
+                                         else "; NOT named in CHANGES.md")
         out.append(f"- `{path}`: {status}{mark}" + "".join(f"\n  - {n}" for n in notes))
     return out
 
@@ -203,8 +218,6 @@ def _emit(lines: list[str], summary: str | None) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="action", required=True)
-    p = sub.add_parser("command", help="print the command of each shipped config")
-    p.add_argument("configs", nargs="+")
     p = sub.add_parser("compare", help="report the differences of two output trees")
     p.add_argument("base_tree", type=Path)
     p.add_argument("head_tree", type=Path)
@@ -216,10 +229,6 @@ def main(argv=None) -> int:
     p.add_argument("--summary", default=None, help="append the markdown report to this file")
     args = parser.parse_args(argv)
 
-    if args.action == "command":
-        for config in args.configs:
-            print(command_for(config))
-        return 0
     if args.action == "compare":
         lines = report(compare_trees(args.base_tree, args.head_tree))
         _emit(lines, None)
@@ -229,16 +238,26 @@ def main(argv=None) -> int:
     if work.exists() and any(work.iterdir()):
         parser.error(f"--work {work} is not empty; its old outputs would be compared")
     base, head = args.base.resolve(), args.head.resolve()
-    failures = {side: run_checkout(checkout, work / side)
-                for side, checkout in (("base", base), ("head", head))}
+    failures = {"base": run_checkout(base, work / "base")}
+    for side in ("head", "head_rerun"):
+        failures[side] = run_checkout(head, work / side, strict=True)
+    unstable = [(path, "not reproducible", notes)
+                for path, _, notes in compare_trees(work / "head", work / "head_rerun")]
+    for one, other in WORKER_PAIRS:
+        pair = compare_trees(work / "head" / one, work / "head" / other)
+        unstable += [(f"{other}/{path}", f"{status} against `{one}`", notes)
+                     for path, status, notes in pair]
     diffs = compare_trees(work / "base", work / "head")
     lines = added_lines(base / "CHANGES.md", head / "CHANGES.md")
-    out = ["### Output files against the base", ""]
+    new_runs = {run.name for run in (work / "head").glob("*")} - {
+        run.name for run in (work / "base").glob("*")}
+    out = ["### Output gate", ""]
     out += [f"- {side} run {line}" for side, failed in failures.items() for line in failed]
-    out += report(diffs, lines) or [f"No output file differs, manifests aside ({work})."]
+    out += report(unstable)
+    out += report(diffs, lines, new_runs) or [f"No output file differs, manifests aside ({work})."]
     _emit(out, args.summary)
-    unnamed = [path for path, _, _ in diffs if not named(path, lines)]
-    return 1 if unnamed or failures["head"] else 0
+    unnamed = [path for path, _, _ in diffs if not named(path, lines, new_runs)]
+    return 1 if unnamed or unstable or failures["head"] or failures["head_rerun"] else 0
 
 
 if __name__ == "__main__":
