@@ -279,11 +279,11 @@ class TestHeatKernelCertificate:
     def test_positive_threshold_lost_to_a_tiny_kappa_is_refused(self, small_eig):
         # kappa^2 beta^2 threshold underflows to 0 at kappa = 1e-100 and
         # K = 1e150, though the threshold itself is positive
-        rep = certificate_heat_kernel(1e150, 1.0, ModelParams(beta=1.0, kappa=1.0), small_eig, c=1.0)
-        assert 0.0 < rep.threshold < 1e-140
+        threshold = certificate_heat_kernel(1e150, 1.0, PARAMS, small_eig, c=1.0).threshold
+        assert 0.0 < threshold < 1e-140
+        tiny_kappa = ModelParams(beta=1.0, kappa=1e-100)
         with pytest.raises(ConfigurationError, match=r"K=1e\+150: .*kappa=1e-100"):
-            certificate_heat_kernel(1e150, 1.0, ModelParams(beta=1.0, kappa=1e-100), small_eig,
-                                    c=1.0)
+            certificate_heat_kernel(1e150, 1.0, tiny_kappa, small_eig, c=1.0)
 
     def test_threshold_grows_past_the_exponent_clamp(self, small_eig):
         # e^{lam1 beta eta} overflows past eta ~ 710 / (lam1 beta), but the

@@ -152,7 +152,8 @@ def main(argv):
     out = Path(args["--out"])
     out.mkdir(parents=True)
     for name, text in cfg.get("files", {"table.csv": "x\\n1.0\\n"}).items():
-        (out / name).write_text(text.format(workers=args.get("--workers", "1"), time=time.time_ns()))
+        text = text.format(workers=args.get("--workers", "1"), time=time.time_ns())
+        (out / name).write_text(text)
     sys.stderr.write(cfg.get("stderr", ""))
     if "warn" in cfg:
         warnings.warn(cfg["warn"], RuntimeWarning)
@@ -161,8 +162,8 @@ def main(argv):
 
 
 def _checkout(root, changes="", **configs):
-    """A checkout with the stub cli, CHANGES.md text and configs/blowup_mc.json,
-    which the extra runs read, beside the given configs."""
+    """A checkout with the stub cli, CHANGES.md text and the given configs;
+    configs/blowup_mc.json, which the extra runs read, is {} unless given."""
     package = root / "src" / "spdelab"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
@@ -211,10 +212,8 @@ def test_gate_fails_a_file_that_differs_between_head_passes(tmp_path, capsys):
 def test_gate_fails_runs_that_differ_only_in_worker_count(tmp_path, capsys):
     # base and head write the same bytes, so only the worker pairs can fail
     cfg = {"files": {"blowup.csv": "workers\n{workers}\n"}}
-    base = _checkout(tmp_path / "base")
-    (base / "configs" / "blowup_mc.json").write_text(json.dumps(cfg))
-    head = _checkout(tmp_path / "head")
-    (head / "configs" / "blowup_mc.json").write_text(json.dumps(cfg))
+    base = _checkout(tmp_path / "base", blowup_mc=cfg)
+    head = _checkout(tmp_path / "head", blowup_mc=cfg)
     code, out = _gate(tmp_path, capsys, base, head)
     assert code == 1
     for one, other in compare_outputs.WORKER_PAIRS:
@@ -231,10 +230,8 @@ def test_gate_names_a_new_run_once_and_a_new_file_by_its_name(tmp_path, capsys):
     assert code == 0, out
     assert out.count("added; named in CHANGES.md") == 3
     # a file added to a run the base has is named only by its own name
-    head = _checkout(tmp_path / "head_2", "- blowup_mc: a new table",
-                     simulate_new={"files": files})
-    (head / "configs" / "blowup_mc.json").write_text(
-        json.dumps({"files": {"table.csv": "x\n1.0\n", "extra.csv": "x\n"}}))
+    head = _checkout(tmp_path / "head_2", "- blowup_mc: a new table", simulate_new={"files": files},
+                     blowup_mc={"files": {"table.csv": "x\n1.0\n", "extra.csv": "x\n"}})
     code, out = _gate(tmp_path / "second", capsys, base, head)
     assert code == 1
     assert "- `blowup_mc/extra.csv`: added; NOT named in CHANGES.md" in out
